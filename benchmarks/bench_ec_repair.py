@@ -1,32 +1,31 @@
-"""EC crash-recovery repair: serial walk vs parallel pipeline + CI gate.
+"""EC crash-recovery repair: one round at window widths 1 and 8 + CI gate.
 
 Writes N EC(2,2) objects across a 6-site deployment, crashes the holder
 of fragment 1 (wiping its memory tier) and leaves it down, then drives
-exactly one repair round on the repair leader under two strategies:
-
-* **serial** — ``repair_concurrency=1``: the seed repairer's walk, one
-  object fully probed, checked, gathered, decoded, and pushed before
-  the next begins (golden-pinned in ``tests/golden/ec_repair_serial.json``).
-* **pipelined** — ``repair_concurrency=8``: per-round batched probes and
-  ``check_readable`` envelopes, an AnyOf-driven window of in-flight
-  objects, holder-local ``reconstruct_fragment`` (the target pulls only
-  what it needs and rebuilds via the codec's target-row fast path), and
-  per-round batched ``manifest_remap`` deltas instead of full manifest
-  rebroadcasts.
+exactly one repair round on the repair leader at
+``repair_concurrency=1`` (one object in flight) and ``=8``.  Both go
+through the repairer's single pipeline — parallel probes, batched
+``check_readable`` envelopes, holder-local ``reconstruct_fragment``,
+batched ``manifest_remap`` deltas — and differ only in how many object
+repairs overlap.
 
 Each cell reports repair completion time (simulated seconds for the
 round), repair egress (``net.bytes`` delta across the round), message
-count, fragments rebuilt, and the codec's decode-matrix cache hit rate.
-Correctness is asserted inside the cell: every fragment slot readable
-after the round, every object decodes to its original payload, and the
-second (verify) round is a no-op.  Both cells must converge to the same
-timing-free store digest.
+count, bytes moved, fragments rebuilt, and the codec's decode-matrix
+cache hits.  Correctness is asserted inside the cell: every object
+decodes cleanly after the round and the second (verify) round is a
+no-op.  Both cells must converge to the same timing-free store digest.
 
-Output goes to ``results/BENCH_ec_repair.json``; the checked-in file
-carries a ``baseline`` block.  ``--check`` fails the run when the
-pipeline stops being >= MIN_SPEEDUP faster or >= MIN_EGRESS_REDUCTION
-cheaper on repair egress than the serial baseline; ``--rebaseline``
-re-pins the baseline.
+Output goes to ``results/BENCH_ec_repair.json``.  The checked-in file
+carries two blocks this script never recomputes: ``seed_serial_reference``
+— what the serial walk this pipeline replaced cost on the same scenario,
+measured at the last commit that had it — and ``baseline``, the W=8
+figures per mode.  ``--check`` fails the run unless the live W=8 round
+is >= MIN_SPEEDUP faster and >= MIN_EGRESS_REDUCTION cheaper on egress
+than that frozen reference *and* reproduces the baseline's sim-seconds
+and egress exactly (the simulator is deterministic; any drift is a
+behaviour change).  ``--rebaseline`` re-pins the baseline for the mode
+being run.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.bench.harness import build_deployment
 from repro.core.global_policy import (GlobalPolicySpec, RedundancySpec,
                                       RegionPlacement)
 from repro.ec import codec
-from repro.ec.protocol import decode_manifest, fragment_key
+from repro.ec.protocol import decode_manifest
 from repro.net.topology import ASIA_EAST, EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 
@@ -58,13 +57,13 @@ PROVIDERS = {US_EAST: ("aws", "gcp"), US_WEST: ("aws", "gcp"),
 
 K, M = 2, 2
 VALUE_SIZE = 4096
-PIPELINE_WIDTH = 8
+WIDTHS = (1, 8)
 
-#: --check fails unless the pipelined round completes at least this many
-#: times faster (simulated seconds) than the serial round
+#: --check fails unless the W=8 round completes at least this many times
+#: faster (simulated seconds) than the frozen seed-serial reference
 MIN_SPEEDUP = 3.0
-#: --check fails unless the pipelined round moves at least this fraction
-#: fewer bytes than the serial round
+#: --check fails unless the W=8 round moves at least this fraction fewer
+#: bytes than the frozen seed-serial reference
 MIN_EGRESS_REDUCTION = 0.40
 
 
@@ -152,30 +151,29 @@ def _cell(repair_concurrency: int, objects: int, seed: int) -> dict:
     }
 
 
+def _mode(quick: bool) -> str:
+    return "quick" if quick else "full"
+
+
 def run(quick: bool = False) -> dict:
     objects = 16 if quick else 48
-    serial = _cell(1, objects, seed=17)
-    pipelined = _cell(PIPELINE_WIDTH, objects, seed=17)
-    assert serial["store_digest"] == pipelined["store_digest"], (
-        "strategies diverged: serial and pipelined stores differ")
+    cells = {f"window_{w}": _cell(w, objects, seed=17) for w in WIDTHS}
+    narrow, wide = cells["window_1"], cells["window_8"]
+    assert narrow["store_digest"] == wide["store_digest"], (
+        "window widths diverged: W=1 and W=8 stores differ")
     return {
         "benchmark": "ec_repair",
         "quick": quick,
         "scheme": f"EC({K},{M})",
         "value_size": VALUE_SIZE,
         "sites": [f"{r}/{p}" for r, p in SITES],
-        "serial": serial,
-        "pipelined": pipelined,
-        "speedup": round(serial["repair_seconds"]
-                         / max(pipelined["repair_seconds"], 1e-9), 2),
-        "egress_reduction": round(
-            1.0 - pipelined["repair_egress_bytes"]
-            / max(serial["repair_egress_bytes"], 1), 3),
-        "stores_converge": True,
+        **cells,
+        "window_speedup": round(narrow["repair_seconds"]
+                                / max(wide["repair_seconds"], 1e-9), 2),
     }
 
 
-# -- baseline plumbing ------------------------------------------------------
+# -- frozen blocks ------------------------------------------------------------
 
 def _load_existing() -> dict:
     if OUT_PATH.exists():
@@ -187,20 +185,25 @@ def _load_existing() -> dict:
 
 
 def emit(result: dict, rebaseline: bool = False) -> Path:
+    """Write the run, carrying the frozen blocks over from the file on
+    disk and deriving the headline ratios against the reference."""
     existing = _load_existing()
-    carried = {}
-    if "baseline" in existing:
-        carried["baseline"] = existing["baseline"]
-    if rebaseline or "baseline" not in carried:
-        carried["baseline"] = {
-            "quick": result["quick"],
-            "speedup": result["speedup"],
-            "egress_reduction": result["egress_reduction"],
-            "serial_repair_seconds": result["serial"]["repair_seconds"],
-            "pipelined_repair_seconds":
-                result["pipelined"]["repair_seconds"],
-        }
-    result.update(carried)
+    mode, wide = _mode(result["quick"]), result["window_8"]
+    baseline = dict(existing.get("baseline", {}))
+    if rebaseline or mode not in baseline:
+        baseline[mode] = {
+            "repair_seconds": wide["repair_seconds"],
+            "repair_egress_bytes": wide["repair_egress_bytes"]}
+    result["baseline"] = baseline
+    reference = existing.get("seed_serial_reference")
+    if reference is not None:
+        result["seed_serial_reference"] = reference
+        serial = reference[mode]
+        result["speedup"] = round(
+            serial["repair_seconds"] / max(wide["repair_seconds"], 1e-9), 2)
+        result["egress_reduction"] = round(
+            1.0 - wide["repair_egress_bytes"]
+            / serial["repair_egress_bytes"], 3)
     RESULTS.mkdir(exist_ok=True)
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     return OUT_PATH
@@ -208,47 +211,36 @@ def emit(result: dict, rebaseline: bool = False) -> Path:
 
 def check_gate(result: dict) -> bool:
     ok = True
-    if result["speedup"] < MIN_SPEEDUP:
-        print(f"gate: repair speedup {result['speedup']}x "
-              f"< required {MIN_SPEEDUP}x -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: repair speedup {result['speedup']}x "
-              f">= {MIN_SPEEDUP}x -> ok")
-    if result["egress_reduction"] < MIN_EGRESS_REDUCTION:
-        print(f"gate: egress reduction {result['egress_reduction']} "
-              f"< required {MIN_EGRESS_REDUCTION} -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: egress reduction {result['egress_reduction']} "
-              f">= {MIN_EGRESS_REDUCTION} -> ok")
-    for cell in ("serial", "pipelined"):
-        rebuilt = result[cell]["fragments_rebuilt"]
-        if rebuilt != result[cell]["objects"]:
-            print(f"gate: {cell} rebuilt {rebuilt}/"
-                  f"{result[cell]['objects']} fragments -> REGRESSION")
-            ok = False
-    if not result.get("stores_converge"):
-        print("gate: store digests diverged -> REGRESSION")
-        ok = False
-    baseline = result.get("baseline")
-    if not baseline:
-        print("no baseline recorded; drift floor passes vacuously")
-        return ok
-    if baseline.get("quick") != result.get("quick"):
-        print("baseline was recorded in a different mode "
-              f"(quick={baseline.get('quick')}); drift floor skipped — "
-              "re-pin with --rebaseline in the mode you gate on")
-        return ok
-    ceiling = 1.25 * baseline["pipelined_repair_seconds"]
-    got = result["pipelined"]["repair_seconds"]
-    if got > ceiling:
-        print(f"gate: pipelined repair {got}s drifted past baseline "
-              f"{baseline['pipelined_repair_seconds']}s (+25%) "
+    if "seed_serial_reference" not in result:
+        print("gate: results file has no seed_serial_reference block "
               "-> REGRESSION")
+        return False
+    for name, floor in (("speedup", MIN_SPEEDUP),
+                        ("egress_reduction", MIN_EGRESS_REDUCTION)):
+        verdict = "ok" if result[name] >= floor else "REGRESSION"
+        print(f"gate: {name} vs seed serial {result[name]} "
+              f"(floor {floor}) -> {verdict}")
+        ok &= result[name] >= floor
+    for width in WIDTHS:
+        cell = result[f"window_{width}"]
+        if cell["fragments_rebuilt"] != cell["objects"]:
+            print(f"gate: W={width} rebuilt {cell['fragments_rebuilt']}/"
+                  f"{cell['objects']} fragments -> REGRESSION")
+            ok = False
+    narrow, wide = result["window_1"], result["window_8"]
+    # (net.bytes/messages also count the control plane's heartbeats over
+    # the longer W=1 round, so the repair plane's own counter is compared)
+    if narrow["repair_bytes_moved"] != wide["repair_bytes_moved"]:
+        print(f"gate: bytes moved depend on the window width "
+              f"({narrow['repair_bytes_moved']} vs "
+              f"{wide['repair_bytes_moved']}) -> REGRESSION")
         ok = False
-    else:
-        print(f"gate: pipelined repair {got}s within baseline drift -> ok")
+    pinned = result["baseline"][_mode(result["quick"])]
+    for field, want in pinned.items():
+        verdict = "ok" if wide[field] == want else "REGRESSION"
+        print(f"gate: W=8 {field} {wide[field]} "
+              f"(baseline {want}, must match exactly) -> {verdict}")
+        ok &= wide[field] == want
     return ok
 
 
@@ -256,9 +248,7 @@ def test_ec_repair(benchmark):
     result = benchmark.pedantic(run, kwargs={"quick": True},
                                 rounds=1, iterations=1)
     emit(result)
-    assert result["speedup"] >= MIN_SPEEDUP
-    assert result["egress_reduction"] >= MIN_EGRESS_REDUCTION
-    assert result["stores_converge"]
+    assert check_gate(result)
 
 
 def main() -> None:
@@ -266,23 +256,29 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="short CI-smoke run")
     parser.add_argument("--check", action="store_true",
-                        help=f"exit 1 unless the pipeline stays "
-                             f">= {MIN_SPEEDUP}x faster and moves "
-                             f">= {MIN_EGRESS_REDUCTION:.0%} fewer bytes")
+                        help=f"exit 1 unless the W=8 round stays "
+                             f">= {MIN_SPEEDUP}x faster and "
+                             f">= {MIN_EGRESS_REDUCTION:.0%} cheaper than "
+                             f"the frozen seed-serial reference and "
+                             f"reproduces the baseline exactly")
     parser.add_argument("--rebaseline", action="store_true",
-                        help="pin the baseline to this run")
+                        help="pin this mode's baseline to this run")
     args = parser.parse_args()
     result = run(quick=args.quick)
     out = emit(result, rebaseline=args.rebaseline)
-    s, p = result["serial"], result["pipelined"]
-    print(f"repair : serial {s['repair_seconds']}s -> pipelined "
-          f"{p['repair_seconds']}s ({result['speedup']}x faster, "
-          f"{s['objects']} objects, one fragment holder down)")
-    print(f"egress : serial {s['repair_egress_bytes']}B "
-          f"({s['repair_messages']} msgs) -> pipelined "
-          f"{p['repair_egress_bytes']}B ({p['repair_messages']} msgs, "
-          f"{result['egress_reduction']:.0%} less)")
-    print(f"codec  : decode-matrix cache {p['decode_matrix_cache']}")
+    for width in WIDTHS:
+        cell = result[f"window_{width}"]
+        print(f"W={width}    : {cell['repair_seconds']}s, "
+              f"{cell['repair_egress_bytes']}B egress "
+              f"({cell['repair_messages']} msgs), "
+              f"{cell['repair_bytes_moved']}B moved, decode-matrix cache "
+              f"{cell['decode_matrix_cache']}")
+    if "seed_serial_reference" in result:
+        serial = result["seed_serial_reference"][_mode(args.quick)]
+        print(f"history: seed serial walk {serial['repair_seconds']}s / "
+              f"{serial['repair_egress_bytes']}B -> W=8 is "
+              f"{result['speedup']}x faster, "
+              f"{result['egress_reduction']:.0%} less egress")
     print(f"wrote {out}")
     if args.check and not check_gate(result):
         sys.exit(1)

@@ -228,12 +228,9 @@ class RedundancySpec:
     write_budget: float = 1.0
     #: fragment-repair loop period; None disables background repair
     repair_interval: Optional[float] = None
-    #: repair pipeline window: objects repaired in flight per round.
-    #: 1 (the default) keeps the serial seed repairer — one object fully
-    #: probed, fetched, rebuilt, and re-pushed before the next begins —
-    #: and is golden-pinned bit-identical.  >1 switches to the batched
-    #: scanner + holder-local reconstruction pipeline (repro.ec.repair).
-    repair_concurrency: int = 1
+    #: repair window width: object repairs in flight per round
+    #: (repro.ec.repair); 1 = one object at a time, same pipeline
+    repair_concurrency: int = 8
     #: (key-prefix, k, m) scheme overrides installed at launch
     overrides: tuple[tuple[str, int, int], ...] = ()
     #: (k, m) candidates the optimizer prices against each other

@@ -36,7 +36,8 @@ from repro.core.consistency.base import GlobalProtocol, ProtocolError
 from repro.ec.codec import Codec
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
-from repro.storage.backend import ObjectMissingError
+from repro.sim.kernel import Interrupt
+from repro.storage.backend import ObjectMissingError, StorageError
 
 #: manifests are JSON objects whose serialization starts with this tag
 MANIFEST_MAGIC = b'{"ec": 1'
@@ -69,6 +70,28 @@ def decode_manifest(data: Optional[bytes]) -> Optional[dict]:
     doc = json.loads(data.decode())
     doc["frags"] = {int(i): iid for i, iid in doc["frags"].items()}
     return doc
+
+
+def wait_call(call) -> Generator:
+    """Wait on an RPC ``call``; returns ``(True, result)`` or, when the
+    peer is unreachable or its handler raised, ``(False, exception)``.
+
+    :class:`~repro.sim.kernel.Interrupt` subclasses ``Exception`` but is
+    never a peer failure: it means the *waiter* is being stopped
+    (``ECRepairer.stop``), so it propagates.  The call is defused first —
+    an interrupted waiter leaves it orphaned, and a late failure of an
+    orphaned call must not crash the simulation.  (Calls launched as a
+    parallel wave must already be defused at creation: one can fail
+    while an earlier one is still being waited on.)
+    """
+    call.defuse()
+    try:
+        value = yield call
+    except Interrupt:
+        raise
+    except Exception as exc:
+        return False, exc
+    return True, value
 
 
 class ECProtocol(GlobalProtocol):
@@ -125,7 +148,7 @@ class ECProtocol(GlobalProtocol):
         if self.spec.repair_interval is not None:
             repairer = self._repairer_cls(
                 instance, self, self.spec.repair_interval,
-                concurrency=getattr(self.spec, "repair_concurrency", 1))
+                self.spec.repair_concurrency)
             self._repairers[instance.instance_id] = repairer
             repairer.start()
 
@@ -398,6 +421,62 @@ class ECProtocol(GlobalProtocol):
         ) from last_error
 
     # -- repair data plane -------------------------------------------------
+    def gather_fragments(self, instance, key: str, version: int, k: int,
+                         size: int,
+                         sources: list[tuple[int, str]]) -> Generator:
+        """Collect ``k`` fragments of ``key`` v``version`` at ``instance``
+        from the ``(index, holder)`` ``sources``, nearest-first: local
+        reads, then one parallel wave of ``k - |local|`` ``peer_get``s,
+        then one replacement at a time for each pull that failed.
+
+        Returns ``({index: bytes}, bytes pulled over the network)``;
+        fewer than ``k`` entries means unrepairable from here.
+        """
+        fraglen = Codec.fragment_length(size, k)
+        available: dict[int, bytes] = {}
+        pulled = 0
+        remote: list[tuple[int, str]] = []
+        for idx, holder in sources:
+            if holder == instance.instance_id:
+                try:
+                    frag, _, _ = yield from instance.read_version(
+                        fragment_key(key, idx), version, run_rules=False)
+                    available[idx] = frag
+                except StorageError:
+                    pass
+            else:
+                remote.append((idx, holder))
+
+        rank = {iid: pos for pos, (iid, _) in enumerate(self.ring(instance))}
+        remote.sort(key=lambda e: (rank.get(e[1], len(rank)), e[0]))
+
+        def pull(idx, holder):
+            peer = instance.peers.get(holder)
+            if peer is None:
+                return None
+            call = instance.node.call(
+                peer.node, "peer_get",
+                {"key": fragment_key(key, idx), "version": version},
+                reply_size=fraglen + 512)
+            call.defuse()  # a wave member may fail before it is waited on
+            return call
+
+        need = max(k - len(available), 0)
+        wave = {idx: pull(idx, holder) for idx, holder in remote[:need]}
+        for idx, holder in remote:
+            if len(available) >= k:
+                break
+            # The wave is already in flight; past it, replacements for
+            # failed pulls are sent one at a time.
+            call = wave[idx] if idx in wave else pull(idx, holder)
+            if call is None:
+                continue
+            ok, res = yield from wait_call(call)
+            if ok:
+                available[idx] = res["data"]
+                pulled += len(res["data"])
+        return available, pulled
+
     def on_reconstruct_fragment(self, instance, args: dict) -> Generator:
         """Holder-local reconstruction: rebuild fragment ``index`` *here*.
 
@@ -418,61 +497,10 @@ class ECProtocol(GlobalProtocol):
         if record is not None and record.latest_version > version:
             return {"ok": False, "reason": "superseded"}
 
-        fraglen = Codec.fragment_length(size, k)
-        available: dict[int, bytes] = {}
-        pulled = 0
-        remote: list[tuple[int, str]] = []
-        for idx, holder in args["sources"]:
-            idx = int(idx)
-            if idx == index:
-                continue
-            if holder == instance.instance_id:
-                try:
-                    frag, _, _ = yield from instance.read_version(
-                        fragment_key(key, idx), version, run_rules=False)
-                    available[idx] = frag
-                except Exception:
-                    pass
-            else:
-                remote.append((idx, holder))
-
-        rank = {iid: pos for pos, (iid, _) in enumerate(self.ring(instance))}
-        remote.sort(key=lambda e: (rank.get(e[1], len(rank)), e[0]))
-        need = max(k - len(available), 0)
-        calls = []
-        for idx, holder in remote[:need]:
-            peer = instance.peers.get(holder)
-            if peer is None:
-                continue
-            call = instance.node.call(
-                peer.node, "peer_get",
-                {"key": fragment_key(key, idx), "version": version},
-                reply_size=fraglen + 512)
-            call.defuse()
-            calls.append((idx, call))
-        for idx, call in calls:
-            try:
-                res = yield call
-                available[idx] = res["data"]
-                pulled += len(res["data"])
-            except Exception:
-                continue
-        cursor = need
-        while len(available) < k and cursor < len(remote):
-            idx, holder = remote[cursor]
-            cursor += 1
-            peer = instance.peers.get(holder)
-            if peer is None or idx in available:
-                continue
-            try:
-                res = yield instance.node.call(
-                    peer.node, "peer_get",
-                    {"key": fragment_key(key, idx), "version": version},
-                    reply_size=fraglen + 512)
-                available[idx] = res["data"]
-                pulled += len(res["data"])
-            except Exception:
-                continue
+        sources = [(int(idx), holder) for idx, holder in args["sources"]
+                   if int(idx) != index]
+        available, pulled = yield from self.gather_fragments(
+            instance, key, version, k, size, sources)
         if len(available) < k:
             return {"ok": False, "reason": "unrepairable", "pulled": pulled}
 

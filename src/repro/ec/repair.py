@@ -4,59 +4,57 @@ Plain anti-entropy (:mod:`repro.core.consistency.repair`) compares
 metadata digests — but a crashed host that wiped a volatile tier still
 *advertises* the fragment version, only the bytes are gone.  The EC
 repairer therefore checks actual readability: every ``interval`` seconds
-each instance walks its manifests, and for each object where it is the
+each instance scans its manifests, and for each object where it is the
 *repair leader* (the first alive fragment holder in index order — every
 holder has the manifest, so exactly one leader emerges per object) it
-verifies all ``n`` fragment slots via the ``check_readable`` RPC,
-reconstructs anything missing from ``k`` survivors, and pushes the
-rebuilt fragment back — to the original holder if it is alive again, or
-onto a substitute instance otherwise (rewriting and re-broadcasting the
+verifies all ``n`` fragment slots and has anything missing rebuilt from
+``k`` survivors — on the original holder if it is alive again, or on a
+substitute instance otherwise (rewriting and re-broadcasting the
 manifest to match).
+
+A round is one pipeline: scan local manifests → probe every peer once,
+in parallel (one round-level liveness cache, no per-object re-probing) →
+one batched ``check_readable`` envelope per holder → a window of
+``concurrency`` worker processes, each repairing one object at a time →
+one batched ``manifest_remap`` delta envelope per peer.
+``concurrency = 1`` is simply a window of one.
+
+Fragments are installed by *holder-local reconstruction*: the leader
+names the survivors and the target runs ``reconstruct_fragment`` — it
+pulls only the fragments it is missing, rebuilds its row
+(:meth:`~repro.ec.codec.Codec.rebuild`) and installs it, so no fragment
+bytes transit the leader.  A fragment of the leader's own is rebuilt by
+the same handler called in-process.  Only when a remote target refuses
+or fails does the leader fall back to gathering ``k`` fragments itself
+and pushing the rebuilt one.
 
 Rebuilt fragments ship with a *bumped* ``last_modified``: the restarted
 holder still has the old version's metadata, and last-write-wins would
 reject a same-version push that is not strictly newer.
 
-Two execution strategies share the scan/leadership/repair logic:
-
-``repair_concurrency = 1`` (default)
-    The original strictly serial walk — one object fully probed,
-    gathered, decoded, and pushed before the next begins.  This path is
-    golden-pinned (``tests/golden/ec_repair_serial.json``): it must stay
-    bit-identical to the seed repairer, event for event.
-
-``repair_concurrency = W > 1``
-    A bounded-concurrency pipeline.  Each round probes every peer once
-    (in parallel), batches all ``check_readable`` items per holder into
-    a single ``call_batch`` envelope, then drives a window of up to
-    ``W`` in-flight object repairs via ``AnyOf`` completion.  Instead of
-    pulling ``k`` whole fragments to the leader and pushing the rebuilt
-    one back, the leader dispatches a ``reconstruct_fragment`` RPC to
-    the target holder, which pulls only the fragments *it* is missing
-    and installs the result locally (the codec's target-row
-    :meth:`~repro.ec.codec.Codec.rebuild` fast path).  Manifest changes
-    are broadcast as per-round batched ``manifest_remap`` deltas rather
-    than one full manifest per object per peer.
-
 A version bump racing the repair must never resurrect the stale
-version's fragments: both paths re-check the manifest's latest version
-(a pure metadata lookup) before every install and give up with
+version's fragments: the leader re-checks the manifest's latest version
+(a pure metadata lookup) before every install and gives up with
 ``ec.repair_superseded`` when the object moved on, and the
 ``reconstruct_fragment`` handler refuses on the target side as well.
+
+``stop()`` interrupts the periodic loop *and* the round's workers at the
+current instant; nothing is counted, re-homed or broadcast afterwards
+(RPCs already on the wire still complete at their destination).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.ec.protocol import (decode_manifest, encode_manifest,
-                               fragment_key, is_fragment_key)
+                               fragment_key, is_fragment_key, wait_call)
 from repro.ec.codec import Codec
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
 from repro.sim.kernel import Interrupt
-from repro.storage.backend import ObjectMissingError
+from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.objects import storage_key
 
 #: wire size of one (key, version) item inside a batched check_readable
@@ -69,12 +67,14 @@ class ECRepairer:
     """One fragment-repair loop for one Tiera instance."""
 
     def __init__(self, instance, protocol, interval: float,
-                 concurrency: int = 1):
+                 concurrency: int):
         self.instance = instance
         self.protocol = protocol
         self.interval = interval
-        self.concurrency = max(1, int(concurrency))
+        #: window width: object repairs in flight per round
+        self.concurrency = concurrency
         self._proc = None
+        self._workers: list = []  # the round in flight's window, for stop()
         self.rounds = 0
         self.fragments_rebuilt = 0
         obs = get_obs(instance.sim)
@@ -106,9 +106,12 @@ class ECRepairer:
                 self._run(), name=f"ec-repair:{self.instance.instance_id}")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("repairer stopped")
+        """Stop the loop and any round in flight, now."""
+        for proc in (self._proc, *self._workers):
+            if proc is not None and proc.is_alive:
+                proc.interrupt("repairer stopped")
         self._proc = None
+        self._workers = []
 
     def _run(self) -> Generator:
         try:
@@ -127,10 +130,7 @@ class ECRepairer:
                 if self._tracer.enabled else NULL_SPAN)
         start = self.instance.sim.now
         with span:
-            if self.concurrency <= 1:
-                yield from self._round_serial()
-            else:
-                yield from self._round_pipelined()
+            yield from self._round()
         self._h_round.observe(self.instance.sim.now - start)
 
     def _superseded(self, key: str, version: int) -> bool:
@@ -163,61 +163,6 @@ class ECRepairer:
             found.append((key, vmeta, manifest))
         return found
 
-    # ------------------------------------------------------------------
-    # Serial strategy (seed behaviour, golden-pinned)
-    # ------------------------------------------------------------------
-    def _round_serial(self) -> Generator:
-        # NOTE: the manifest read and the repair are interleaved per
-        # object, exactly like the seed repairer — scanning everything
-        # up front would reorder network sends and break the golden pin.
-        instance = self.instance
-        alive: dict[str, bool] = {instance.instance_id: True}
-        ring = self.protocol.ring(instance)
-        for record in list(instance.meta.records()):
-            key = record.key
-            if is_fragment_key(key):
-                continue
-            meta = record.latest()
-            if meta is None:
-                continue
-            try:
-                data, vmeta, _ = yield from instance.read_version(
-                    key, run_rules=False)
-            except ObjectMissingError:
-                continue  # unreadable manifest: the get-path fallback heals it
-            manifest = decode_manifest(data)
-            if manifest is None:
-                continue
-            span = (self._tracer.span("ec:repair_object", cat="ec",
-                                      component=instance.instance_id,
-                                      key=key)
-                    if self._tracer.enabled else NULL_SPAN)
-            start = instance.sim.now
-            try:
-                with span:
-                    yield from self._repair_object(key, vmeta, manifest,
-                                                   alive, ring)
-            except Exception:
-                # One stubborn object must not starve the rest of the round.
-                self._m_errors.inc()
-            self._h_object.observe(instance.sim.now - start)
-
-    def _is_alive(self, iid: str, alive: dict[str, bool]) -> Generator:
-        cached = alive.get(iid)
-        if cached is not None:
-            return cached
-            yield  # pragma: no cover
-        peer = self.instance.peers.get(iid)
-        if peer is None:
-            alive[iid] = False
-            return False
-        try:
-            yield self.instance.node.call(peer.node, "probe", {})
-            alive[iid] = True
-        except Exception:
-            alive[iid] = False
-        return alive[iid]
-
     def _local_readable(self, key: str, version: int) -> bool:
         instance = self.instance
         record = instance.meta.get_record(key)
@@ -228,188 +173,7 @@ class ECRepairer:
         return any(skey in instance.tiers[t]
                    for t in meta.locations if t in instance.tiers)
 
-    def _repair_object(self, key: str, vmeta, manifest: dict,
-                       alive: dict[str, bool], ring: list) -> Generator:
-        instance = self.instance
-        k, m, size = manifest["k"], manifest["m"], manifest["size"]
-        n = k + m
-        version = vmeta.version
-        frag_map = dict(manifest["frags"])
-        if self._superseded(key, version):
-            self._m_superseded.inc()
-            return
-
-        # Leadership: the first *alive* holder in fragment-index order
-        # repairs; everyone else skips this object this round.
-        for idx in sorted(frag_map):
-            holder = frag_map[idx]
-            if holder == instance.instance_id:
-                break
-            holder_alive = yield from self._is_alive(holder, alive)
-            if holder_alive:
-                return  # an earlier holder is up — it leads
-        else:
-            return  # we hold no fragment of this object
-
-        # Which slots are broken?  A slot is broken when it is unmapped,
-        # its holder is down, or the holder no longer has readable bytes.
-        missing: list[int] = []
-        remote_checks: dict[str, list[int]] = {}
-        for idx in range(n):
-            holder = frag_map.get(idx)
-            if holder == instance.instance_id:
-                if not self._local_readable(fragment_key(key, idx), version):
-                    missing.append(idx)
-            elif holder is None:
-                missing.append(idx)
-            else:
-                holder_alive = yield from self._is_alive(holder, alive)
-                if holder_alive:
-                    remote_checks.setdefault(holder, []).append(idx)
-                else:
-                    missing.append(idx)
-        for holder, idxs in sorted(remote_checks.items()):
-            peer = instance.peers[holder]
-            items = [(fragment_key(key, idx), version) for idx in idxs]
-            try:
-                res = yield instance.node.call(peer.node, "check_readable",
-                                               {"items": items})
-            except Exception:
-                missing.extend(idxs)
-                continue
-            gone = set(res["missing"])
-            missing.extend(idx for idx in idxs
-                           if fragment_key(key, idx) in gone)
-        if not missing:
-            return
-        missing.sort()
-
-        # Gather k readable fragments (nearest-first via the put ring) and
-        # reconstruct the payload.
-        available: dict[int, bytes] = {}
-        order = sorted(
-            (idx for idx in frag_map if idx not in missing),
-            key=lambda idx: (0 if frag_map[idx] == instance.instance_id
-                             else 1, idx))
-        for idx in order:
-            if len(available) >= k:
-                break
-            holder = frag_map[idx]
-            fkey = fragment_key(key, idx)
-            if holder == instance.instance_id:
-                try:
-                    frag, _, _ = yield from instance.read_version(
-                        fkey, version, run_rules=False)
-                    available[idx] = frag
-                except Exception:
-                    continue
-            else:
-                peer = instance.peers.get(holder)
-                if peer is None:
-                    continue
-                try:
-                    res = yield instance.node.call(
-                        peer.node, "peer_get",
-                        {"key": fkey, "version": version},
-                        reply_size=Codec.fragment_length(size, k) + 512)
-                    available[idx] = res["data"]
-                    self._m_bytes.inc(len(res["data"]))
-                except Exception:
-                    continue
-        if len(available) < k:
-            self._m_unrepairable.inc()
-            return  # unrepairable this round; try again next interval
-        data = Codec.decode(available, k, n, size)
-        fragments = Codec.encode(data, k, n)
-        if self._superseded(key, version):
-            self._m_superseded.inc()
-            return
-
-        # Re-home each missing fragment: original holder if alive, else the
-        # nearest live instance not already holding one.
-        lm = instance.sim.now  # bumped so LWW accepts the reinstall
-        used = set(frag_map.values())
-        spares = deque((iid, peer) for iid, peer in ring
-                       if iid not in used)
-        remap = False
-        for idx in missing:
-            holder = frag_map.get(idx)
-            target, peer = None, None
-            if holder is not None:
-                holder_alive = yield from self._is_alive(holder, alive)
-                if holder_alive:
-                    target, peer = holder, instance.peers.get(holder)
-            while target is None and spares:
-                iid, spare_peer = spares.popleft()
-                spare_alive = yield from self._is_alive(iid, alive)
-                if spare_alive:
-                    target, peer = iid, spare_peer
-            if target is None:
-                self._m_push_failed.inc()
-                continue
-            if self._superseded(key, version):
-                self._m_superseded.inc()
-                return
-            fkey = fragment_key(key, idx)
-            if target == instance.instance_id:
-                record = instance.meta.get_record(fkey)
-                if record is not None and record.has_version(version):
-                    yield from instance.purge_version(fkey, version)
-                yield from instance.local_put(
-                    fkey, fragments[idx], version=version,
-                    origin=instance.instance_id, last_modified=lm)
-            else:
-                args = {"key": fkey, "version": version,
-                        "last_modified": lm,
-                        "origin": instance.instance_id,
-                        "data": fragments[idx]}
-                try:
-                    results = yield instance.node.call_batch(
-                        peer.node,
-                        [("replica_update", args,
-                          len(fragments[idx]) + 512)])
-                except Exception:
-                    self._m_push_failed.inc()
-                    continue
-                if not results[0].get("ok"):
-                    self._m_push_failed.inc()
-                    continue
-                self._m_bytes.inc(len(fragments[idx]))
-            if frag_map.get(idx) != target:
-                frag_map[idx] = target
-                remap = True
-            used.add(target)
-            self.fragments_rebuilt += 1
-            self._m_rebuilt.inc()
-
-        if remap:
-            if self._superseded(key, version):
-                self._m_superseded.inc()
-                return
-            manifest_bytes = encode_manifest(k, m, size, frag_map)
-            yield from instance.purge_version(key, version)
-            yield from instance.local_put(key, manifest_bytes,
-                                          version=version,
-                                          origin=instance.instance_id,
-                                          last_modified=lm)
-            margs = {"key": key, "version": version, "last_modified": lm,
-                     "origin": instance.instance_id, "data": manifest_bytes}
-            for iid, peer in ring[1:]:
-                peer_alive = yield from self._is_alive(iid, alive)
-                if not peer_alive:
-                    continue
-                try:
-                    yield instance.node.call_batch(
-                        peer.node, [("replica_update", margs,
-                                     len(manifest_bytes) + 512)])
-                    self._m_bytes.inc(len(manifest_bytes))
-                except Exception:
-                    pass
-
-    # ------------------------------------------------------------------
-    # Pipelined strategy (repair_concurrency > 1)
-    # ------------------------------------------------------------------
-    def _round_pipelined(self) -> Generator:
+    def _round(self) -> Generator:
         instance = self.instance
         sim = instance.sim
 
@@ -446,11 +210,11 @@ class ECRepairer:
         # Phase 4: repair window — up to W objects in flight, each worker
         # pulling the next object as soon as its current one completes.
         remaps: list = []
-        workers = [sim.process(
+        self._workers = [sim.process(
             self._repair_worker(queue, alive, ring, remaps),
             name=f"ec-repair-w{i}:{instance.instance_id}")
             for i in range(min(self.concurrency, len(queue)))]
-        pending = [p for p in workers if p.is_alive]
+        pending = [p for p in self._workers if p.is_alive]
         while pending:
             yield sim.any_of(pending)
             pending = [p for p in pending if p.is_alive]
@@ -464,14 +228,10 @@ class ECRepairer:
         calls = []
         for iid in sorted(instance.peers):
             call = instance.node.call(instance.peers[iid].node, "probe", {})
-            call.defuse()
+            call.defuse()  # may fail before its turn to be waited on
             calls.append((iid, call))
         for iid, call in calls:
-            try:
-                yield call
-                alive[iid] = True
-            except Exception:
-                alive[iid] = False
+            alive[iid], _ = yield from wait_call(call)
 
     def _leads(self, frag_map: dict, alive: dict[str, bool]) -> bool:
         me = self.instance.instance_id
@@ -506,15 +266,11 @@ class ECRepairer:
             call.defuse()
             calls.append((holder, items, call))
         for holder, items, call in calls:
-            try:
-                results = yield call
-                entry = results[0]
-                if not entry.get("ok"):
-                    raise RuntimeError(entry.get("error"))
-                gone = set(entry["result"]["missing"])
-            except Exception:
+            ok, results = yield from wait_call(call)
+            if not ok or not results[0].get("ok"):
                 alive[holder] = False  # all its slots count as broken
                 continue
+            gone = set(results[0]["result"]["missing"])
             readable.update((holder, fkey) for fkey, _ in items
                             if fkey not in gone)
         return readable
@@ -550,19 +306,20 @@ class ECRepairer:
             start = instance.sim.now
             try:
                 with span:
-                    yield from self._repair_object_pipelined(
+                    yield from self._repair_object(
                         key, vmeta, manifest, missing, alive, ring, remaps)
+            except Interrupt:
+                return  # stop(): abandon the round
             except Exception:
+                # One stubborn object must not starve the rest of the round.
                 self._m_errors.inc()
             self._h_object.observe(instance.sim.now - start)
 
-    def _repair_object_pipelined(self, key: str, vmeta, manifest: dict,
-                                 missing: list[int],
-                                 alive: dict[str, bool], ring: list,
-                                 remaps: list) -> Generator:
+    def _repair_object(self, key: str, vmeta, manifest: dict,
+                       missing: list[int], alive: dict[str, bool],
+                       ring: list, remaps: list) -> Generator:
         instance = self.instance
         k, m, size = manifest["k"], manifest["m"], manifest["size"]
-        n = k + m
         version = vmeta.version
         frag_map = dict(manifest["frags"])
         if self._superseded(key, version):
@@ -577,92 +334,75 @@ class ECRepairer:
             return
 
         lm = instance.sim.now  # bumped so LWW accepts the reinstall
-        used = set(frag_map.values())
+        holders = set(frag_map.values())
         spares = deque((iid, peer) for iid, peer in ring
-                       if iid not in used and alive.get(iid))
+                       if iid not in holders and alive.get(iid))
         remap: dict[int, str] = {}
-        gathered: Optional[dict[int, bytes]] = None
-        rebuilt_all: Optional[list[bytes]] = None
+        gathered = None  # the fallback's k fragments, fetched at most once
 
+        # Re-home each missing fragment: original holder if alive, else the
+        # nearest live instance not already holding one.
         for idx in sorted(missing):
             holder = frag_map.get(idx)
-            target, peer = None, None
             if holder is not None and alive.get(holder):
                 target, peer = holder, instance.peers.get(holder)
-            if target is None and spares:
+            elif spares:
                 target, peer = spares.popleft()
-            if target is None:
+            else:
                 self._m_push_failed.inc()
                 continue
-            fkey = fragment_key(key, idx)
-            installed = False
 
-            if peer is not None and gathered is None:
-                # Holder-local reconstruction: the target pulls only the
-                # fragments it is missing and installs the result itself —
-                # no fragment bytes transit the leader at all.
-                args = {"key": key, "version": version, "k": k, "m": m,
-                        "size": size, "index": idx, "sources": sources,
-                        "last_modified": lm,
-                        "origin": instance.instance_id}
-                try:
-                    res = yield instance.node.call(
-                        peer.node, "reconstruct_fragment", args)
-                except Exception:
-                    res = None
-                if res is not None and res.get("ok"):
-                    self._m_bytes.inc(res.get("pulled", 0))
-                    installed = True
-                elif (res is not None
-                      and res.get("reason") == "superseded"):
-                    self._m_superseded.inc()
-                    return
-                # any other failure: fall back to coordinator repair
-
-            if not installed:
+            # Holder-local reconstruction: the target pulls only the
+            # fragments it is missing and installs the result itself — no
+            # fragment bytes transit the leader.  Our own fragment goes
+            # through the same handler, without the RPC.
+            args = {"key": key, "version": version, "k": k, "m": m,
+                    "size": size, "index": idx, "sources": sources,
+                    "last_modified": lm, "origin": instance.instance_id}
+            if peer is None:
+                res = yield from self.protocol.on_reconstruct_fragment(
+                    instance, args)
+            else:
+                ok, res = yield from wait_call(instance.node.call(
+                    peer.node, "reconstruct_fragment", args))
+                if not ok:
+                    res = {}
+            if res.get("reason") == "superseded":
+                self._m_superseded.inc()
+                return
+            if res.get("ok"):
+                self._m_bytes.inc(res.get("pulled", 0))
+            elif peer is None:
+                self._m_unrepairable.inc()  # every source was just tried
+                return
+            else:
+                # The remote target refused or failed: gather k fragments
+                # here, rebuild its row and push it.
                 if gathered is None:
-                    gathered = yield from self._gather(
-                        key, version, k, size, sources)
-                    if gathered is None:
+                    gathered, pulled = yield from (
+                        self.protocol.gather_fragments(
+                            instance, key, version, k, size, sources))
+                    self._m_bytes.inc(pulled)
+                    if len(gathered) < k:
                         self._m_unrepairable.inc()
                         return
-                    if len(missing) > 1:
-                        # Several slots lost: one decode + one re-encode
-                        # beats len(missing) target-row rebuilds.
-                        data = Codec.decode(gathered, k, n, size)
-                        rebuilt_all = Codec.encode(data, k, n)
-                frag = (rebuilt_all[idx] if rebuilt_all is not None
-                        else Codec.rebuild(gathered, k, n, size, idx))
+                frag = Codec.rebuild(gathered, k, k + m, size, idx)
                 if self._superseded(key, version):
                     self._m_superseded.inc()
                     return
-                if peer is None:  # target is this instance
-                    record = instance.meta.get_record(fkey)
-                    if record is not None and record.has_version(version):
-                        yield from instance.purge_version(fkey, version)
-                    yield from instance.local_put(
-                        fkey, frag, version=version,
-                        origin=instance.instance_id, last_modified=lm)
-                else:
-                    args = {"key": fkey, "version": version,
-                            "last_modified": lm,
-                            "origin": instance.instance_id, "data": frag}
-                    try:
-                        results = yield instance.node.call_batch(
-                            peer.node,
-                            [("replica_update", args, len(frag) + 512)])
-                    except Exception:
-                        self._m_push_failed.inc()
-                        continue
-                    if not results[0].get("ok"):
-                        self._m_push_failed.inc()
-                        continue
-                    self._m_bytes.inc(len(frag))
+                push = {"key": fragment_key(key, idx), "version": version,
+                        "last_modified": lm, "origin": instance.instance_id,
+                        "data": frag}
+                ok, results = yield from wait_call(instance.node.call_batch(
+                    peer.node, [("replica_update", push, len(frag) + 512)]))
+                if not ok or not results[0].get("ok"):
+                    self._m_push_failed.inc()
+                    continue
+                self._m_bytes.inc(len(frag))
 
-            if frag_map.get(idx) != target:
+            if holder != target:
                 frag_map[idx] = target
                 remap[idx] = target
-            used.add(target)
             self.fragments_rebuilt += 1
             self._m_rebuilt.inc()
 
@@ -677,64 +417,6 @@ class ECRepairer:
                                           origin=instance.instance_id,
                                           last_modified=lm)
             remaps.append((key, version, remap, lm))
-
-    def _gather(self, key: str, version: int, k: int, size: int,
-                sources: list[tuple[int, str]]) -> Generator:
-        """Coordinator-side fragment gather: local reads first, then one
-        parallel wave of k-|local| pulls, then sequential replacements.
-        Returns {index: bytes} with >= k entries, or None."""
-        instance = self.instance
-        fraglen = Codec.fragment_length(size, k)
-        available: dict[int, bytes] = {}
-        remote: list[tuple[int, str]] = []
-        for idx, holder in sources:
-            if holder == instance.instance_id:
-                if len(available) >= k:
-                    break
-                try:
-                    frag, _, _ = yield from instance.read_version(
-                        fragment_key(key, idx), version, run_rules=False)
-                    available[idx] = frag
-                except Exception:
-                    continue
-            else:
-                remote.append((idx, holder))
-        need = k - len(available)
-        calls = []
-        for idx, holder in remote[:max(need, 0)]:
-            peer = instance.peers.get(holder)
-            if peer is None:
-                continue
-            call = instance.node.call(
-                peer.node, "peer_get",
-                {"key": fragment_key(key, idx), "version": version},
-                reply_size=fraglen + 512)
-            call.defuse()
-            calls.append((idx, call))
-        for idx, call in calls:
-            try:
-                res = yield call
-                available[idx] = res["data"]
-                self._m_bytes.inc(len(res["data"]))
-            except Exception:
-                continue
-        cursor = max(need, 0)
-        while len(available) < k and cursor < len(remote):
-            idx, holder = remote[cursor]
-            cursor += 1
-            peer = instance.peers.get(holder)
-            if peer is None or idx in available:
-                continue
-            try:
-                res = yield instance.node.call(
-                    peer.node, "peer_get",
-                    {"key": fragment_key(key, idx), "version": version},
-                    reply_size=fraglen + 512)
-                available[idx] = res["data"]
-                self._m_bytes.inc(len(res["data"]))
-            except Exception:
-                continue
-        return available if len(available) >= k else None
 
     def _flush_remaps(self, remaps: list, alive: dict[str, bool],
                       ring: list) -> Generator:
@@ -753,15 +435,14 @@ class ECRepairer:
                    for key, version, delta, lm in remaps]
         calls = []
         for iid, peer in ring[1:]:
-            if peer is None or not alive.get(iid):
+            if not alive.get(iid):
                 continue
             call = instance.node.call_batch(peer.node, list(entries))
             call.defuse()
             calls.append((peer.node, call))
         for peer_node, call in calls:
-            try:
-                results = yield call
-            except Exception:
+            ok, results = yield from wait_call(call)
+            if not ok:
                 self._m_push_failed.inc()
                 continue
             for (key, version, delta, lm), entry in zip(remaps, results):
@@ -774,18 +455,14 @@ class ECRepairer:
                 try:
                     data, _, _ = yield from instance.read_version(
                         key, version, run_rules=False)
-                except Exception:
+                except StorageError:
                     continue
                 margs = {"key": key, "version": version,
                          "last_modified": lm, "origin": origin,
                          "data": data}
-                try:
-                    results2 = yield instance.node.call_batch(
-                        peer_node,
-                        [("replica_update", margs, len(data) + 512)])
-                    if results2[0].get("ok"):
-                        self._m_bytes.inc(len(data))
-                    else:
-                        self._m_push_failed.inc()
-                except Exception:
+                ok, pushed = yield from wait_call(instance.node.call_batch(
+                    peer_node, [("replica_update", margs, len(data) + 512)]))
+                if ok and pushed[0].get("ok"):
+                    self._m_bytes.inc(len(data))
+                else:
                     self._m_push_failed.inc()

@@ -1,22 +1,14 @@
-"""Parallel EC repair pipeline: golden pin, equivalence, races.
+"""EC fragment repair: guarantees, failure counters, races, stop().
 
-The repair plane has two strategies behind one ``repair_round``:
-
-* ``repair_concurrency=1`` — the seed's strictly serial walk, pinned
-  bit-for-bit by ``tests/golden/ec_repair_serial.json`` (recorded from
-  the pre-pipeline repairer).
-* ``repair_concurrency>1`` — batched probing/checking, an AnyOf-driven
-  repair window, holder-local ``reconstruct_fragment``, and batched
-  ``manifest_remap`` deltas.
-
-Both must converge to the same store state; the pipeline must do it in
-less simulated time with less egress; and neither may resurrect a stale
-version when a write races the repair.
+There is one repair strategy (``repro.ec.repair``): scan → parallel probe
+→ batched ``check_readable`` → a window of ``repair_concurrency`` object
+repairs, each installed by holder-local ``reconstruct_fragment`` → batched
+``manifest_remap`` deltas.  ``repair_concurrency=1`` is a window of one.
+These tests pin what a round *guarantees* — not the order it does it in —
+and run every scenario at both window widths.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -24,42 +16,32 @@ from repro.bench.harness import build_deployment
 from repro.core.global_policy import (GlobalPolicySpec, RedundancySpec,
                                       RegionPlacement)
 from repro.ec.protocol import decode_manifest, fragment_key
-from repro.net.topology import US_EAST
+from repro.net.topology import ASIA_EAST, EU_WEST, US_EAST, US_WEST
+from repro.sim.rpc import BATCH_METHOD, RpcNode
 from repro.tiera.policy import memory_only_policy
-from tests.ec_repair_golden import (GOLDEN_PATH, OBJECTS, PINNED_METRICS,
-                                    PROVIDERS, REGIONS, SITES, VALUE_SIZE,
-                                    golden_run)
 
+REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
+#: six (region, provider) sites: n=4 fragment holders + two spares
+SITES = ((US_EAST, "aws"), (US_WEST, "aws"), (EU_WEST, "aws"),
+         (ASIA_EAST, "aws"), (US_EAST, "gcp"), (US_WEST, "gcp"))
+PROVIDERS = {US_EAST: ("aws", "gcp"), US_WEST: ("aws", "gcp"),
+             EU_WEST: ("aws",), ASIA_EAST: ("aws",)}
 
-# -- golden pin -------------------------------------------------------------
+K, M = 2, 2
+OBJECTS = 8
+VALUE_SIZE = 4096
+FRAGMENT_SIZE = VALUE_SIZE // K
 
-def test_serial_path_matches_seed_fingerprint():
-    """``repair_concurrency=1`` replays the seed repairer event-for-event."""
-    want = json.loads(GOLDEN_PATH.read_text())
-    got = golden_run(repair_concurrency=1)
-    # Piecewise first so a mismatch names the drifting observable.
-    assert got["final_clock"] == want["final_clock"]
-    assert got["events_processed"] == want["events_processed"]
-    assert got["rebuilt_after_round1"] == want["rebuilt_after_round1"]
-    for name in PINNED_METRICS:
-        assert got["metric_totals"][name] == want["metric_totals"][name], name
-    assert got["store_digest"] == want["store_digest"]
-    assert got == want
-
-
-def test_fixture_is_nontrivial():
-    want = json.loads(GOLDEN_PATH.read_text())
-    assert want["rebuilt_after_round1"] == OBJECTS
-    assert want["events_processed"] > 1000
-    assert want["metric_totals"]["net.messages"] > 100
-    assert want["metric_totals"]["ec.fragments_rebuilt"] == OBJECTS
+WIDTHS = pytest.mark.parametrize("concurrency", [1, 8])
 
 
 # -- shared scenario --------------------------------------------------------
 
-def _scenario(repair_concurrency: int, crash_slots=(1,), objects=OBJECTS):
-    """The golden topology with ``crash_slots`` fragment holders downed
-    (left down), one driven repair round, and full state returned."""
+def _deploy(concurrency: int, repair_interval: float = 1000.0):
+    """Six sites, EC(2,2), OBJECTS objects written from us-east.  Returns
+    the deployment, its TIM, the writer client, the payloads, obj0's
+    manifest (every object shares its placement) and the repair leader's
+    repairer — the holder of fragment 0, coordinator of every put."""
     dep = build_deployment(list(REGIONS), providers=PROVIDERS, seed=17)
     spec = GlobalPolicySpec(
         name="ec",
@@ -67,167 +49,7 @@ def _scenario(repair_concurrency: int, crash_slots=(1,), objects=OBJECTS):
             RegionPlacement(region, memory_only_policy(), provider=provider)
             for region, provider in SITES),
         consistency="eventual",
-        redundancy=RedundancySpec(k=2, m=2, repair_interval=1000.0,
-                                  repair_concurrency=repair_concurrency))
-    instances = dep.start_wiera_instance("ec", spec)
-    tim = dep.tim("ec")
-    client = dep.add_client(US_EAST, instances=instances)
-    payloads = {f"obj{i}": bytes([i + 1]) * VALUE_SIZE
-                for i in range(objects)}
-
-    def write_phase():
-        for key, value in payloads.items():
-            yield from client.put(key, value)
-    dep.drive(write_phase())
-
-    coordinator = dep.instance("ec", US_EAST)
-    manifest = decode_manifest(dep.drive(
-        coordinator.read_version("obj0", run_rules=False))[0])
-    faults = dep.fault_schedule("scenario")
-    holders = set(manifest["frags"].values())
-    victims = set()
-    for slot in crash_slots:
-        if slot == "spares":  # every instance not holding a fragment
-            victims.update(iid for iid in tim.instances
-                           if iid not in holders)
-        else:
-            victims.add(manifest["frags"][slot])
-    for iid in sorted(victims):
-        faults.crash(at=dep.sim.now + 0.25,
-                     host=tim.instances[iid].instance.host.name,
-                     duration=5000.0)
-    faults.start()
-    dep.sim.run(until=dep.sim.now + 0.5)
-
-    leader_id = manifest["frags"][0]
-    leader = tim.instances[leader_id].instance
-    repairer = leader.protocol.repairer(leader_id)
-
-    before = {"bytes": dep.metric_total("net.bytes"),
-              "msgs": dep.metric_total("net.messages"),
-              "clock": dep.sim.now}
-    dep.drive(repairer.repair_round(), name="repair-round")
-    repair = {"bytes": dep.metric_total("net.bytes") - before["bytes"],
-              "msgs": dep.metric_total("net.messages") - before["msgs"],
-              "seconds": dep.sim.now - before["clock"]}
-    return dep, tim, client, repairer, payloads, manifest, repair
-
-
-def _counters(dep) -> dict:
-    return {name: dep.metric_total(f"ec.repair_{name}")
-            for name in ("unrepairable", "push_failed", "errors",
-                         "superseded")}
-
-
-# -- pipelined equivalence --------------------------------------------------
-
-def test_pipelined_converges_to_serial_state():
-    """Same crash, same objects: the pipeline must rebuild the same
-    fragments and land the stores in the same (timing-free) state,
-    strictly faster and with less egress than the serial walk."""
-    dep_s, _, client_s, rep_s, payloads, _, repair_s = _scenario(1)
-    dep_p, _, client_p, rep_p, _, _, repair_p = _scenario(8)
-
-    assert rep_s.fragments_rebuilt == OBJECTS
-    assert rep_p.fragments_rebuilt == OBJECTS
-    # Identical placement outcome: the timing-free store digest (keys,
-    # versions, payload bytes per instance) matches across strategies.
-    assert dep_s.store_digest(detail=False) == dep_p.store_digest(detail=False)
-
-    # Every object reads back cleanly on both deployments.
-    for dep, client in ((dep_s, client_s), (dep_p, client_p)):
-        def read_all(client=client):
-            for key, value in payloads.items():
-                res = yield from client.get(key)
-                assert res["data"] == value, key
-        dep.drive(read_all())
-
-    # The pipeline is the whole point: faster and cheaper.
-    assert repair_p["seconds"] < repair_s["seconds"]
-    assert repair_p["bytes"] < repair_s["bytes"]
-
-    # A second round on the pipeline is a no-op (nothing left to fix).
-    dep_p.drive(rep_p.repair_round(), name="verify-round")
-    assert rep_p.fragments_rebuilt == OBJECTS
-
-
-def test_pipelined_uses_holder_local_reconstruction_and_remap_deltas():
-    """The repaired spare rebuilds fragments itself (bytes pulled by the
-    target, not pushed by the leader) and every live peer's manifest
-    copy learns the new holder via the remap delta."""
-    dep, tim, _, repairer, _, manifest, _ = _scenario(8)
-    crashed = manifest["frags"][1]
-    for key in (f"obj{i}" for i in range(OBJECTS)):
-        new_holders = set()
-        for iid, rec in tim.instances.items():
-            inst = rec.instance
-            if inst.host.down:
-                continue
-            record = inst.meta.get_record(key)
-            assert record is not None, (key, iid)
-            raw = dep.drive(inst.read_version(key, run_rules=False))[0]
-            doc = decode_manifest(raw)
-            assert doc is not None, (key, iid)
-            assert doc["frags"][1] != crashed, (
-                f"{iid} still maps slot 1 of {key} to the crashed holder")
-            new_holders.add(doc["frags"][1])
-        # All live peers agree on the (single) new holder.
-        assert len(new_holders) == 1, (key, new_holders)
-        new_holder = new_holders.pop()
-        # ...and that holder actually has readable rebuilt bytes.
-        target = tim.instances[new_holder].instance
-        frag = dep.drive(target.read_version(
-            fragment_key(key, 1), run_rules=False))[0]
-        assert len(frag) == VALUE_SIZE // 2
-    # Holder-local reconstruction moved bytes INTO the target: the
-    # leader's bytes-moved counter saw the target's pulls reported back.
-    assert dep.metric_total("ec.repair_bytes_moved") > 0
-
-
-# -- attributable failure counters (satellite) ------------------------------
-
-@pytest.mark.parametrize("concurrency", [1, 8])
-def test_unrepairable_counted_distinctly(concurrency):
-    """Losing m+1 fragments is unrepairable: counted as such, not as a
-    generic skip, and nothing is rebuilt."""
-    dep, _, _, repairer, _, _, _ = _scenario(
-        concurrency, crash_slots=(1, 2, 3))
-    counters = _counters(dep)
-    assert counters["unrepairable"] == OBJECTS
-    assert counters["push_failed"] == 0
-    assert counters["errors"] == 0
-    assert repairer.fragments_rebuilt == 0
-    assert dep.metric_total("ec.fragments_rebuilt") == 0
-
-
-@pytest.mark.parametrize("concurrency", [1, 8])
-def test_push_failed_counted_distinctly(concurrency):
-    """A lost fragment with no live re-home target is a push failure,
-    distinct from unrepairable (the data itself is recoverable)."""
-    dep, _, _, repairer, _, manifest, _ = _scenario(
-        concurrency, crash_slots=(1, "spares"))
-    counters = _counters(dep)
-    assert counters["push_failed"] == OBJECTS
-    assert counters["unrepairable"] == 0
-    assert counters["errors"] == 0
-    assert repairer.fragments_rebuilt == 0
-
-
-# -- repair racing a concurrent write (satellite) ---------------------------
-
-@pytest.mark.parametrize("concurrency", [1, 8])
-def test_version_bump_mid_repair_is_not_resurrected(concurrency):
-    """A write racing the repair round must win: the acked new version
-    survives, and the repairer abandons the stale version instead of
-    reinstalling its fragments."""
-    dep = build_deployment(list(REGIONS), providers=PROVIDERS, seed=17)
-    spec = GlobalPolicySpec(
-        name="ec",
-        placements=tuple(
-            RegionPlacement(region, memory_only_policy(), provider=provider)
-            for region, provider in SITES),
-        consistency="eventual",
-        redundancy=RedundancySpec(k=2, m=2, repair_interval=1000.0,
+        redundancy=RedundancySpec(k=K, m=M, repair_interval=repair_interval,
                                   repair_concurrency=concurrency))
     instances = dep.start_wiera_instance("ec", spec)
     tim = dep.tim("ec")
@@ -243,19 +65,359 @@ def test_version_bump_mid_repair_is_not_resurrected(concurrency):
     coordinator = dep.instance("ec", US_EAST)
     manifest = decode_manifest(dep.drive(
         coordinator.read_version("obj0", run_rules=False))[0])
-    victim = tim.instances[manifest["frags"][1]].instance.host
-    faults = dep.fault_schedule("race")
-    faults.crash(at=dep.sim.now + 0.25, host=victim.name, duration=5000.0)
+    leader_id = manifest["frags"][0]
+    repairer = tim.instances[leader_id].instance.protocol.repairer(leader_id)
+    return dep, tim, client, payloads, manifest, repairer
+
+
+def _crash(dep, tim, victims, duration: float = 5000.0) -> None:
+    """Crash the hosts of ``victims`` 0.25 s from now; return 0.5 s on."""
+    faults = dep.fault_schedule("scenario")
+    for iid in sorted(victims):
+        faults.crash(at=dep.sim.now + 0.25,
+                     host=tim.instances[iid].instance.host.name,
+                     duration=duration)
     faults.start()
     dep.sim.run(until=dep.sim.now + 0.5)
 
-    leader_id = manifest["frags"][0]
-    leader = tim.instances[leader_id].instance
-    repairer = leader.protocol.repairer(leader_id)
+
+def _drive_round(dep, repairer) -> dict:
+    """One driven repair round; returns its network and sim-time cost."""
+    before = (dep.metric_total("net.bytes"), dep.metric_total("net.messages"),
+              dep.sim.now)
+    dep.drive(repairer.repair_round(), name="repair-round")
+    return {"bytes": dep.metric_total("net.bytes") - before[0],
+            "msgs": dep.metric_total("net.messages") - before[1],
+            "seconds": dep.sim.now - before[2]}
+
+
+def _scenario(concurrency: int, crash_slots=(1,)):
+    """``crash_slots`` fragment holders downed (left down), then one
+    driven repair round on the leader."""
+    dep, tim, client, payloads, manifest, repairer = _deploy(concurrency)
+    holders = set(manifest["frags"].values())
+    victims = set()
+    for slot in crash_slots:
+        if slot == "spares":  # every instance not holding a fragment
+            victims.update(iid for iid in tim.instances
+                           if iid not in holders)
+        else:
+            victims.add(manifest["frags"][slot])
+    _crash(dep, tim, victims)
+    repair = _drive_round(dep, repairer)
+    return dep, tim, client, repairer, payloads, manifest, repair
+
+
+def _counters(dep) -> dict:
+    return {name: dep.metric_total(f"ec.repair_{name}")
+            for name in ("unrepairable", "push_failed", "errors",
+                         "superseded")}
+
+
+def _live(tim) -> dict:
+    return {iid: rec.instance for iid, rec in tim.instances.items()
+            if not rec.instance.host.down}
+
+
+@pytest.fixture
+def rpc_log(monkeypatch):
+    """``(src, dst, method)`` of every RPC issued from here on, batch
+    envelopes flattened to their entries' methods."""
+    log: list = []
+    original = RpcNode._call
+
+    def spy(self, dst, method, args, *rest):
+        methods = ([entry[0] for entry in args["entries"]]
+                   if method == BATCH_METHOD else [method])
+        log.extend((self.name, dst.name, m) for m in methods)
+        return original(self, dst, method, args, *rest)
+    monkeypatch.setattr(RpcNode, "_call", spy)
+    return log
+
+
+#: every RPC the repair plane can issue past probing and checking
+REPAIR_TRAFFIC = {"reconstruct_fragment", "peer_get", "replica_update",
+                  "manifest_remap"}
+
+
+# -- behavioural golden -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def reference():
+    """The W=8 outcome every width must land on (timing-free store
+    digest, rebuild count, repair bytes moved) and its round time."""
+    dep, _, _, repairer, _, _, repair = _scenario(8)
+    return {"digest": dep.store_digest(detail=False),
+            "rebuilt": repairer.fragments_rebuilt,
+            "moved": dep.metric_total("ec.repair_bytes_moved"),
+            "seconds": repair["seconds"]}
+
+
+@WIDTHS
+def test_round_restores_every_guarantee(concurrency, reference, rpc_log):
+    """One holder lost for good: a single round re-establishes full
+    redundancy, observably, at any window width."""
+    dep, tim, _, repairer, payloads, manifest, repair = _scenario(concurrency)
+    crashed = manifest["frags"][1]
+    live = _live(tim)
+    assert crashed not in live and len(live) == len(SITES) - 1
+
+    # Exactly the lost fragments were rebuilt, with nothing given up on,
+    # and the round was real work on the wire.
+    assert repairer.fragments_rebuilt == OBJECTS
+    assert dep.metric_total("ec.fragments_rebuilt") == OBJECTS
+    assert _counters(dep) == {"unrepairable": 0, "push_failed": 0,
+                              "errors": 0, "superseded": 0}
+    assert repair["msgs"] > 50 and repair["bytes"] > OBJECTS * VALUE_SIZE
+
+    leader = repairer.instance
+    for key, value in payloads.items():
+        # Every object decodes to its last-written payload, cleanly,
+        # coordinated from every live instance.
+        for iid, inst in live.items():
+            res = dep.drive(inst.protocol.on_get(inst, key))
+            assert res["data"] == value, (key, iid)
+            assert not res["degraded"], (key, iid)
+        # All live instances hold byte-identical manifests ...
+        copies = {iid: dep.drive(inst.read_version(key, run_rules=False))[0]
+                  for iid, inst in live.items()}
+        assert len(set(copies.values())) == 1, (key, copies)
+        doc = decode_manifest(copies[leader.instance_id])
+        # ... naming n distinct live holders ...
+        holders = doc["frags"]
+        assert sorted(holders) == list(range(K + M)), key
+        assert len(set(holders.values())) == K + M, (key, holders)
+        assert set(holders.values()) <= set(live), (key, holders)
+        # ... each of which really has its fragment's bytes.
+        for idx, holder in holders.items():
+            item = (fragment_key(key, idx), 1)
+            if holder == leader.instance_id:
+                assert repairer._local_readable(*item), item
+            else:
+                res = dep.sim.run(until=leader.node.call(
+                    live[holder].node, "check_readable", {"items": [item]}))
+                assert res["missing"] == [], (item, holder)
+
+    # Same outcome as the reference width: placement, bytes and counters
+    # do not depend on how many objects were in flight.
+    assert dep.store_digest(detail=False) == reference["digest"]
+    assert repairer.fragments_rebuilt == reference["rebuilt"]
+    assert dep.metric_total("ec.repair_bytes_moved") == reference["moved"] > 0
+
+    # A second round finds nothing to fix and asks nobody to rebuild.
+    del rpc_log[:]
+    dep.drive(repairer.repair_round(), name="verify-round")
+    assert REPAIR_TRAFFIC.isdisjoint(m for _, _, m in rpc_log)
+    assert repairer.fragments_rebuilt == OBJECTS
+    assert dep.store_digest(detail=False) == reference["digest"]
+
+
+def test_wider_window_overlaps_repairs(reference):
+    assert reference["seconds"] < _scenario(1)[-1]["seconds"] / 2
+
+
+# -- the install paths ------------------------------------------------------
+
+@WIDTHS
+def test_remote_target_rebuilds_holder_locally(concurrency):
+    """The spare pulls k fragments itself; the leader relays no fragment
+    bytes and peers learn the new holder from a remap delta."""
+    dep, tim, _, repairer, _, manifest, _ = _scenario(concurrency)
+    spare = decode_manifest(dep.drive(repairer.instance.read_version(
+        "obj0", run_rules=False))[0])["frags"][1]
+    assert spare not in manifest["frags"].values()
+    assert (dep.metric_total("ec.repair_bytes_moved")
+            == OBJECTS * K * FRAGMENT_SIZE)
+    frag = dep.drive(tim.instances[spare].instance.read_version(
+        fragment_key("obj0", 1), run_rules=False))[0]
+    assert len(frag) == FRAGMENT_SIZE
+
+
+@WIDTHS
+def test_leaders_own_fragment_rebuilt_in_place(concurrency, rpc_log):
+    """The leader's host restarts with its memory tier wiped: its own
+    fragment is rebuilt through the same reconstruct handler, in-process
+    — no reconstruct RPC, no re-homing, no manifest broadcast."""
+    dep, tim, client, payloads, manifest, repairer = _deploy(concurrency)
+    leader = repairer.instance
+    _crash(dep, tim, {leader.instance_id}, duration=0.1)
+    assert not leader.host.down
+    assert not repairer._local_readable(fragment_key("obj0", 0), 1)
+
+    # The wipe took the leader's manifests too; a read through it heals
+    # them (get-path fallback), which is what lets it lead again.
+    def read_phase():
+        for key, value in payloads.items():
+            res = yield from client.get(key)
+            assert res["data"] == value and res["degraded"], key
+    dep.drive(read_phase())
+
+    del rpc_log[:]
+    _drive_round(dep, repairer)
+    assert repairer.fragments_rebuilt == OBJECTS
+    assert _counters(dep) == {"unrepairable": 0, "push_failed": 0,
+                              "errors": 0, "superseded": 0}
+    assert (dep.metric_total("ec.repair_bytes_moved")
+            == OBJECTS * K * FRAGMENT_SIZE)
+    # k pulls per object by the leader itself and nothing else: no
+    # reconstruct_fragment round trip, no remap, no push.
+    assert ([(src, m) for src, _, m in rpc_log if m in REPAIR_TRAFFIC]
+            == [(leader.node.name, "peer_get")] * (OBJECTS * K))
+    for key in payloads:
+        assert repairer._local_readable(fragment_key(key, 0), 1), key
+        doc = decode_manifest(dep.drive(
+            leader.read_version(key, run_rules=False))[0])
+        assert doc["frags"] == manifest["frags"], key
+
+
+@WIDTHS
+def test_failed_remote_reconstruct_falls_back_to_coordinator(concurrency):
+    """A target that fails ``reconstruct_fragment`` for any reason other
+    than ``superseded`` is still repaired this round: the leader gathers
+    k fragments, rebuilds the row and pushes it."""
+    dep, tim, _, payloads, manifest, repairer = _deploy(concurrency)
+    _crash(dep, tim, {manifest["frags"][1]})
+    protocol = repairer.protocol
+
+    def refuse(instance, args):
+        return {"ok": False, "reason": "unrepairable", "pulled": 0}
+        yield  # pragma: no cover
+    protocol.on_reconstruct_fragment = refuse
+    _drive_round(dep, repairer)
+    del protocol.on_reconstruct_fragment
+
+    assert repairer.fragments_rebuilt == OBJECTS
+    assert _counters(dep) == {"unrepairable": 0, "push_failed": 0,
+                              "errors": 0, "superseded": 0}
+    # per object: one remote pull (the leader holds fragment 0 itself)
+    # plus the pushed rebuilt fragment — all on the leader's counter
+    assert (dep.metric_total("ec.repair_bytes_moved")
+            == OBJECTS * ((K - 1) + 1) * FRAGMENT_SIZE)
+    for key, value in payloads.items():
+        spare = decode_manifest(dep.drive(repairer.instance.read_version(
+            key, run_rules=False))[0])["frags"][1]
+        assert spare not in manifest["frags"].values()
+        frag = dep.drive(tim.instances[spare].instance.read_version(
+            fragment_key(key, 1), run_rules=False))[0]
+        assert len(frag) == FRAGMENT_SIZE
+        res = dep.drive(protocol.on_get(repairer.instance, key))
+        assert res["data"] == value and not res["degraded"], key
+
+
+def test_gather_pulls_nearest_first_and_stops_at_k(rpc_log):
+    """2-of-4 gather with one local source: exactly one ``peer_get``
+    round trip, to the nearest of the three remote holders."""
+    dep, tim, _, _, manifest, repairer = _deploy(8)
+    leader = repairer.instance
+    nearest = next(iid for iid, _ in repairer.protocol.ring(leader)[1:]
+                   if iid in manifest["frags"].values())
+    nearest_idx = next(i for i, h in manifest["frags"].items()
+                       if h == nearest)
+    # hand the sources over farthest-first: the helper does the ordering
+    sources = sorted(manifest["frags"].items(), reverse=True)
+
+    del rpc_log[:]
+    before = dep.metric_total("net.messages")
+    available, pulled = dep.drive(repairer.protocol.gather_fragments(
+        leader, "obj0", 1, K, VALUE_SIZE, sources))
+    assert dep.metric_total("net.messages") - before == 2
+    assert rpc_log == [(leader.node.name,
+                        tim.instances[nearest].instance.node.name,
+                        "peer_get")]
+    assert pulled == FRAGMENT_SIZE
+    assert sorted(available) == sorted([0, nearest_idx])
+
+
+# -- attributable failure counters ------------------------------------------
+
+@WIDTHS
+def test_unrepairable_counted_distinctly(concurrency):
+    """Losing m+1 fragments is unrepairable: counted as such, not as a
+    generic skip, and nothing is rebuilt."""
+    dep, _, _, repairer, _, _, _ = _scenario(
+        concurrency, crash_slots=(1, 2, 3))
+    counters = _counters(dep)
+    assert counters["unrepairable"] == OBJECTS
+    assert counters["push_failed"] == 0
+    assert counters["errors"] == 0
+    assert repairer.fragments_rebuilt == 0
+    assert dep.metric_total("ec.fragments_rebuilt") == 0
+
+
+@WIDTHS
+def test_push_failed_counted_distinctly(concurrency):
+    """A lost fragment with no live re-home target is a push failure,
+    distinct from unrepairable (the data itself is recoverable)."""
+    dep, _, _, repairer, _, manifest, _ = _scenario(
+        concurrency, crash_slots=(1, "spares"))
+    counters = _counters(dep)
+    assert counters["push_failed"] == OBJECTS
+    assert counters["unrepairable"] == 0
+    assert counters["errors"] == 0
+    assert repairer.fragments_rebuilt == 0
+
+
+# -- stop() -----------------------------------------------------------------
+
+@WIDTHS
+@pytest.mark.parametrize("into_round", [0.1, 0.45])
+def test_stop_halts_a_round_in_flight(concurrency, into_round):
+    """``stop()`` mid-round (0.1 s: probes outstanding; 0.45 s: window
+    workers waiting on reconstructs) kills the loop and every worker at
+    that instant.  The interrupt is not a peer failure: nothing is
+    counted, re-homed or rebuilt afterwards, and no further round runs."""
+    interval = 20.0  # first round fires well after the writes and crash
+    dep, tim, _, _, manifest, repairer = _deploy(concurrency,
+                                                 repair_interval=interval)
+    _crash(dep, tim, {manifest["frags"][1]})
+    assert repairer.rounds == 0
+    while repairer.rounds == 0:
+        dep.sim.run(until=dep.sim.now + 0.01)
+    dep.sim.run(until=dep.sim.now + into_round)
+    loop, workers = repairer._proc, list(repairer._workers)
+    assert loop.is_alive
+    if into_round > 0.4:
+        assert workers and all(w.is_alive for w in workers)
+
+    repairer.stop()
+    dep.sim.run(until=dep.sim.now)  # deliver the interrupts, no time passes
+    assert not loop.is_alive
+    assert not any(w.is_alive for w in workers)
+    rebuilt = repairer.fragments_rebuilt
+    digest = {iid: dep.drive(inst.read_version("obj0", run_rules=False))[0]
+              for iid, inst in _live(tim).items()}
+
+    dep.sim.run(until=dep.sim.now + 3 * interval)
+    assert repairer.rounds == 1
+    assert repairer.fragments_rebuilt == rebuilt < OBJECTS
+    assert dep.metric_total("ec.repair_errors") == 0
+    # No live holder was re-homed: every manifest copy still names the
+    # live holders it named when the round was stopped.
+    live = _live(tim)
+    for iid, inst in live.items():
+        for key in (f"obj{i}" for i in range(OBJECTS)):
+            doc = decode_manifest(dep.drive(
+                inst.read_version(key, run_rules=False))[0])
+            for idx, holder in manifest["frags"].items():
+                if holder in live:
+                    assert doc["frags"][idx] == holder, (iid, key, idx)
+        assert dep.drive(inst.read_version(
+            "obj0", run_rules=False))[0] == digest[iid]
+
+
+# -- repair racing a concurrent write ---------------------------------------
+
+@WIDTHS
+def test_version_bump_mid_repair_is_not_resurrected(concurrency):
+    """A write racing the repair round must win: the acked new version
+    survives, and the repairer abandons the stale version instead of
+    reinstalling its fragments."""
+    dep, tim, client, _, manifest, repairer = _deploy(concurrency)
+    _crash(dep, tim, {manifest["frags"][1]})
 
     # Fire the overwrite at the exact moment the repairer starts on the
     # raced object — the tightest possible interleaving, deterministic
-    # under both strategies.
+    # at any window width.
     raced_key = f"obj{OBJECTS - 1}"
     new_value = b"\xEE" * VALUE_SIZE
     put_done: dict = {}
@@ -265,9 +427,7 @@ def test_version_bump_mid_repair_is_not_resurrected(concurrency):
         put_done["version"] = res["version"]
         put_done["at"] = dep.sim.now
 
-    method = ("_repair_object" if concurrency == 1
-              else "_repair_object_pipelined")
-    original = getattr(repairer, method)
+    original = repairer._repair_object
 
     def hooked(key, *args, **kwargs):
         if key == raced_key and "proc" not in put_done:
@@ -275,7 +435,7 @@ def test_version_bump_mid_repair_is_not_resurrected(concurrency):
                                                name="racing-put")
         result = yield from original(key, *args, **kwargs)
         return result
-    setattr(repairer, method, hooked)
+    repairer._repair_object = hooked
 
     round_proc = dep.sim.process(repairer.repair_round(), name="race-round")
     while round_proc.is_alive or ("proc" in put_done
