@@ -51,8 +51,11 @@ MAX_COHORT_PROCESSES = 1000
 MAX_OFFERED_ERROR = 0.05
 
 #: gate: kernel events per *offered* operation (arrival bookkeeping +
-#: the operation itself) — catches accidental per-arrival overhead
-MAX_EVENTS_PER_OFFERED_OP = 30.0
+#: the operation itself) — catches accidental per-arrival overhead.  The
+#: cell measures 8.6 (one kernel event per message; 11.9 before), so 12
+#: trips on any regression to the old per-message cost while leaving the
+#: cohort bookkeeping room to move.
+MAX_EVENTS_PER_OFFERED_OP = 12.0
 
 #: gate: achieved(8 shards) / achieved(1 shard) at the saturating
 #: offered level — the scale-out curve must bend upward

@@ -5,6 +5,12 @@ behind each other, so large replication transfers genuinely contend with
 foreground traffic — this is what makes bandwidth-capped ``copy`` responses
 (e.g. ``bandwidth: 40KB/s`` in Figure 1(b)) and Azure's VM-size network
 throttles (Figs. 11-12) behave realistically.
+
+A link serves one payload at a time in arrival order, so "queueing" is
+arithmetic on a virtual clock (:class:`repro.sim.primitives.SerialServer`):
+a sender learns at send time the instant its last byte leaves and sleeps
+until then on one event.  There is no waiter queue, no grant event and
+nothing to release.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 from typing import Generator, Iterator
 
 from repro.sim.kernel import Simulator
-from repro.sim.primitives import Resource
+from repro.sim.primitives import SerialServer, wake_at
+
+_INF = float("inf")
 
 
 def iter_chunks(nbytes: int, chunk_bytes: float) -> Iterator[int]:
@@ -40,37 +48,43 @@ def iter_chunks(nbytes: int, chunk_bytes: float) -> Iterator[int]:
 class BandwidthLink:
     """A serialized transmission pipe with a byte/second rate.
 
-    ``transmit(nbytes)`` is a generator (intended for ``yield from`` inside
-    a process) that completes once the payload has been clocked onto the
-    wire.  An infinite-rate link completes instantly and never queues.
+    :meth:`reserve` books ``nbytes`` onto the wire behind everything
+    already booked and returns the instant the last byte leaves;
+    ``transmit(nbytes)`` is the generator form (intended for ``yield from``
+    inside a process) that also sleeps until that instant.  An
+    infinite-rate link completes instantly and never queues.
+
+    ``rate`` may be changed at run time; a payload is clocked at the rate
+    in force when it is reserved.  A reservation is never reclaimed: a
+    sender interrupted mid-transfer leaves the link busy for the time its
+    payload would have taken, and later transfers proceed normally.
     """
 
-    def __init__(self, sim: Simulator, rate: float = float("inf"), name: str = ""):
+    def __init__(self, sim: Simulator, rate: float = _INF, name: str = ""):
         if rate <= 0:
             raise ValueError(f"link rate must be positive, got {rate}")
         self.sim = sim
         self.rate = rate
         self.name = name
-        self._channel = Resource(sim, capacity=1)
+        self._server = SerialServer(sim)
         self.bytes_sent = 0
 
-    @property
-    def queued(self) -> int:
-        return self._channel.queued
-
     def transmission_time(self, nbytes: int) -> float:
-        if self.rate == float("inf"):
+        if self.rate == _INF:
             return 0.0
         return nbytes / self.rate
 
-    def transmit(self, nbytes: int) -> Generator:
+    def reserve(self, nbytes: int) -> float:
+        """Book ``nbytes`` behind the transfers already reserved; returns
+        the absolute time at which the last byte is on the wire."""
         if nbytes < 0:
             raise ValueError("cannot transmit a negative payload")
         self.bytes_sent += nbytes
-        if self.rate == float("inf"):
-            return
-        yield self._channel.request()
-        try:
-            yield self.sim.timeout(nbytes / self.rate)
-        finally:
-            self._channel.release()
+        if self.rate == _INF:
+            return self.sim.now
+        return self._server.reserve(nbytes / self.rate)
+
+    def transmit(self, nbytes: int) -> Generator:
+        finish = self.reserve(nbytes)
+        if finish > self.sim.now:
+            yield wake_at(self.sim, finish)

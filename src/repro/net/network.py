@@ -20,6 +20,7 @@ from repro.net.vmprofiles import VmProfile, get_profile
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
 from repro.sim.kernel import Simulator
+from repro.sim.primitives import wake_at
 
 
 class NetworkError(RuntimeError):
@@ -171,28 +172,35 @@ class Network:
                 del table[key]
         return live
 
-    def injected_extra(self, src: Host, dst: Host) -> float:
-        now = self.sim.now
+    def injected_extra(self, src: Host, dst: Host,
+                       at: Optional[float] = None) -> float:
+        """Injected delay on src→dst traffic at instant ``at`` (default:
+        now), from the injection windows registered so far."""
+        if not self._host_injections and not self._pair_injections:
+            return 0.0   # nothing scheduled: the common, fault-free case
+        when = self.sim.now if at is None else at
         extra = 0.0
         for name in (src.name, dst.name):
             for inj in self._live_injections(self._host_injections, name):
-                extra += inj.active_extra(now)
+                extra += inj.active_extra(when)
         for inj in self._live_injections(
                 self._pair_injections, frozenset((src.region, dst.region))):
-            extra += inj.active_extra(now)
+            extra += inj.active_extra(when)
         return extra
 
     def oneway_latency(self, src: Host, dst: Host,
-                       include_dynamics: bool = True) -> float:
-        """Current one-way message latency (excluding bandwidth queueing)."""
+                       include_dynamics: bool = True,
+                       at: Optional[float] = None) -> float:
+        """One-way message latency (excluding bandwidth queueing) at
+        instant ``at`` (default: now)."""
         if src is dst:
             # Same machine: loopback, no NIC or propagation cost.
-            return self.injected_extra(src, dst) if include_dynamics else 0.0
+            return self.injected_extra(src, dst, at) if include_dynamics else 0.0
         base = self.topology.oneway(src.region, src.provider,
                                     dst.region, dst.provider)
         base += src.vm.nic_delay + dst.vm.nic_delay
         if include_dynamics:
-            base += self.injected_extra(src, dst)
+            base += self.injected_extra(src, dst, at)
         return base
 
     def rtt(self, src: Host, dst: Host) -> float:
@@ -214,12 +222,20 @@ class Network:
         Raises :class:`NetworkError`/:class:`HostDownError` if the
         destination is unreachable at send time.
 
+        One message costs one kernel event: after admission the egress
+        link is reserved (:meth:`BandwidthLink.reserve` returns the
+        instant the last byte leaves), the propagation latency *for that
+        instant* is added, and the sender sleeps once until delivery.  The
+        latency is taken from the injection windows registered at send
+        time: a delay injected while the message is still serializing is
+        not applied to it.
+
         With ``chunk_bytes`` set, a transfer above that size serializes
         through the egress link as several short reservations instead of
-        one indivisible one: foreground traffic interleaves between
-        chunks, and a crash or partition mid-transfer aborts with only
-        the undelivered chunks outstanding (reachability is re-checked
-        between chunks).
+        one indivisible one (:meth:`send_to_wire`): foreground traffic
+        interleaves between chunks, and a crash or partition mid-transfer
+        aborts with only the undelivered chunks outstanding (reachability
+        is re-checked between chunks).
         """
         tracer = self._obs.tracer
         span = (tracer.span("net:transmit", cat="net", component=src.name,
@@ -227,9 +243,18 @@ class Network:
                 if tracer.enabled else NULL_SPAN)
         with span:
             start = self.sim.now
-            latency = yield from self.send_to_wire(src, dst, nbytes)
-            if latency > 0:
-                yield self.sim.timeout(latency)
+            if 0 < self.chunk_bytes < nbytes:
+                latency = yield from self.send_to_wire(src, dst, nbytes)
+                if latency > 0:
+                    yield self.sim.timeout(latency)
+            else:
+                self._admit(src, dst, nbytes)
+                if src is not dst:
+                    finish = src.egress.reserve(nbytes)
+                    arrival = finish + self.oneway_latency(src, dst,
+                                                           at=finish)
+                    if arrival > start:
+                        yield wake_at(self.sim, arrival)
             # Destination may have died while the message was in flight.
             if dst.down:
                 raise HostDownError(
@@ -238,25 +263,36 @@ class Network:
                 self.monitor.record_transfer(src, dst, nbytes,
                                              self.sim.now - start)
 
-    def send_to_wire(self, src: Host, dst: Host, nbytes: int) -> Generator:
-        """The sender-side half of :meth:`transmit`: reachability check,
-        accounting, and egress serialization.  Returns the propagation
-        latency the message then spends in flight (computed *after* the
-        egress reservation completes, exactly as :meth:`transmit` always
-        did).  The parallel bridge (:mod:`repro.par.bridge`) runs this
-        locally on the sending worker and ships ``now + latency`` as the
-        deterministic arrival time on the destination worker."""
+    def _admit(self, src: Host, dst: Host, nbytes: int) -> None:
+        """Send-time admission of one message: reachability check, message
+        and byte counters, egress billing.  Raises if ``dst`` cannot be
+        reached; consumes no simulated time."""
         self.check_reachable(src, dst)
         self.messages_sent += 1
         self.bytes_transferred += nbytes
         self._msg_counter.inc()
         self._bytes_counter.inc(nbytes)
         if self.ledger is not None and src is not dst:
-            # Billed once per transfer, before the chunk loop: egress
+            # Billed once per transfer, before any chunk loop: egress
             # dollars are identical with chunking on or off.
             scope = ("intra_dc" if src.region == dst.region
                      else "inter_region")
             self.ledger.record_network(nbytes, scope)
+
+    def send_to_wire(self, src: Host, dst: Host, nbytes: int) -> Generator:
+        """The sender-side half of a transfer as a generator: admission,
+        then egress serialization, yielding until the last byte is on the
+        wire.  Returns the propagation latency the message then spends in
+        flight, computed at that instant.
+
+        Two callers need the halves apart.  The parallel bridge
+        (:mod:`repro.par.bridge`) runs this locally on the sending worker
+        and ships ``now + latency`` as the deterministic arrival time on
+        the destination worker.  A chunked transfer reserves each chunk
+        only when the previous one is out, so whatever was reserved
+        meanwhile goes first, and re-checks reachability in between.
+        """
+        self._admit(src, dst, nbytes)
         if src is dst:
             return 0.0
         chunk = self.chunk_bytes
@@ -264,8 +300,8 @@ class Network:
             first = True
             for piece in iter_chunks(nbytes, chunk):
                 if not first:
-                    # The link was released between chunks: the
-                    # world may have changed under the transfer.
+                    # Time passed since the previous chunk: the world may
+                    # have changed under the transfer.
                     self.check_reachable(src, dst)
                 first = False
                 yield from src.egress.transmit(piece)

@@ -18,14 +18,20 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache
 from typing import Iterable
 
 #: default virtual nodes per shard; enough for a ±20% load spread
 DEFAULT_VNODES = 128
 
 
+@lru_cache(maxsize=1 << 16)
 def hash_point(value: str) -> int:
-    """Deterministic 64-bit ring position of an arbitrary string."""
+    """Deterministic 64-bit ring position of an arbitrary string.
+
+    A pure function of ``value``, memoised (bounded) because the router
+    and the ownership guard each hash the key of every routed request.
+    """
     digest = hashlib.sha256(value.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

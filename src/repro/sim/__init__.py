@@ -17,7 +17,14 @@ from repro.sim.kernel import (
     Simulator,
     Timeout,
 )
-from repro.sim.primitives import Gate, Resource, SimLock, Store
+from repro.sim.primitives import (
+    Gate,
+    Resource,
+    SerialServer,
+    SimLock,
+    Store,
+    wake_at,
+)
 
 __all__ = [
     "Simulator",
@@ -30,6 +37,8 @@ __all__ = [
     "AnyOf",
     "Store",
     "Resource",
+    "SerialServer",
+    "wake_at",
     "SimLock",
     "Gate",
 ]

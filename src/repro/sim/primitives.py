@@ -2,15 +2,18 @@
 
 These mirror the small set of constructs the Wiera implementation needs:
 FIFO message queues between components (:class:`Store`), counted resources
-for device/service concurrency limits (:class:`Resource`), mutual exclusion
-(:class:`SimLock`) and open/close request gates used while a consistency
-switch drains in-flight operations (:class:`Gate`).
+for device/service concurrency limits (:class:`Resource`), the capacity-1
+FIFO server behind every bandwidth link and IOPS cap
+(:class:`SerialServer`), mutual exclusion (:class:`SimLock`) and open/close
+request gates used while a consistency switch drains in-flight operations
+(:class:`Gate`).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Any
+from typing import Any, Generator
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
@@ -66,11 +69,74 @@ class Store:
             event.succeed(item)
 
 
+def wake_at(sim: Simulator, when: float) -> Event:
+    """An event that fires at the absolute instant ``when`` (>= now).
+
+    A :class:`SerialServer` completion is an absolute time, and its
+    waiter must wake at exactly that instant: a chunked transfer reserves
+    its next chunk on waking, and ``max(now, free_at)`` must find the
+    server free, not an ulp short of it.  The kernel's own factories
+    schedule by delay (``now + delay``), and floating point cannot always
+    express an instant as a delay from now — ``when - now`` rounds once
+    ``when > 2 * now``, and where ``now + d`` lands on a rounding tie no
+    ``d`` reaches ``when`` at all.  So this files the heap entry under
+    ``when`` itself, the way :class:`~repro.sim.kernel.Timeout` files one
+    under ``now + delay``.
+    """
+    if when < sim._now:
+        raise SimulationError(
+            f"cannot wake in the past: {when} < {sim._now}")
+    event = Event(sim)
+    event._value = None    # triggered: fires when the clock reaches `when`
+    heapq.heappush(sim._heap, (when, sim._seq, event))
+    sim._seq += 1
+    return event
+
+
+class SerialServer:
+    """A capacity-1 FIFO server kept as a virtual clock, not a queue.
+
+    Jobs on such a server run one at a time in arrival order, so a job's
+    completion time is a closed-form function of the previous one:
+    ``start = max(now, free_at)``, ``free_at = start + duration``.
+    :meth:`reserve` does that arithmetic and returns the completion time;
+    the caller sleeps until then on a single event (:func:`wake_at`).
+
+    Nothing queues and nothing is released, so there is no grant/hand-off
+    event per job and no waiter to strand: a caller interrupted before its
+    completion leaves its reservation spent — the server stays busy until
+    ``free_at``, as if the job had run — and later jobs are served
+    normally.  (:class:`Resource` hands a freed slot to an interrupted
+    waiter that will never release it.)
+    """
+
+    __slots__ = ("sim", "free_at")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        #: the instant the last reserved job completes
+        self.free_at = 0.0
+
+    def reserve(self, duration: float) -> float:
+        """Append a job of ``duration`` seconds; returns the absolute time
+        at which it completes."""
+        now = self.sim.now
+        start = self.free_at if self.free_at > now else now
+        self.free_at = finish = start + duration
+        return finish
+
+
 class Resource:
     """A counted resource with FIFO waiters (like a semaphore).
 
     ``request()`` returns an event that fires once a slot is granted; the
     holder must call ``release()`` exactly once per grant.
+
+    Hazard: a process interrupted while *waiting* in ``request()`` stays in
+    the waiter queue, is later handed a slot it will never release, and
+    wedges the resource.  Capacity-1 FIFO users should use
+    :class:`SerialServer`, which has no waiters; the one remaining user
+    (``workloads/rubis.py``, capacity > 1) never interrupts its waiters.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -125,6 +191,10 @@ class Gate:
     queue and are all released when the gate reopens.  Wiera closes the gate
     in front of an instance while a consistency-model change drains queued
     updates, exactly as described in §3.3.2 of the paper.
+
+    Request handlers pass through with ``yield from gate.passage()``, which
+    yields (one kernel event, fired by :meth:`open`) only while the gate is
+    closed: an open gate costs its callers no event at all.
     """
 
     def __init__(self, sim: Simulator, open_: bool = True):
@@ -147,6 +217,12 @@ class Gate:
         else:
             self._waiters.append(event)
         return event
+
+    def passage(self) -> Generator:
+        """Block while the gate is closed; pass an open gate without
+        yielding."""
+        if not self._open:
+            yield self.wait()
 
     def close(self) -> None:
         self._open = False

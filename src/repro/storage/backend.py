@@ -15,7 +15,7 @@ import numpy as np
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
 from repro.sim.kernel import Simulator
-from repro.sim.primitives import Resource
+from repro.sim.primitives import SerialServer, wake_at
 from repro.storage.profiles import TierProfile, get_tier_profile
 
 
@@ -54,10 +54,11 @@ class StorageBackend:
         self._rng = rng
         self._ledger = ledger
         # IOPS cap: a serialized completion channel; each op holds it for
-        # 1/iops seconds, so completions are spaced at the device's rate.
-        self._iops_channel: Optional[Resource] = None
+        # at least 1/iops seconds, so completions are spaced at the
+        # device's rate.
+        self._iops_channel: Optional[SerialServer] = None
         if self.profile.iops != float("inf"):
-            self._iops_channel = Resource(sim, capacity=1)
+            self._iops_channel = SerialServer(sim)
         self.reads = 0
         self.writes = 0
         self.deletes = 0
@@ -123,14 +124,18 @@ class StorageBackend:
         return float(self._rng.lognormal(mean=0.0, sigma=sigma))
 
     def _occupy(self, service: float) -> Generator:
-        """Consume service time, honouring the IOPS completion cap."""
+        """Consume service time, honouring the IOPS completion cap.
+
+        On a capped tier ops complete one at a time in arrival order, each
+        holding the channel for ``max(service, 1/iops)``: the op reserves
+        its slot on the channel's virtual clock and sleeps once until its
+        completion time.  An op interrupted while it waits leaves its slot
+        spent; the channel itself cannot wedge.
+        """
         if self._iops_channel is not None:
             spacing = 1.0 / self.profile.iops
-            yield self._iops_channel.request()
-            try:
-                yield self.sim.timeout(max(service, spacing))
-            finally:
-                self._iops_channel.release()
+            done = self._iops_channel.reserve(max(service, spacing))
+            yield wake_at(self.sim, done)
         elif service > 0:
             yield self.sim.timeout(service)
 

@@ -217,7 +217,9 @@ class TieraInstance:
     def read_preference(self, locations: Iterable[str]) -> list[str]:
         """Locations ordered fastest-first by profile read latency."""
         known = [loc for loc in locations if loc in self.tiers]
-        return sorted(known, key=lambda n: self.tiers[n].profile.read_latency)
+        if len(known) > 1:
+            known.sort(key=lambda n: self.tiers[n].profile.read_latency)
+        return known
 
     def copy_limiter(self, response) -> BandwidthLink:
         link = self._copy_links.get(response)
@@ -230,13 +232,17 @@ class TieraInstance:
     # ------------------------------------------------------------------
     # version primitives (used by responses and protocols)
     # ------------------------------------------------------------------
-    def _payload(self, key: str, version: int, meta: VersionMeta) -> Generator:
-        """Fetch raw (encoded) bytes for a version, cheapest source first."""
+    def _payload(self, key: str, version: int, meta: VersionMeta,
+                 order: Optional[list[str]] = None) -> Generator:
+        """Fetch raw (encoded) bytes for a version, cheapest source first
+        (``order``: the caller's ``read_preference(meta.locations)``)."""
         staged = self._staging.get((key, version))
         if staged is not None:
             return staged
             yield  # pragma: no cover
-        for tier_name in self.read_preference(meta.locations):
+        if order is None:
+            order = self.read_preference(meta.locations)
+        for tier_name in order:
             backend = self.tiers[tier_name]
             skey = storage_key(key, version)
             if skey in backend:
@@ -368,8 +374,9 @@ class TieraInstance:
                 raise ObjectMissingError(f"{self.instance_id}: {key!r} empty")
         else:
             meta = self._meta_or_raise(record, version)
-        served_from = next(iter(self.read_preference(meta.locations)), None)
-        raw = yield from self._payload(key, meta.version, meta)
+        order = self.read_preference(meta.locations)
+        served_from = order[0] if order else None
+        raw = yield from self._payload(key, meta.version, meta, order)
         data = transforms.decode_chain(meta.encodings, raw, self.keyring)
         meta.touch(self.sim.now)
         if run_rules:
@@ -644,7 +651,7 @@ class TieraInstance:
         n.register("ctl_adopt_remote_cold", self.rpc_ctl_adopt_remote_cold)
 
     def rpc_put(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         self._shard_check(msg.args["key"])
         start = self.sim.now
         self.puts_from_app += 1
@@ -661,7 +668,7 @@ class TieraInstance:
         return result
 
     def rpc_get(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         self._shard_check(msg.args["key"])
         start = self.sim.now
         self.gets_from_app += 1
@@ -684,7 +691,7 @@ class TieraInstance:
         return result
 
     def rpc_get_version(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         self._shard_check(msg.args["key"])
         result = yield from self.protocol.on_get(
             self, msg.args["key"], msg.args["version"])
@@ -697,7 +704,7 @@ class TieraInstance:
 
     def rpc_update(self, msg: Message) -> Generator:
         """Table 2 ``update``: rewrite the contents of a specific version."""
-        yield self.gate.wait()
+        yield from self.gate.passage()
         key, version = msg.args["key"], msg.args["version"]
         self._shard_check(key)
         record = self._record_or_raise(key)
@@ -708,14 +715,14 @@ class TieraInstance:
         return {"version": version, "updated": True}
 
     def rpc_remove(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         self._shard_check(msg.args["key"])
         result = yield from self.protocol.on_remove(self, msg.args["key"])
         self._forward_handoff(msg.args["key"], None, remove=True)
         return result
 
     def rpc_remove_version(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         self._shard_check(msg.args["key"])
         result = yield from self.protocol.on_remove(
             self, msg.args["key"], msg.args["version"])
@@ -733,7 +740,7 @@ class TieraInstance:
         return result
 
     def rpc_forward_put(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         start = self.sim.now
         origin = msg.args.get("origin", msg.src)
         self.note_request(origin)
@@ -748,7 +755,7 @@ class TieraInstance:
         return result
 
     def rpc_forward_remove(self, msg: Message) -> Generator:
-        yield self.gate.wait()
+        yield from self.gate.passage()
         start = self.sim.now
         origin = msg.args.get("origin", msg.src)
         self.note_request(origin)

@@ -1,0 +1,105 @@
+"""Kernel events per operation on the fault-free path — an exact budget.
+
+What the simulator pays per message decides how many regions, users and
+seconds a run can afford, and a kernel event that carries no simulated
+time (a grant on an idle link, a wait on an open gate, a second sleep where
+one would do) is pure cost.  This test pins the count on the plainest
+data path there is — two regions, unsharded, memory tier, eventual
+consistency with the flush timer parked, one client in the instance's own
+region — so a change that re-introduces such an event fails ``pytest``
+and not only the benchmark pipeline.
+
+The ledger, per operation issued from an already-running driver process:
+
+====================================  ===  ===
+event                                 get  put
+====================================  ===  ===
+RPC process start (``rpc._call``)       1    1
+request transmit (one timeout)          1    1
+tier access (one timeout)               1    1
+metadata write (one timeout)            -    1
+reply transmit (one timeout)            1    1
+RPC process finish (wakes the caller)   1    1
+------------------------------------  ---  ---
+total                                   5    6
+====================================  ===  ===
+
+The driver process itself costs one start and one finish per ``drive()``.
+A transmit is one event whether or not the sender's egress link is finite
+(the instance's reply leaves through a 31 MB/s ``t2.micro`` link; the
+client's is unmetered), and passing the instance's open gate costs none.
+"""
+
+import pytest
+
+from repro import GlobalPolicySpec, RegionPlacement, build_deployment
+from repro.net.topology import US_EAST, US_WEST
+from repro.tiera.policy import memory_only_policy
+
+N = 25
+DRIVER = 2            # the driving process: start + finish
+PER_GET = 5
+PER_PUT = 6
+
+
+@pytest.fixture
+def deployment():
+    dep = build_deployment([US_EAST, US_WEST], seed=7)
+    spec = GlobalPolicySpec(
+        name="budget",
+        placements=tuple(RegionPlacement(region, memory_only_policy())
+                         for region in (US_EAST, US_WEST)),
+        # Park the replication flush timer: nothing but the measured
+        # operations runs inside the measured windows.
+        consistency="eventual", queue_interval=3600.0)
+    instances = dep.start_wiera_instance("budget", spec)
+    client = dep.add_client(US_EAST, instances=instances, name="app")
+    return dep, client
+
+
+def events(dep, generator) -> int:
+    before = dep.sim.events_processed
+    dep.drive(generator)
+    return dep.sim.events_processed - before
+
+
+def test_exact_events_per_put_and_per_get(deployment):
+    dep, client = deployment
+    instance = dep.instance("budget", US_EAST)
+    assert instance.host.egress.rate != float("inf")    # a metered link
+
+    def puts():
+        for i in range(N):
+            yield from client.put(f"key-{i}", bytes(1024))
+
+    def gets():
+        for i in range(N):
+            yield from client.get(f"key-{i}")
+
+    assert events(dep, puts()) == DRIVER + N * PER_PUT
+    assert events(dep, gets()) == DRIVER + N * PER_GET
+    # Every operation costs the same: no event is amortised or deferred.
+    assert events(dep, client.get("key-0")) == DRIVER + PER_GET
+    assert events(dep, client.put("key-0", b"again")) == DRIVER + PER_PUT
+
+
+def test_closed_gate_adds_one_event_per_queued_request(deployment):
+    dep, client = deployment
+    sim = dep.sim
+    dep.drive(client.put("key", b"value"))
+    instance = dep.instance("budget", US_EAST)
+    waiting = 3
+
+    instance.gate.close()
+    before = sim.events_processed
+    calls = [sim.process(client.get("key")) for _ in range(waiting)]
+    sim.run(until=sim.now + 1.0)
+    assert instance.gate.queued == waiting
+    assert not any(call.processed for call in calls)
+
+    instance.gate.open()
+    sim.run(until=sim.now + 1.0)
+    assert all(call.processed for call in calls)
+    # Each get ran as its own driver process; the one extra event apiece
+    # is the gate's release.
+    assert sim.events_processed - before == waiting * (DRIVER + PER_GET + 1)

@@ -9,6 +9,12 @@ applied faults — matches bit-for-bit.  Any scheduling-order change the
 fast path introduced (run-queue vs heap, deferred resumes, tombstoned
 interrupts) would scramble the retry jitter and latency streams and show
 up here immediately.
+
+``events_processed`` pins the kernel under this stack's event stream: it
+is the only field that a change *above* the kernel may move without any
+observable moving, and it may be re-recorded only under the proof spelled
+out in ``tests/kernel_golden.py`` (kernel source unchanged, every other
+field bit-identical against the old fixture).
 """
 
 import json
