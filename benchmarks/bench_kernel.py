@@ -18,9 +18,9 @@ out in, measuring *wall-clock* kernel events/sec:
 * **fanout_allof** — batches of short-lived child processes gathered by
   ``AllOf``: process construction + condition callbacks.
 
-The macro measurement replays the sharded YCSB-A deployment of
-``bench_shard_scaleout`` at 4 shards and reports simulator events/sec for
-the full stack (RPC, network, storage, replication).
+The macro measurement drives closed-loop YCSB-A clients against a 4-shard
+multi-primaries deployment and reports simulator events/sec for the full
+stack (RPC, network, storage, replication).
 
 Output goes to ``results/BENCH_kernel.json``.  The checked-in file carries
 a ``baseline`` block (and a ``seed_kernel`` block with the pre-fast-path
@@ -154,17 +154,48 @@ def run_micro(quick: bool = False) -> dict:
 
 
 def run_macro(quick: bool = False) -> dict:
-    """Sharded YCSB-A events/sec (whole stack), via bench_shard_scaleout."""
-    from bench_shard_scaleout import _closed_loop_one
-    row = _closed_loop_one(shards=4, duration=20.0 if quick else 60.0,
-                   clients=2 if quick else 4,
-                   record_count=100 if quick else 400)
+    """Sharded YCSB-A events/sec (whole stack): closed-loop clients on a
+    4-shard multi-primaries deployment, the cell the ``seed_kernel``
+    block was measured on."""
+    from repro.bench.harness import build_deployment
+    from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
+    from repro.net.topology import US_EAST, US_WEST
+    from repro.tiera.policy import write_back_policy
+    from repro.workloads.ycsb import YcsbClient, YcsbWorkload
+
+    dep = build_deployment([US_EAST, US_WEST], seed=11, shards=4)
+    spec = GlobalPolicySpec(
+        name="scale",
+        placements=(RegionPlacement(US_EAST, write_back_policy()),
+                    RegionPlacement(US_WEST, write_back_policy())),
+        consistency="multi_primaries")
+    handle = dep.start_sharded_instance("scale", spec)
+    workload = YcsbWorkload.workload_a(
+        record_count=100 if quick else 400, value_size=256)
+    drivers = []
+    for i in range(2 if quick else 4):
+        client = dep.add_client((US_WEST, US_EAST)[i % 2], sharded=handle)
+        drivers.append(YcsbClient(dep.sim, client, workload,
+                                  dep.rng.stream(f"ycsb{i}"),
+                                  think_time=0.01))
+    dep.drive(drivers[0].load())
+
+    started_wall = time.perf_counter()
+    started_events = dep.sim.events_processed
+    for driver in drivers:
+        driver.start()
+    dep.sim.run(until=dep.sim.now + (20.0 if quick else 60.0))
+    for driver in drivers:
+        driver.stop()
+    dep.sim.run(until=dep.sim.now + 1.0)
+    wall = time.perf_counter() - started_wall
+    events = dep.sim.events_processed - started_events
     return {
         "workload": "ycsb-a, 4 shards",
-        "kernel_events": row["kernel_events"],
-        "kernel_events_per_wall_sec": row["kernel_events_per_wall_sec"],
-        "ops": row["ops"],
-        "wall_seconds": row["wall_seconds"],
+        "kernel_events": events,
+        "kernel_events_per_wall_sec": round(events / wall, 1),
+        "ops": sum(driver.stats.ops for driver in drivers),
+        "wall_seconds": round(wall, 4),
     }
 
 

@@ -155,7 +155,7 @@ def _load_existing() -> dict:
 def emit(result: dict, rebaseline: bool = False) -> Path:
     """Write the result, carrying the last full run's headline numbers
     as ``baseline`` so CI quick runs don't clobber them (same idiom as
-    bench_kernel / bench_replication_batch)."""
+    bench_kernel)."""
     existing = _load_existing()
     carried = {}
     if "baseline" in existing:

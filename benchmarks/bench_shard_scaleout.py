@@ -1,23 +1,14 @@
 """Shard scale-out: achieved throughput vs shard count (repro.shard).
 
-Historically this bench drove a closed-loop YCSB-A workload and the
-curve came out dead flat (~52 ops/sim-sec from 1 to 8 shards): four
-latency-bound clients, not the store, were the ceiling.  Those numbers
-are preserved under ``baseline_closed_loop`` in the emitted JSON.
-
-The headline measurement is now **open-loop** (see :mod:`repro.load`):
-for each shard count, an offered-load sweep drives one cohort per
-region at a configured arrival rate against a deployment with one Tiera
-host per shard per region (``servers_per_region=shards``), so shards
-occupy real capacity.  Reported per (shard count, offered level):
-achieved ops/sim-sec, shed load, queueing delay, and tail latency —
-the scale-out curve bends upward because per-host egress saturates and
-added shards add hosts.
-
-The closed-loop configuration still runs as a reference — same YCSB-A /
-multi-primaries setup as before, now with errors attributed by type
-(lock-lease expiries vs redirects vs interrupts) instead of one opaque
-count.
+**Open-loop** (see :mod:`repro.load`): for each shard count, an
+offered-load sweep drives one cohort per region at a configured arrival
+rate against a deployment with one Tiera host per shard per region
+(``servers_per_region=shards``), so shards occupy real capacity.
+Reported per (shard count, offered level): achieved ops/sim-sec, shed
+load, queueing delay, and tail latency — the scale-out curve bends
+upward because per-host egress saturates and added shards add hosts.
+(A closed-loop driver cannot show this: its latency-bound clients, not
+the store, are the ceiling — DESIGN "Open-loop workload engine".)
 
 Emits ``results/BENCH_shard_scaleout.json``.  Run as a script
 (``--quick`` shrinks the run for CI smoke) or via pytest.
@@ -27,90 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
-from repro.bench.harness import build_deployment
 from repro.bench.openloop import run_scaleout_cell, scaleout_workload
-from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
-from repro.net.topology import US_EAST, US_WEST
-from repro.tiera.policy import write_back_policy
-from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 SHARD_COUNTS = (1, 2, 4, 8)
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 OUT_PATH = RESULTS / "BENCH_shard_scaleout.json"
 
-
-# -- closed-loop reference (the historical configuration) --------------------
-
-def _closed_loop_one(shards: int, duration: float, clients: int,
-                     record_count: int) -> dict:
-    dep = build_deployment([US_EAST, US_WEST], seed=11, shards=shards)
-    spec = GlobalPolicySpec(
-        name="scale",
-        placements=(RegionPlacement(US_EAST, write_back_policy()),
-                    RegionPlacement(US_WEST, write_back_policy())),
-        consistency="multi_primaries")
-    handle = dep.start_sharded_instance("scale", spec)
-    workload = YcsbWorkload.workload_a(record_count=record_count,
-                                      value_size=256)
-    drivers = []
-    for i in range(clients):
-        region = (US_WEST, US_EAST)[i % 2]
-        client = dep.add_client(region, sharded=handle)
-        rng = dep.rng.stream(f"ycsb{i}")
-        drivers.append(YcsbClient(dep.sim, client, workload, rng,
-                                  think_time=0.01))
-    dep.drive(drivers[0].load())
-
-    started_wall = time.perf_counter()
-    started_sim = dep.sim.now
-    started_events = dep.sim.events_processed
-    for driver in drivers:
-        driver.start()
-    dep.sim.run(until=dep.sim.now + duration)
-    for driver in drivers:
-        driver.stop()
-    dep.sim.run(until=dep.sim.now + 1.0)
-    wall = time.perf_counter() - started_wall
-    sim_elapsed = dep.sim.now - started_sim
-    events = dep.sim.events_processed - started_events
-    ops = sum(driver.stats.ops for driver in drivers)
-    errors = sum(driver.stats.errors for driver in drivers)
-    errors_by_type: dict[str, int] = {}
-    for driver in drivers:
-        for kind, n in driver.stats.errors_by_type.items():
-            errors_by_type[kind] = errors_by_type.get(kind, 0) + n
-    return {
-        "shards": shards,
-        "ops": ops,
-        "errors": errors,
-        "errors_by_type": dict(sorted(errors_by_type.items())),
-        "sim_seconds": round(sim_elapsed, 6),
-        "ops_per_sim_sec": round(ops / sim_elapsed, 3),
-        "kernel_events": events,
-        "kernel_events_per_wall_sec": round(events / wall, 1),
-        "wall_seconds": round(wall, 4),
-    }
-
-
-def run_closed_loop(quick: bool = False) -> dict:
-    duration = 20.0 if quick else 120.0
-    clients = 2 if quick else 4
-    record_count = 100 if quick else 400
-    rows = [_closed_loop_one(shards, duration, clients, record_count)
-            for shards in SHARD_COUNTS]
-    return {
-        "workload": "ycsb-a, multi_primaries (closed loop, 4 clients)",
-        "duration_sim_sec": duration,
-        "clients": clients,
-        "record_count": record_count,
-        "rows": rows,
-    }
-
-
-# -- open-loop offered-load sweep (the headline) ------------------------------
 
 def run_open_loop(quick: bool = False) -> dict:
     offered_levels = (500.0, 2000.0, 4000.0) if quick else \
@@ -132,35 +47,10 @@ def run(quick: bool = False) -> dict:
         "benchmark": "shard_scaleout",
         "quick": quick,
         "open_loop": run_open_loop(quick),
-        "closed_loop": run_closed_loop(quick),
     }
 
 
-def _load_existing() -> dict:
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            return {}
-    return {}
-
-
 def emit(result: dict) -> Path:
-    """Write the result, carrying the pre-open-loop closed-loop numbers
-    as ``baseline_closed_loop`` (pinned once from the last old-format
-    file, kept verbatim thereafter for the before/after story)."""
-    existing = _load_existing()
-    if "baseline_closed_loop" in existing:
-        result["baseline_closed_loop"] = existing["baseline_closed_loop"]
-    elif "rows" in existing:   # old single-table closed-loop format
-        result["baseline_closed_loop"] = {
-            "workload": existing.get("workload", "ycsb-a"),
-            "quick": existing.get("quick"),
-            "duration_sim_sec": existing.get("duration_sim_sec"),
-            "clients": existing.get("clients"),
-            "record_count": existing.get("record_count"),
-            "rows": existing["rows"],
-        }
     RESULTS.mkdir(exist_ok=True)
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     return OUT_PATH
@@ -178,10 +68,6 @@ def test_shard_scaleout(benchmark):
     # The whole point of the open-loop driver: the curve bends upward.
     assert (at_top[8]["achieved_per_sim_sec"]
             >= 3.0 * at_top[1]["achieved_per_sim_sec"])
-    # Closed-loop reference still runs, with errors attributed by type.
-    for row in result["closed_loop"]["rows"]:
-        assert row["ops"] > 0
-        assert sum(row["errors_by_type"].values()) == row["errors"]
 
 
 def main() -> None:
@@ -198,13 +84,6 @@ def main() -> None:
         print(f"{row['shards']:>6} {row['offered_per_sec']:>10.0f} "
               f"{row['achieved_per_sim_sec']:>10.0f} {row['shed']:>8} "
               f"{row['get_p95_ms']:>8.1f}")
-    print("closed loop (reference):")
-    print(f"{'shards':>6} {'ops':>8} {'ops/sim-s':>10}  errors")
-    for row in result["closed_loop"]["rows"]:
-        kinds = ", ".join(f"{k}={v}" for k, v in
-                          row["errors_by_type"].items()) or "none"
-        print(f"{row['shards']:>6} {row['ops']:>8} "
-              f"{row['ops_per_sim_sec']:>10.1f}  {kinds}")
     print(f"wrote {out}")
 
 

@@ -23,6 +23,8 @@ from typing import Generator, Optional
 
 from repro.faults.retry import RetryPolicy
 from repro.obs.api import get_obs
+from repro.sim.kernel import Interrupt
+from repro.sim.rpc import wait_call
 
 
 class ProtocolError(RuntimeError):
@@ -33,14 +35,6 @@ class GlobalProtocol:
     """Interface shared by all consistency protocols."""
 
     name = "abstract"
-
-    #: per-peer replication batching threshold in payload bytes.  0 (the
-    #: default) disables the batch data plane entirely — every replica
-    #: update is its own RPC, bit-identical to the pre-batching code.  Any
-    #: positive value routes replica traffic through ``call_batch`` /
-    #: ``send_oneway_batch`` and makes replication queues flush early once
-    #: their pending payload exceeds it (the adaptive size trigger).
-    batch_bytes: float = 0.0
 
     def attach(self, instance) -> None:
         """Called when this protocol becomes active on ``instance``."""
@@ -115,24 +109,10 @@ class GlobalProtocol:
                        size: int) -> Generator:
         """Call every peer in parallel; wait for all replies.
 
-        A peer that is down/partitioned raises — MultiPrimaries treats that
-        as a failed put (strong consistency cannot silently lose a replica).
-        On the batch data plane a per-entry application failure raises too:
-        synchronous broadcast has no requeue machinery to hand it to.
+        A peer that is down/partitioned — or whose handler rejects the
+        update — raises: MultiPrimaries treats that as a failed put
+        (strong consistency cannot silently lose a replica).
         """
-        if self.batch_bytes > 0:
-            calls = [instance.node.call_batch(peer.node,
-                                              [(method, args, size)])
-                     for peer in instance.peers.values()]
-            if calls:
-                replies = yield instance.sim.all_of(calls)
-                for results in replies:
-                    for res in results:
-                        if not res.get("ok"):
-                            raise ProtocolError(
-                                f"batched {method} failed at peer: "
-                                f"{res.get('error')}")
-            return
         calls = [instance.node.call(peer.node, method, args, size=size)
                  for peer in instance.peers.values()]
         if calls:
@@ -140,11 +120,6 @@ class GlobalProtocol:
 
     def broadcast_async(self, instance, method: str, args: dict,
                         size: int) -> None:
-        if self.batch_bytes > 0:
-            for peer in instance.peers.values():
-                instance.node.send_oneway_batch(peer.node,
-                                                [(method, args, size)])
-            return
         for peer in instance.peers.values():
             instance.node.send_oneway(peer.node, method, args, size=size)
 
@@ -190,15 +165,16 @@ class ReplicationQueue:
     abandoned to anti-entropy repair; the (peer, key) divergence stays in
     ``outstanding_failures`` until something delivers the key.
 
-    With ``batch_bytes > 0`` the queue uses the batch data plane: a flush
-    groups pending + due-retry entries *by peer* and ships one
+    A flush groups pending + due-retry entries *by peer* and ships one
     ``call_batch`` per peer (one envelope, one egress reservation, one
-    process) instead of one RPC per (key, peer).  Per-entry outcomes feed
-    the same requeue/backoff/outstanding machinery — a poisoned entry
-    requeues alone, a transport failure requeues the whole batch.  The
-    queue also flushes *early* whenever the pending payload exceeds
-    ``batch_bytes`` (the group-commit size trigger), bounding staleness
-    under write bursts without shrinking the quiet-time flush interval.
+    process), never one RPC per (key, peer).  Per-entry outcomes feed the
+    requeue/backoff/outstanding machinery — a poisoned entry requeues
+    alone, a transport failure requeues the whole batch.
+
+    ``batch_bytes`` is the early-flush threshold: once the pending payload
+    reaches it the queue flushes without waiting out the timer (group
+    commit), bounding staleness under write bursts without shrinking the
+    quiet-time flush interval.  0 means timer-only.
     """
 
     def __init__(self, instance, interval: float,
@@ -296,10 +272,14 @@ class ReplicationQueue:
                     self._backlog.pop(peer_id)
         # Adaptive size trigger: a pending payload past the batch budget
         # flushes now rather than waiting out the timer (group commit).
-        if (self.batch_bytes > 0
-                and self._pending_bytes >= self.batch_bytes
+        if (self._over_threshold()
                 and self._kick is not None and not self._kick.triggered):
             self._kick.succeed()
+
+    def _over_threshold(self) -> bool:
+        """Pending payload has reached the early-flush threshold (a
+        threshold of 0 never kicks: the queue is timer-only)."""
+        return 0 < self.batch_bytes <= self._pending_bytes
 
     def _requeue(self, peer_id: str, args: dict) -> None:
         """Put a failed send back for retry, never burying a newer entry."""
@@ -316,26 +296,21 @@ class ReplicationQueue:
 
     # -- the flush machinery ----------------------------------------------------
     def _loop(self) -> Generator:
-        from repro.sim.kernel import Interrupt
         sim = self.instance.sim
         try:
             while True:
-                if self.batch_bytes > 0:
-                    # Race the flush timer against the size trigger armed
-                    # in enqueue(); whichever fires first flushes.
-                    self._kick = sim.event()
-                    if self._pending_bytes >= self.batch_bytes:
-                        # Enqueues that landed while the loop was flushing
-                        # (kick unarmed) already crossed the threshold.
-                        self._kick.succeed()
-                    timer = sim.timeout(self.interval)
-                    yield sim.any_of([timer, self._kick])
-                    self._kick = None
-                    timer.cancel()   # no-op if the timer won the race
-                    yield from self.flush()
-                else:
-                    yield sim.timeout(self.interval)
-                    yield from self.flush()
+                # Race the flush timer against the size trigger armed in
+                # enqueue(); whichever fires first flushes.
+                self._kick = sim.event()
+                if self._over_threshold():
+                    # Enqueues that landed while the loop was flushing
+                    # (kick unarmed) already crossed the threshold.
+                    self._kick.succeed()
+                timer = sim.timeout(self.interval)
+                yield sim.any_of([timer, self._kick])
+                self._kick = None
+                timer.cancel()   # no-op if the timer won the race
+                yield from self.flush()
         except Interrupt:
             return
 
@@ -352,65 +327,9 @@ class ReplicationQueue:
                 del state[peer_id]
 
     def flush(self) -> Generator:
-        """Ship pending updates plus due retries, in parallel per peer."""
+        """Ship pending updates plus due retries: one batch RPC per peer,
+        per-entry outcomes into the retry machinery."""
         self._reap_departed_peers()
-        if self.batch_bytes > 0:
-            yield from self._flush_batched()
-            return
-        instance = self.instance
-        now = instance.sim.now
-        batch = list(self.pending.values())
-        self.pending.clear()
-        self._pending_bytes = 0
-        if batch:
-            self.flushes += 1
-        calls = []  # (call, peer_id, args, is_retry)
-        for args in batch:
-            size = _entry_size(args)
-            method = _entry_method(args)
-            for peer_id, peer in instance.peers.items():
-                call = instance.node.call(peer.node, method, args, size=size)
-                # A call may fail (peer down) before we get around to
-                # yielding on it; pre-defuse so the kernel treats the
-                # failure as handled either way.
-                call.defuse()
-                calls.append((call, peer_id, args, False))
-        # Due retries from the per-peer backlog.
-        for peer_id in list(self._backlog):
-            if now < self._retry_at.get(peer_id, 0.0):
-                continue
-            peer = instance.peers.get(peer_id)
-            if peer is None:
-                continue  # peer left the table; repair owns it now
-            entries = list(self._backlog.pop(peer_id).values())
-            for args in entries:
-                call = instance.node.call(peer.node, _entry_method(args),
-                                          args, size=_entry_size(args))
-                call.defuse()
-                calls.append((call, peer_id, args, True))
-                self.retries += 1
-                self._m_retries.inc()
-        self.updates_sent += len(calls)
-        failed_peers: set[str] = set()
-        healthy_peers: set[str] = set()
-        for call, peer_id, args, is_retry in calls:
-            try:
-                yield call
-            except Exception:
-                if not is_retry:
-                    self.send_failures += 1
-                    self._m_failures.inc()
-                self._outstanding.add((peer_id, args["key"]))
-                self._requeue(peer_id, args)
-                failed_peers.add(peer_id)
-            else:
-                healthy_peers.add(peer_id)
-                self.mark_delivered(peer_id, args["key"])
-        self._schedule_retries(failed_peers, healthy_peers, now)
-
-    def _flush_batched(self) -> Generator:
-        """Batched flush: group pending + due retries by peer, one batch
-        RPC per peer, per-entry outcomes into the retry machinery."""
         instance = self.instance
         now = instance.sim.now
         batch = list(self.pending.values())
@@ -451,24 +370,23 @@ class ReplicationQueue:
         failed_peers: set[str] = set()
         healthy_peers: set[str] = set()
         for call, peer_id, entries in calls:
-            try:
-                results = yield call
-            except Exception:
+            ok, results = yield from wait_call(call)
+            if not ok:
                 # Transport failure (crash/partition mid-batch): nothing
                 # was acknowledged, so every entry is outstanding.
                 for args, is_retry in entries:
                     self._note_entry_failure(peer_id, args, is_retry)
                 failed_peers.add(peer_id)
-            else:
-                healthy_peers.add(peer_id)
-                for (args, is_retry), res in zip(entries, results):
-                    if res.get("ok"):
-                        self.mark_delivered(peer_id, args["key"])
-                    else:
-                        # Poisoned entry: the batch landed but this entry
-                        # was rejected — requeue it alone.
-                        self._note_entry_failure(peer_id, args, is_retry)
-                        failed_peers.add(peer_id)
+                continue
+            healthy_peers.add(peer_id)
+            for (args, is_retry), res in zip(entries, results):
+                if res.get("ok"):
+                    self.mark_delivered(peer_id, args["key"])
+                else:
+                    # Poisoned entry: the batch landed but this entry
+                    # was rejected — requeue it alone.
+                    self._note_entry_failure(peer_id, args, is_retry)
+                    failed_peers.add(peer_id)
         self._schedule_retries(failed_peers, healthy_peers, now)
 
     def _note_entry_failure(self, peer_id: str, args: dict,

@@ -24,8 +24,7 @@ class MultiPrimariesProtocol(GlobalProtocol):
 
     name = "multi_primaries"
 
-    def __init__(self, batch_bytes: float = 0.0):
-        self.batch_bytes = batch_bytes
+    def __init__(self):
         self.locked_puts = 0
 
     def attach(self, instance) -> None:

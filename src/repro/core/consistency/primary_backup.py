@@ -38,7 +38,7 @@ class PrimaryBackupConfig:
     queue_interval: float = 1.0       # flush period for async mode
     get_from: Optional[str] = None    # None=local; "primary"; or instance id
     repair_interval: Optional[float] = None  # anti-entropy period (off=None)
-    batch_bytes: float = 0.0          # batch data plane threshold (0 = off)
+    batch_bytes: float = 0.0          # early-flush / repair-batch size
     history: list = field(default_factory=list)  # (time, primary_id)
 
 
@@ -55,12 +55,6 @@ class PrimaryBackupProtocol(GlobalProtocol):
         self.forwarded_removes = 0
         self._queues: dict[str, ReplicationQueue] = {}
         self._repairers: dict[str, AntiEntropyRepairer] = {}
-
-    @property
-    def batch_bytes(self) -> float:
-        # Read through to the shared config so the batch plane follows any
-        # runtime reconfiguration the same way primary changes do.
-        return self.config.batch_bytes
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, instance) -> None:

@@ -20,6 +20,8 @@ from typing import Callable, Generator, Optional
 
 from repro.obs.api import get_obs
 from repro.sim.kernel import Interrupt
+from repro.sim.rpc import split_batches, wait_call
+from repro.storage.backend import StorageError
 
 
 class AntiEntropyRepairer:
@@ -37,8 +39,9 @@ class AntiEntropyRepairer:
         # Gate for asymmetric protocols (PrimaryBackup: only the primary
         # originates updates, so only it pushes repairs).
         self._should_push = should_push
-        #: when positive, stale keys for a peer are pushed as size-bounded
-        #: ``call_batch`` messages instead of one RPC per key (0 = off)
+        #: payload bound of one push message: a peer's stale keys ship as
+        #: ``call_batch`` messages of at most this many bytes (0 = one key
+        #: per message)
         self.batch_bytes = batch_bytes
         self._proc = None
         self.rounds = 0
@@ -76,16 +79,17 @@ class AntiEntropyRepairer:
         self.rounds += 1
         self._m_rounds.inc()
         for peer_id, peer in list(instance.peers.items()):
-            try:
-                digest = yield instance.node.call(peer.node, "digest", {})
-            except Exception:
+            ok, digest = yield from wait_call(
+                instance.node.call(peer.node, "digest", {}))
+            if not ok:
                 continue  # unreachable peer: next round will see it
-            theirs = digest["keys"]
-            yield from self._push_stale(peer_id, peer, theirs)
+            yield from self._push_stale(peer_id, peer, digest["keys"])
 
     def _push_stale(self, peer_id: str, peer, theirs: dict) -> Generator:
+        """Ship every key the peer is behind on in size-bounded batches;
+        ack per entry."""
         instance = self.instance
-        stale: list[dict] = []
+        stale: list[tuple[str, dict, int]] = []
         for record in list(instance.meta.records()):
             meta = record.latest()
             if meta is None:
@@ -101,41 +105,13 @@ class AntiEntropyRepairer:
             try:
                 args = yield from instance.replica_args(record.key,
                                                         meta.version)
-            except Exception:
+            except StorageError:
                 continue  # lost locally between digest and read
-            if self.batch_bytes > 0:
-                stale.append(args)
-                continue
-            try:
-                yield instance.node.call(peer.node, "replica_update", args,
-                                         size=len(args["data"]) + 512)
-            except Exception:
-                continue  # still unreachable; retry next round
-            self.keys_pushed += 1
-            self._m_pushed.inc()
-            self._mark_delivered(peer_id, record.key)
-        if stale:
-            yield from self._push_batched(peer_id, peer, stale)
-
-    def _push_batched(self, peer_id: str, peer,
-                      stale: list[dict]) -> Generator:
-        """Ship stale keys in size-bounded batches; ack per entry."""
-        instance = self.instance
-        batch: list[tuple[str, dict, int]] = []
-        batch_size = 0
-        batches = [batch]
-        for args in stale:
-            size = len(args["data"]) + 512
-            if batch and batch_size + size > self.batch_bytes:
-                batch = []
-                batch_size = 0
-                batches.append(batch)
-            batch.append(("replica_update", args, size))
-            batch_size += size
-        for entries in batches:
-            try:
-                results = yield instance.node.call_batch(peer.node, entries)
-            except Exception:
+            stale.append(("replica_update", args, len(args["data"]) + 512))
+        for entries in split_batches(stale, self.batch_bytes):
+            ok, results = yield from wait_call(
+                instance.node.call_batch(peer.node, entries))
+            if not ok:
                 continue  # transport failure: whole batch retries next round
             self.batches += 1
             for (_method, args, _size), res in zip(entries, results):

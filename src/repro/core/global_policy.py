@@ -273,10 +273,10 @@ class GlobalPolicySpec:
     #: anti-entropy digest-exchange period; None disables repair entirely
     #: (the default, so fault-free runs are bit-identical with or without it)
     repair_interval: Optional[float] = None
-    #: batched data plane: ship replication traffic to each peer as one
-    #: batch RPC per flush, and flush early once this many bytes are
-    #: pending.  0 (the default) disables batching entirely — every code
-    #: path is bit-identical to the unbatched plane.
+    #: a size, not a switch (replica traffic always ships as one batch RPC
+    #: per peer): a replication queue flushes early once this many bytes
+    #: are pending, and one anti-entropy / bulk-copy message carries at
+    #: most this much payload.  0 = timer-only flush, one key per message.
     batch_bytes: float = 0.0
     #: keyspace partitioning; None/shards=1 -> one classic instance
     sharding: Optional[ShardSpec] = None

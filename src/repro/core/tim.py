@@ -196,7 +196,7 @@ class TieraInstanceManager:
                 return self.protocol
             return ECProtocol(spec.redundancy)
         if name == "multi_primaries":
-            return MultiPrimariesProtocol(batch_bytes=spec.batch_bytes)
+            return MultiPrimariesProtocol()
         if name == "primary_backup":
             existing = getattr(self.protocol, "config", None)
             primary_id = (existing.primary_id if existing is not None

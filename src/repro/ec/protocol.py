@@ -36,7 +36,7 @@ from repro.core.consistency.base import GlobalProtocol, ProtocolError
 from repro.ec.codec import Codec
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
-from repro.sim.kernel import Interrupt
+from repro.sim.rpc import wait_call
 from repro.storage.backend import ObjectMissingError, StorageError
 
 #: manifests are JSON objects whose serialization starts with this tag
@@ -70,28 +70,6 @@ def decode_manifest(data: Optional[bytes]) -> Optional[dict]:
     doc = json.loads(data.decode())
     doc["frags"] = {int(i): iid for i, iid in doc["frags"].items()}
     return doc
-
-
-def wait_call(call) -> Generator:
-    """Wait on an RPC ``call``; returns ``(True, result)`` or, when the
-    peer is unreachable or its handler raised, ``(False, exception)``.
-
-    :class:`~repro.sim.kernel.Interrupt` subclasses ``Exception`` but is
-    never a peer failure: it means the *waiter* is being stopped
-    (``ECRepairer.stop``), so it propagates.  The call is defused first —
-    an interrupted waiter leaves it orphaned, and a late failure of an
-    orphaned call must not crash the simulation.  (Calls launched as a
-    parallel wave must already be defused at creation: one can fail
-    while an earlier one is still being waited on.)
-    """
-    call.defuse()
-    try:
-        value = yield call
-    except Interrupt:
-        raise
-    except Exception as exc:
-        return False, exc
-    return True, value
 
 
 class ECProtocol(GlobalProtocol):

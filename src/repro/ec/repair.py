@@ -49,11 +49,12 @@ from collections import deque
 from typing import Generator
 
 from repro.ec.protocol import (decode_manifest, encode_manifest,
-                               fragment_key, is_fragment_key, wait_call)
+                               fragment_key, is_fragment_key)
 from repro.ec.codec import Codec
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
 from repro.sim.kernel import Interrupt
+from repro.sim.rpc import wait_call
 from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.objects import storage_key
 

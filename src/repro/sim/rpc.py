@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.net.network import Host, Network
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN, TraceContext
-from repro.sim.kernel import Process, Simulator
+from repro.sim.kernel import Interrupt, Process, Simulator
 
 
 class RpcError(RuntimeError):
@@ -297,6 +297,48 @@ def _nested_bytes(value: Any) -> int:
     if isinstance(value, (list, tuple)):
         return sum(_nested_bytes(v) for v in value)
     return 0
+
+
+def wait_call(call) -> Generator:
+    """Wait on an RPC ``call``; returns ``(True, result)`` or, when the
+    peer is unreachable or its handler raised, ``(False, exception)``.
+
+    :class:`~repro.sim.kernel.Interrupt` subclasses ``Exception`` but is
+    never a peer failure: it means the *waiter* is being stopped
+    (``ReplicationQueue.stop``, ``ECRepairer.stop``), so it propagates.
+    The call is defused first — an interrupted waiter leaves it orphaned,
+    and a late failure of an orphaned call must not crash the simulation.
+    (Calls launched as a parallel wave must already be defused at
+    creation: one can fail while an earlier one is still being waited on.)
+    """
+    call.defuse()
+    try:
+        value = yield call
+    except Interrupt:
+        raise
+    except Exception as exc:
+        return False, exc
+    return True, value
+
+
+def split_batches(entries: list[tuple[str, dict, int]],
+                  max_bytes: float) -> list[list[tuple[str, dict, int]]]:
+    """Cut ``entries`` into consecutive batches of at most ``max_bytes``
+    payload each, for one :meth:`RpcNode.call_batch` per batch.
+
+    A batch closes when the next entry would overflow it, so an entry
+    larger than the bound travels alone and a bound of 0 yields one entry
+    per message.
+    """
+    batches: list[list[tuple[str, dict, int]]] = []
+    used = 0
+    for entry in entries:
+        if not batches or used + entry[2] > max_bytes:
+            batches.append([])
+            used = 0
+        batches[-1].append(entry)
+        used += entry[2]
+    return batches
 
 
 def call_with_timeout(sim: Simulator, call: Process, timeout: float):

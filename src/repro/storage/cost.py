@@ -138,7 +138,9 @@ class CostLedger:
 
     def request_dollars(self) -> float:
         total = 0.0
-        for key in set(self._puts) | set(self._gets):
+        # Sorted: float addition is not associative, and ``set`` order
+        # varies with the process's hash seed.
+        for key in sorted(set(self._puts) | set(self._gets)):
             entry = price_for(self._tier_names[key])
             total += entry.put_per_10k * self._puts.get(key, 0) / 10_000
             total += entry.get_per_10k * self._gets.get(key, 0) / 10_000

@@ -22,7 +22,7 @@ from repro.net.network import Host, Network
 from repro.obs.api import get_obs
 from repro.sim.kernel import Simulator
 from repro.sim.primitives import Gate
-from repro.sim.rpc import Message, RpcNode
+from repro.sim.rpc import Message, RpcNode, split_batches, wait_call
 from repro.storage.backend import ObjectMissingError, StorageBackend
 from repro.storage.factory import make_tier
 from repro.tiera import transforms
@@ -967,9 +967,10 @@ class TieraInstance:
     def rpc_ctl_migrate_keys(self, msg: Message) -> Generator:
         """Push the latest local version of each key to every destination
         node (shard-rebalance bulk copy; bytes flow instance→instance,
-        Wiera stays off the data path).  Returns which keys landed."""
-        dests = msg.args["dest"]
-        batch_bytes = msg.args.get("batch_bytes", 0.0)
+        Wiera stays off the data path) as batch RPCs of at most
+        ``batch_bytes`` payload each — 0 means one key per message.
+        Returns which keys landed; per-entry batch results keep partial
+        failure attributable to individual keys."""
         moved, failed = [], []
         payload: list[tuple[str, dict, int]] = []
         for key in msg.args["keys"]:
@@ -983,54 +984,22 @@ class TieraInstance:
             except ObjectMissingError:
                 moved.append(key)
                 continue
-            if batch_bytes > 0:
-                payload.append((key, args, len(args["data"]) + 512))
-                continue
-            delivered = True
-            for node in dests:
-                try:
-                    yield self.node.call(node, "replica_update", args,
-                                         size=len(args["data"]) + 512)
-                except Exception:
-                    delivered = False
-            (moved if delivered else failed).append(key)
-        if payload:
-            undelivered = yield from self._migrate_batched(
-                dests, payload, batch_bytes)
-            for key, _args, _size in payload:
-                (failed if key in undelivered else moved).append(key)
+            payload.append(("replica_update", args, len(args["data"]) + 512))
+        undelivered: set[str] = set()
+        batches = split_batches(payload, msg.args.get("batch_bytes", 0.0))
+        for node in msg.args["dest"]:
+            for entries in batches:
+                ok, results = yield from wait_call(
+                    self.node.call_batch(node, entries))
+                for index, (_method, args, _size) in enumerate(entries):
+                    # a transport failure loses the whole batch
+                    if not (ok and results[index].get("ok")):
+                        undelivered.add(args["key"])
+        for _method, args, _size in payload:
+            (failed if args["key"] in undelivered else moved).append(
+                args["key"])
         return {"moved": moved, "failed": failed,
                 "instance": self.instance_id}
-
-    def _migrate_batched(self, dests, payload: list,
-                         batch_bytes: float) -> Generator:
-        """Bulk-copy path: one size-bounded batch RPC per destination
-        instead of one RPC per (key, dest).  Returns the keys that failed
-        to land on at least one destination; per-entry batch results keep
-        partial failure attributable to individual keys."""
-        undelivered: set[str] = set()
-        batch: list[tuple[str, dict, int]] = []
-        batch_keys: list[str] = []
-        batch_size = 0
-        batches: list[tuple[list, list]] = [(batch, batch_keys)]
-        for key, args, size in payload:
-            if batch and batch_size + size > batch_bytes:
-                batch, batch_keys, batch_size = [], [], 0
-                batches.append((batch, batch_keys))
-            batch.append(("replica_update", args, size))
-            batch_keys.append(key)
-            batch_size += size
-        for node in dests:
-            for entries, keys in batches:
-                try:
-                    results = yield self.node.call_batch(node, entries)
-                except Exception:
-                    undelivered.update(keys)   # transport: whole batch lost
-                    continue
-                for key, res in zip(keys, results):
-                    if not res.get("ok"):
-                        undelivered.add(key)
-        return undelivered
 
     def rpc_ctl_purge_misowned(self, msg: Message) -> Generator:
         """Drop local copies of keys the (new) shard guard assigns

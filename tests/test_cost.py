@@ -84,6 +84,25 @@ class TestLedger:
         expected = 0.05 * 100 / 10_000 + 0.004 * 100 / 10_000
         assert ledger.request_dollars() == pytest.approx(expected)
 
+    def test_request_dollars_independent_of_insertion_order(self, sim):
+        # Float addition is not associative: per-tier terms must be added
+        # in one fixed order or identical runs differ in the last bit.
+        tiers = [make_tier(sim, name, GB, region=f"r{i}") for i, name in
+                 enumerate(["s3", "s3_ia", "glacier", "ebs_hdd"] * 6)]
+
+        def fill(order):
+            ledger = CostLedger(sim)
+            for tier in order:
+                weight = 1 + 7 * tiers.index(tier)
+                for _ in range(weight):
+                    ledger.record_put(tier)
+                for _ in range(3 * weight):
+                    ledger.record_get(tier)
+            return ledger.request_dollars()
+
+        assert fill(tiers) == fill(tiers[::-1]) == fill(tiers[1::2]
+                                                        + tiers[::2])
+
     def test_network_accounting(self, sim):
         ledger = CostLedger(sim)
         ledger.record_network(5 * GB, "inter_region")

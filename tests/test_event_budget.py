@@ -24,6 +24,10 @@ RPC process finish (wakes the caller)   1    1
 total                                   5    6
 ====================================  ===  ===
 
+A lazy flush is one batch RPC per peer — start, request, reply, finish —
+whatever the number of pending keys, plus a tier and a metadata write per
+entry applied at the peer: ``P * (4 + 2 * N)``.
+
 The driver process itself costs one start and one finish per ``drive()``.
 A transmit is one event whether or not the sender's egress link is finite
 (the instance's reply leaves through a 31 MB/s ``t2.micro`` link; the
@@ -33,28 +37,34 @@ client's is unmetered), and passing the instance's open gate costs none.
 import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
-from repro.net.topology import US_EAST, US_WEST
+from repro.net.topology import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 
 N = 25
 DRIVER = 2            # the driving process: start + finish
 PER_GET = 5
 PER_PUT = 6
+PER_BATCH = 4         # a batch RPC: start, request, reply, finish
+PER_APPLY = 2         # a replica update at the peer: tier + metadata write
 
 
-@pytest.fixture
-def deployment():
-    dep = build_deployment([US_EAST, US_WEST], seed=7)
+def deploy(regions):
+    dep = build_deployment(regions, seed=7)
     spec = GlobalPolicySpec(
         name="budget",
         placements=tuple(RegionPlacement(region, memory_only_policy())
-                         for region in (US_EAST, US_WEST)),
+                         for region in regions),
         # Park the replication flush timer: nothing but the measured
         # operations runs inside the measured windows.
         consistency="eventual", queue_interval=3600.0)
     instances = dep.start_wiera_instance("budget", spec)
     client = dep.add_client(US_EAST, instances=instances, name="app")
     return dep, client
+
+
+@pytest.fixture
+def deployment():
+    return deploy([US_EAST, US_WEST])
 
 
 def events(dep, generator) -> int:
@@ -103,3 +113,30 @@ def test_closed_gate_adds_one_event_per_queued_request(deployment):
     # Each get ran as its own driver process; the one extra event apiece
     # is the gate's release.
     assert sim.events_processed - before == waiting * (DRIVER + PER_GET + 1)
+
+
+@pytest.mark.parametrize("regions", [(US_EAST, US_WEST),
+                                     (US_EAST, US_WEST, EU_WEST)])
+@pytest.mark.parametrize("pending", [1, 2, N])
+def test_flush_is_one_batch_per_peer(regions, pending):
+    """A lazy flush costs one batch RPC per peer however many keys are
+    pending; only applying the entries at the peer scales with them."""
+    dep, client = deploy(regions)
+    peers = len(regions) - 1
+
+    def puts():
+        for i in range(pending):
+            yield from client.put(f"key-{i}", bytes(1024))
+    dep.drive(puts())
+    instance = dep.instance("budget", US_EAST)
+    queue = instance.protocol.queue_for(instance)
+    assert len(queue.pending) == pending
+
+    messages = dep.network.messages_sent
+    flush = events(dep, queue.flush())
+    assert dep.network.messages_sent - messages == 2 * peers
+    assert flush == DRIVER + peers * (PER_BATCH + pending * PER_APPLY)
+    assert queue.batches == peers
+    if pending == peers == 1:
+        # A batch of one is no dearer than the single RPC a put is.
+        assert flush - DRIVER <= PER_PUT

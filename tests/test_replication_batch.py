@@ -1,16 +1,16 @@
-"""Batched data plane: batch RPCs, per-peer queue batching, chunked
-transfers, and the batching-off bit-identical contract.
+"""The replica-shipping plane: batch RPCs, per-peer queue flushes, size
+bounds, chunked transfers.
 
-The batch plane is strictly opt-in (``batch_bytes=0`` keeps every code
-path bit-identical to the unbatched plane — pinned by the kernel golden
-fixture in ``test_kernel_golden.py``); these tests exercise the opt-in
-paths, including their behavior under faults.
+Every lazy flush, anti-entropy push and bulk copy ships as one
+``call_batch`` per peer; ``batch_bytes`` is only a size (the queue's
+early-flush threshold, the payload bound of a repair/migration message).
+These tests exercise that plane, including its behavior under faults.
 """
 
 import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
-from repro.core.consistency import ProtocolError, ReplicationQueue
+from repro.core.consistency import AntiEntropyRepairer, ReplicationQueue
 from repro.net import EU_WEST, US_EAST, US_WEST
 from repro.net.link import iter_chunks
 from repro.net.network import HostDownError, NetworkError
@@ -51,6 +51,21 @@ def poison_key(instance, key):
         result = yield from orig(msg)
         return result
     instance.node._handlers["replica_update"] = poisoned
+
+
+def spy_batches(node, on_call=None):
+    """Record the entry count of every ``call_batch`` ``node`` issues;
+    ``on_call(n)`` runs just before the n-th (0-based) one is sent."""
+    sizes = []
+    send = node.call_batch
+
+    def call_batch(dst, entries, **kwargs):
+        if on_call is not None:
+            on_call(len(sizes))
+        sizes.append(len(entries))
+        return send(dst, entries, **kwargs)
+    node.call_batch = call_batch
+    return sizes
 
 
 class TestBatchRpc:
@@ -103,34 +118,12 @@ class TestBatchRpc:
 
 
 class TestBatchedQueue:
-    def _queue(self, instance, **kwargs):
-        kwargs.setdefault("interval", 1000.0)
-        kwargs.setdefault("batch_bytes", 1.0)
-        return ReplicationQueue(instance, **kwargs)
-
-    def test_flush_ships_one_batch_per_peer(self, world):
-        dep, _ = world
-        east = dep.instance("q", US_EAST)
-        queue = self._queue(east)
-        for i in range(3):
-            queue.enqueue(make_update(east, dep, f"k{i}", b"payload"))
-
-        def flush():
-            yield from queue.flush()
-        dep.drive(flush())
-        assert queue.batches == 2           # one per peer
-        assert queue.updates_sent == 6      # 3 entries x 2 peers
-        for region in (US_WEST, EU_WEST):
-            peer = dep.instance("q", region)
-            for i in range(3):
-                assert peer.meta.get_record(f"k{i}") is not None
-
     def test_poisoned_entry_requeues_alone(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         eu = dep.instance("q", EU_WEST)
         poison_key(eu, "bad")
-        queue = self._queue(east)
+        queue = ReplicationQueue(east, interval=1000.0)
         queue.enqueue(make_update(east, dep, "good", b"g"))
         queue.enqueue(make_update(east, dep, "bad", b"b"))
 
@@ -147,41 +140,10 @@ class TestBatchedQueue:
         west = dep.instance("q", US_WEST)
         assert west.meta.get_record("bad") is not None
 
-    def test_peer_crash_marks_every_entry_outstanding(self, world):
-        dep, _ = world
-        east = dep.instance("q", US_EAST)
-        eu = dep.instance("q", EU_WEST)
-        eu.host.down = True
-        queue = self._queue(east)
-        for i in range(3):
-            queue.enqueue(make_update(east, dep, f"k{i}", b"v"))
-
-        def flush():
-            yield from queue.flush()
-        dep.drive(flush())
-        # Transport failure: nothing was acked, all entries outstanding.
-        assert queue.backlog_size() == 3
-        assert queue.outstanding_failures == 3
-        assert queue._outstanding == {(eu.instance_id, f"k{i}")
-                                      for i in range(3)}
-        # ...and the healthy peer is unaffected.
-        west = dep.instance("q", US_WEST)
-        for i in range(3):
-            assert west.meta.get_record(f"k{i}") is not None
-        # Recovery: the backlog retries as one batch and converges.
-        eu.host.down = False
-        dep.sim.run(until=dep.sim.now + 10.0)
-        dep.drive(flush())
-        assert queue.backlog_size() == 0
-        assert queue.outstanding_failures == 0
-        assert queue.retries == 3
-        for i in range(3):
-            assert eu.meta.get_record(f"k{i}") is not None
-
     def test_size_trigger_flushes_early(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
-        queue = self._queue(east, interval=1000.0, batch_bytes=256.0)
+        queue = ReplicationQueue(east, interval=1000.0, batch_bytes=256.0)
         queue.start()
         dep.sim.run(until=dep.sim.now + 0.01)   # let the loop arm the kick
         queue.enqueue(make_update(east, dep, "k", b"x" * 512))
@@ -193,7 +155,7 @@ class TestBatchedQueue:
     def test_below_threshold_waits_for_timer(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
-        queue = self._queue(east, interval=1000.0, batch_bytes=1e9)
+        queue = ReplicationQueue(east, interval=1000.0, batch_bytes=1e9)
         queue.start()
         dep.sim.run(until=dep.sim.now + 0.01)
         queue.enqueue(make_update(east, dep, "k", b"small"))
@@ -206,7 +168,7 @@ class TestBatchedQueue:
         dep, _ = world
         east = dep.instance("q", US_EAST)
         west_id = dep.instance("q", US_WEST).instance_id
-        queue = self._queue(east)
+        queue = ReplicationQueue(east, interval=1000.0)
         queue._attempts["ghost"] = 3
         queue._retry_at["ghost"] = 99.0
         queue._attempts[west_id] = 1
@@ -221,30 +183,15 @@ class TestBatchedQueue:
         assert queue._attempts[west_id] == 1
 
 
-class TestBatchedBroadcast:
-    def _world(self, batch_bytes):
+class TestSyncBroadcast:
+    def test_sync_broadcast_raises_on_rejected_entry(self):
         dep = build_deployment(REGIONS, seed=7)
         spec = GlobalPolicySpec(
             name="mp",
             placements=tuple(RegionPlacement(r, memory_only_policy())
                              for r in REGIONS),
-            consistency="multi_primaries", batch_bytes=batch_bytes)
-        instances = dep.start_wiera_instance("mp", spec)
-        return dep, instances
-
-    def test_sync_broadcast_converges_all_replicas(self):
-        dep, instances = self._world(batch_bytes=1.0)
-        client = dep.add_client(US_EAST, instances=instances)
-
-        def app():
-            yield from client.put("k", b"strong")
-        dep.drive(app())
-        for region in REGIONS:
-            record = dep.instance("mp", region).meta.get_record("k")
-            assert record is not None and record.latest_version >= 1
-
-    def test_sync_broadcast_raises_on_rejected_entry(self):
-        dep, _ = self._world(batch_bytes=1.0)
+            consistency="multi_primaries")
+        dep.start_wiera_instance("mp", spec)
         east = dep.instance("mp", US_EAST)
         poison_key(dep.instance("mp", EU_WEST), "k")
         u = {"key": "k", "version": 1, "last_modified": 0.0,
@@ -253,7 +200,9 @@ class TestBatchedBroadcast:
         def go():
             yield from east.protocol.broadcast_sync(
                 east, "replica_update", u, size=513)
-        with pytest.raises(ProtocolError):
+        # One (method, args) per peer has nothing to batch: a plain call,
+        # so the peer's own exception reaches the writer.
+        with pytest.raises(RuntimeError, match="poisoned entry"):
             dep.drive(go())
 
 
@@ -300,6 +249,39 @@ class TestBatchedMigration:
         assert result["moved"] == []
         assert sorted(result["failed"]) == [f"k{i}" for i in range(3)]
 
+    def test_bound_zero_ships_one_key_per_message(self, world):
+        dep, _ = world
+        east = dep.instance("q", US_EAST)
+        west = dep.instance("q", US_WEST)
+        keys = [f"k{i}" for i in range(4)]
+        for key in keys:
+            make_update(east, dep, key, b"x" * 100)
+
+        def die_before_third(n):
+            if n == 2:
+                west.host.down = True
+        sizes = spy_batches(east.node, die_before_third)
+
+        def migrate(which):
+            result = yield east.node.call(
+                east.node, "ctl_migrate_keys",
+                {"keys": which, "dest": (west.node,)})   # no bound given
+            return result
+        before = dep.network.messages_sent
+        result = dep.drive(migrate(keys))
+        assert sizes == [1, 1, 1, 1]
+        # The loopback ctl call, then two request/reply pairs landed and
+        # two requests were refused by the dead host.
+        assert dep.network.messages_sent - before == 2 + 2 * 2
+        # The peer died between entries: every key is accounted for, and
+        # exactly the acknowledged ones are claimed as moved.
+        assert result["moved"] == keys[:2] and result["failed"] == keys[2:]
+        assert [west.meta.get_record(k) is not None for k in keys] == [
+            True, True, False, False]
+        west.host.down = False
+        assert dep.drive(migrate(result["failed"]))["failed"] == []
+        assert all(west.meta.get_record(k) is not None for k in keys)
+
     def test_rebalance_bulk_copy_uses_batches_and_loses_nothing(self):
         from repro.shard.rebalance import Rebalancer
         from repro.tiera.policy import write_back_policy
@@ -329,23 +311,69 @@ class TestBatchedMigration:
         dep.drive(verify())
 
 
-class TestBatchingOffIsSeedPath:
-    """``batch_bytes=0`` must take exactly the unbatched code paths.
+class TestAntiEntropyPush:
+    def _diverged(self, world, batch_bytes):
+        """East holds four keys nobody else has; EU is unreachable, so a
+        repair round talks to West only."""
+        dep, _ = world
+        east = dep.instance("q", US_EAST)
+        dep.instance("q", EU_WEST).host.down = True
+        keys = [f"k{i}" for i in range(4)]
+        for key in keys:
+            make_update(east, dep, key, b"x" * 100)
+        repairer = AntiEntropyRepairer(east, interval=1.0,
+                                       batch_bytes=batch_bytes)
+        return dep, east, dep.instance("q", US_WEST), keys, repairer
 
-    The heavyweight pin is the kernel golden fixture (sharded YCSB-A under
-    faults, ``test_kernel_golden.py``), which fails on any default-path
-    behavior change.  Here we additionally pin that an explicit 0 equals
-    the default, and that the batched plane itself is deterministic.
-    """
+    def test_bound_zero_ships_one_key_per_message(self, world):
+        dep, east, west, keys, repairer = self._diverged(world, 0.0)
 
-    def _run(self, batch_bytes):
+        def die_before_third(n):
+            if n == 2:
+                west.host.down = True
+        sizes = spy_batches(east.node, die_before_third)
+        dep.drive(repairer.repair_round())
+        assert sizes == [1, 1, 1, 1]
+        assert repairer.keys_pushed == 2 and repairer.batches == 2
+        # The peer died between entries; the next round's digest shows
+        # exactly what is still missing and ships only that.
+        west.host.down = False
+        del sizes[:]
+        dep.drive(repairer.repair_round())
+        assert sizes == [1, 1]
+        assert repairer.keys_pushed == 4
+        assert all(west.meta.get_record(k) is not None for k in keys)
+
+    def test_bound_groups_keys_per_message(self, world):
+        dep, east, west, keys, repairer = self._diverged(world, 1300.0)
+        sizes = spy_batches(east.node)
+        dep.drive(repairer.repair_round())
+        assert sizes == [2, 2]      # ~612 B per entry under a 1300 B bound
+        assert repairer.keys_pushed == 4
+
+    def test_stop_mid_round_stops_the_round(self, world):
+        """``stop()`` while a round waits on a digest reply ends the
+        process instead of treating the Interrupt as a dead peer."""
+        dep, east, west, keys, repairer = self._diverged(world, 0.0)
+        repairer.start()
+        proc = repairer._proc
+        dep.sim.run(until=dep.sim.now + 1.01)   # digest call is on the WAN
+        assert repairer.rounds == 1 and proc.is_alive
+        repairer.stop()
+        dep.sim.run(until=dep.sim.now + 4.0)
+        assert not proc.is_alive
+        assert repairer.rounds == 1 and repairer.keys_pushed == 0
+        assert all(west.meta.get_record(k) is None for k in keys)
+
+
+class TestDeterminism:
+    def _run(self):
         dep = build_deployment((US_EAST, US_WEST), seed=33)
         spec = GlobalPolicySpec(
             name="det",
             placements=tuple(RegionPlacement(r, memory_only_policy())
                              for r in (US_EAST, US_WEST)),
-            consistency="eventual", queue_interval=0.5,
-            batch_bytes=batch_bytes)
+            consistency="eventual", queue_interval=0.5, batch_bytes=100.0)
         instances = dep.start_wiera_instance("det", spec)
         client = dep.add_client(US_WEST, instances=instances)
 
@@ -363,16 +391,8 @@ class TestBatchingOffIsSeedPath:
             for record in dep.instance("det", region).meta.records()}
         return latencies, digest, dep.sim.now, dep.sim.events_processed
 
-    def test_explicit_zero_is_bit_identical_to_default(self):
-        assert self._run(batch_bytes=0.0) == self._run(batch_bytes=0)
-
-    def test_batched_plane_is_deterministic(self):
-        assert self._run(batch_bytes=1.0) == self._run(batch_bytes=1.0)
-
-    def test_batched_and_unbatched_converge_to_same_store(self):
-        _, off_digest, _, _ = self._run(batch_bytes=0.0)
-        _, on_digest, _, _ = self._run(batch_bytes=1.0)
-        assert on_digest == off_digest
+    def test_same_seed_twice_is_bit_identical(self):
+        assert self._run() == self._run()
 
 
 class TestChunkedTransfers:

@@ -22,6 +22,13 @@ def world():
     return dep, instances
 
 
+@pytest.fixture(params=[0.0, 65536.0], ids=["timer-only", "64KiB"])
+def threshold(request):
+    """The queue's early-flush threshold: retry, backlog and abandonment
+    are one machinery whatever its value."""
+    return request.param
+
+
 def make_update(instance, dep, key, payload):
     def put():
         version = yield from instance.local_put(key, payload)
@@ -56,19 +63,22 @@ class TestCoalescing:
 
 
 class TestFlushAndDrain:
-    def test_flush_delivers_to_all_peers(self, world):
+    def test_flush_ships_one_batch_per_peer(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         queue = ReplicationQueue(east, interval=1000.0)
-        queue.enqueue(make_update(east, dep, "k", b"payload"))
+        for i in range(3):
+            queue.enqueue(make_update(east, dep, f"k{i}", b"payload"))
 
         def flush():
             yield from queue.flush()
         dep.drive(flush())
-        assert queue.updates_sent == 2  # one per peer
+        assert queue.batches == 2           # one per peer
+        assert queue.updates_sent == 6      # 3 entries x 2 peers
         for region in (US_WEST, EU_WEST):
             peer = dep.instance("q", region)
-            assert peer.meta.get_record("k").latest_version >= 1
+            for i in range(3):
+                assert peer.meta.get_record(f"k{i}").latest_version >= 1
 
     def test_flush_tolerates_dead_peer(self, world):
         dep, _ = world
@@ -115,34 +125,43 @@ class TestFlushAndDrain:
 
 
 class TestRetryBacklog:
-    def test_failed_send_lands_in_backlog_and_retries(self, world):
+    def test_failed_send_lands_in_backlog_and_retries(self, world, threshold):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         eu = dep.instance("q", EU_WEST)
         eu.host.down = True
-        queue = ReplicationQueue(east, interval=1000.0)
-        queue.enqueue(make_update(east, dep, "k", b"v"))
+        queue = ReplicationQueue(east, interval=1000.0,
+                                 batch_bytes=threshold)
+        for i in range(3):
+            queue.enqueue(make_update(east, dep, f"k{i}", b"v"))
 
         def flush():
             yield from queue.flush()
         dep.drive(flush())
-        assert queue.backlog_size() == 1
-        assert queue.outstanding_failures == 1
+        # Transport failure: nothing was acked, every entry is outstanding
+        # for the dead peer and the healthy one is unaffected.
+        assert queue.backlog_size() == 3
+        assert queue._outstanding == {(eu.instance_id, f"k{i}")
+                                      for i in range(3)}
+        west = dep.instance("q", US_WEST)
+        assert all(west.meta.get_record(f"k{i}") for i in range(3))
         eu.host.down = False
-        # let the backoff window pass, then flush again: the retry ships
+        # let the backoff window pass, then flush again: the backlog
+        # retries as one batch and converges
         dep.sim.run(until=dep.sim.now + 10.0)
         dep.drive(flush())
         assert queue.backlog_size() == 0
         assert queue.outstanding_failures == 0
-        assert queue.retries == 1
-        assert eu.meta.get_record("k") is not None
+        assert queue.retries == 3
+        assert all(eu.meta.get_record(f"k{i}") for i in range(3))
 
-    def test_retry_never_buries_newer_pending_write(self, world):
+    def test_retry_never_buries_newer_pending_write(self, world, threshold):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         eu = dep.instance("q", EU_WEST)
         eu.host.down = True
-        queue = ReplicationQueue(east, interval=1000.0)
+        queue = ReplicationQueue(east, interval=1000.0,
+                                 batch_bytes=threshold)
         old = make_update(east, dep, "k", b"old")
         queue.enqueue(old)
 
@@ -158,13 +177,13 @@ class TestRetryBacklog:
         record = eu.meta.get_record("k")
         assert record.latest_version == new["version"]
 
-    def test_capped_retries_abandon_to_anti_entropy(self, world):
+    def test_capped_retries_abandon_to_anti_entropy(self, world, threshold):
         dep, _ = world
         from repro.faults import RetryPolicy
         east = dep.instance("q", US_EAST)
         dep.instance("q", EU_WEST).host.down = True
         queue = ReplicationQueue(
-            east, interval=1000.0,
+            east, interval=1000.0, batch_bytes=threshold,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01,
                                      jitter=0.0))
         queue.enqueue(make_update(east, dep, "k", b"v"))
@@ -182,13 +201,35 @@ class TestRetryBacklog:
         assert queue.outstanding_failures == 0
         assert queue.repaired == 1
 
-    def test_stop_surfaces_dropped_entries(self, world):
+    def test_stop_surfaces_dropped_entries(self, world, threshold):
         dep, _ = world
         from repro.obs.api import get_obs
         east = dep.instance("q", US_EAST)
-        queue = ReplicationQueue(east, interval=1000.0)
+        queue = ReplicationQueue(east, interval=1000.0,
+                                 batch_bytes=threshold)
         queue.enqueue(make_update(east, dep, "k", b"v"))
         queue.stop()
         dropped = get_obs(dep.sim).metrics.counter(
             "replication.pending_dropped", instance=east.instance_id)
         assert dropped.value == 1
+
+    def test_stop_mid_flush_stops_the_flush(self, world, threshold):
+        """``stop()`` while a flush waits on the WAN ends the process: an
+        Interrupt is not a peer failure, so nothing is counted or requeued."""
+        dep, _ = world
+        east = dep.instance("q", US_EAST)
+        queue = ReplicationQueue(east, interval=1.0, batch_bytes=threshold)
+        queue.start()
+        proc = queue._proc
+        queue.enqueue(make_update(east, dep, "k", b"v"))
+        dep.sim.run(until=dep.sim.now + 1.01)   # flush is waiting on a peer
+        assert queue.flushes == 1 and proc.is_alive
+        queue.stop()
+        dep.sim.run(until=dep.sim.now + 4.0)
+        assert not proc.is_alive
+        assert queue.send_failures == 0
+        assert queue.outstanding_failures == 0
+        assert queue.backlog_size() == 0
+        # The batches already on the wire still land.
+        for region in (US_WEST, EU_WEST):
+            assert dep.instance("q", region).meta.get_record("k") is not None
