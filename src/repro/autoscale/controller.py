@@ -336,7 +336,7 @@ class Autoscaler:
         for sid in self.shard_ids():
             tim = wiera.tim(sid)
             for rec in tim.alive_records():
-                result = yield tim.node.call(
+                result = yield from tim.node.invoke(
                     rec.node, "ctl_demote_cold",
                     {"age": tspec.idle_age, "to_tier": tspec.target_tier,
                      "bandwidth": None})

@@ -32,8 +32,8 @@ class GlobalLockClient:
     def acquire(self, key: str) -> Generator:
         """``yield from`` this to block until the global lock is granted."""
         if self.handshake:
-            yield self.node.call(self.service, "holder", {"key": key})
-        result = yield self.node.call(
+            yield from self.node.invoke(self.service, "holder", {"key": key})
+        result = yield from self.node.invoke(
             self.service, "acquire",
             {"key": key, "owner": self.owner, "lease": self.lease})
         self.held.add(key)
@@ -42,13 +42,13 @@ class GlobalLockClient:
     def release(self, key: str) -> Generator:
         if key not in self.held:
             raise RuntimeError(f"{self.owner} does not hold lock {key!r}")
-        result = yield self.node.call(
+        result = yield from self.node.invoke(
             self.service, "release", {"key": key, "owner": self.owner})
         self.held.discard(key)
         return result
 
     def renew(self, key: str) -> Generator:
-        result = yield self.node.call(
+        result = yield from self.node.invoke(
             self.service, "renew",
             {"key": key, "owner": self.owner, "lease": self.lease})
         return result

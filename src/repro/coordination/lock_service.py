@@ -7,8 +7,8 @@ the lock is revoked and granted onward — the ephemeral-znode behaviour that
 keeps a crashed client from wedging the system.
 
 The service is an RPC service: ``acquire`` replies only once the lock is
-granted, so callers simply ``yield node.call(lock_node, "acquire", ...)``
-and the WAN round trip plus any queueing is charged naturally.
+granted, so callers simply ``yield from node.invoke(lock_node, "acquire",
+...)`` and the WAN round trip plus any queueing is charged naturally.
 """
 
 from __future__ import annotations

@@ -108,12 +108,14 @@ class WieraClient:
     def _call_one(self, info: dict, method: str, args: dict,
                   size: int) -> Generator:
         """One RPC to one instance, bounded by ``request_timeout`` if set."""
-        call = self.node.call(info["node"], method, args, size=size)
         if self.request_timeout is None:
-            result = yield call
+            result = yield from self.node.invoke(info["node"], method, args,
+                                                 size=size)
         else:
-            result = yield from call_with_timeout(self.sim, call,
-                                                  self.request_timeout)
+            result = yield from call_with_timeout(
+                self.sim,
+                self.node.call(info["node"], method, args, size=size),
+                self.request_timeout)
         return result
 
     def _invoke(self, method: str, args: dict, size: int) -> Generator:

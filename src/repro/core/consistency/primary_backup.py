@@ -159,7 +159,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
         if target and target != instance.instance_id and target != "primary":
             ref = instance.peers.get(target)
             if ref is not None:
-                result = yield instance.node.call(
+                result = yield from instance.node.invoke(
                     ref.node, "peer_get", {"key": key, "version": version})
                 return result
         data, meta, record = yield from instance.read_version(key, version)

@@ -73,16 +73,16 @@ class LoadBalancer(MonitorBase):
 
     def _install(self, overloaded: str, target: str) -> Generator:
         record = self.tim.instances[overloaded]
-        yield self.tim.node.call(record.node, "ctl_set_redirect",
-                                 {"peer": target,
-                                  "fraction": self.spec.shed_fraction})
+        yield from self.tim.node.invoke(record.node, "ctl_set_redirect",
+                                        {"peer": target,
+                                         "fraction": self.spec.shed_fraction})
         self._active[overloaded] = target
         self.redirects_installed += 1
 
     def _clear(self, overloaded: str) -> Generator:
         record = self.tim.instances.get(overloaded)
         if record is not None and not record.down:
-            yield self.tim.node.call(record.node, "ctl_set_redirect",
-                                     {"peer": None})
+            yield from self.tim.node.invoke(record.node, "ctl_set_redirect",
+                                            {"peer": None})
         self._active.pop(overloaded, None)
         self.redirects_cleared += 1

@@ -295,7 +295,7 @@ class ColdDataCoordinator(MonitorBase):
                         "policy:demote_cold", cat="policy",
                         component=self.tim.node.name,
                         central=central.instance_id) as span:
-                    result = yield self.tim.node.call(
+                    result = yield from self.tim.node.invoke(
                         central.node, "ctl_demote_cold",
                         {"age": spec.age, "to_tier": spec.target_tier,
                          "bandwidth": spec.bandwidth})

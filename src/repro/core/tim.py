@@ -89,10 +89,11 @@ class TieraInstanceManager:
             server = self.wiera.tsm.pick_server(
                 placement.region, placement.provider, placement.server_hint)
             instance_id = self._instance_id(placement)
-            result = yield self.node.call(server.node, "spawn_instance", {
-                "instance_id": instance_id,
-                "policy": placement.local_policy,
-            })
+            result = yield from self.node.invoke(
+                server.node, "spawn_instance", {
+                    "instance_id": instance_id,
+                    "policy": placement.local_policy,
+                })
             record = InstanceRecord(
                 instance_id=instance_id, region=placement.region,
                 provider=placement.provider, server_id=server.server_id,
@@ -232,9 +233,9 @@ class TieraInstanceManager:
             span.set(**{"from": from_name})
             alive = self.alive_records()
             for rec in alive:
-                yield self.node.call(rec.node, "ctl_close_gate")
+                yield from self.node.invoke(rec.node, "ctl_close_gate")
             for rec in alive:
-                drained = yield self.node.call(rec.node, "ctl_drain")
+                drained = yield from self.node.invoke(rec.node, "ctl_drain")
                 # A non-empty queue here would be silently dropped by the
                 # protocol swap below (detach counts it pending_dropped).
                 if drained.get("pending"):
@@ -246,7 +247,7 @@ class TieraInstanceManager:
             yield from self._install_protocol(new_protocol)
             self.protocol = new_protocol
             for rec in alive:
-                yield self.node.call(rec.node, "ctl_open_gate")
+                yield from self.node.invoke(rec.node, "ctl_open_gate")
         self.switch_log.append((start, from_name, to_name, self.sim.now))
         metrics = self._obs.metrics
         metrics.counter("policy.consistency_switches",
@@ -273,13 +274,13 @@ class TieraInstanceManager:
             span.set(**{"from": old_id})
             alive = self.alive_records()
             for rec in alive:
-                yield self.node.call(rec.node, "ctl_close_gate")
+                yield from self.node.invoke(rec.node, "ctl_close_gate")
             old_rec = self.instances.get(old_id)
             if old_rec is not None and not old_rec.down:
-                yield self.node.call(old_rec.node, "ctl_drain")
+                yield from self.node.invoke(old_rec.node, "ctl_drain")
             self.protocol.set_primary(new_primary_id, self.sim.now)
             for rec in alive:
-                yield self.node.call(rec.node, "ctl_open_gate")
+                yield from self.node.invoke(rec.node, "ctl_open_gate")
         self._obs.metrics.counter("policy.primary_changes",
                                   wiera=self.wiera_instance_id).inc()
         return {"primary": new_primary_id, "previous": old_id,
@@ -310,10 +311,11 @@ class TieraInstanceManager:
             if replacement is None:
                 continue
             instance_id = f"{rec.instance_id}-r{int(self.sim.now)}"
-            result = yield self.node.call(replacement.node, "spawn_instance", {
-                "instance_id": instance_id,
-                "policy": rec.placement.local_policy,
-            })
+            result = yield from self.node.invoke(
+                replacement.node, "spawn_instance", {
+                    "instance_id": instance_id,
+                    "policy": rec.placement.local_policy,
+                })
             new_rec = InstanceRecord(
                 instance_id=instance_id, region=replacement.region,
                 provider=replacement.provider,
@@ -325,8 +327,8 @@ class TieraInstanceManager:
             self.instances[instance_id] = new_rec
             self._wire(new_rec)
             yield from self._propagate_peers()
-            yield self.node.call(new_rec.node, "ctl_set_protocol",
-                                 {"protocol": self.protocol})
+            yield from self.node.invoke(new_rec.node, "ctl_set_protocol",
+                                        {"protocol": self.protocol})
             yield from self._resync(new_rec)
 
     def _resync(self, record: InstanceRecord) -> Generator:
@@ -335,14 +337,14 @@ class TieraInstanceManager:
                       if not rec.down and rec is not record), None)
         if donor is None:
             return
-        listing = yield self.node.call(donor.node, "list_keys")
+        listing = yield from self.node.invoke(donor.node, "list_keys")
         instance = record.instance
         for key, latest in listing["keys"]:
             if latest == 0:
                 continue
             try:
-                got = yield instance.node.call(donor.node, "peer_get",
-                                               {"key": key})
+                got = yield from instance.node.invoke(donor.node, "peer_get",
+                                                      {"key": key})
             except Exception:
                 continue
             yield from instance.local_put(
@@ -370,7 +372,7 @@ class TieraInstanceManager:
         while instance_id in self.instances:
             n += 1
             instance_id = f"{self.wiera_instance_id}-{region}-e{n}"
-        result = yield self.node.call(server.node, "spawn_instance", {
+        result = yield from self.node.invoke(server.node, "spawn_instance", {
             "instance_id": instance_id,
             "policy": template.local_policy,
         })
@@ -384,8 +386,8 @@ class TieraInstanceManager:
         self._wire(record)
         self.elastic_replicas.append(instance_id)
         yield from self._propagate_peers()
-        yield self.node.call(record.node, "ctl_set_protocol",
-                             {"protocol": self.protocol})
+        yield from self.node.invoke(record.node, "ctl_set_protocol",
+                                    {"protocol": self.protocol})
         yield from self._resync(record)
         return instance_id
 
@@ -408,12 +410,12 @@ class TieraInstanceManager:
         # replication queues/repairers) before the server tears it down.
         yield from self._propagate_peers()
         if not record.down:
-            yield self.node.call(record.node, "ctl_set_protocol",
-                                 {"protocol": LocalOnlyProtocol()})
+            yield from self.node.invoke(record.node, "ctl_set_protocol",
+                                        {"protocol": LocalOnlyProtocol()})
             server = self.wiera.tsm.servers.get(record.server_id)
             if server is not None and not server.host.down:
-                yield self.node.call(server.node, "stop_instance",
-                                     {"instance_id": instance_id})
+                yield from self.node.invoke(server.node, "stop_instance",
+                                            {"instance_id": instance_id})
         return instance_id
 
     # ------------------------------------------------------------------
@@ -437,7 +439,7 @@ class TieraInstanceManager:
                 self.sim, rec.instance.node, central.node, spec.target_tier,
                 name=self.shared_cold_tier_name,
                 remote_profile=target_profile, estimated_oneway=oneway)
-            yield self.node.call(rec.node, "ctl_add_tier", {
+            yield from self.node.invoke(rec.node, "ctl_add_tier", {
                 "name": self.shared_cold_tier_name, "backend": shared})
 
     # ------------------------------------------------------------------
@@ -460,5 +462,5 @@ class TieraInstanceManager:
             server = self.wiera.tsm.servers.get(rec.server_id)
             if server is None or server.host.down:
                 continue
-            yield self.node.call(server.node, "stop_instance",
-                                 {"instance_id": rec.instance_id})
+            yield from self.node.invoke(server.node, "stop_instance",
+                                        {"instance_id": rec.instance_id})

@@ -111,7 +111,7 @@ class TieraServerManager:
                     if not record.alive:
                         continue
                     try:
-                        yield self.node.call(record.node, "ping")
+                        yield from self.node.invoke(record.node, "ping")
                         record.missed = 0
                         record.last_seen = self.sim.now
                     except Exception:

@@ -77,7 +77,7 @@ class WorkloadMonitor:
             if record.down:
                 continue
             try:
-                stats = yield self.tim.node.call(record.node, "stats")
+                stats = yield from self.tim.node.invoke(record.node, "stats")
             except Exception:
                 continue
             region = stats["region"]

@@ -31,7 +31,7 @@ class Span:
     """One timed operation; usable as a context manager around ``yield from``."""
 
     __slots__ = ("tracer", "name", "cat", "component", "trace_id", "span_id",
-                 "parent_id", "start", "end", "args", "_proc", "_saved")
+                 "parent_id", "start", "end", "args", "_saved")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str, component: str,
                  trace_id: int, span_id: int, parent_id: Optional[int],
@@ -46,7 +46,6 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.args = args
-        self._proc = None
         self._saved: Optional[TraceContext] = None
 
     @property
@@ -155,7 +154,6 @@ class Tracer:
         span = Span(self, name, cat, component, trace_id, self._next_span(),
                     parent_id, self.sim.now, args)
         if proc is not None:
-            span._proc = proc
             span._saved = proc.obs_ctx
             proc.obs_ctx = span.context
         return span
@@ -164,10 +162,12 @@ class Tracer:
         if span.end is not None:
             return  # already closed
         span.end = self.sim.now
-        proc = span._proc
+        # The process closing the span, not the one that opened it: a call
+        # body orphaned by its caller's Interrupt moves to a process of its
+        # own with its spans still open (repro.sim.primitives.shielded).
+        proc = self.sim.active_process
         if proc is not None and proc.obs_ctx == span.context:
             proc.obs_ctx = span._saved
-        span._proc = None
         self.spans.append(span)
 
     def clear(self) -> None:

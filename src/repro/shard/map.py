@@ -209,8 +209,8 @@ class ShardManager:
         for shard_id in sorted(shard_map.shards):
             guard = ShardGuard(shard_id, shard_map.ring, shard_map.epoch)
             for info in shard_map.shards[shard_id]:
-                yield self.wiera.node.call(info["node"], "ctl_set_shard",
-                                           {"guard": guard})
+                yield from self.wiera.node.invoke(
+                    info["node"], "ctl_set_shard", {"guard": guard})
 
     # -- elasticity ----------------------------------------------------------
     def add_shard(self, retry_policy=None) -> Generator:

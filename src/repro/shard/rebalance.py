@@ -207,7 +207,8 @@ class Rebalancer:
         for shard_id in sources:
             for rec in self._source_records(shard_id):
                 try:
-                    src_digest = yield self.node.call(rec.node, "digest", {})
+                    src_digest = yield from self.node.invoke(
+                        rec.node, "digest", {})
                 except TRANSIENT_ERRORS:
                     pending += 1
                     continue
@@ -232,7 +233,7 @@ class Rebalancer:
                    source_id: str, reconcile_removes: bool) -> Generator:
         """Bring one destination instance up to date from one source."""
         try:
-            dest_digest = yield self.node.call(dest_node, "digest", {})
+            dest_digest = yield from self.node.invoke(dest_node, "digest", {})
         except TRANSIENT_ERRORS:
             return len(to_dest) or 1
         theirs = dest_digest["keys"]
@@ -244,7 +245,7 @@ class Rebalancer:
         failed = 0
         if stale:
             try:
-                result = yield self.node.call(
+                result = yield from self.node.invoke(
                     src_rec.node, "ctl_migrate_keys",
                     {"keys": sorted(stale), "dest": (dest_node,),
                      "batch_bytes": self.manager.spec.batch_bytes})
@@ -261,8 +262,8 @@ class Rebalancer:
                      and old_map.ring.owner(key) == source_id]
             for key in sorted(extra):
                 try:
-                    yield self.node.call(dest_node, "replica_remove",
-                                         {"key": key, "version": None})
+                    yield from self.node.invoke(dest_node, "replica_remove",
+                                                {"key": key, "version": None})
                 except TRANSIENT_ERRORS:
                     failed += 1
         return failed
@@ -283,7 +284,7 @@ class Rebalancer:
             if attempt:
                 yield self.sim.timeout(policy.backoff(min(attempt - 1, 6)))
             try:
-                result = yield self.node.call(node, method, args or {})
+                result = yield from self.node.invoke(node, method, args or {})
                 return result
             except TRANSIENT_ERRORS as exc:
                 last_error = exc

@@ -62,7 +62,7 @@ class ShardRouter:
 
     def refresh(self) -> Generator:
         """Pull the current map from the service (epoch-mismatch recovery)."""
-        result = yield self.client.node.call(
+        result = yield from self.client.node.invoke(
             self.service_node, "get_shard_map", {"base_id": self.base_id})
         self.install(result["map"])
         self.refreshes += 1

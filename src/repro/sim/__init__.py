@@ -23,6 +23,7 @@ from repro.sim.primitives import (
     SerialServer,
     SimLock,
     Store,
+    shielded,
     wake_at,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "Resource",
     "SerialServer",
     "wake_at",
+    "shielded",
     "SimLock",
     "Gate",
 ]

@@ -4,18 +4,19 @@ These mirror the small set of constructs the Wiera implementation needs:
 FIFO message queues between components (:class:`Store`), counted resources
 for device/service concurrency limits (:class:`Resource`), the capacity-1
 FIFO server behind every bandwidth link and IOPS cap
-(:class:`SerialServer`), mutual exclusion (:class:`SimLock`) and open/close
+(:class:`SerialServer`), mutual exclusion (:class:`SimLock`), open/close
 request gates used while a consistency switch drains in-flight operations
-(:class:`Gate`).
+(:class:`Gate`), and the kernel's one cancellation rule for work a process
+runs on behalf of somebody else (:func:`shielded`).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
-from repro.sim.kernel import Event, SimulationError, Simulator
+from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator
 
 
 class Store:
@@ -232,3 +233,64 @@ class Gate:
         waiters, self._waiters = self._waiters, []
         for event in waiters:
             event.succeed()
+
+
+def shielded(sim: Simulator, body: Generator) -> Generator:
+    """Run ``body`` inside the calling process, out of reach of the
+    caller's cancellation: ``result = yield from shielded(sim, body)``.
+
+    The caller pays for no :class:`~repro.sim.kernel.Process` — the
+    body's yields are the caller's yields, its return value and its
+    exceptions arrive at the ``yield from`` — but ``body`` is work done
+    for somebody else (a request in flight, a remote handler mid-write, a
+    reply on the wire) that an abort of the *caller* must not tear.  So
+    the cancellation rule is:
+
+    * an :class:`~repro.sim.kernel.Interrupt` delivered to the calling
+      process is raised in the caller, at the ``yield from``, at that
+      instant; ``body`` never sees it;
+    * ``body`` carries on from the event it was waiting on as a process
+      of its own, and runs to completion exactly as it would have;
+    * nobody waits on that process any more, so it — and the event it is
+      resumed from — is defused: its late failure (the peer dies under
+      the orphaned request) is nobody's to handle and must not stop the
+      simulation.
+
+    A plain ``yield from body`` would instead deliver the ``Interrupt`` to
+    the innermost frame of ``body``: the remote handler, mid-put.
+    """
+    return _drive(sim, body, None)
+
+
+def _drive(sim: Simulator, body: Generator,
+           target: Optional[Event]) -> Generator:
+    """:func:`shielded`'s loop: step ``body`` by hand, so that this frame
+    — not one inside ``body`` — is where the kernel throws.  ``target`` is
+    the event a started ``body`` is waiting on (``None`` starts it)."""
+    caller = sim._active_process
+    ctx = caller.obs_ctx
+    send = body.send
+    try:
+        if target is None:
+            target = send(None)
+        while True:
+            try:
+                value = yield target
+            except BaseException as exc:
+                # An Interrupt that is the *outcome* of the awaited event
+                # (body waited on a process that was itself interrupted)
+                # is body's business like any other failure.
+                if isinstance(exc, Interrupt) and target._value is not exc:
+                    orphan = sim.process(_drive(sim, body, target),
+                                         name=f"orphan:{caller.name}")
+                    orphan.defuse()
+                    target.defuse()
+                    # Spans body has open move with it; the caller is
+                    # back where it was before the call.
+                    orphan.obs_ctx, caller.obs_ctx = caller.obs_ctx, ctx
+                    raise
+                target = body.throw(exc)
+            else:
+                target = send(value)
+    except StopIteration as stop:
+        return stop.value

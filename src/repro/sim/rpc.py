@@ -6,10 +6,17 @@ Handlers are generator functions executed *at the destination*, so their
 yields (storage accesses, nested RPCs) consume destination-side time, just
 as a Thrift service method would.
 
-A call is itself a process event: callers ``yield node.call(...)`` and
-receive the handler's return value, or have the remote exception (or a
-:class:`~repro.net.network.NetworkError`) raised into them — which is what
-client failover logic catches.
+A call has one body (:meth:`RpcNode._call`) and two ways to run it.  A
+caller that simply waits for the answer runs it inside the process it
+already is, ``result = yield from node.invoke(...)``, and pays for no
+scheduler entity; a caller that needs an :class:`~repro.sim.kernel.Event` — a
+fan-out gathered with ``all_of``/``any_of``, :func:`call_with_timeout`,
+:func:`wait_call`, a oneway — gets one from ``node.call(...)``, which runs
+the same body as a process.  Either way the caller receives the handler's
+return value, or has the remote exception (or a
+:class:`~repro.net.network.NetworkError`) raised into it — which is what
+client failover logic catches.  An ``Interrupt`` of the caller never
+reaches the handler (:func:`~repro.sim.primitives.shielded`).
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from repro.net.network import Host, Network
+from repro.net.network import Host, HostDownError, Network
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN, TraceContext
 from repro.sim.kernel import Interrupt, Process, Simulator
+from repro.sim.primitives import shielded
 
 
 class RpcError(RuntimeError):
@@ -98,25 +106,46 @@ class RpcNode:
                     self.register(prefix + attr[len("rpc_"):], fn)
 
     # -- outgoing calls -----------------------------------------------------
+    def invoke(self, dst: "RpcNode", method: str,
+               args: Optional[dict[str, Any]] = None,
+               size: Optional[int] = None,
+               reply_size: Optional[int] = None) -> Generator:
+        """Invoke ``method`` on ``dst`` from inside the calling process:
+        ``result = yield from node.invoke(...)``.
+
+        For a caller that does nothing but wait for the answer.  An
+        ``Interrupt`` of the caller surfaces at the ``yield from`` while
+        the call itself runs on to completion at ``dst``
+        (:func:`~repro.sim.primitives.shielded`).
+        """
+        return shielded(self.sim,
+                        self._call(dst, method, args or {}, size, reply_size))
+
     def call(self, dst: "RpcNode", method: str,
              args: Optional[dict[str, Any]] = None,
              size: Optional[int] = None,
              reply_size: Optional[int] = None) -> Process:
-        """Invoke ``method`` on ``dst``; returns a process/event to yield on."""
-        # The caller's trace context must be captured here, in the calling
-        # process's frame — the generator below runs as a new process.
+        """Invoke ``method`` on ``dst`` as a process of its own; returns
+        the event to gather, race against a timeout or wait on later.  A
+        caller that would yield it straight away wants :meth:`invoke`."""
+        return self._spawn(
+            self._call(dst, method, args or {}, size, reply_size),
+            f"rpc:{self.name}->{dst.name}:{method}")
+
+    def _spawn(self, body: Generator, name: str) -> Process:
+        """Run a call body as a process, under the caller's trace context
+        — what the body finds in place when it runs inside the caller."""
+        proc = self.sim.process(body, name=name)
         tracer = self._obs.tracer
-        parent = tracer.current() if tracer.enabled else None
-        return self.sim.process(
-            self._call(dst, method, args or {}, size, reply_size, parent),
-            name=f"rpc:{self.name}->{dst.name}:{method}")
+        if tracer.enabled:
+            proc.obs_ctx = tracer.current()
+        return proc
 
     def _call(self, dst: "RpcNode", method: str, args: dict[str, Any],
-              size: Optional[int], reply_size: Optional[int],
-              parent: Optional[TraceContext] = None) -> Generator:
+              size: Optional[int], reply_size: Optional[int]) -> Generator:
         tracer = self._obs.tracer
         span = (tracer.span(f"rpc:{method}", cat="rpc", component=self.name,
-                            parent=parent, dst=dst.name)
+                            dst=dst.name)
                 if tracer.enabled else NULL_SPAN)
         with span:
             msg = Message(src=self.name, dst=dst.name, method=method,
@@ -154,24 +183,20 @@ class RpcNode:
         results in order.  Each entry is ``(method, args, size)`` with the
         same per-entry ``size`` a single :meth:`call` would use; the wire
         carries one envelope plus the summed entry sizes."""
-        tracer = self._obs.tracer
-        parent = tracer.current() if tracer.enabled else None
-        return self.sim.process(
+        return self._spawn(
             self._call(dst, BATCH_METHOD, {"entries": list(entries)},
-                       self._batch_size(entries), reply_size, parent),
-            name=f"rpcb:{self.name}->{dst.name}:batch{len(entries)}")
+                       self._batch_size(entries), reply_size),
+            f"rpcb:{self.name}->{dst.name}:batch{len(entries)}")
 
     def send_oneway_batch(self, dst: "RpcNode",
                           entries: list[tuple[str, dict, int]]) -> Process:
         """Fire-and-forget batch: deliver and execute, swallowing network
         errors (per-entry application errors are reported in the results,
         which a oneway by definition never sees)."""
-        tracer = self._obs.tracer
-        parent = tracer.current() if tracer.enabled else None
-        return self.sim.process(
+        return self._spawn(
             self._oneway(dst, BATCH_METHOD, {"entries": list(entries)},
-                         self._batch_size(entries), parent),
-            name=f"rpcb1w:{self.name}->{dst.name}:batch{len(entries)}")
+                         self._batch_size(entries)),
+            f"rpcb1w:{self.name}->{dst.name}:batch{len(entries)}")
 
     def _batch_size(self, entries) -> int:
         return self.ENVELOPE + sum(size for _, _, size in entries)
@@ -208,18 +233,15 @@ class RpcNode:
         Used for background/asynchronous propagation (the ``queue``
         response) where a dead replica must not crash the sender.
         """
-        tracer = self._obs.tracer
-        parent = tracer.current() if tracer.enabled else None
-        return self.sim.process(
-            self._oneway(dst, method, args or {}, size, parent),
-            name=f"rpc1w:{self.name}->{dst.name}:{method}")
+        return self._spawn(
+            self._oneway(dst, method, args or {}, size),
+            f"rpc1w:{self.name}->{dst.name}:{method}")
 
     def _oneway(self, dst: "RpcNode", method: str, args: dict[str, Any],
-                size: Optional[int],
-                parent: Optional[TraceContext] = None) -> Generator:
+                size: Optional[int]) -> Generator:
         tracer = self._obs.tracer
         span = (tracer.span(f"oneway:{method}", cat="rpc",
-                            component=self.name, parent=parent, dst=dst.name)
+                            component=self.name, dst=dst.name)
                 if tracer.enabled else NULL_SPAN)
         with span:
             msg = Message(src=self.name, dst=dst.name, method=method,
@@ -240,7 +262,6 @@ class RpcNode:
     # -- incoming dispatch -----------------------------------------------------
     def _dispatch(self, msg: Message) -> Generator:
         if self.host.down:
-            from repro.net.network import HostDownError
             raise HostDownError(f"node {self.name} is down")
         if msg.method == BATCH_METHOD:
             tracer = self._obs.tracer

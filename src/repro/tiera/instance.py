@@ -679,7 +679,7 @@ class TieraInstance:
             peer = self.peers.get(peer_id)
             if peer is not None and self._lb_rng.random() < fraction:
                 self.redirected_gets += 1
-                result = yield self.node.call(
+                result = yield from self.node.invoke(
                     peer.node, "peer_get",
                     {"key": msg.args["key"],
                      "version": msg.args.get("version")})

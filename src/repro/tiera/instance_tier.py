@@ -83,7 +83,7 @@ class InstanceTier:
     def write(self, skey: str, data: bytes) -> Generator:
         if self.read_only:
             raise StorageError(f"{self.name} is a read-only instance tier")
-        result = yield self.owner_node.call(
+        result = yield from self.owner_node.invoke(
             self.remote_node, "tier_put",
             {"tier": self.remote_tier, "skey": skey, "data": bytes(data)},
             size=len(data) + 256)
@@ -96,7 +96,7 @@ class InstanceTier:
     def read(self, skey: str) -> Generator:
         if skey not in self._known:
             raise ObjectMissingError(f"{self.name}: no object {skey!r}")
-        result = yield self.owner_node.call(
+        result = yield from self.owner_node.invoke(
             self.remote_node, "tier_get",
             {"tier": self.remote_tier, "skey": skey})
         self.reads += 1
@@ -107,7 +107,7 @@ class InstanceTier:
             raise StorageError(f"{self.name} is a read-only instance tier")
         if skey not in self._known:
             raise ObjectMissingError(f"{self.name}: no object {skey!r}")
-        yield self.owner_node.call(
+        yield from self.owner_node.invoke(
             self.remote_node, "tier_delete",
             {"tier": self.remote_tier, "skey": skey})
         self._known.discard(skey)

@@ -55,7 +55,7 @@ class TieraServer:
     def connect_to_tsm(self, tsm_node: RpcNode) -> Generator:
         """Announce readiness to the Tiera Server Manager (step 0 of §4.1)."""
         self.tsm_node = tsm_node
-        result = yield self.node.call(tsm_node, "register_server", {
+        result = yield from self.node.invoke(tsm_node, "register_server", {
             "server_id": self.server_id,
             "region": self.region,
             "provider": self.provider,

@@ -9,24 +9,42 @@ consistency with the flush timer parked, one client in the instance's own
 region — so a change that re-introduces such an event fails ``pytest``
 and not only the benchmark pipeline.
 
-The ledger, per operation issued from an already-running driver process:
+The ledger, per operation issued from an already-running driver process
+(an RPC the caller waits on runs inside the caller — ``RpcNode.invoke`` —
+so it has no process of its own to start and finish):
 
 ====================================  ===  ===
 event                                 get  put
 ====================================  ===  ===
-RPC process start (``rpc._call``)       1    1
 request transmit (one timeout)          1    1
 tier access (one timeout)               1    1
 metadata write (one timeout)            -    1
 reply transmit (one timeout)            1    1
-RPC process finish (wakes the caller)   1    1
 ------------------------------------  ---  ---
-total                                   5    6
+total                                   3    4
 ====================================  ===  ===
 
-A lazy flush is one batch RPC per peer — start, request, reply, finish —
-whatever the number of pending keys, plus a tier and a metadata write per
-entry applied at the peer: ``P * (4 + 2 * N)``.
+Only a call somebody needs an ``Event`` for — a fan-out — is a process,
+and pays a start and a finish on top.  A lazy flush is one such batch RPC
+per peer — start, request, reply, finish — whatever the number of pending
+keys, plus a tier and a metadata write per entry applied at the peer:
+``P * (4 + 2 * N)``.
+
+One ``multi_primaries`` put to ``P`` peers, lock service one RPC away:
+
+==========================================================  ========
+client request + reply                                             2
+lock handshake (``holder``): request, service time, reply          3
+lock ``acquire``: the same three + the lease watchdog's start      4
+local put: tier + metadata write                                   2
+sync broadcast: ``all_of`` + per peer a process pair, request,
+tier + metadata write at the peer, reply                      1 + 6P
+lock ``release``: request, service time, reply                     3
+----------------------------------------------------------  --------
+total                                                        15 + 6P
+==========================================================  ========
+
+``ShardRouter.refresh`` is one waited-on RPC with a service time: 3.
 
 The driver process itself costs one start and one finish per ``drive()``.
 A transmit is one event whether or not the sender's egress link is finite
@@ -34,21 +52,36 @@ A transmit is one event whether or not the sender's egress link is finite
 client's is unmetered), and passing the instance's open gate costs none.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro import GlobalPolicySpec, RegionPlacement, build_deployment
+from repro import (
+    GlobalPolicySpec,
+    RegionPlacement,
+    ShardSpec,
+    build_deployment,
+)
 from repro.net.topology import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 
 N = 25
 DRIVER = 2            # the driving process: start + finish
-PER_GET = 5
-PER_PUT = 6
-PER_BATCH = 4         # a batch RPC: start, request, reply, finish
+PER_GET = 3
+PER_PUT = 4
+PROCESS_PAIR = 2      # what a call run as a process adds: start + finish
+PER_BATCH = 2 + PROCESS_PAIR    # a batch RPC: request, reply, as a process
 PER_APPLY = 2         # a replica update at the peer: tier + metadata write
+PER_REFRESH = 3       # ShardRouter.refresh: request, service time, reply
 
 
-def deploy(regions):
+def per_locked_put(peers: int) -> int:
+    """One multi_primaries put (module docstring, second table)."""
+    return 15 + peers * (2 + PER_APPLY + PROCESS_PAIR)
+
+
+def deploy(regions, consistency="eventual", **spec_kwargs):
     dep = build_deployment(regions, seed=7)
     spec = GlobalPolicySpec(
         name="budget",
@@ -56,7 +89,10 @@ def deploy(regions):
                          for region in regions),
         # Park the replication flush timer: nothing but the measured
         # operations runs inside the measured windows.
-        consistency="eventual", queue_interval=3600.0)
+        consistency=consistency, queue_interval=3600.0, **spec_kwargs)
+    if spec.sharding is not None:
+        handle = dep.start_sharded_instance("budget", spec)
+        return dep, dep.add_client(US_EAST, sharded=handle, name="app")
     instances = dep.start_wiera_instance("budget", spec)
     client = dep.add_client(US_EAST, instances=instances, name="app")
     return dep, client
@@ -138,5 +174,45 @@ def test_flush_is_one_batch_per_peer(regions, pending):
     assert flush == DRIVER + peers * (PER_BATCH + pending * PER_APPLY)
     assert queue.batches == peers
     if pending == peers == 1:
-        # A batch of one is no dearer than the single RPC a put is.
-        assert flush - DRIVER <= PER_PUT
+        # A batch of one is the RPC a put is, run as a process.
+        assert flush - DRIVER == PER_PUT + PROCESS_PAIR
+
+
+@pytest.mark.parametrize("regions", [(US_EAST, US_WEST),
+                                     (US_EAST, US_WEST, EU_WEST)])
+def test_exact_events_per_multi_primaries_put(regions):
+    dep, client = deploy(regions, consistency="multi_primaries")
+    peers = len(regions) - 1
+
+    def puts():
+        for i in range(N):
+            yield from client.put(f"key-{i % 5}", bytes(1024))
+
+    assert events(dep, puts()) == DRIVER + N * per_locked_put(peers)
+    assert events(dep, client.put("key-0", b"again")) \
+        == DRIVER + per_locked_put(peers)
+    # Reads take no lock: the plain get.
+    assert events(dep, client.get("key-0")) == DRIVER + PER_GET
+
+
+def test_exact_events_per_router_refresh():
+    dep, client = deploy([US_EAST, US_WEST],
+                         sharding=ShardSpec(shards=2, vnodes=32))
+    assert events(dep, client.router.refresh()) == DRIVER + PER_REFRESH
+    assert client.router.refreshes == 1
+
+
+def test_no_waited_on_call_is_a_process():
+    """``yield node.call(...)`` buys a process the caller has no use for:
+    in ``src/`` a call that is waited on straight away is
+    ``yield from node.invoke(...)``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Yield)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "call"):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders, offenders

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.net import EU_WEST, Network, US_EAST, US_WEST
 from repro.obs import MetricsRegistry, NullTracer, chrome_trace_events, get_obs
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import NULL_SPAN
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.sim.rpc import RpcNode, call_with_timeout
 from repro.tiera.policy import memory_only_policy
 from repro.util.stats import percentile
@@ -124,6 +125,148 @@ class TestSpanNesting:
         sim.run(until=p)
         handled = [s for s in tracer.spans if s.name == "handle:boom"]
         assert handled and "ValueError" in handled[0].args["error"]
+
+
+def span_tree(tracer, root):
+    """``root`` and everything below it, children in start order."""
+    children = sorted(tracer.children_of(root),
+                      key=lambda s: (s.start, s.span_id))
+    # The Wiera service host is numbered per process, not per deployment.
+    component = re.sub(r"wiera-\d+", "wiera", root.component)
+    return (root.name, root.cat, component, root.start, root.end,
+            [span_tree(tracer, child) for child in children])
+
+
+def flatten(tree):
+    yield tree
+    for child in tree[5]:
+        yield from flatten(child)
+
+
+class TestInlineCallTracing:
+    """``invoke`` runs the call body in the caller's process; the trace
+    must not be able to tell."""
+
+    @staticmethod
+    def traced_put(how):
+        """One multi_primaries put under an application span, the client's
+        RPC made through ``RpcNode.<how>``; returns that span's tree."""
+        dep = build_deployment((US_EAST, US_WEST), seed=7, with_tracing=True)
+        spec = GlobalPolicySpec(
+            name="obs", consistency="multi_primaries",
+            placements=(RegionPlacement(US_EAST, memory_only_policy()),
+                        RegionPlacement(US_WEST, memory_only_policy())))
+        instances = dep.start_wiera_instance("obs", spec)
+        client = dep.add_client(US_WEST, instances=instances)
+        tracer = dep.obs.tracer
+        args = {"key": "k", "data": b"v" * 100, "tags": ()}
+
+        def app():
+            with tracer.span("app:put", cat="op", component="app") as span:
+                target = client.closest["node"]
+                if how == "call":
+                    yield client.node.call(target, "put", args, size=356)
+                else:
+                    yield from client.node.invoke(target, "put", args,
+                                                  size=356)
+            return span
+        return span_tree(tracer, dep.drive(app()))
+
+    def test_inline_call_has_the_span_tree_of_a_spawned_call(self):
+        spawned = self.traced_put("call")
+        inline = self.traced_put("invoke")
+        assert inline == spawned
+        # ...and it is the whole tree: caller -> rpc -> handle -> the
+        # lock round trips, the tier write, the broadcast to the peer.
+        app, (rpc,) = spawned[0], spawned[5]
+        assert (app, rpc[0]) == ("app:put", "rpc:put")
+        (handle,) = [c for c in rpc[5] if c[1] == "rpc.server"]
+        assert handle[0] == "handle:put"
+        assert [c[0] for c in rpc[5]] \
+            == ["net:transmit", "handle:put", "net:transmit"]
+        below = [c[0] for c in handle[5]]
+        assert below.count("rpc:replica_update") == 1
+        assert {"rpc:holder", "rpc:acquire", "rpc:release"} <= set(below)
+        cats = {node[1] for node in flatten(handle)}
+        assert {"rpc", "rpc.server", "net", "storage", "lock"} <= cats
+
+    @staticmethod
+    def two_nodes():
+        sim = Simulator()
+        tracer = get_obs(sim).enable_tracing()
+        net = Network(sim)
+        a = RpcNode(sim, net, net.add_host("a", US_EAST), name="a")
+        b = RpcNode(sim, net, net.add_host("b", US_WEST), name="b")
+
+        def work(msg):
+            with tracer.span("work:first", cat="work"):
+                yield sim.timeout(0.010)
+            with tracer.span("work:second", cat="work"):
+                yield sim.timeout(0.010)
+            return "done"
+
+        b.register("work", work)
+        return sim, tracer, a, b
+
+    def test_invoke_parents_under_the_running_process(self):
+        """The parent is whatever span the process is in when the call
+        runs — nothing is captured when the call is built."""
+        sim, tracer, a, b = self.two_nodes()
+
+        def main():
+            built_outside = a.invoke(b, "work")
+            with tracer.span("app", cat="op") as app:
+                yield from built_outside
+            return app
+
+        app = sim.run(until=sim.process(main()))
+        (rpc,) = [s for s in tracer.spans if s.name == "rpc:work"]
+        assert rpc.parent_id == app.span_id
+        assert rpc.trace_id == app.trace_id
+
+    def test_orphaned_body_closes_its_spans_where_they_belong(self):
+        sim, tracer, a, b = self.two_nodes()
+        after = []
+
+        def main():
+            with tracer.span("outer", cat="op") as outer:
+                try:
+                    with tracer.span("app", cat="op"):
+                        yield from a.invoke(b, "work")
+                except Interrupt:
+                    pass
+                # Back in the caller, the context is the caller's again.
+                with tracer.span("after", cat="op") as span:
+                    after.append(span.parent_id == outer.span_id)
+                    yield sim.timeout(0.0)
+
+        caller = sim.process(main())
+        sim.run(until=0.040)         # request landed at 35 ms: mid work:first
+        caller.interrupt()
+        sim.run()
+        assert after == [True]
+
+        by_name = {s.name: s for s in tracer.spans}
+        app, rpc, handle = (by_name[n] for n in
+                            ("app", "rpc:work", "handle:work"))
+        assert app.end == 0.040 and "Interrupt" in app.args["error"]
+        # The body ran on: every span it opened is closed, at the time
+        # the work really ended, and none records an error.
+        assert rpc.end == pytest.approx(0.035 + 0.020 + 0.035)
+        assert handle.end == pytest.approx(0.035 + 0.020)
+        body = [s for s in tracer.spans if s.trace_id == rpc.trace_id
+                and s.name not in ("outer", "app", "after")]
+        assert sorted(s.name for s in body) == [
+            "handle:work", "net:transmit", "net:transmit", "rpc:work",
+            "work:first", "work:second"]
+        assert not any("error" in s.args for s in body)
+        # Spans opened after the hand-over still nest where they would
+        # have: the handler's second step under the handler, the reply
+        # under the rpc span.
+        assert by_name["work:second"].parent_id == handle.span_id
+        reply = max((s for s in body if s.name == "net:transmit"),
+                    key=lambda s: s.start)
+        assert reply.start == handle.end and reply.parent_id == rpc.span_id
 
 
 class TestMetrics:

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import HostDownError, Network, US_EAST, US_WEST
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.sim.rpc import (
     NoSuchMethodError,
     RpcNode,
     call_with_timeout,
 )
+from repro.tiera.policy import memory_only_policy
 from repro.util.units import MS
 
 
@@ -211,3 +213,120 @@ def test_requests_served_counter(world):
     p = sim.process(main())
     sim.run(until=p)
     assert b.requests_served == 3
+
+
+# -- invoke: the same call, run inside the calling process -----------------
+
+def test_invoke_is_call_without_the_process_pair(world):
+    sim, net, a, b = world
+
+    def echo(msg):
+        yield sim.timeout(0.001)
+        return {"echo": msg.args["x"]}
+
+    b.register("echo", echo)
+
+    def via_call():
+        t0 = sim.now
+        result = yield a.call(b, "echo", {"x": 5}, size=4096)
+        return result, sim.now - t0
+
+    def via_invoke():
+        t0 = sim.now
+        result = yield from a.invoke(b, "echo", {"x": 5}, size=4096)
+        return result, sim.now - t0
+
+    outcomes, events, messages = [], [], []
+    for main in (via_call, via_invoke):
+        before = sim.events_processed, net.messages_sent
+        outcomes.append(sim.run(until=sim.process(main())))
+        events.append(sim.events_processed - before[0])
+        messages.append(net.messages_sent - before[1])
+    assert outcomes[0] == outcomes[1]
+    assert messages == [2, 2]
+    assert events[0] - events[1] == 2       # the call's start and finish
+    assert b.requests_served == 2
+
+
+def test_invoke_raises_at_the_yield_from(world):
+    sim, net, a, b = world
+
+    def boom(msg):
+        yield sim.timeout(0.0)
+        raise ValueError("remote failure")
+
+    b.register("boom", boom)
+
+    def main(method):
+        try:
+            yield from a.invoke(b, method)
+        except (ValueError, NoSuchMethodError, HostDownError) as exc:
+            return type(exc)
+
+    assert sim.run(until=sim.process(main("boom"))) is ValueError
+    assert sim.run(until=sim.process(main("missing"))) is NoSuchMethodError
+    b.host.crash()
+    assert sim.run(until=sim.process(main("boom"))) is HostDownError
+
+
+# -- the interrupt contract, on a us-west -> us-east put -------------------
+#
+# The put's request is in flight until +35.15 ms, the handler writes the
+# tier and the metadata until +35.53 ms, the reply lands at +70.69 ms.
+
+def _far_put_deployment():
+    dep = build_deployment([US_EAST, US_WEST], seed=7)
+    spec = GlobalPolicySpec(
+        name="far", consistency="eventual", queue_interval=3600.0,
+        placements=(RegionPlacement(US_EAST, memory_only_policy()),))
+    instances = dep.start_wiera_instance("far", spec)
+    client = dep.add_client(US_WEST, instances=instances, name="app")
+    return dep, client, dep.instance("far", US_EAST)
+
+
+def _interrupt_put_at(dep, client, offset):
+    """Interrupt an application blocked in ``client.put`` ``offset``
+    seconds into it; returns (put start, [(time, cause) seen])."""
+    sim = dep.sim
+    seen = []
+
+    def app():
+        try:
+            yield from client.put("key", b"payload")
+        except Interrupt as exc:
+            seen.append((sim.now, exc.cause))
+
+    start = sim.now
+    proc = sim.process(app())
+    sim.run(until=start + offset)
+    assert proc.is_alive
+    proc.interrupt("stop")
+    return start, seen
+
+
+@pytest.mark.parametrize("offset_ms", [1.0, 20.0, 35.5])
+def test_orphaned_call_failing_late_does_not_stop_the_simulation(offset_ms):
+    """The caller is gone and then the destination dies under the
+    orphaned request (in flight, or mid-handler with the reply still to
+    send): nobody waits on that failure, so it must not raise out of
+    ``sim.run``."""
+    dep, client, instance = _far_put_deployment()
+    start, seen = _interrupt_put_at(dep, client, offset_ms * MS)
+    instance.host.crash()
+    dep.sim.run(until=start + 1.0)
+    assert seen == [(start + offset_ms * MS, "stop")]
+
+
+@pytest.mark.parametrize("offset_ms", [
+    0.0, 1.0, 20.0, 35.0,       # request in flight
+    35.2, 35.4, 35.5,           # handler: tier write, metadata write
+    35.6, 50.0, 70.0])          # reply in flight
+def test_interrupted_caller_stops_at_once_and_the_put_completes(offset_ms):
+    dep, client, instance = _far_put_deployment()
+    served = instance.node.requests_served
+    start, seen = _interrupt_put_at(dep, client, offset_ms * MS)
+    dep.sim.run(until=start + 1.0)
+    assert seen == [(start + offset_ms * MS, "stop")]
+    data, meta, _ = dep.drive(instance.read_version("key"))
+    assert (data, meta.version) == (b"payload", 1)
+    assert instance.node.requests_served == served + 1

@@ -1,8 +1,16 @@
-"""Unit tests for Store, Resource, SimLock and Gate."""
+"""Unit tests for Store, Resource, SimLock, Gate and shielded."""
 
 import pytest
 
-from repro.sim import Gate, Resource, SimLock, Simulator, Store
+from repro.sim import (
+    Gate,
+    Interrupt,
+    Resource,
+    SimLock,
+    Simulator,
+    Store,
+    shielded,
+)
 from repro.sim.kernel import SimulationError
 
 
@@ -188,3 +196,157 @@ class TestGate:
         gate.open()
         sim.run(until=0.2)
         assert gate.queued == 0
+
+
+class TestShielded:
+    """``yield from shielded(sim, body)``: body runs in the caller's
+    process, and the caller's ``Interrupt`` never reaches it."""
+
+    @staticmethod
+    def work(sim, log, steps=3, fail_at=None):
+        for step in range(steps):
+            yield sim.timeout(1.0)
+            if step == fail_at:
+                raise ValueError(f"step {step}")
+            log.append((sim.now, step))
+        return "done"
+
+    def test_costs_no_process_and_passes_values_through(self, sim):
+        log = []
+
+        def inline():
+            return (yield from shielded(sim, self.work(sim, log)))
+
+        def spawned():
+            return (yield sim.process(self.work(sim, log)))
+
+        before = sim.events_processed
+        assert sim.run(until=sim.process(inline())) == "done"
+        inline_events = sim.events_processed - before
+        before = sim.events_processed
+        assert sim.run(until=sim.process(spawned())) == "done"
+        # The process pair is what a waiting caller no longer pays for.
+        assert sim.events_processed - before == inline_events + 2
+        assert [step for _, step in log] == [0, 1, 2, 0, 1, 2]
+
+    def test_body_exception_reaches_the_caller(self, sim):
+        def main():
+            try:
+                yield from shielded(sim, self.work(sim, [], fail_at=1))
+            except ValueError as exc:
+                return sim.now, str(exc)
+
+        assert sim.run(until=sim.process(main())) == (2.0, "step 1")
+
+    def test_failed_event_reaches_the_body(self, sim):
+        caught = []
+
+        def body():
+            doomed = sim.event()
+            doomed.fail(KeyError("inner"), delay=1.0)
+            try:
+                yield doomed
+            except KeyError as exc:
+                caught.append(exc.args[0])
+            return "recovered"
+
+        def main():
+            return (yield from shielded(sim, body()))
+
+        assert sim.run(until=sim.process(main())) == "recovered"
+        assert caught == ["inner"]
+
+    @pytest.mark.parametrize("at", [0.0, 0.5, 1.0, 2.5])
+    def test_interrupt_stops_the_caller_not_the_body(self, sim, at):
+        log, seen = [], []
+
+        def main():
+            try:
+                yield from shielded(sim, self.work(sim, log))
+            except Interrupt as exc:
+                seen.append((sim.now, exc.cause))
+                return "interrupted"
+
+        caller = sim.process(main())
+        sim.run(until=at)
+        caller.interrupt("stop")
+        assert sim.run(until=caller) == "interrupted"
+        assert seen == [(at, "stop")]       # at once, not when body ends
+        sim.run()
+        assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]    # untouched
+
+    def test_late_failure_of_the_orphan_is_defused(self, sim):
+        def main():
+            try:
+                yield from shielded(sim, self.work(sim, [], fail_at=2))
+            except Interrupt:
+                return "interrupted"
+
+        caller = sim.process(main())
+        sim.run(until=0.5)
+        caller.interrupt()
+        sim.run()       # body raises at t=3 with nobody waiting: no crash
+        assert sim.now == 3.0 and caller.value == "interrupted"
+
+    def test_orphan_is_resumed_by_an_event_already_triggered(self, sim):
+        """The awaited event fires at the very instant of the interrupt:
+        the orphaned body still gets its value."""
+        log = []
+        gate = sim.event()
+
+        def body():
+            log.append((yield gate))
+
+        def main():
+            yield from shielded(sim, body())
+
+        caller = sim.process(main())
+        sim.run(until=1.0)
+        gate.succeed("value")
+        caller.interrupt()
+        caller.defuse()
+        sim.run()
+        assert log == ["value"] and not caller.ok
+
+    def test_interrupt_that_is_the_awaited_outcome_goes_to_the_body(self, sim):
+        """Body waits on a process that somebody interrupts: that is the
+        outcome of body's own wait, not a cancellation of the caller."""
+        outcome = []
+
+        def sleeper():
+            yield sim.timeout(10.0)
+
+        def body(child):
+            try:
+                yield child
+            except Interrupt as exc:
+                outcome.append(exc.cause)
+            return "body handled it"
+
+        def main(child):
+            return (yield from shielded(sim, body(child)))
+
+        child = sim.process(sleeper())
+        caller = sim.process(main(child))
+        sim.run(until=1.0)
+        child.interrupt("child stopped")
+        assert sim.run(until=caller) == "body handled it"
+        assert outcome == ["child stopped"]
+
+    def test_nested_bodies_move_together(self, sim):
+        log = []
+
+        def outer():
+            log.append("outer start")
+            result = yield from shielded(sim, self.work(sim, log, steps=2))
+            log.append(f"outer got {result}")
+
+        def main():
+            yield from shielded(sim, outer())
+
+        caller = sim.process(main())
+        caller.defuse()
+        sim.run(until=1.5)
+        caller.interrupt()
+        sim.run()
+        assert log == ["outer start", (1.0, 0), (2.0, 1), "outer got done"]
