@@ -1,7 +1,12 @@
-"""Kernel fast-path throughput: microbench + macro events/sec + CI gate.
+"""Kernel fast-path throughput: microbench + macro + CI gate.
 
 Four microbenches exercise the scheduling paths every experiment bottoms
-out in, measuring *wall-clock* kernel events/sec:
+out in.  Each does a fixed amount of *work* — waits, round trips, sleeps,
+children gathered — and is scored in work per wall-second: the kernel
+gets faster both by dispatching an event in less time and by needing
+fewer events for the same work (a process start or an unwatched finish
+that schedules nothing), and events per wall-second scores the second
+kind as a slowdown.  Event counts and events/sec are reported beside it.
 
 * **resume_churn** — processes repeatedly waiting on an already-processed
   event: the pure deferred-resume path, exactly what the run-queue +
@@ -19,22 +24,24 @@ out in, measuring *wall-clock* kernel events/sec:
   ``AllOf``: process construction + condition callbacks.
 
 The macro measurement drives closed-loop YCSB-A clients against a 4-shard
-multi-primaries deployment and reports simulator events/sec for the full
-stack (RPC, network, storage, replication).
+multi-primaries deployment and reports ops and simulator events per
+wall-second for the full stack (RPC, network, storage, replication).
 
 Output goes to ``results/BENCH_kernel.json``.  The checked-in file carries
 a ``baseline`` block (and a ``seed_kernel`` block with the pre-fast-path
 numbers measured on the same machine via a git checkout of the seed
-kernel); per-bench ``speedup_vs_seed`` ratios are recomputed on every run.
-``--check`` fails the run when the combined microbench throughput drops
-more than 30% below the baseline — the CI regression gate.
-``--rebaseline`` re-pins the baseline to the current run.
+kernel); per-bench ``speedup_vs_seed`` ratios — work per wall-second now
+over then — are recomputed on every run.
+``--check`` fails the run when the combined microbench work per
+wall-second drops more than 30% below the baseline — the CI regression
+gate.  ``--rebaseline`` re-pins the baseline to the current run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,7 +51,7 @@ from repro.sim.kernel import Simulator
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 OUT_PATH = RESULTS / "BENCH_kernel.json"
 
-#: fail --check when micro throughput drops below this fraction of baseline
+#: fail --check when micro work/sec drops below this fraction of baseline
 GATE_FRACTION = 0.7
 
 
@@ -125,31 +132,44 @@ def _fanout_allof(batches: int, width: int) -> Simulator:
     return sim
 
 
-def _measure(fn, *args) -> dict:
+#: name -> (bench, its arguments at a given scale); a row's work is the
+#: product of its arguments: waits, round trips, sleeps, children gathered
+MICRO = {
+    "resume_churn": (_resume_churn, lambda scale: (20, 2_500 * scale)),
+    "ping_pong": (_ping_pong, lambda scale: (25_000 * scale,)),
+    "timer_churn": (_timer_churn, lambda scale: (50, 1000 * scale)),
+    "fanout_allof": (_fanout_allof, lambda scale: (1000 * scale, 20)),
+}
+MICRO_NAMES = tuple(MICRO)
+
+
+def _micro_args(name: str, quick: bool) -> tuple:
+    return MICRO[name][1](1 if quick else 4)
+
+
+def micro_work(name: str, quick: bool) -> int:
+    return math.prod(_micro_args(name, quick))
+
+
+def _measure(name: str, quick: bool) -> dict:
     start = time.perf_counter()
-    sim = fn(*args)
+    sim = MICRO[name][0](*_micro_args(name, quick))
     wall = time.perf_counter() - start
+    work = micro_work(name, quick)
     return {
+        "work": work,
         "events": sim.events_processed,
         "wall_seconds": round(wall, 4),
+        "work_per_sec": round(work / wall, 1),
         "events_per_sec": round(sim.events_processed / wall, 1),
     }
 
 
-MICRO_NAMES = ("resume_churn", "ping_pong", "timer_churn", "fanout_allof")
-
-
 def run_micro(quick: bool = False) -> dict:
-    scale = 1 if quick else 4
-    micro = {
-        "resume_churn": _measure(_resume_churn, 20, 2_500 * scale),
-        "ping_pong": _measure(_ping_pong, 25_000 * scale),
-        "timer_churn": _measure(_timer_churn, 50, 1000 * scale),
-        "fanout_allof": _measure(_fanout_allof, 1000 * scale, 20),
-    }
-    events = sum(micro[name]["events"] for name in MICRO_NAMES)
+    micro = {name: _measure(name, quick) for name in MICRO_NAMES}
+    work = sum(micro[name]["work"] for name in MICRO_NAMES)
     wall = sum(micro[name]["wall_seconds"] for name in MICRO_NAMES)
-    micro["combined_events_per_sec"] = round(events / wall, 1)
+    micro["combined_work_per_sec"] = round(work / wall, 1)
     return micro
 
 
@@ -190,11 +210,13 @@ def run_macro(quick: bool = False) -> dict:
     dep.sim.run(until=dep.sim.now + 1.0)
     wall = time.perf_counter() - started_wall
     events = dep.sim.events_processed - started_events
+    ops = sum(driver.stats.ops for driver in drivers)
     return {
         "workload": "ycsb-a, 4 shards",
         "kernel_events": events,
         "kernel_events_per_wall_sec": round(events / wall, 1),
-        "ops": sum(driver.stats.ops for driver in drivers),
+        "ops": ops,
+        "ops_per_wall_sec": round(ops / wall, 1),
         "wall_seconds": round(wall, 4),
     }
 
@@ -228,27 +250,29 @@ def emit(result: dict, rebaseline: bool = False) -> Path:
     if rebaseline or "baseline" not in carried:
         carried["baseline"] = {
             "quick": result["quick"],
-            "micro_events_per_sec":
-                result["micro"]["combined_events_per_sec"],
+            "micro_work_per_sec": result["micro"]["combined_work_per_sec"],
         }
     result = {**result, **carried}
     seed = result.get("seed_kernel", {}).get("micro", {})
     if seed:
+        # The seed block holds full-scale runs of the same benches, so the
+        # comparison is work per wall-second then and now.
+        seed_work = {name: micro_work(name, quick=False)
+                     for name in MICRO_NAMES}
         speedups = {}
         for name in MICRO_NAMES:
-            if name in seed and name in result["micro"]:
-                speedups[name] = round(
-                    result["micro"][name]["events_per_sec"]
-                    / seed[name]["events_per_sec"], 2)
-        if "combined_events_per_sec" in seed:
-            speedups["combined"] = round(
-                result["micro"]["combined_events_per_sec"]
-                / seed["combined_events_per_sec"], 2)
+            speedups[name] = round(
+                result["micro"][name]["work_per_sec"]
+                / (seed_work[name] / seed[name]["wall_seconds"]), 2)
+        speedups["combined"] = round(
+            result["micro"]["combined_work_per_sec"]
+            / (sum(seed_work.values())
+               / sum(seed[name]["wall_seconds"] for name in MICRO_NAMES)), 2)
         seed_macro = result["seed_kernel"].get("macro")
         if seed_macro and result.get("macro"):
             speedups["macro_ycsb"] = round(
-                result["macro"]["kernel_events_per_wall_sec"]
-                / seed_macro["kernel_events_per_wall_sec"], 2)
+                result["macro"]["ops_per_wall_sec"]
+                / (seed_macro["ops"] / seed_macro["wall_seconds"]), 2)
         result["speedup_vs_seed_kernel"] = speedups
         # The headline: the zero-delay resume path the fast path targets.
         result["hot_path_speedup"] = speedups.get("resume_churn")
@@ -268,12 +292,12 @@ def check_gate(result: dict) -> bool:
               f"(quick={baseline.get('quick')}); gate skipped — "
               "re-pin with --rebaseline in the mode you gate on")
         return True
-    floor = GATE_FRACTION * baseline["micro_events_per_sec"]
-    current = result["micro"]["combined_events_per_sec"]
+    floor = GATE_FRACTION * baseline["micro_work_per_sec"]
+    current = result["micro"]["combined_work_per_sec"]
     ok = current >= floor
     verdict = "ok" if ok else "REGRESSION"
-    print(f"gate: {current:.0f} ev/s vs baseline "
-          f"{baseline['micro_events_per_sec']:.0f} ev/s "
+    print(f"gate: {current:.0f} work/s vs baseline "
+          f"{baseline['micro_work_per_sec']:.0f} work/s "
           f"(floor {floor:.0f}) -> {verdict}")
     return ok
 
@@ -283,7 +307,7 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="short CI-smoke run")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if micro throughput drops >30%% "
+                        help="exit 1 if micro work/sec drops >30%% "
                              "below the checked-in baseline")
     parser.add_argument("--rebaseline", action="store_true",
                         help="pin the baseline to this run")
@@ -301,23 +325,26 @@ def main() -> None:
     final = json.loads(out.read_text())
 
     speedups = final.get("speedup_vs_seed_kernel", {})
-    print(f"{'bench':>14} {'events':>10} {'wall-s':>8} {'events/s':>12} "
-          f"{'vs seed':>8}")
+    print(f"{'bench':>14} {'work':>8} {'events':>8} {'wall-s':>8} "
+          f"{'work/s':>10} {'events/s':>10} {'vs seed':>8}")
     for name in MICRO_NAMES:
         m = final["micro"][name]
         ratio = speedups.get(name)
-        print(f"{name:>14} {m['events']:>10} {m['wall_seconds']:>8.3f} "
-              f"{m['events_per_sec']:>12.0f} "
+        print(f"{name:>14} {m['work']:>8} {m['events']:>8} "
+              f"{m['wall_seconds']:>8.3f} {m['work_per_sec']:>10.0f} "
+              f"{m['events_per_sec']:>10.0f} "
               f"{(f'{ratio:.2f}x' if ratio else '-'):>8}")
-    combined = final["micro"]["combined_events_per_sec"]
+    combined = final["micro"]["combined_work_per_sec"]
     ratio = speedups.get("combined")
-    print(f"{'combined':>14} {'':>10} {'':>8} {combined:>12.0f} "
-          f"{(f'{ratio:.2f}x' if ratio else '-'):>8}")
+    print(f"{'combined':>14} {'':>8} {'':>8} {'':>8} {combined:>10.0f} "
+          f"{'':>10} {(f'{ratio:.2f}x' if ratio else '-'):>8}")
     if final.get("macro"):
+        macro = final["macro"]
         ratio = speedups.get("macro_ycsb")
-        print(f"{'macro ycsb-a':>14} {final['macro']['kernel_events']:>10} "
-              f"{final['macro']['wall_seconds']:>8.3f} "
-              f"{final['macro']['kernel_events_per_wall_sec']:>12.0f} "
+        print(f"{'macro ycsb-a':>14} {macro['ops']:>8} "
+              f"{macro['kernel_events']:>8} {macro['wall_seconds']:>8.3f} "
+              f"{macro['ops_per_wall_sec']:>10.0f} "
+              f"{macro['kernel_events_per_wall_sec']:>10.0f} "
               f"{(f'{ratio:.2f}x' if ratio else '-'):>8}")
     print(f"wrote {out}")
 

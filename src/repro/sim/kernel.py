@@ -13,11 +13,35 @@ Design notes
 * Ties are broken by a monotonically increasing sequence number, making
   runs exactly reproducible.
 
+A process costs no events of its own
+------------------------------------
+Starting and finishing are bookkeeping, not simulated time, so neither is
+an event unless somebody has to be woken:
+
+* **Start.**  ``sim.process(gen)`` steps ``gen`` to its first yield before
+  it returns, inside the creator's own step (``active_process`` is the
+  child meanwhile and the creator again afterwards).  The child's first
+  statements therefore run *before* the rest of the creator's step and
+  before anything already queued at that instant, so whatever the child
+  reads in its first step — a trace context (``obs_ctx=``), state on a
+  shared object — must be in place before the call.  A process that
+  really needs its first statement deferred to the next scheduling round
+  says so: ``yield sim.timeout(0)`` as that statement.
+* **Finish.**  A process that returns normally with no subscriber marks
+  itself processed and schedules nothing: a later ``yield proc``, a
+  condition over it or ``run(until=proc)`` finds it processed and reads
+  its value, exactly as for any other processed event.  A finish somebody
+  is subscribed to is one event (it wakes them), and a *failed* process
+  always keeps its event, so a failure nobody handles still stops
+  ``run()``.  Taking an event nobody subscribed to out of the schedule
+  leaves the ``(time, seq)`` order of every other event as it was.
+
 Scheduling fast path
 --------------------
-Zero-delay scheduling — process bootstraps, resumes on already-processed
-events, local completions, ``succeed()`` with the default delay — is the
-vast majority of kernel traffic, and none of it needs a priority queue.
+Zero-delay scheduling — resumes on already-processed events, local
+completions, watched process finishes, ``succeed()`` with the default
+delay — is the vast majority of kernel traffic, and none of it needs a
+priority queue.
 The simulator therefore keeps two structures:
 
 * ``_heap``: the classic ``(time, seq, event)`` heap, for ``delay > 0``;
@@ -46,16 +70,32 @@ Allocation diet, in rough order of impact:
 * resuming a process whose wait target already completed used to allocate
   a fresh "poke" ``Event``; it is now a :class:`_Deferred` record (four
   slots, no callback list, no heap entry) drained through the same run
-  queue and recycled through a small free list;
+  queue and recycled through a small free list — the one thing a
+  ``_Deferred`` is still for, now that processes start without one;
 * every kernel object carries ``__slots__``, and processes pre-bind their
   generator's ``send``/``throw`` and their own ``_resume``.
 
 The generator-stepping core lives in three deliberately duplicated
 copies — :meth:`Process._resume` (a waited-on event fired),
-:meth:`Process._advance` (the single-step :meth:`Simulator.step` API), and
-inline in :meth:`Simulator._drain` (deferred resumes) — because on this
-path one CPython method call per event is measurable.  Keep them in sync;
+:meth:`Process._advance` (a process's first step, a delivered interrupt,
+and the single-step :meth:`Simulator.step` API), and inline in
+:meth:`Simulator._drain` (deferred resumes) — because on this path one
+CPython method call per event is measurable.  Keep them in sync;
 ``tests/test_kernel_golden.py`` pins the observable behavior bit-for-bit.
+
+Interrupts
+----------
+A parked process is parked on exactly one thing, its ``_target``: the
+pending event it subscribed to, or the ``_Deferred`` queued to resume it
+from a processed one.  ``interrupt()`` clears ``_target`` and queues a
+notice; whatever the process was parked on stays where it is as a
+tombstone that every stepping copy ignores, so the process sees the
+:class:`Interrupt` at the yield it was parked on — a resume already
+queued for that yield is superseded, not run first.  A process that was
+*running* when interrupted (it interrupted itself, or a child did from the
+first step it ran inside ``process()``) is detached when the notice is
+delivered and sees it at its next yield; a process that finished in the
+meantime never hears of it.
 """
 
 from __future__ import annotations
@@ -237,11 +277,12 @@ class Timeout(Event):
 class _Deferred:
     """Allocation-light resume record for the run queue.
 
-    Stands in for the old "poke" ``Event`` wherever a process must be
-    resumed with an already-known outcome: bootstrap, waits on processed
-    events, interrupts.  Carries no callback list and never reaches the
-    heap; the drain loop dispatches it straight into the process and
-    recycles the record through ``Simulator._dpool``.
+    Stands in for the old "poke" ``Event`` where a process must be resumed
+    with an already-known outcome: a wait on a processed event.  Carries
+    no callback list and never reaches the heap; the drain loop dispatches
+    it straight into the process — provided the process is still parked on
+    it (``Process._target``), see :meth:`Process.interrupt` — and recycles
+    the record through ``Simulator._dpool``.
     """
 
     __slots__ = ("proc", "ok", "value", "_qseq")
@@ -262,7 +303,8 @@ class Process(Event):
     __slots__ = ("name", "_generator", "_send", "_throw", "_on_fire",
                  "_target", "obs_ctx")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
+                 obs_ctx: Any = None):
         try:
             self._send = generator.send       # pre-bound: one resume each
             self._throw = generator.throw
@@ -284,22 +326,18 @@ class Process(Event):
         # Pre-bound subscriber callback: appending self._resume directly
         # would allocate a fresh bound method on every yield.
         self._on_fire = self._resume
-        self._target: Optional[Event] = None  # event this process waits on
+        # What this process is parked on: the pending event it subscribed
+        # to, or the _Deferred queued to resume it.  Anything else that
+        # fires for it is a tombstone (see interrupt()).
+        self._target: Any = None
         # Current trace context (repro.obs): spans opened while this process
         # runs parent under it; RPC propagates it across process boundaries.
-        self.obs_ctx = None
-        # Bootstrap: resume on the next scheduling round.
-        pool = sim._dpool
-        if pool:
-            d = pool.pop()
-            d.proc = self
-            d.ok = True
-            d.value = None
-            d._qseq = sim._seq
-        else:
-            d = _Deferred(self, True, None, sim._seq)
-        sim._runq.append(d)
-        sim._seq += 1
+        # Handed over here because the first step below may open a span.
+        self.obs_ctx = obs_ctx
+        # Start rule: run to the first yield now, inside the creator's step.
+        creator = sim._active_process
+        self._advance(True, None)
+        sim._active_process = creator
 
     @property
     def is_alive(self) -> bool:
@@ -309,16 +347,26 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not PENDING:
             raise SimulationError(f"cannot interrupt finished {self!r}")
-        # Detach from whatever the process is waiting on.  The subscribed
-        # callback stays in place as a tombstone — _resume ignores events
-        # the process no longer waits on — so no O(n) callback-list scan.
+        # Detach from whatever the process is parked on, so it sees the
+        # Interrupt at that yield.  The subscribed callback, or the resume
+        # already queued for a wait on a processed event, stays in place as
+        # a tombstone — every stepping copy ignores what the process is no
+        # longer parked on — so no O(n) callback-list or run-queue scan.
         self._target = None
-        sim = self.sim
-        sim._runq.append(_Deferred(self, False, Interrupt(cause), sim._seq))
-        sim._seq += 1
+        notice = Event(self.sim)
+        notice._waiter = self._interrupted
+        notice.succeed(Interrupt(cause))
+
+    def _interrupted(self, notice: Event) -> None:
+        if self._value is not PENDING:
+            return  # it was running, or an earlier interrupt ended it
+        # A process that was running when interrupted has parked since.
+        self._target = None
+        self._advance(False, notice._value)
 
     def _finish(self, ok: bool, value: Any) -> None:
-        """Terminate: record the outcome and schedule the process event."""
+        """Terminate: record the outcome and, if somebody has to hear of
+        it, schedule the process event."""
         self._ok = ok
         self._value = value
         # Drop the generator and the pre-bound callbacks: _on_fire is a
@@ -331,6 +379,13 @@ class Process(Event):
         self._send = None
         self._throw = None
         self._on_fire = None
+        if ok and self._waiter is None and self.callbacks is None:
+            # Finish rule: nobody is watching, so there is nobody to wake.
+            # A later `yield proc`, condition or run(until=proc) finds the
+            # process processed and reads its value.  (A failure keeps its
+            # event: unhandled, it must still stop the simulation.)
+            self._processed = True
+            return
         sim = self.sim
         self._qseq = sim._seq
         sim._seq += 1
@@ -384,6 +439,7 @@ class Process(Event):
                     d = _Deferred(self, target._ok, target._value, sim._seq)
                 sim._seq += 1
                 sim._runq.append(d)
+                self._target = d
             elif target._waiter is None:
                 target._waiter = self._on_fire
                 self._target = target
@@ -400,8 +456,10 @@ class Process(Event):
     def _advance(self, ok: bool, value: Any) -> None:
         """Step the generator once with an outcome and re-subscribe.
 
-        Generator-stepping core, copy 2 of 3 — kept as a method for the
-        single-step :meth:`Simulator.step` API (deferred-resume dispatch).
+        Generator-stepping core, copy 2 of 3 — the method form, for the
+        steps that are not on the drain loop's hot path: a process's first
+        (from ``__init__``), a delivered interrupt, and deferred-resume
+        dispatch under the single-step :meth:`Simulator.step` API.
         """
         sim = self.sim
         sim._active_process = self
@@ -434,6 +492,7 @@ class Process(Event):
                     d = _Deferred(self, target._ok, target._value, sim._seq)
                 sim._seq += 1
                 sim._runq.append(d)
+                self._target = d
             elif target._waiter is None:
                 target._waiter = self._on_fire
                 self._target = target
@@ -561,8 +620,12 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator, name: str = "",
+                obs_ctx: Any = None) -> Process:
+        """Start ``generator`` as a process: it has run to its first yield
+        when this returns.  ``obs_ctx`` is the trace context it starts
+        under."""
+        return Process(self, generator, name, obs_ctx)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -665,7 +728,10 @@ class Simulator:
                 runq.popleft()
                 if item.__class__ is _Deferred:
                     self.events_processed += 1
-                    item.proc._advance(item.ok, item.value)
+                    proc = item.proc
+                    if proc._target is item:    # else: superseded
+                        proc._target = None
+                        proc._advance(item.ok, item.value)
                     return
                 event = item
         elif heap:
@@ -718,6 +784,9 @@ class Simulator:
                             # module docstring; mirror of _advance).
                             count += 1
                             proc = item.proc
+                            if proc._target is not item:
+                                continue    # superseded by interrupt()
+                            proc._target = None
                             ok = item.ok
                             value = item.value
                             if len(pool) < _DPOOL_MAX:
@@ -755,6 +824,7 @@ class Simulator:
                                                       self._seq)
                                     self._seq += 1
                                     runq.append(d)
+                                    proc._target = d
                                 elif target._waiter is None:
                                     target._waiter = proc._on_fire
                                     proc._target = target

@@ -281,13 +281,17 @@ def _drive(sim: Simulator, body: Generator,
                 # (body waited on a process that was itself interrupted)
                 # is body's business like any other failure.
                 if isinstance(exc, Interrupt) and target._value is not exc:
+                    # Spans body has open move with it (the orphan reads
+                    # its context in its first step, inside process()); the
+                    # caller is back where it was before the call.
                     orphan = sim.process(_drive(sim, body, target),
-                                         name=f"orphan:{caller.name}")
+                                         name=f"orphan:{caller.name}",
+                                         obs_ctx=caller.obs_ctx)
+                    caller.obs_ctx = ctx
+                    # That first step only parks the orphan on `target`,
+                    # so nothing can have failed undefused yet.
                     orphan.defuse()
                     target.defuse()
-                    # Spans body has open move with it; the caller is
-                    # back where it was before the call.
-                    orphan.obs_ctx, caller.obs_ctx = caller.obs_ctx, ctx
                     raise
                 target = body.throw(exc)
             else:

@@ -135,11 +135,8 @@ class RpcNode:
     def _spawn(self, body: Generator, name: str) -> Process:
         """Run a call body as a process, under the caller's trace context
         — what the body finds in place when it runs inside the caller."""
-        proc = self.sim.process(body, name=name)
-        tracer = self._obs.tracer
-        if tracer.enabled:
-            proc.obs_ctx = tracer.current()
-        return proc
+        return self.sim.process(body, name=name,
+                                obs_ctx=self._obs.tracer.current())
 
     def _call(self, dst: "RpcNode", method: str, args: dict[str, Any],
               size: Optional[int], reply_size: Optional[int]) -> Generator:

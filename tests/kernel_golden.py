@@ -15,18 +15,24 @@ optimized kernel reproduces it bit-for-bit.  Regenerate only when the
 
 ``events_processed`` is the one field that pins the kernel *under this
 stack's event stream* rather than an application observable: it moves
-whenever a layer above the kernel schedules fewer (or more) events for the
-same simulated behaviour.  It has been re-recorded twice: 19 844 -> 12 946
-when links and IOPS caps became virtual clocks and an open gate stopped
-costing an event (one kernel event per message), and 12 946 -> 10 845 when
-an RPC its caller waits on stopped being a process of its own
-(``RpcNode.invoke``; this workload races every client request against a
-timeout, so client calls stay processes and only the calls below them
-moved).  It may be re-recorded again only under exactly the proof given
-both times: ``src/repro/sim/kernel.py`` unchanged, and a ``golden_run()``
-against the old fixture showing ``final_clock``, every latency stream,
-every pinned metric total, ``faults_applied`` and ``store_digest``
-bit-identical with only ``events_processed`` differing.
+whenever fewer (or more) events are scheduled for the same simulated
+behaviour.  It has been re-recorded three times: 19 844 -> 12 946 when
+links and IOPS caps became virtual clocks and an open gate stopped costing
+an event (one kernel event per message); 12 946 -> 10 845 when an RPC its
+caller waits on stopped being a process of its own (``RpcNode.invoke``;
+this workload races every client request against a timeout, so client
+calls stay processes and only the calls below them moved); and 10 845 ->
+9 387 when a process stopped costing events of its own (``sim.process()``
+runs the first step at once, an unwatched ok finish schedules nothing).
+It may be re-recorded again only under the proof given each time: a
+``golden_run()`` against the old fixture showing ``final_clock``, every
+latency stream, every pinned metric total, ``faults_applied`` and
+``store_digest`` bit-identical with only ``events_processed`` differing —
+at ``window=None`` and ``window=0.3`` — and ``src/repro/sim/kernel.py``
+either unchanged (the first two) or changed only in which bookkeeping
+costs an event, with the change's own order argument written down (the
+third: DESIGN "A process costs no events of its own";
+``results/PR19_process_cost.txt`` holds the run).
 """
 
 from __future__ import annotations

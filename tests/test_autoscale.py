@@ -126,11 +126,10 @@ class TestShardLever:
                               cooldown=0.0, scale_down_windows=2,
                               max_shards=3)
         dep, handle, scaler = _autoscaled_dep(aspec)
-        rate = [0.0]
+        # Demand for ~3 shards: ceil(250 / (0.85*100)) = 3.  (Set before
+        # the pump starts: its first tick runs inside sim.process().)
+        rate = [250.0]
         _pump(dep, rate)
-
-        # Demand for ~3 shards: ceil(250 / (0.85*100)) = 3.
-        rate[0] = 250.0
         dep.sim.run(until=dep.sim.now + 10.0)
         assert scaler.shards == 3
         ups = [d for d in scaler.decisions if d.action == "scale_up"]

@@ -24,29 +24,37 @@ reply transmit (one timeout)            1    1
 total                                   3    4
 ====================================  ===  ===
 
-Only a call somebody needs an ``Event`` for — a fan-out — is a process,
-and pays a start and a finish on top.  A lazy flush is one such batch RPC
-per peer — start, request, reply, finish — whatever the number of pending
-keys, plus a tier and a metadata write per entry applied at the peer:
-``P * (4 + 2 * N)``.
+A process costs no events of its own: ``sim.process()`` runs it to its
+first yield on the spot, and its finish is an event only when somebody is
+subscribed to it.  So a call somebody needs an ``Event`` for — a fan-out
+member gathered with ``all_of`` — pays one event on top of its wake-ups,
+the watched finish, and ``drive()``'s process (started by the call,
+watched by nobody) pays none.  A lazy flush is one such batch RPC per peer
+— request, reply, watched finish — whatever the number of pending keys,
+plus a tier and a metadata write per entry applied at the peer:
+``P * (3 + 2 * N)``.
 
 One ``multi_primaries`` put to ``P`` peers, lock service one RPC away:
 
 ==========================================================  ========
 client request + reply                                             2
 lock handshake (``holder``): request, service time, reply          3
-lock ``acquire``: the same three + the lease watchdog's start      4
+lock ``acquire``: the same three (the lease watchdog starts
+inside the handler and parks on its timer: no event)               3
 local put: tier + metadata write                                   2
-sync broadcast: ``all_of`` + per peer a process pair, request,
-tier + metadata write at the peer, reply                      1 + 6P
+sync broadcast: ``all_of`` + per peer request, tier + metadata
+write at the peer, reply, watched finish                      1 + 5P
 lock ``release``: request, service time, reply                     3
 ----------------------------------------------------------  --------
-total                                                        15 + 6P
+total                                                        14 + 5P
 ==========================================================  ========
 
 ``ShardRouter.refresh`` is one waited-on RPC with a service time: 3.
 
-The driver process itself costs one start and one finish per ``drive()``.
+An open-loop cohort op is its arrival timer plus the get or put above:
+launching it (``ClientCohort._launch`` is a ``sim.process()``) and its
+completion (nobody watches a cohort op) cost nothing.
+
 A transmit is one event whether or not the sender's egress link is finite
 (the instance's reply leaves through a 31 MB/s ``t2.micro`` link; the
 client's is unmetered), and passing the instance's open gate costs none.
@@ -63,22 +71,25 @@ from repro import (
     ShardSpec,
     build_deployment,
 )
+from repro.load import CohortSpec, TraceReplay
 from repro.net.topology import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
+from repro.workloads.ycsb import YcsbWorkload
 
 N = 25
-DRIVER = 2            # the driving process: start + finish
+DRIVER = 0            # the driving process: started by the call, unwatched
 PER_GET = 3
 PER_PUT = 4
-PROCESS_PAIR = 2      # what a call run as a process adds: start + finish
-PER_BATCH = 2 + PROCESS_PAIR    # a batch RPC: request, reply, as a process
+WATCHED_FINISH = 1    # all that a call run as a process adds
+PER_BATCH = 2 + WATCHED_FINISH  # a batch RPC: request, reply, as a process
 PER_APPLY = 2         # a replica update at the peer: tier + metadata write
 PER_REFRESH = 3       # ShardRouter.refresh: request, service time, reply
+PER_ARRIVAL = 1       # an open-loop cohort's inter-arrival timer
 
 
 def per_locked_put(peers: int) -> int:
     """One multi_primaries put (module docstring, second table)."""
-    return 15 + peers * (2 + PER_APPLY + PROCESS_PAIR)
+    return 14 + peers * (2 + PER_APPLY + WATCHED_FINISH)
 
 
 def deploy(regions, consistency="eventual", **spec_kwargs):
@@ -129,6 +140,40 @@ def test_exact_events_per_put_and_per_get(deployment):
     assert events(dep, client.put("key-0", b"again")) == DRIVER + PER_PUT
 
 
+@pytest.mark.parametrize("read_prop, per_op", [(1.0, PER_GET),
+                                               (0.0, PER_PUT)])
+def test_open_loop_cohort_op_is_its_arrival_plus_the_op(deployment,
+                                                        read_prop, per_op):
+    dep, client = deployment
+    records = 5
+
+    def preload():
+        for i in range(records):
+            yield from client.put(f"user{i}", bytes(64))
+    dep.drive(preload())
+
+    # Arrivals 2 ms apart against ~1 ms operations, then 0.5 ms apart so
+    # that operations overlap: the count is per op either way.
+    offsets = [0.002 * (i + 1) for i in range(N)]
+    offsets += [offsets[-1] + 0.0005 * (i + 1) for i in range(N)]
+    cohort = dep.add_cohort(
+        CohortSpec(name="budget", region=US_EAST,
+                   arrivals=TraceReplay(offsets),
+                   workload=YcsbWorkload(record_count=records, value_size=64,
+                                         read_prop=read_prop,
+                                         update_prop=1.0 - read_prop,
+                                         distribution="uniform")),
+        instances=client.instances)
+    before = dep.sim.events_processed
+    cohort.start()
+    dep.sim.run(until=dep.sim.now + 1.0)
+    stats = cohort.stats
+    assert stats.achieved == stats.offered == 2 * N and stats.errors == 0
+    assert stats.peak_in_flight > 1
+    # Nothing for the cohort's own process, a launch or a completion.
+    assert dep.sim.events_processed - before == 2 * N * (PER_ARRIVAL + per_op)
+
+
 def test_closed_gate_adds_one_event_per_queued_request(deployment):
     dep, client = deployment
     sim = dep.sim
@@ -146,9 +191,9 @@ def test_closed_gate_adds_one_event_per_queued_request(deployment):
     instance.gate.open()
     sim.run(until=sim.now + 1.0)
     assert all(call.processed for call in calls)
-    # Each get ran as its own driver process; the one extra event apiece
-    # is the gate's release.
-    assert sim.events_processed - before == waiting * (DRIVER + PER_GET + 1)
+    # Each get ran as its own (unwatched) process; the one extra event
+    # apiece is the gate's release.
+    assert sim.events_processed - before == waiting * (PER_GET + 1)
 
 
 @pytest.mark.parametrize("regions", [(US_EAST, US_WEST),
@@ -175,7 +220,7 @@ def test_flush_is_one_batch_per_peer(regions, pending):
     assert queue.batches == peers
     if pending == peers == 1:
         # A batch of one is the RPC a put is, run as a process.
-        assert flush - DRIVER == PER_PUT + PROCESS_PAIR
+        assert flush - DRIVER == PER_PUT + WATCHED_FINISH
 
 
 @pytest.mark.parametrize("regions", [(US_EAST, US_WEST),

@@ -398,6 +398,52 @@ class TestClientCohort:
             sim.run(until=30.0)   # drain in-flight stragglers
             assert cohort.stats.reconciles(), kw
 
+    def test_queue_drains_iteratively_when_ops_finish_in_their_first_step(
+            self):
+        """An op that fails without yielding (every candidate unreachable
+        at send time, no retry policy) completes inside ``_launch``, which
+        re-enters ``_drain_queue``: a long queue behind one slow op must
+        drain in a loop, not one stack level per queued arrival."""
+        queued = 2000
+
+        class OneSlowOpThenUnreachable:
+            calls = 0
+
+            def get(self, key):
+                self.calls += 1
+                if self.calls > 1:
+                    raise ConnectionError("no reachable instance")
+                yield sim.timeout(2.0)
+                return {"latency": 2.0}
+
+            put = None      # the workload below only reads
+
+        sim = Simulator()
+        offsets = [0.0] + [0.5 + i * 1e-4 for i in range(queued)]
+        spec = CohortSpec(
+            name="reentrant", region="r", max_in_flight=1,
+            queue_limit=queued, arrivals=TraceReplay(offsets),
+            workload=YcsbWorkload(record_count=50, read_prop=1.0,
+                                  update_prop=0.0))
+        cohort = ClientCohort(sim, OneSlowOpThenUnreachable(), spec,
+                              RngRegistry(0).substream("load.cohort", "re"))
+        cohort.start()
+        sim.run(until=1.9)
+        assert cohort.queued == queued and cohort.in_flight == 1
+
+        sim.run(until=3.0)      # the slow op finishes at 2.0
+        stats = cohort.stats
+        assert cohort.queued == 0 and cohort.in_flight == 0
+        assert stats.reconciles()
+        assert stats.achieved == 1 and stats.shed == 0
+        assert stats.errors_by_type == {"ConnectionError": queued}
+        assert stats.peak_in_flight == 1
+        # Oldest first: all drained at t=2.0, so the waits only shrink.
+        delays = cohort._h_queue_delay.values()
+        assert len(delays) == 1 + queued
+        assert delays[0] == 0.0 and delays[1] == pytest.approx(1.5)
+        assert all(a > b for a, b in zip(delays[1:], delays[2:]))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             CohortSpec(name="x", region="r", max_in_flight=0)

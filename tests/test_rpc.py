@@ -244,7 +244,7 @@ def test_invoke_is_call_without_the_process_pair(world):
         messages.append(net.messages_sent - before[1])
     assert outcomes[0] == outcomes[1]
     assert messages == [2, 2]
-    assert events[0] - events[1] == 2       # the call's start and finish
+    assert events[0] - events[1] == 1       # the call's watched finish
     assert b.requests_served == 2
 
 

@@ -397,7 +397,9 @@ class TestFastPath:
 
     def test_events_processed_counts_every_dispatch(self, sim):
         """events_processed semantics are unchanged: one increment per
-        processed event, including process-finish and deferred resumes."""
+        processed event, deferred resumes included.  The process itself
+        adds none: it starts inside ``process()`` and nobody watches it
+        finish."""
         done = sim.event()
         done.succeed()
         sim.run()
@@ -410,8 +412,8 @@ class TestFastPath:
 
         p = sim.process(waiter())
         sim.run(until=p)
-        # bootstrap + deferred resume + timeout + process-finish
-        assert sim.events_processed == base + 4
+        # deferred resume + timeout
+        assert sim.events_processed == base + 2
 
     def test_cancel_in_runq_is_skipped(self, sim):
         ev = sim.event()
@@ -422,3 +424,198 @@ class TestFastPath:
         sim.run()
         assert fired == []
         assert not ev.processed
+
+
+class TestProcessCost:
+    """A process costs no kernel events of its own: it starts inside
+    ``process()``, and a finish nobody is watching schedules nothing."""
+
+    def test_first_step_runs_before_process_returns(self, sim):
+        log = []
+
+        def child():
+            log.append(("child", sim.active_process.name))
+            yield sim.timeout(1.0)
+
+        def creator():
+            me = sim.active_process
+            proc = sim.process(child(), name="child")
+            log.append(("creator", proc.is_alive))
+            assert sim.active_process is me     # restored for the creator
+            yield proc
+
+        sim.process(creator(), name="creator")
+        # Nothing has been dispatched, and both first steps have run.
+        assert sim.events_processed == 0
+        assert log == [("child", "child"), ("creator", True)]
+        assert sim.active_process is None
+        sim.run()
+
+    def test_first_statement_can_be_deferred_explicitly(self, sim):
+        log = []
+
+        def child():
+            yield sim.timeout(0)
+            log.append("child")
+
+        sim.process(child())
+        log.append("creator")
+        sim.run()
+        assert log == ["creator", "child"]
+
+    def test_unwatched_finish_processes_no_event(self, sim):
+        def work(value):
+            yield sim.timeout(1.0)
+            return value
+
+        procs = [sim.process(work(i)) for i in range(3)]
+        sim.run()
+        assert sim.events_processed == 3            # the three timeouts
+        assert all(p.processed and p.ok for p in procs)
+
+        # ...and its value is there for whoever asks afterwards.
+        def late():
+            one = yield procs[1]
+            every = yield sim.all_of(procs)
+            return one, every
+
+        assert sim.run(until=sim.process(late())) == (1, [0, 1, 2])
+        assert sim.run(until=procs[2]) == 2
+
+    def test_process_done_within_its_first_step(self, sim):
+        def instant():
+            return "now"
+            yield
+
+        proc = sim.process(instant())
+        assert proc.processed and proc.value == "now"
+        assert sim.run(until=proc) == "now"
+        assert sim.events_processed == 0
+
+    def test_run_until_an_unwatched_process_returns_at_its_finish(self, sim):
+        def work():
+            yield sim.timeout(1.0)
+            return "done"
+
+        sim.timeout(5.0)    # later traffic run(until=proc) must not wait for
+        assert sim.run(until=sim.process(work())) == "done"
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
+
+    def test_unwatched_failure_still_stops_the_simulation(self, sim):
+        def bad():
+            raise RuntimeError("in the first step")
+            yield
+
+        proc = sim.process(bad())       # does not raise here
+        assert not proc.processed
+        with pytest.raises(RuntimeError, match="in the first step"):
+            sim.run()
+
+    def test_watched_finish_costs_exactly_one_event(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+            return 7
+
+        def parent():
+            return (yield sim.process(child()))
+
+        assert sim.run(until=sim.process(parent())) == 7
+        # child's timeout + child's finish waking the parent
+        assert sim.events_processed == 2
+
+
+def _run(sim):
+    sim.run()
+
+
+def _step_through(sim):
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+@pytest.mark.parametrize("runner", [_run, _step_through])
+class TestInterruptRule:
+    """An interrupt lands on the yield the process is parked on, whatever
+    that is — a pending event or a resume already queued — and on a
+    running process's next one; never on a process that has finished."""
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_interrupt_supersedes_a_queued_resume(self, sim, runner, hops):
+        """``hops`` picks the stepping copy that queued the resume: 1 — the
+        process was woken by an event (``_resume``); 2 — by an earlier
+        queued resume (``_drain``'s inline copy, or ``_advance`` under
+        ``step()``)."""
+        done = sim.event()
+        done.succeed("early")
+        sim.run()
+        later = sim.event()
+        log = []
+
+        def victim():
+            yield sim.timeout(1.0)
+            try:
+                for _ in range(hops):
+                    log.append((yield done))    # processed: resume is queued
+                log.append((yield later))
+            except Interrupt as exc:
+                log.append(exc.cause)
+
+        def killer():
+            yield sim.timeout(1.0)
+            for _ in range(hops - 1):
+                yield done                      # keep in step with the victim
+            proc.interrupt("stop")      # between its yield and the resume
+
+        proc = sim.process(victim())
+        sim.process(killer())
+        later.succeed("late", delay=2.0)    # used to step the dead process
+        runner(sim)
+        assert log == ["early"] * (hops - 1) + ["stop"]
+        assert proc.processed and proc.ok
+
+    def test_interrupt_of_a_running_process_lands_on_its_next_wait(
+            self, sim, runner):
+        log = []
+
+        def child(creator):
+            creator.interrupt("from my first step")
+            yield sim.timeout(1.0)
+
+        def creator():
+            sim.process(child(sim.active_process))
+            log.append("still running")
+            try:
+                yield sim.timeout(5.0)
+            except Interrupt as exc:
+                log.append((sim.now, exc.cause))
+
+        sim.process(creator())
+        runner(sim)
+        assert log == ["still running", (0.0, "from my first step")]
+
+    def test_interrupt_landing_on_a_finished_process_is_dropped(
+            self, sim, runner):
+        def quitter():
+            yield sim.timeout(1.0)
+            sim.active_process.interrupt()
+            return "gone"
+
+        proc = sim.process(quitter())
+        runner(sim)
+        assert proc.value == "gone"
+
+    def test_two_interrupts_are_both_delivered(self, sim, runner):
+        causes = []
+
+        def sleeper():
+            while len(causes) < 2:
+                try:
+                    yield sim.timeout(10.0)
+                except Interrupt as exc:
+                    causes.append((sim.now, exc.cause))
+
+        proc = sim.process(sleeper())
+        sim.call_at(1.0, lambda: (proc.interrupt("a"), proc.interrupt("b")))
+        runner(sim)
+        assert causes == [(1.0, "a"), (1.0, "b")]

@@ -225,8 +225,8 @@ class TestShielded:
         inline_events = sim.events_processed - before
         before = sim.events_processed
         assert sim.run(until=sim.process(spawned())) == "done"
-        # The process pair is what a waiting caller no longer pays for.
-        assert sim.events_processed - before == inline_events + 2
+        # The watched finish is what a waiting caller no longer pays for.
+        assert sim.events_processed - before == inline_events + 1
         assert [step for _, step in log] == [0, 1, 2, 0, 1, 2]
 
     def test_body_exception_reaches_the_caller(self, sim):
