@@ -16,14 +16,36 @@ serves both redundancy shapes and the
 :class:`~repro.ec.optimizer.RedundancyOptimizer` can move objects between
 them per key-class.
 
-Fan-out rides the PR-5 batch data plane (``call_batch``): one envelope
-per holder carrying that holder's fragment, then one manifest entry per
-peer.  A put is acknowledged once at least ``min(n, k + 1)`` fragments
-landed — enough to both read the object and survive one more fault —
-and holders that were down at write time get their fragments substituted
-onto other live instances (a *degraded write*), with the manifest
-rewritten to match.  Lost fragments are re-established in the background
-by :class:`~repro.ec.repair.ECRepairer`.
+Both directions are one overlapped wave: the coordinator launches its
+WAN calls first and does its own disk I/O under them, inside its own
+process.
+
+* **Read** — :meth:`ECProtocol.gather_fragments` is the one "collect k of
+  these sources, nearest first" loop (gets, holder-local reconstruction
+  and the repairer's fallback all call it).  It launches ``peer_get``s
+  until ``k`` sources are in hand or in flight, reads the local fragment
+  under them, then waits the pulls in order.  A source that drops out —
+  unknown peer, call already dead when it returns (the network refuses
+  an unreachable destination at send time), local read or pull failed —
+  is replaced from the next-nearest source at that moment, so a holder
+  that was down beforehand costs no second round trip.
+* **Write** — fan-out rides the batch data plane (``call_batch``), one
+  envelope per holder carrying that holder's fragment.  The version is
+  peeked, the remote fragments are launched, and only then are the
+  manifest and the local fragment written, under them.  A holder whose
+  call is dead on return hands its slot to the next spare inside the
+  wave; one that fails later is substituted afterwards.  Either is a
+  *degraded write*, with the manifest rewritten to match.
+* **What still waits** — the manifest wave, one entry per peer, leaves
+  only once every fragment call is back and at least ``min(n, k + 1)``
+  fragments landed (enough to read the object and survive one more
+  fault).  A manifest therefore never names fragments that are not in
+  place yet; that is why it stays a second wave.
+
+Every wait on a call goes through :func:`~repro.sim.rpc.wait_call`, so an
+``Interrupt`` of the waiting process propagates instead of being booked
+as a failed fragment.  Lost fragments are re-established in the
+background by :class:`~repro.ec.repair.ECRepairer`.
 """
 
 from __future__ import annotations
@@ -44,6 +66,12 @@ MANIFEST_MAGIC = b'{"ec": 1'
 
 #: separator between a logical key and its fragment index
 FRAGMENT_SEP = "#ecf"
+
+
+def dead_on_return(call) -> bool:
+    """A call the network refused at send time has already failed when
+    ``node.call`` returns it (admission raises before any time passes)."""
+    return call.triggered and not call.ok
 
 
 def fragment_key(key: str, index: int) -> str:
@@ -175,59 +203,65 @@ class ECProtocol(GlobalProtocol):
         if len(ring) < n:
             raise ProtocolError(
                 f"EC({k},{m}) needs {n} instances, group has {len(ring)}")
-        holders = ring[:n]
-        frag_map = {i: iid for i, (iid, _) in enumerate(holders)}
-
-        # The manifest put reserves the logical version atomically.
-        version = yield from instance.local_put(
-            key, encode_manifest(k, m, len(data), frag_map), tags=tags)
-        meta = instance.meta.get_record(key).versions[version]
-        lm = meta.last_modified
+        # Self is rank 0 of the ring, so slot 0 is the coordinator's own.
+        frag_map = {i: iid for i, (iid, _) in enumerate(ring[:n])}
+        spares = deque(ring[n:])
+        manifest = encode_manifest(k, m, len(data), frag_map)
         fragments = Codec.encode(data, k, n)
 
-        # Fan the fragments out, one batched envelope per remote holder;
-        # the local fragment is stored in-line.
-        landed: set[int] = set()
-        failed: list[int] = []
-        calls = []
-        for idx, (iid, peer) in enumerate(holders):
-            if peer is None:
-                yield from instance.local_put(
-                    fragment_key(key, idx), fragments[idx], version=version,
-                    origin=instance.instance_id, last_modified=lm)
-                landed.add(idx)
-                continue
+        # Peek the version local_put is about to assign.  Nothing runs
+        # between here and local_put's first step (launching a call takes
+        # no sim time), so the reservation is as atomic as the put itself.
+        record = instance.meta.get_record(key)
+        version = record.next_version() if record is not None else 1
+        lm = instance.sim.now
+
+        def send(idx, peer):
+            args = {"key": fragment_key(key, idx), "version": version,
+                    "last_modified": lm, "origin": instance.instance_id,
+                    "data": fragments[idx]}
             call = instance.node.call_batch(
-                peer.node, [self._frag_entry(instance, key, idx,
-                                             fragments[idx], version, lm)])
-            call.defuse()
-            calls.append((idx, call))
-        for idx, call in calls:
-            try:
-                results = yield call
-                if results[0].get("ok"):
-                    landed.add(idx)
-                else:
-                    failed.append(idx)
-            except Exception:
+                peer.node,
+                [("replica_update", args, len(fragments[idx]) + 512)])
+            call.defuse()  # a wave member may fail before it is waited on
+            return call
+
+        # Launch the remote fragments first, one batched envelope per
+        # holder; a holder unreachable at send time (the call is dead on
+        # return) hands its slot to the next spare inside the wave.
+        substituted = False
+        wave = []
+        for idx, (_, peer) in enumerate(ring[1:n], 1):
+            call = send(idx, peer)
+            while dead_on_return(call) and spares:
+                frag_map[idx], peer = spares.popleft()
+                substituted = True
+                call = send(idx, peer)
+            wave.append((idx, call))
+
+        # The coordinator's own disk I/O runs under the wave: the manifest
+        # put (visible from its first step, i.e. now) and fragment 0.
+        yield from instance.local_put(key, manifest, version=version,
+                                      tags=tags)
+        yield from instance.local_put(
+            fragment_key(key, 0), fragments[0], version=version,
+            origin=instance.instance_id, last_modified=lm)
+        landed = {0}
+        failed: list[int] = []
+        for idx, call in wave:
+            ok, results = yield from wait_call(call)
+            if ok and results[0].get("ok"):
+                landed.add(idx)
+            else:
                 failed.append(idx)
 
-        # Degraded write: substitute unreachable holders with further live
+        # A holder that failed after send time: substitute further live
         # ring members so the full fragment count is still established.
-        spares = deque((iid, peer) for iid, peer in ring[n:]
-                       if iid not in frag_map.values())
-        substituted = False
         for idx in list(failed):
             while spares:
                 iid, peer = spares.popleft()
-                try:
-                    results = yield instance.node.call_batch(
-                        peer.node,
-                        [self._frag_entry(instance, key, idx,
-                                          fragments[idx], version, lm)])
-                except Exception:
-                    continue
-                if results[0].get("ok"):
+                ok, results = yield from wait_call(send(idx, peer))
+                if ok and results[0].get("ok"):
                     frag_map[idx] = iid
                     landed.add(idx)
                     failed.remove(idx)
@@ -242,10 +276,10 @@ class ECProtocol(GlobalProtocol):
 
         # Drop unreachable slots from the manifest so readers and the
         # repairer know exactly which fragments exist and where.
-        for idx in failed:
-            frag_map.pop(idx, None)
-        manifest = encode_manifest(k, m, len(data), frag_map)
         if substituted or failed:
+            for idx in failed:
+                frag_map.pop(idx, None)
+            manifest = encode_manifest(k, m, len(data), frag_map)
             lm = instance.sim.now
             yield from instance.purge_version(key, version)
             yield from instance.local_put(key, manifest, version=version,
@@ -266,11 +300,8 @@ class ECProtocol(GlobalProtocol):
             call.defuse()
             mcalls.append(call)
         for call in mcalls:
-            try:
-                results = yield call
-                if not results[0].get("ok"):
-                    self._count("manifest_push_failures")
-            except Exception:
+            ok, results = yield from wait_call(call)
+            if not (ok and results[0].get("ok")):
                 self._count("manifest_push_failures")
 
         self._count("puts")
@@ -278,14 +309,6 @@ class ECProtocol(GlobalProtocol):
         return {"version": version, "region": instance.region,
                 "consistency": self.name, "scheme": (k, m),
                 "fragments": len(landed), "degraded": bool(substituted or failed)}
-
-    @staticmethod
-    def _frag_entry(instance, key: str, idx: int, fragment: bytes,
-                    version: int, lm: float) -> tuple:
-        args = {"key": fragment_key(key, idx), "version": version,
-                "last_modified": lm, "origin": instance.instance_id,
-                "data": fragment}
-        return ("replica_update", args, len(fragment) + 512)
 
     # -- get --------------------------------------------------------------
     def on_get(self, instance, key: str,
@@ -317,47 +340,8 @@ class ECProtocol(GlobalProtocol):
 
         k, m, size = manifest["k"], manifest["m"], manifest["size"]
         n = k + m
-        frag_map = manifest["frags"]
-        ring = self.ring(instance)
-        rank = {iid: pos for pos, (iid, _) in enumerate(ring)}
-        peer_by_id = dict(ring)
-        order = sorted(frag_map.items(),
-                       key=lambda kv: (rank.get(kv[1], len(rank)), kv[0]))
-
-        collected: dict[int, bytes] = {}
-        degraded = False
-        cursor = 0
-        while len(collected) < k and cursor < len(order):
-            want = k - len(collected)
-            wave = order[cursor:cursor + want]
-            cursor += len(wave)
-            calls = []
-            for idx, iid in wave:
-                peer = peer_by_id.get(iid)
-                if iid == instance.instance_id:
-                    try:
-                        frag, _, _ = yield from instance.read_version(
-                            fragment_key(key, idx), mversion,
-                            run_rules=False)
-                        collected[idx] = frag
-                    except Exception:
-                        degraded = True
-                    continue
-                if peer is None:
-                    degraded = True
-                    continue
-                call = instance.node.call(
-                    peer.node, "peer_get",
-                    {"key": fragment_key(key, idx), "version": mversion},
-                    reply_size=Codec.fragment_length(size, k) + 512)
-                call.defuse()
-                calls.append((idx, call))
-            for idx, call in calls:
-                try:
-                    res = yield call
-                    collected[idx] = res["data"]
-                except Exception:
-                    degraded = True
+        collected, _, degraded = yield from self.gather_fragments(
+            instance, key, mversion, k, size, list(manifest["frags"].items()))
         if len(collected) < k:
             raise ProtocolError(
                 f"EC get of {key!r} v{mversion}: only {len(collected)} of "
@@ -376,11 +360,9 @@ class ECProtocol(GlobalProtocol):
         for iid, peer in self.ring(instance)[1:]:
             call = instance.node.call(peer.node, "peer_get",
                                       {"key": key, "version": version})
-            call.defuse()
-            try:
-                res = yield call
-            except Exception as exc:
-                last_error = exc
+            ok, res = yield from wait_call(call)
+            if not ok:
+                last_error = res
                 continue
             # Install the fetched manifest locally so later reads are
             # coordinated without a WAN hop.  A lingering unreadable local
@@ -398,62 +380,70 @@ class ECProtocol(GlobalProtocol):
             f"{instance.instance_id}: no reachable manifest for {key!r}"
         ) from last_error
 
-    # -- repair data plane -------------------------------------------------
+    # -- fragment gathering (reads and repair) ------------------------------
     def gather_fragments(self, instance, key: str, version: int, k: int,
                          size: int,
                          sources: list[tuple[int, str]]) -> Generator:
         """Collect ``k`` fragments of ``key`` v``version`` at ``instance``
-        from the ``(index, holder)`` ``sources``, nearest-first: local
-        reads, then one parallel wave of ``k - |local|`` ``peer_get``s,
-        then one replacement at a time for each pull that failed.
+        from the ``(index, holder)`` ``sources``, nearest-first, as one
+        overlapped wave: launch ``peer_get``s until ``k`` sources are in
+        hand or in flight, read the local fragment under them, then wait
+        the pulls in order.  Whenever a source drops out — unknown peer,
+        call dead at send time, local read or pull failed — the wave is
+        topped up from the next-nearest source at that moment.
 
-        Returns ``({index: bytes}, bytes pulled over the network)``;
-        fewer than ``k`` entries means unrepairable from here.
+        Returns ``({index: bytes}, bytes pulled over the network, whether
+        any source dropped out)``; fewer than ``k`` entries means
+        unreadable from here.
         """
-        fraglen = Codec.fragment_length(size, k)
+        rank = {iid: pos for pos, (iid, _) in enumerate(self.ring(instance))}
+        queue = deque(sorted(
+            sources, key=lambda e: (rank.get(e[1], len(rank)), e[0])))
+        reply_size = Codec.fragment_length(size, k) + 512
         available: dict[int, bytes] = {}
+        local: list[int] = []
+        calls: deque = deque()
         pulled = 0
-        remote: list[tuple[int, str]] = []
-        for idx, holder in sources:
-            if holder == instance.instance_id:
+
+        def top_up() -> None:
+            """Launch until k sources are in hand or in flight."""
+            while queue and len(available) + len(local) + len(calls) < k:
+                idx, holder = queue.popleft()
+                peer = instance.peers.get(holder)
+                if holder == instance.instance_id:
+                    local.append(idx)
+                elif peer is not None:
+                    call = instance.node.call(
+                        peer.node, "peer_get",
+                        {"key": fragment_key(key, idx), "version": version},
+                        reply_size=reply_size)
+                    call.defuse()  # may fail before it is waited on
+                    if not dead_on_return(call):
+                        calls.append((idx, call))
+
+        top_up()
+        while local or calls:
+            if local:
+                idx = local.pop()
                 try:
                     frag, _, _ = yield from instance.read_version(
                         fragment_key(key, idx), version, run_rules=False)
-                    available[idx] = frag
                 except StorageError:
-                    pass
+                    frag = None
             else:
-                remote.append((idx, holder))
-
-        rank = {iid: pos for pos, (iid, _) in enumerate(self.ring(instance))}
-        remote.sort(key=lambda e: (rank.get(e[1], len(rank)), e[0]))
-
-        def pull(idx, holder):
-            peer = instance.peers.get(holder)
-            if peer is None:
-                return None
-            call = instance.node.call(
-                peer.node, "peer_get",
-                {"key": fragment_key(key, idx), "version": version},
-                reply_size=fraglen + 512)
-            call.defuse()  # a wave member may fail before it is waited on
-            return call
-
-        need = max(k - len(available), 0)
-        wave = {idx: pull(idx, holder) for idx, holder in remote[:need]}
-        for idx, holder in remote:
-            if len(available) >= k:
-                break
-            # The wave is already in flight; past it, replacements for
-            # failed pulls are sent one at a time.
-            call = wave[idx] if idx in wave else pull(idx, holder)
-            if call is None:
-                continue
-            ok, res = yield from wait_call(call)
-            if ok:
-                available[idx] = res["data"]
-                pulled += len(res["data"])
-        return available, pulled
+                idx, call = calls.popleft()
+                ok, res = yield from wait_call(call)
+                frag = None
+                if ok:
+                    frag = res["data"]
+                    pulled += len(frag)
+            if frag is None:
+                top_up()
+            else:
+                available[idx] = frag
+        # Every source taken off the queue is in hand by now, or dropped out.
+        degraded = len(sources) - len(queue) > len(available)
+        return available, pulled, degraded
 
     def on_reconstruct_fragment(self, instance, args: dict) -> Generator:
         """Holder-local reconstruction: rebuild fragment ``index`` *here*.
@@ -477,7 +467,7 @@ class ECProtocol(GlobalProtocol):
 
         sources = [(int(idx), holder) for idx, holder in args["sources"]
                    if int(idx) != index]
-        available, pulled = yield from self.gather_fragments(
+        available, pulled, _ = yield from self.gather_fragments(
             instance, key, version, k, size, sources)
         if len(available) < k:
             return {"ok": False, "reason": "unrepairable", "pulled": pulled}

@@ -380,7 +380,7 @@ class ECRepairer:
                 # The remote target refused or failed: gather k fragments
                 # here, rebuild its row and push it.
                 if gathered is None:
-                    gathered, pulled = yield from (
+                    gathered, pulled, _ = yield from (
                         self.protocol.gather_fragments(
                             instance, key, version, k, size, sources))
                     self._m_bytes.inc(pulled)

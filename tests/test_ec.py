@@ -4,10 +4,14 @@ import pytest
 
 from repro import (GlobalPolicySpec, RedundancySpec, RegionPlacement,
                    build_deployment)
+from repro.core.consistency.base import ProtocolError
+from repro.ec.codec import Codec
 from repro.ec.optimizer import RedundancyOptimizer
 from repro.ec.protocol import decode_manifest, fragment_key
 from repro.net import ASIA_EAST, EU_WEST, US_EAST, US_WEST
-from repro.tiera.policy import memory_only_policy
+from repro.sim.kernel import Interrupt
+from repro.sim.rpc import BATCH_METHOD, RpcNode
+from repro.tiera.policy import disk_only_policy, memory_only_policy
 from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
@@ -275,6 +279,345 @@ class TestChaos:
                 frag, _, _ = dep.drive(holder.read_version(
                     fragment_key(key, idx), run_rules=False))
                 assert frag is not None
+
+
+# -- the overlapped wave ----------------------------------------------------
+
+#: six s3-backed sites under EC(3,2): the coordinator (slot 0), four remote
+#: holders (slots 1-4, nearest first) and one spare
+WAVE_SITES = ((US_EAST, "aws"), (US_EAST, "gcp"), (US_WEST, "aws"),
+              (US_WEST, "gcp"), (EU_WEST, "aws"), (ASIA_EAST, "aws"))
+WAVE_K, WAVE_M = 3, 2
+WAVE_N = WAVE_K + WAVE_M
+WAVE_VALUE = bytes(range(256)) * 96          # 24 KB -> 8 KB fragments
+#: with storage jitter off what is left is microseconds of envelope
+#: serialization on shared egress links
+TOL = 0.001
+
+
+class Wave:
+    """A fixed-latency EC deployment (storage jitter off; WAN latency has
+    none) coordinated from us-east/aws, with every RPC logged as
+    ``{start, end, dst, method, key, ok}`` in launch order."""
+
+    def __init__(self, monkeypatch, written: bool = True):
+        self.dep = dep = build_deployment(
+            list(REGIONS), seed=17,
+            providers={US_EAST: ("aws", "gcp"), US_WEST: ("aws", "gcp"),
+                       EU_WEST: ("aws",), ASIA_EAST: ("aws",)})
+        spec = GlobalPolicySpec(
+            name="ec",
+            placements=tuple(
+                RegionPlacement(region, disk_only_policy(profile="s3"),
+                                provider=provider)
+                for region, provider in WAVE_SITES),
+            consistency="eventual",
+            redundancy=RedundancySpec(k=WAVE_K, m=WAVE_M))
+        dep.start_wiera_instance("ec", spec)
+        self.tim = dep.tim("ec")
+        for rec in self.tim.instances.values():
+            for backend in rec.instance.tiers.values():
+                backend._rng = None          # jitter off
+        self.coordinator = dep.instance("ec", US_EAST, "aws")
+        self.protocol = self.coordinator.protocol
+        #: instance ids nearest-first, self at rank 0: slot i of a fresh
+        #: put lives on ring[i], ring[WAVE_N:] are the spares
+        self.ring = [iid for iid, _ in self.protocol.ring(self.coordinator)]
+        self.log: list[dict] = []
+        original, log = RpcNode._call, self.log
+
+        def spy(node, dst, method, args, *rest):
+            entry = args["entries"][0] if method == BATCH_METHOD else None
+            row = {"start": node.sim.now, "end": None, "dst": dst.name,
+                   "method": entry[0] if entry else method,
+                   "key": (entry[1] if entry else args).get("key"),
+                   "ok": False}
+            log.append(row)
+            try:
+                result = yield from original(node, dst, method, args, *rest)
+                row["ok"] = True
+                return result
+            finally:
+                row["end"] = node.sim.now
+        monkeypatch.setattr(RpcNode, "_call", spy)
+        if written:
+            dep.drive(self.protocol.on_put(self.coordinator, "obj",
+                                           WAVE_VALUE))
+            del log[:]
+
+    def instance(self, iid):
+        return self.tim.instances[iid].instance
+
+    def timed(self, gen):
+        start = self.dep.sim.now
+        result = self.dep.drive(gen)
+        return result, self.dep.sim.now - start
+
+    def local_read(self, key) -> float:
+        return self.timed(self.coordinator.read_version(
+            key, 1, run_rules=False))[1]
+
+    def pull(self, slot) -> float:
+        """One ``peer_get`` round trip for fragment ``slot`` of "obj"."""
+        fraglen = Codec.fragment_length(len(WAVE_VALUE), WAVE_K)
+        return self.timed(self.coordinator.node.invoke(
+            self.instance(self.ring[slot]).node, "peer_get",
+            {"key": fragment_key("obj", slot), "version": 1},
+            reply_size=fraglen + 512))[1]
+
+    def crash(self, *slots) -> None:
+        """Down the hosts of ring members ``slots`` for good, from now."""
+        faults = self.dep.fault_schedule("wave")
+        for slot in slots:
+            faults.crash(at=self.dep.sim.now,
+                         host=self.instance(self.ring[slot]).host.name,
+                         duration=1e9)
+        faults.start()
+        self.dep.sim.run(until=self.dep.sim.now + 0.01)
+
+    def calls(self, method, fragments=None):
+        """Logged calls of ``method``; ``fragments`` narrows to fragment
+        keys (True) or logical keys (False)."""
+        return [row for row in self.log if row["method"] == method
+                and fragments in (None, "#ecf" in row["key"])]
+
+    def node_name(self, slot):
+        return self.instance(self.ring[slot]).node.name
+
+    def get(self):
+        return self.timed(self.protocol.on_get(self.coordinator, "obj"))
+
+    def manifest_at(self, iid, key="obj"):
+        return decode_manifest(self.dep.drive(self.instance(iid).read_version(
+            key, run_rules=False))[0])
+
+
+@pytest.fixture
+def wave(monkeypatch):
+    return Wave(monkeypatch)
+
+
+class TestReadWave:
+    def test_clean_get_reads_local_fragment_under_the_pulls(self, wave):
+        t_manifest = wave.local_read("obj")
+        t_local = wave.local_read(fragment_key("obj", 0))
+        slowest = max(wave.pull(slot) for slot in range(1, WAVE_K))
+        assert t_local > 0.02 and slowest > t_local
+        del wave.log[:]
+
+        res, latency = wave.get()
+        assert res["data"] == WAVE_VALUE and not res["degraded"]
+        # which fragments a clean read pulls: the k-1 nearest remote ones
+        assert ([row["dst"] for row in wave.calls("peer_get")]
+                == [wave.node_name(slot) for slot in range(1, WAVE_K)])
+        assert latency < t_manifest + t_local + slowest - 0.02
+        assert latency == pytest.approx(t_manifest + max(t_local, slowest),
+                                        abs=TOL)
+
+    def test_degraded_get_costs_no_second_round_trip(self, wave):
+        """The nearest remote holder is down before the read: its pull is
+        dead at send time and the (k+1)-th nearest source joins the same
+        wave."""
+        t_manifest = wave.local_read("obj")
+        t_local = wave.local_read(fragment_key("obj", 0))
+        replacement = wave.pull(WAVE_K)
+        wave.crash(1)
+        del wave.log[:]
+
+        res, latency = wave.get()
+        assert res["data"] == WAVE_VALUE and res["degraded"]
+        assert wave.dep.metric_total("ec.degraded_reads") == 1
+        pulls = wave.calls("peer_get")
+        # one dead call, then exactly k-1 successful pulls (+ 1 local read)
+        assert ([(row["dst"], row["ok"]) for row in pulls]
+                == [(wave.node_name(1), False)]
+                + [(wave.node_name(slot), True)
+                   for slot in range(2, WAVE_K + 1)])
+        assert len({row["start"] for row in pulls}) == 1     # one wave
+        assert pulls[0]["end"] == pulls[0]["start"]          # dead on return
+        assert latency == pytest.approx(
+            t_manifest + max(t_local, replacement), abs=TOL)
+
+    def test_holder_answering_with_an_error_is_replaced_on_discovery(
+            self, wave):
+        """The nearest remote holder is up but its fragment version is
+        gone: the pull comes back failed and the next-nearest source is
+        launched when the coordinator finds out ..."""
+        t_local = wave.local_read(fragment_key("obj", 0))
+        holder = wave.instance(wave.ring[1])
+        wave.dep.drive(holder.purge_version(fragment_key("obj", 1), 1))
+        del wave.log[:]
+
+        res, _ = wave.get()
+        assert res["data"] == WAVE_VALUE and res["degraded"]
+        pulls = wave.calls("peer_get")
+        assert ([(row["dst"], row["ok"]) for row in pulls]
+                == [(wave.node_name(1), False), (wave.node_name(2), True),
+                    (wave.node_name(3), True)])
+        assert pulls[0]["end"] > pulls[0]["start"] == pulls[1]["start"]
+        # ... the first wait after the in-line local read
+        assert pulls[2]["start"] == pytest.approx(
+            max(pulls[0]["end"], pulls[0]["start"] + t_local), abs=TOL)
+
+    def test_fewer_than_k_reachable_still_raises(self, wave):
+        wave.crash(1, 2, 3)
+        with pytest.raises(ProtocolError,
+                           match="only 2 of 3 required fragments reachable"):
+            wave.get()
+
+    def test_interrupt_inside_the_wave_reaches_the_reader(self, wave):
+        """An ``Interrupt`` of a process waiting on a pull is the waiter
+        being stopped, not a failed fragment: it surfaces at that wait,
+        and the pulls left behind finish (one of them failing late)
+        without stopping the simulation."""
+        sim = wave.dep.sim
+        t_io = wave.local_read("obj") + wave.local_read(fragment_key("obj", 0))
+        del wave.log[:]
+        outcome = []
+
+        def reader():
+            try:
+                outcome.append((yield from wave.protocol.on_get(
+                    wave.coordinator, "obj")))
+            except Interrupt as exc:
+                outcome.append(exc)
+        proc = sim.process(reader())
+        sim.run(until=sim.now + t_io + 0.005)
+        pulls = wave.calls("peer_get")
+        assert len(pulls) == WAVE_K - 1 and proc.is_alive
+        assert any(row["end"] is None for row in pulls)      # still in flight
+
+        proc.interrupt("stop")
+        wave.crash(WAVE_K - 1)       # the slowest pull now fails mid-flight
+        sim.run(until=sim.now + 2.0)
+        assert len(outcome) == 1 and isinstance(outcome[0], Interrupt)
+        assert all(row["end"] is not None for row in pulls)
+        assert not pulls[-1]["ok"]
+        assert wave.dep.metric_total("ec.gets") == 0
+        assert wave.dep.metric_total("ec.degraded_reads") == 0
+
+
+class TestWriteWave:
+    def test_put_overlaps_local_writes_with_the_fragment_wave(
+            self, monkeypatch):
+        wave = Wave(monkeypatch, written=False)
+        sim, coordinator = wave.dep.sim, wave.coordinator
+        fraglen = Codec.fragment_length(len(WAVE_VALUE), WAVE_K)
+        t_manifest = wave.timed(coordinator.local_put("m", bytes(200)))[1]
+        t_fragment = wave.timed(coordinator.local_put("f", bytes(fraglen)))[1]
+
+        start = sim.now
+        proc = sim.process(wave.protocol.on_put(coordinator, "obj",
+                                                WAVE_VALUE))
+        # the manifest is visible, and the whole fragment wave is out,
+        # before any time has passed
+        assert sim.now == start
+        assert coordinator.meta.get_record("obj").has_version(1)
+        frags = wave.calls("replica_update", fragments=True)
+        assert ([row["dst"] for row in frags]
+                == [wave.node_name(slot) for slot in range(1, WAVE_N)])
+        res = sim.run(until=proc)
+        latency = sim.now - start
+        assert res["fragments"] == WAVE_N and not res["degraded"]
+        assert wave.manifest_at(wave.ring[0])["frags"] == dict(
+            enumerate(wave.ring[:WAVE_N]))
+
+        # fragments before manifests: the manifest wave leaves, to every
+        # peer, only once every fragment call is back
+        manifests = wave.calls("replica_update", fragments=False)
+        assert len(manifests) == len(WAVE_SITES) - 1
+        t_wave = max(row["end"] for row in frags) - start
+        m_start = {row["start"] for row in manifests}
+        assert m_start == {start + max(t_wave, t_manifest + t_fragment)}
+        t_mwave = max(row["end"] for row in manifests) - min(m_start)
+        assert t_manifest + t_fragment > 0.1 and t_wave > 0.1
+        assert latency < t_manifest + t_fragment + t_wave + t_mwave - 0.1
+        assert latency == pytest.approx(
+            max(t_manifest + t_fragment, t_wave) + t_mwave, abs=TOL)
+
+    def test_holder_down_at_send_time_is_replaced_inside_the_wave(
+            self, monkeypatch):
+        wave = Wave(monkeypatch, written=False)
+        spare = wave.ring[WAVE_N]
+        wave.crash(2)
+        del wave.log[:]
+
+        start = wave.dep.sim.now
+        res, _ = wave.timed(wave.protocol.on_put(wave.coordinator, "obj",
+                                                 WAVE_VALUE))
+        assert res["fragments"] == WAVE_N and res["degraded"]
+        assert wave.dep.metric_total("ec.degraded_writes") == 1
+        assert wave.dep.metric_total("ec.fragments_written") == WAVE_N
+        # n fragments in one wave: the dead call and its replacement to
+        # the first spare left at the same instant as every other one
+        frags = wave.calls("replica_update", fragments=True)
+        assert ([(row["dst"], row["ok"]) for row in frags]
+                == [(wave.node_name(1), True), (wave.node_name(2), False),
+                    (wave.node_name(WAVE_N), True), (wave.node_name(3), True),
+                    (wave.node_name(4), True)])
+        assert {row["start"] for row in frags} == {start}
+        # the rewritten manifest is on the coordinator and every live peer
+        expected = dict(enumerate(wave.ring[:WAVE_N]))
+        expected[2] = spare
+        for iid in wave.ring:
+            if iid != wave.ring[2]:
+                assert wave.manifest_at(iid)["frags"] == expected, iid
+        frag = wave.dep.drive(wave.instance(spare).read_version(
+            fragment_key("obj", 2), run_rules=False))[0]
+        assert len(frag) == Codec.fragment_length(len(WAVE_VALUE), WAVE_K)
+        res, _ = wave.get()
+        assert res["data"] == WAVE_VALUE and not res["degraded"]
+
+    def test_ack_floor_is_k_plus_one(self, monkeypatch):
+        """Two holders down, one spare: k+1 = 4 of 5 land and the put is
+        acknowledged with the unreachable slot dropped from the manifest;
+        with a third holder down only k land and it is refused."""
+        wave = Wave(monkeypatch, written=False)
+        wave.crash(1, 2)
+        res = wave.dep.drive(wave.protocol.on_put(wave.coordinator, "a",
+                                                  WAVE_VALUE))
+        assert res["fragments"] == WAVE_K + 1 and res["degraded"]
+        frags = wave.manifest_at(wave.ring[0], "a")["frags"]
+        assert frags == {0: wave.ring[0], 1: wave.ring[WAVE_N],
+                         3: wave.ring[3], 4: wave.ring[4]}
+        wave.crash(3)
+        with pytest.raises(ProtocolError, match="landed 3/5 fragments"):
+            wave.dep.drive(wave.protocol.on_put(wave.coordinator, "b",
+                                                WAVE_VALUE))
+
+    def test_interrupt_inside_the_wave_reaches_the_writer(self, monkeypatch):
+        """As for the reader: not booked as failed fragments (no degraded
+        or ``ProtocolError`` outcome), and the fragment calls left behind
+        finish defused — one of them failing late.  (1 MB fragments, so
+        the wave is still serializing when the local writes are done.)"""
+        wave = Wave(monkeypatch, written=False)
+        sim, coordinator = wave.dep.sim, wave.coordinator
+        value = bytes(3 << 20)
+        t_io = (wave.timed(coordinator.local_put("m", bytes(200)))[1]
+                + wave.timed(coordinator.local_put("f", bytes(1 << 20)))[1])
+        outcome = []
+
+        def writer():
+            try:
+                outcome.append((yield from wave.protocol.on_put(
+                    coordinator, "obj", value)))
+            except (Interrupt, ProtocolError) as exc:
+                outcome.append(exc)
+        proc = sim.process(writer())
+        sim.run(until=sim.now + t_io + 0.005)
+        frags = wave.calls("replica_update", fragments=True)
+        assert len(frags) == WAVE_N - 1 and proc.is_alive
+        assert frags[-1]["end"] is None      # the farthest: still on its way
+
+        proc.interrupt("stop")
+        wave.crash(WAVE_N - 1)       # the farthest holder dies mid-transfer
+        sim.run(until=sim.now + 5.0)
+        assert len(outcome) == 1 and isinstance(outcome[0], Interrupt)
+        assert [row["ok"] for row in frags] == [True, True, True, False]
+        assert frags[-1]["end"] > frags[-1]["start"] + t_io
+        assert not wave.calls("replica_update", fragments=False)
+        assert wave.dep.metric_total("ec.puts") == 0
+        assert wave.dep.metric_total("ec.degraded_writes") == 0
 
 
 class TestOptimizer:

@@ -318,7 +318,7 @@ def test_gather_pulls_nearest_first_and_stops_at_k(rpc_log):
 
     del rpc_log[:]
     before = dep.metric_total("net.messages")
-    available, pulled = dep.drive(repairer.protocol.gather_fragments(
+    available, pulled, _ = dep.drive(repairer.protocol.gather_fragments(
         leader, "obj0", 1, K, VALUE_SIZE, sources))
     assert dep.metric_total("net.messages") - before == 2
     assert rpc_log == [(leader.node.name,
@@ -326,6 +326,32 @@ def test_gather_pulls_nearest_first_and_stops_at_k(rpc_log):
                         "peer_get")]
     assert pulled == FRAGMENT_SIZE
     assert sorted(available) == sorted([0, nearest_idx])
+
+
+def test_gather_replaces_a_dead_source_inside_the_wave(rpc_log):
+    """The nearest remote holder is down at send time: the next-nearest
+    source joins the same wave — one round trip in all — and the
+    drop-out is reported."""
+    dep, tim, _, _, manifest, repairer = _deploy(8)
+    leader = repairer.instance
+    remote = [iid for iid, _ in repairer.protocol.ring(leader)[1:]
+              if iid in manifest["frags"].values()]
+    slot = {holder: idx for idx, holder in manifest["frags"].items()}
+    _crash(dep, tim, {remote[0]})
+    nodes = [tim.instances[iid].instance.node for iid in remote[:2]]
+
+    del rpc_log[:]
+    started = dep.sim.now
+    sources = sorted(manifest["frags"].items())
+    available, pulled, degraded = dep.drive(
+        repairer.protocol.gather_fragments(
+            leader, "obj0", 1, K, VALUE_SIZE, sources))
+    assert degraded and pulled == FRAGMENT_SIZE
+    assert sorted(available) == sorted([0, slot[remote[1]]])
+    assert rpc_log == [(leader.node.name, node.name, "peer_get")
+                       for node in nodes]
+    assert dep.sim.now - started < dep.network.rtt(leader.host,
+                                                   nodes[1].host) + 0.01
 
 
 # -- attributable failure counters ------------------------------------------
