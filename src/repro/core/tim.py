@@ -88,21 +88,8 @@ class TieraInstanceManager:
         for placement in spec.placements:
             server = self.wiera.tsm.pick_server(
                 placement.region, placement.provider, placement.server_hint)
-            instance_id = self._instance_id(placement)
-            result = yield from self.node.invoke(
-                server.node, "spawn_instance", {
-                    "instance_id": instance_id,
-                    "policy": placement.local_policy,
-                })
-            record = InstanceRecord(
-                instance_id=instance_id, region=placement.region,
-                provider=placement.provider, server_id=server.server_id,
-                node=result["node"], instance=result["instance"],
-                placement=placement)
-            record.ref = InstanceRef(instance_id, placement.region,
-                                     record.node)
-            self.instances[instance_id] = record
-            self._wire(record)
+            yield from self._spawn(server, self._instance_id(placement),
+                                   placement)
         # Step 6: propagate peer info to all instances.
         yield from self._propagate_peers()
         # Attach the consistency protocol.
@@ -128,10 +115,35 @@ class TieraInstanceManager:
             candidate = f"{base}-{n}"
         return candidate
 
-    def _wire(self, record: InstanceRecord) -> None:
-        instance = record.instance
+    def _spawn(self, server, instance_id: str,
+               placement: RegionPlacement) -> Generator:
+        """The one way an instance comes into this TIM: ``server`` spawns
+        it under ``placement``'s local policy; it is recorded where it
+        actually runs and wired to the TIM and the lock service."""
+        result = yield from self.node.invoke(
+            server.node, "spawn_instance", {
+                "instance_id": instance_id,
+                "policy": placement.local_policy,
+            })
+        instance = result["instance"]
+        record = InstanceRecord(
+            instance_id=instance_id, region=server.region,
+            provider=server.provider, server_id=server.server_id,
+            node=result["node"], instance=instance, placement=placement,
+            ref=InstanceRef(instance_id, server.region, result["node"]))
+        self.instances[instance_id] = record
         instance.wiera = self
         instance.lock_client = GlobalLockClient(instance.node, self.lock_node)
+        return record
+
+    def _join(self, record: InstanceRecord) -> Generator:
+        """A late arrival (recovery, elastic replica) joins the running
+        set: every peer table learns of it, it gets the protocol, and it
+        pulls the current data from a live peer."""
+        yield from self._propagate_peers()
+        yield from self.node.invoke(record.node, "ctl_set_protocol",
+                                    {"protocol": self.protocol})
+        yield from self._resync(record)
 
     def alive_records(self) -> list[InstanceRecord]:
         """The instance records still serving (shared by switches,
@@ -310,26 +322,10 @@ class TieraInstanceManager:
                 fallback_any=True)
             if replacement is None:
                 continue
-            instance_id = f"{rec.instance_id}-r{int(self.sim.now)}"
-            result = yield from self.node.invoke(
-                replacement.node, "spawn_instance", {
-                    "instance_id": instance_id,
-                    "policy": rec.placement.local_policy,
-                })
-            new_rec = InstanceRecord(
-                instance_id=instance_id, region=replacement.region,
-                provider=replacement.provider,
-                server_id=replacement.server_id,
-                node=result["node"], instance=result["instance"],
-                placement=rec.placement)
-            new_rec.ref = InstanceRef(instance_id, replacement.region,
-                                      new_rec.node)
-            self.instances[instance_id] = new_rec
-            self._wire(new_rec)
-            yield from self._propagate_peers()
-            yield from self.node.invoke(new_rec.node, "ctl_set_protocol",
-                                        {"protocol": self.protocol})
-            yield from self._resync(new_rec)
+            new_rec = yield from self._spawn(
+                replacement, f"{rec.instance_id}-r{int(self.sim.now)}",
+                rec.placement)
+            yield from self._join(new_rec)
 
     def _resync(self, record: InstanceRecord) -> Generator:
         """Pull the latest version of every key from a live peer."""
@@ -372,23 +368,9 @@ class TieraInstanceManager:
         while instance_id in self.instances:
             n += 1
             instance_id = f"{self.wiera_instance_id}-{region}-e{n}"
-        result = yield from self.node.invoke(server.node, "spawn_instance", {
-            "instance_id": instance_id,
-            "policy": template.local_policy,
-        })
-        record = InstanceRecord(
-            instance_id=instance_id, region=server.region,
-            provider=server.provider, server_id=server.server_id,
-            node=result["node"], instance=result["instance"],
-            placement=template)
-        record.ref = InstanceRef(instance_id, server.region, record.node)
-        self.instances[instance_id] = record
-        self._wire(record)
+        record = yield from self._spawn(server, instance_id, template)
         self.elastic_replicas.append(instance_id)
-        yield from self._propagate_peers()
-        yield from self.node.invoke(record.node, "ctl_set_protocol",
-                                    {"protocol": self.protocol})
-        yield from self._resync(record)
+        yield from self._join(record)
         return instance_id
 
     def remove_replica(self, instance_id: Optional[str] = None) -> Generator:

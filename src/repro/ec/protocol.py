@@ -116,16 +116,6 @@ class ECProtocol(GlobalProtocol):
         self._metrics = None
 
     # -- schemes ----------------------------------------------------------
-    def set_scheme(self, prefix: str, k: int, m: int) -> None:
-        """Route keys starting with ``prefix`` to EC(k, m) from now on.
-
-        Applies to new writes only; existing objects keep the scheme
-        recorded in their manifest until rewritten.
-        """
-        if k < 1 or m < 0 or k + m > 255:
-            raise ValueError(f"invalid scheme k={k} m={m}")
-        self._overrides[prefix] = (k, m)
-
     def scheme_for(self, key: str) -> tuple[int, int]:
         best = None
         for prefix, scheme in self._overrides.items():

@@ -38,11 +38,6 @@ class Observability:
             self.tracer = Tracer(self.sim)
         return self.tracer
 
-    def disable_tracing(self) -> None:
-        """Return to the no-op recorder, discarding nothing already recorded."""
-        if self.tracer.enabled:
-            self.tracer = NullTracer()
-
 
 def get_obs(sim) -> Observability:
     """The simulator's Observability, created (tracing off) on first use."""

@@ -21,8 +21,6 @@ from repro.sim.primitives import (
     Gate,
     Resource,
     SerialServer,
-    SimLock,
-    Store,
     shielded,
     wake_at,
 )
@@ -36,11 +34,9 @@ __all__ = [
     "SimulationError",
     "AllOf",
     "AnyOf",
-    "Store",
     "Resource",
     "SerialServer",
     "wake_at",
     "shielded",
-    "SimLock",
     "Gate",
 ]

@@ -41,8 +41,7 @@ Scheduling fast path
 Zero-delay scheduling — resumes on already-processed events, local
 completions, watched process finishes, ``succeed()`` with the default
 delay — is the vast majority of kernel traffic, and none of it needs a
-priority queue.
-The simulator therefore keeps two structures:
+priority queue.  The simulator therefore keeps two structures:
 
 * ``_heap``: the classic ``(time, seq, event)`` heap, for ``delay > 0``;
 * ``_runq``: a FIFO (``collections.deque``) of items scheduled with
@@ -67,29 +66,44 @@ Allocation diet, in rough order of impact:
   common case is one waiter per event) with a lazily created ``callbacks``
   list only for the second subscriber onwards — no list allocation per
   event;
-* resuming a process whose wait target already completed used to allocate
-  a fresh "poke" ``Event``; it is now a :class:`_Deferred` record (four
-  slots, no callback list, no heap entry) drained through the same run
-  queue and recycled through a small free list — the one thing a
-  ``_Deferred`` is still for, now that processes start without one;
+* resuming a process whose wait target already completed allocates no
+  "poke" ``Event``: the outcome rides a :class:`_Deferred` record (no
+  callback list, no heap entry) drained through the same run queue and
+  recycled through a small free list;
 * every kernel object carries ``__slots__``, and processes pre-bind their
   generator's ``send``/``throw`` and their own ``_resume``.
 
-The generator-stepping core lives in three deliberately duplicated
-copies — :meth:`Process._resume` (a waited-on event fired),
-:meth:`Process._advance` (a process's first step, a delivered interrupt,
-and the single-step :meth:`Simulator.step` API), and inline in
-:meth:`Simulator._drain` (deferred resumes) — because on this path one
-CPython method call per event is measurable.  Keep them in sync;
-``tests/test_kernel_golden.py`` pins the observable behavior bit-for-bit.
+One stepping core
+-----------------
+:meth:`Process._resume` is the only code that sends or throws into a
+process generator and subscribes it to what it yields next.  It takes the
+*record* the process is parked on (``_target``): anything event-shaped —
+``_ok``, ``_value``, a settable ``_defused``.  There are four ways in:
+
+* first step: ``Process.__init__`` parks the process on the module-level
+  ``_START`` record and resumes it;
+* a pending event fired: ``_resume`` is the event's subscriber — the hot
+  path, 96-100 % of all steps;
+* a wait on a processed event: the drain loop hands the ``_Deferred`` to
+  ``_resume`` one round later, then recycles it;
+* a delivered interrupt: the notice is a failed, pre-defused ``Event``
+  carrying the :class:`Interrupt`; its subscriber parks the process on
+  the notice and resumes it.
+
+Only a deferred resume pays a method call it would not pay inlined in the
+drain loop, and it is rare: 0 / 0 / 0 / 3.9 % of generator steps on the
+four ``perf/`` workloads, whose wall-clock cannot tell the two apart
+(``results/PR23_kernel_core.txt``).  An AST test in
+``tests/test_sim_kernel.py`` keeps ``_send``/``_throw`` calls out of the
+rest of this module; ``tests/test_kernel_golden.py`` pins the behavior.
 
 Interrupts
 ----------
-A parked process is parked on exactly one thing, its ``_target``: the
-pending event it subscribed to, or the ``_Deferred`` queued to resume it
-from a processed one.  ``interrupt()`` clears ``_target`` and queues a
-notice; whatever the process was parked on stays where it is as a
-tombstone that every stepping copy ignores, so the process sees the
+A parked process is parked on exactly one record, its ``_target``.
+``interrupt()`` clears ``_target`` and queues a notice; whatever the
+process was parked on — the pending event it subscribed to, or the
+``_Deferred`` queued to resume it from a processed one — stays where it is
+as a tombstone that ``_resume`` ignores, so the process sees the
 :class:`Interrupt` at the yield it was parked on — a resume already
 queued for that yield is superseded, not run first.  A process that was
 *running* when interrupted (it interrupted itself, or a child did from the
@@ -132,8 +146,7 @@ PENDING = object()
 
 _INF = float("inf")
 
-#: cap on the _Deferred free list — enough to cover bursts, small enough
-#: never to matter for memory
+#: cap on the _Deferred free list: covers bursts, never matters for memory
 _DPOOL_MAX = 64
 
 
@@ -275,26 +288,31 @@ class Timeout(Event):
 
 
 class _Deferred:
-    """Allocation-light resume record for the run queue.
+    """Allocation-light resume record for the run queue: the known outcome
+    of a wait on a processed event.
 
-    Stands in for the old "poke" ``Event`` where a process must be resumed
-    with an already-known outcome: a wait on a processed event.  Carries
-    no callback list and never reaches the heap; the drain loop dispatches
-    it straight into the process — provided the process is still parked on
-    it (``Process._target``), see :meth:`Process.interrupt` — and recycles
-    the record through ``Simulator._dpool``.
+    Event-shaped as far as :meth:`Process._resume` reads a record (``_ok``,
+    ``_value``, a settable ``_defused``), but it carries no callback list
+    and never reaches the heap: the drain loop hands it to ``proc._resume``
+    — which ignores it if :meth:`Process.interrupt` detached the process
+    meanwhile — and recycles it through ``Simulator._dpool``.
     """
 
-    __slots__ = ("proc", "ok", "value", "_qseq")
+    __slots__ = ("proc", "_ok", "_value", "_defused", "_qseq")
 
-    #: class-level so run-queue pruning can treat records like events
+    #: class-level so run-queue scans can treat records like events
     _cancelled = False
 
     def __init__(self, proc: "Process", ok: bool, value: Any, qseq: int):
         self.proc = proc
-        self.ok = ok
-        self.value = value
+        self._ok = ok
+        self._value = value
         self._qseq = qseq
+
+
+#: the record a process's first step resumes with (``send(None)``); shared
+#: by every process and never queued
+_START = _Deferred(None, True, None, -1)
 
 
 class Process(Event):
@@ -326,17 +344,18 @@ class Process(Event):
         # Pre-bound subscriber callback: appending self._resume directly
         # would allocate a fresh bound method on every yield.
         self._on_fire = self._resume
-        # What this process is parked on: the pending event it subscribed
-        # to, or the _Deferred queued to resume it.  Anything else that
-        # fires for it is a tombstone (see interrupt()).
-        self._target: Any = None
+        # The one record _resume will accept, i.e. what this process is
+        # parked on: _START until its first step, then a pending event,
+        # the _Deferred queued to resume it or an interrupt notice.
+        # Anything else that fires for it is a tombstone (see interrupt()).
+        self._target: Any = _START
         # Current trace context (repro.obs): spans opened while this process
         # runs parent under it; RPC propagates it across process boundaries.
         # Handed over here because the first step below may open a span.
         self.obs_ctx = obs_ctx
         # Start rule: run to the first yield now, inside the creator's step.
         creator = sim._active_process
-        self._advance(True, None)
+        self._resume(_START)
         sim._active_process = creator
 
     @property
@@ -350,19 +369,23 @@ class Process(Event):
         # Detach from whatever the process is parked on, so it sees the
         # Interrupt at that yield.  The subscribed callback, or the resume
         # already queued for a wait on a processed event, stays in place as
-        # a tombstone — every stepping copy ignores what the process is no
-        # longer parked on — so no O(n) callback-list or run-queue scan.
+        # a tombstone that _resume ignores: no O(n) callback-list or
+        # run-queue scan.
         self._target = None
+        # Pre-defused: a notice dropped because the process finished
+        # meanwhile must not stop the simulation.
         notice = Event(self.sim)
         notice._waiter = self._interrupted
-        notice.succeed(Interrupt(cause))
+        notice._defused = True
+        notice.fail(Interrupt(cause))
 
     def _interrupted(self, notice: Event) -> None:
         if self._value is not PENDING:
             return  # it was running, or an earlier interrupt ended it
-        # A process that was running when interrupted has parked since.
-        self._target = None
-        self._advance(False, notice._value)
+        # A process that was running when interrupted has parked since:
+        # parking it on the notice detaches it from that too.
+        self._target = notice
+        self._resume(notice)
 
     def _finish(self, ok: bool, value: Any) -> None:
         """Terminate: record the outcome and, if somebody has to hear of
@@ -400,8 +423,10 @@ class Process(Event):
         except BaseException as err:
             self._finish(False, err)
 
-    def _resume(self, event: Event) -> None:
-        # Generator-stepping core, copy 1 of 3 (see module docstring).
+    def _resume(self, event: Any) -> None:
+        """The generator-stepping core (see module docstring): step once
+        with the outcome of ``event`` — any record the process is parked
+        on — and subscribe to what the generator yields next."""
         if self._target is not event:
             return  # tombstone: detached by interrupt() before event fired
         self._target = None
@@ -432,61 +457,8 @@ class Process(Event):
                 if pool:
                     d = pool.pop()
                     d.proc = self
-                    d.ok = target._ok
-                    d.value = target._value
-                    d._qseq = sim._seq
-                else:
-                    d = _Deferred(self, target._ok, target._value, sim._seq)
-                sim._seq += 1
-                sim._runq.append(d)
-                self._target = d
-            elif target._waiter is None:
-                target._waiter = self._on_fire
-                self._target = target
-            else:
-                tcbs = target.callbacks
-                if tcbs is None:
-                    target.callbacks = [self._on_fire]
-                else:
-                    tcbs.append(self._on_fire)
-                self._target = target
-        except AttributeError:
-            self._yield_error(target)
-
-    def _advance(self, ok: bool, value: Any) -> None:
-        """Step the generator once with an outcome and re-subscribe.
-
-        Generator-stepping core, copy 2 of 3 — the method form, for the
-        steps that are not on the drain loop's hot path: a process's first
-        (from ``__init__``), a delivered interrupt, and deferred-resume
-        dispatch under the single-step :meth:`Simulator.step` API.
-        """
-        sim = self.sim
-        sim._active_process = self
-        try:
-            if ok:
-                target = self._send(value)
-            else:
-                target = self._throw(value)
-        except StopIteration as stop:
-            sim._active_process = None
-            self._finish(True, stop.value)
-            return
-        except BaseException as exc:
-            sim._active_process = None
-            self._finish(False, exc)
-            return
-        sim._active_process = None
-        try:
-            if target._processed:
-                if not target._ok:
-                    target._defused = True
-                pool = sim._dpool
-                if pool:
-                    d = pool.pop()
-                    d.proc = self
-                    d.ok = target._ok
-                    d.value = target._value
+                    d._ok = target._ok
+                    d._value = target._value
                     d._qseq = sim._seq
                 else:
                     d = _Deferred(self, target._ok, target._value, sim._seq)
@@ -675,91 +647,21 @@ class Simulator:
             self._cancelled_pending = sum(
                 1 for item in self._runq if item._cancelled)
 
-    def _prune(self) -> None:
-        """Drop cancelled entries from both queue heads (lazy deletion)."""
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        runq = self._runq
-        while runq and runq[0]._cancelled:
-            runq.popleft()
-            self._cancelled_pending -= 1
+    def _drain(self, deadline: float = _INF,
+               sentinel: Any = _NEVER) -> None:
+        """The loop behind :meth:`run`, and the one place that chooses
+        between run queue and heap: inline choose/advance/dispatch.
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        self._prune()
-        if self._runq:
-            return self._now
-        return self._heap[0][0] if self._heap else _INF
-
-    def _dispatch(self, event: Event) -> None:
-        """Mark ``event`` processed and run its subscribers, then check
-        for unhandled failure.  Shared by step(); _drain inlines it."""
-        self.events_processed += 1
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
-        callbacks = event.callbacks
-        if callbacks is not None:
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(f"unhandled event failure: {exc!r}")
-
-    def step(self) -> None:
-        """Process exactly one event (single-step API; ``run`` is faster)."""
-        self._prune()
-        runq = self._runq
-        heap = self._heap
-        if runq:
-            item = runq[0]
-            # Run-queue entries are all stamped (now, seq): a heap event
-            # preempts only on an equal timestamp with an older seq.
-            if heap and heap[0][0] == self._now and heap[0][1] < item._qseq:
-                event = heapq.heappop(heap)[2]
-            else:
-                runq.popleft()
-                if item.__class__ is _Deferred:
-                    self.events_processed += 1
-                    proc = item.proc
-                    if proc._target is item:    # else: superseded
-                        proc._target = None
-                        proc._advance(item.ok, item.value)
-                    return
-                event = item
-        elif heap:
-            when, _, event = heapq.heappop(heap)
-            self._now = when
-        else:
-            raise SimulationError("step() on an empty schedule")
-        self._dispatch(event)
-
-    def _drain(self, deadline: Optional[float],
-               sentinel: Optional[Event]) -> None:
-        """The hot loop behind :meth:`run`: inline choose/advance/dispatch.
-
-        Stops when ``sentinel`` is processed (if given), when the next
-        heap event lies beyond ``deadline`` (if given) with the run queue
-        empty, or when the whole schedule drains.  Processing order and
-        ``events_processed`` accounting are exactly those of repeated
-        :meth:`step` calls.
+        Stops when ``sentinel`` is processed, when the next heap event
+        lies beyond ``deadline`` with the run queue empty, or when the
+        whole schedule drains.  Every item taken that is not cancelled —
+        event or deferred resume — counts once in ``events_processed``.
         """
         heappop = heapq.heappop
         heappush = heapq.heappush
         runq = self._runq   # only ever mutated in place
         heap = self._heap   # compaction rewrites it in place too
         pool = self._dpool
-        if sentinel is None:
-            sentinel = _NEVER
-        if deadline is None:
-            deadline = _INF
         count = 0
         try:
             while True:
@@ -780,63 +682,12 @@ class Simulator:
                     else:
                         runq.popleft()
                         if item.__class__ is _Deferred:
-                            # Generator-stepping core, copy 3 of 3 (see
-                            # module docstring; mirror of _advance).
                             count += 1
-                            proc = item.proc
-                            if proc._target is not item:
-                                continue    # superseded by interrupt()
-                            proc._target = None
-                            ok = item.ok
-                            value = item.value
+                            item.proc._resume(item)
                             if len(pool) < _DPOOL_MAX:
                                 item.proc = None
-                                item.value = None
+                                item._value = None
                                 pool.append(item)
-                            self._active_process = proc
-                            try:
-                                if ok:
-                                    target = proc._send(value)
-                                else:
-                                    target = proc._throw(value)
-                            except StopIteration as stop:
-                                self._active_process = None
-                                proc._finish(True, stop.value)
-                                continue
-                            except BaseException as exc:
-                                self._active_process = None
-                                proc._finish(False, exc)
-                                continue
-                            self._active_process = None
-                            try:
-                                if target._processed:
-                                    if not target._ok:
-                                        target._defused = True
-                                    if pool:
-                                        d = pool.pop()
-                                        d.proc = proc
-                                        d.ok = target._ok
-                                        d.value = target._value
-                                        d._qseq = self._seq
-                                    else:
-                                        d = _Deferred(proc, target._ok,
-                                                      target._value,
-                                                      self._seq)
-                                    self._seq += 1
-                                    runq.append(d)
-                                    proc._target = d
-                                elif target._waiter is None:
-                                    target._waiter = proc._on_fire
-                                    proc._target = target
-                                else:
-                                    tcbs = target.callbacks
-                                    if tcbs is None:
-                                        target.callbacks = [proc._on_fire]
-                                    else:
-                                        tcbs.append(proc._on_fire)
-                                    proc._target = target
-                            except AttributeError:
-                                proc._yield_error(target)
                             continue
                         event = item
                 elif heap:
@@ -854,7 +705,6 @@ class Simulator:
                         raise SimulationError(
                             "schedule drained before the awaited event fired")
                     return
-                # Inline _dispatch.
                 count += 1
                 event._processed = True
                 waiter = event._waiter
@@ -884,10 +734,9 @@ class Simulator:
         and return its value).
         """
         if until is None:
-            self._drain(None, None)
-            return None
+            return self._drain()
         if isinstance(until, Event):
-            self._drain(None, until)
+            self._drain(sentinel=until)
             if not until._ok:
                 raise until._value
             return until._value
@@ -895,6 +744,5 @@ class Simulator:
         if deadline < self._now:
             raise SimulationError(
                 f"run(until={deadline}) is in the past (now={self._now})")
-        self._drain(deadline, None)
+        self._drain(deadline)
         self._now = deadline
-        return None

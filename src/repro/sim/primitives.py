@@ -1,11 +1,10 @@
 """Synchronization and queueing primitives built on the kernel.
 
 These mirror the small set of constructs the Wiera implementation needs:
-FIFO message queues between components (:class:`Store`), counted resources
-for device/service concurrency limits (:class:`Resource`), the capacity-1
-FIFO server behind every bandwidth link and IOPS cap
-(:class:`SerialServer`), mutual exclusion (:class:`SimLock`), open/close
-request gates used while a consistency switch drains in-flight operations
+counted resources for service concurrency limits (:class:`Resource`), the
+capacity-1 FIFO server behind every bandwidth link and IOPS cap
+(:class:`SerialServer`, woken by :func:`wake_at`), open/close request
+gates used while a consistency switch drains in-flight operations
 (:class:`Gate`), and the kernel's one cancellation rule for work a process
 runs on behalf of somebody else (:func:`shielded`).
 """
@@ -14,60 +13,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator
-
-
-class Store:
-    """An unbounded (or capacity-bounded) FIFO of Python objects.
-
-    ``put`` succeeds immediately unless the store is full, in which case the
-    put event is queued until space frees up.  ``get`` returns an event that
-    fires when an item is available.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        if len(self.items) < self.capacity:
-            self._deposit(item)
-            event.succeed(item)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        if self.items:
-            event.succeed(self.items.popleft())
-            self._admit_waiting_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def _deposit(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self.items.append(item)
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and len(self.items) < self.capacity:
-            event, item = self._putters.popleft()
-            self._deposit(item)
-            event.succeed(item)
 
 
 def wake_at(sim: Simulator, when: float) -> Event:
@@ -169,20 +117,6 @@ class Resource:
             self._waiters.popleft().succeed(self)
         else:
             self.in_use -= 1
-
-
-class SimLock(Resource):
-    """Mutual exclusion: a Resource with capacity 1 and lock terminology."""
-
-    def __init__(self, sim: Simulator):
-        super().__init__(sim, capacity=1)
-
-    def acquire(self) -> Event:
-        return self.request()
-
-    @property
-    def locked(self) -> bool:
-        return self.in_use > 0
 
 
 class Gate:

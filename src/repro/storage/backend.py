@@ -77,12 +77,6 @@ class StorageBackend:
     def keys(self) -> Iterator[str]:
         return iter(self._data.keys())
 
-    def size_of(self, key: str) -> int:
-        try:
-            return len(self._data[key])
-        except KeyError:
-            raise ObjectMissingError(f"{self.name}: no object {key!r}") from None
-
     @property
     def free_bytes(self) -> float:
         return self.capacity - self.used_bytes

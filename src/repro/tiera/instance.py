@@ -20,7 +20,7 @@ from typing import Generator, Iterable, Optional
 from repro.net.link import BandwidthLink
 from repro.net.network import Host, Network
 from repro.obs.api import get_obs
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Interrupt, Simulator
 from repro.sim.primitives import Gate
 from repro.sim.rpc import Message, RpcNode, split_batches, wait_call
 from repro.storage.backend import ObjectMissingError, StorageBackend
@@ -150,12 +150,14 @@ class TieraInstance:
         if self.running:
             return
         self.running = True
-        for rule in self.policy.timer_rules():
+        periodic = [(rule, rule.event.period, "timer")
+                    for rule in self.policy.timer_rules()]
+        periodic += [(rule, rule.event.check_interval, "cold")
+                     for rule in self.policy.cold_rules()]
+        for rule, period, kind in periodic:
             self._background.append(self.sim.process(
-                self._timer_loop(rule), name=f"{self.instance_id}:timer"))
-        for rule in self.policy.cold_rules():
-            self._background.append(self.sim.process(
-                self._cold_loop(rule), name=f"{self.instance_id}:cold"))
+                self._rule_loop(rule, period),
+                name=f"{self.instance_id}:{kind}"))
 
     def stop(self) -> None:
         self.running = False
@@ -522,24 +524,13 @@ class TieraInstance:
         if not isinstance(rule.event, FilledEvent):
             yield from self._check_filled()
 
-    def _timer_loop(self, rule: Rule) -> Generator:
-        from repro.sim.kernel import Interrupt
-        period = rule.event.period
+    def _rule_loop(self, rule: Rule, period: float) -> Generator:
+        """Run a timer or cold-scan ``rule`` every ``period`` until
+        :meth:`stop`."""
         try:
             while self.running:
                 yield self.sim.timeout(period)
                 yield from self._run_rule(rule, ResponseContext(event=rule.event))
-        except Interrupt:
-            return
-
-    def _cold_loop(self, rule: Rule) -> Generator:
-        from repro.sim.kernel import Interrupt
-        event = rule.event
-        try:
-            while self.running:
-                yield self.sim.timeout(event.check_interval)
-                yield from self._run_rule(
-                    rule, ResponseContext(event=event))
         except Interrupt:
             return
 

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, SimulationError, Simulator, kernel
 
 
 @pytest.fixture
@@ -264,15 +267,6 @@ class TestDeterminism:
 
         assert build_and_run() == build_and_run()
 
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
-        sim.timeout(4.0)
-        assert sim.peek() == 4.0
-
-    def test_step_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
 
 class TestFastPath:
     """Behavior pinned for the run-queue/deferred-resume fast path."""
@@ -525,27 +519,16 @@ class TestProcessCost:
         assert sim.events_processed == 2
 
 
-def _run(sim):
-    sim.run()
-
-
-def _step_through(sim):
-    while sim.peek() != float("inf"):
-        sim.step()
-
-
-@pytest.mark.parametrize("runner", [_run, _step_through])
 class TestInterruptRule:
     """An interrupt lands on the yield the process is parked on, whatever
     that is — a pending event or a resume already queued — and on a
     running process's next one; never on a process that has finished."""
 
     @pytest.mark.parametrize("hops", [1, 2])
-    def test_interrupt_supersedes_a_queued_resume(self, sim, runner, hops):
-        """``hops`` picks the stepping copy that queued the resume: 1 — the
-        process was woken by an event (``_resume``); 2 — by an earlier
-        queued resume (``_drain``'s inline copy, or ``_advance`` under
-        ``step()``)."""
+    def test_interrupt_supersedes_a_queued_resume(self, sim, hops):
+        """``hops`` picks the way into ``_resume`` that queued the resume:
+        1 — the process was woken by an event; 2 — by an earlier queued
+        resume (a ``_Deferred``)."""
         done = sim.event()
         done.succeed("early")
         sim.run()
@@ -570,12 +553,11 @@ class TestInterruptRule:
         proc = sim.process(victim())
         sim.process(killer())
         later.succeed("late", delay=2.0)    # used to step the dead process
-        runner(sim)
+        sim.run()
         assert log == ["early"] * (hops - 1) + ["stop"]
         assert proc.processed and proc.ok
 
-    def test_interrupt_of_a_running_process_lands_on_its_next_wait(
-            self, sim, runner):
+    def test_interrupt_of_a_running_process_lands_on_its_next_wait(self, sim):
         log = []
 
         def child(creator):
@@ -591,21 +573,20 @@ class TestInterruptRule:
                 log.append((sim.now, exc.cause))
 
         sim.process(creator())
-        runner(sim)
+        sim.run()
         assert log == ["still running", (0.0, "from my first step")]
 
-    def test_interrupt_landing_on_a_finished_process_is_dropped(
-            self, sim, runner):
+    def test_interrupt_landing_on_a_finished_process_is_dropped(self, sim):
         def quitter():
             yield sim.timeout(1.0)
             sim.active_process.interrupt()
             return "gone"
 
         proc = sim.process(quitter())
-        runner(sim)
+        sim.run()
         assert proc.value == "gone"
 
-    def test_two_interrupts_are_both_delivered(self, sim, runner):
+    def test_two_interrupts_are_both_delivered(self, sim):
         causes = []
 
         def sleeper():
@@ -617,5 +598,86 @@ class TestInterruptRule:
 
         proc = sim.process(sleeper())
         sim.call_at(1.0, lambda: (proc.interrupt("a"), proc.interrupt("b")))
-        runner(sim)
+        sim.run()
         assert causes == [(1.0, "a"), (1.0, "b")]
+
+
+class TestOneSteppingCore:
+    """``Process._resume`` is the only code that steps a process generator,
+    and a step re-subscribes the same way whichever way it came in."""
+
+    def test_send_and_throw_are_called_from_the_core_only(self):
+        """The ratchet that keeps a second stepping copy from growing back
+        (the drain loop used to inline one, ``_advance`` was another)."""
+        callers = {"_send": set(), "_throw": set()}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{where}.{child.name}".lstrip("."))
+                    continue
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in callers):
+                    callers[child.func.attr].add(where)
+                visit(child, where)
+
+        visit(ast.parse(Path(kernel.__file__).read_text()), "")
+        assert callers == {
+            "_send": {"Process._resume"},
+            "_throw": {"Process._resume", "Process._yield_error"}}
+
+    @pytest.mark.parametrize("way", ["first step", "event fired",
+                                     "deferred ok", "deferred failed",
+                                     "interrupt"])
+    def test_every_way_in_resubscribes_the_same(self, sim, way):
+        done = sim.event().succeed("early")
+        bad = sim.event()
+        bad.defuse()
+        bad.fail(KeyError("boom"))
+        sim.run()                       # both processed
+
+        def warm():         # a chain of deferred resumes fills the free list
+            for _ in range(3):
+                yield done
+        sim.run(until=sim.process(warm()))
+        pooled = len(sim._dpool)
+
+        def arrive():
+            """Return inside the step that ``way`` into the core performs."""
+            if way == "event fired":
+                yield sim.timeout(1.0)
+            elif way == "deferred ok":
+                assert (yield done) == "early"
+            elif way == "deferred failed":
+                with pytest.raises(KeyError, match="boom"):
+                    yield bad           # re-raised in the waiter
+            elif way == "interrupt":
+                with pytest.raises(Interrupt, match="wake"):
+                    yield sim.timeout(10.0)
+
+        def start(body):
+            proc = sim.process(body())
+            if way == "interrupt":
+                sim.call_at(sim.now + 1.0, proc.interrupt, "wake")
+            return proc
+
+        def refused():
+            yield from arrive()
+            yield 42
+
+        def resubscribed():
+            yield from arrive()
+            first = yield done                      # processed: a _Deferred
+            second = yield sim.timeout(1.0, "late")  # pending: a subscription
+            return [first, second]
+
+        proc = start(refused)
+        with pytest.raises(SimulationError, match="yielded non-event 42"):
+            sim.run()                   # thrown into the generator: it died
+        assert not proc.ok and len(sim._dpool) == pooled
+        proc = start(resubscribed)
+        sim.run()
+        assert proc.value == ["early", "late"]
+        assert len(sim._dpool) == pooled    # every record came back
+        assert bad._defused

@@ -1,4 +1,4 @@
-"""Unit tests for Store, Resource, SimLock, Gate and shielded."""
+"""Unit tests for Resource, Gate and shielded."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.sim import (
     Gate,
     Interrupt,
     Resource,
-    SimLock,
     Simulator,
-    Store,
     shielded,
 )
 from repro.sim.kernel import SimulationError
@@ -17,81 +15,6 @@ from repro.sim.kernel import SimulationError
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-
-        def main():
-            yield store.put("a")
-            item = yield store.get()
-            return item
-
-        p = sim.process(main())
-        assert sim.run(until=p) == "a"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(2.0)
-            yield store.put("x")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [(2.0, "x")]
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        order = []
-
-        def consumer(tag):
-            item = yield store.get()
-            order.append((tag, item))
-
-        sim.process(consumer("c1"))
-        sim.process(consumer("c2"))
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-
-        sim.process(producer())
-        sim.run()
-        assert order == [("c1", 1), ("c2", 2)]
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        events = []
-
-        def producer():
-            yield store.put("a")
-            events.append(("put-a", sim.now))
-            yield store.put("b")
-            events.append(("put-b", sim.now))
-
-        def consumer():
-            yield sim.timeout(5.0)
-            item = yield store.get()
-            events.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert events[0] == ("put-a", 0.0)
-        assert events[1] == ("got", "a", 5.0)
-        assert events[2] == ("put-b", 5.0)
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
 
 
 class TestResource:
@@ -135,27 +58,6 @@ class TestResource:
         sim.process(waiter())
         sim.run(until=1.0)
         assert res.queued == 1
-
-
-class TestSimLock:
-    def test_mutual_exclusion(self, sim):
-        lock = SimLock(sim)
-        inside = []
-        overlap = []
-
-        def critical(i):
-            yield lock.acquire()
-            inside.append(i)
-            overlap.append(len(inside))
-            yield sim.timeout(1.0)
-            inside.remove(i)
-            lock.release()
-
-        for i in range(3):
-            sim.process(critical(i))
-        sim.run()
-        assert max(overlap) == 1
-        assert not lock.locked
 
 
 class TestGate:
