@@ -315,7 +315,6 @@ def build_deployment(regions: Sequence[str],
                      heartbeat_interval: float = 5.0,
                      with_tracing: bool = False,
                      shards: int = 1,
-                     chunk_bytes: float = 0.0,
                      servers_per_region: int = 1,
                      autoscale: Optional[AutoscaleSpec] = None,
                      redundancy: Optional[RedundancySpec] = None,
@@ -332,9 +331,6 @@ def build_deployment(regions: Sequence[str],
     ``shards`` sets the default partition count used by
     :meth:`Deployment.start_sharded_instance`; the default of 1 keeps
     every deployment unsharded and bit-identical to pre-shard behavior.
-    ``chunk_bytes`` enables chunked WAN transfers (see
-    :meth:`repro.net.network.Network.transmit`); 0 keeps transfers as a
-    single indivisible egress reservation.
     ``servers_per_region`` stands up N Tiera servers (N hosts, N egress
     links) per (region, provider) instead of one, so shard placements
     spread across real capacity — the TSM picks the least-loaded server
@@ -363,7 +359,7 @@ def build_deployment(regions: Sequence[str],
     obs = get_obs(sim)
     if with_tracing:
         obs.enable_tracing()
-    network = Network(sim, topology, chunk_bytes=chunk_bytes)
+    network = Network(sim, topology)
     rng = RngRegistry(seed)
     ledger = CostLedger(sim) if with_ledger else None
     network.ledger = ledger

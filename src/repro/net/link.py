@@ -1,48 +1,40 @@
 """Shared bandwidth links with FIFO transmission serialization.
 
 Every host has an egress link; concurrent transfers through one link queue
-behind each other, so large replication transfers genuinely contend with
-foreground traffic — this is what makes bandwidth-capped ``copy`` responses
-(e.g. ``bandwidth: 40KB/s`` in Figure 1(b)) and Azure's VM-size network
-throttles (Figs. 11-12) behave realistically.
+behind each other, so a host's traffic shares its bandwidth — this is what
+makes bandwidth-capped ``copy`` responses (e.g. ``bandwidth: 40KB/s`` in
+Figure 1(b)) and Azure's VM-size network throttles (Figs. 11-12) behave
+realistically.
 
-A link serves one payload at a time in arrival order, so "queueing" is
+A link serves one reservation at a time in arrival order, so "queueing" is
 arithmetic on a virtual clock (:class:`repro.sim.primitives.SerialServer`):
-a sender learns at send time the instant its last byte leaves and sleeps
-until then on one event.  There is no waiter queue, no grant event and
-nothing to release.
+a sender learns at reservation time the instant its last byte leaves and
+sleeps until then on one event.  There is no waiter queue, no grant event
+and nothing to release.
+
+A reservation is at most :data:`SEGMENT_BYTES` long:
+:meth:`repro.net.network.Network.transmit` puts a larger transfer on the
+link one segment at a time, each reserved only when the previous one is
+out.  A bulk transfer therefore shares the link it crosses instead of
+holding it — foreground messages reserved meanwhile go out at the next
+segment boundary — and still moves every byte at the link's rate, FIFO
+segment by segment.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterator
+from typing import Generator
 
 from repro.sim.kernel import Simulator
 from repro.sim.primitives import SerialServer, wake_at
 
 _INF = float("inf")
 
-
-def iter_chunks(nbytes: int, chunk_bytes: float) -> Iterator[int]:
-    """Split ``nbytes`` into successive chunk sizes of at most
-    ``chunk_bytes`` (the last chunk carries the remainder).
-
-    ``chunk_bytes <= 0`` means no chunking: the whole payload is one
-    piece.  Used by :meth:`repro.net.network.Network.transmit` so a large
-    transfer serializes through the egress link as several short
-    reservations instead of one indivisible one — foreground traffic can
-    interleave between chunks, and a mid-transfer failure has only the
-    undelivered chunks left in flight.
-    """
-    if chunk_bytes <= 0 or nbytes <= chunk_bytes:
-        yield nbytes
-        return
-    step = int(chunk_bytes)
-    sent = 0
-    while sent < nbytes:
-        piece = min(step, nbytes - sent)
-        yield piece
-        sent += piece
+#: the longest single reservation a transfer makes on an egress link.  The
+#: smallest power of two that leaves every single-object message of the
+#: ``perf/`` workloads (64 KB values plus envelope) and ``ol_write``'s
+#: ~70 KB group-commit batches whole; see DESIGN "Segmented transfers".
+SEGMENT_BYTES = 128 * 1024
 
 
 class BandwidthLink:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.net.link import BandwidthLink, iter_chunks
+from repro.net.link import SEGMENT_BYTES, BandwidthLink
 from repro.net.topology import Topology
 from repro.net.vmprofiles import VmProfile, get_profile
 from repro.obs.api import get_obs
@@ -69,13 +69,9 @@ class Host:
 class Network:
     """Topology + hosts + dynamics; produces transfer generators."""
 
-    def __init__(self, sim: Simulator, topology: Optional[Topology] = None,
-                 chunk_bytes: float = 0.0):
+    def __init__(self, sim: Simulator, topology: Optional[Topology] = None):
         self.sim = sim
         self.topology = topology or Topology()
-        #: transfers above this size serialize through the egress link in
-        #: chunks of this many bytes (0 = off: one indivisible reservation)
-        self.chunk_bytes = chunk_bytes
         self.hosts: dict[str, Host] = {}
         self._host_injections: dict[str, list[_Injection]] = {}
         self._pair_injections: dict[frozenset[str], list[_Injection]] = {}
@@ -222,20 +218,19 @@ class Network:
         Raises :class:`NetworkError`/:class:`HostDownError` if the
         destination is unreachable at send time.
 
-        One message costs one kernel event: after admission the egress
-        link is reserved (:meth:`BandwidthLink.reserve` returns the
-        instant the last byte leaves), the propagation latency *for that
-        instant* is added, and the sender sleeps once until delivery.  The
-        latency is taken from the injection windows registered at send
-        time: a delay injected while the message is still serializing is
-        not applied to it.
-
-        With ``chunk_bytes`` set, a transfer above that size serializes
-        through the egress link as several short reservations instead of
-        one indivisible one (:meth:`send_to_wire`): foreground traffic
-        interleaves between chunks, and a crash or partition mid-transfer
-        aborts with only the undelivered chunks outstanding (reachability
-        is re-checked between chunks).
+        A transfer goes onto the sender's egress link in segments of at
+        most :data:`~repro.net.link.SEGMENT_BYTES`, and costs one kernel
+        event per segment.  Each leading segment is reserved only when the
+        previous one is out, so whatever was reserved meanwhile goes
+        first, and reachability is re-checked in between: a crash or
+        partition mid-transfer aborts with only the segments already sent
+        on the wire.  For the final segment — the whole message, when it
+        fits in one — the link is reserved (:meth:`BandwidthLink.reserve`
+        returns the instant the last byte leaves), the propagation
+        latency *for that instant* is added, and the sender sleeps once
+        until delivery.  The latency is taken from the injection windows
+        registered when the final segment is reserved: a delay injected
+        while it is still serializing is not applied to the message.
         """
         tracer = self._obs.tracer
         span = (tracer.span("net:transmit", cat="net", component=src.name,
@@ -243,18 +238,15 @@ class Network:
                 if tracer.enabled else NULL_SPAN)
         with span:
             start = self.sim.now
-            if 0 < self.chunk_bytes < nbytes:
-                latency = yield from self.send_to_wire(src, dst, nbytes)
-                if latency > 0:
-                    yield self.sim.timeout(latency)
-            else:
-                self._admit(src, dst, nbytes)
-                if src is not dst:
-                    finish = src.egress.reserve(nbytes)
-                    arrival = finish + self.oneway_latency(src, dst,
-                                                           at=finish)
-                    if arrival > start:
-                        yield wake_at(self.sim, arrival)
+            self._admit(src, dst, nbytes)
+            if src is not dst:
+                last = nbytes
+                if last > SEGMENT_BYTES:
+                    last = yield from self._leading_segments(src, dst, last)
+                finish = src.egress.reserve(last)
+                arrival = finish + self.oneway_latency(src, dst, at=finish)
+                if arrival > start:
+                    yield wake_at(self.sim, arrival)
             # Destination may have died while the message was in flight.
             if dst.down:
                 raise HostDownError(
@@ -273,39 +265,42 @@ class Network:
         self._msg_counter.inc()
         self._bytes_counter.inc(nbytes)
         if self.ledger is not None and src is not dst:
-            # Billed once per transfer, before any chunk loop: egress
-            # dollars are identical with chunking on or off.
+            # Billed once per transfer, however many segments carry it.
             scope = ("intra_dc" if src.region == dst.region
                      else "inter_region")
             self.ledger.record_network(nbytes, scope)
 
+    def _leading_segments(self, src: Host, dst: Host,
+                          nbytes: int) -> Generator:
+        """Put all but the final segment of an admitted transfer larger
+        than ``SEGMENT_BYTES`` on ``src``'s egress link, one at a time.
+        Returns the size of the final segment, which the caller reserves
+        (``net.chunks`` counts it here with the others)."""
+        while nbytes > SEGMENT_BYTES:
+            yield from src.egress.transmit(SEGMENT_BYTES)
+            self._chunk_counter.inc()
+            nbytes -= SEGMENT_BYTES
+            # Time passed since the segment was reserved: the world may
+            # have changed under the transfer.
+            self.check_reachable(src, dst)
+        self._chunk_counter.inc()
+        return nbytes
+
     def send_to_wire(self, src: Host, dst: Host, nbytes: int) -> Generator:
         """The sender-side half of a transfer as a generator: admission,
-        then egress serialization, yielding until the last byte is on the
-        wire.  Returns the propagation latency the message then spends in
-        flight, computed at that instant.
+        then egress serialization segment by segment, yielding until the
+        last byte is on the wire.  Returns the propagation latency the
+        message then spends in flight, computed at that instant.
 
-        Two callers need the halves apart.  The parallel bridge
-        (:mod:`repro.par.bridge`) runs this locally on the sending worker
-        and ships ``now + latency`` as the deterministic arrival time on
-        the destination worker.  A chunked transfer reserves each chunk
-        only when the previous one is out, so whatever was reserved
-        meanwhile goes first, and re-checks reachability in between.
+        The parallel bridge (:mod:`repro.par.bridge`) needs the halves
+        apart: it runs this locally on the sending worker and ships
+        ``now + latency`` as the deterministic arrival time on the
+        destination worker.
         """
         self._admit(src, dst, nbytes)
         if src is dst:
             return 0.0
-        chunk = self.chunk_bytes
-        if chunk > 0 and nbytes > chunk:
-            first = True
-            for piece in iter_chunks(nbytes, chunk):
-                if not first:
-                    # Time passed since the previous chunk: the world may
-                    # have changed under the transfer.
-                    self.check_reachable(src, dst)
-                first = False
-                yield from src.egress.transmit(piece)
-                self._chunk_counter.inc()
-        else:
-            yield from src.egress.transmit(nbytes)
+        if nbytes > SEGMENT_BYTES:
+            nbytes = yield from self._leading_segments(src, dst, nbytes)
+        yield from src.egress.transmit(nbytes)
         return self.oneway_latency(src, dst)

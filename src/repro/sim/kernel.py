@@ -78,7 +78,7 @@ One stepping core
 :meth:`Process._resume` is the only code that sends or throws into a
 process generator and subscribes it to what it yields next.  It takes the
 *record* the process is parked on (``_target``): anything event-shaped —
-``_ok``, ``_value``, a settable ``_defused``.  There are four ways in:
+``_ok``, ``_value``, a settable ``_defused``.  There are five ways in:
 
 * first step: ``Process.__init__`` parks the process on the module-level
   ``_START`` record and resumes it;
@@ -88,7 +88,9 @@ process generator and subscribes it to what it yields next.  It takes the
   ``_resume`` one round later, then recycles it;
 * a delivered interrupt: the notice is a failed, pre-defused ``Event``
   carrying the :class:`Interrupt`; its subscriber parks the process on
-  the notice and resumes it.
+  the notice and resumes it;
+* a refused yield: a generator that yields a non-event is resumed at once
+  with a failed, pre-defused record carrying the :class:`SimulationError`.
 
 Only a deferred resume pays a method call it would not pay inlined in the
 drain loop, and it is rare: 0 / 0 / 0 / 3.9 % of generator steps on the
@@ -415,13 +417,16 @@ class Process(Event):
         sim._runq.append(self)
 
     def _yield_error(self, target: Any) -> None:
-        """The generator yielded something that is not an Event."""
-        exc = SimulationError(
-            f"process {self.name!r} yielded non-event {target!r}")
-        try:
-            self._throw(exc)
-        except BaseException as err:
-            self._finish(False, err)
+        """The generator yielded something that is not an Event: it gets a
+        :class:`SimulationError` at that yield, delivered like any failed
+        wait (a failed, pre-defused record through :meth:`_resume`), so
+        what the generator does about it — die, return, yield again — is
+        honoured the same way."""
+        record = _Deferred(self, False, SimulationError(
+            f"process {self.name!r} yielded non-event {target!r}"), -1)
+        record._defused = True
+        self._target = record
+        self._resume(record)
 
     def _resume(self, event: Any) -> None:
         """The generator-stepping core (see module docstring): step once

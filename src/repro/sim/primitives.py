@@ -22,8 +22,8 @@ def wake_at(sim: Simulator, when: float) -> Event:
     """An event that fires at the absolute instant ``when`` (>= now).
 
     A :class:`SerialServer` completion is an absolute time, and its
-    waiter must wake at exactly that instant: a chunked transfer reserves
-    its next chunk on waking, and ``max(now, free_at)`` must find the
+    waiter must wake at exactly that instant: a segmented transfer reserves
+    its next segment on waking, and ``max(now, free_at)`` must find the
     server free, not an ulp short of it.  The kernel's own factories
     schedule by delay (``now + delay``), and floating point cannot always
     express an instant as a delay from now — ``when - now`` rounds once

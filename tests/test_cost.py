@@ -136,12 +136,14 @@ class TestLedger:
         dep.sim.run(until=dep.sim.now + 5)
         assert dep.ledger.network_dollars() > 0
 
-    def test_chunked_egress_parity(self):
-        """Satellite: WAN chunking is a scheduling knob, not a billing one
-        — egress dollars must be identical with chunking on or off."""
-        def egress(chunk_bytes):
+    def test_chunked_egress_parity(self, monkeypatch):
+        """Segmentation schedules bytes, it does not bill them: a transfer
+        is billed once, the same dollars however many segments carry it."""
+        def egress(segment_bytes):
+            monkeypatch.setattr("repro.net.network.SEGMENT_BYTES",
+                                segment_bytes)
             dep = build_deployment([US_EAST, US_WEST], with_ledger=True,
-                                   seed=5, chunk_bytes=chunk_bytes)
+                                   seed=5)
             spec = GlobalPolicySpec(
                 name="bill",
                 placements=(RegionPlacement(US_EAST, memory_only_policy()),
@@ -156,12 +158,16 @@ class TestLedger:
                     yield from client.get(f"k{i}")
             dep.drive(app())
             dep.sim.run(until=dep.sim.now + 5)
-            return dep.ledger.network_dollars()
+            return (dep.ledger.network_dollars(),
+                    dep.metric_total("net.chunks"))
 
-        unchunked = egress(0.0)
-        chunked = egress(8192)
-        assert unchunked > 0
-        assert chunked == pytest.approx(unchunked)
+        whole, no_segments = egress(1 << 30)
+        split, segments = egress(8192)
+        # 4 puts + 4 get replies of 64 KB (+ envelope): 9 segments each,
+        # before the replication flush.
+        assert no_segments == 0 and segments >= (4 + 4) * 9
+        assert whole > 0
+        assert split == pytest.approx(whole, rel=1e-12)
 
     def test_migration_lowers_bill(self, sim):
         """Moving bytes SSD -> S3-IA mid-period reduces the ongoing rate."""

@@ -58,9 +58,16 @@ completion (nobody watches a cohort op) cost nothing.
 A transmit is one event whether or not the sender's egress link is finite
 (the instance's reply leaves through a 31 MB/s ``t2.micro`` link; the
 client's is unmetered), and passing the instance's open gate costs none.
+
+A transfer crosses its egress link in segments of at most
+``SEGMENT_BYTES`` (128 KiB) and costs one event per segment: ``S`` for a
+transfer of ``S`` segments, so 1 — every row above — for a message that
+fits in one.  A flush whose per-peer envelope spans ``S`` segments is
+``P * (3 + (S - 1) + 2 * N)``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -72,6 +79,8 @@ from repro import (
     build_deployment,
 )
 from repro.load import CohortSpec, TraceReplay
+from repro.net.link import SEGMENT_BYTES
+from repro.net.network import Network
 from repro.net.topology import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 from repro.workloads.ycsb import YcsbWorkload
@@ -118,6 +127,23 @@ def events(dep, generator) -> int:
     before = dep.sim.events_processed
     dep.drive(generator)
     return dep.sim.events_processed - before
+
+
+def segments(nbytes: int) -> int:
+    """Segments, hence events, one transfer of ``nbytes`` costs."""
+    return max(1, -(-nbytes // SEGMENT_BYTES))
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, SEGMENT_BYTES, SEGMENT_BYTES + 1,
+                                    2 * SEGMENT_BYTES, 5 * SEGMENT_BYTES - 1,
+                                    5 * SEGMENT_BYTES + 1])
+def test_a_transfer_costs_one_event_per_segment(deployment, nbytes):
+    dep, _client = deployment
+    src = dep.instance("budget", US_EAST).host
+    dst = dep.instance("budget", US_WEST).host
+    cost = events(dep, dep.network.transmit(src, dst, nbytes))
+    assert cost == DRIVER + segments(nbytes)
+    assert (cost == 1) == (nbytes <= SEGMENT_BYTES)
 
 
 def test_exact_events_per_put_and_per_get(deployment):
@@ -225,6 +251,37 @@ def test_flush_is_one_batch_per_peer(regions, pending):
 
 @pytest.mark.parametrize("regions", [(US_EAST, US_WEST),
                                      (US_EAST, US_WEST, EU_WEST)])
+@pytest.mark.parametrize("pending, spans", [(2, 2), (8, 5)])
+def test_flush_spanning_segments_adds_one_event_per_extra_segment(
+        regions, pending, spans, monkeypatch):
+    """The same flush with 64 KB values: the envelope to each peer no
+    longer fits in one segment, and each extra segment is one event."""
+    dep, client = deploy(regions)
+    peers = len(regions) - 1
+
+    def puts():
+        for i in range(pending):
+            yield from client.put(f"key-{i}", bytes(64 * 1024))
+    dep.drive(puts())
+    instance = dep.instance("budget", US_EAST)
+    queue = instance.protocol.queue_for(instance)
+
+    sent = []
+    admit = dep.network._admit
+
+    def admit_and_note(src, dst, nbytes):
+        sent.append(nbytes)
+        admit(src, dst, nbytes)
+    monkeypatch.setattr(dep.network, "_admit", admit_and_note)
+    flush = events(dep, queue.flush())
+    assert sorted(map(segments, sent)) == [1] * peers + [spans] * peers
+    assert flush == DRIVER + peers * (PER_BATCH + (spans - 1)
+                                      + pending * PER_APPLY)
+    assert dep.metric_total("net.chunks") == peers * spans
+
+
+@pytest.mark.parametrize("regions", [(US_EAST, US_WEST),
+                                     (US_EAST, US_WEST, EU_WEST)])
 def test_exact_events_per_multi_primaries_put(regions):
     dep, client = deploy(regions, consistency="multi_primaries")
     peers = len(regions) - 1
@@ -261,3 +318,15 @@ def test_no_waited_on_call_is_a_process():
                     and node.value.func.attr == "call"):
                 offenders.append(f"{path.relative_to(src)}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_no_option_selects_or_disables_segmentation():
+    """``chunk_bytes`` was the opt-in fork (default off) that segmentation
+    replaced; the segment size is a constant, not a parameter."""
+    root = Path(__file__).resolve().parents[1]
+    texts = sorted((root / "src").rglob("*.py")) + [root / "README.md",
+                                                    root / "DESIGN.md"]
+    offenders = [str(path.relative_to(root)) for path in texts
+                 if "chunk_bytes" in path.read_text()]
+    assert not offenders, offenders
+    assert list(inspect.signature(Network).parameters) == ["sim", "topology"]

@@ -12,7 +12,7 @@ import pytest
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.core.consistency import AntiEntropyRepairer, ReplicationQueue
 from repro.net import EU_WEST, US_EAST, US_WEST
-from repro.net.link import iter_chunks
+from repro.net.link import SEGMENT_BYTES
 from repro.net.network import HostDownError, NetworkError
 from repro.tiera.policy import memory_only_policy
 
@@ -396,62 +396,61 @@ class TestDeterminism:
 
 
 class TestChunkedTransfers:
-    def test_iter_chunks(self):
-        assert list(iter_chunks(10, 4)) == [4, 4, 2]
-        assert list(iter_chunks(10, 0)) == [10]
-        assert list(iter_chunks(3, 4)) == [3]
-        assert list(iter_chunks(8, 4)) == [4, 4]
+    """A transfer larger than ``SEGMENT_BYTES`` crosses its egress link
+    in segments (``net.chunks`` counts them)."""
+
+    def _hosts(self):
+        dep = build_deployment((US_EAST, US_WEST), seed=1)
+        net = dep.network
+        return (dep, net, net.host(f"tsrv-host-{US_EAST}-aws"),
+                net.host(f"tsrv-host-{US_WEST}-aws"))
 
     def test_large_transfer_chunks_and_counts(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=400.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
-        before = net.messages_sent
+        for nbytes, segments in (
+                (2 * SEGMENT_BYTES + 200, 3),   # the last has the remainder
+                (2 * SEGMENT_BYTES, 2),         # exact multiple: no empty tail
+                (SEGMENT_BYTES + 1, 2)):
+            dep, net, src, dst = self._hosts()
+            before = net.messages_sent, src.egress.bytes_sent
 
-        def go():
-            yield from net.transmit(src, dst, 1000)
-        dep.drive(go())
-        assert dep.metric_total("net.chunks") == 3   # 400 + 400 + 200
-        assert net.messages_sent - before == 1       # still one message
+            def go():
+                yield from net.transmit(src, dst, nbytes)
+            dep.drive(go())
+            assert dep.metric_total("net.chunks") == segments
+            assert net.messages_sent - before[0] == 1   # still one message
+            assert src.egress.bytes_sent - before[1] == nbytes
 
     def test_small_transfer_is_not_chunked(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=400.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
+        for nbytes in (300, SEGMENT_BYTES):
+            dep, net, src, dst = self._hosts()
 
-        def go():
-            yield from net.transmit(src, dst, 300)
-        dep.drive(go())
-        assert dep.metric_total("net.chunks") == 0
+            def go():
+                yield from net.transmit(src, dst, nbytes)
+            dep.drive(go())
+            assert dep.metric_total("net.chunks") == 0
 
     def test_partition_mid_transfer_aborts_between_chunks(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=1_000_000.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
+        dep, net, src, dst = self._hosts()
 
         # t2.micro egress is ~31 MB/s: a 10 MB transfer takes ~0.32 s in
-        # ~0.032 s chunks, so a partition at 0.05 s lands mid-transfer.
+        # ~4 ms segments, so a partition at 0.05 s lands mid-transfer.
         def go():
             def cut():
                 yield dep.sim.timeout(0.05)
                 net.partition(US_EAST, US_WEST)
             dep.sim.process(cut(), name="cut")
             yield from net.transmit(src, dst, 10_000_000)
+        sent, start = src.egress.bytes_sent, dep.sim.now
         with pytest.raises(NetworkError):
             dep.drive(go())
+        # The segment on the wire at 0.05 s is the last: only whole
+        # segments reached the link, a fifth of the transfer at most.
+        assert 0.05 <= dep.sim.now - start < 0.05 + 0.005
+        assert (src.egress.bytes_sent - sent) % SEGMENT_BYTES == 0
+        assert src.egress.bytes_sent - sent < 2_000_000
 
     def test_foreground_traffic_interleaves_between_chunks(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=1_000_000.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
+        dep, net, src, dst = self._hosts()
         done = {}
 
         def big():
@@ -462,12 +461,16 @@ class TestChunkedTransfers:
             yield dep.sim.timeout(0.001)   # join the egress queue second
             yield from net.transmit(src, dst, 1000)
             done["small"] = dep.sim.now
+        start = dep.sim.now
         dep.sim.process(big(), name="big")
         dep.sim.process(small(), name="small")
-        dep.sim.run(until=dep.sim.now + 5.0)
-        # Without chunking the small transfer would wait out the whole
-        # 10 MB reservation; with it, it slips between chunks.
+        dep.sim.run(until=start + 5.0)
+        # The small transfer does not wait out the 10 MB: it slips in at
+        # the first segment boundary.
         assert done["small"] < done["big"]
+        assert done["small"] - start < \
+            2 * src.egress.transmission_time(SEGMENT_BYTES) \
+            + net.oneway_latency(src, dst)
 
 
 class TestNetworkDynamicsPruning:

@@ -8,13 +8,18 @@ model's semantics are stated rather than inherited: an interrupted sender's
 reservation stays spent (and, unlike a stranded ``Resource`` waiter, cannot
 wedge the server), and a message's propagation latency is the one in force
 when its last byte leaves, from the injections registered at send time.
+A transfer longer than one segment is held to the same recurrence segment
+by segment.
 """
+
+import heapq
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import Network, NetworkError, US_EAST, US_WEST
-from repro.net.link import BandwidthLink
+from repro.net.link import SEGMENT_BYTES, BandwidthLink
 from repro.sim import SerialServer, Simulator, wake_at
 from repro.storage import make_tier
 from repro.storage.profiles import get_tier_profile
@@ -61,6 +66,74 @@ def reference_completions(plan):
     return out
 
 
+def reference_deliveries(plan, latency, cut=None):
+    """The segmented-transfer model, as a textbook event loop over one
+    FIFO link: a sender reserves one segment of at most ``SEGMENT_BYTES``
+    at a time, the next only when the previous is out, so the link serves
+    *segments* in reservation order, each clocked at the rate in force
+    when it is reserved; delivery is last segment out + latency.  A
+    partition at ``cut`` refuses whatever is sent later and stops a
+    transfer at its next segment boundary.  Simultaneous events run in
+    the order they were scheduled.  Returns ``({i: delivery instant},
+    {i: abort instant}, bytes put on the link)``."""
+    heap, delivered, aborted = [], {}, {}
+    now = free_at = 0.0
+    rate, wire, partitioned = INF, 0, False
+
+    order = itertools.count()   # simultaneous events: first scheduled first
+
+    def schedule(when, *what):
+        heapq.heappush(heap, (when, next(order), what))
+
+    def send(i, left):
+        """Sender ``i``, awake at ``now`` with ``left`` bytes to go."""
+        nonlocal free_at, wire
+        while True:
+            if partitioned:
+                aborted[i] = now
+                return
+            piece = min(left, SEGMENT_BYTES)
+            wire += piece
+            out = now
+            if rate != INF:
+                out = free_at = max(now, free_at) + piece / rate
+            left -= piece
+            if not left:
+                delivered[i] = out + latency
+                return
+            if out > now:
+                schedule(out, send, i, left)
+                return
+
+    def arrive(i):
+        """Start sender ``i`` and every later one that arrives with it."""
+        nonlocal rate
+        while True:
+            rate = plan[i][2]
+            send(i, plan[i][1])
+            i += 1
+            if i == len(plan):
+                return
+            if plan[i][0] > 0:
+                schedule(now + plan[i][0], arrive, i)
+                return
+
+    def partition():
+        nonlocal partitioned
+        partitioned = True
+
+    if cut is not None:
+        schedule(cut, partition)
+    if plan[0][0] > 0:
+        schedule(plan[0][0], arrive, 0)
+    else:
+        arrive(0)
+    while heap:
+        now, _, (step, *args) = heapq.heappop(heap)
+        step(*args)
+    return delivered, aborted, wire
+
+
 def drive_link(plan):
     """Arrive per ``plan`` on one link; returns (link, completion time per
     job, job ids in completion order)."""
@@ -99,20 +172,30 @@ class TestReferenceModel:
         queued = [i for i, (_, _, rate) in enumerate(plan) if rate != INF]
         assert [i for i in order if i in set(queued)] == queued
 
-    @given(plan=arrivals)
+    @given(plan=arrivals,
+           cut=st.one_of(st.none(), st.floats(min_value=0.0, max_value=50.0,
+                                              allow_nan=False)))
     @settings(max_examples=100, deadline=None)
-    def test_network_delivery_is_last_byte_out_plus_latency(self, plan):
+    def test_network_delivery_is_last_byte_out_plus_latency(self, plan, cut):
+        """Segment by segment: delivery is last segment out + latency,
+        exactly; bytes are conserved; a partition between two segments
+        aborts the transfer with only the segments already sent on the
+        link."""
         sim = Simulator()
         net = Network(sim)
         src = net.add_host("src", US_EAST)
         dst = net.add_host("dst", US_WEST)
         latency = net.oneway_latency(src, dst)
-        delivered = {}
+        delivered, aborted = {}, {}
 
         def sender(i, nbytes, rate):
             src.egress.rate = rate
-            yield from net.transmit(src, dst, nbytes)
-            delivered[i] = sim.now
+            try:
+                yield from net.transmit(src, dst, nbytes)
+            except NetworkError:
+                aborted[i] = sim.now
+            else:
+                delivered[i] = sim.now
 
         def arrive():
             for i, (gap, nbytes, rate) in enumerate(plan):
@@ -120,11 +203,23 @@ class TestReferenceModel:
                     yield sim.timeout(gap)
                 sim.process(sender(i, nbytes, rate))
 
+        def cutter():
+            yield sim.timeout(cut)
+            net.partition(US_EAST, US_WEST)
+
+        if cut is not None:
+            sim.process(cutter())
         sim.process(arrive())
         sim.run()
-        assert [delivered[i] for i in range(len(plan))] == \
-            [done + latency for _, done in reference_completions(plan)]
-        assert net.bytes_transferred == src.egress.bytes_sent
+        want_delivered, want_aborted, wire = \
+            reference_deliveries(plan, latency, cut)
+        assert delivered == want_delivered
+        assert aborted == want_aborted
+        assert src.egress.bytes_sent == wire
+        if cut is None:
+            assert not aborted
+            assert net.bytes_transferred == wire == \
+                sum(nbytes for _, nbytes, _ in plan)
 
     @given(now=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
            ahead=st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
@@ -206,11 +301,11 @@ class TestInterruptedSender:
 
 
 # ---------------------------------------------------------------------------
-# chunked transfers
+# segmented transfers
 # ---------------------------------------------------------------------------
 
-def two_hosts(sim, rate, chunk_bytes=0.0):
-    net = Network(sim, chunk_bytes=chunk_bytes)
+def two_hosts(sim, rate):
+    net = Network(sim)
     src = net.add_host("src", US_EAST)
     dst = net.add_host("dst", US_WEST)
     src.egress.rate = rate
@@ -218,12 +313,17 @@ def two_hosts(sim, rate, chunk_bytes=0.0):
 
 
 class TestChunkedTransfer:
+    @pytest.fixture(autouse=True)
+    def small_segments(self, monkeypatch):
+        """400 B segments, so a 1000 B/s link gives round numbers."""
+        monkeypatch.setattr("repro.net.network.SEGMENT_BYTES", 400)
+
     def test_foreground_message_goes_out_between_two_chunks(self, sim):
-        """1000 B/s link, 400 B chunks.  The bulk transfer's next chunk is
-        reserved only when the previous one is out, so a 100 B message
-        arriving at 0.1 is served right after chunk 1 — [0.4, 0.5) — and
-        the bulk's remaining chunks follow it."""
-        net, src, dst = two_hosts(sim, 1000.0, chunk_bytes=400.0)
+        """The bulk transfer's next segment is reserved only when the
+        previous one is out, so a 100 B message arriving at 0.1 is served
+        right after segment 1 — [0.4, 0.5) — and the bulk's remaining
+        segments follow it.  One kernel event per segment."""
+        net, src, dst = two_hosts(sim, 1000.0)
         latency = net.oneway_latency(src, dst)
         done = {}
 
@@ -242,26 +342,29 @@ class TestChunkedTransfer:
         assert done["small"] == pytest.approx(0.5 + latency, abs=1e-12)
         assert done["bulk"] == pytest.approx(1.1 + latency, abs=1e-12)
         assert src.egress.bytes_sent == 1100
+        assert net._chunk_counter.value == 3      # the bulk's; not the small
+        # bulk: 3 segments = 3 events; small: its 0.1 timeout + 1
+        assert sim.events_processed == 5
 
     def test_partition_between_chunks_aborts_the_remainder(self, sim):
-        net, src, dst = two_hosts(sim, 1000.0, chunk_bytes=400.0)
+        net, src, dst = two_hosts(sim, 1000.0)
         chunks = net._chunk_counter
         failed_at = []
 
         def bulk():
             try:
-                yield from net.transmit(src, dst, 2000)  # five chunks
+                yield from net.transmit(src, dst, 2000)  # five segments
             except NetworkError:
                 failed_at.append(sim.now)
 
         def cut():
-            yield sim.timeout(0.5)                        # inside chunk 2
+            yield sim.timeout(0.5)                    # inside segment 2
             net.partition(US_EAST, US_WEST)
 
         sim.process(bulk())
         sim.process(cut())
         sim.run()
-        # Chunk 2 finishes at 0.8; the reachability check before chunk 3
+        # Segment 2 is out at 0.8; the reachability check before segment 3
         # raises, and the remaining 1200 B never reach the link.
         assert failed_at == [pytest.approx(0.8)]
         assert chunks.value == 2

@@ -623,9 +623,42 @@ class TestOneSteppingCore:
                 visit(child, where)
 
         visit(ast.parse(Path(kernel.__file__).read_text()), "")
-        assert callers == {
-            "_send": {"Process._resume"},
-            "_throw": {"Process._resume", "Process._yield_error"}}
+        assert callers == {"_send": {"Process._resume"},
+                           "_throw": {"Process._resume"}}
+
+    def test_catching_a_refused_yield_and_returning_is_a_success(self, sim):
+        """The ``SimulationError`` for a non-event yield is thrown in at
+        that yield; a generator that catches it and returns has finished
+        *ok* with that value (it used to be marked failed with the
+        ``StopIteration``)."""
+        def body():
+            try:
+                yield 42
+            except SimulationError as exc:
+                return f"caught: {exc}"
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.ok
+        assert proc.value == "caught: process 'body' yielded non-event 42"
+
+    def test_catching_a_refused_yield_and_yielding_again_resumes(self, sim):
+        """...and one that catches it and waits on a real event is parked
+        on that event and resumed when it fires (it used to be dropped:
+        never resumed, never finished)."""
+        def body():
+            try:
+                yield "not an event"
+            except SimulationError:
+                pass
+            got = yield sim.timeout(2.0, "woke")
+            with pytest.raises(SimulationError, match="non-event None"):
+                yield None              # refused again, caught again
+            return got, sim.now
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.ok and proc.value == ("woke", 2.0)
 
     @pytest.mark.parametrize("way", ["first step", "event fired",
                                      "deferred ok", "deferred failed",
