@@ -61,14 +61,6 @@ class Deployment:
     #: default redundancy spec applied to specs that don't set their own
     #: (None = no EC plane, bit-identical to pre-EC builds)
     redundancy: Optional[RedundancySpec] = None
-    #: intended execution parallelism recorded by build_deployment
-    #: (``workers=N``); construction itself is identical for any value —
-    #: repro.par reads it as the default worker count when the deployment
-    #: is run partitioned, and 1 means plain single-process execution
-    workers: int = 1
-    #: the region list the deployment was built with, in declaration
-    #: order — the partition planner groups these deterministically
-    regions: tuple = ()
 
     # -- driving -------------------------------------------------------------
     def drive(self, gen: Generator, name: str = "main"):
@@ -225,8 +217,7 @@ class Deployment:
 
     # -- canonical store state -------------------------------------------------
     def store_rows(self, namespaces: Optional[Sequence[str]] = None,
-                   detail: bool = False,
-                   host_filter=None) -> list[str]:
+                   detail: bool = False) -> list[str]:
         """Canonical rows of per-instance key state, in zero sim-time.
 
         One row per (namespace, instance, key):
@@ -234,10 +225,7 @@ class Deployment:
         format — plus, with ``detail=True``,
         ``@{last_modified}:{origin}:{size}`` of the latest version, which
         distinguishes same-version contents rewritten by LWW.
-        ``namespaces`` defaults to every running namespace (sorted);
-        ``host_filter(host) -> bool`` restricts rows to instances on
-        matching hosts (how a parallel worker reports only the partition
-        it owns).
+        ``namespaces`` defaults to every running namespace (sorted).
         """
         if namespaces is None:
             namespaces = sorted(self.wiera.tims)
@@ -246,8 +234,6 @@ class Deployment:
             tim = self.wiera.tim(ns)
             for iid in sorted(tim.instances):
                 inst = tim.instances[iid].instance
-                if host_filter is not None and not host_filter(inst.host):
-                    continue
                 for record in sorted(inst.meta.records(),
                                      key=lambda r: r.key):
                     row = f"{ns}/{iid}/{record.key}=v{record.latest_version}"
@@ -263,12 +249,10 @@ class Deployment:
                      detail: bool = True, sort: bool = True) -> str:
         """Stable hash over every instance's key -> version/value state.
 
-        The canonical equivalence digest: two runs (or a single-process
-        run and a merged parallel run) converged to the same stores iff
-        their digests match.  ``sort=True`` (default) hashes the rows in
-        sorted order, so digests of per-worker row subsets can be
-        recombined with :func:`rows_digest`; the golden fixture pins the
-        historical un-sorted nested order via ``sort=False``.
+        The canonical equivalence digest: two runs converged to the same
+        stores iff their digests match.  ``sort=True`` (default) hashes
+        the rows in sorted order; the golden fixture pins the historical
+        un-sorted nested order via ``sort=False``.
         """
         return rows_digest(self.store_rows(namespaces=namespaces,
                                            detail=detail), sort=sort)
@@ -290,9 +274,8 @@ class Deployment:
 def rows_digest(rows: Sequence[str], sort: bool = True) -> str:
     """sha256 of store-state rows (see :meth:`Deployment.store_rows`).
 
-    With ``sort=True`` the digest is invariant to how rows were gathered,
-    so the union of per-worker row subsets hashes identically to one
-    whole-deployment walk.
+    With ``sort=True`` the digest is invariant to the order the rows
+    were gathered in.
     """
     if sort:
         rows = sorted(rows)
@@ -318,7 +301,6 @@ def build_deployment(regions: Sequence[str],
                      servers_per_region: int = 1,
                      autoscale: Optional[AutoscaleSpec] = None,
                      redundancy: Optional[RedundancySpec] = None,
-                     workers: int = 1,
                      ) -> Deployment:
     """Stand up Wiera + one Tiera server per (region, provider).
 
@@ -343,18 +325,7 @@ def build_deployment(regions: Sequence[str],
     RedundancySpec` applied to started specs that don't carry their own
     (the erasure-coded plane, repro.ec); None (the default) constructs
     nothing and keeps runs bit-identical.
-    ``workers`` records the intended execution parallelism for
-    :func:`repro.par.run_parallel` (region groups, one Simulator per
-    worker process).  Construction never depends on it — a ``workers=N``
-    deployment run in-process is bit-identical to ``workers=1`` — but it
-    is validated here: at most one worker per region.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if workers > len(set(regions)):
-        raise ValueError(
-            f"workers={workers} exceeds the {len(set(regions))} region "
-            f"group(s) available to partition")
     sim = Simulator()
     obs = get_obs(sim)
     if with_tracing:
@@ -367,8 +338,7 @@ def build_deployment(regions: Sequence[str],
                          heartbeat_interval=heartbeat_interval)
     dep = Deployment(sim=sim, network=network, rng=rng, wiera=wiera,
                      ledger=ledger, obs=obs, shards=shards,
-                     autoscale=autoscale, redundancy=redundancy,
-                     workers=workers, regions=tuple(regions))
+                     autoscale=autoscale, redundancy=redundancy)
     if servers_per_region < 1:
         raise ValueError(f"servers_per_region must be >= 1: "
                          f"{servers_per_region}")
@@ -386,8 +356,8 @@ def build_deployment(regions: Sequence[str],
                     region, provider, vm)
                 # Deployment-scoped ids reproducing the historical
                 # first-build-in-process numbering: two identical builds
-                # (in one process or in forked workers) get identical
-                # server ids, hence identical pick_server tie-breaks.
+                # in one process get identical server ids, hence identical
+                # pick_server tie-breaks.
                 server_seq += 1
                 server = TieraServer(sim, network, host, region, provider,
                                      rng=rng, ledger=ledger,

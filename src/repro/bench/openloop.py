@@ -26,15 +26,11 @@ from repro.bench.harness import Deployment, build_deployment, preload_object
 from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
 from repro.load.arrivals import constant_rate
 from repro.load.cohort import CohortSpec
-from repro.net.topology import ASIA_EAST, EU_WEST, US_EAST, US_WEST
+from repro.net.topology import US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 from repro.workloads.ycsb import YcsbWorkload
 
 REGIONS = (US_EAST, US_WEST)
-
-#: the parallel-execution cell spans every topology region, so a
-#: 4-worker run gets one region group per worker
-PAR_REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
 
 
 def scaleout_workload(record_count: int = 200,
@@ -64,12 +60,11 @@ def preload_records(dep: Deployment, handle, workload: YcsbWorkload) -> None:
 
 def build_scaleout_deployment(shards: int, seed: int = 11,
                               regions: Sequence[str] = REGIONS,
-                              workload: Optional[YcsbWorkload] = None,
-                              workers: int = 1):
+                              workload: Optional[YcsbWorkload] = None):
     """Deployment + preloaded sharded namespace for one cell."""
     workload = workload or scaleout_workload()
     dep = build_deployment(list(regions), seed=seed, shards=shards,
-                           servers_per_region=shards, workers=workers)
+                           servers_per_region=shards)
     spec = GlobalPolicySpec(
         name="scale",
         placements=tuple(RegionPlacement(region, memory_only_policy())
@@ -78,40 +73,6 @@ def build_scaleout_deployment(shards: int, seed: int = 11,
     handle = dep.start_sharded_instance("scale", spec)
     preload_records(dep, handle, workload)
     return dep, handle, workload
-
-
-def parallel_cell_builder(shards: int = 8, offered_total: float = 4000.0,
-                          seed: int = 11,
-                          regions: Sequence[str] = PAR_REGIONS,
-                          workers: int = 4,
-                          workload: Optional[YcsbWorkload] = None,
-                          max_in_flight: int = 128, queue_limit: int = 512):
-    """A ``build()`` callable for :func:`repro.par.run_parallel`.
-
-    Constructs the standard open-loop scale-out cell — sharded namespace
-    replicated across ``regions``, preloaded record space, one open-loop
-    cohort per region — without starting the load, which is exactly the
-    contract ``run_parallel`` expects.  The same builder drives both the
-    single-process reference run and the partitioned run, so their
-    deployments are construction-identical.
-    """
-    def build():
-        dep, handle, wl = build_scaleout_deployment(
-            shards, seed=seed, regions=regions,
-            workload=workload or scaleout_workload(), workers=workers)
-        per_region = offered_total / len(regions)
-        for region in regions:
-            rate_fn, peak = constant_rate(per_region)
-            dep.add_cohort(
-                CohortSpec(name=f"ol-{region}", region=region,
-                           users=max(1, round(per_region * 10)),
-                           rate_per_user=0.1, workload=wl,
-                           rate_fn=rate_fn, peak_rate=peak,
-                           max_in_flight=max_in_flight,
-                           queue_limit=queue_limit),
-                sharded=handle)
-        return dep
-    return build
 
 
 def run_scaleout_cell(shards: int, offered_total: float, duration: float,

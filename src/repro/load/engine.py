@@ -75,44 +75,34 @@ class LoadEngine:
         cohorts = [c.report() for c in self.cohorts]
         window = (elapsed if elapsed is not None
                   else max((c.elapsed() for c in self.cohorts), default=0.0))
-        return aggregate_reports(cohorts, self.modeled_users, window)
-
-
-def aggregate_reports(cohorts: list[dict], modeled_users: int,
-                      window: float) -> dict:
-    """Combine per-cohort report dicts into one offered-vs-achieved
-    summary.  Shared by :meth:`LoadEngine.report` and the parallel
-    runner, which gathers the cohort dicts from worker processes — the
-    aggregation is associative, so where the dicts came from doesn't
-    matter."""
-    offered = sum(c["offered"] for c in cohorts)
-    achieved = sum(c["achieved"] for c in cohorts)
-    errors = sum(c["errors"] for c in cohorts)
-    shed = sum(c["shed"] for c in cohorts)
-    discarded = sum(c["discarded"] for c in cohorts)
-    acked_digest = 0
-    for c in cohorts:
-        acked_digest ^= c.get("acked_digest", 0)
-    errors_by_type: dict[str, int] = {}
-    for c in cohorts:
-        for kind, n in c["errors_by_type"].items():
-            errors_by_type[kind] = errors_by_type.get(kind, 0) + n
-    window = max(window, 1e-12)
-    return {
-        "cohorts": len(cohorts),
-        "modeled_users": modeled_users,
-        "offered": offered,
-        "achieved": achieved,
-        "errors": errors,
-        "errors_by_type": dict(sorted(errors_by_type.items())),
-        "shed": shed,
-        "discarded": discarded,
-        "acked_digest": acked_digest,
-        "elapsed": window,
-        "offered_rate": offered / window,
-        "achieved_rate": achieved / window,
-        "per_cohort": cohorts,
-    }
+        offered = sum(c["offered"] for c in cohorts)
+        achieved = sum(c["achieved"] for c in cohorts)
+        errors = sum(c["errors"] for c in cohorts)
+        shed = sum(c["shed"] for c in cohorts)
+        discarded = sum(c["discarded"] for c in cohorts)
+        acked_digest = 0
+        for c in cohorts:
+            acked_digest ^= c.get("acked_digest", 0)
+        errors_by_type: dict[str, int] = {}
+        for c in cohorts:
+            for kind, n in c["errors_by_type"].items():
+                errors_by_type[kind] = errors_by_type.get(kind, 0) + n
+        window = max(window, 1e-12)
+        return {
+            "cohorts": len(cohorts),
+            "modeled_users": self.modeled_users,
+            "offered": offered,
+            "achieved": achieved,
+            "errors": errors,
+            "errors_by_type": dict(sorted(errors_by_type.items())),
+            "shed": shed,
+            "discarded": discarded,
+            "acked_digest": acked_digest,
+            "elapsed": window,
+            "offered_rate": offered / window,
+            "achieved_rate": achieved / window,
+            "per_cohort": cohorts,
+        }
 
 
 def build_cohorts(sim, client_for_region, specs: list[CohortSpec],

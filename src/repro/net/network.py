@@ -79,13 +79,6 @@ class Network:
         self.monitor = None  # optional NetworkMonitor
         #: optional CostLedger billing egress; set by build_deployment
         self.ledger = None
-        #: every RpcNode bound to this network, by name — the address book
-        #: the parallel bridge uses to route cross-worker messages
-        self.nodes: dict[str, object] = {}
-        #: installed by repro.par when this process is one worker of a
-        #: partitioned run; None (always, in single-process mode) keeps
-        #: every RPC on the unmodified local path
-        self.bridge = None
         self.bytes_transferred = 0
         self.messages_sent = 0
         self._obs = get_obs(sim)
@@ -285,22 +278,3 @@ class Network:
             self.check_reachable(src, dst)
         self._chunk_counter.inc()
         return nbytes
-
-    def send_to_wire(self, src: Host, dst: Host, nbytes: int) -> Generator:
-        """The sender-side half of a transfer as a generator: admission,
-        then egress serialization segment by segment, yielding until the
-        last byte is on the wire.  Returns the propagation latency the
-        message then spends in flight, computed at that instant.
-
-        The parallel bridge (:mod:`repro.par.bridge`) needs the halves
-        apart: it runs this locally on the sending worker and ships
-        ``now + latency`` as the deterministic arrival time on the
-        destination worker.
-        """
-        self._admit(src, dst, nbytes)
-        if src is dst:
-            return 0.0
-        if nbytes > SEGMENT_BYTES:
-            nbytes = yield from self._leading_segments(src, dst, nbytes)
-        yield from src.egress.transmit(nbytes)
-        return self.oneway_latency(src, dst)

@@ -11,7 +11,6 @@ need ("worst put latency over the last N seconds").
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Any, Iterator, Optional
 
@@ -45,10 +44,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         self.value += n
 
-    def merge_from(self, other: "Counter") -> None:
-        """Counts from disjoint runs/workers add."""
-        self.value += other.value
-
     def snapshot(self) -> Any:
         return self.value
 
@@ -69,19 +64,6 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.value += delta
-
-    def merge_from(self, other: "Gauge", mode: str = "add") -> None:
-        """Collision rule for gauges is caller-chosen: ``add`` (default)
-        sums — right for level gauges used additively (queue depths,
-        pending counts) and for the delta-merge the parallel runner does;
-        ``last`` takes the other side's value — right for set-style
-        gauges (epochs, signals) when the other run is "newer"."""
-        if mode == "add":
-            self.value += other.value
-        elif mode == "last":
-            self.value = other.value
-        else:
-            raise ValueError(f"unknown gauge merge mode {mode!r}")
 
     def snapshot(self) -> Any:
         return self.value
@@ -130,20 +112,6 @@ class Histogram:
     def percentile(self, q: float) -> float:
         vals = self.values()
         return percentile(vals, q) if vals else 0.0
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Union of observations: aggregate stats combine exactly
-        (:meth:`OnlineStats.merge`); the sample rings interleave by
-        sim-timestamp (ties keep this histogram's samples first) and the
-        ring bound keeps the most recent ``maxlen`` as usual."""
-        self.stats.merge(other.stats)
-        if not other._ring:
-            return
-        merged = sorted(list(self._ring) + list(other._ring),
-                        key=lambda tv: tv[0])
-        maxlen = self._ring.maxlen
-        self._ring.clear()
-        self._ring.extend(merged[-maxlen:] if maxlen else merged)
 
     def snapshot(self) -> dict[str, float]:
         # One sort shared by all three quantiles (the ring holds up to
@@ -195,74 +163,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    # -- merging (multi-run / multi-worker reports) ---------------------------
-    def merge_from(self, other: "MetricsRegistry",
-                   gauges: str = "add") -> "MetricsRegistry":
-        """Fold another registry in, metric by metric.
-
-        Collision rules: counters add; gauges follow ``gauges`` ("add" or
-        "last", see :meth:`Gauge.merge_from`); histograms union their
-        observations.  Metrics present only in ``other`` are created here.
-        Used to combine independent runs into one report and by the
-        parallel runner (:mod:`repro.par`) to merge per-worker deltas.
-        """
-        for key, metric in other._metrics.items():
-            kind, name, labels = key
-            mine = self._metrics.get(key)
-            if mine is None:
-                label_kw = dict(labels)
-                if kind == "histogram":
-                    mine = self.histogram(name, maxlen=metric._ring.maxlen,
-                                          **label_kw)
-                elif kind == "gauge":
-                    mine = self.gauge(name, **label_kw)
-                else:
-                    mine = self.counter(name, **label_kw)
-            if kind == "gauge":
-                mine.merge_from(metric, mode=gauges)
-            else:
-                mine.merge_from(metric)
-        return self
-
-    def dump_state(self) -> list[tuple]:
-        """Full picklable state: ``(kind, name, labels, state)`` rows.
-
-        Counters/gauges dump their value; histograms dump the sample ring
-        plus the aggregate :class:`OnlineStats`.  Round-trips through
-        :meth:`load_state` — the wire format workers ship to the parallel
-        runner's merge step (a Simulator reference never crosses the
-        process boundary).
-        """
-        rows = []
-        for (kind, name, labels), metric in self._metrics.items():
-            if kind == "histogram":
-                state = {"ring": list(metric._ring),
-                         "maxlen": metric._ring.maxlen,
-                         "stats": copy.copy(metric.stats)}
-            else:
-                state = metric.value
-            rows.append((kind, name, labels, state))
-        return rows
-
-    def load_state(self, rows: list[tuple]) -> "MetricsRegistry":
-        """Recreate metrics from a :meth:`dump_state` dump (additive onto
-        an empty registry; collides like :meth:`merge_from` otherwise)."""
-        for kind, name, labels, state in rows:
-            label_kw = dict(labels)
-            if kind == "histogram":
-                hist = self.histogram(name, maxlen=state["maxlen"] or 2048,
-                                      **label_kw)
-                other = Histogram(self.sim, name, hist.labels,
-                                  maxlen=state["maxlen"] or 2048)
-                other._ring.extend(state["ring"])
-                other.stats = state["stats"]
-                hist.merge_from(other)
-            elif kind == "gauge":
-                self.gauge(name, **label_kw).add(state)
-            else:
-                self.counter(name, **label_kw).inc(state)
-        return self
 
     def snapshot(self) -> dict[str, Any]:
         """Flat ``name{labels} -> value`` dump of every metric."""

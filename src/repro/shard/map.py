@@ -43,13 +43,6 @@ class WrongShardError(RuntimeError):
         self.owner = owner     # shard id that owns the key now
         self.epoch = epoch     # epoch of the rejecting guard
 
-    def __reduce__(self):
-        # BaseException pickles via .args (just the message), which would
-        # drop key/owner/epoch on unpickle; redirects crossing the
-        # parallel bridge need all four to re-route correctly.
-        return (WrongShardError,
-                (str(self), self.key, self.owner, self.epoch))
-
 
 @dataclass(frozen=True)
 class ShardMap:

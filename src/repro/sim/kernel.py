@@ -610,24 +610,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_at(self, when: float, callback: Callable, *args) -> Event:
-        """Run ``callback(*args)`` at absolute sim time ``when`` (>= now).
-
-        The external-injection hook used by the parallel runner
-        (:mod:`repro.par`): an injected call is an ordinary event ordered
-        by ``(time, seq)`` exactly like native ones, with its seq assigned
-        here — so replaying the same injection sequence against the same
-        simulator state is deterministic.
-        """
-        delay = when - self._now
-        if delay < 0:
-            raise SimulationError(
-                f"cannot inject into the past: {when} < {self._now}")
-        event = Event(self)
-        event._waiter = lambda _ev, _cb=callback, _args=args: _cb(*_args)
-        event.succeed(None, delay=delay)
-        return event
-
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay == 0.0:

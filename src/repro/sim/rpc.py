@@ -70,9 +70,6 @@ class RpcNode:
         self.network = network
         self.host = host
         self.name = name or host.name
-        # Address book for the parallel bridge (latest registration wins,
-        # matching how rebalance replaces an instance's node).
-        network.nodes[self.name] = self
         self._handlers: dict[str, Callable[[Message], Generator]] = {}
         self._obs = get_obs(sim)
         self._served = self._obs.metrics.counter("rpc.requests_served",
@@ -149,11 +146,6 @@ class RpcNode:
                           args=args,
                           size=size if size is not None else self.ENVELOPE,
                           sent_at=self.sim.now, trace=span.context)
-            bridge = self.network.bridge
-            if bridge is not None and not bridge.local(self.host, dst.host):
-                result = yield from bridge.outbound_call(self, dst, msg,
-                                                         reply_size)
-                return result
             yield from self.network.transmit(self.host, dst.host, msg.size)
             result = yield from dst._dispatch(msg)
             wire_reply = reply_size
@@ -245,10 +237,6 @@ class RpcNode:
                           args=args,
                           size=size if size is not None else self.ENVELOPE,
                           sent_at=self.sim.now, trace=span.context)
-            bridge = self.network.bridge
-            if bridge is not None and not bridge.local(self.host, dst.host):
-                yield from bridge.outbound_oneway(self, dst, msg)
-                return
             try:
                 yield from self.network.transmit(self.host, dst.host, msg.size)
                 yield from dst._dispatch(msg)

@@ -38,9 +38,8 @@ class TieraServer:
         self.ledger = ledger
         # Callers that need build-to-build determinism (the harness, so
         # two identical build_deployment() calls in one process place
-        # shards identically — a requirement of the parallel equivalence
-        # contract) pass an explicit id; the process-global counter is
-        # only a convenience fallback for ad-hoc constructions.
+        # shards identically) pass an explicit id; the process-global
+        # counter is only a convenience fallback for ad-hoc constructions.
         self.server_id = server_id or f"tsrv-{region}-{next(self._ids)}"
         self.node = RpcNode(sim, network, host, name=self.server_id)
         self.instances: dict[str, TieraInstance] = {}

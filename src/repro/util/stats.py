@@ -53,30 +53,6 @@ class OnlineStats:
         if x > self.max:
             self.max = x
 
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another accumulator into this one (Chan et al. parallel
-        combine): the result is exactly what one accumulator fed both
-        sample streams would hold, up to float rounding."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        n1, n2 = self.count, other.count
-        total = n1 + n2
-        delta = other._mean - self._mean
-        self._mean += delta * n2 / total
-        self._m2 += other._m2 + delta * delta * n1 * n2 / total
-        self.count = total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0

@@ -76,9 +76,8 @@ def _store_digest(dep, shard_map) -> str:
 
 def _advance(sim, until: float, window) -> None:
     """Advance to ``until`` — in one ``run`` call, or in bounded
-    ``run(until=...)`` windows of at most ``window`` sim-seconds (the
-    parallel runner's stepping mode, which must be event-for-event
-    identical to one big run)."""
+    ``run(until=...)`` windows of at most ``window`` sim-seconds, which
+    must be event-for-event identical to one big run."""
     if window is None:
         sim.run(until=until)
         return

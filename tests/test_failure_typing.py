@@ -25,8 +25,6 @@ BROAD_EXCEPTS = {
     "repro/ec/repair.py": 1,
     "repro/fs/posixfs.py": 4,
     "repro/load/cohort.py": 1,
-    "repro/par/bridge.py": 4,
-    "repro/par/runner.py": 1,
     "repro/sim/rpc.py": 3,
     "repro/workloads/rubis.py": 1,
     "repro/workloads/ycsb.py": 2,

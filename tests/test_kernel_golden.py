@@ -40,10 +40,10 @@ def test_fast_path_kernel_matches_seed_kernel_fingerprint():
 
 
 def test_windowed_stepping_is_event_for_event_identical():
-    """``run(until=...)`` in small bounded windows — how the parallel
-    runner (repro.par) advances each worker between barriers — must
-    reproduce the exact fingerprint of one uninterrupted run: same
-    latency streams, same event count, same clock, same store digest."""
+    """Where a run stops is not part of the simulation: ``run(until=...)``
+    in small bounded windows must reproduce the exact fingerprint of one
+    uninterrupted run — same latency streams, same event count, same
+    clock, same store digest."""
     want = json.loads(GOLDEN_PATH.read_text())
     got = golden_run(window=0.3)
     assert got == want

@@ -607,3 +607,55 @@ class TestHarnessIntegration:
         assert kinds == ["crash", "restart"]
         assert report["offered"] > 0
         assert report["cohorts"] == 2
+
+
+class TestConstructionOrderIndependence:
+    """RNG substreams derive from stable names, so neither cohort
+    creation order nor unrelated extra streams perturb any draws."""
+
+    def test_substreams_ignore_creation_order(self):
+        a = RngRegistry(7)
+        b = RngRegistry(7)
+        east_a = a.substream("load.cohort", "east")
+        a.substream("load.cohort", "west")          # created before...
+        west_b = b.substream("load.cohort", "west")  # ...and after
+        b.stream("unrelated.noise")
+        east_b = b.substream("load.cohort", "east")
+        assert east_a.random(5).tolist() == east_b.random(5).tolist()
+        assert (a.substream("load.cohort", "west").random(5).tolist()
+                == west_b.random(5).tolist())
+
+    def test_cohort_order_leaves_store_state_identical(self):
+        from repro.bench.openloop import build_scaleout_deployment
+        from repro.net.topology import US_EAST, US_WEST
+        digests = []
+        for order in ((US_EAST, US_WEST), (US_WEST, US_EAST)):
+            # Same deployment (declared region order fixed); only the
+            # cohort *creation* order flips.
+            dep, handle, workload = build_scaleout_deployment(
+                shards=2, regions=(US_EAST, US_WEST))
+            for region in order:
+                rate_fn, peak = constant_rate(150.0)
+                dep.add_cohort(
+                    CohortSpec(name=f"ol-{region}", region=region,
+                               users=1500, rate_per_user=0.1,
+                               workload=workload, rate_fn=rate_fn,
+                               peak_rate=peak, max_in_flight=128,
+                               queue_limit=512),
+                    sharded=handle)
+            dep.load.run(1.0, grace=0.5)
+            digests.append(dep.store_digest())
+        assert digests[0] == digests[1]
+
+    def test_repeat_build_in_one_process_is_identical(self):
+        """Two identical builds in one interpreter must place shards and
+        name servers identically (deployment-scoped server ids)."""
+        from repro.bench.harness import build_deployment, rows_digest
+        from repro.net.topology import US_EAST, US_WEST
+
+        def ids(dep):
+            return sorted(s.server_id for s in dep.servers.values())
+        d1 = build_deployment([US_EAST, US_WEST], servers_per_region=2)
+        d2 = build_deployment([US_EAST, US_WEST], servers_per_region=2)
+        assert ids(d1) == ids(d2)
+        assert rows_digest(d1.store_rows()) == rows_digest(d2.store_rows())

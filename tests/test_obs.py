@@ -1,7 +1,6 @@
 """Tests for repro.obs: tracing, metrics, exporters, zero-cost guarantee."""
 
 import json
-import pickle
 import re
 
 import pytest
@@ -330,91 +329,6 @@ class TestMetrics:
         p = sim.process(main())
         sim.run(until=p)
         assert get_obs(sim).metrics.counter("rpc.timeouts").value == 1
-
-
-class TestMetricsMerge:
-    """merge_from / dump_state / load_state — the parallel runner's
-    report-combining primitives."""
-
-    def test_counters_add_and_missing_are_created(self):
-        sim = Simulator()
-        a, b = MetricsRegistry(sim), MetricsRegistry(sim)
-        a.counter("ops", tier="mem").inc(2)
-        b.counter("ops", tier="mem").inc(3)
-        b.counter("ops", tier="disk").inc(5)
-        a.merge_from(b)
-        assert a.counter("ops", tier="mem").value == 5
-        assert a.counter("ops", tier="disk").value == 5
-        assert b.counter("ops", tier="mem").value == 3  # source untouched
-
-    def test_gauge_modes(self):
-        sim = Simulator()
-        a, b = MetricsRegistry(sim), MetricsRegistry(sim)
-        a.gauge("depth").set(4.0)
-        b.gauge("depth").set(2.5)
-        a.merge_from(b, gauges="add")
-        assert a.gauge("depth").value == 6.5
-        a.merge_from(b, gauges="last")
-        assert a.gauge("depth").value == 2.5
-        with pytest.raises(ValueError):
-            a.gauge("depth").merge_from(b.gauge("depth"), mode="median")
-
-    def test_histogram_union_interleaves_by_time(self):
-        sim = Simulator()
-        a, b = MetricsRegistry(sim), MetricsRegistry(sim)
-        ha, hb = a.histogram("lat"), b.histogram("lat")
-        ha.observe(1.0)
-        hb.observe(2.0)
-
-        def advance():
-            yield sim.timeout(5.0)
-            ha.observe(3.0)
-            hb.observe(4.0)
-
-        p = sim.process(advance())
-        sim.run(until=p)
-        ha.merge_from(hb)
-        assert ha.stats.count == 4
-        assert ha.stats.min == 1.0 and ha.stats.max == 4.0
-        assert ha.stats.mean == pytest.approx(2.5)
-        # ring is time-sorted, ties keep self's samples first
-        assert [v for _, v in ha._ring] == [1.0, 2.0, 3.0, 4.0]
-
-    def test_histogram_merge_respects_ring_bound(self):
-        sim = Simulator()
-        a, b = MetricsRegistry(sim), MetricsRegistry(sim)
-        ha = a.histogram("lat", maxlen=4)
-        hb = b.histogram("lat", maxlen=4)
-        for i in range(4):
-            ha.observe(float(i))
-            hb.observe(float(10 + i))
-        ha.merge_from(hb)
-        assert len(ha._ring) == 4          # bound kept
-        assert ha.stats.count == 8         # aggregate stats see all
-
-    def test_dump_load_round_trip(self):
-        sim = Simulator()
-        src = MetricsRegistry(sim)
-        src.counter("ops", node="a").inc(7)
-        src.gauge("depth").set(1.25)
-        src.histogram("lat", op="get").observe(0.5)
-        src.histogram("lat", op="get").observe(1.5)
-        state = pickle.loads(pickle.dumps(src.dump_state()))  # wire hop
-        dst = MetricsRegistry(sim).load_state(state)
-        assert dst.snapshot() == src.snapshot()
-
-    def test_dump_state_is_detached(self):
-        """A dump must not alias live accumulators (the runner keeps a
-        baseline dump while the run continues mutating the registry)."""
-        sim = Simulator()
-        reg = MetricsRegistry(sim)
-        hist = reg.histogram("lat")
-        hist.observe(1.0)
-        dump = reg.dump_state()
-        hist.observe(100.0)
-        (_, _, _, state), = [row for row in dump if row[0] == "histogram"]
-        assert state["stats"].count == 1
-        assert state["ring"] == [(0.0, 1.0)]
 
 
 def tiny_deployment(with_tracing):

@@ -597,7 +597,8 @@ class TestInterruptRule:
                     causes.append((sim.now, exc.cause))
 
         proc = sim.process(sleeper())
-        sim.call_at(1.0, lambda: (proc.interrupt("a"), proc.interrupt("b")))
+        sim.timeout(1.0).subscribe(
+            lambda _ev: (proc.interrupt("a"), proc.interrupt("b")))
         sim.run()
         assert causes == [(1.0, "a"), (1.0, "b")]
 
@@ -692,7 +693,8 @@ class TestOneSteppingCore:
         def start(body):
             proc = sim.process(body())
             if way == "interrupt":
-                sim.call_at(sim.now + 1.0, proc.interrupt, "wake")
+                sim.timeout(1.0).subscribe(
+                    lambda _ev: proc.interrupt("wake"))
             return proc
 
         def refused():

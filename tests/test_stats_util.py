@@ -65,37 +65,6 @@ class TestOnlineStats:
         assert stats.count == len(data)
 
 
-class TestOnlineStatsMerge:
-    def test_merge_empty_sides(self):
-        a, b = OnlineStats(), OnlineStats()
-        b.add(2.0)
-        a.merge(b)
-        assert (a.count, a.mean, a.min, a.max) == (1, 2.0, 2.0, 2.0)
-        b.merge(OnlineStats())
-        assert b.count == 1
-
-    @given(st.lists(st.floats(min_value=-1e4, max_value=1e4,
-                              allow_nan=False), min_size=1, max_size=30),
-           st.lists(st.floats(min_value=-1e4, max_value=1e4,
-                              allow_nan=False), min_size=1, max_size=30))
-    @settings(max_examples=60)
-    def test_property_merge_equals_single_accumulator(self, xs, ys):
-        left, right, whole = OnlineStats(), OnlineStats(), OnlineStats()
-        for x in xs:
-            left.add(x)
-            whole.add(x)
-        for y in ys:
-            right.add(y)
-            whole.add(y)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean, abs=1e-6)
-        assert left.min == whole.min
-        assert left.max == whole.max
-        assert math.sqrt(max(left.variance, 0)) == pytest.approx(
-            whole.stdev, abs=1e-6)
-
-
 class TestLatencyRecorder:
     def test_windows_and_filters(self):
         rec = LatencyRecorder("ops")
