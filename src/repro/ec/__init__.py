@@ -2,8 +2,9 @@
 
 Three layers:
 
-* :mod:`repro.ec.codec` — pure GF(256) systematic Reed-Solomon codec:
-  any k of k+m fragments reconstruct the object.
+* :mod:`repro.ec.codec` — GF(256) systematic Reed-Solomon codec
+  (``bytes.translate`` multiplies, numpy XOR adds): any k of k+m
+  fragments reconstruct the object.
 * :mod:`repro.ec.protocol` / :mod:`repro.ec.repair` — fragments as
   first-class Tiera objects with a replicated JSON manifest, degraded
   reads/writes around down hosts, and background fragment rebuild.

@@ -8,12 +8,13 @@ square submatrix of a Cauchy matrix is nonsingular, so every k-subset of
 rows of ``[I ; C]`` is invertible and the code is MDS: it tolerates the
 loss of any ``n - k`` fragments.
 
-Pure python, zero dependencies, and deterministic: the same
-``(data, k, n)`` always produces byte-identical fragments, and decoding
-uses the ``k`` smallest available fragment indices regardless of the order
-fragments arrived in.  The inner loops ride ``bytes.translate`` (constant
-GF multiplication as a 256-byte table) and big-int XOR, so a 1 MiB encode
-is milliseconds, not seconds.
+Deterministic: the same ``(data, k, n)`` always produces byte-identical
+fragments, and decoding uses the ``k`` smallest available fragment indices
+regardless of the order fragments arrived in.  The multiply-accumulate
+core multiplies a fragment by a GF constant with ``bytes.translate`` (a
+256-byte table) and adds terms with one numpy ``bitwise_xor`` each, into
+an accumulator that starts from the first term.  A decode copies the data
+shards it holds and combines only the missing ones.
 
 Replication is the degenerate code ``k = 1``: every fragment is a scalar
 multiple of the whole payload and any single fragment decodes it — which
@@ -21,6 +22,12 @@ is how the redundancy plane expresses "3x replication" as EC(1, 3).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from functools import lru_cache, reduce
+from operator import xor
+
+import numpy as np
 
 #: GF(2^8) modulo the AES polynomial x^8 + x^4 + x^3 + x^2 + 1.
 _PRIMITIVE = 0x11D
@@ -63,25 +70,17 @@ def _mul_table(c: int) -> bytes:
 
 
 def _scale(buf: bytes, c: int) -> bytes:
-    """buf * c, element-wise over GF(256)."""
-    if c == 0:
-        return bytes(len(buf))
-    if c == 1:
-        return buf
-    return buf.translate(_mul_table(c))
+    """buf * c (c != 0), element-wise over GF(256)."""
+    return buf if c == 1 else buf.translate(_mul_table(c))
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    """a ^ b element-wise (addition in GF(2^8))."""
-    n = len(a)
-    return (int.from_bytes(a, "little")
-            ^ int.from_bytes(b, "little")).to_bytes(n, "little")
-
-
-def parity_matrix(k: int, m: int) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def parity_matrix(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The m x k Cauchy block: C[i][j] = 1 / (x_i + y_j) with x_i = i,
-    y_j = m + j.  The two index sets are disjoint, so x_i ^ y_j != 0."""
-    return [[gf_inv(i ^ (m + j)) for j in range(k)] for i in range(m)]
+    y_j = m + j.  The two index sets are disjoint, so x_i ^ y_j != 0.
+    Cached per scheme (bounded), hence immutable."""
+    return tuple(tuple(gf_inv(i ^ (m + j)) for j in range(k))
+                 for i in range(m))
 
 
 def _invert(matrix: list[list[int]]) -> list[list[int]]:
@@ -105,11 +104,12 @@ def _invert(matrix: list[list[int]]) -> list[list[int]]:
     return [row[k:] for row in aug]
 
 
-#: cached inverted decode matrices keyed by ``(k, n, available-index
-#: tuple)``.  Repair after a site crash decodes *many* objects under the
-#: same erasure pattern, so the O(k^3) Gauss-Jordan runs once per
-#: pattern instead of once per object.  Bounded: a pathological churn of
-#: patterns clears the cache rather than growing it without limit.
+#: cached :func:`decode_matrix` results keyed by ``(k, n,
+#: available-index tuple)``.  Repair after a site crash decodes *many*
+#: objects under the same erasure pattern, so the O(k^3) Gauss-Jordan
+#: runs once per pattern instead of once per object.  Bounded: a
+#: pathological churn of patterns clears the cache rather than growing it
+#: without limit.
 _INV_CACHE: dict[tuple[int, int, tuple[int, ...]], list[list[int]]] = {}
 _INV_CACHE_MAX = 1024
 
@@ -119,35 +119,47 @@ _inv_cache_stats = {"hits": 0, "misses": 0}
 
 def decode_matrix(k: int, n: int,
                   pick: tuple[int, ...]) -> list[list[int]]:
-    """Inverse of the generator rows selected by ``pick``, cached.
+    """Fragment ``i`` as a combination of the ``pick`` fragments, cached.
 
     ``pick`` must be a sorted tuple of ``k`` distinct fragment indices in
-    ``[0, n)`` — the fragments actually used for decoding.
+    ``[0, n)`` — the fragments actually used for decoding.  With ``A`` the
+    generator rows selected by ``pick``, row ``i`` of the n x k result is
+    ``g_i · A⁻¹``: rows ``0..k-1`` are ``A⁻¹`` itself (the data shards),
+    rows ``k..n-1`` the parity targets :meth:`Codec.rebuild` combines.
     """
     key = (k, n, pick)
-    inverse = _INV_CACHE.get(key)
-    if inverse is None:
+    matrix = _INV_CACHE.get(key)
+    if matrix is None:
         _inv_cache_stats["misses"] += 1
         cauchy = parity_matrix(k, n - k)
         rows = [([1 if j == i else 0 for j in range(k)] if i < k
                  else cauchy[i - k]) for i in pick]
         inverse = _invert(rows)
+        matrix = inverse + [
+            [reduce(xor, (gf_mul(g, row[j]) for g, row in zip(c, inverse)))
+             for j in range(k)] for c in cauchy]
         if len(_INV_CACHE) >= _INV_CACHE_MAX:
             _INV_CACHE.clear()
-        _INV_CACHE[key] = inverse
+        _INV_CACHE[key] = matrix
     else:
         _inv_cache_stats["hits"] += 1
-    return inverse
+    return matrix
 
 
-def _combine(rows: list[tuple[int, bytes]], length: int) -> bytes:
+def _combine(rows: Iterable[tuple[int, bytes]], length: int) -> bytes:
     """sum(coeff * frag) over GF(256) for (coeff, frag) pairs."""
-    acc = bytes(length)
+    acc = None
     for coeff, frag in rows:
         if coeff == 0:
             continue
-        acc = _xor(acc, _scale(frag, coeff))
-    return acc
+        term = np.frombuffer(_scale(frag, coeff), np.uint8)
+        if acc is None:
+            acc = term              # read-only view: the first XOR copies
+        elif acc.flags.writeable:
+            np.bitwise_xor(acc, term, out=acc)
+        else:
+            acc = acc ^ term
+    return bytes(length) if acc is None else acc.tobytes()
 
 
 def _validate(k: int, n: int) -> None:
@@ -174,16 +186,11 @@ class Codec:
         ``ceil(len(data) / k)``.
         """
         _validate(k, n)
-        m = n - k
         length = Codec.fragment_length(len(data), k)
         padded = bytes(data).ljust(k * length, b"\x00")
         shards = [padded[i * length:(i + 1) * length] for i in range(k)]
-        if m == 0:
-            return shards
-        cauchy = parity_matrix(k, m)
-        parity = [_combine(list(zip(cauchy[i], shards)), length)
-                  for i in range(m)]
-        return shards + parity
+        return shards + [_combine(zip(row, shards), length)
+                         for row in parity_matrix(k, n - k)]
 
     @staticmethod
     def decode(fragments: dict[int, bytes], k: int, n: int,
@@ -193,6 +200,8 @@ class Codec:
         ``fragments`` maps fragment index -> fragment bytes.  Exactly the
         ``k`` smallest available indices are used, so the result does not
         depend on arrival order or on which extra fragments are present.
+        A held data shard is among them and its row of ``A⁻¹`` is a unit
+        vector, so it is copied; only the missing ones are combined.
         """
         _validate(k, n)
         present = sorted(i for i in fragments if 0 <= i < n)
@@ -208,11 +217,12 @@ class Codec:
                     f"expected {length}")
         if pick == list(range(k)):
             return b"".join(fragments[i] for i in pick)[:size]
-        inverse = decode_matrix(k, n, tuple(pick))
-        shards = [_combine([(inverse[j][c], fragments[pick[c]])
-                            for c in range(k)], length)
-                  for j in range(k)]
-        return b"".join(shards)[:size]
+        matrix = decode_matrix(k, n, tuple(pick))
+        picked = [fragments[i] for i in pick]
+        return b"".join(
+            fragments[j] if j in fragments
+            else _combine(zip(matrix[j], picked), length)
+            for j in range(k))[:size]
 
     @staticmethod
     def rebuild(fragments: dict[int, bytes], k: int, n: int, size: int,
@@ -223,9 +233,9 @@ class Codec:
         row and ``A`` the selected survivor rows, the rebuilt fragment is
         ``(g · A⁻¹) · picked`` — one :func:`_combine` pass over ``k``
         fragments, instead of a full decode (``k`` combines) followed by
-        a full re-encode (``n - k`` more).  ``A⁻¹`` rides the
+        a full re-encode (``n - k`` more).  ``g · A⁻¹`` is a row of the
         :func:`decode_matrix` cache, so repeated erasure patterns skip
-        the O(k³) inversion entirely.
+        the O(k³) inversion and the row product entirely.
         """
         _validate(k, n)
         if not 0 <= missing < n:
@@ -241,18 +251,5 @@ class Codec:
                 raise ValueError(
                     f"fragment {i} is {len(fragments[i])} bytes, "
                     f"expected {length}")
-        inverse = decode_matrix(k, n, tuple(pick))
-        if missing < k:
-            coeffs = inverse[missing]
-        else:
-            g = parity_matrix(k, n - k)[missing - k]
-            coeffs = [0] * k
-            for i in range(k):
-                gi = g[i]
-                if gi == 0:
-                    continue
-                row = inverse[i]
-                for j in range(k):
-                    coeffs[j] ^= gf_mul(gi, row[j])
-        return _combine([(coeffs[j], fragments[pick[j]])
-                         for j in range(k)], length)
+        coeffs = decode_matrix(k, n, tuple(pick))[missing]
+        return _combine(zip(coeffs, (fragments[i] for i in pick)), length)
