@@ -41,7 +41,6 @@ from typing import Generator, Optional
 from repro.autoscale.signals import SignalReader, SignalSample
 from repro.core.global_policy import AutoscaleSpec
 from repro.obs.api import get_obs
-from repro.sim.kernel import Interrupt
 from repro.storage.cost import PRICE_BOOK
 
 
@@ -138,15 +137,12 @@ class Autoscaler:
     # -- the control loop ----------------------------------------------------
     def _run(self) -> Generator:
         spec = self.spec
-        try:
-            # Prime the reader: the first sample has no window behind it.
-            self.reader.sample(self.sim.now)
-            while True:
-                yield self.sim.timeout(spec.decision_interval)
-                sample = self.reader.sample(self.sim.now)
-                yield from self._decide(sample)
-        except Interrupt:
-            return
+        # Prime the reader: the first sample has no window behind it.
+        self.reader.sample(self.sim.now)
+        while True:
+            yield self.sim.timeout(spec.decision_interval)
+            sample = self.reader.sample(self.sim.now)
+            yield from self._decide(sample)
 
     def _decide(self, sample: SignalSample) -> Generator:
         spec = self.spec

@@ -22,9 +22,8 @@ from collections import OrderedDict
 from typing import Generator, Optional
 
 from repro.faults.retry import RetryPolicy
+from repro.net.network import NetworkError
 from repro.obs.api import get_obs
-from repro.sim.kernel import Interrupt
-from repro.sim.rpc import wait_call
 
 
 class ProtocolError(RuntimeError):
@@ -297,22 +296,19 @@ class ReplicationQueue:
     # -- the flush machinery ----------------------------------------------------
     def _loop(self) -> Generator:
         sim = self.instance.sim
-        try:
-            while True:
-                # Race the flush timer against the size trigger armed in
-                # enqueue(); whichever fires first flushes.
-                self._kick = sim.event()
-                if self._over_threshold():
-                    # Enqueues that landed while the loop was flushing
-                    # (kick unarmed) already crossed the threshold.
-                    self._kick.succeed()
-                timer = sim.timeout(self.interval)
-                yield sim.any_of([timer, self._kick])
-                self._kick = None
-                timer.cancel()   # no-op if the timer won the race
-                yield from self.flush()
-        except Interrupt:
-            return
+        while True:
+            # Race the flush timer against the size trigger armed in
+            # enqueue(); whichever fires first flushes.
+            self._kick = sim.event()
+            if self._over_threshold():
+                # Enqueues that landed while the loop was flushing
+                # (kick unarmed) already crossed the threshold.
+                self._kick.succeed()
+            timer = sim.timeout(self.interval)
+            yield sim.any_of([timer, self._kick])
+            self._kick = None
+            timer.cancel()   # no-op if the timer won the race
+            yield from self.flush()
 
     def _reap_departed_peers(self) -> None:
         """Forget retry state for peers no longer in the peer table.
@@ -370,8 +366,9 @@ class ReplicationQueue:
         failed_peers: set[str] = set()
         healthy_peers: set[str] = set()
         for call, peer_id, entries in calls:
-            ok, results = yield from wait_call(call)
-            if not ok:
+            try:
+                results = yield call
+            except NetworkError:
                 # Transport failure (crash/partition mid-batch): nothing
                 # was acknowledged, so every entry is outstanding.
                 for args, is_retry in entries:

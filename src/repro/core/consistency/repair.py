@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
+from repro.net.network import NetworkError
 from repro.obs.api import get_obs
-from repro.sim.kernel import Interrupt
-from repro.sim.rpc import split_batches, wait_call
+from repro.sim.rpc import split_batches
 from repro.storage.backend import StorageError
 
 
@@ -63,15 +63,12 @@ class AntiEntropyRepairer:
         self._proc = None
 
     def _run(self) -> Generator:
-        try:
-            while True:
-                yield self.instance.sim.timeout(self.interval)
-                if self._should_push is not None \
-                        and not self._should_push(self.instance):
-                    continue
-                yield from self.repair_round()
-        except Interrupt:
-            return
+        while True:
+            yield self.instance.sim.timeout(self.interval)
+            if self._should_push is not None \
+                    and not self._should_push(self.instance):
+                continue
+            yield from self.repair_round()
 
     def repair_round(self) -> Generator:
         """Compare digests with every reachable peer; push stale keys."""
@@ -79,9 +76,9 @@ class AntiEntropyRepairer:
         self.rounds += 1
         self._m_rounds.inc()
         for peer_id, peer in list(instance.peers.items()):
-            ok, digest = yield from wait_call(
-                instance.node.call(peer.node, "digest", {}))
-            if not ok:
+            try:
+                digest = yield from instance.node.invoke(peer.node, "digest")
+            except NetworkError:
                 continue  # unreachable peer: next round will see it
             yield from self._push_stale(peer_id, peer, digest["keys"])
 
@@ -109,9 +106,11 @@ class AntiEntropyRepairer:
                 continue  # lost locally between digest and read
             stale.append(("replica_update", args, len(args["data"]) + 512))
         for entries in split_batches(stale, self.batch_bytes):
-            ok, results = yield from wait_call(
-                instance.node.call_batch(peer.node, entries))
-            if not ok:
+            call = instance.node.call_batch(peer.node, entries)
+            call.defuse()
+            try:
+                results = yield call
+            except NetworkError:
                 continue  # transport failure: whole batch retries next round
             self.batches += 1
             for (_method, args, _size), res in zip(entries, results):

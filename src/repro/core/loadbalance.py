@@ -16,7 +16,6 @@ from typing import Generator, Optional
 
 from repro.core.global_policy import LoadBalanceSpec
 from repro.core.monitoring import MonitorBase
-from repro.sim.kernel import Interrupt
 
 
 class LoadBalancer(MonitorBase):
@@ -38,25 +37,22 @@ class LoadBalancer(MonitorBase):
 
     def _run(self) -> Generator:
         spec = self.spec
-        try:
-            while True:
-                yield self.sim.timeout(spec.check_interval)
-                rates = self._rates()
-                if not rates:
+        while True:
+            yield self.sim.timeout(spec.check_interval)
+            rates = self._rates()
+            if not rates:
+                continue
+            # clear redirects whose source has cooled down
+            for iid in list(self._active):
+                if rates.get(iid, 0.0) <= spec.clear_rps:
+                    yield from self._clear(iid)
+            # install redirects for overloaded instances
+            for iid, rate in sorted(rates.items()):
+                if iid in self._active or rate <= spec.threshold_rps:
                     continue
-                # clear redirects whose source has cooled down
-                for iid in list(self._active):
-                    if rates.get(iid, 0.0) <= spec.clear_rps:
-                        yield from self._clear(iid)
-                # install redirects for overloaded instances
-                for iid, rate in sorted(rates.items()):
-                    if iid in self._active or rate <= spec.threshold_rps:
-                        continue
-                    target = self._coolest_peer(iid, rates)
-                    if target is not None:
-                        yield from self._install(iid, target)
-        except Interrupt:
-            return
+                target = self._coolest_peer(iid, rates)
+                if target is not None:
+                    yield from self._install(iid, target)
 
     def _coolest_peer(self, overloaded: str,
                       rates: dict[str, float]) -> Optional[str]:

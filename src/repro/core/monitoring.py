@@ -26,7 +26,6 @@ from repro.core.global_policy import (
     ColdDataSpec,
     DynamicConsistencySpec,
 )
-from repro.sim.kernel import Interrupt
 from repro.sim.rpc import call_with_timeout
 
 #: estimated local-store component of a strong put, used by probe estimates
@@ -171,39 +170,36 @@ class LatencyMonitor(MonitorBase):
     # -- the control loop -------------------------------------------------------
     def _run(self) -> Generator:
         spec = self.spec
-        try:
-            while True:
-                yield self.sim.timeout(spec.check_interval)
-                if self.mode == "strong":
-                    longest = self._update_violation_clocks()
-                    self.signal_log.append(
-                        (self.sim.now, longest or 0.0, self.mode))
-                    self._signal_gauge.set(longest or 0.0)
-                    if longest is not None and longest >= spec.period:
-                        yield from self.tim.switch_consistency(spec.weak)
-                        self.mode = "weak"
+        while True:
+            yield self.sim.timeout(spec.check_interval)
+            if self.mode == "strong":
+                longest = self._update_violation_clocks()
+                self.signal_log.append(
+                    (self.sim.now, longest or 0.0, self.mode))
+                self._signal_gauge.set(longest or 0.0)
+                if longest is not None and longest >= spec.period:
+                    yield from self.tim.switch_consistency(spec.weak)
+                    self.mode = "weak"
+                    self._violating_since.clear()
+                    self._reset_at = self.sim.now
+                    self._ok_since = None
+            else:
+                # Weak mode hides violations from app latencies, so
+                # estimate what a strong put would cost right now.
+                signal = yield from self.probe_estimate()
+                self.signal_log.append((self.sim.now, signal, self.mode))
+                self._signal_gauge.set(signal)
+                if signal <= spec.latency_threshold:
+                    if self._ok_since is None:
+                        self._ok_since = self.sim.now
+                    elif self.sim.now - self._ok_since >= spec.period:
+                        yield from self.tim.switch_consistency(spec.strong)
+                        self.mode = "strong"
+                        self._ok_since = None
                         self._violating_since.clear()
                         self._reset_at = self.sim.now
-                        self._ok_since = None
                 else:
-                    # Weak mode hides violations from app latencies, so
-                    # estimate what a strong put would cost right now.
-                    signal = yield from self.probe_estimate()
-                    self.signal_log.append((self.sim.now, signal, self.mode))
-                    self._signal_gauge.set(signal)
-                    if signal <= spec.latency_threshold:
-                        if self._ok_since is None:
-                            self._ok_since = self.sim.now
-                        elif self.sim.now - self._ok_since >= spec.period:
-                            yield from self.tim.switch_consistency(spec.strong)
-                            self.mode = "strong"
-                            self._ok_since = None
-                            self._violating_since.clear()
-                            self._reset_at = self.sim.now
-                    else:
-                        self._ok_since = None
-        except Interrupt:
-            return
+                    self._ok_since = None
 
 
 class RequestsMonitor(MonitorBase):
@@ -224,42 +220,39 @@ class RequestsMonitor(MonitorBase):
 
     def _run(self) -> Generator:
         spec = self.spec
-        try:
-            while True:
-                yield self.sim.timeout(spec.check_interval)
-                if self.sim.now < self._cooldown_until:
-                    continue
-                primary = self._primary_instance()
-                if primary is None:
-                    continue
-                self.evaluations += 1
-                counts = primary.requests_in_window(spec.window)
-                app_count = counts.get("app", 0)
-                forwarded = {src: n for src, n in counts.items()
-                             if src != "app" and src in self.tim.instances}
-                if not forwarded:
+        while True:
+            yield self.sim.timeout(spec.check_interval)
+            if self.sim.now < self._cooldown_until:
+                continue
+            primary = self._primary_instance()
+            if primary is None:
+                continue
+            self.evaluations += 1
+            counts = primary.requests_in_window(spec.window)
+            app_count = counts.get("app", 0)
+            forwarded = {src: n for src, n in counts.items()
+                         if src != "app" and src in self.tim.instances}
+            if not forwarded:
+                self._candidate = None
+                self._candidate_since = None
+                continue
+            top_src = max(forwarded, key=lambda s: forwarded[s])
+            top_count = forwarded[top_src]
+            if top_count >= app_count and top_count > 0:
+                if self._candidate != top_src:
+                    self._candidate = top_src
+                    self._candidate_since = self.sim.now
+                elif (self.sim.now - self._candidate_since
+                      >= spec.period):
+                    yield from self.tim.change_primary(top_src)
                     self._candidate = None
                     self._candidate_since = None
-                    continue
-                top_src = max(forwarded, key=lambda s: forwarded[s])
-                top_count = forwarded[top_src]
-                if top_count >= app_count and top_count > 0:
-                    if self._candidate != top_src:
-                        self._candidate = top_src
-                        self._candidate_since = self.sim.now
-                    elif (self.sim.now - self._candidate_since
-                          >= spec.period):
-                        yield from self.tim.change_primary(top_src)
-                        self._candidate = None
-                        self._candidate_since = None
-                        # Let a full history window accumulate under the
-                        # new primary before judging again (anti-flap).
-                        self._cooldown_until = self.sim.now + spec.window
-                else:
-                    self._candidate = None
-                    self._candidate_since = None
-        except Interrupt:
-            return
+                    # Let a full history window accumulate under the
+                    # new primary before judging again (anti-flap).
+                    self._cooldown_until = self.sim.now + spec.window
+            else:
+                self._candidate = None
+                self._candidate_since = None
 
 
 class ColdDataCoordinator(MonitorBase):
@@ -287,35 +280,34 @@ class ColdDataCoordinator(MonitorBase):
 
     def _run(self) -> Generator:
         spec = self.spec
-        try:
-            while True:
-                yield self.sim.timeout(spec.check_interval)
-                central = self._central_record()
-                with self.tim._obs.tracer.span(
-                        "policy:demote_cold", cat="policy",
-                        component=self.tim.node.name,
-                        central=central.instance_id) as span:
-                    result = yield from self.tim.node.invoke(
-                        central.node, "ctl_demote_cold",
-                        {"age": spec.age, "to_tier": spec.target_tier,
-                         "bandwidth": spec.bandwidth})
-                    demoted = result["demoted"]
-                    span.set(demoted=len(demoted))
-                    if not demoted:
+        while True:
+            yield self.sim.timeout(spec.check_interval)
+            central = self._central_record()
+            with self.tim._obs.tracer.span(
+                    "policy:demote_cold", cat="policy",
+                    component=self.tim.node.name,
+                    central=central.instance_id) as span:
+                result = yield from self.tim.node.invoke(
+                    central.node, "ctl_demote_cold",
+                    {"age": spec.age, "to_tier": spec.target_tier,
+                     "bandwidth": spec.bandwidth})
+                demoted = result["demoted"]
+                span.set(demoted=len(demoted))
+                if not demoted:
+                    continue
+                self.centralized_objects += len(demoted)
+                self.tim._obs.metrics.counter(
+                    "policy.cold_demotions",
+                    wiera=self.tim.wiera_instance_id).inc(len(demoted))
+                shared_name = self.tim.shared_cold_tier_name
+                calls = []
+                for iid, record in self.tim.instances.items():
+                    if iid == central.instance_id:
                         continue
-                    self.centralized_objects += len(demoted)
-                    self.tim._obs.metrics.counter(
-                        "policy.cold_demotions",
-                        wiera=self.tim.wiera_instance_id).inc(len(demoted))
-                    shared_name = self.tim.shared_cold_tier_name
-                    calls = []
-                    for iid, record in self.tim.instances.items():
-                        if iid == central.instance_id:
-                            continue
-                        calls.append(self.tim.node.call(
-                            record.node, "ctl_adopt_remote_cold",
-                            {"tier": shared_name, "objects": demoted}))
-                    for call in calls:
-                        yield call
-        except Interrupt:
-            return
+                    call = self.tim.node.call(
+                        record.node, "ctl_adopt_remote_cold",
+                        {"tier": shared_name, "objects": demoted})
+                    call.defuse()  # may fail before it is waited on
+                    calls.append(call)
+                for call in calls:
+                    yield call

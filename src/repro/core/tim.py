@@ -152,15 +152,17 @@ class TieraInstanceManager:
 
     def _propagate_peers(self) -> Generator:
         refs = {rec.instance_id: rec.ref for rec in self.alive_records()}
-        calls = [self.node.call(rec.node, "ctl_set_peers", {"peers": refs})
-                 for rec in self.alive_records()]
-        for call in calls:
-            yield call
+        yield from self._broadcast("ctl_set_peers", {"peers": refs})
 
     def _install_protocol(self, protocol) -> Generator:
-        calls = [self.node.call(rec.node, "ctl_set_protocol",
-                                {"protocol": protocol})
+        yield from self._broadcast("ctl_set_protocol", {"protocol": protocol})
+
+    def _broadcast(self, method: str, args: dict) -> Generator:
+        """Call ``method`` on every alive instance at once; wait for all."""
+        calls = [self.node.call(rec.node, method, args)
                  for rec in self.alive_records()]
+        for call in calls:
+            call.defuse()  # may fail before it is waited on
         for call in calls:
             yield call
 

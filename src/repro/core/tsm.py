@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.sim.kernel import Interrupt
 from repro.sim.rpc import Message, RpcNode
 
 
@@ -104,22 +103,19 @@ class TieraServerManager:
         self._hb_proc = None
 
     def _heartbeat_loop(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.heartbeat_interval)
-                for record in list(self.servers.values()):
-                    if not record.alive:
-                        continue
-                    try:
-                        yield from self.node.invoke(record.node, "ping")
-                        record.missed = 0
-                        record.last_seen = self.sim.now
-                    except Exception:
-                        record.missed += 1
-                        if record.missed >= self.missed_threshold:
-                            record.alive = False
-                            self.deaths_detected += 1
-                            for tim in self._watchers:
-                                tim.on_server_down(record.server_id)
-        except Interrupt:
-            return
+        while True:
+            yield self.sim.timeout(self.heartbeat_interval)
+            for record in list(self.servers.values()):
+                if not record.alive:
+                    continue
+                try:
+                    yield from self.node.invoke(record.node, "ping")
+                    record.missed = 0
+                    record.last_seen = self.sim.now
+                except Exception:
+                    record.missed += 1
+                    if record.missed >= self.missed_threshold:
+                        record.alive = False
+                        self.deaths_detected += 1
+                        for tim in self._watchers:
+                            tim.on_server_down(record.server_id)

@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.sim.kernel import Interrupt
 from repro.util.stats import OnlineStats
 
 
@@ -64,12 +63,9 @@ class WorkloadMonitor:
 
     # -- polling -------------------------------------------------------------
     def _run(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.poll_interval)
-                yield from self.poll_once()
-        except Interrupt:
-            return
+        while True:
+            yield self.sim.timeout(self.poll_interval)
+            yield from self.poll_once()
 
     def poll_once(self) -> Generator:
         snapshot = WorkloadSnapshot(time=self.sim.now)

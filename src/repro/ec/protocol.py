@@ -42,10 +42,13 @@ process.
   fault).  A manifest therefore never names fragments that are not in
   place yet; that is why it stays a second wave.
 
-Every wait on a call goes through :func:`~repro.sim.rpc.wait_call`, so an
-``Interrupt`` of the waiting process propagates instead of being booked
-as a failed fragment.  Lost fragments are re-established in the
-background by :class:`~repro.ec.repair.ECRepairer`.
+Every wait on a call catches what that call can raise and nothing else:
+:class:`~repro.net.network.NetworkError` for a fragment or manifest
+push, and ``StorageError`` as well for a pull.  A stop of the waiting
+process (an ``Interrupt``) therefore stops it instead of being booked as
+a failed fragment, and any other exception is a bug and propagates.
+Lost fragments are re-established in the background by
+:class:`~repro.ec.repair.ECRepairer`.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from typing import Generator, Optional
 
 from repro.core.consistency.base import GlobalProtocol, ProtocolError
 from repro.ec.codec import Codec
+from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
-from repro.sim.rpc import wait_call
 from repro.storage.backend import ObjectMissingError, StorageError
 
 #: manifests are JSON objects whose serialization starts with this tag
@@ -239,8 +242,11 @@ class ECProtocol(GlobalProtocol):
         landed = {0}
         failed: list[int] = []
         for idx, call in wave:
-            ok, results = yield from wait_call(call)
-            if ok and results[0].get("ok"):
+            try:
+                entry = (yield call)[0]
+            except NetworkError:
+                entry = {}
+            if entry.get("ok"):
                 landed.add(idx)
             else:
                 failed.append(idx)
@@ -250,8 +256,11 @@ class ECProtocol(GlobalProtocol):
         for idx in list(failed):
             while spares:
                 iid, peer = spares.popleft()
-                ok, results = yield from wait_call(send(idx, peer))
-                if ok and results[0].get("ok"):
+                try:
+                    entry = (yield send(idx, peer))[0]
+                except NetworkError:
+                    entry = {}
+                if entry.get("ok"):
                     frag_map[idx] = iid
                     landed.add(idx)
                     failed.remove(idx)
@@ -290,8 +299,11 @@ class ECProtocol(GlobalProtocol):
             call.defuse()
             mcalls.append(call)
         for call in mcalls:
-            ok, results = yield from wait_call(call)
-            if not (ok and results[0].get("ok")):
+            try:
+                entry = (yield call)[0]
+            except NetworkError:
+                entry = {}
+            if not entry.get("ok"):
                 self._count("manifest_push_failures")
 
         self._count("puts")
@@ -348,11 +360,11 @@ class ECProtocol(GlobalProtocol):
         self._count("manifest_fallbacks")
         last_error = None
         for iid, peer in self.ring(instance)[1:]:
-            call = instance.node.call(peer.node, "peer_get",
-                                      {"key": key, "version": version})
-            ok, res = yield from wait_call(call)
-            if not ok:
-                last_error = res
+            try:
+                res = yield from instance.node.invoke(
+                    peer.node, "peer_get", {"key": key, "version": version})
+            except (NetworkError, StorageError) as exc:
+                last_error = exc
                 continue
             # Install the fetched manifest locally so later reads are
             # coordinated without a WAN hop.  A lingering unreadable local
@@ -422,11 +434,11 @@ class ECProtocol(GlobalProtocol):
                     frag = None
             else:
                 idx, call = calls.popleft()
-                ok, res = yield from wait_call(call)
-                frag = None
-                if ok:
-                    frag = res["data"]
+                try:
+                    frag = (yield call)["data"]
                     pulled += len(frag)
+                except (NetworkError, StorageError):
+                    frag = None
             if frag is None:
                 top_up()
             else:

@@ -51,11 +51,11 @@ from typing import Generator
 from repro.ec.protocol import (decode_manifest, encode_manifest,
                                fragment_key, is_fragment_key)
 from repro.ec.codec import Codec
+from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
-from repro.sim.kernel import Interrupt
-from repro.sim.rpc import wait_call
 from repro.storage.backend import ObjectMissingError, StorageError
+from repro.tiera.instance import TieraError
 from repro.tiera.objects import storage_key
 
 #: wire size of one (key, version) item inside a batched check_readable
@@ -115,12 +115,9 @@ class ECRepairer:
         self._workers = []
 
     def _run(self) -> Generator:
-        try:
-            while True:
-                yield self.instance.sim.timeout(self.interval)
-                yield from self.repair_round()
-        except Interrupt:
-            return
+        while True:
+            yield self.instance.sim.timeout(self.interval)
+            yield from self.repair_round()
 
     # ------------------------------------------------------------------
     def repair_round(self) -> Generator:
@@ -232,7 +229,11 @@ class ECRepairer:
             call.defuse()  # may fail before its turn to be waited on
             calls.append((iid, call))
         for iid, call in calls:
-            alive[iid], _ = yield from wait_call(call)
+            try:
+                yield call
+                alive[iid] = True
+            except NetworkError:
+                alive[iid] = False
 
     def _leads(self, frag_map: dict, alive: dict[str, bool]) -> bool:
         me = self.instance.instance_id
@@ -267,11 +268,14 @@ class ECRepairer:
             call.defuse()
             calls.append((holder, items, call))
         for holder, items, call in calls:
-            ok, results = yield from wait_call(call)
-            if not ok or not results[0].get("ok"):
+            try:
+                entry = (yield call)[0]
+            except NetworkError:
+                entry = {}
+            if not entry.get("ok"):
                 alive[holder] = False  # all its slots count as broken
                 continue
-            gone = set(results[0]["result"]["missing"])
+            gone = set(entry["result"]["missing"])
             readable.update((holder, fkey) for fkey, _ in items
                             if fkey not in gone)
         return readable
@@ -309,8 +313,6 @@ class ECRepairer:
                 with span:
                     yield from self._repair_object(
                         key, vmeta, manifest, missing, alive, ring, remaps)
-            except Interrupt:
-                return  # stop(): abandon the round
             except Exception:
                 # One stubborn object must not starve the rest of the round.
                 self._m_errors.inc()
@@ -364,9 +366,10 @@ class ECRepairer:
                 res = yield from self.protocol.on_reconstruct_fragment(
                     instance, args)
             else:
-                ok, res = yield from wait_call(instance.node.call(
-                    peer.node, "reconstruct_fragment", args))
-                if not ok:
+                try:
+                    res = yield from instance.node.invoke(
+                        peer.node, "reconstruct_fragment", args)
+                except (NetworkError, StorageError, TieraError):
                     res = {}
             if res.get("reason") == "superseded":
                 self._m_superseded.inc()
@@ -394,9 +397,14 @@ class ECRepairer:
                 push = {"key": fragment_key(key, idx), "version": version,
                         "last_modified": lm, "origin": instance.instance_id,
                         "data": frag}
-                ok, results = yield from wait_call(instance.node.call_batch(
-                    peer.node, [("replica_update", push, len(frag) + 512)]))
-                if not ok or not results[0].get("ok"):
+                call = instance.node.call_batch(
+                    peer.node, [("replica_update", push, len(frag) + 512)])
+                call.defuse()
+                try:
+                    entry = (yield call)[0]
+                except NetworkError:
+                    entry = {}
+                if not entry.get("ok"):
                     self._m_push_failed.inc()
                     continue
                 self._m_bytes.inc(len(frag))
@@ -442,8 +450,9 @@ class ECRepairer:
             call.defuse()
             calls.append((peer.node, call))
         for peer_node, call in calls:
-            ok, results = yield from wait_call(call)
-            if not ok:
+            try:
+                results = yield call
+            except NetworkError:
                 self._m_push_failed.inc()
                 continue
             for (key, version, delta, lm), entry in zip(remaps, results):
@@ -461,9 +470,14 @@ class ECRepairer:
                 margs = {"key": key, "version": version,
                          "last_modified": lm, "origin": origin,
                          "data": data}
-                ok, pushed = yield from wait_call(instance.node.call_batch(
-                    peer_node, [("replica_update", margs, len(data) + 512)]))
-                if ok and pushed[0].get("ok"):
+                push = instance.node.call_batch(
+                    peer_node, [("replica_update", margs, len(data) + 512)])
+                push.defuse()
+                try:
+                    pushed = (yield push)[0]
+                except NetworkError:
+                    pushed = {}
+                if pushed.get("ok"):
                     self._m_bytes.inc(len(data))
                 else:
                     self._m_push_failed.inc()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.obs.api import get_obs
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,10 @@ class FaultSchedule:
         # Stable order: scripted time first, insertion order as tie-break.
         ordered = sorted(enumerate(self.events),
                          key=lambda pair: (pair[1].at, pair[0]))
-        try:
-            for _, event in ordered:
-                if event.at > self.sim.now:
-                    yield self.sim.timeout(event.at - self.sim.now)
-                self._apply(event)
-        except Interrupt:
-            return
+        for _, event in ordered:
+            if event.at > self.sim.now:
+                yield self.sim.timeout(event.at - self.sim.now)
+            self._apply(event)
 
     def _apply(self, event: FaultEvent) -> None:
         kind = event.kind

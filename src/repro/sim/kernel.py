@@ -30,8 +30,10 @@ an event unless somebody has to be woken:
 * **Finish.**  A process that returns normally with no subscriber marks
   itself processed and schedules nothing: a later ``yield proc``, a
   condition over it or ``run(until=proc)`` finds it processed and reads
-  its value, exactly as for any other processed event.  A finish somebody
-  is subscribed to is one event (it wakes them), and a *failed* process
+  its value, exactly as for any other processed event.  A process that an
+  :class:`Interrupt` escapes has been *stopped*, which is a normal finish
+  too: ok, with value ``None`` (see "Interrupts").  A finish somebody is
+  subscribed to is one event (it wakes them), and a *failed* process
   always keeps its event, so a failure nobody handles still stops
   ``run()``.  Taking an event nobody subscribed to out of the schedule
   leaves the ``(time, seq)`` order of every other event as it was.
@@ -112,6 +114,14 @@ queued for that yield is superseded, not run first.  A process that was
 first step it ran inside ``process()``) is detached when the notice is
 delivered and sees it at its next yield; a process that finished in the
 meantime never hears of it.
+
+**The stop rule.**  An interrupt means *stop*.  :class:`Interrupt` is a
+``BaseException``, so no ``except Exception`` on the way up catches it by
+accident, and an ``Interrupt`` that escapes the generator finishes the
+process ok with value ``None``, like a plain ``return`` — unwatched, it
+schedules nothing.  A process therefore needs no handler to be
+stoppable: ``finally`` blocks run on the way out, and a process that
+wants to outlive an interrupt catches :class:`Interrupt` by name.
 """
 
 from __future__ import annotations
@@ -136,8 +146,9 @@ class SimulationError(RuntimeError):
     """Raised by the event loop for kernel-level misuse or failure."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
+class Interrupt(BaseException):
+    """Thrown into a process by :meth:`Process.interrupt`; one that escapes
+    the process stops it (module docstring, "The stop rule")."""
 
     def __init__(self, cause: Any = None):
         super().__init__(cause)
@@ -449,7 +460,10 @@ class Process(Event):
             return
         except BaseException as exc:
             sim._active_process = None
-            self._finish(False, exc)
+            if isinstance(exc, Interrupt):
+                self._finish(True, None)    # the stop rule
+            else:
+                self._finish(False, exc)
             return
         sim._active_process = None
         try:

@@ -55,8 +55,7 @@ class SerialServer:
     event per job and no waiter to strand: a caller interrupted before its
     completion leaves its reservation spent — the server stays busy until
     ``free_at``, as if the job had run — and later jobs are served
-    normally.  (:class:`Resource` hands a freed slot to an interrupted
-    waiter that will never release it.)
+    normally.
     """
 
     __slots__ = ("sim", "free_at")
@@ -79,13 +78,10 @@ class Resource:
     """A counted resource with FIFO waiters (like a semaphore).
 
     ``request()`` returns an event that fires once a slot is granted; the
-    holder must call ``release()`` exactly once per grant.
-
-    Hazard: a process interrupted while *waiting* in ``request()`` stays in
-    the waiter queue, is later handed a slot it will never release, and
-    wedges the resource.  Capacity-1 FIFO users should use
-    :class:`SerialServer`, which has no waiters; the one remaining user
-    (``workloads/rubis.py``, capacity > 1) never interrupts its waiters.
+    requester calls ``release(request)`` exactly once per request, granted
+    or not.  Called from a ``finally`` around the wait, that frees the slot
+    of a holder that is stopped and withdraws a waiter that is stopped
+    before its grant, so no slot is handed to a process that is gone.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -109,7 +105,10 @@ class Resource:
             self._waiters.append(event)
         return event
 
-    def release(self) -> None:
+    def release(self, request: Event) -> None:
+        if not request.triggered:
+            self._waiters.remove(request)   # still waiting: withdraw it
+            return
         if self.in_use <= 0:
             raise SimulationError("release() without a matching request()")
         if self._waiters:
@@ -212,8 +211,8 @@ def _drive(sim: Simulator, body: Generator,
                 value = yield target
             except BaseException as exc:
                 # An Interrupt that is the *outcome* of the awaited event
-                # (body waited on a process that was itself interrupted)
-                # is body's business like any other failure.
+                # (an event somebody failed with one) is body's business
+                # like any other failure.
                 if isinstance(exc, Interrupt) and target._value is not exc:
                     # Spans body has open move with it (the orphan reads
                     # its context in its first step, inside process()); the

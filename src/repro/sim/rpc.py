@@ -10,13 +10,23 @@ A call has one body (:meth:`RpcNode._call`) and two ways to run it.  A
 caller that simply waits for the answer runs it inside the process it
 already is, ``result = yield from node.invoke(...)``, and pays for no
 scheduler entity; a caller that needs an :class:`~repro.sim.kernel.Event` — a
-fan-out gathered with ``all_of``/``any_of``, :func:`call_with_timeout`,
-:func:`wait_call`, a oneway — gets one from ``node.call(...)``, which runs
-the same body as a process.  Either way the caller receives the handler's
+fan-out gathered with ``all_of``/``any_of`` or waited on in turn,
+:func:`call_with_timeout`, a oneway — gets one from ``node.call(...)``
+(``call_batch`` for a batch, which has no inline form), which runs the
+same body as a process.  Either way the caller receives the handler's
 return value, or has the remote exception (or a
-:class:`~repro.net.network.NetworkError`) raised into it — which is what
-client failover logic catches.  An ``Interrupt`` of the caller never
-reaches the handler (:func:`~repro.sim.primitives.shielded`).
+:class:`~repro.net.network.NetworkError`) raised into it, and catches by
+type what it expects — a transport failure, a storage miss — as client
+failover logic does.
+
+An ``Interrupt`` of the caller never reaches the handler
+(:func:`~repro.sim.primitives.shielded`); it is a stop, which no ``except
+Exception`` catches (the kernel's stop rule).  A call event its waiter may
+leave behind — one of a wave, which can fail while an earlier one is
+waited on, or the call of a process that can be stopped — is defused at
+launch, and :func:`call_with_timeout` defuses its race when the waiter is
+stopped, so a late failure nobody is left to hear does not stop the
+simulation.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.net.network import Host, HostDownError, Network
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN, TraceContext
-from repro.sim.kernel import Interrupt, Process, Simulator
+from repro.sim.kernel import Process, Simulator
 from repro.sim.primitives import shielded
 
 
@@ -305,28 +315,6 @@ def _nested_bytes(value: Any) -> int:
     return 0
 
 
-def wait_call(call) -> Generator:
-    """Wait on an RPC ``call``; returns ``(True, result)`` or, when the
-    peer is unreachable or its handler raised, ``(False, exception)``.
-
-    :class:`~repro.sim.kernel.Interrupt` subclasses ``Exception`` but is
-    never a peer failure: it means the *waiter* is being stopped
-    (``ReplicationQueue.stop``, ``ECRepairer.stop``), so it propagates.
-    The call is defused first — an interrupted waiter leaves it orphaned,
-    and a late failure of an orphaned call must not crash the simulation.
-    (Calls launched as a parallel wave must already be defused at
-    creation: one can fail while an earlier one is still being waited on.)
-    """
-    call.defuse()
-    try:
-        value = yield call
-    except Interrupt:
-        raise
-    except Exception as exc:
-        return False, exc
-    return True, value
-
-
 def split_batches(entries: list[tuple[str, dict, int]],
                   max_bytes: float) -> list[list[tuple[str, dict, int]]]:
     """Cut ``entries`` into consecutive batches of at most ``max_bytes``
@@ -357,11 +345,14 @@ def call_with_timeout(sim: Simulator, call: Process, timeout: float):
     long timeout (monitor probes) don't pile dead timers on the event heap.
     """
     deadline = sim.timeout(timeout, value=_TIMED_OUT)
+    race = sim.any_of([call, deadline])
     try:
-        winner = yield sim.any_of([call, deadline])
+        winner = yield race
     except BaseException:
-        # The call failed before the deadline: the timer lost the race.
+        # The call failed before the deadline, or the waiter was stopped:
+        # the timer lost the race, and nobody is left to hear the call.
         deadline.cancel()
+        race.defuse()
         raise
     index, value = winner
     if value is _TIMED_OUT and index == 1:

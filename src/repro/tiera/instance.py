@@ -18,11 +18,11 @@ from collections import deque
 from typing import Generator, Iterable, Optional
 
 from repro.net.link import BandwidthLink
-from repro.net.network import Host, Network
+from repro.net.network import Host, Network, NetworkError
 from repro.obs.api import get_obs
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.primitives import Gate
-from repro.sim.rpc import Message, RpcNode, split_batches, wait_call
+from repro.sim.rpc import Message, RpcNode, split_batches
 from repro.storage.backend import ObjectMissingError, StorageBackend
 from repro.storage.factory import make_tier
 from repro.tiera import transforms
@@ -527,12 +527,9 @@ class TieraInstance:
     def _rule_loop(self, rule: Rule, period: float) -> Generator:
         """Run a timer or cold-scan ``rule`` every ``period`` until
         :meth:`stop`."""
-        try:
-            while self.running:
-                yield self.sim.timeout(period)
-                yield from self._run_rule(rule, ResponseContext(event=rule.event))
-        except Interrupt:
-            return
+        while self.running:
+            yield self.sim.timeout(period)
+            yield from self._run_rule(rule, ResponseContext(event=rule.event))
 
     def _check_filled(self) -> Generator:
         for idx, rule in enumerate(self.policy.filled_rules()):
@@ -980,11 +977,14 @@ class TieraInstance:
         batches = split_batches(payload, msg.args.get("batch_bytes", 0.0))
         for node in msg.args["dest"]:
             for entries in batches:
-                ok, results = yield from wait_call(
-                    self.node.call_batch(node, entries))
-                for index, (_method, args, _size) in enumerate(entries):
-                    # a transport failure loses the whole batch
-                    if not (ok and results[index].get("ok")):
+                call = self.node.call_batch(node, entries)
+                call.defuse()
+                try:
+                    results = yield call
+                except NetworkError:
+                    results = [{}] * len(entries)   # the whole batch is lost
+                for (_method, args, _size), res in zip(entries, results):
+                    if not res.get("ok"):
                         undelivered.add(args["key"])
         for _method, args, _size in payload:
             (failed if args["key"] in undelivered else moved).append(

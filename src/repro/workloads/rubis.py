@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.db.minidb import MiniDB
 from repro.net.vmprofiles import VmProfile
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.primitives import Resource
 from repro.workloads.zipf import ScrambledZipfian
 
@@ -108,11 +108,12 @@ class RubisApp:
 
     def _cpu_slice(self, units: float) -> Generator:
         service = self.BASE_CPU_TIME * units * self.vm.cpu_factor
-        yield self.cpu.request()
+        request = self.cpu.request()
         try:
+            yield request
             yield self.sim.timeout(service)
         finally:
-            self.cpu.release()
+            self.cpu.release(request)
 
     def handle(self, txn: TxnType) -> Generator:
         """Execute one interaction end to end; returns rows touched."""
@@ -187,26 +188,23 @@ class RubisBenchmark:
     def _client(self, end: float, measure_from: float,
                 measure_to: float, rng: np.random.Generator) -> Generator:
         sim = self.sim
-        try:
-            # stagger arrivals over the ramp-up
-            yield sim.timeout(float(rng.uniform(0, self.ramp_up)))
-            while sim.now < end:
-                txn = self.app.pick_txn()
-                t0 = sim.now
-                try:
-                    yield from self.app.handle(txn)
-                except Exception:
-                    self.stats.errors += 1
-                    continue
-                elapsed = sim.now - t0
-                self.stats.total_requests += 1
-                if measure_from <= t0 < measure_to:
-                    self.stats.requests += 1
-                    self.stats.response_times.append(elapsed)
-                    bucket = self.stats.per_txn.setdefault(
-                        txn.name, {"count": 0, "time": 0.0})
-                    bucket["count"] += 1
-                    bucket["time"] += elapsed
-                yield sim.timeout(float(rng.exponential(self.think_time)))
-        except Interrupt:
-            return
+        # stagger arrivals over the ramp-up
+        yield sim.timeout(float(rng.uniform(0, self.ramp_up)))
+        while sim.now < end:
+            txn = self.app.pick_txn()
+            t0 = sim.now
+            try:
+                yield from self.app.handle(txn)
+            except Exception:
+                self.stats.errors += 1
+                continue
+            elapsed = sim.now - t0
+            self.stats.total_requests += 1
+            if measure_from <= t0 < measure_to:
+                self.stats.requests += 1
+                self.stats.response_times.append(elapsed)
+                bucket = self.stats.per_txn.setdefault(
+                    txn.name, {"count": 0, "time": 0.0})
+                bucket["count"] += 1
+                bucket["time"] += elapsed
+            yield sim.timeout(float(rng.exponential(self.think_time)))

@@ -14,7 +14,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.fs.device import BlockFile
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 
 
 @dataclass
@@ -68,18 +68,15 @@ class SysbenchFileIO:
     def _worker(self, end_time: float) -> Generator:
         res = self.result
         n = self.blockfile.nblocks
-        try:
-            while self.sim.now < end_time:
-                index = int(self.rng.integers(0, n))
-                t0 = self.sim.now
-                if self.rng.random() < self.read_prop:
-                    yield from self.blockfile.read_block(index)
-                    res.reads += 1
-                else:
-                    yield from self.blockfile.write_block(
-                        index, self._write_payload)
-                    res.writes += 1
-                res.ops += 1
-                res.latencies.append(self.sim.now - t0)
-        except Interrupt:
-            return
+        while self.sim.now < end_time:
+            index = int(self.rng.integers(0, n))
+            t0 = self.sim.now
+            if self.rng.random() < self.read_prop:
+                yield from self.blockfile.read_block(index)
+                res.reads += 1
+            else:
+                yield from self.blockfile.write_block(
+                    index, self._write_payload)
+                res.writes += 1
+            res.ops += 1
+            res.latencies.append(self.sim.now - t0)

@@ -19,7 +19,6 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.sim.kernel import Interrupt
 from repro.workloads.zipf import ScrambledZipfian, Uniform
 
 
@@ -165,17 +164,14 @@ class YcsbClient:
                                        self.workload.value(self.rng))
 
     def _run(self) -> Generator:
-        try:
-            while True:
-                if self.is_active is not None and not self.is_active():
-                    yield self.sim.timeout(self.activity_poll)
-                    continue
-                yield from self._one_op()
-                if self.think_time > 0:
-                    yield self.sim.timeout(
-                        float(self.rng.exponential(self.think_time)))
-        except Interrupt:
-            return
+        while True:
+            if self.is_active is not None and not self.is_active():
+                yield self.sim.timeout(self.activity_poll)
+                continue
+            yield from self._one_op()
+            if self.think_time > 0:
+                yield self.sim.timeout(
+                    float(self.rng.exponential(self.think_time)))
 
     def _one_op(self) -> Generator:
         key = self.workload.key(self.chooser.next())

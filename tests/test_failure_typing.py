@@ -1,16 +1,18 @@
-"""Ratchet on broad ``except Exception`` handlers in ``src/``.
+"""Ratchets on how ``src/`` handles failures and stops.
 
-A broad handler makes a bug and a dead peer look the same, and (because
-``sim.kernel.Interrupt`` derives from ``Exception``) can eat a
-cancellation.  The count may only go down: a new failure site catches a
-type (``StorageError``, ``NetworkError``, …) or waits through
-``sim.rpc.wait_call``.
+A broad ``except Exception`` can no longer swallow a stop — an
+``Interrupt`` is a ``BaseException`` — but it still makes a bug and a
+dead peer look the same.  Its count may only go down: a new failure site
+catches a type (``StorageError``, ``NetworkError``, …).  And a stop lives
+in the kernel alone: no handler in ``src/`` catches ``Interrupt``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from repro.sim.kernel import Interrupt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,31 +27,40 @@ BROAD_EXCEPTS = {
     "repro/ec/repair.py": 1,
     "repro/fs/posixfs.py": 4,
     "repro/load/cohort.py": 1,
-    "repro/sim/rpc.py": 3,
+    "repro/sim/rpc.py": 2,
     "repro/workloads/rubis.py": 1,
     "repro/workloads/ycsb.py": 2,
 }
 
 
-def _is_broad(handler: ast.ExceptHandler) -> bool:
+def _catches(handler: ast.ExceptHandler, name: str) -> bool:
     caught = handler.type
     types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
-    return any(isinstance(t, ast.Name) and t.id == "Exception"
-               for t in types)
+    return any(isinstance(t, ast.Name) and t.id == name for t in types)
 
 
-def _broad_excepts() -> dict[str, int]:
+def _count_excepts(name: str) -> dict[str, int]:
     counts = {}
     for path in sorted(SRC.rglob("*.py")):
-        n = sum(isinstance(node, ast.ExceptHandler) and _is_broad(node)
+        n = sum(isinstance(node, ast.ExceptHandler) and _catches(node, name)
                 for node in ast.walk(ast.parse(path.read_text(), str(path))))
         if n:
             counts[str(path.relative_to(SRC))] = n
     return counts
 
 
+def test_a_stop_is_caught_by_no_handler_in_src():
+    """``Interrupt`` is not an ``Exception``, nothing in ``src/`` catches it
+    by name, and ``wait_call`` — which existed to re-raise it past broad
+    handlers — is gone."""
+    assert not issubclass(Interrupt, Exception)
+    assert _count_excepts("Interrupt") == {}
+    assert not [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                if "wait_call" in path.read_text()]
+
+
 def test_broad_excepts_only_fall():
-    counts = _broad_excepts()
+    counts = _count_excepts("Exception")
     rose = {f: (BROAD_EXCEPTS.get(f, 0), n) for f, n in counts.items()
             if n > BROAD_EXCEPTS.get(f, 0)}
     assert not rose, f"new `except Exception` (table, found): {rose}"

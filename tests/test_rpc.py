@@ -199,6 +199,29 @@ def test_call_with_timeout_expires(world):
     sim.run()  # the late reply must not crash the simulation
 
 
+def test_call_with_timeout_stopped_then_failing_late(world):
+    """The waiter is stopped while the call is racing its deadline, and
+    then the destination dies under the request: nobody waits on that
+    failure any more, so it must not raise out of ``sim.run``."""
+    sim, net, a, b = world
+
+    def slow(msg):
+        yield sim.timeout(10.0)
+
+    b.register("slow", slow)
+
+    def main():
+        yield from call_with_timeout(sim, a.call(b, "slow"), 60.0)
+
+    proc = sim.process(main())
+    sim.run(until=1.0)
+    proc.interrupt("stop")
+    b.host.crash()
+    sim.run()
+    assert proc.ok and proc.value is None
+    assert sim.now < 11.0   # the reply's failure; the deadline was cancelled
+
+
 def test_requests_served_counter(world):
     sim, net, a, b = world
     def noop(msg):

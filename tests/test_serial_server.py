@@ -5,8 +5,8 @@ arithmetic: a job's completion time is ``max(now, free_at) + duration``.
 These tests hold it to the queueing model it replaces — a reference
 recurrence over generated arrivals — and pin the two places where the
 model's semantics are stated rather than inherited: an interrupted sender's
-reservation stays spent (and, unlike a stranded ``Resource`` waiter, cannot
-wedge the server), and a message's propagation latency is the one in force
+reservation stays spent (and, unlike the waiter queue-and-wake stranded,
+cannot wedge the server), and a message's propagation latency is the one in force
 when its last byte leaves, from the injections registered at send time.
 A transfer longer than one segment is held to the same recurrence segment
 by segment.

@@ -603,6 +603,60 @@ class TestInterruptRule:
         assert causes == [(1.0, "a"), (1.0, "b")]
 
 
+class TestStopRule:
+    """An interrupt nobody catches by name stops the process: it finishes
+    ok with ``None``, on the way out of every ``finally``, and a broad
+    ``except Exception`` does not get in the way."""
+
+    def test_an_uncaught_interrupt_is_an_unwatched_finish(self, sim):
+        def sleeper():
+            yield sim.timeout(10.0)
+            return "slept"
+
+        proc = sim.process(sleeper())
+        sim.run(until=1.0)
+        proc.interrupt("stop")
+        before = sim.events_processed
+        sim.run(until=1.0)
+        assert proc.processed and proc.ok and proc.value is None
+        assert sim.events_processed == before + 1   # the notice, no finish
+
+    def test_a_watcher_is_woken_with_none(self, sim):
+        def sleeper():
+            yield sim.timeout(10.0)
+            return "slept"
+
+        def watcher(child):
+            return ("woken", (yield child), sim.now)
+
+        child = sim.process(sleeper())
+        proc = sim.process(watcher(child))
+        sim.run(until=1.0)
+        child.interrupt()
+        assert sim.run(until=proc) == ("woken", None, 1.0)
+
+    def test_a_broad_except_does_not_catch_a_stop(self, sim):
+        log = []
+
+        def careless():
+            try:
+                try:
+                    yield sim.timeout(10.0)
+                except Exception as exc:    # a peer failure, it thinks
+                    log.append(("swallowed", exc))
+                yield sim.timeout(10.0)
+            finally:
+                log.append(("finally", sim.now))
+
+        proc = sim.process(careless())
+        sim.run(until=1.0)
+        proc.interrupt()
+        sim.run()
+        assert log == [("finally", 1.0)]
+        assert proc.ok and proc.value is None
+        assert not issubclass(Interrupt, Exception)
+
+
 class TestOneSteppingCore:
     """``Process._resume`` is the only code that steps a process generator,
     and a step re-subscribes the same way whichever way it came in."""

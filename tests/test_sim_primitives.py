@@ -24,12 +24,13 @@ class TestResource:
         peak = []
 
         def worker(i):
-            yield res.request()
+            request = res.request()
+            yield request
             active.append(i)
             peak.append(len(active))
             yield sim.timeout(1.0)
             active.remove(i)
-            res.release()
+            res.release(request)
 
         for i in range(5):
             sim.process(worker(i))
@@ -39,25 +40,50 @@ class TestResource:
 
     def test_release_without_request_raises(self, sim):
         res = Resource(sim)
+        request = res.request()
+        res.release(request)
         with pytest.raises(SimulationError):
-            res.release()
+            res.release(request)
 
     def test_queued_count(self, sim):
         res = Resource(sim, capacity=1)
 
-        def holder():
-            yield res.request()
-            yield sim.timeout(10.0)
-            res.release()
+        def user(hold):
+            request = res.request()
+            yield request
+            yield sim.timeout(hold)
+            res.release(request)
 
-        def waiter():
-            yield res.request()
-            res.release()
-
-        sim.process(holder())
-        sim.process(waiter())
+        sim.process(user(10.0))
+        sim.process(user(0.0))
         sim.run(until=1.0)
         assert res.queued == 1
+
+    def test_a_stopped_waiter_is_withdrawn_not_granted(self, sim):
+        """A waiter stopped before its grant releases its request from a
+        ``finally``: it leaves the queue, and the freed slot goes to the
+        next live waiter instead of wedging the resource."""
+        res = Resource(sim, capacity=1)
+        served = []
+
+        def user(tag, hold):
+            request = res.request()
+            try:
+                yield request
+                served.append((tag, sim.now))
+                yield sim.timeout(hold)
+            finally:
+                res.release(request)
+
+        sim.process(user("holder", 2.0))
+        stopped = sim.process(user("stopped", 1.0))
+        sim.process(user("next", 1.0))
+        sim.run(until=1.0)
+        stopped.interrupt("stop")
+        sim.run()
+        assert served == [("holder", 0.0), ("next", 2.0)]
+        assert res.in_use == 0 and res.queued == 0
+        assert stopped.ok and stopped.value is None
 
 
 class TestGate:
@@ -206,24 +232,23 @@ class TestShielded:
         sim.run(until=1.0)
         gate.succeed("value")
         caller.interrupt()
-        caller.defuse()
         sim.run()
-        assert log == ["value"] and not caller.ok
+        # the caller was stopped: a finish, ok, with no value
+        assert log == ["value"] and caller.ok and caller.value is None
 
-    def test_interrupt_that_is_the_awaited_outcome_goes_to_the_body(self, sim):
-        """Body waits on a process that somebody interrupts: that is the
-        outcome of body's own wait, not a cancellation of the caller."""
+    def test_a_stopped_process_is_an_ok_outcome_for_the_body(self, sim):
+        """Body waits on a process that somebody stops: body is resumed
+        with the stopped process's ``None`` — the outcome of its own wait,
+        not a cancellation of the caller."""
         outcome = []
 
         def sleeper():
             yield sim.timeout(10.0)
+            return "slept"
 
         def body(child):
-            try:
-                yield child
-            except Interrupt as exc:
-                outcome.append(exc.cause)
-            return "body handled it"
+            outcome.append((yield child))
+            return "body carried on"
 
         def main(child):
             return (yield from shielded(sim, body(child)))
@@ -232,8 +257,29 @@ class TestShielded:
         caller = sim.process(main(child))
         sim.run(until=1.0)
         child.interrupt("child stopped")
+        assert sim.run(until=caller) == "body carried on"
+        assert outcome == [None] and sim.now == 1.0
+
+    def test_interrupt_that_is_the_awaited_outcome_goes_to_the_body(self, sim):
+        """An event somebody failed with an ``Interrupt`` is the outcome of
+        body's own wait: body gets it, the caller is not cancelled."""
+        outcome = []
+        doomed = sim.event()
+
+        def body():
+            try:
+                yield doomed
+            except Interrupt as exc:
+                outcome.append(exc.cause)
+            return "body handled it"
+
+        def main():
+            return (yield from shielded(sim, body()))
+
+        caller = sim.process(main())
+        doomed.fail(Interrupt("failed with one"), delay=1.0)
         assert sim.run(until=caller) == "body handled it"
-        assert outcome == ["child stopped"]
+        assert outcome == ["failed with one"]
 
     def test_nested_bodies_move_together(self, sim):
         log = []
@@ -247,7 +293,6 @@ class TestShielded:
             yield from shielded(sim, outer())
 
         caller = sim.process(main())
-        caller.defuse()
         sim.run(until=1.5)
         caller.interrupt()
         sim.run()
