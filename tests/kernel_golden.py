@@ -33,6 +33,24 @@ either unchanged (the first two) or changed only in which bookkeeping
 costs an event, with the change's own order argument written down (the
 third: DESIGN "A process costs no events of its own";
 ``results/PR19_process_cost.txt`` holds the run).
+
+The fourth re-record is the one that moved behaviour, because the old
+behaviour was a bug: ``driver.stop()`` lands while client0 (us-west) is
+mid-request, and its ``_one_op`` booked the stop's ``Interrupt`` as an op
+error and went on issuing requests through the 10 s settle phase (74 RPCs
+after the stop, the last at 53.975 s).  Once ``Interrupt`` became a
+``BaseException`` that ends the process it escapes (the kernel's stop
+rule), client0 goes quiet at its stop, 44.096 s: its last request left at
+43.896 s.  The proof, against the old fixture at ``window=None`` and
+``window=0.3`` alike: ``final_clock``, ``faults_applied``, both client1
+streams and every pinned total but four are bit-identical (``rpc.timeouts``
+4, ``client.failovers`` 252, ``client.retries`` 86 among them); client0's
+read and update streams are exact prefixes of the old ones, 98 -> 54 and
+64 -> 35 — the ops it issued after the stop are gone and nothing else is;
+``events_processed`` 9 387 -> 8 426, ``net.messages`` 3 564 -> 3 181,
+``net.bytes`` 1 196 224 -> 1 065 344, ``rpc.requests_served`` 1 845 ->
+1 653 and ``storage.ops`` 1 494 -> 1 340 fall, and ``store_digest`` moves
+because the writes made after the stop are not made.
 """
 
 from __future__ import annotations
