@@ -42,7 +42,7 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
                         oracle=oracle)
         clients.append(yc)
         yc.start()
-    net_before = dep.network.bytes_transferred
+    net_before = dep.metric_total("net.bytes")
     dep.sim.run(until=dep.sim.now + duration)
     for yc in clients:
         yc.stop()
@@ -57,7 +57,7 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
         "outdated": oracle.outdated_fraction,
         "updates_sent": sent,
         "coalesced": coalesced,
-        "wan_mb": (dep.network.bytes_transferred - net_before) / (1 << 20),
+        "wan_mb": (dep.metric_total("net.bytes") - net_before) / (1 << 20),
     }
 
 

@@ -39,7 +39,6 @@ from repro.core import (
     RedundancySpec,
     RegionPlacement,
     ReplicaScaleSpec,
-    ShardSpec,
     TierScaleSpec,
     WieraClient,
     WieraService,
@@ -69,7 +68,6 @@ __all__ = [
     "ChangePrimarySpec",
     "ColdDataSpec",
     "FailureSpec",
-    "ShardSpec",
     "RedundancySpec",
     "AutoscaleSpec",
     "ReplicaScaleSpec",

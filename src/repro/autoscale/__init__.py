@@ -6,10 +6,8 @@ actuates the elasticity primitives the earlier PRs built: shard
 add/remove (PR 5's rebalancer), per-shard replica growth (§4.4 recovery
 machinery), and tier demotion (Figure 6(a) cold-data plumbing).
 
-Enable it per policy with ``GlobalPolicySpec(autoscale=AutoscaleSpec(
-target_per_shard=...))`` — the default of ``None`` constructs nothing
-and leaves every run bit-identical — or per deployment with
-``build_deployment(autoscale=...)``.
+Enable it per deployment with ``build_deployment(autoscale=AutoscaleSpec(
+target_per_shard=...))``; the default of ``None`` constructs nothing.
 """
 
 from repro.autoscale.controller import Autoscaler, AutoscaleDecision

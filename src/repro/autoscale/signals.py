@@ -12,10 +12,8 @@ derived from state other subsystems already maintain:
 * **per-host egress utilization** — bytes clocked through each Tiera
   host's egress link over the window divided by the link's capacity;
   the binding resource for large-value read traffic.
-* **demand by region** — per-region offered deltas (from cohort stats,
-  or :class:`~repro.core.workload_monitor.WorkloadMonitor` windows when
-  monitors are attached), used to place elastic replicas where the
-  crowd actually is.
+* **demand by region** — per-region offered deltas from cohort stats,
+  used to place elastic replicas where the crowd actually is.
 
 All reads are pull-based and free of simulated time: sampling a window
 costs zero sim-seconds, so an idle autoscaler perturbs nothing but the
@@ -58,18 +56,14 @@ class SignalReader:
     :class:`~repro.load.engine.LoadEngine` (or None while no cohorts
     exist yet — the harness creates the engine lazily, usually *after*
     the autoscaler starts).  ``hosts_provider`` returns the Tiera hosts
-    whose egress links to watch.  ``monitors`` optionally attaches
-    :class:`~repro.core.workload_monitor.WorkloadMonitor` instances whose
-    last polling round overrides the cohort-derived region demand.
+    whose egress links to watch.
     """
 
     def __init__(self, metrics, engine_provider: Optional[Callable] = None,
-                 hosts_provider: Optional[Callable] = None,
-                 monitors: Optional[list] = None):
+                 hosts_provider: Optional[Callable] = None):
         self.metrics = metrics
         self.engine_provider = engine_provider
         self.hosts_provider = hosts_provider
-        self.monitors = list(monitors) if monitors else []
         self._last_totals: dict[str, int] = {}
         self._last_by_region: dict[str, int] = {}
         self._last_egress: dict[str, int] = {}
@@ -132,12 +126,6 @@ class SignalReader:
             region: (count - self._last_by_region.get(region, 0)) / interval
             for region, count in by_region_now.items()}
         self._last_by_region = by_region_now
-        if self.monitors:
-            demand: dict[str, float] = {}
-            for monitor in self.monitors:
-                for region, n in monitor.demand_by_region(window=1).items():
-                    demand[region] = demand.get(region, 0.0) + n
-            region_deltas = demand or region_deltas
 
         utilization = self._egress_utilization(now, interval)
         if self._last_time is None:

@@ -7,7 +7,6 @@ t2.micro-class hosts, and clients wherever the experiment places them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence
@@ -15,8 +14,7 @@ from typing import Generator, Iterable, Optional, Sequence
 from repro.autoscale.controller import Autoscaler
 from repro.autoscale.signals import SignalReader
 from repro.core.client import WieraClient
-from repro.core.global_policy import (AutoscaleSpec, GlobalPolicySpec,
-                                      RedundancySpec)
+from repro.core.global_policy import AutoscaleSpec, GlobalPolicySpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.core.wiera import WieraService
@@ -26,7 +24,6 @@ from repro.net.network import Network
 from repro.net.topology import US_EAST, Topology
 from repro.obs.api import Observability, get_obs
 from repro.shard.map import ShardHandle
-from repro.shard.ring import DEFAULT_VNODES
 from repro.shard.router import ShardRouter
 from repro.sim.kernel import Simulator
 from repro.storage.cost import CostLedger
@@ -48,70 +45,50 @@ class Deployment:
     clients: dict = field(default_factory=dict)
     obs: Optional[Observability] = None
     faults: Optional[FaultSchedule] = None
-    #: default shard count for start_sharded_instance (1 = unsharded)
+    #: shard count for start_sharded_instance (1 = unsharded)
     shards: int = 1
     #: open-loop cohorts, created lazily by add_cohort (None = unused,
     #: and the deployment is bit-identical to pre-load-engine builds)
     load: Optional[LoadEngine] = None
-    #: default autoscale spec for start_sharded_instance (None = no
-    #: controller, bit-identical to pre-autoscale builds)
+    #: autoscale spec for start_sharded_instance (None = no controller)
     autoscale: Optional[AutoscaleSpec] = None
     #: running controllers by namespace (base wiera id)
     autoscalers: dict = field(default_factory=dict)
-    #: default redundancy spec applied to specs that don't set their own
-    #: (None = no EC plane, bit-identical to pre-EC builds)
-    redundancy: Optional[RedundancySpec] = None
 
     # -- driving -------------------------------------------------------------
     def drive(self, gen: Generator, name: str = "main"):
         """Run a coroutine to completion (background processes keep going)."""
         return drive(self.sim, gen, name=name)
 
-    def _apply_redundancy(self, spec: GlobalPolicySpec) -> GlobalPolicySpec:
-        if self.redundancy is None or spec.redundancy is not None:
-            return spec
-        return dataclasses.replace(spec, redundancy=self.redundancy)
-
     def start_wiera_instance(self, wiera_id: str,
                              spec: GlobalPolicySpec) -> list[dict]:
-        spec = self._apply_redundancy(spec)
         return self.drive(self.wiera.start_instances(wiera_id, spec),
                           name=f"start:{wiera_id}")
 
     def start_sharded_instance(self, wiera_id: str,
-                               spec: GlobalPolicySpec,
-                               autoscale: Optional[AutoscaleSpec] = None,
-                               ) -> ShardHandle:
-        """Start one namespace across N shards (repro.shard).
+                               spec: GlobalPolicySpec) -> ShardHandle:
+        """Start one namespace across ``build_deployment(shards=N)``
+        shards (repro.shard).  With one shard this delegates to
+        :meth:`start_wiera_instance` — no manager, no guards, no router.
 
-        The shard count comes from ``spec.sharding`` when set, else the
-        deployment default (``build_deployment(shards=N)``).  With one
-        shard this delegates to :meth:`start_wiera_instance` — no
-        manager, no guards, no router — so ``shards=1`` runs are
-        bit-identical to pre-sharding behavior.
-
-        An autoscale spec (the ``autoscale`` argument, else
-        ``spec.autoscale``, else the deployment default) attaches an
+        ``build_deployment(autoscale=...)`` attaches an
         :class:`~repro.autoscale.controller.Autoscaler` to the
         namespace.  Autoscaled namespaces always take the managed
         ShardManager path — even at one shard — because the shard lever
-        needs a manager to actuate; with no spec anywhere (the default)
-        nothing changes.
+        needs a manager to actuate.
         """
-        spec = self._apply_redundancy(spec)
-        sharding = spec.sharding
-        n = sharding.shards if sharding is not None else self.shards
-        vnodes = sharding.vnodes if sharding is not None else DEFAULT_VNODES
-        aspec = autoscale or spec.autoscale or self.autoscale
-        if n <= 1 and aspec is None:
+        if self.shards > 1 and spec.redundancy is not None:
+            raise ValueError(
+                f"{wiera_id}: redundancy requires an unsharded namespace "
+                "(fragment keys would hash away from their manifests)")
+        if self.shards <= 1 and self.autoscale is None:
             instances = self.start_wiera_instance(wiera_id, spec)
             return ShardHandle(base_id=wiera_id, instances=instances)
         shard_map = self.drive(
-            self.wiera.start_sharded_instances(wiera_id, spec, n,
-                                               vnodes=vnodes),
+            self.wiera.start_sharded_instances(wiera_id, spec, self.shards),
             name=f"start:{wiera_id}")
-        if aspec is not None:
-            self._attach_autoscaler(wiera_id, aspec)
+        if self.autoscale is not None:
+            self._attach_autoscaler(wiera_id, self.autoscale)
         return ShardHandle(base_id=wiera_id,
                            instances=shard_map.all_instances(),
                            map=shard_map)
@@ -300,7 +277,6 @@ def build_deployment(regions: Sequence[str],
                      shards: int = 1,
                      servers_per_region: int = 1,
                      autoscale: Optional[AutoscaleSpec] = None,
-                     redundancy: Optional[RedundancySpec] = None,
                      ) -> Deployment:
     """Stand up Wiera + one Tiera server per (region, provider).
 
@@ -310,21 +286,18 @@ def build_deployment(regions: Sequence[str],
     ``with_tracing`` turns on span recording (metrics are always live);
     the Chrome trace can then be dumped via
     :func:`repro.bench.reporting.dump_observability`.
-    ``shards`` sets the default partition count used by
+    ``shards`` sets the partition count used by
     :meth:`Deployment.start_sharded_instance`; the default of 1 keeps
-    every deployment unsharded and bit-identical to pre-shard behavior.
+    every deployment unsharded.
     ``servers_per_region`` stands up N Tiera servers (N hosts, N egress
     links) per (region, provider) instead of one, so shard placements
     spread across real capacity — the TSM picks the least-loaded server
     per placement.  The default of 1 keeps host names and registration
     order identical to older builds.
-    ``autoscale`` sets the default :class:`~repro.core.global_policy.
+    ``autoscale`` sets the :class:`~repro.core.global_policy.
     AutoscaleSpec` attached by :meth:`Deployment.start_sharded_instance`;
-    None (the default) builds no controller and keeps runs bit-identical.
-    ``redundancy`` sets the default :class:`~repro.core.global_policy.
-    RedundancySpec` applied to started specs that don't carry their own
-    (the erasure-coded plane, repro.ec); None (the default) constructs
-    nothing and keeps runs bit-identical.
+    None (the default) builds no controller.  The erasure-coded plane
+    (repro.ec) is a property of the policy: ``GlobalPolicySpec.redundancy``.
     """
     sim = Simulator()
     obs = get_obs(sim)
@@ -338,7 +311,7 @@ def build_deployment(regions: Sequence[str],
                          heartbeat_interval=heartbeat_interval)
     dep = Deployment(sim=sim, network=network, rng=rng, wiera=wiera,
                      ledger=ledger, obs=obs, shards=shards,
-                     autoscale=autoscale, redundancy=redundancy)
+                     autoscale=autoscale)
     if servers_per_region < 1:
         raise ValueError(f"servers_per_region must be >= 1: "
                          f"{servers_per_region}")

@@ -72,10 +72,6 @@ def all_reports() -> list[ExperimentReport]:
     return list(_REGISTRY)
 
 
-def clear_reports() -> None:
-    _REGISTRY.clear()
-
-
 def render_all() -> str:
     return "\n\n".join(r.render() for r in _REGISTRY)
 

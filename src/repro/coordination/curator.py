@@ -52,7 +52,3 @@ class GlobalLockClient:
             self.service, "renew",
             {"key": key, "owner": self.owner, "lease": self.lease})
         return result
-
-    def abandon_all(self) -> None:
-        """Forget held locks without releasing (crash path; leases reclaim)."""
-        self.held.clear()

@@ -22,7 +22,6 @@ from repro.core.global_policy import (
     RedundancySpec,
     RegionPlacement,
     ReplicaScaleSpec,
-    ShardSpec,
     TierScaleSpec,
 )
 from repro.core.loadbalance import LoadBalancer
@@ -53,7 +52,6 @@ __all__ = [
     "ChangePrimarySpec",
     "ColdDataSpec",
     "FailureSpec",
-    "ShardSpec",
     "RedundancySpec",
     "AutoscaleSpec",
     "ReplicaScaleSpec",

@@ -81,23 +81,6 @@ class LoadBalanceSpec:
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """Partition the namespace across ``shards`` replica groups by
-    consistent hashing (repro.shard).  ``shards=1`` means unsharded —
-    the namespace runs as a single classic Wiera instance and every
-    existing code path is bit-identical."""
-
-    shards: int = 1
-    vnodes: int = 128
-
-    def __post_init__(self):
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1: {self.shards}")
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {self.vnodes}")
-
-
-@dataclass(frozen=True)
 class FailureSpec:
     """Keep at least ``min_replicas`` instances alive (§4.4)."""
 
@@ -156,8 +139,8 @@ class AutoscaleSpec:
     ``max_actions_in_flight`` rebalances ever run at once — the
     controller never races its own migrations.
 
-    ``autoscale=None`` on the global policy (the default) constructs no
-    controller at all: runs are bit-identical to pre-autoscale builds.
+    Attached by ``build_deployment(autoscale=...)``; without it no
+    controller is constructed.
     """
 
     #: ops/sec one shard is sized to absorb (calibrate from the
@@ -278,11 +261,6 @@ class GlobalPolicySpec:
     #: are pending, and one anti-entropy / bulk-copy message carries at
     #: most this much payload.  0 = timer-only flush, one key per message.
     batch_bytes: float = 0.0
-    #: keyspace partitioning; None/shards=1 -> one classic instance
-    sharding: Optional[ShardSpec] = None
-    #: closed-loop elasticity (repro.autoscale); None (the default) builds
-    #: no controller — runs are bit-identical to pre-autoscale behavior
-    autoscale: Optional[AutoscaleSpec] = None
     dynamic: Optional[DynamicConsistencySpec] = None
     change_primary: Optional[ChangePrimarySpec] = None
     cold: Optional[ColdDataSpec] = None
@@ -319,21 +297,10 @@ class GlobalPolicySpec:
                 raise ValueError(
                     f"policy {self.name!r}: redundancy cannot be combined "
                     "with dynamic consistency or change_primary")
-            if self.sharding is not None and self.sharding.shards > 1:
-                raise ValueError(
-                    f"policy {self.name!r}: redundancy requires an "
-                    "unsharded namespace (fragment keys would hash away "
-                    "from their manifests)")
             if len(self.placements) < r.k + r.m:
                 raise ValueError(
                     f"policy {self.name!r}: EC({r.k},{r.m}) needs "
                     f"{r.k + r.m} placements, found {len(self.placements)}")
-
-    def primary_placement(self) -> Optional[RegionPlacement]:
-        for placement in self.placements:
-            if placement.primary:
-                return placement
-        return None
 
     def regions(self) -> list[str]:
         return [p.region for p in self.placements]

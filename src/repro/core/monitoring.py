@@ -87,17 +87,6 @@ class LatencyMonitor(MonitorBase):
                                        op=self.spec.op, src="app")
 
     # -- signal computation ---------------------------------------------------
-    def observed_signal(self) -> Optional[float]:
-        """Worst recent app-perceived latency across instances."""
-        horizon = self.sim.now - max(2 * self.spec.check_interval, 2.0)
-        since = max(horizon, self._reset_at)
-        worst = None
-        for iid in self.tim.instances:
-            m = self._hist(iid).max_since(since)
-            if m is not None:
-                worst = m if worst is None else max(worst, m)
-        return worst
-
     def _update_violation_clocks(self) -> Optional[float]:
         """Advance each instance's violation clock; return the longest
         sustained violation duration (None if nobody is violating)."""

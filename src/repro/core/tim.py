@@ -28,6 +28,7 @@ from repro.core.monitoring import (
     RequestsMonitor,
 )
 from repro.obs.api import get_obs
+from repro.sim.primitives import shielded
 from repro.sim.rpc import RpcNode
 from repro.tiera.instance import InstanceRef
 from repro.tiera.instance_tier import InstanceTier
@@ -238,7 +239,15 @@ class TieraInstanceManager:
     # ------------------------------------------------------------------
     def switch_consistency(self, to_name: str) -> Generator:
         """Gate, drain, swap, reopen (§3.3.2): requests arriving during the
-        switch are blocked and queued until the change takes effect."""
+        switch are blocked and queued until the change takes effect.
+
+        The change is :func:`~repro.sim.primitives.shielded`: a stop of the
+        calling process ends the caller, and the change runs on to
+        completion as an ``orphan:`` process, so no gate it closed stays
+        closed."""
+        return shielded(self.sim, self._switch_consistency(to_name))
+
+    def _switch_consistency(self, to_name: str) -> Generator:
         start = self.sim.now
         from_name = self.protocol.name if self.protocol else "none"
         with self._obs.tracer.span("policy:switch_consistency", cat="policy",
@@ -273,7 +282,11 @@ class TieraInstanceManager:
                 "took": self.sim.now - start}
 
     def change_primary(self, new_primary_id: str) -> Generator:
-        """Move the primary role (Figure 5(b)); queued updates apply first."""
+        """Move the primary role (Figure 5(b)); queued updates apply first.
+        Gated like :meth:`switch_consistency`, and shielded like it."""
+        return shielded(self.sim, self._change_primary(new_primary_id))
+
+    def _change_primary(self, new_primary_id: str) -> Generator:
         if not isinstance(self.protocol, PrimaryBackupProtocol):
             raise WieraInstanceError("change_primary requires primary_backup")
         if new_primary_id not in self.instances:

@@ -20,7 +20,6 @@ from repro.core.tsm import TieraServerManager
 from repro.net.network import Host, Network
 from repro.net.topology import US_EAST
 from repro.shard.map import ShardManager, ShardMap
-from repro.shard.ring import DEFAULT_VNODES
 from repro.sim.kernel import Simulator
 from repro.sim.rpc import Message, RpcNode
 
@@ -91,16 +90,14 @@ class WieraService:
 
     # -- sharded namespaces (repro.shard) -------------------------------------
     def start_sharded_instances(self, base_id: str, spec: GlobalPolicySpec,
-                                shards: int,
-                                vnodes: int = DEFAULT_VNODES) -> Generator:
+                                shards: int) -> Generator:
         """Launch ``shards`` Wiera instances partitioning one namespace
         and publish the epoch-1 shard map."""
         if base_id in self.shard_managers:
             raise WieraError(f"sharded namespace {base_id!r} exists")
         if base_id in self.tims:
             raise WieraError(f"{base_id!r} already names a wiera instance")
-        manager = ShardManager(self.sim, self, base_id, spec, shards,
-                               vnodes=vnodes)
+        manager = ShardManager(self.sim, self, base_id, spec, shards)
         self.shard_managers[base_id] = manager
         try:
             shard_map = yield from manager.launch()

@@ -22,20 +22,10 @@ class WorkloadSnapshot:
 
     time: float
     requests_by_region: dict[str, int] = field(default_factory=dict)
-    puts_by_region: dict[str, int] = field(default_factory=dict)
-    gets_by_region: dict[str, int] = field(default_factory=dict)
-    objects_by_region: dict[str, int] = field(default_factory=dict)
-    bytes_by_region: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_requests(self) -> int:
         return sum(self.requests_by_region.values())
-
-    def read_fraction(self) -> float:
-        gets = sum(self.gets_by_region.values())
-        puts = sum(self.puts_by_region.values())
-        total = gets + puts
-        return gets / total if total else 0.0
 
 
 class WorkloadMonitor:
@@ -83,15 +73,8 @@ class WorkloadMonitor:
             self._last_counts[record.instance_id] = (puts, gets)
             dp = max(0, puts - prev_puts)
             dg = max(0, gets - prev_gets)
-            snapshot.puts_by_region[region] = (
-                snapshot.puts_by_region.get(region, 0) + dp)
-            snapshot.gets_by_region[region] = (
-                snapshot.gets_by_region.get(region, 0) + dg)
             snapshot.requests_by_region[region] = (
                 snapshot.requests_by_region.get(region, 0) + dp + dg)
-            snapshot.objects_by_region[region] = stats["objects"]
-            snapshot.bytes_by_region[region] = sum(
-                t["used"] for t in stats["tiers"].values())
         self.snapshots.append(snapshot)
         self._observe_sizes()
         return snapshot
@@ -131,9 +114,3 @@ class WorkloadMonitor:
         if not demand:
             return None
         return max(sorted(demand), key=lambda r: demand[r])
-
-    def read_fraction(self) -> float:
-        gets = sum(sum(s.gets_by_region.values()) for s in self.snapshots)
-        puts = sum(sum(s.puts_by_region.values()) for s in self.snapshots)
-        total = gets + puts
-        return gets / total if total else 0.0

@@ -123,7 +123,3 @@ class MiniDB:
         self._pool.move_to_end(block)
         while len(self._pool) > self.buffer_pages:
             self._pool.popitem(last=False)
-
-    @property
-    def pool_fill(self) -> float:
-        return len(self._pool) / self.buffer_pages

@@ -10,8 +10,8 @@ that still clears a durability floor (fragments the object can lose) and
 the read/write latency budgets implied by the RTT matrix.
 
 It is deliberately pure: no simulator types, just sites, an RTT callable
-and arithmetic, so it is equally usable offline (the frontier benchmark)
-and online (fed by the workload monitor via :meth:`plan_for_monitor`).
+and arithmetic (the frontier benchmark and ``examples/ec_placement.py``
+call it with no deployment at all).
 
 Replication appears as the degenerate scheme ``k = 1`` — EC(1, 2) *is*
 3x replication — so "replicate or encode" and "which (k, m)" collapse
@@ -163,26 +163,3 @@ class RedundancyOptimizer:
         chosen = ranked[0]
         rejected = tuple(e for e in estimates if e is not chosen)
         return RedundancyPlan(chosen=chosen, rejected=rejected)
-
-    # -- workload-monitor feed --------------------------------------------
-    def plan_for_monitor(self, monitor, size_bytes: int,
-                         elapsed: float) -> RedundancyPlan:
-        """Extrapolate a workload monitor window to monthly rates.
-
-        ``monitor`` is a :class:`~repro.core.workload_monitor.WorkloadMonitor`
-        (or anything with ``demand_by_region()`` and ``read_fraction()``);
-        ``elapsed`` is the observation window in simulated seconds.
-        """
-        from repro.util.units import HOUR
-        from repro.storage.cost import HOURS_PER_MONTH
-        demand = monitor.demand_by_region()
-        total_ops = sum(demand.values())
-        if elapsed <= 0 or total_ops == 0:
-            return self.choose(size_bytes, 0.0, 0.0,
-                               reader_region=self.sites[0])
-        scale = (HOURS_PER_MONTH * HOUR) / elapsed
-        read_frac = monitor.read_fraction()
-        reads = total_ops * read_frac * scale
-        writes = total_ops * (1.0 - read_frac) * scale
-        reader = max(sorted(demand), key=lambda r: demand[r])
-        return self.choose(size_bytes, reads, writes, reader_region=reader)

@@ -59,9 +59,6 @@ class WieraFS:
         return {"path": path, "size": self._sizes[path],
                 "block_size": self.block_size}
 
-    def listdir(self, prefix: str = "") -> list[str]:
-        return sorted(p for p in self._sizes if p.startswith(prefix))
-
     def unlink(self, path: str) -> Generator:
         if path not in self._sizes:
             raise FileNotFoundError(path)
@@ -78,17 +75,9 @@ class WieraFS:
         except Exception:
             pass
 
-    # -- restore file table from persisted metadata ------------------------
-    def mount_existing(self, path: str) -> Generator:
-        """Load a file's size from its metadata object (remount case)."""
-        result = yield from self.client.get(meta_object_key(path))
-        meta = json.loads(result["data"].decode())
-        self._sizes[path] = meta["size"]
-        return meta
-
 
 class FileHandle:
-    """An open file: positioned and positional IO, fsync, truncate."""
+    """An open file: positioned and positional IO, fsync."""
 
     def __init__(self, fs: WieraFS, path: str):
         self.fs = fs
@@ -105,11 +94,6 @@ class FileHandle:
 
     def _set_size(self, size: int) -> None:
         self.fs._sizes[self.path] = size
-
-    def seek(self, offset: int) -> None:
-        if offset < 0:
-            raise FsError("negative seek")
-        self.offset = offset
 
     # -- positional IO ------------------------------------------------------
     def pread(self, offset: int, length: int) -> Generator:
@@ -177,23 +161,6 @@ class FileHandle:
         return n
 
     # -- metadata ----------------------------------------------------------------
-    def truncate(self, size: int) -> Generator:
-        self._check_open()
-        if size < 0:
-            raise FsError("negative truncate")
-        old = self.size
-        self._set_size(size)
-        bs = self.fs.block_size
-        if size < old:
-            first_dead = (size + bs - 1) // bs
-            last = (old + bs - 1) // bs
-            for i in range(first_dead, last):
-                try:
-                    yield from self.fs.client.remove(
-                        block_object_key(self.path, i))
-                except Exception:
-                    continue
-
     def fsync(self) -> Generator:
         """Persist the file size record."""
         self._check_open()

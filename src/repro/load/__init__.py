@@ -11,18 +11,14 @@ to builds without this package.
 
 from repro.load.arrivals import (
     ArrivalProcess,
-    MmppProcess,
     PoissonProcess,
-    TraceReplay,
     constant_rate,
     diurnal_rate,
     flash_crowd_rate,
     modeled_users_rate,
-    poisson_trace,
-    ramp_rate,
 )
 from repro.load.cohort import ClientCohort, CohortSpec, CohortStats
-from repro.load.engine import LoadEngine, build_cohorts
+from repro.load.engine import LoadEngine
 from repro.load.scenarios import (
     SCENARIOS,
     Scenario,
@@ -39,13 +35,10 @@ __all__ = [
     "CohortSpec",
     "CohortStats",
     "LoadEngine",
-    "MmppProcess",
     "PoissonProcess",
     "SCENARIOS",
     "Scenario",
     "ShiftingHotspot",
-    "TraceReplay",
-    "build_cohorts",
     "constant_rate",
     "diurnal",
     "diurnal_rate",
@@ -54,6 +47,4 @@ __all__ = [
     "flash_crowd_rate",
     "hotspot_shift",
     "modeled_users_rate",
-    "poisson_trace",
-    "ramp_rate",
 ]

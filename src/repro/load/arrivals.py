@@ -10,23 +10,21 @@ whether or not earlier operations have finished — the load the system
 Two orthogonal pieces compose an arrival stream:
 
 * a **rate shape** — a plain ``rate_fn(t) -> ops/sec`` describing the
-  offered load over simulated time (constant, ramp, flash crowd, diurnal
+  offered load over simulated time (constant, flash crowd, diurnal
   curve), plus the ``peak_rate`` bound the thinning sampler needs;
 * an **arrival process** — how individual arrivals are distributed
-  around that rate: :class:`PoissonProcess` (memoryless),
-  :class:`MmppProcess` (bursty, Markov-modulated), or
-  :class:`TraceReplay` (explicit timestamps).
+  around that rate: :class:`PoissonProcess` (memoryless).
 
-Processes sample via Lewis-Shedler thinning against ``peak_rate``, so
-any bounded time-varying ``rate_fn`` yields an exact non-homogeneous
-Poisson stream.  All draws come from the process's own bound generator
+:class:`PoissonProcess` samples via Lewis-Shedler thinning against
+``peak_rate``, so any bounded time-varying ``rate_fn`` yields an exact
+non-homogeneous Poisson stream.  All draws come from the process's own bound generator
 (see :meth:`RngRegistry.substream`), so cohorts never share stream state.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.util.rng import exponential_interarrival
 
@@ -45,24 +43,6 @@ def constant_rate(rate: float) -> Tuple[RateFn, float]:
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     return (lambda t: rate), rate
-
-
-def ramp_rate(start_rate: float, end_rate: float,
-              t0: float, t1: float) -> Tuple[RateFn, float]:
-    """Linear ramp from ``start_rate`` at ``t0`` to ``end_rate`` at ``t1``
-    (flat outside the window)."""
-    if t1 <= t0:
-        raise ValueError(f"ramp needs t1 > t0, got [{t0}, {t1}]")
-    span = t1 - t0
-
-    def rate(t: float) -> float:
-        if t <= t0:
-            return start_rate
-        if t >= t1:
-            return end_rate
-        return start_rate + (end_rate - start_rate) * (t - t0) / span
-
-    return rate, max(start_rate, end_rate)
 
 
 def flash_crowd_rate(base_rate: float, multiplier: float, at: float,
@@ -109,12 +89,12 @@ def diurnal_rate(population, region: str,
 class ArrivalProcess:
     """Base: a stream of arrival instants sampled one gap at a time.
 
-    ``bind`` attaches the per-cohort generator, rate shape, and start
-    time; ``next_event(t)`` returns ``(dt, arrived)`` — sleep ``dt``
+    ``bind`` attaches the per-cohort generator and rate shape;
+    ``next_event(t)`` returns ``(dt, arrived)`` — sleep ``dt``
     seconds, and if ``arrived`` dispatch one operation.  ``arrived`` may
     be False when the process scanned a stretch of (near-)zero rate
     without finding an arrival, or ``(None, False)`` when the stream is
-    exhausted (trace replay).  One process instance drives exactly one
+    exhausted.  One process instance drives exactly one
     cohort: instances carry sampler state and must not be shared.
     """
 
@@ -123,14 +103,12 @@ class ArrivalProcess:
         self.rate_fn: Optional[RateFn] = None
         self.peak_rate = 0.0
 
-    def bind(self, rng, rate_fn: RateFn, peak_rate: float,
-             start: float = 0.0) -> None:
+    def bind(self, rng, rate_fn: RateFn, peak_rate: float) -> None:
         if peak_rate <= 0:
             raise ValueError(f"peak_rate must be positive, got {peak_rate}")
         self.rng = rng
         self.rate_fn = rate_fn
         self.peak_rate = peak_rate
-        self.start = start
 
     def next_event(self, t: float) -> Tuple[Optional[float], bool]:
         raise NotImplementedError
@@ -150,116 +128,6 @@ class PoissonProcess(ArrivalProcess):
             if rate >= peak or rng.random() < rate / peak:
                 return dt, True
         return dt, False
-
-
-class MmppProcess(ArrivalProcess):
-    """Markov-modulated Poisson: bursty arrivals with two regimes.
-
-    The process alternates between a *normal* state (factor 1.0 on the
-    bound rate shape) and a *burst* state (factor ``burst_factor``);
-    sojourn times in each state are exponential with means
-    ``mean_normal`` / ``mean_burst``.  The long-run offered rate is
-    therefore ``rate_fn`` scaled by the stationary mean factor — use
-    :meth:`mean_factor` to normalize if the *average* rate matters more
-    than the burst amplitude.
-    """
-
-    def __init__(self, burst_factor: float = 8.0, mean_normal: float = 20.0,
-                 mean_burst: float = 2.0):
-        super().__init__()
-        if burst_factor < 1.0:
-            raise ValueError(f"burst_factor must be >= 1: {burst_factor}")
-        if mean_normal <= 0 or mean_burst <= 0:
-            raise ValueError("state dwell means must be positive")
-        self.burst_factor = burst_factor
-        self.mean_dwell = (mean_normal, mean_burst)
-        self._state = 0           # 0 = normal, 1 = burst
-        self._state_until = None  # absolute time the current sojourn ends
-
-    def mean_factor(self) -> float:
-        """Stationary mean of the modulation factor (for normalization)."""
-        normal, burst = self.mean_dwell
-        return (normal * 1.0 + burst * self.burst_factor) / (normal + burst)
-
-    def _factor_at(self, t: float) -> float:
-        """Advance the state timeline to cover ``t`` and return its factor.
-
-        Sojourn draws are consumed in timeline order from the bound
-        generator, so the regime sequence is deterministic per cohort.
-        """
-        if self._state_until is None:
-            self._state_until = self.start + float(
-                self.rng.exponential(self.mean_dwell[self._state]))
-        while t >= self._state_until:
-            self._state = 1 - self._state
-            self._state_until += float(
-                self.rng.exponential(self.mean_dwell[self._state]))
-        return self.burst_factor if self._state else 1.0
-
-    def next_event(self, t: float) -> Tuple[Optional[float], bool]:
-        rng = self.rng
-        cap = self.peak_rate * self.burst_factor
-        rate_fn = self.rate_fn
-        dt = 0.0
-        for _ in range(SCAN_LIMIT):
-            dt += exponential_interarrival(rng, cap)
-            when = t + dt
-            rate = rate_fn(when) * self._factor_at(when)
-            if rate >= cap or rng.random() < rate / cap:
-                return dt, True
-        return dt, False
-
-
-class TraceReplay(ArrivalProcess):
-    """Replay explicit arrival offsets (seconds from cohort start).
-
-    Offsets must be non-decreasing.  With ``loop=True`` the trace repeats
-    end-to-end (offset origin shifting by the trace span each lap), which
-    turns a measured one-hour trace into an endless workload.
-    """
-
-    def __init__(self, offsets: Sequence[float], loop: bool = False):
-        super().__init__()
-        self.offsets = [float(x) for x in offsets]
-        if any(b < a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise ValueError("trace offsets must be non-decreasing")
-        if loop and not self.offsets:
-            raise ValueError("cannot loop an empty trace")
-        if loop and self.offsets[-1] <= 0:
-            raise ValueError("looping needs a positive trace span")
-        self.loop = loop
-        self._index = 0
-        self._lap_base = 0.0
-
-    def bind(self, rng, rate_fn: RateFn, peak_rate: float,
-             start: float = 0.0) -> None:
-        # Traces carry their own schedule; the rate shape is unused, so
-        # accept the degenerate peak_rate=0 from an unspecified shape.
-        self.rng = rng
-        self.rate_fn = rate_fn
-        self.peak_rate = peak_rate
-        self.start = start
-
-    def next_event(self, t: float) -> Tuple[Optional[float], bool]:
-        if self._index >= len(self.offsets):
-            if not self.loop:
-                return None, False
-            self._lap_base += self.offsets[-1]
-            self._index = 0
-        when = self.start + self._lap_base + self.offsets[self._index]
-        self._index += 1
-        return max(0.0, when - t), True
-
-
-def poisson_trace(rng, rate: float, horizon: float) -> list[float]:
-    """A pre-sampled Poisson arrival-offset list (for :class:`TraceReplay`
-    round-trips and tests)."""
-    offsets = []
-    t = exponential_interarrival(rng, rate)
-    while t < horizon:
-        offsets.append(t)
-        t += exponential_interarrival(rng, rate)
-    return offsets
 
 
 def modeled_users_rate(users: int, rate_per_user: float) -> Tuple[RateFn, float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.load.cohort import ClientCohort, CohortSpec
+from repro.load.cohort import ClientCohort
 
 
 class LoadEngine:
@@ -103,20 +103,3 @@ class LoadEngine:
             "achieved_rate": achieved / window,
             "per_cohort": cohorts,
         }
-
-
-def build_cohorts(sim, client_for_region, specs: list[CohortSpec],
-                  rng_registry) -> LoadEngine:
-    """Assemble a LoadEngine from specs.
-
-    ``client_for_region(region)`` returns the shared WieraClient a
-    cohort in that region talks through; each cohort draws from its own
-    ``load.cohort[name]`` substream, so cohort sets compose without
-    perturbing each other's arrival sequences.
-    """
-    engine = LoadEngine(sim)
-    for spec in specs:
-        client = client_for_region(spec.region)
-        rng = rng_registry.substream("load.cohort", spec.name)
-        engine.add(ClientCohort(sim, client, spec, rng))
-    return engine

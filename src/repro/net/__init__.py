@@ -19,7 +19,6 @@ from repro.net.topology import (
 from repro.net.link import BandwidthLink
 from repro.net.vmprofiles import VM_PROFILES, VmProfile
 from repro.net.network import Host, Network, NetworkError, HostDownError
-from repro.net.monitor import NetworkMonitor
 
 __all__ = [
     "Topology",
@@ -36,5 +35,4 @@ __all__ = [
     "Host",
     "NetworkError",
     "HostDownError",
-    "NetworkMonitor",
 ]

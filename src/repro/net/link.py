@@ -61,11 +61,6 @@ class BandwidthLink:
         self._server = SerialServer(sim)
         self.bytes_sent = 0
 
-    def transmission_time(self, nbytes: int) -> float:
-        if self.rate == _INF:
-            return 0.0
-        return nbytes / self.rate
-
     def reserve(self, nbytes: int) -> float:
         """Book ``nbytes`` behind the transfers already reserved; returns
         the absolute time at which the last byte is on the wire."""

@@ -76,11 +76,8 @@ class Network:
         self._host_injections: dict[str, list[_Injection]] = {}
         self._pair_injections: dict[frozenset[str], list[_Injection]] = {}
         self._partitions: dict[frozenset[str], float] = {}  # pair -> end time
-        self.monitor = None  # optional NetworkMonitor
         #: optional CostLedger billing egress; set by build_deployment
         self.ledger = None
-        self.bytes_transferred = 0
-        self.messages_sent = 0
         self._obs = get_obs(sim)
         self._msg_counter = self._obs.metrics.counter("net.messages")
         self._bytes_counter = self._obs.metrics.counter("net.bytes")
@@ -244,17 +241,12 @@ class Network:
             if dst.down:
                 raise HostDownError(
                     f"host {dst.name} went down mid-transfer")
-            if self.monitor is not None:
-                self.monitor.record_transfer(src, dst, nbytes,
-                                             self.sim.now - start)
 
     def _admit(self, src: Host, dst: Host, nbytes: int) -> None:
         """Send-time admission of one message: reachability check, message
         and byte counters, egress billing.  Raises if ``dst`` cannot be
         reached; consumes no simulated time."""
         self.check_reachable(src, dst)
-        self.messages_sent += 1
-        self.bytes_transferred += nbytes
         self._msg_counter.inc()
         self._bytes_counter.inc(nbytes)
         if self.ledger is not None and src is not dst:

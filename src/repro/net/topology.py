@@ -40,32 +40,15 @@ CROSS_PROVIDER_SAME_REGION_MS = 1.0
 class Topology:
     """Latency lookup between (region, provider) endpoints.
 
-    Latencies can be overridden per pair, and regions beyond the default
-    four can be registered freely (``add_region``); unknown pairs raise so
-    configuration errors surface early.
+    ``oneway_ms`` replaces the default matrix (milliseconds per region
+    pair); unknown pairs raise so configuration errors surface early.
     """
 
     def __init__(self, oneway_ms: dict[frozenset[str], float] | None = None):
-        self._regions: set[str] = set(REGIONS)
         self._oneway: dict[frozenset[str], float] = dict(
             DEFAULT_ONEWAY_MS if oneway_ms is None else oneway_ms)
         self.intra_dc = INTRA_DC_MS * MS
         self.cross_provider_same_region = CROSS_PROVIDER_SAME_REGION_MS * MS
-
-    @property
-    def regions(self) -> frozenset[str]:
-        return frozenset(self._regions)
-
-    def add_region(self, region: str) -> None:
-        self._regions.add(region)
-
-    def set_latency(self, region_a: str, region_b: str, oneway_seconds: float) -> None:
-        """Override the one-way latency between two distinct regions."""
-        if region_a == region_b:
-            raise ValueError("use intra_dc/cross_provider for same-region latency")
-        self._regions.add(region_a)
-        self._regions.add(region_b)
-        self._oneway[frozenset((region_a, region_b))] = oneway_seconds / MS
 
     def oneway(self, region_a: str, provider_a: str,
                region_b: str, provider_b: str) -> float:

@@ -28,10 +28,6 @@ class Observability:
         self.tracer = Tracer(sim) if tracing else NullTracer()
         sim._obs = self
 
-    @property
-    def tracing_enabled(self) -> bool:
-        return self.tracer.enabled
-
     def enable_tracing(self) -> Tracer:
         """Swap in a recording tracer (idempotent); returns it."""
         if not self.tracer.enabled:

@@ -172,11 +172,3 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
-
-    # -- queries (test/debug helpers) ------------------------------------
-    def by_category(self, cat: str) -> list[Span]:
-        return [s for s in self.spans if s.cat == cat]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans
-                if s.trace_id == span.trace_id and s.parent_id == span.span_id]

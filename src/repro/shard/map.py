@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.obs.api import get_obs
-from repro.shard.ring import DEFAULT_VNODES, HashRing
+from repro.shard.ring import HashRing
 
 
 class ShardError(RuntimeError):
@@ -55,9 +55,6 @@ class ShardMap:
 
     def owner(self, key: str) -> str:
         return self.ring.owner(key)
-
-    def instances_for(self, key: str) -> tuple[dict, ...]:
-        return self.shards[self.ring.owner(key)]
 
     def all_instances(self) -> list[dict]:
         return [info for shard_id in sorted(self.shards)
@@ -140,15 +137,13 @@ class ShardManager:
     :class:`~repro.shard.rebalance.Rebalancer`.
     """
 
-    def __init__(self, sim, wiera, base_id: str, spec,
-                 shards: int, vnodes: int = DEFAULT_VNODES):
+    def __init__(self, sim, wiera, base_id: str, spec, shards: int):
         if shards < 1:
             raise ShardError("a sharded namespace needs at least one shard")
         self.sim = sim
         self.wiera = wiera
         self.base_id = base_id
         self.spec = spec
-        self.vnodes = vnodes
         self.initial_shards = shards
         self._seq = 0              # next shard ordinal
         self.epoch = 0
@@ -162,7 +157,7 @@ class ShardManager:
     # -- bootstrap -----------------------------------------------------------
     def launch(self) -> Generator:
         """Start the initial shard set and publish epoch 1."""
-        ring = HashRing(vnodes=self.vnodes)
+        ring = HashRing()
         shards: dict[str, tuple[dict, ...]] = {}
         for _ in range(self.initial_shards):
             shard_id = self._next_shard_id()

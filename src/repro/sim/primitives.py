@@ -137,10 +137,6 @@ class Gate:
         self._waiters: list[Event] = []
 
     @property
-    def is_open(self) -> bool:
-        return self._open
-
-    @property
     def queued(self) -> int:
         return len(self._waiters)
 

@@ -87,15 +87,6 @@ class RpcNode:
         self._dropped = self._obs.metrics.counter("rpc.dropped_oneways",
                                                   node=self.name)
 
-    @property
-    def requests_served(self) -> int:
-        """Requests dispatched here (backed by the shared MetricsRegistry)."""
-        return self._served.value
-
-    @property
-    def dropped_oneways(self) -> int:
-        return self._dropped.value
-
     # -- registration -----------------------------------------------------
     def register(self, method: str,
                  handler: Callable[[Message], Generator]) -> None:
@@ -103,14 +94,6 @@ class RpcNode:
             raise TypeError(
                 f"handler for {method!r} must be a generator function")
         self._handlers[method] = handler
-
-    def register_service(self, service: object, prefix: str = "") -> None:
-        """Register every ``rpc_``-prefixed generator method of ``service``."""
-        for attr in dir(service):
-            if attr.startswith("rpc_"):
-                fn = getattr(service, attr)
-                if inspect.isgeneratorfunction(fn):
-                    self.register(prefix + attr[len("rpc_"):], fn)
 
     # -- outgoing calls -----------------------------------------------------
     def invoke(self, dst: "RpcNode", method: str,

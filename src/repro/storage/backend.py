@@ -78,10 +78,6 @@ class StorageBackend:
         return iter(self._data.keys())
 
     @property
-    def free_bytes(self) -> float:
-        return self.capacity - self.used_bytes
-
-    @property
     def fill_fraction(self) -> float:
         return self.used_bytes / self.capacity
 
@@ -102,13 +98,6 @@ class StorageBackend:
         self.used_bytes = new_used
         if self._ledger is not None:
             self._ledger.record_usage(self)
-
-    def peek(self, key: str) -> bytes:
-        """Zero-time read for assertions/tests — not part of the data path."""
-        try:
-            return self._data[key]
-        except KeyError:
-            raise ObjectMissingError(f"{self.name}: no object {key!r}") from None
 
     # -- timing helpers -------------------------------------------------------
     def _jitter(self) -> float:

@@ -153,11 +153,3 @@ class CostLedger:
     def total_dollars(self) -> float:
         return (self.storage_dollars() + self.request_dollars()
                 + self.network_dollars())
-
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "storage": self.storage_dollars(),
-            "requests": self.request_dollars(),
-            "network": self.network_dollars(),
-            "total": self.total_dollars(),
-        }

@@ -14,7 +14,7 @@ slightly above S3) and Fig. 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.units import GB, HOUR, MB, MS
 
@@ -37,9 +37,6 @@ class TierProfile:
     get_price: float = 0.0      # $ per 10,000 get requests
     retrieval_delay: float = 0.0  # archival first-byte delay, seconds
     jitter_sigma: float = 0.05    # lognormal sigma on service time
-
-    def with_overrides(self, **kwargs) -> "TierProfile":
-        return replace(self, **kwargs)
 
     def service_time(self, nbytes: int, write: bool) -> float:
         if write:

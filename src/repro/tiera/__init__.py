@@ -16,8 +16,6 @@ from repro.tiera.events import (
     FilledEvent,
     InsertEvent,
     OperationEvent,
-    RequestsThresholdEvent,
-    LatencyThresholdEvent,
     TimerEvent,
 )
 from repro.tiera.responses import (
@@ -46,8 +44,6 @@ __all__ = [
     "TimerEvent",
     "FilledEvent",
     "ColdDataEvent",
-    "LatencyThresholdEvent",
-    "RequestsThresholdEvent",
     "ObjectSelector",
     "StoreResponse",
     "CopyResponse",

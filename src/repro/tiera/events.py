@@ -66,23 +66,3 @@ class ColdDataEvent(PolicyEvent):
     age: float = 120 * 3600.0
     check_interval: float = 600.0
     tier: Optional[str] = None   # restrict to objects resident on this tier
-
-
-@dataclass(frozen=True)
-class LatencyThresholdEvent(PolicyEvent):
-    """Wiera LatencyMonitoring: ``op`` operations have exceeded ``latency``
-    continuously for ``period`` seconds (Figure 5(a))."""
-
-    op: str = "put"
-    latency: float = 0.8
-    period: float = 30.0
-
-
-@dataclass(frozen=True)
-class RequestsThresholdEvent(PolicyEvent):
-    """Wiera RequestsMonitoring: some instance forwarded at least as many
-    requests as the primary served directly, sustained for ``period``
-    seconds, measured over a sliding ``window`` (Figure 5(b))."""
-
-    period: float = 15.0
-    window: float = 30.0

@@ -134,7 +134,6 @@ class TieraInstance:
         self.updates_ignored = 0
         self.request_log: deque[tuple[float, str]] = deque()  # (t, source)
         self.get_log: deque[float] = deque()                  # get arrivals
-        self.latency_listeners: list = []  # callbacks(op, elapsed, src)
         self._obs = get_obs(sim)
         self._op_hists: dict = {}  # (op, src) -> registry histogram
         self._background: list = []
@@ -175,29 +174,6 @@ class TieraInstance:
                 for record in self.meta.records():
                     for meta in record.versions.values():
                         meta.locations.discard(self._tier_name(backend))
-
-    def checkpoint_metadata(self, path) -> None:
-        """Persist all object metadata (the BerkeleyDB role, §4.2):
-        "all object metadata is stored and persisted"."""
-        self.meta.checkpoint(path)
-
-    def restore_metadata(self, path) -> None:
-        """Reload a metadata checkpoint (e.g. after a server restart).
-
-        Locations referring to volatile tiers that lost their contents are
-        dropped so reads don't chase ghosts.
-        """
-        self.meta.load(path)
-        for record in self.meta.records():
-            for meta in record.versions.values():
-                for loc in list(meta.locations):
-                    backend = self.tiers.get(loc)
-                    if backend is None:
-                        meta.locations.discard(loc)
-                        continue
-                    skey = storage_key(record.key, meta.version)
-                    if skey not in backend:
-                        meta.locations.discard(loc)
 
     def _tier_name(self, backend: StorageBackend) -> str:
         for name, b in self.tiers.items():
@@ -592,8 +568,6 @@ class TieraInstance:
 
     def _notify_latency(self, op: str, elapsed: float, src: str) -> None:
         self._op_hist(op, src).observe(elapsed)
-        for listener in self.latency_listeners:
-            listener(op, elapsed, src)
 
     # ------------------------------------------------------------------
     # RPC surface

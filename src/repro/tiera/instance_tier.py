@@ -72,10 +72,6 @@ class InstanceTier:
         self._known.add(skey)
 
     @property
-    def free_bytes(self) -> float:
-        return self.capacity - self.used_bytes
-
-    @property
     def fill_fraction(self) -> float:
         return 0.0
 

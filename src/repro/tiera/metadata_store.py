@@ -1,31 +1,26 @@
 """BerkeleyDB-substitute metadata store.
 
 The paper persists all object metadata in BerkeleyDB.  We provide the same
-role: an ordered key/value store with prefix cursors and JSON
-checkpoint/restore, holding :class:`~repro.tiera.objects.ObjectRecord`
-entries (and any other instance state a policy wants durable).
+role in memory: an ordered key/value store with prefix cursors, holding
+:class:`~repro.tiera.objects.ObjectRecord` entries (and any other instance
+state a policy keeps).
 """
 
 from __future__ import annotations
 
 import bisect
-import json
-from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.tiera.objects import ObjectRecord
 
 
 class MetadataStore:
-    """Sorted in-memory KV store with prefix scans and JSON persistence."""
+    """Sorted in-memory KV store with prefix scans."""
 
-    def __init__(self, path: Optional[str | Path] = None):
+    def __init__(self):
         self._data: dict[str, Any] = {}
         self._sorted_keys: list[str] = []
         self._keys_dirty = False
-        self.path = Path(path) if path else None
-        if self.path and self.path.exists():
-            self.load()
 
     # -- basic KV ---------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
@@ -82,32 +77,3 @@ class MetadataStore:
 
     def record_count(self) -> int:
         return sum(1 for _ in self.cursor(self._OBJ_PREFIX))
-
-    # -- persistence -----------------------------------------------------------
-    def checkpoint(self, path: Optional[str | Path] = None) -> Path:
-        """Serialize to JSON.  ObjectRecords round-trip; other values must
-        be JSON-encodable."""
-        target = Path(path) if path else self.path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        payload = {}
-        for key, value in self._data.items():
-            if isinstance(value, ObjectRecord):
-                payload[key] = {"__record__": value.to_dict()}
-            else:
-                payload[key] = value
-        target.write_text(json.dumps(payload))
-        return target
-
-    def load(self, path: Optional[str | Path] = None) -> None:
-        source = Path(path) if path else self.path
-        if source is None:
-            raise ValueError("no checkpoint path configured")
-        payload = json.loads(source.read_text())
-        self._data.clear()
-        for key, value in payload.items():
-            if isinstance(value, dict) and "__record__" in value:
-                self._data[key] = ObjectRecord.from_dict(value["__record__"])
-            else:
-                self._data[key] = value
-        self._keys_dirty = True

@@ -47,36 +47,6 @@ class VersionMeta:
             return self.version > other.version
         return self.last_modified > other.last_modified
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "size": self.size,
-            "created_at": self.created_at,
-            "last_modified": self.last_modified,
-            "last_accessed": self.last_accessed,
-            "access_count": self.access_count,
-            "dirty": self.dirty,
-            "locations": sorted(self.locations),
-            "encodings": list(self.encodings),
-            "stored_size": self.stored_size,
-            "origin": self.origin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VersionMeta":
-        return cls(
-            version=d["version"], size=d["size"], created_at=d["created_at"],
-            last_modified=d["last_modified"], last_accessed=d["last_accessed"],
-            access_count=d.get("access_count", 0), dirty=d.get("dirty", False),
-            locations=set(d.get("locations", ())),
-            encodings=tuple(d.get("encodings", ())),
-            stored_size=d.get("stored_size", 0), origin=d.get("origin", ""))
-
-    def wire_summary(self) -> dict:
-        """Fields shipped alongside replica updates for conflict handling."""
-        return {"version": self.version, "last_modified": self.last_modified,
-                "size": self.size, "origin": self.origin}
-
 
 @dataclass
 class ObjectRecord:
@@ -111,19 +81,3 @@ class ObjectRecord:
 
     def next_version(self) -> int:
         return self.latest_version + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "tags": sorted(self.tags),
-            "latest_version": self.latest_version,
-            "versions": {str(v): m.to_dict() for v, m in self.versions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObjectRecord":
-        rec = cls(key=d["key"], tags=set(d.get("tags", ())),
-                  latest_version=d.get("latest_version", 0))
-        for v, meta in d.get("versions", {}).items():
-            rec.versions[int(v)] = VersionMeta.from_dict(meta)
-        return rec

@@ -9,7 +9,7 @@ by the instance's policy engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.tiera.events import (
@@ -100,27 +100,6 @@ class LocalPolicy:
                 if isinstance(response, StoreResponse):
                     return response.to
         return self.tiers[0].name
-
-    def with_name(self, name: str) -> "LocalPolicy":
-        return replace(self, name=name)
-
-
-def write_through_policy(name: str = "PersistentInstance",
-                         cache_profile: str = "memcached",
-                         durable_profile: str = "ebs_ssd",
-                         cache_size: str = "5G",
-                         durable_size: str = "5G") -> LocalPolicy:
-    """Figure 1(b) skeleton: cache + synchronous copy to the durable tier."""
-    from repro.tiera.responses import CopyResponse, INSERT_OBJECT
-    return LocalPolicy(
-        name=name,
-        tiers=(TierSpec.parse("tier1", cache_profile, cache_size),
-               TierSpec.parse("tier2", durable_profile, durable_size)),
-        rules=(
-            Rule(InsertEvent(tier=None), (StoreResponse(to="tier1"),)),
-            Rule(InsertEvent(tier="tier1"),
-                 (CopyResponse(what=INSERT_OBJECT, to="tier2"),)),
-        ))
 
 
 def write_back_policy(name: str = "LowLatencyInstance",

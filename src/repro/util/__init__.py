@@ -4,8 +4,6 @@ from repro.util.units import (
     parse_size,
     parse_duration,
     parse_bandwidth,
-    format_size,
-    format_duration,
     KB,
     MB,
     GB,
@@ -22,8 +20,6 @@ __all__ = [
     "parse_size",
     "parse_duration",
     "parse_bandwidth",
-    "format_size",
-    "format_duration",
     "KB",
     "MB",
     "GB",

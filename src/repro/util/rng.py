@@ -48,11 +48,6 @@ class RngRegistry:
         """
         return self.stream(f"{name}[{key}]")
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per experiment trial)."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "little"))
-
 
 def exponential_interarrival(rng: np.random.Generator, rate: float) -> float:
     """One exponential inter-arrival gap (seconds) for a Poisson process
@@ -60,17 +55,3 @@ def exponential_interarrival(rng: np.random.Generator, rate: float) -> float:
     if rate <= 0:
         raise ValueError(f"arrival rate must be positive, got {rate}")
     return float(rng.exponential(1.0 / rate))
-
-
-def interarrival_times(rng: np.random.Generator, rate: float,
-                       horizon: float):
-    """Yield successive Poisson arrival offsets in ``[0, horizon)``.
-
-    A convenience for tests and trace construction; the open-loop engine
-    itself draws incrementally via :func:`exponential_interarrival` so
-    arrivals interleave with simulation time.
-    """
-    t = exponential_interarrival(rng, rate)
-    while t < horizon:
-        yield t
-        t += exponential_interarrival(rng, rate)

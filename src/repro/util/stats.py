@@ -34,20 +34,17 @@ def percentile_sorted(data: list[float], q: float) -> float:
 
 
 class OnlineStats:
-    """Welford online mean/variance plus min/max, O(1) memory."""
+    """Welford online mean plus min/max, O(1) memory."""
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def add(self, x: float) -> None:
         self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
+        self._mean += (x - self._mean) / self.count
         if x < self.min:
             self.min = x
         if x > self.max:
@@ -56,14 +53,6 @@ class OnlineStats:
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 @dataclass
@@ -94,13 +83,3 @@ class LatencyRecorder:
     def window(self, start: float, end: float) -> list[float]:
         """Samples recorded in the half-open time interval [start, end)."""
         return [v for t, v in zip(self.times, self.values) if start <= t < end]
-
-    def filtered(self, label: str) -> "LatencyRecorder":
-        out = LatencyRecorder(name=f"{self.name}[{label}]")
-        for t, v, lbl in zip(self.times, self.values, self.labels):
-            if lbl == label:
-                out.record(t, v, lbl)
-        return out
-
-    def series(self) -> list[tuple[float, float]]:
-        return list(zip(self.times, self.values))

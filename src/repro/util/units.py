@@ -123,24 +123,3 @@ def parse_bandwidth(text: str | int | float) -> float:
             raise UnitParseError(f"bandwidth must be per-second: {text!r}")
         return float(parse_size(size_part))
     return float(parse_size(raw))
-
-
-def format_size(nbytes: float) -> str:
-    """Format a byte count with a binary suffix, e.g. ``4.0KB``."""
-    value = float(nbytes)
-    for suffix in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or suffix == "TB":
-            return f"{value:.1f}{suffix}" if suffix != "B" else f"{int(value)}B"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_duration(seconds: float) -> str:
-    """Format a duration compactly, e.g. ``1.5ms``, ``30.0s``, ``2.0h``."""
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f}ms"
-    if seconds < MINUTE:
-        return f"{seconds:.1f}s"
-    if seconds < HOUR:
-        return f"{seconds / MINUTE:.1f}min"
-    return f"{seconds / HOUR:.1f}h"

@@ -71,10 +71,6 @@ class RubisStats:
     response_times: list[float] = field(default_factory=list)
     per_txn: dict = field(default_factory=dict)
 
-    def mean_response(self) -> float:
-        return (sum(self.response_times) / len(self.response_times)
-                if self.response_times else 0.0)
-
 
 class RubisApp:
     """The web/PHP/MySQL stack on one VM."""

@@ -29,11 +29,6 @@ class SysbenchResult:
     def iops(self) -> float:
         return self.ops / self.duration if self.duration > 0 else 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        return (sum(self.latencies) / len(self.latencies)
-                if self.latencies else 0.0)
-
 
 class SysbenchFileIO:
     """sysbench --test=fileio --file-test-mode=rndrd/rndrw equivalent."""

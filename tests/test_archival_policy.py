@@ -53,8 +53,8 @@ def test_cold_object_moves_to_glacier(world):
     # the bandwidth-capped move really throttled (100KB/s for 16KB ~= 0.16s
     # per object is charged by the policy engine; just assert the data
     # survives on glacier)
-    assert inst.tier("tier2").peek(
-        f"cold-doc#v{cold_meta.version}") == b"\x07" * (16 * KB)
+    assert inst.tier("tier2")._data[
+        f"cold-doc#v{cold_meta.version}"] == b"\x07" * (16 * KB)
 
 
 def test_archived_read_requires_restore(world):

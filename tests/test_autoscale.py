@@ -24,20 +24,19 @@ from repro.tiera.policy import memory_only_policy, write_back_policy
 REGIONS = (US_EAST, US_WEST)
 
 
-def _policy_spec(policy=memory_only_policy, autoscale=None):
+def _policy_spec(policy=memory_only_policy):
     return GlobalPolicySpec(
         name="as",
         placements=tuple(RegionPlacement(r, policy()) for r in REGIONS),
-        consistency="eventual",
-        autoscale=autoscale)
+        consistency="eventual")
 
 
 def _autoscaled_dep(aspec, policy=memory_only_policy,
                     servers_per_region=3, seed=5):
     dep = build_deployment(list(REGIONS), seed=seed,
-                           servers_per_region=servers_per_region)
-    handle = dep.start_sharded_instance("as", _policy_spec(policy),
-                                        autoscale=aspec)
+                           servers_per_region=servers_per_region,
+                           autoscale=aspec)
+    handle = dep.start_sharded_instance("as", _policy_spec(policy))
     scaler = dep.autoscalers["as"]
     return dep, handle, scaler
 
@@ -77,7 +76,7 @@ class TestAutoscaleSpec:
             TierScaleSpec(idle_age=-1, target_tier="tier2")
 
     def test_defaults_off(self):
-        assert _policy_spec().autoscale is None
+        assert build_deployment(list(REGIONS)).autoscale is None
 
 
 class TestHarnessWiring:
@@ -112,9 +111,8 @@ class TestHarnessWiring:
 
     def test_spec_autoscale_attaches_controller_even_at_one_shard(self):
         aspec = AutoscaleSpec(target_per_shard=100.0)
-        dep = build_deployment(list(REGIONS), seed=5)
-        handle = dep.start_sharded_instance(
-            "as", _policy_spec(autoscale=aspec))
+        dep = build_deployment(list(REGIONS), seed=5, autoscale=aspec)
+        handle = dep.start_sharded_instance("as", _policy_spec())
         assert handle.sharded          # managed path forced at 1 shard
         assert "as" in dep.autoscalers
         assert dep.autoscalers["as"].shards == 1

@@ -3,11 +3,11 @@
 import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
+from repro.bench import reporting
 from repro.bench.harness import preload_object
 from repro.bench.reporting import (
     ExperimentReport,
     all_reports,
-    clear_reports,
     dump_reports,
     register_report,
     render_all,
@@ -87,7 +87,7 @@ class TestHarness:
         for inst in targets:
             record = inst.meta.get_record("seed")
             assert record.latest_version == 1
-            assert inst.tier("tier1").peek("seed#v1") == b"data" * 100
+            assert inst.tier("tier1")._data["seed#v1"] == b"data" * 100
 
     def test_preload_duplicate_version_rejected(self, dep):
         d, _ = dep
@@ -125,11 +125,9 @@ class TestHarness:
 
 
 class TestReporting:
-    def setup_method(self):
-        clear_reports()
-
-    def teardown_method(self):
-        clear_reports()
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self, monkeypatch):
+        monkeypatch.setattr(reporting, "_REGISTRY", [])
 
     def test_report_render(self):
         report = ExperimentReport(

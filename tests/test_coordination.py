@@ -95,7 +95,7 @@ def test_lease_expiry_reclaims_lock(world):
 
     def crasher():
         yield from ca.acquire("key")
-        ca.abandon_all()  # crash without releasing
+        ca.held.clear()  # crash without releasing
 
     def waiter():
         yield sim.timeout(0.5)

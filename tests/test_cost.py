@@ -112,10 +112,9 @@ class TestLedger:
     def test_breakdown_totals(self, sim):
         ledger = CostLedger(sim)
         ledger.record_network(1 * GB, "internet")
-        breakdown = ledger.breakdown()
-        assert breakdown["total"] == pytest.approx(
-            breakdown["storage"] + breakdown["requests"]
-            + breakdown["network"])
+        assert ledger.total_dollars() == pytest.approx(
+            ledger.storage_dollars() + ledger.request_dollars()
+            + ledger.network_dollars())
 
     def test_network_egress_billed_by_deployment(self):
         """Replication fan-out across regions shows up as inter-region

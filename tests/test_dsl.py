@@ -161,7 +161,7 @@ class TestCompilerWiera:
         spec = builtin_policy("PrimaryBackupConsistency")
         assert spec.consistency == "primary_backup"
         assert spec.sync_replication is True
-        assert spec.primary_placement().region == "us-west"
+        assert next(p for p in spec.placements if p.primary).region == "us-west"
 
     def test_eventual_inferred(self):
         spec = builtin_policy("EventualConsistency")
@@ -205,7 +205,7 @@ class TestCompilerWiera:
     def test_simpler_consistency_subregions(self):
         spec = builtin_policy("SimplerConsistency")
         assert spec.regions() == ["us-west-1", "us-west-2", "us-west-3"]
-        assert spec.primary_placement().region == "us-west-1"
+        assert next(p for p in spec.placements if p.primary).region == "us-west-1"
 
     def test_unknown_local_policy_in_region(self):
         text = """

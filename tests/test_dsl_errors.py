@@ -204,4 +204,4 @@ class TestDslRobustness:
         """
         from repro.tiera.policy import memory_only_policy
         spec = compile_policy(text, env={"M": memory_only_policy()})
-        assert spec.primary_placement().region == "us-east"
+        assert next(p for p in spec.placements if p.primary).region == "us-east"

@@ -69,14 +69,13 @@ class TestRedundancyNoneBitIdentical:
         None and a run without the kwarg are event-for-event identical."""
         def one(explicit_none):
             regions = REGIONS[:2]
-            build_kwargs = {"redundancy": None} if explicit_none else {}
-            dep = build_deployment(list(regions), seed=7, **build_kwargs)
+            spec_kwargs = {"redundancy": None} if explicit_none else {}
+            dep = build_deployment(list(regions), seed=7)
             spec = GlobalPolicySpec(
                 name="ec",
                 placements=tuple(RegionPlacement(r, memory_only_policy())
                                  for r in regions),
-                consistency="eventual",
-                redundancy=None)
+                consistency="eventual", **spec_kwargs)
             instances = dep.start_wiera_instance("ec", spec)
             client = dep.add_client(US_EAST, instances=instances)
 
@@ -674,15 +673,3 @@ class TestOptimizer:
         assert plan.chosen.durability >= 2
         assert all(e.durability >= 2 or e in plan.rejected
                    for e in (plan.chosen,) + plan.rejected)
-
-    def test_plan_for_monitor(self):
-        class FakeMonitor:
-            def demand_by_region(self):
-                return {US_WEST: 90, US_EAST: 10}
-
-            def read_fraction(self):
-                return 0.9
-
-        plan = self.optimizer().plan_for_monitor(FakeMonitor(), 1 << 16,
-                                                 elapsed=3600.0)
-        assert plan.chosen.sites[0] == US_WEST  # reader-local first

@@ -75,15 +75,15 @@ import pytest
 from repro import (
     GlobalPolicySpec,
     RegionPlacement,
-    ShardSpec,
     build_deployment,
 )
-from repro.load import CohortSpec, TraceReplay
+from repro.load import CohortSpec
 from repro.net.link import SEGMENT_BYTES
 from repro.net.network import Network
 from repro.net.topology import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 from repro.workloads.ycsb import YcsbWorkload
+from tests.test_load import OffsetArrivals
 
 N = 25
 DRIVER = 0            # the driving process: started by the call, unwatched
@@ -101,8 +101,8 @@ def per_locked_put(peers: int) -> int:
     return 14 + peers * (2 + PER_APPLY + WATCHED_FINISH)
 
 
-def deploy(regions, consistency="eventual", **spec_kwargs):
-    dep = build_deployment(regions, seed=7)
+def deploy(regions, consistency="eventual", shards=1, **spec_kwargs):
+    dep = build_deployment(regions, seed=7, shards=shards)
     spec = GlobalPolicySpec(
         name="budget",
         placements=tuple(RegionPlacement(region, memory_only_policy())
@@ -110,7 +110,7 @@ def deploy(regions, consistency="eventual", **spec_kwargs):
         # Park the replication flush timer: nothing but the measured
         # operations runs inside the measured windows.
         consistency=consistency, queue_interval=3600.0, **spec_kwargs)
-    if spec.sharding is not None:
+    if shards > 1:
         handle = dep.start_sharded_instance("budget", spec)
         return dep, dep.add_client(US_EAST, sharded=handle, name="app")
     instances = dep.start_wiera_instance("budget", spec)
@@ -184,7 +184,7 @@ def test_open_loop_cohort_op_is_its_arrival_plus_the_op(deployment,
     offsets += [offsets[-1] + 0.0005 * (i + 1) for i in range(N)]
     cohort = dep.add_cohort(
         CohortSpec(name="budget", region=US_EAST,
-                   arrivals=TraceReplay(offsets),
+                   arrivals=OffsetArrivals(offsets),
                    workload=YcsbWorkload(record_count=records, value_size=64,
                                          read_prop=read_prop,
                                          update_prop=1.0 - read_prop,
@@ -239,9 +239,9 @@ def test_flush_is_one_batch_per_peer(regions, pending):
     queue = instance.protocol.queue_for(instance)
     assert len(queue.pending) == pending
 
-    messages = dep.network.messages_sent
+    messages = dep.metric_total("net.messages")
     flush = events(dep, queue.flush())
-    assert dep.network.messages_sent - messages == 2 * peers
+    assert dep.metric_total("net.messages") - messages == 2 * peers
     assert flush == DRIVER + peers * (PER_BATCH + pending * PER_APPLY)
     assert queue.batches == peers
     if pending == peers == 1:
@@ -298,8 +298,7 @@ def test_exact_events_per_multi_primaries_put(regions):
 
 
 def test_exact_events_per_router_refresh():
-    dep, client = deploy([US_EAST, US_WEST],
-                         sharding=ShardSpec(shards=2, vnodes=32))
+    dep, client = deploy([US_EAST, US_WEST], shards=2)
     assert events(dep, client.router.refresh()) == DRIVER + PER_REFRESH
     assert client.router.refreshes == 1
 

@@ -25,7 +25,7 @@ BROAD_EXCEPTS = {
     "repro/core/tsm.py": 1,
     "repro/core/workload_monitor.py": 1,
     "repro/ec/repair.py": 1,
-    "repro/fs/posixfs.py": 4,
+    "repro/fs/posixfs.py": 3,
     "repro/load/cohort.py": 1,
     "repro/sim/rpc.py": 2,
     "repro/workloads/rubis.py": 1,

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from repro.load import (
+    ArrivalProcess,
     CohortSpec,
     LoadEngine,
-    MmppProcess,
     PoissonProcess,
     ShiftingHotspot,
-    TraceReplay,
     constant_rate,
     diurnal_rate,
     flash_crowd_rate,
     modeled_users_rate,
-    poisson_trace,
-    ramp_rate,
 )
 from repro.load.cohort import ClientCohort
 from repro.load.scenarios import (
@@ -26,11 +23,7 @@ from repro.load.scenarios import (
     hotspot_shift,
 )
 from repro.sim.kernel import Simulator
-from repro.util.rng import (
-    RngRegistry,
-    exponential_interarrival,
-    interarrival_times,
-)
+from repro.util.rng import RngRegistry, exponential_interarrival
 from repro.workloads.clients import GeoClientPopulation
 from repro.workloads.ycsb import YcsbWorkload
 
@@ -77,13 +70,6 @@ class TestRngHelpers:
         with pytest.raises(ValueError):
             exponential_interarrival(rng, -1.0)
 
-    def test_interarrival_times_within_horizon(self):
-        rng = np.random.default_rng(2)
-        offsets = list(interarrival_times(rng, 10.0, 50.0))
-        assert offsets == sorted(offsets)
-        assert all(0 < t < 50.0 for t in offsets)
-        assert len(offsets) == pytest.approx(500, rel=0.2)
-
 
 # -- rate shapes -------------------------------------------------------------
 
@@ -93,15 +79,6 @@ class TestRateShapes:
         assert fn(0.0) == fn(1e6) == 42.0 and peak == 42.0
         with pytest.raises(ValueError):
             constant_rate(-1.0)
-
-    def test_ramp(self):
-        fn, peak = ramp_rate(10.0, 110.0, t0=100.0, t1=200.0)
-        assert fn(0.0) == 10.0
-        assert fn(150.0) == pytest.approx(60.0)
-        assert fn(1e9) == 110.0
-        assert peak == 110.0
-        with pytest.raises(ValueError):
-            ramp_rate(0, 1, t0=5.0, t1=5.0)
 
     def test_flash_crowd_shape(self):
         fn, peak = flash_crowd_rate(100.0, 10.0, at=60.0,
@@ -140,8 +117,6 @@ def _drain(process, horizon: float) -> list[float]:
     t, out = 0.0, []
     while True:
         dt, arrived = process.next_event(t)
-        if dt is None:
-            break
         t += dt
         if t >= horizon:
             break
@@ -166,9 +141,8 @@ class TestPoissonProcess:
         assert _drain(a, 50.0) == _drain(b, 50.0)
 
     def test_thinning_tracks_ramp(self):
-        fn, peak = ramp_rate(0.0, 100.0, t0=0.0, t1=100.0)
         p = PoissonProcess()
-        p.bind(np.random.default_rng(1), fn, peak)
+        p.bind(np.random.default_rng(1), lambda t: min(t, 100.0), 100.0)
         arrivals = np.array(_drain(p, 100.0))
         early = np.sum(arrivals < 50.0)     # integral: 1250 expected
         late = np.sum(arrivals >= 50.0)     # integral: 3750 expected
@@ -187,67 +161,22 @@ class TestPoissonProcess:
             PoissonProcess().bind(np.random.default_rng(0), fn, 0.0)
 
 
-class TestMmppProcess:
-    def test_mean_factor(self):
-        m = MmppProcess(burst_factor=8.0, mean_normal=20.0, mean_burst=2.0)
-        assert m.mean_factor() == pytest.approx((20 + 16) / 22)
+class OffsetArrivals(ArrivalProcess):
+    """Arrivals at fixed offsets (seconds) from the first ``next_event``
+    instant, then an exhausted stream."""
 
-    def test_burstier_than_poisson(self):
-        """Index of dispersion of windowed counts: ~1 for Poisson,
-        substantially more for the modulated process."""
-        fn, peak = constant_rate(5.0)
+    def __init__(self, offsets):
+        super().__init__()
+        self._offsets = iter(offsets)
+        self._origin = None
 
-        def dispersion(process, seed):
-            process.bind(np.random.default_rng(seed), fn, peak)
-            arrivals = _drain(process, 2000.0)
-            counts = np.bincount(np.array(arrivals).astype(int),
-                                 minlength=2000)
-            return counts.var() / counts.mean()
-
-        poisson = dispersion(PoissonProcess(), 4)
-        bursty = dispersion(MmppProcess(burst_factor=8.0, mean_normal=10.0,
-                                        mean_burst=5.0), 4)
-        assert poisson < 1.5
-        assert bursty > 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MmppProcess(burst_factor=0.5)
-        with pytest.raises(ValueError):
-            MmppProcess(mean_normal=0.0)
-
-
-class TestTraceReplay:
-    def test_replays_exact_offsets(self):
-        trace = TraceReplay([0.5, 1.0, 1.0, 4.0])
-        trace.bind(np.random.default_rng(0), lambda t: 0.0, 0.0, start=10.0)
-        assert _drain(trace, 100.0) == [10.5, 11.0, 11.0, 14.0]
-
-    def test_exhaustion_and_loop(self):
-        t1 = TraceReplay([1.0, 2.0])
-        t1.bind(None, None, 0.0)
-        assert len(_drain(t1, 100.0)) == 2
-        assert t1.next_event(100.0) == (None, False)
-        t2 = TraceReplay([1.0, 2.0], loop=True)
-        t2.bind(None, None, 0.0)
-        assert _drain(t2, 9.0) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceReplay([2.0, 1.0])
-        with pytest.raises(ValueError):
-            TraceReplay([], loop=True)
-        with pytest.raises(ValueError):
-            TraceReplay([0.0], loop=True)
-
-    def test_poisson_trace_roundtrip(self):
-        rng = np.random.default_rng(6)
-        offsets = poisson_trace(rng, 20.0, 50.0)
-        assert offsets == sorted(offsets)
-        assert len(offsets) == pytest.approx(1000, rel=0.15)
-        trace = TraceReplay(offsets)
-        trace.bind(None, None, 0.0)
-        assert _drain(trace, 50.0) == offsets
+    def next_event(self, t):
+        if self._origin is None:
+            self._origin = t
+        offset = next(self._offsets, None)
+        if offset is None:
+            return None, False
+        return max(0.0, self._origin + offset - t), True
 
 
 # -- cohorts against a fake store --------------------------------------------
@@ -422,7 +351,7 @@ class TestClientCohort:
         offsets = [0.0] + [0.5 + i * 1e-4 for i in range(queued)]
         spec = CohortSpec(
             name="reentrant", region="r", max_in_flight=1,
-            queue_limit=queued, arrivals=TraceReplay(offsets),
+            queue_limit=queued, arrivals=OffsetArrivals(offsets),
             workload=YcsbWorkload(record_count=50, read_prop=1.0,
                                   update_prop=0.0))
         cohort = ClientCohort(sim, OneSlowOpThenUnreachable(), spec,

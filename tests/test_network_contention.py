@@ -5,6 +5,7 @@ import pytest
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import Network, US_EAST, US_WEST
 from repro.net.link import SEGMENT_BYTES
+from repro.obs.api import get_obs
 from repro.sim import Simulator
 from repro.sim.rpc import RpcNode
 from repro.tiera.policy import memory_only_policy
@@ -49,7 +50,7 @@ class TestEgressContention:
         sim.process(bulk())
         sim.process(ping())
         sim.run()
-        segment_time = src.egress.transmission_time(SEGMENT_BYTES)
+        segment_time = SEGMENT_BYTES / src.egress.rate
         rtt = net.rtt(src, dst)
         # the ping's request went out at the first segment boundary (1 ms
         # covers its own few bytes on the two links)...
@@ -134,12 +135,12 @@ class TestFlushSharesTheLink:
         bulk = sum(nbytes for _, nbytes, _ in reserved
                    if nbytes != reply_bytes)
         assert bulk >= 512 * 1024 and queue.batches == 1
-        segment_time = link.transmission_time(SEGMENT_BYTES)
-        flush_time = link.transmission_time(bulk)
+        segment_time = SEGMENT_BYTES / link.rate
+        flush_time = bulk / link.rate
         replies = [(at, out) for at, nbytes, out in reserved
                    if nbytes == reply_bytes]
         assert len(replies) == len(gets)
-        reply_time = link.transmission_time(reply_bytes)
+        reply_time = reply_bytes / link.rate
         during = 0
         for n, (at, out) in enumerate(replies):
             waited = out - reply_time - at
@@ -176,7 +177,7 @@ class TestThroughputCaps:
         # 1 MB at 512 KB/s = 2 s of serialization, plus 16 sequential
         # propagation delays (the sender waits for each delivery)
         assert sim.now == pytest.approx(2.0 + 16 * 0.035, rel=0.05)
-        assert net.bytes_transferred == 16 * 64 * KB
+        assert get_obs(sim).metrics.counter("net.bytes").value == 16 * 64 * KB
 
     def test_message_counter(self, sim):
         net = Network(sim)
@@ -188,4 +189,4 @@ class TestThroughputCaps:
             yield from net.transmit(src, dst, 10)
         proc = sim.process(sender())
         sim.run(until=proc)
-        assert net.messages_sent == 2
+        assert get_obs(sim).metrics.counter("net.messages").value == 2

@@ -84,9 +84,9 @@ class TestSpanNesting:
 
         p = sim.process(main())
         sim.run(until=p)
-        transmits = tracer.by_category("net")
+        transmits = [s for s in tracer.spans if s.cat == "net"]
         assert len(transmits) == 4  # two hops, request + reply each
-        rpc_ids = {s.span_id for s in tracer.by_category("rpc")}
+        rpc_ids = {s.span_id for s in tracer.spans if s.cat == "rpc"}
         assert all(t.parent_id in rpc_ids for t in transmits)
 
     def test_concurrent_requests_get_distinct_traces(self):
@@ -128,7 +128,9 @@ class TestSpanNesting:
 
 def span_tree(tracer, root):
     """``root`` and everything below it, children in start order."""
-    children = sorted(tracer.children_of(root),
+    children = sorted((s for s in tracer.spans
+                       if s.trace_id == root.trace_id
+                       and s.parent_id == root.span_id),
                       key=lambda s: (s.start, s.span_id))
     # The Wiera service host is numbered per process, not per deployment.
     component = re.sub(r"wiera-\d+", "wiera", root.component)
@@ -356,7 +358,7 @@ class TestZeroCostWhenDisabled:
         obs = get_obs(sim)
         assert isinstance(obs.tracer, NullTracer)
         assert obs.tracer.span("x", cat="y") is NULL_SPAN
-        assert not obs.tracing_enabled
+        assert not obs.tracer.enabled
 
     def test_latencies_bit_identical_with_and_without_tracing(self):
         _, plain = tiny_deployment(with_tracing=False)
@@ -373,9 +375,9 @@ class TestMonitorsOnRegistry:
         dep, client = tiny_deployment(with_tracing=False)
         tim = dep.tim("obs")
         monitor = LatencyMonitor(tim, DynamicConsistencySpec(op="put"))
-        signal = monitor.observed_signal()
         # the workload just ran, so app put samples are in the window
-        assert signal is not None
+        signal = max(filter(None, (monitor._hist(iid).max_since(0.0)
+                                   for iid in tim.instances)))
         assert signal == pytest.approx(max(client.put_latency.values[-3:]),
                                        rel=1.0)
 

@@ -1,7 +1,5 @@
 """Tests for the workload monitor and automated placement advisor."""
 
-import pytest
-
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.core import DataPlacementAdvisor, WorkloadMonitor
 from repro.net import ASIA_EAST, EU_WEST, US_EAST, US_WEST
@@ -56,13 +54,6 @@ class TestWorkloadMonitor:
         dep.drive(monitor.poll_once())
         dep.drive(monitor.poll_once())  # no new traffic
         assert monitor.snapshots[-1].total_requests == 0
-
-    def test_read_fraction(self):
-        dep, instances = deploy()
-        monitor = WorkloadMonitor(dep.tim("pl"), poll_interval=5.0)
-        hammer(dep, instances, US_EAST, 20)   # 1:1 put/get
-        dep.drive(monitor.poll_once())
-        assert monitor.read_fraction() == pytest.approx(0.5)
 
     def test_window_zero_is_empty_not_full_history(self):
         """Regression: window=0 used to be falsy and silently returned

@@ -147,7 +147,7 @@ class TestLwwProperties:
             sim.run(until=proc)
             record = inst.meta.get_record("k")
             meta = record.latest()
-            data = inst.tier("tier1").peek(f"k#v{meta.version}")
+            data = inst.tier("tier1")._data[f"k#v{meta.version}"]
             return meta.version, data
 
         shuffled = list(unique)
@@ -246,7 +246,7 @@ class TestStorageProperties:
         assert tier.used_bytes == sum(shadow.values())
         assert tier.used_bytes <= tier.capacity
         for key, size in shadow.items():
-            assert len(tier.peek(key)) == size
+            assert len(tier._data[key]) == size
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Ratchet: ``src/`` keeps only code that something outside ``tests/`` uses.
+
+A census of every function, class and method defined in ``src/`` (dunders
+aside).  A definition is *reached* when its name appears in a module of
+``src/`` (a package ``__init__.py`` only re-exports, so it does not count),
+in ``examples/``, in ``benchmarks/`` or in ``perf/``: as a name, an
+attribute, an imported name, or a string constant equal to it (handlers
+registered or looked up by string).  A definition nothing reaches is
+test-only code: delete it with its tests, or keep it in :data:`KEPT` with
+the reason.
+
+The census goes by name, so a definition sharing its name with a reached
+one passes unnoticed; it is a floor, not a proof of use.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CALLERS = ("examples", "benchmarks", "perf")
+
+#: Definitions only tests reach, kept on purpose: name -> reason.  Drop an
+#: entry in the commit that deletes the definition or gives it a caller;
+#: add one only with a reason a later reader can check.
+KEPT = {
+    "outstanding_failures":
+        "ReplicationQueue's divergence count: entries left to repair",
+    "stop_heartbeats":
+        "ROADMAP 3(d): the stop tests halt TSM heartbeats by hand",
+    "held_keys":
+        "ROADMAP 3(d): the lock-leak checks read the lock holders",
+    "latency_spike":
+        "FaultSchedule vocabulary the history fuzzer (ROADMAP 2) composes",
+    "active":
+        "FaultSchedule vocabulary the history fuzzer (ROADMAP 2) composes",
+}
+
+
+def _definitions() -> list[tuple[str, int, str]]:
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    found.append((str(path.relative_to(SRC)), node.lineno,
+                                  node.name))
+    return found
+
+
+def _names_used() -> set[str]:
+    paths = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    for caller in CALLERS:
+        paths += (ROOT / caller).rglob("*.py")
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                str):
+                used.add(node.value)
+    return used
+
+
+def test_src_defines_nothing_only_tests_reach():
+    used = _names_used()
+    unreached = [f"{path}:{line} {name}"
+                 for path, line, name in _definitions()
+                 if name not in used and name not in KEPT]
+    assert not unreached, (
+        "defined in src/ but used by no module, example, benchmark or "
+        f"perf workload (delete it, or add it to KEPT): {unreached}")
+
+
+def test_kept_entries_are_still_needed():
+    used = _names_used()
+    defined = {name for _, _, name in _definitions()}
+    stale = sorted(name for name in KEPT
+                   if name not in defined or name in used)
+    assert not stale, f"drop from KEPT (gone or now reached): {stale}"

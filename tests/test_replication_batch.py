@@ -95,13 +95,13 @@ class TestBatchRpc:
         entries = [("replica_update",
                     make_update(east, dep, f"k{i}", b"v"), 514)
                    for i in range(3)]
-        before = dep.network.messages_sent
+        before = dep.metric_total("net.messages")
 
         def go():
             yield east.node.call_batch(west.node, entries)
         dep.drive(go())
         # One request + one reply, regardless of entry count.
-        assert dep.network.messages_sent - before == 2
+        assert dep.metric_total("net.messages") - before == 2
 
     def test_transport_failure_raises_whole_call(self, world):
         dep, _ = world
@@ -213,7 +213,7 @@ class TestBatchedMigration:
         west = dep.instance("q", US_WEST)
         for i in range(5):
             make_update(east, dep, f"k{i}", b"x" * 100)
-        before = dep.network.messages_sent
+        before = dep.metric_total("net.messages")
 
         def go():
             result = yield east.node.call(
@@ -229,7 +229,7 @@ class TestBatchedMigration:
         for i in range(5):
             assert west.meta.get_record(f"k{i}") is not None
         # loopback ctl call (free) + 3 batch request/reply pairs
-        assert dep.network.messages_sent - before <= 8
+        assert dep.metric_total("net.messages") - before <= 8
 
     def test_migrate_batch_transport_failure_fails_those_keys(self, world):
         dep, _ = world
@@ -267,12 +267,12 @@ class TestBatchedMigration:
                 east.node, "ctl_migrate_keys",
                 {"keys": which, "dest": (west.node,)})   # no bound given
             return result
-        before = dep.network.messages_sent
+        before = dep.metric_total("net.messages")
         result = dep.drive(migrate(keys))
         assert sizes == [1, 1, 1, 1]
         # The loopback ctl call, then two request/reply pairs landed and
         # two requests were refused by the dead host.
-        assert dep.network.messages_sent - before == 2 + 2 * 2
+        assert dep.metric_total("net.messages") - before == 2 + 2 * 2
         # The peer died between entries: every key is accounted for, and
         # exactly the acknowledged ones are claimed as moved.
         assert result["moved"] == keys[:2] and result["failed"] == keys[2:]
@@ -411,13 +411,13 @@ class TestChunkedTransfers:
                 (2 * SEGMENT_BYTES, 2),         # exact multiple: no empty tail
                 (SEGMENT_BYTES + 1, 2)):
             dep, net, src, dst = self._hosts()
-            before = net.messages_sent, src.egress.bytes_sent
+            before = dep.metric_total("net.messages"), src.egress.bytes_sent
 
             def go():
                 yield from net.transmit(src, dst, nbytes)
             dep.drive(go())
             assert dep.metric_total("net.chunks") == segments
-            assert net.messages_sent - before[0] == 1   # still one message
+            assert dep.metric_total("net.messages") - before[0] == 1   # still one message
             assert src.egress.bytes_sent - before[1] == nbytes
 
     def test_small_transfer_is_not_chunked(self):
@@ -469,7 +469,7 @@ class TestChunkedTransfers:
         # the first segment boundary.
         assert done["small"] < done["big"]
         assert done["small"] - start < \
-            2 * src.egress.transmission_time(SEGMENT_BYTES) \
+            2 * SEGMENT_BYTES / src.egress.rate \
             + net.oneway_latency(src, dst)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import HostDownError, Network, US_EAST, US_WEST
+from repro.obs.api import get_obs
 from repro.sim import Interrupt, Simulator
 from repro.sim.rpc import (
     NoSuchMethodError,
@@ -12,6 +13,11 @@ from repro.sim.rpc import (
 )
 from repro.tiera.policy import memory_only_policy
 from repro.util.units import MS
+
+
+def counted(node: RpcNode, name: str) -> int:
+    """``node``'s count of ``name`` in the metrics registry."""
+    return get_obs(node.sim).metrics.counter(name, node=node.name).value
 
 
 @pytest.fixture
@@ -100,7 +106,7 @@ def test_oneway_swallows_errors(world):
     b.host.crash()
     a.send_oneway(b, "anything")
     sim.run()  # must not raise
-    assert a.dropped_oneways == 1
+    assert counted(a, "rpc.dropped_oneways") == 1
 
 
 def test_oneway_executes_handler(world):
@@ -115,27 +121,6 @@ def test_oneway_executes_handler(world):
     a.send_oneway(b, "note", {"v": 9})
     sim.run()
     assert seen == [9]
-
-
-def test_register_service_prefix(world):
-    sim, net, a, b = world
-
-    class Service:
-        def rpc_ping(self, msg):
-            yield sim.timeout(0.0)
-            return "pong"
-
-        def not_rpc(self):
-            pass
-
-    b.register_service(Service())
-
-    def main():
-        result = yield a.call(b, "ping")
-        return result
-
-    p = sim.process(main())
-    assert sim.run(until=p) == "pong"
 
 
 def test_payload_size_affects_latency(world):
@@ -235,13 +220,14 @@ def test_requests_served_counter(world):
 
     p = sim.process(main())
     sim.run(until=p)
-    assert b.requests_served == 3
+    assert counted(b, "rpc.requests_served") == 3
 
 
 # -- invoke: the same call, run inside the calling process -----------------
 
 def test_invoke_is_call_without_the_process_pair(world):
     sim, net, a, b = world
+    sent = get_obs(sim).metrics.counter("net.messages")
 
     def echo(msg):
         yield sim.timeout(0.001)
@@ -261,14 +247,14 @@ def test_invoke_is_call_without_the_process_pair(world):
 
     outcomes, events, messages = [], [], []
     for main in (via_call, via_invoke):
-        before = sim.events_processed, net.messages_sent
+        before = sim.events_processed, sent.value
         outcomes.append(sim.run(until=sim.process(main())))
         events.append(sim.events_processed - before[0])
-        messages.append(net.messages_sent - before[1])
+        messages.append(sent.value - before[1])
     assert outcomes[0] == outcomes[1]
     assert messages == [2, 2]
     assert events[0] - events[1] == 1       # the call's watched finish
-    assert b.requests_served == 2
+    assert counted(b, "rpc.requests_served") == 2
 
 
 def test_invoke_raises_at_the_yield_from(world):
@@ -346,10 +332,10 @@ def test_orphaned_call_failing_late_does_not_stop_the_simulation(offset_ms):
     35.6, 50.0, 70.0])          # reply in flight
 def test_interrupted_caller_stops_at_once_and_the_put_completes(offset_ms):
     dep, client, instance = _far_put_deployment()
-    served = instance.node.requests_served
+    served = counted(instance.node, "rpc.requests_served")
     start, seen = _interrupt_put_at(dep, client, offset_ms * MS)
     dep.sim.run(until=start + 1.0)
     assert seen == [(start + offset_ms * MS, "stop")]
     data, meta, _ = dep.drive(instance.read_version("key"))
     assert (data, meta.version) == (b"payload", 1)
-    assert instance.node.requests_served == served + 1
+    assert counted(instance.node, "rpc.requests_served") == served + 1

@@ -12,6 +12,7 @@ A transfer longer than one segment is held to the same recurrence segment
 by segment.
 """
 
+import dataclasses
 import heapq
 import itertools
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Network, NetworkError, US_EAST, US_WEST
 from repro.net.link import SEGMENT_BYTES, BandwidthLink
+from repro.obs.api import get_obs
 from repro.sim import SerialServer, Simulator, wake_at
 from repro.storage import make_tier
 from repro.storage.profiles import get_tier_profile
@@ -218,7 +220,7 @@ class TestReferenceModel:
         assert src.egress.bytes_sent == wire
         if cut is None:
             assert not aborted
-            assert net.bytes_transferred == wire == \
+            assert get_obs(sim).metrics.counter("net.bytes").value == wire == \
                 sum(nbytes for _, nbytes, _ in plan)
 
     @given(now=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
@@ -277,8 +279,8 @@ class TestInterruptedSender:
     def test_interrupting_a_queued_op_does_not_wedge_an_iops_cap(self, sim):
         """Same shape on an IOPS-capped tier: the op interrupted while it
         waits for the completion channel must not strand the channel."""
-        profile = get_tier_profile("azure_disk").with_overrides(
-            iops=1.0, jitter_sigma=0.0)
+        profile = dataclasses.replace(get_tier_profile("azure_disk"),
+                                      iops=1.0, jitter_sigma=0.0)
         tier = make_tier(sim, profile, 1 * GB)
         tier.preload("k", b"x" * 512)
         done = {}

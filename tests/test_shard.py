@@ -12,7 +12,6 @@ from repro import (
     GlobalPolicySpec,
     RegionPlacement,
     RetryPolicy,
-    ShardSpec,
     build_deployment,
 )
 from repro.net import US_EAST, US_WEST
@@ -128,18 +127,6 @@ class TestShardedRouting:
             key = workload.key(i)
             holders = _owner_instances_with(dep, shard_map, key)
             assert holders == {shard_map.owner(key)}, (key, holders)
-
-    def test_spec_sharding_overrides_deployment_default(self):
-        dep = build_deployment([US_EAST, US_WEST], seed=1)
-        spec = GlobalPolicySpec(
-            name="sp",
-            placements=(RegionPlacement(US_EAST, memory_only_policy()),
-                        RegionPlacement(US_WEST, memory_only_policy())),
-            consistency="multi_primaries",
-            sharding=ShardSpec(shards=2, vnodes=32))
-        handle = dep.start_sharded_instance("sp", spec)
-        assert handle.sharded
-        assert sorted(handle.map.shards) == ["sp-s0", "sp-s1"]
 
     def test_guard_redirects_stale_direct_call(self):
         dep, handle, client = _sharded_dep(shards=2)
@@ -385,7 +372,7 @@ class TestElasticCycles:
         for sid in mgr.map.shards:
             for rec in dep.wiera.tim(sid).alive_records():
                 inst = rec.instance
-                assert inst.gate.is_open, (sid, rec.instance_id)
+                assert inst.gate._open, (sid, rec.instance_id)
                 assert inst.shard_handoff is None, (sid, rec.instance_id)
                 assert inst.shard_guard is not None
                 assert inst.shard_guard.shard_id == sid

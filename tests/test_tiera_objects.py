@@ -1,7 +1,5 @@
 """Tests for the versioned object data model and metadata store."""
 
-import pytest
-
 from repro.tiera import MetadataStore, ObjectRecord, VersionMeta, storage_key
 
 
@@ -29,15 +27,6 @@ class TestVersionMeta:
         assert m.last_accessed == 43.0
         assert m.access_count == 2
 
-    def test_roundtrip_dict(self):
-        m = VersionMeta(version=2, size=100, created_at=1.0,
-                        last_modified=2.0, last_accessed=3.0,
-                        access_count=7, dirty=True,
-                        locations={"tier1", "tier2"},
-                        encodings=("zlib",), stored_size=60, origin="i1")
-        again = VersionMeta.from_dict(m.to_dict())
-        assert again == m
-
 
 class TestObjectRecord:
     def test_add_and_latest(self):
@@ -64,13 +53,6 @@ class TestObjectRecord:
         assert rec.next_version() == 1
         rec.add_version(meta(5))
         assert rec.next_version() == 6
-
-    def test_roundtrip_dict(self):
-        rec = ObjectRecord(key="k", tags={"tmp"})
-        rec.add_version(meta(1))
-        again = ObjectRecord.from_dict(rec.to_dict())
-        assert again.key == "k" and again.tags == {"tmp"}
-        assert again.version_list() == [1]
 
     def test_storage_key_format(self):
         assert storage_key("photo", 3) == "photo#v3"
@@ -102,25 +84,6 @@ class TestMetadataStore:
         assert list(store.records()) == [rec]
         store.delete_record("photo")
         assert store.get_record("photo") is None
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        path = tmp_path / "meta.json"
-        store = MetadataStore(path)
-        rec = ObjectRecord(key="k", tags={"t"})
-        rec.add_version(meta(2, mtime=9.0))
-        store.put_record(rec)
-        store.put("config/x", {"a": 1})
-        store.checkpoint()
-
-        fresh = MetadataStore(path)
-        again = fresh.get_record("k")
-        assert again.tags == {"t"}
-        assert again.versions[2].last_modified == 9.0
-        assert fresh.get("config/x") == {"a": 1}
-
-    def test_checkpoint_without_path_raises(self):
-        with pytest.raises(ValueError):
-            MetadataStore().checkpoint()
 
     def test_cursor_tolerates_deletion(self):
         store = MetadataStore()

@@ -135,7 +135,7 @@ class TestInstanceTier:
         assert "obj" in tier
         assert run(sim, tier.read("obj")) == b"payload"
         # bytes actually live at the remote instance
-        assert remote.tier("tier1").peek("obj") == b"payload"
+        assert remote.tier("tier1")._data["obj"] == b"payload"
 
     def test_latency_includes_wan(self, pair):
         sim, remote, tier = pair

@@ -12,8 +12,6 @@ from repro.util.units import (
     MS,
     TB,
     UnitParseError,
-    format_duration,
-    format_size,
     parse_bandwidth,
     parse_duration,
     parse_size,
@@ -73,18 +71,6 @@ class TestParseBandwidth:
     def test_per_minute_rejected(self):
         with pytest.raises(UnitParseError):
             parse_bandwidth("40KB/min")
-
-
-class TestFormatting:
-    def test_format_size(self):
-        assert format_size(512) == "512B"
-        assert format_size(4 * KB) == "4.0KB"
-        assert format_size(3 * GB) == "3.0GB"
-
-    def test_format_duration(self):
-        assert format_duration(0.0015) == "1.5ms"
-        assert format_duration(42.0) == "42.0s"
-        assert format_duration(90 * MINUTE) == "1.5h"
 
 
 class TestProperties:
