@@ -319,6 +319,8 @@ class TieraInstance:
         record.drop_version(version)
         if not record.versions:
             self.meta.delete_record(key)
+        elif record.versions[record.latest_version].dirty:
+            self.meta.dirty_keys.add(key)   # an older dirty version is latest
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
 
     def transform_version(self, key: str, version: int, name: str,
@@ -568,6 +570,11 @@ class TieraInstance:
 
     def _notify_latency(self, op: str, elapsed: float, src: str) -> None:
         self._op_hist(op, src).observe(elapsed)
+
+    def note_target_gone(self) -> None:
+        """A rule's target was removed or GC-purged before its turn."""
+        self._obs.metrics.counter("tiera.rule_targets_gone",
+                                  instance=self.instance_id).inc()
 
     # ------------------------------------------------------------------
     # RPC surface

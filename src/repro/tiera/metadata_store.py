@@ -21,6 +21,9 @@ class MetadataStore:
         self._data: dict[str, Any] = {}
         self._sorted_keys: list[str] = []
         self._keys_dirty = False
+        #: object keys whose latest version may be dirty: every key whose
+        #: latest version is dirty is here (see :meth:`dirty_records`)
+        self.dirty_keys: set[str] = set()
 
     # -- basic KV ---------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
@@ -70,10 +73,24 @@ class MetadataStore:
 
     def delete_record(self, key: str) -> None:
         self.delete(self._OBJ_PREFIX + key)
+        self.dirty_keys.discard(key)
 
     def records(self) -> Iterator[ObjectRecord]:
         for _, value in self.cursor(self._OBJ_PREFIX):
             yield value
+
+    def dirty_records(self) -> list[ObjectRecord]:
+        """Records whose latest version is dirty, in key order, in O(d log d)
+        for ``d`` indexed keys; a key found clean or gone leaves the index."""
+        found = []
+        for key in sorted(self.dirty_keys):
+            record = self.get_record(key)
+            if (record is not None
+                    and record.versions[record.latest_version].dirty):
+                found.append(record)
+            else:
+                self.dirty_keys.discard(key)
+        return found
 
     def record_count(self) -> int:
         return sum(1 for _ in self.cursor(self._OBJ_PREFIX))

@@ -73,33 +73,41 @@ class LocalPolicy:
             object.__setattr__(self, "tiers", tuple(self.tiers))
         if not isinstance(self.rules, tuple):
             object.__setattr__(self, "rules", tuple(self.rules))
+        # The engine's rule tables, built once: rules by event type (an
+        # insert's also by tier, an operation's by op), in policy order.
+        tables: dict = {}
+        for rule in self.rules:
+            event = rule.event
+            slot = ((InsertEvent, event.tier) if isinstance(event, InsertEvent)
+                    else (OperationEvent, event.op)
+                    if isinstance(event, OperationEvent) else type(event))
+            tables[slot] = tables.get(slot, ()) + (rule,)
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_store_tier", next(
+            (response.to for rule in self.insert_rules(None)
+             for response in rule.responses
+             if isinstance(response, StoreResponse)), self.tiers[0].name))
 
     # -- rule queries used by the engine -------------------------------------
-    def insert_rules(self, tier: Optional[str]) -> list[Rule]:
+    def insert_rules(self, tier: Optional[str]) -> tuple[Rule, ...]:
         """Rules for InsertEvent with the given tier qualifier."""
-        return [r for r in self.rules
-                if isinstance(r.event, InsertEvent) and r.event.tier == tier]
+        return self._tables.get((InsertEvent, tier), ())
 
-    def operation_rules(self, op: str) -> list[Rule]:
-        return [r for r in self.rules
-                if isinstance(r.event, OperationEvent) and r.event.op == op]
+    def operation_rules(self, op: str) -> tuple[Rule, ...]:
+        return self._tables.get((OperationEvent, op), ())
 
-    def timer_rules(self) -> list[Rule]:
-        return [r for r in self.rules if isinstance(r.event, TimerEvent)]
+    def timer_rules(self) -> tuple[Rule, ...]:
+        return self._tables.get(TimerEvent, ())
 
-    def filled_rules(self) -> list[Rule]:
-        return [r for r in self.rules if isinstance(r.event, FilledEvent)]
+    def filled_rules(self) -> tuple[Rule, ...]:
+        return self._tables.get(FilledEvent, ())
 
-    def cold_rules(self) -> list[Rule]:
-        return [r for r in self.rules if isinstance(r.event, ColdDataEvent)]
+    def cold_rules(self) -> tuple[Rule, ...]:
+        return self._tables.get(ColdDataEvent, ())
 
     def default_store_tier(self) -> str:
         """Where a put lands when no unqualified insert rule says otherwise."""
-        for rule in self.insert_rules(None):
-            for response in rule.responses:
-                if isinstance(response, StoreResponse):
-                    return response.to
-        return self.tiers[0].name
+        return self._store_tier
 
 
 def write_back_policy(name: str = "LowLatencyInstance",

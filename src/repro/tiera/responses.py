@@ -8,7 +8,7 @@ writes, rate-limited transfers).
 
 ``what`` arguments are either the literal ``INSERT_OBJECT`` sentinel (the
 object that triggered an action event) or an :class:`ObjectSelector`
-matching object versions by location/dirty/tags/age — the DSL's
+matching objects' latest versions by location/dirty/tags/age — the DSL's
 ``object.location == tier2 && object.dirty == true`` notation.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.storage.backend import ObjectMissingError
 from repro.tiera.objects import ObjectRecord, VersionMeta
 
 #: Sentinel for "the object of the triggering insert" (``insert.object``).
@@ -36,20 +37,17 @@ class ResponseContext:
 
 @dataclass(frozen=True)
 class ObjectSelector:
-    """Predicate over (record, version) pairs."""
+    """Predicate over an object's latest version."""
 
     location: Optional[str] = None   # version resident on this tier
     dirty: Optional[bool] = None
     tags: frozenset[str] = frozenset()
     min_idle: Optional[float] = None  # seconds since last access
     key_prefix: Optional[str] = None
-    latest_only: bool = True
 
     def matches(self, record: ObjectRecord, meta: VersionMeta,
                 now: float) -> bool:
         if self.key_prefix is not None and not record.key.startswith(self.key_prefix):
-            return False
-        if self.latest_only and meta.version != record.latest_version:
             return False
         if self.location is not None and self.location not in meta.locations:
             return False
@@ -71,7 +69,9 @@ class Response:
 
     # -- shared helpers -------------------------------------------------------
     def _targets(self, instance, what, ctx: ResponseContext):
-        """Resolve ``what`` into concrete (record, meta) pairs."""
+        """Resolve ``what`` into concrete (record, meta) pairs.  A selector
+        sees each object's latest version; a ``dirty=True`` one walks only
+        the metadata store's dirty index, in the same key order."""
         if what == INSERT_OBJECT:
             if ctx.key is None or ctx.version is None:
                 return []
@@ -81,13 +81,27 @@ class Response:
             return [(record, record.versions[ctx.version])]
         if isinstance(what, ObjectSelector):
             now = instance.sim.now
+            records = (instance.meta.dirty_records() if what.dirty
+                       else instance.meta.records())
             hits = []
-            for record in instance.meta.records():
-                for meta in list(record.versions.values()):
-                    if what.matches(record, meta, now):
-                        hits.append((record, meta))
+            for record in records:
+                meta = record.versions[record.latest_version]
+                if what.matches(record, meta, now):
+                    hits.append((record, meta))
             return hits
         raise TypeError(f"unsupported 'what' argument: {what!r}")
+
+    @staticmethod
+    def _act(instance, action: Generator) -> Generator:
+        """Run one target's ``action``; returns whether it ran.  Targets
+        are resolved once and acted on one by one over sim time, so one
+        removed or GC-purged before its turn is skipped and counted."""
+        try:
+            yield from action
+        except ObjectMissingError:
+            instance.note_target_gone()
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -103,8 +117,10 @@ class SetAttrResponse(Response):
     def execute(self, instance, ctx: ResponseContext) -> Generator:
         if self.attr not in self._ALLOWED:
             raise ValueError(f"cannot set attribute {self.attr!r} via policy")
-        for _, meta in self._targets(instance, INSERT_OBJECT, ctx):
+        for record, meta in self._targets(instance, INSERT_OBJECT, ctx):
             setattr(meta, self.attr, self.value)
+            if self.value:
+                instance.meta.dirty_keys.add(record.key)
         return
         yield  # pragma: no cover
 
@@ -146,8 +162,9 @@ class CopyResponse(Response):
                 continue
             if limiter is not None:
                 yield from limiter.transmit(meta.stored_size or meta.size)
-            yield from instance.copy_version(record.key, meta.version, self.to)
-            if self.clear_dirty:
+            copied = yield from self._act(instance, instance.copy_version(
+                record.key, meta.version, self.to))
+            if copied and self.clear_dirty:
                 meta.dirty = False
 
 
@@ -167,8 +184,8 @@ class MoveResponse(Response):
         for record, meta in self._targets(instance, self.what, ctx):
             if limiter is not None:
                 yield from limiter.transmit(meta.stored_size or meta.size)
-            yield from instance.move_version(record.key, meta.version, self.to,
-                                             from_tier=self.from_tier)
+            yield from self._act(instance, instance.move_version(
+                record.key, meta.version, self.to, from_tier=self.from_tier))
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,8 @@ class DeleteResponse(Response):
 
     def execute(self, instance, ctx: ResponseContext) -> Generator:
         for record, meta in self._targets(instance, self.what, ctx):
-            yield from instance.purge_version(record.key, meta.version)
+            yield from self._act(instance, instance.purge_version(
+                record.key, meta.version))
 
 
 @dataclass(frozen=True)
@@ -191,8 +209,8 @@ class CompressResponse(Response):
 
     def execute(self, instance, ctx: ResponseContext) -> Generator:
         for record, meta in self._targets(instance, self.what, ctx):
-            yield from instance.transform_version(record.key, meta.version,
-                                                  "zlib", level=self.level)
+            yield from self._act(instance, instance.transform_version(
+                record.key, meta.version, "zlib", level=self.level))
 
 
 @dataclass(frozen=True)
@@ -204,8 +222,8 @@ class EncryptResponse(Response):
 
     def execute(self, instance, ctx: ResponseContext) -> Generator:
         for record, meta in self._targets(instance, self.what, ctx):
-            yield from instance.transform_version(record.key, meta.version,
-                                                  f"xor:{self.key_id}")
+            yield from self._act(instance, instance.transform_version(
+                record.key, meta.version, f"xor:{self.key_id}"))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Tests for the Tiera instance: policies, versions, transforms, tiers."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.harness import preload_object
 from repro.net import Network, US_EAST
 from repro.sim import Simulator
 from repro.storage.backend import ObjectMissingError
@@ -32,12 +35,16 @@ from repro.util.rng import RngRegistry
 from repro.util.units import GB, HOUR, KB, MS
 
 
-@pytest.fixture
-def world():
+def new_world():
     sim = Simulator()
     net = Network(sim)
     host = net.add_host("h", US_EAST, vm="aws.t2_micro")
     return sim, net, host
+
+
+@pytest.fixture
+def world():
+    return new_world()
 
 
 def make_instance(world, policy, iid="i1"):
@@ -78,6 +85,80 @@ class TestWriteBack:
         t0 = sim.now
         run(sim, inst.local_put("k", b"v" * (4 * KB)))
         assert sim.now - t0 < 2 * MS
+
+    @pytest.mark.parametrize("race", ["remove", "overwrite"])
+    def test_flush_skips_a_target_gone_before_its_turn(self, world, race):
+        """The tick at t=1 resolves 50 dirty keys, then copies them one by
+        one (~2 ms each).  At t=1.0005 k025 is removed — or overwritten,
+        and its v1 GC-purged — before its turn: the flush skips and counts
+        it, copies the other 49, and an overwrite's v2 goes at the next
+        tick."""
+        sim, *_ = world
+        policy = write_back_policy(flush_period=1.0)
+        if race == "overwrite":
+            policy = replace(policy, keep_versions=1)
+        inst = make_instance(world, policy)
+        keys = [f"k{i:03d}" for i in range(50)]
+        gone = inst._obs.metrics.counter("tiera.rule_targets_gone",
+                                         instance="i1")
+
+        def load():
+            for key in keys:
+                yield from inst.local_put(key, bytes(64 * KB))
+        run(sim, load())
+
+        def racer():
+            yield sim.timeout(1.0005 - sim.now)
+            if race == "remove":
+                yield from inst.local_remove("k025")
+            else:
+                yield from inst.local_put("k025", b"new")
+        sim.process(racer())
+        sim.run(until=1.9)
+        tier2 = inst.tier("tier2")
+        assert sorted(tier2._data) == [f"{k}#v1" for k in keys if k != "k025"]
+        assert gone.value == 1
+
+        sim.run(until=2.9)
+        record = inst.meta.get_record("k025")
+        if race == "remove":
+            assert record is None
+        else:
+            assert record.version_list() == [2]
+            assert tier2._data["k025#v2"] == b"new"
+            assert record.latest().dirty is False
+        assert gone.value == 1
+
+    def test_flush_work_does_not_grow_with_the_namespace(self, monkeypatch):
+        """A flush visits the dirty keys only: the same dirty keys on top
+        of 100 or 10 000 clean records cost the same selector calls and
+        move the same bytes (a full scan costs one call per version)."""
+        dirty, size = 20, 1024
+        calls = []
+        matches = ObjectSelector.matches
+
+        def counting(self, record, meta, now):
+            calls.append(record.key)
+            return matches(self, record, meta, now)
+        monkeypatch.setattr(ObjectSelector, "matches", counting)
+
+        def flush_work(clean):
+            sim, net, host = new_world()
+            inst = TieraInstance(sim, net, host, "i1", US_EAST,
+                                 write_back_policy(), rng=RngRegistry(1))
+            for i in range(clean):
+                preload_object([inst], f"clean{i:05d}", bytes(size))
+
+            def puts():
+                for i in range(dirty):
+                    yield from inst.local_put(f"dirty{i:02d}", bytes(size))
+            run(sim, puts())
+            calls.clear()
+            flush = inst.policy.timer_rules()[0]
+            run(sim, inst._run_rule(flush, _ctx()))
+            return len(calls), inst.tier("tier2").used_bytes
+
+        assert flush_work(100) == flush_work(10_000) == (dirty, dirty * size)
 
 
 class TestWriteThrough:
