@@ -11,6 +11,10 @@ Three protocols from the paper, all sharing one duck-typed interface with
 * :class:`EventualConsistencyProtocol` — writes commit locally and are
   queued for lazy distribution; write-write conflicts resolved
   last-write-wins (§4.2).
+
+:class:`GlobalProtocol` holds what they share — the per-instance
+:class:`ReplicationQueue` and repairer, the local read, the LWW apply — so
+each protocol states only its propagation mode and ordering.
 """
 
 from repro.core.consistency.base import (

@@ -1,10 +1,11 @@
-"""Protocol base class, replication queue, and broadcast helpers.
+"""Protocol base class, replication queue, and broadcast helper.
 
 A single protocol object is shared by every instance of one Wiera
 instance: all its methods take the acting ``instance`` explicitly and any
-per-instance state (replication queues) is keyed by instance id.  Sharing
-one object is what makes runtime changes cheap — flipping the primary is
-one field write in a shared config, after the TIM has quiesced the group.
+per-instance state (replication queues, repairers) is keyed by instance
+id.  Sharing one object is what makes runtime changes cheap — flipping the
+primary is one field write in a shared config, after the TIM has quiesced
+the group.
 
 Failure handling: a lazy update whose send fails is *never* silently
 dropped.  It moves to a per-peer retry backlog and is re-shipped with
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generator, Optional
 
+from repro.core.consistency.repair import AntiEntropyRepairer
 from repro.faults.retry import RetryPolicy
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
@@ -31,63 +33,98 @@ class ProtocolError(RuntimeError):
 
 
 class GlobalProtocol:
-    """Interface shared by all consistency protocols."""
+    """What every consistency protocol shares: the per-instance queue and
+    repairer, the local read and the LWW apply.  A subclass adds how a
+    write propagates (``on_put``/``on_remove``) and sets ``lazy`` if it
+    queues."""
 
     name = "abstract"
+    #: writes ship through a per-instance ReplicationQueue, started at attach
+    lazy = False
 
+    def __init__(self, queue_interval: float = 1.0,
+                 repair_interval: Optional[float] = None,
+                 batch_bytes: float = 0.0):
+        self.queue_interval = queue_interval
+        self.repair_interval = repair_interval  # None: no repairer
+        self.batch_bytes = batch_bytes          # early-flush / repair batch
+        self.retry_policy = RetryPolicy()
+        self._queues: dict[str, ReplicationQueue] = {}
+        self._repairers: dict[str, object] = {}
+
+    # -- per-instance lifecycle ----------------------------------------------
     def attach(self, instance) -> None:
         """Called when this protocol becomes active on ``instance``."""
+        if self.lazy:
+            self.queue_for(instance)
+        if self.repair_interval is not None:
+            repairer = self._new_repairer(instance)
+            self._repairers[instance.instance_id] = repairer
+            repairer.start()
 
     def detach(self, instance) -> None:
         """Called when the protocol is being replaced on ``instance``."""
+        repairer = self._repairers.pop(instance.instance_id, None)
+        if repairer is not None:
+            repairer.stop()
+        queue = self._queues.pop(instance.instance_id, None)
+        if queue is not None:
+            queue.stop()  # anything still queued is counted pending_dropped
 
-    def on_put(self, instance, key: str, data: bytes, tags=(),
-               src: str = "app") -> Generator:
-        raise NotImplementedError
-        yield  # pragma: no cover
+    def queue_for(self, instance) -> ReplicationQueue:
+        queue = self._queues.get(instance.instance_id)
+        if queue is None:
+            queue = ReplicationQueue(instance, self.queue_interval,
+                                     retry_policy=self.retry_policy,
+                                     batch_bytes=self.batch_bytes)
+            self._queues[instance.instance_id] = queue
+            queue.start()
+        return queue
 
+    def repairer(self, instance_id: str):
+        """The repair loop attached for ``instance_id`` (None if absent)."""
+        return self._repairers.get(instance_id)
+
+    def _new_repairer(self, instance, should_push=None):
+        """The repairer :meth:`attach` starts: anti-entropy, pushing from
+        every instance unless ``should_push`` gates it."""
+        return AntiEntropyRepairer(
+            instance, self.repair_interval,
+            queue_for=lambda inst: self._queues.get(inst.instance_id),
+            should_push=should_push, batch_bytes=self.batch_bytes)
+
+    def drain(self, instance) -> Generator:
+        queue = self._queues.get(instance.instance_id)
+        if queue is not None:
+            yield from queue.drain()
+
+    def pending_count(self, instance) -> int:
+        """Updates still queued/backlogged for ``instance`` (0 if none)."""
+        queue = self._queues.get(instance.instance_id)
+        if queue is None:
+            return 0
+        return len(queue.pending) + queue.backlog_size()
+
+    # -- data path (a subclass adds on_put and on_remove) ---------------------
     def on_get(self, instance, key: str,
                version: Optional[int] = None) -> Generator:
-        """Default read: local replica, tagging whether it is known-latest."""
+        """Local read, tagging whether it is the known-latest version."""
         data, meta, record = yield from instance.read_version(key, version)
         return {"data": data, "version": meta.version,
                 "latest_local": record.latest_version}
 
     def on_replica_update(self, instance, args: dict) -> Generator:
-        """Default replica-update handling: last-write-wins merge."""
+        """Last-write-wins merge of a peer's update (§4.2)."""
         result = yield from instance.apply_replica_update(
             key=args["key"], version=args["version"],
             last_modified=args["last_modified"], data=args["data"],
             origin=args.get("origin", ""))
         return result
 
-    def on_remove(self, instance, key: str,
-                  version: Optional[int] = None,
-                  src: str = "app") -> Generator:
-        """Default remove: local + asynchronous propagation.
-
-        This matches the *eventual* propagation mode; protocols with a
-        synchronous or forwarded write path (MultiPrimaries,
-        PrimaryBackup) override it so removes follow the same propagation
-        mode as puts.
-        """
-        removed = yield from instance.local_remove(key, version)
-        self.broadcast_async(instance, "replica_remove",
-                             {"key": key, "version": version}, size=256)
-        return {"removed": removed}
-
     def on_replica_remove(self, instance, args: dict) -> Generator:
         removed = yield from instance.local_remove(args["key"],
                                                    args.get("version"))
         return {"removed": removed}
-
-    def drain(self, instance) -> Generator:
-        return
-        yield  # pragma: no cover
-
-    def pending_count(self, instance) -> int:
-        """Updates still queued/backlogged for ``instance`` (0 if none)."""
-        return 0
 
     # -- shared helpers -------------------------------------------------------
     @staticmethod
@@ -116,11 +153,6 @@ class GlobalProtocol:
                  for peer in instance.peers.values()]
         if calls:
             yield instance.sim.all_of(calls)
-
-    def broadcast_async(self, instance, method: str, args: dict,
-                        size: int) -> None:
-        for peer in instance.peers.values():
-            instance.node.send_oneway(peer.node, method, args, size=size)
 
 
 def _entry_sort_key(args: dict) -> tuple:

@@ -26,6 +26,7 @@ from repro.core.global_policy import (
     ColdDataSpec,
     DynamicConsistencySpec,
 )
+from repro.net.network import NetworkError
 from repro.sim.rpc import call_with_timeout
 
 #: estimated local-store component of a strong put, used by probe estimates
@@ -119,7 +120,9 @@ class LatencyMonitor(MonitorBase):
         expiry are visible even while the weak model hides them from
         application-perceived latencies.  Probes are raced against
         ``spec.probe_timeout`` so a dead lock service or partitioned peer
-        stalls one probe round, not the whole monitor.
+        stalls one probe round, not the whole monitor.  An instance cut off
+        from the lock service makes the estimate ``inf``: no strong put from
+        there can take the lock.
         """
         timeout = self.spec.probe_timeout
         worst = 0.0
@@ -136,6 +139,8 @@ class LatencyMonitor(MonitorBase):
                     timeout)
             except TimeoutError:
                 self._timeout_counter.inc()
+            except NetworkError:
+                return float("inf")
             lock_rtt = self.sim.now - t0
             rtts = []
             for peer in instance.peers.values():
@@ -148,7 +153,7 @@ class LatencyMonitor(MonitorBase):
                     self._timeout_counter.inc()
                     rtts.append(self.sim.now - p0)
                     continue
-                except Exception:
+                except NetworkError:
                     continue
                 rtts.append(self.sim.now - p0)
             estimate = (2 * lock_rtt + max(rtts, default=0.0)

@@ -27,9 +27,11 @@ from repro.core.monitoring import (
     LatencyMonitor,
     RequestsMonitor,
 )
+from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.primitives import shielded
 from repro.sim.rpc import RpcNode
+from repro.storage.backend import StorageError
 from repro.tiera.instance import InstanceRef
 from repro.tiera.instance_tier import InstanceTier
 from repro.tiera.local_protocol import LocalOnlyProtocol
@@ -213,6 +215,9 @@ class TieraInstanceManager:
             return ECProtocol(spec.redundancy)
         if name == "multi_primaries":
             return MultiPrimariesProtocol()
+        plane = {"queue_interval": spec.queue_interval,
+                 "repair_interval": spec.repair_interval,
+                 "batch_bytes": spec.batch_bytes}
         if name == "primary_backup":
             existing = getattr(self.protocol, "config", None)
             primary_id = (existing.primary_id if existing is not None
@@ -220,16 +225,11 @@ class TieraInstanceManager:
             config = PrimaryBackupConfig(
                 primary_id=primary_id,
                 sync_replication=spec.sync_replication,
-                queue_interval=spec.queue_interval,
-                get_from=self._resolve_instance_id(spec.get_from),
-                repair_interval=spec.repair_interval,
-                batch_bytes=spec.batch_bytes)
+                get_from=self._resolve_instance_id(spec.get_from))
             config.history.append((self.sim.now, primary_id))
-            return PrimaryBackupProtocol(config)
+            return PrimaryBackupProtocol(config, **plane)
         if name == "eventual":
-            return EventualConsistencyProtocol(
-                spec.queue_interval, repair_interval=spec.repair_interval,
-                batch_bytes=spec.batch_bytes)
+            return EventualConsistencyProtocol(**plane)
         if name == "local":
             return LocalOnlyProtocol()
         raise WieraInstanceError(f"unknown protocol {name!r}")
@@ -356,7 +356,7 @@ class TieraInstanceManager:
             try:
                 got = yield from instance.node.invoke(donor.node, "peer_get",
                                                       {"key": key})
-            except Exception:
+            except (NetworkError, StorageError):
                 continue
             yield from instance.local_put(
                 key, got["data"], version=got["version"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.net.network import NetworkError
 from repro.sim.rpc import Message, RpcNode
 
 
@@ -112,7 +113,7 @@ class TieraServerManager:
                     yield from self.node.invoke(record.node, "ping")
                     record.missed = 0
                     record.last_seen = self.sim.now
-                except Exception:
+                except NetworkError:
                     record.missed += 1
                     if record.missed >= self.missed_threshold:
                         record.alive = False

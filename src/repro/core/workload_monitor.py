@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from repro.net.network import NetworkError
 from repro.util.stats import OnlineStats
 
 
@@ -64,7 +65,7 @@ class WorkloadMonitor:
                 continue
             try:
                 stats = yield from self.tim.node.invoke(record.node, "stats")
-            except Exception:
+            except NetworkError:
                 continue
             region = stats["region"]
             puts, gets = stats["puts_from_app"], stats["gets_from_app"]

@@ -109,10 +109,8 @@ class ECProtocol(GlobalProtocol):
     name = "ec"
 
     def __init__(self, spec):
-        from repro.ec.repair import ECRepairer  # cycle: repair uses helpers
+        super().__init__(repair_interval=spec.repair_interval)
         self.spec = spec
-        self._repairer_cls = ECRepairer
-        self._repairers: dict[str, object] = {}
         #: per-key-class (prefix) scheme overrides, longest prefix wins.
         self._overrides: dict[str, tuple[int, int]] = {
             prefix: (k, m) for prefix, k, m in spec.overrides}
@@ -144,21 +142,12 @@ class ECProtocol(GlobalProtocol):
                 "manifest_push_failures": metrics.counter(
                     "ec.manifest_push_failures"),
             }
-        if self.spec.repair_interval is not None:
-            repairer = self._repairer_cls(
-                instance, self, self.spec.repair_interval,
-                self.spec.repair_concurrency)
-            self._repairers[instance.instance_id] = repairer
-            repairer.start()
+        super().attach(instance)
 
-    def detach(self, instance) -> None:
-        repairer = self._repairers.pop(instance.instance_id, None)
-        if repairer is not None:
-            repairer.stop()
-
-    def repairer(self, instance_id: str):
-        """The repair loop attached for ``instance_id`` (None if absent)."""
-        return self._repairers.get(instance_id)
+    def _new_repairer(self, instance):
+        from repro.ec.repair import ECRepairer  # cycle: repair uses helpers
+        return ECRepairer(instance, self, self.repair_interval,
+                          self.spec.repair_concurrency)
 
     def _count(self, name: str, value: int = 1) -> None:
         if self._metrics is not None:

@@ -115,7 +115,6 @@ class TieraInstance:
         # unsharded data path untouched.
         self.shard_guard = None
         self.shard_handoff = None
-        self.handoff_forwards = 0
         self._m_handoff = None   # created on first forward
 
         # Load-balancing redirect installed by Wiera's load balancer: a
@@ -130,8 +129,6 @@ class TieraInstance:
         self.puts_from_app = 0
         self.gets_from_app = 0
         self.conflicts_resolved = 0
-        self.updates_applied = 0
-        self.updates_ignored = 0
         self.request_log: deque[tuple[float, str]] = deque()  # (t, source)
         self.get_log: deque[float] = deque()                  # get arrivals
         self._obs = get_obs(sim)
@@ -424,7 +421,6 @@ class TieraInstance:
                     self.conflicts_resolved += 1
                     yield from self.purge_version(key, version)
                 else:
-                    self.updates_ignored += 1
                     return {"applied": False, "reason": "lww-older"}
             elif local_latest is not None and not incoming.newer_than(local_latest) \
                     and version < local_latest.version:
@@ -432,7 +428,6 @@ class TieraInstance:
                 pass
         yield from self.local_put(key, data, version=version, origin=origin,
                                   last_modified=last_modified)
-        self.updates_applied += 1
         return {"applied": True}
 
     def replica_args(self, key: str, version: int) -> Generator:
@@ -476,7 +471,6 @@ class TieraInstance:
                 self.sim.process(
                     self._handoff_push(node, key, version),
                     name=f"{self.instance_id}:handoff")
-        self.handoff_forwards += 1
         if self._m_handoff is None:
             self._m_handoff = self._obs.metrics.counter(
                 "shard.handoff_forwards", instance=self.instance_id)
@@ -587,7 +581,7 @@ class TieraInstance:
         n.register("get_version_list", self.rpc_get_version_list)
         n.register("update", self.rpc_update)
         n.register("remove", self.rpc_remove)
-        n.register("remove_version", self.rpc_remove_version)
+        n.register("remove_version", self.rpc_remove)
         n.register("replica_update", self.rpc_replica_update)
         n.register("replica_remove", self.rpc_replica_remove)
         n.register("forward_put", self.rpc_forward_put)
@@ -684,19 +678,12 @@ class TieraInstance:
         return {"version": version, "updated": True}
 
     def rpc_remove(self, msg: Message) -> Generator:
+        """``remove`` (every version) and ``remove_version`` (one)."""
         yield from self.gate.passage()
-        self._shard_check(msg.args["key"])
-        result = yield from self.protocol.on_remove(self, msg.args["key"])
-        self._forward_handoff(msg.args["key"], None, remove=True)
-        return result
-
-    def rpc_remove_version(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
-        self._shard_check(msg.args["key"])
-        result = yield from self.protocol.on_remove(
-            self, msg.args["key"], msg.args["version"])
-        self._forward_handoff(msg.args["key"], msg.args["version"],
-                              remove=True)
+        key, version = msg.args["key"], msg.args.get("version")
+        self._shard_check(key)
+        result = yield from self.protocol.on_remove(self, key, version)
+        self._forward_handoff(key, version, remove=True)
         return result
 
     def rpc_replica_update(self, msg: Message) -> Generator:

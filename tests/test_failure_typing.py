@@ -20,10 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: listed has none.  Lower an entry (or drop it at 0) in the commit that
 #: removes a handler; never raise one.
 BROAD_EXCEPTS = {
-    "repro/core/monitoring.py": 1,
-    "repro/core/tim.py": 1,
-    "repro/core/tsm.py": 1,
-    "repro/core/workload_monitor.py": 1,
     "repro/ec/repair.py": 1,
     "repro/fs/posixfs.py": 3,
     "repro/load/cohort.py": 1,

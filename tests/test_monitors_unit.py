@@ -71,6 +71,29 @@ class TestProbeEstimate:
         # must not raise even though probes to Asia fail
         assert dep.drive(measure()) > 0
 
+    def test_partition_from_lock_service_keeps_weak_mode(self):
+        """An instance the network cuts off from the lock service (US East)
+        estimates ``inf`` — no strong put from there can take the lock — so
+        a weak-mode monitor keeps probing and stays weak."""
+        dep, instances = deploy()
+        tim = dep.tim("m")
+        monitor = LatencyMonitor(tim, DynamicConsistencySpec())
+        dep.network.partition(EU_WEST, US_EAST)
+
+        def measure():
+            value = yield from monitor.probe_estimate()
+            return value
+        assert dep.drive(measure()) == float("inf")
+
+        monitor.mode = "weak"
+        monitor.start()
+        dep.sim.run(until=dep.sim.now + 60.0)
+        monitor.stop()
+        assert monitor.mode == "weak"
+        assert len(monitor.signal_log) >= 10
+        assert {signal for _, signal, _ in monitor.signal_log} == {
+            float("inf")}
+
 
 class TestViolationClocks:
     def test_sparse_samples_keep_verdict(self):
