@@ -28,7 +28,7 @@ def _put_latency_from_us_west(lock_region: str, ops: int = 40) -> float:
         for i in range(ops):
             yield from client.put(f"k{i}", b"x" * 1024)
     dep.drive(workload())
-    return client.put_latency.mean() / MS
+    return client.history.mean_latency("put") / MS
 
 
 def _run():

@@ -13,7 +13,8 @@ from repro.bench.harness import build_deployment
 from repro.bench.reporting import ExperimentReport, register_report
 from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
 from repro.policydsl import builtin_policy
-from repro.workloads.ycsb import StalenessOracle, YcsbClient, YcsbWorkload
+from repro.obs.history import staleness
+from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 REGIONS = (US_WEST, EU_WEST, ASIA_EAST)
 
@@ -27,7 +28,6 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
                    queue_interval=queue_interval)
     instances = dep.start_wiera_instance("abq", spec)
     workload = YcsbWorkload.workload_b(record_count=10, value_size=1024)
-    oracle = StalenessOracle()
     clients = []
     loader = dep.add_client(US_WEST, instances=instances, name="loader")
 
@@ -38,8 +38,7 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
     for region in REGIONS:
         wc = dep.add_client(region, instances=instances, name=f"c-{region}")
         yc = YcsbClient(dep.sim, wc, workload,
-                        dep.rng.stream(f"y-{region}"), think_time=0.4,
-                        oracle=oracle)
+                        dep.rng.stream(f"y-{region}"), think_time=0.4)
         clients.append(yc)
         yc.start()
     net_before = dep.metric_total("net.bytes")
@@ -54,7 +53,8 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
             coalesced += queue.coalesced
             sent += queue.updates_sent
     return {
-        "outdated": oracle.outdated_fraction,
+        "outdated": staleness(yc.client.history
+                              for yc in clients).outdated_fraction,
         "updates_sent": sent,
         "coalesced": coalesced,
         "wan_mb": (dep.metric_total("net.bytes") - net_before) / (1 << 20),

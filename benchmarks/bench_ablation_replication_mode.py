@@ -11,10 +11,11 @@ from dataclasses import replace
 
 from repro.bench.harness import build_deployment
 from repro.bench.reporting import ExperimentReport, register_report
+from repro.core.client import OP_ERRORS
 from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
+from repro.obs.history import staleness
 from repro.policydsl import builtin_policy
 from repro.util.units import MS
-from repro.workloads.ycsb import StalenessOracle
 
 REGIONS = (US_WEST, EU_WEST, ASIA_EAST)
 
@@ -30,24 +31,24 @@ def _run_mode(sync: bool, ops: int = 60, queue_interval: float = 5.0):
     instances = dep.start_wiera_instance("abmode", spec)
     writer = dep.add_client(US_WEST, instances=instances, name="writer")
     reader = dep.add_client(ASIA_EAST, instances=instances, name="reader")
-    oracle = StalenessOracle()
 
     def workload():
         for i in range(ops):
             key = f"k{i % 5}"
-            result = yield from writer.put(key, b"v" * 1024)
-            oracle.note_put(key, result["version"], dep.sim.now)
-            started = dep.sim.now
+            yield from writer.put(key, b"v" * 1024)
             try:
-                got = yield from reader.get(key)
-            except Exception:
-                # the backup has never heard of the key yet: maximally stale
-                oracle.judge_get(key, 0, started)
-            else:
-                oracle.judge_get(key, got["version"], started)
+                yield from reader.get(key)
+            except OP_ERRORS:
+                pass    # booked in the reader's history
             yield dep.sim.timeout(0.5)
     dep.drive(workload())
-    return writer.put_latency.mean() / MS, oracle.outdated_fraction
+    reads = staleness((writer.history, reader.history))
+    # a get the backup failed (it has never heard of the key yet) is
+    # maximally stale here, while the staleness query leaves it unjudged
+    failed = sum(outcome is not None for outcome in reader.history.outcome)
+    stale = (reads.outdated + failed) / (reads.latest + reads.outdated
+                                         + failed)
+    return writer.history.mean_latency("put") / MS, stale
 
 
 def _run():

@@ -61,7 +61,7 @@ def main() -> None:
         procs.append(traffic(r, 20, 1.5))
     dep.sim.run(until=dep.sim.all_of(procs))
 
-    before = clients[ASIA_EAST].put_latency.mean()
+    before = clients[ASIA_EAST].history.mean_latency("put")
     advice = advisor.advise(replicas=2)
     print("\nadvisor recommendation:")
     print(f"  demand by region: {advice.demand}")
@@ -78,14 +78,14 @@ def main() -> None:
 
     # measure the improvement for the dominant population
     client = clients[ASIA_EAST]
-    n_before = len(client.put_latency.values)
+    n_before = len(client.history.latencies("put"))
 
     def after_traffic():
         for i in range(60):
             yield from client.put(f"post-{i}", b"x" * 512)
             yield dep.sim.timeout(0.2)
     dep.drive(after_traffic())
-    after_vals = client.put_latency.values[n_before:]
+    after_vals = client.history.latencies("put")[n_before:]
     after = sum(after_vals) / len(after_vals)
     print(f"\nAsia East put latency: {before / MS:.1f} ms before -> "
           f"{after / MS:.1f} ms after the migration")

@@ -61,9 +61,9 @@ def main() -> None:
               f"(drain+swap took {(done - t) * 1000:.0f} ms)")
 
     print("\nUS West put latency, 20 s windows:")
-    recorder = dict((r, c) for r, c, _ in clients)[US_WEST].put_latency
+    history = dict((r, c) for r, c, _ in clients)[US_WEST].history
     for w0 in range(0, 180, 20):
-        window = recorder.window(t0 + w0, t0 + w0 + 20)
+        window = history.latencies("put", t0 + w0, t0 + w0 + 20)
         if window:
             mean = sum(window) / len(window)
             bar = "#" * min(60, int(mean / (25 * MS)))

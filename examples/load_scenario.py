@@ -52,7 +52,7 @@ def main() -> None:
         dep.sim.run(until=dep.sim.now + window)
         totals = {
             "offered": sum(c.stats.offered for c in dep.load),
-            "achieved": sum(c.stats.achieved for c in dep.load),
+            "achieved": dep.metric_total("load.achieved"),
             "shed": sum(c.stats.shed for c in dep.load),
         }
         queued = sum(c.queued for c in dep.load)

@@ -80,21 +80,21 @@ def run_fig7(duration: float = 420.0, seed: int = 0,
     tim = dep.tim("fig7")
     result.switch_log = [(t - t0, frm, to, done - t0)
                          for (t, frm, to, done) in tim.switch_log]
-    usw_client = dep.clients[f"app-{US_WEST}"]
-    rec = usw_client.put_latency
+    history = dep.clients[f"app-{US_WEST}"].history
     for w0 in range(0, int(duration), int(window)):
-        vals = rec.window(t0 + w0, t0 + w0 + window)
+        vals = history.latencies("put", t0 + w0, t0 + w0 + window)
         if vals:
             result.windows.append(
                 (w0, w0 + window, len(vals),
                  sum(vals) / len(vals), max(vals)))
-    baseline = rec.window(t0, t0 + 30.0)
+    baseline = history.latencies("put", t0, t0 + 30.0)
     result.strong_baseline_ms = (sum(baseline) / len(baseline) / MS
                                  if baseline else 0.0)
     eventual_samples = []
     for (t_sw, frm, to, done) in tim.switch_log:
         if to == "eventual":
-            eventual_samples.extend(rec.window(done + 1.0, done + 20.0))
+            eventual_samples.extend(
+                history.latencies("put", done + 1.0, done + 20.0))
     result.eventual_ms = (sum(eventual_samples) / len(eventual_samples) / MS
                           if eventual_samples else 0.0)
 

@@ -23,7 +23,8 @@ from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
 from repro.policydsl import builtin_policy
 from repro.util.units import MINUTE, MS
 from repro.workloads.clients import GeoClientPopulation
-from repro.workloads.ycsb import StalenessOracle, YcsbClient, YcsbWorkload
+from repro.obs.history import staleness
+from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 REGIONS = (ASIA_EAST, EU_WEST, US_WEST)
 
@@ -49,7 +50,6 @@ def _run_one(changing: bool, seed: int, duration: float,
 
     workload = YcsbWorkload.workload_b(record_count=record_count,
                                        value_size=1024)
-    oracle = StalenessOracle()
     population = GeoClientPopulation.staggered(
         list(REGIONS), first_peak=7.5 * MINUTE, stagger=7.5 * MINUTE,
         sigma=5 * MINUTE, max_clients=clients_per_region, min_clients=1)
@@ -71,7 +71,6 @@ def _run_one(changing: bool, seed: int, duration: float,
             yc = YcsbClient(
                 dep.sim, client, workload,
                 dep.rng.stream(f"ycsb-{region}-{i}"), think_time=0.5,
-                oracle=oracle,
                 is_active=population.activity_gate(dep.sim, region, i))
             by_region[region].append(client)
             ycsb_clients.append(yc)
@@ -81,11 +80,14 @@ def _run_one(changing: bool, seed: int, duration: float,
         yc.stop()
 
     result = Fig8Result()
-    result.outdated_fraction = oracle.outdated_fraction
-    result.total_reads = oracle.total_reads
+    reads = staleness(c.history for clients in by_region.values()
+                      for c in clients)
+    result.outdated_fraction = reads.outdated_fraction
+    result.total_reads = reads.latest + reads.outdated
     all_latencies = []
     for region in REGIONS:
-        vals = [v for c in by_region[region] for v in c.put_latency.values]
+        vals = [v for c in by_region[region]
+                for v in c.history.latencies("put")]
         result.put_latency_ms[region] = (sum(vals) / len(vals) / MS
                                          if vals else 0.0)
         all_latencies.extend(vals)

@@ -64,8 +64,8 @@ def run_fig9(object_size: int = 4 * KB, ops: int = 100,
                 yield from client.get(f"obj{i}")
         proc = sim.process(workload())
         sim.run(until=proc)
-        result.put_ms[tier_name] = client.put_latency.mean() / MS
-        result.get_ms[tier_name] = client.get_latency.mean() / MS
+        result.put_ms[tier_name] = client.history.mean_latency("put") / MS
+        result.get_ms[tier_name] = client.history.mean_latency("get") / MS
 
     report = ExperimentReport(
         exp_id="fig9",

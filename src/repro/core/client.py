@@ -3,8 +3,9 @@
 Applications "connect to the closest instance (placed at the head of the
 list)" (§4.1 step 8) and fall back to the next-closest when an instance is
 unreachable (§4.4).  The client exposes the full object-versioning API of
-Table 2 and records app-perceived operation latencies — the quantity every
-latency figure in the paper's evaluation reports.
+Table 2 and books every op in its op history (:mod:`repro.obs.history`):
+app-perceived latency, the quantity every latency figure reports, and
+outcome.
 
 Failover now covers the full transient-error surface: alongside network
 errors, a request that times out (``request_timeout``) or dies inside the
@@ -19,13 +20,17 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.coordination.lock_service import LockServiceError
+from repro.core.consistency.base import ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.net.network import Host, HostDownError, Network, NetworkError
 from repro.obs.api import get_obs
+from repro.obs.history import OpHistory
 from repro.shard.map import WrongShardError
 from repro.sim.kernel import Simulator
 from repro.sim.rpc import RpcError, RpcNode, call_with_timeout
-from repro.util.stats import LatencyRecorder
+from repro.storage.backend import StorageError
+from repro.tiera.instance import TieraError
 
 #: errors that mean "try another instance", not "the request is invalid"
 FAILOVER_ERRORS = (HostDownError, NetworkError, TimeoutError, RpcError)
@@ -38,6 +43,12 @@ MAX_REDIRECTS = 4
 
 class NoInstanceAvailableError(RuntimeError):
     """Every known instance was unreachable."""
+
+
+#: what a Table 2 call may end with — no candidate reachable, or a typed
+#: error its handler raised; any other exception is a bug and propagates
+OP_ERRORS = (NoInstanceAvailableError, StorageError, TieraError,
+             ProtocolError, LockServiceError)
 
 
 class WieraClient:
@@ -60,13 +71,10 @@ class WieraClient:
         self.request_timeout = request_timeout
         self.retry_policy = retry_policy
         self._rng = rng
-        self.put_latency = LatencyRecorder("put")
-        self.get_latency = LatencyRecorder("get")
-        self.failovers = 0
-        self.retries = 0
+        self.history = OpHistory()
         self._obs = get_obs(sim)
         metrics = self._obs.metrics
-        self._op_hists = {
+        self.op_latency = {
             "put": metrics.histogram("client.op_latency",
                                      client=self.node.name, op="put"),
             "get": metrics.histogram("client.op_latency",
@@ -131,7 +139,6 @@ class WieraClient:
         redirects = 0
         while attempt < attempts:
             if attempt > 0:
-                self.retries += 1
                 self._retry_counter.inc()
                 yield self.sim.timeout(policy.backoff(attempt - 1,
                                                       rng=self._rng))
@@ -142,14 +149,13 @@ class WieraClient:
                 try:
                     result = yield from self._call_one(info, method, args,
                                                        size=size)
-                    return result, info
+                    return result
                 except WrongShardError as exc:
                     last_error = exc
                     redirected = True
                     break   # stale map: same-shard failover is pointless
                 except FAILOVER_ERRORS as exc:
                     last_error = exc
-                    self.failovers += 1
                     self._failover_counter.inc()
                     continue
             if redirected and self.router is not None \
@@ -162,49 +168,49 @@ class WieraClient:
         raise NoInstanceAvailableError(
             f"all instances unreachable for {method}: {last_error}")
 
-    # -- Table 2 API ------------------------------------------------------------
-    def put(self, key: str, data: bytes, tags=()) -> Generator:
+    # -- Table 2 API ----------------------------------------------------------
+    def _op(self, method: str, args: dict, size: int) -> Generator:
+        """One Table 2 call, booked in ``history`` however it ends."""
         start = self.sim.now
-        result, info = yield from self._invoke(
-            "put", {"key": key, "data": data, "tags": tuple(tags)},
-            size=len(data) + 256)
-        elapsed = self.sim.now - start
-        self.put_latency.record(start, elapsed, label=info["region"])
-        self._op_hists["put"].observe(elapsed)
-        result["latency"] = elapsed
+        try:
+            result = yield from self._invoke(method, args, size)
+        except OP_ERRORS as exc:
+            self.history.book(method, args["key"], None, start,
+                              self.sim.now, type(exc).__name__)
+            raise
+        end = self.sim.now
+        self.history.book(method, args["key"], result.get("version"),
+                          start, end)
+        hist = self.op_latency.get(method)
+        if hist is not None:
+            hist.observe(end - start)
+            result["latency"] = end - start
         return result
+
+    def put(self, key: str, data: bytes, tags=()) -> Generator:
+        return self._op("put", {"key": key, "data": data, "tags": tuple(tags)},
+                        size=len(data) + 256)
 
     def get(self, key: str) -> Generator:
         """Retrieve the latest version (per the active consistency model)."""
-        start = self.sim.now
-        result, info = yield from self._invoke("get", {"key": key}, size=256)
-        elapsed = self.sim.now - start
-        self.get_latency.record(start, elapsed, label=info["region"])
-        self._op_hists["get"].observe(elapsed)
-        result["latency"] = elapsed
-        return result
+        return self._op("get", {"key": key}, size=256)
 
     def get_version(self, key: str, version: int) -> Generator:
-        result, _ = yield from self._invoke(
-            "get_version", {"key": key, "version": version}, size=256)
-        return result
+        return self._op("get_version", {"key": key, "version": version},
+                        size=256)
 
     def get_version_list(self, key: str) -> Generator:
-        result, _ = yield from self._invoke(
-            "get_version_list", {"key": key}, size=256)
+        result = yield from self._op("get_version_list", {"key": key},
+                                     size=256)
         return result["versions"]
 
     def update(self, key: str, version: int, data: bytes) -> Generator:
-        result, _ = yield from self._invoke(
-            "update", {"key": key, "version": version, "data": data},
-            size=len(data) + 256)
-        return result
+        return self._op("update", {"key": key, "version": version,
+                                   "data": data}, size=len(data) + 256)
 
     def remove(self, key: str) -> Generator:
-        result, _ = yield from self._invoke("remove", {"key": key}, size=256)
-        return result
+        return self._op("remove", {"key": key}, size=256)
 
     def remove_version(self, key: str, version: int) -> Generator:
-        result, _ = yield from self._invoke(
-            "remove_version", {"key": key, "version": version}, size=256)
-        return result
+        return self._op("remove_version", {"key": key, "version": version},
+                        size=256)

@@ -14,7 +14,7 @@ from repro.util.units import (
     HOUR,
 )
 from repro.util.rng import RngRegistry
-from repro.util.stats import LatencyRecorder, OnlineStats, percentile
+from repro.util.stats import OnlineStats, percentile
 
 __all__ = [
     "parse_size",
@@ -29,7 +29,6 @@ __all__ = [
     "MINUTE",
     "HOUR",
     "RngRegistry",
-    "LatencyRecorder",
     "OnlineStats",
     "percentile",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -53,33 +52,3 @@ class OnlineStats:
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
-
-
-@dataclass
-class LatencyRecorder:
-    """Timestamped latency samples, with windowed and aggregate views.
-
-    Used both by experiment harnesses (to build the figures' time series)
-    and by Wiera's latency monitor (to evaluate threshold violations over a
-    sliding window, as in the DynamicConsistency policy).
-    """
-
-    name: str = "latency"
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
-
-    def record(self, t: float, latency: float, label: str = "") -> None:
-        self.times.append(t)
-        self.values.append(latency)
-        self.labels.append(label)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def window(self, start: float, end: float) -> list[float]:
-        """Samples recorded in the half-open time interval [start, end)."""
-        return [v for t, v in zip(self.times, self.values) if start <= t < end]

@@ -2,7 +2,7 @@
 
 * :mod:`repro.workloads.zipf` — YCSB-style (scrambled) Zipfian key choosers.
 * :mod:`repro.workloads.ycsb` — the Yahoo Cloud Serving Benchmark subset the
-  paper uses (workload mixes, closed-loop clients, staleness oracle).
+  paper uses (workload mixes, closed-loop clients).
 * :mod:`repro.workloads.clients` — geo-distributed client populations with
   normally-distributed diurnal activity (the Fig. 8 setup).
 * :mod:`repro.workloads.sysbench` — SysBench-fileio-like random IO driver.
@@ -11,11 +11,7 @@
 """
 
 from repro.workloads.zipf import ScrambledZipfian, Zipfian
-from repro.workloads.ycsb import (
-    StalenessOracle,
-    YcsbClient,
-    YcsbWorkload,
-)
+from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 from repro.workloads.clients import GeoClientPopulation, RegionActivity
 
 __all__ = [
@@ -23,7 +19,6 @@ __all__ = [
     "ScrambledZipfian",
     "YcsbWorkload",
     "YcsbClient",
-    "StalenessOracle",
     "GeoClientPopulation",
     "RegionActivity",
 ]

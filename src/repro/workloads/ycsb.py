@@ -6,19 +6,17 @@ chooser (scrambled Zipfian or uniform), and closed-loop clients driving a
 :class:`~repro.core.client.WieraClient`.  The paper runs "workload A: an
 update heavy workload" for Fig. 7 and a "read mostly workload (5% put and
 95% get)" for Fig. 8.
-
-The :class:`StalenessOracle` provides the ground truth Fig. 8 needs: it
-tracks the globally latest acknowledged version per key so each get can be
-classified as *latest* (strong) or *outdated* (eventual).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
 
+from repro.core.client import OP_ERRORS
+from repro.obs.history import OpSummary
 from repro.workloads.zipf import ScrambledZipfian, Uniform
 
 
@@ -68,88 +66,33 @@ class YcsbWorkload:
         return rng.bytes(self.value_size)
 
 
-class StalenessOracle:
-    """Ground truth for 'did this get return the latest data?' (Fig. 8).
-
-    ``note_put`` is called when a put is *acknowledged*; a get is judged
-    against the versions acknowledged strictly before the get started — a
-    read racing an in-flight put is not counted as stale.
-    """
-
-    def __init__(self):
-        self._acks: dict[str, list[tuple[float, int]]] = {}
-        self.latest_reads = 0
-        self.outdated_reads = 0
-
-    def note_put(self, key: str, version: int, ack_time: float) -> None:
-        self._acks.setdefault(key, []).append((ack_time, version))
-
-    def latest_before(self, key: str, t: float) -> int:
-        best = 0
-        for ack_time, version in self._acks.get(key, ()):
-            if ack_time <= t and version > best:
-                best = version
-        return best
-
-    def judge_get(self, key: str, returned_version: int,
-                  started_at: float) -> bool:
-        """Record and return whether the get saw the latest data."""
-        latest = self.latest_before(key, started_at)
-        if returned_version >= latest:
-            self.latest_reads += 1
-            return True
-        self.outdated_reads += 1
-        return False
-
-    @property
-    def total_reads(self) -> int:
-        return self.latest_reads + self.outdated_reads
-
-    @property
-    def outdated_fraction(self) -> float:
-        total = self.total_reads
-        return self.outdated_reads / total if total else 0.0
-
-
-@dataclass
-class YcsbStats:
-    ops: int = 0
-    reads: int = 0
-    updates: int = 0
-    errors: int = 0
-    #: error counts keyed by exception class name (TimeoutError,
-    #: WrongShardError, LockServiceError, ...) — same total as ``errors``
-    errors_by_type: dict[str, int] = field(default_factory=dict)
-    read_latencies: list[float] = field(default_factory=list)
-    update_latencies: list[float] = field(default_factory=list)
-
-    def note_error(self, exc: BaseException) -> None:
-        self.errors += 1
-        kind = type(exc).__name__
-        self.errors_by_type[kind] = self.errors_by_type.get(kind, 0) + 1
-
-
 class YcsbClient:
     """One closed-loop YCSB client bound to a WieraClient."""
 
     def __init__(self, sim, wiera_client, workload: YcsbWorkload,
                  rng: np.random.Generator,
                  think_time: float = 0.0,
-                 oracle: Optional[StalenessOracle] = None,
                  is_active=None, activity_poll: float = 1.0):
         self.sim = sim
         self.client = wiera_client
         self.workload = workload
         self.rng = rng
         self.think_time = think_time
-        self.oracle = oracle
         self.is_active = is_active      # callable() -> bool, or None
         self.activity_poll = activity_poll
         self.chooser = workload.chooser(rng)
-        self.stats = YcsbStats()
+        self._since: Optional[int] = None   # history length at start()
         self._proc = None
 
+    @property
+    def stats(self) -> OpSummary:
+        """A view of its client's op history from :meth:`start` on."""
+        history = self.client.history
+        return history.summary(
+            len(history) if self._since is None else self._since)
+
     def start(self) -> None:
+        self._since = len(self.client.history)
         self._proc = self.sim.process(self._run(), name="ycsb-client")
 
     def stop(self) -> None:
@@ -175,27 +118,10 @@ class YcsbClient:
 
     def _one_op(self) -> Generator:
         key = self.workload.key(self.chooser.next())
-        if self.rng.random() < self.workload.read_prop:
-            started = self.sim.now
-            try:
-                result = yield from self.client.get(key)
-            except Exception as exc:
-                self.stats.note_error(exc)
-                return
-            self.stats.ops += 1
-            self.stats.reads += 1
-            self.stats.read_latencies.append(result["latency"])
-            if self.oracle is not None:
-                self.oracle.judge_get(key, result["version"], started)
-        else:
-            value = self.workload.value(self.rng)
-            try:
-                result = yield from self.client.put(key, value)
-            except Exception as exc:
-                self.stats.note_error(exc)
-                return
-            self.stats.ops += 1
-            self.stats.updates += 1
-            self.stats.update_latencies.append(result["latency"])
-            if self.oracle is not None:
-                self.oracle.note_put(key, result["version"], self.sim.now)
+        try:
+            if self.rng.random() < self.workload.read_prop:
+                yield from self.client.get(key)
+            else:
+                yield from self.client.put(key, self.workload.value(self.rng))
+        except OP_ERRORS:
+            pass    # booked in the client's history

@@ -150,8 +150,8 @@ def golden_run(window=None) -> dict:
 
     latencies = {}
     for i, driver in enumerate(drivers):
-        latencies[f"client{i}.read"] = driver.stats.read_latencies
-        latencies[f"client{i}.update"] = driver.stats.update_latencies
+        latencies[f"client{i}.read"] = driver.stats.latencies["get"]
+        latencies[f"client{i}.update"] = driver.stats.latencies["put"]
     return {
         "final_clock": dep.sim.now,
         "events_processed": dep.sim.events_processed,

@@ -52,8 +52,12 @@ class TestClientProximity:
             yield from client.put("k", b"v")
             yield from client.get("k")
         d.drive(app())
-        assert client.put_latency.labels == [US_EAST]
-        assert client.get_latency.labels == [US_EAST]
+        history = client.history
+        assert history.op == ["put", "get"] and history.outcome == [None] * 2
+        assert history.latencies("put") and history.latencies("get")
+        # the closest instance, in the client's own region, served both
+        served = d.instance("cl", US_EAST)
+        assert (served.puts_from_app, served.gets_from_app) == (1, 1)
 
 
 class TestHarness:

@@ -332,13 +332,13 @@ class TestAgainstReference:
     """encode, decode and rebuild equal a per-byte textbook codec."""
 
     @given(coded_objects())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_encode(self, case):
         k, n, data, ref_frags, _, _ = case
         assert Codec.encode(data, k, n) == ref_frags
 
     @given(coded_objects())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_decode(self, case):
         k, n, data, ref_frags, survivors, _ = case
         have = {i: ref_frags[i] for i in survivors}
@@ -346,7 +346,7 @@ class TestAgainstReference:
         assert Codec.decode(have, k, n, len(data)) == data
 
     @given(coded_objects())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_rebuild(self, case):
         k, n, data, ref_frags, survivors, missing = case
         have = {i: ref_frags[i] for i in survivors - {missing}}

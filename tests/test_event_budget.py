@@ -193,9 +193,9 @@ def test_open_loop_cohort_op_is_its_arrival_plus_the_op(deployment,
     before = dep.sim.events_processed
     cohort.start()
     dep.sim.run(until=dep.sim.now + 1.0)
-    stats = cohort.stats
-    assert stats.achieved == stats.offered == 2 * N and stats.errors == 0
-    assert stats.peak_in_flight > 1
+    report = cohort.report()
+    assert report["achieved"] == report["offered"] == 2 * N
+    assert report["errors"] == 0 and report["peak_in_flight"] > 1
     # Nothing for the cohort's own process, a launch or a completion.
     assert dep.sim.events_processed - before == 2 * N * (PER_ARRIVAL + per_op)
 

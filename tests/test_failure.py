@@ -113,7 +113,7 @@ class TestClientFailover:
             return result
         result = dep.drive(read())
         assert result["data"] == b"v"
-        assert client.failovers >= 1
+        assert dep.metric_total("client.failovers") >= 1
 
     def test_all_down_raises(self):
         from repro.core.client import NoInstanceAvailableError

@@ -22,10 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BROAD_EXCEPTS = {
     "repro/ec/repair.py": 1,
     "repro/fs/posixfs.py": 3,
-    "repro/load/cohort.py": 1,
     "repro/sim/rpc.py": 2,
     "repro/workloads/rubis.py": 1,
-    "repro/workloads/ycsb.py": 2,
 }
 
 

@@ -97,7 +97,7 @@ class TestModularInstances:
 
 class TestYcsbOnWiera:
     def test_load_and_run_with_oracle(self):
-        from repro.workloads import StalenessOracle
+        from repro.obs.history import staleness
         dep = build_deployment([US_EAST, US_WEST], seed=6)
         spec = GlobalPolicySpec(
             name="y",
@@ -105,16 +105,13 @@ class TestYcsbOnWiera:
                         RegionPlacement(US_WEST, memory_only_policy())),
             consistency="eventual", queue_interval=5.0)
         instances = dep.start_wiera_instance("y", spec)
-        oracle = StalenessOracle()
         workload = YcsbWorkload.workload_a(record_count=20, value_size=256)
         east = dep.add_client(US_EAST, instances=instances)
         west = dep.add_client(US_WEST, instances=instances)
         yc_east = YcsbClient(dep.sim, east, workload,
-                             np.random.default_rng(1), think_time=0.2,
-                             oracle=oracle)
+                             np.random.default_rng(1), think_time=0.2)
         yc_west = YcsbClient(dep.sim, west, workload,
-                             np.random.default_rng(2), think_time=0.2,
-                             oracle=oracle)
+                             np.random.default_rng(2), think_time=0.2)
 
         def load():
             yield from yc_east.load()
@@ -130,9 +127,11 @@ class TestYcsbOnWiera:
         # but errors must stay rare
         assert yc_east.stats.errors == 0
         assert yc_west.stats.errors < total * 0.05
-        assert oracle.total_reads > 0
+        reads = staleness([east.history, west.history])
+        assert reads.latest + reads.outdated == sum(
+            len(yc.stats.latencies["get"]) for yc in (yc_east, yc_west))
         # eventual consistency with a 5 s flush produces some staleness
-        assert oracle.outdated_reads > 0
+        assert reads.outdated > 0
 
 
 class TestSysbenchSmoke:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.coordination.lock_service import LockServiceError
+from repro.core.client import NoInstanceAvailableError
 from repro.load import (
     ArrivalProcess,
     CohortSpec,
@@ -22,6 +24,8 @@ from repro.load.scenarios import (
     flash_crowd,
     hotspot_shift,
 )
+from repro.obs.api import get_obs
+from repro.obs.history import OpHistory
 from repro.sim.kernel import Simulator
 from repro.util.rng import RngRegistry, exponential_interarrival
 from repro.workloads.clients import GeoClientPopulation
@@ -182,33 +186,45 @@ class OffsetArrivals(ArrivalProcess):
 # -- cohorts against a fake store --------------------------------------------
 
 class FakeStore:
-    """Minimal WieraClient stand-in: fixed service time, optional errors."""
+    """Minimal WieraClient stand-in: fixed service time, optional typed
+    errors, and every op booked as the real client books it."""
 
-    def __init__(self, sim, service_time=0.001, fail_every=0):
+    def __init__(self, sim, name, service_time=0.001, fail_every=0):
         self.sim = sim
         self.service_time = service_time
         self.fail_every = fail_every
         self.calls = 0
+        self.history = OpHistory()
+        metrics = get_obs(sim).metrics
+        self.op_latency = {op: metrics.histogram("client.op_latency",
+                                                 client=name, op=op)
+                           for op in ("put", "get")}
 
-    def _op(self):
+    def _op(self, op, key):
         self.calls += 1
+        start = self.sim.now
         if self.fail_every and self.calls % self.fail_every == 0:
             yield self.sim.timeout(self.service_time / 2)
-            if self.calls % (2 * self.fail_every) == 0:
-                raise TimeoutError("slow store")
-            raise RuntimeError("lock lost")
+            error = (NoInstanceAvailableError("slow store")
+                     if self.calls % (2 * self.fail_every) == 0
+                     else LockServiceError("lock lost"))
+            self.history.book(op, key, None, start, self.sim.now,
+                              type(error).__name__)
+            raise error
         yield self.sim.timeout(self.service_time)
+        self.history.book(op, key, 1, start, self.sim.now)
+        self.op_latency[op].observe(self.sim.now - start)
         return {"latency": self.service_time, "version": 1}
 
     def get(self, key):
-        return (yield from self._op())
+        return (yield from self._op("get", key))
 
     def put(self, key, data):
-        return (yield from self._op())
+        return (yield from self._op("put", key))
 
 
 def make_cohort(sim, spec, seed=0, **store_kw) -> ClientCohort:
-    store = FakeStore(sim, **store_kw)
+    store = FakeStore(sim, spec.name, **store_kw)
     rng = RngRegistry(seed).substream("load.cohort", spec.name)
     return ClientCohort(sim, store, spec, rng)
 
@@ -230,7 +246,7 @@ class TestClientCohort:
         # an unsaturated store achieves what is offered
         assert report["offered_rate"] == pytest.approx(200.0, rel=0.05)
         assert report["shed"] == 0
-        assert cohort.stats.achieved >= cohort.stats.offered - \
+        assert report["achieved"] >= report["offered"] - \
             cohort.spec.max_in_flight
 
     def test_saturation_sheds_and_queues(self):
@@ -242,12 +258,12 @@ class TestClientCohort:
         cohort.start()
         sim.run(until=20.0)
         stats = cohort.stats
+        report = cohort.report()
         # capacity is max_in_flight / service_time = 8 ops/s vs 100/s in
-        assert stats.achieved == pytest.approx(8 * 20, rel=0.15)
+        assert report["achieved"] == pytest.approx(8 * 20, rel=0.15)
         assert stats.shed > 0
         assert stats.peak_queue == 10
         assert stats.peak_in_flight == 4
-        report = cohort.report()
         assert report["queue_delay"]["p95"] > 0.5
 
     def test_error_classification(self):
@@ -257,10 +273,11 @@ class TestClientCohort:
             workload=WORKLOAD), fail_every=5)
         cohort.start()
         sim.run(until=10.0)
-        by_type = cohort.stats.errors_by_type
-        assert set(by_type) == {"TimeoutError", "RuntimeError"}
-        assert sum(by_type.values()) == cohort.stats.errors
-        assert cohort.stats.errors > 0
+        report = cohort.report()
+        by_type = report["errors_by_type"]
+        assert set(by_type) == {"NoInstanceAvailableError",
+                                "LockServiceError"}
+        assert sum(by_type.values()) == report["errors"] > 0
 
     def test_deterministic(self):
         def one_run():
@@ -270,7 +287,7 @@ class TestClientCohort:
                 workload=WORKLOAD), seed=5)
             cohort.start()
             sim.run(until=10.0)
-            return (cohort.stats.offered, cohort.stats.achieved,
+            return (cohort.stats.offered, cohort.report()["achieved"],
                     sim.events_processed, sim.now)
 
         assert one_run() == one_run()
@@ -337,12 +354,17 @@ class TestClientCohort:
 
         class OneSlowOpThenUnreachable:
             calls = 0
+            history = OpHistory()
 
             def get(self, key):
                 self.calls += 1
+                start = sim.now
                 if self.calls > 1:
-                    raise ConnectionError("no reachable instance")
+                    self.history.book("get", key, None, start, start,
+                                      "NoInstanceAvailableError")
+                    raise NoInstanceAvailableError("no reachable instance")
                 yield sim.timeout(2.0)
+                self.history.book("get", key, 1, start, sim.now)
                 return {"latency": 2.0}
 
             put = None      # the workload below only reads
@@ -354,7 +376,8 @@ class TestClientCohort:
             queue_limit=queued, arrivals=OffsetArrivals(offsets),
             workload=YcsbWorkload(record_count=50, read_prop=1.0,
                                   update_prop=0.0))
-        cohort = ClientCohort(sim, OneSlowOpThenUnreachable(), spec,
+        store = OneSlowOpThenUnreachable()
+        cohort = ClientCohort(sim, store, spec,
                               RngRegistry(0).substream("load.cohort", "re"))
         cohort.start()
         sim.run(until=1.9)
@@ -363,9 +386,10 @@ class TestClientCohort:
         sim.run(until=3.0)      # the slow op finishes at 2.0
         stats = cohort.stats
         assert cohort.queued == 0 and cohort.in_flight == 0
-        assert stats.reconciles()
-        assert stats.achieved == 1 and stats.shed == 0
-        assert stats.errors_by_type == {"ConnectionError": queued}
+        assert stats.reconciles() and stats.shed == 0
+        ops = store.history.summary()
+        assert ops.ops == 1
+        assert ops.errors_by_type == {"NoInstanceAvailableError": queued}
         assert stats.peak_in_flight == 1
         # Oldest first: all drained at t=2.0, so the waits only shrink.
         delays = cohort._h_queue_delay.values()

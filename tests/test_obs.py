@@ -363,9 +363,7 @@ class TestZeroCostWhenDisabled:
     def test_latencies_bit_identical_with_and_without_tracing(self):
         _, plain = tiny_deployment(with_tracing=False)
         dep, traced = tiny_deployment(with_tracing=True)
-        assert plain.put_latency.values == traced.put_latency.values
-        assert plain.get_latency.values == traced.get_latency.values
-        assert plain.put_latency.times == traced.put_latency.times
+        assert list(plain.history.rows()) == list(traced.history.rows())
         # and the traced run actually recorded the request trees
         assert dep.obs.tracer.spans
 
@@ -378,8 +376,8 @@ class TestMonitorsOnRegistry:
         # the workload just ran, so app put samples are in the window
         signal = max(filter(None, (monitor._hist(iid).max_since(0.0)
                                    for iid in tim.instances)))
-        assert signal == pytest.approx(max(client.put_latency.values[-3:]),
-                                       rel=1.0)
+        recent = client.history.latencies("put")[-3:]
+        assert signal == pytest.approx(max(recent), rel=1.0)
 
     def test_probe_timeouts_recorded(self):
         dep, client = tiny_deployment(with_tracing=False)

@@ -87,7 +87,7 @@ def apply(instance, step):
 @example(keep=None, steps=[("put", "a0", 1, True), ("put", "a0", 1, True),
                            ("flush", "a0", 1, True),
                            ("remove_latest", "a0", 1, True)])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_every_selector_resolves_what_the_full_scan_did(keep, steps):
     sim = Simulator()
     net = Network(sim)

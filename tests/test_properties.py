@@ -35,7 +35,7 @@ def schedules(draw):
 
 class TestKernelProperties:
     @given(schedules())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_events_fire_in_time_order(self, plan):
         sim = Simulator()
         fired = []
@@ -52,7 +52,7 @@ class TestKernelProperties:
         assert len(fired) == len(plan)
 
     @given(schedules())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_same_plan_same_trace(self, plan):
         def run_once():
             sim = Simulator()
@@ -71,7 +71,7 @@ class TestKernelProperties:
     @given(st.lists(st.floats(min_value=0.001, max_value=10,
                               allow_nan=False),
                     min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_sequential_timeouts_accumulate(self, delays):
         sim = Simulator()
 
@@ -112,7 +112,7 @@ def lww_apply(state, update):
 
 class TestLwwProperties:
     @given(update_sets(), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.too_slow])
     def test_order_independent_convergence(self, updates, rnd):
         """Applying the same updates in any order yields the same visible
@@ -155,7 +155,7 @@ class TestLwwProperties:
         assert final_state(unique) == final_state(shuffled)
 
     @given(update_sets())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_reference_model_winner(self, updates):
         """The winner per version slot is always the max-mtime update."""
         state = {}
@@ -177,7 +177,7 @@ class TestTransformProperties:
     @given(st.binary(max_size=4096),
            st.lists(st.sampled_from(["zlib", "xor:default", "xor:alt"]),
                     max_size=4))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_chain_roundtrip(self, payload, chain):
         data = payload
         for name in chain:
@@ -186,7 +186,7 @@ class TestTransformProperties:
                                        self.KEYRING) == payload
 
     @given(st.binary(min_size=1, max_size=1024))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_xor_changes_bytes(self, payload):
         encoded = transforms.encode("xor:default", payload, self.KEYRING)
         assert len(encoded) == len(payload)
@@ -222,7 +222,7 @@ def storage_ops(draw):
 
 class TestStorageProperties:
     @given(storage_ops())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_usage_accounting_exact(self, ops):
         sim = Simulator()
         tier = make_tier(sim, "memcached", 10_000,
@@ -256,7 +256,7 @@ class TestStorageProperties:
 class TestRecordProperties:
     @given(st.lists(st.integers(min_value=1, max_value=50),
                     min_size=1, max_size=20, unique=True))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_latest_is_max(self, versions):
         record = ObjectRecord(key="k")
         for v in versions:
@@ -268,7 +268,7 @@ class TestRecordProperties:
 
     @given(st.lists(st.integers(min_value=1, max_value=20),
                     min_size=2, max_size=10, unique=True))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_drop_preserves_max_invariant(self, versions):
         record = ObjectRecord(key="k")
         for v in versions:

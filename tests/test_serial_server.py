@@ -162,7 +162,7 @@ def drive_link(plan):
 
 class TestReferenceModel:
     @given(plan=arrivals)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_link_matches_fifo_recurrence(self, plan):
         link, done_at, order = drive_link(plan)
         want = reference_completions(plan)
@@ -177,7 +177,7 @@ class TestReferenceModel:
     @given(plan=arrivals,
            cut=st.one_of(st.none(), st.floats(min_value=0.0, max_value=50.0,
                                               allow_nan=False)))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_network_delivery_is_last_byte_out_plus_latency(self, plan, cut):
         """Segment by segment: delivery is last segment out + latency,
         exactly; bytes are conserved; a partition between two segments

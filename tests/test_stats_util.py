@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.stats import LatencyRecorder, OnlineStats, percentile
+from repro.util.stats import OnlineStats, percentile
 
 
 class TestPercentile:
@@ -57,18 +57,3 @@ class TestOnlineStats:
         mean = sum(data) / len(data)
         assert stats.mean == pytest.approx(mean, abs=1e-6)
         assert stats.count == len(data)
-
-
-class TestLatencyRecorder:
-    def test_windows_and_filters(self):
-        rec = LatencyRecorder("ops")
-        rec.record(1.0, 0.1, label="east")
-        rec.record(2.0, 0.2, label="west")
-        rec.record(3.0, 0.3, label="east")
-        assert len(rec) == 3
-        assert rec.mean() == pytest.approx(0.2)
-        assert rec.window(1.5, 3.0) == [0.2]
-        assert rec.labels == ["east", "west", "east"]
-
-    def test_empty_mean(self):
-        assert LatencyRecorder().mean() == 0.0

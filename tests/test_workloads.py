@@ -8,7 +8,6 @@ from repro.workloads import (
     GeoClientPopulation,
     RegionActivity,
     ScrambledZipfian,
-    StalenessOracle,
     YcsbWorkload,
     Zipfian,
 )
@@ -129,35 +128,6 @@ class TestYcsbWorkload:
         assert isinstance(exact._zipf, ZipfianCDF)
         with pytest.raises(ValueError):
             YcsbWorkload(distribution="pareto")
-
-
-class TestStalenessOracle:
-    def test_latest_read_counted(self):
-        oracle = StalenessOracle()
-        oracle.note_put("k", 1, ack_time=10.0)
-        assert oracle.judge_get("k", 1, started_at=11.0) is True
-        assert oracle.latest_reads == 1
-
-    def test_outdated_read_counted(self):
-        oracle = StalenessOracle()
-        oracle.note_put("k", 1, ack_time=10.0)
-        oracle.note_put("k", 2, ack_time=20.0)
-        assert oracle.judge_get("k", 1, started_at=25.0) is False
-        assert oracle.outdated_fraction == 1.0
-
-    def test_racing_put_not_counted_stale(self):
-        oracle = StalenessOracle()
-        oracle.note_put("k", 1, ack_time=10.0)
-        oracle.note_put("k", 2, ack_time=20.0)
-        # get started before the v2 ack: v1 is the latest it must see
-        assert oracle.judge_get("k", 1, started_at=15.0) is True
-
-    def test_unknown_key_is_fresh(self):
-        oracle = StalenessOracle()
-        assert oracle.judge_get("ghost", 0, started_at=0.0) is True
-
-    def test_fraction_empty(self):
-        assert StalenessOracle().outdated_fraction == 0.0
 
 
 class TestGeoPopulation:
