@@ -40,7 +40,7 @@ def main() -> None:
     print(f"initial primary: {tim.protocol.config.primary_id}")
 
     monitor = WorkloadMonitor(tim, poll_interval=5.0)
-    monitor.start()
+    monitor.loop.start()
     advisor = DataPlacementAdvisor(tim, monitor, latency_goal=0.8)
 
     # Asia-dominated demand: 5x the clients of anywhere else.
@@ -89,7 +89,7 @@ def main() -> None:
     after = sum(after_vals) / len(after_vals)
     print(f"\nAsia East put latency: {before / MS:.1f} ms before -> "
           f"{after / MS:.1f} ms after the migration")
-    monitor.stop()
+    monitor.loop.stop()
 
 
 if __name__ == "__main__":

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.autoscale.signals import SignalReader, SignalSample
 from repro.core.global_policy import AutoscaleSpec
 from repro.obs.api import get_obs
+from repro.sim.primitives import Loop
 from repro.storage.cost import PRICE_BOOK
 
 
@@ -82,7 +83,8 @@ class Autoscaler:
         self.spec = spec
         self.reader = reader
         self.retry_policy = retry_policy
-        self._proc = None
+        self.loop = Loop(self.sim, f"autoscaler:{manager.base_id}",
+                         spec.decision_interval, self._round)
         self._obs = get_obs(self.sim)
         self._cooldown_until = 0.0
         self._calm_streak = 0
@@ -109,14 +111,13 @@ class Autoscaler:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.sim.process(
-                self._run(), name=f"autoscaler:{self.manager.base_id}")
+        if not self.loop.running:
+            # Prime the reader: the first sample has no window behind it.
+            self.reader.sample(self.sim.now)
+        self.loop.start()
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("autoscaler stopped")
-        self._proc = None
+        self.loop.stop()
 
     # -- state queries -------------------------------------------------------
     @property
@@ -135,16 +136,8 @@ class Autoscaler:
         return [d.as_dict() for d in self.decisions]
 
     # -- the control loop ----------------------------------------------------
-    def _run(self) -> Generator:
-        spec = self.spec
-        # Prime the reader: the first sample has no window behind it.
-        self.reader.sample(self.sim.now)
-        while True:
-            yield self.sim.timeout(spec.decision_interval)
-            sample = self.reader.sample(self.sim.now)
-            yield from self._decide(sample)
-
-    def _decide(self, sample: SignalSample) -> Generator:
+    def _round(self) -> Generator:
+        sample = self.reader.sample(self.sim.now)
         spec = self.spec
         shards = self.shards
         capacity = shards * spec.target_per_shard

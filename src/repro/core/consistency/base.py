@@ -218,6 +218,7 @@ class ReplicationQueue:
         self.pending: OrderedDict[str, dict] = OrderedDict()
         self._pending_bytes = 0
         self._kick = None   # size-trigger event armed by the flush loop
+        self._timer = None  # flush timer armed by the flush loop
         self._backlog: dict[str, OrderedDict[str, dict]] = {}
         self._attempts: dict[str, int] = {}      # peer -> failed rounds
         self._retry_at: dict[str, float] = {}    # peer -> next-eligible time
@@ -256,6 +257,8 @@ class ReplicationQueue:
         dropped = len(self.pending) + self.backlog_size()
         if dropped:
             self._m_dropped.inc(dropped)
+        if self._timer is not None:
+            self._timer.cancel()    # no live event outlives the stop
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("queue stopped")
         self._proc = None
@@ -336,10 +339,10 @@ class ReplicationQueue:
                 # Enqueues that landed while the loop was flushing
                 # (kick unarmed) already crossed the threshold.
                 self._kick.succeed()
-            timer = sim.timeout(self.interval)
-            yield sim.any_of([timer, self._kick])
+            self._timer = sim.timeout(self.interval)
+            yield sim.any_of([self._timer, self._kick])
             self._kick = None
-            timer.cancel()   # no-op if the timer won the race
+            self._timer.cancel()   # no-op if the timer won the race
             yield from self.flush()
 
     def _reap_departed_peers(self) -> None:

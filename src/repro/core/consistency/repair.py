@@ -20,6 +20,7 @@ from typing import Callable, Generator, Optional
 
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
+from repro.sim.primitives import Loop
 from repro.sim.rpc import split_batches
 from repro.storage.backend import StorageError
 
@@ -32,7 +33,8 @@ class AntiEntropyRepairer:
                  should_push: Optional[Callable] = None,
                  batch_bytes: float = 0.0):
         self.instance = instance
-        self.interval = interval
+        self.loop = Loop(instance.sim, f"repair:{instance.instance_id}",
+                         interval, self._round)
         # Hook back to the protocol's replication queue so a successful
         # repair clears the matching outstanding-failure record.
         self._queue_for = queue_for
@@ -43,7 +45,6 @@ class AntiEntropyRepairer:
         #: ``call_batch`` messages of at most this many bytes (0 = one key
         #: per message)
         self.batch_bytes = batch_bytes
-        self._proc = None
         self.rounds = 0
         self.keys_pushed = 0
         self.batches = 0
@@ -53,21 +54,13 @@ class AntiEntropyRepairer:
         self._m_pushed = metrics.counter("repair.keys_pushed", **labels)
 
     def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.instance.sim.process(
-                self._run(), name=f"repair:{self.instance.instance_id}")
+        self.loop.start()
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("repairer stopped")
-        self._proc = None
+        self.loop.stop()
 
-    def _run(self) -> Generator:
-        while True:
-            yield self.instance.sim.timeout(self.interval)
-            if self._should_push is not None \
-                    and not self._should_push(self.instance):
-                continue
+    def _round(self) -> Generator:
+        if self._should_push is None or self._should_push(self.instance):
             yield from self.repair_round()
 
     def repair_round(self) -> Generator:

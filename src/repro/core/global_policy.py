@@ -12,7 +12,7 @@ compiler, or from the built-in policy library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.tiera.policy import LocalPolicy
@@ -40,7 +40,6 @@ class DynamicConsistencySpec:
     strong: str = "multi_primaries"
     weak: str = "eventual"
     check_interval: float = 1.0
-    probe_interval: float = 2.0
     #: give up on a single monitor probe RPC after this many seconds
     probe_timeout: float = 10.0
 
@@ -82,11 +81,10 @@ class LoadBalanceSpec:
 
 @dataclass(frozen=True)
 class FailureSpec:
-    """Keep at least ``min_replicas`` instances alive (§4.4)."""
+    """Keep at least ``min_replicas`` instances alive (§4.4).  Deaths are
+    detected by the deployment-wide TSM's pings, not per policy."""
 
     min_replicas: int = 1
-    heartbeat_interval: float = 5.0
-    missed_heartbeats: int = 3
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,6 @@ class GlobalPolicySpec:
     #: erasure-coded redundancy plane (repro.ec); None (the default)
     #: constructs nothing — runs are bit-identical to pre-EC builds
     redundancy: Optional[RedundancySpec] = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.placements, tuple):

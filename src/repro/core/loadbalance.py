@@ -15,15 +15,17 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.global_policy import LoadBalanceSpec
-from repro.core.monitoring import MonitorBase
+from repro.sim.primitives import Loop
 
 
-class LoadBalancer(MonitorBase):
+class LoadBalancer:
     """Installs/clears get redirects based on observed get rates."""
 
     def __init__(self, tim, spec: LoadBalanceSpec):
-        super().__init__(tim)
+        self.tim = tim
         self.spec = spec
+        self.loop = Loop(tim.sim, "LoadBalancer", spec.check_interval,
+                         self._round)
         self.redirects_installed = 0
         self.redirects_cleared = 0
         self._active: dict[str, str] = {}   # overloaded id -> target id
@@ -35,24 +37,22 @@ class LoadBalancer(MonitorBase):
             for iid, rec in self.tim.instances.items() if not rec.down
         }
 
-    def _run(self) -> Generator:
+    def _round(self) -> Generator:
         spec = self.spec
-        while True:
-            yield self.sim.timeout(spec.check_interval)
-            rates = self._rates()
-            if not rates:
+        rates = self._rates()
+        if not rates:
+            return
+        # clear redirects whose source has cooled down
+        for iid in list(self._active):
+            if rates.get(iid, 0.0) <= spec.clear_rps:
+                yield from self._clear(iid)
+        # install redirects for overloaded instances
+        for iid, rate in sorted(rates.items()):
+            if iid in self._active or rate <= spec.threshold_rps:
                 continue
-            # clear redirects whose source has cooled down
-            for iid in list(self._active):
-                if rates.get(iid, 0.0) <= spec.clear_rps:
-                    yield from self._clear(iid)
-            # install redirects for overloaded instances
-            for iid, rate in sorted(rates.items()):
-                if iid in self._active or rate <= spec.threshold_rps:
-                    continue
-                target = self._coolest_peer(iid, rates)
-                if target is not None:
-                    yield from self._install(iid, target)
+            target = self._coolest_peer(iid, rates)
+            if target is not None:
+                yield from self._install(iid, target)
 
     def _coolest_peer(self, overloaded: str,
                       rates: dict[str, float]) -> Optional[str]:

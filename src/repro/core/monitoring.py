@@ -1,7 +1,8 @@
 """Wiera's runtime monitors: the "first-class support for dynamism".
 
-Three monitors (§3.2.3 / §4.3), each a dedicated simulation process owned
-by a Tiera Instance Manager:
+Three monitors (§3.2.3 / §4.3), each owned by a Tiera Instance Manager and
+each a round its own :class:`~repro.sim.primitives.Loop` runs (``monitor.loop``
+is started and stopped by the TIM):
 
 * :class:`LatencyMonitor` — watches put/get latencies against a threshold
   + sustained-violation period and drives consistency switching
@@ -27,41 +28,22 @@ from repro.core.global_policy import (
     DynamicConsistencySpec,
 )
 from repro.net.network import NetworkError
+from repro.sim.primitives import Loop
 from repro.sim.rpc import call_with_timeout
 
 #: estimated local-store component of a strong put, used by probe estimates
 _LOCAL_STORE_ESTIMATE = 0.004
 
 
-class MonitorBase:
-    """Common start/stop plumbing for monitor processes."""
-
-    def __init__(self, tim):
-        self.tim = tim
-        self.sim = tim.sim
-        self._proc = None
-
-    def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.sim.process(self._run(),
-                                          name=type(self).__name__)
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("monitor stopped")
-        self._proc = None
-
-    def _run(self) -> Generator:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-
-class LatencyMonitor(MonitorBase):
+class LatencyMonitor:
     """Drives DynamicConsistency switching."""
 
     def __init__(self, tim, spec: DynamicConsistencySpec):
-        super().__init__(tim)
+        self.tim = tim
+        self.sim = tim.sim
         self.spec = spec
+        self.loop = Loop(tim.sim, "LatencyMonitor", spec.check_interval,
+                         self._round)
         self.mode = "strong"
         # App-perceived latencies live in the shared MetricsRegistry (every
         # instance records to ``tiera.op_latency``); the monitor only reads.
@@ -162,46 +144,46 @@ class LatencyMonitor(MonitorBase):
         return worst
 
     # -- the control loop -------------------------------------------------------
-    def _run(self) -> Generator:
+    def _round(self) -> Generator:
         spec = self.spec
-        while True:
-            yield self.sim.timeout(spec.check_interval)
-            if self.mode == "strong":
-                longest = self._update_violation_clocks()
-                self.signal_log.append(
-                    (self.sim.now, longest or 0.0, self.mode))
-                self._signal_gauge.set(longest or 0.0)
-                if longest is not None and longest >= spec.period:
-                    yield from self.tim.switch_consistency(spec.weak)
-                    self.mode = "weak"
-                    self._violating_since.clear()
-                    self._reset_at = self.sim.now
-                    self._ok_since = None
-            else:
-                # Weak mode hides violations from app latencies, so
-                # estimate what a strong put would cost right now.
-                signal = yield from self.probe_estimate()
-                self.signal_log.append((self.sim.now, signal, self.mode))
-                self._signal_gauge.set(signal)
-                if signal <= spec.latency_threshold:
-                    if self._ok_since is None:
-                        self._ok_since = self.sim.now
-                    elif self.sim.now - self._ok_since >= spec.period:
-                        yield from self.tim.switch_consistency(spec.strong)
-                        self.mode = "strong"
-                        self._ok_since = None
-                        self._violating_since.clear()
-                        self._reset_at = self.sim.now
-                else:
-                    self._ok_since = None
+        if self.mode == "strong":
+            longest = self._update_violation_clocks()
+            self.signal_log.append((self.sim.now, longest or 0.0, self.mode))
+            self._signal_gauge.set(longest or 0.0)
+            if longest is not None and longest >= spec.period:
+                yield from self.tim.switch_consistency(spec.weak)
+                self.mode = "weak"
+                self._violating_since.clear()
+                self._reset_at = self.sim.now
+                self._ok_since = None
+            return
+        # Weak mode hides violations from app latencies, so estimate what
+        # a strong put would cost right now.
+        signal = yield from self.probe_estimate()
+        self.signal_log.append((self.sim.now, signal, self.mode))
+        self._signal_gauge.set(signal)
+        if signal <= spec.latency_threshold:
+            if self._ok_since is None:
+                self._ok_since = self.sim.now
+            elif self.sim.now - self._ok_since >= spec.period:
+                yield from self.tim.switch_consistency(spec.strong)
+                self.mode = "strong"
+                self._ok_since = None
+                self._violating_since.clear()
+                self._reset_at = self.sim.now
+        else:
+            self._ok_since = None
 
 
-class RequestsMonitor(MonitorBase):
+class RequestsMonitor:
     """Drives ChangePrimary: follow the forwarded-request imbalance."""
 
     def __init__(self, tim, spec: ChangePrimarySpec):
-        super().__init__(tim)
+        self.tim = tim
+        self.sim = tim.sim
         self.spec = spec
+        self.loop = Loop(tim.sim, "RequestsMonitor", spec.check_interval,
+                         self._round)
         self._candidate: Optional[str] = None
         self._candidate_since: Optional[float] = None
         self._cooldown_until = 0.0
@@ -212,44 +194,41 @@ class RequestsMonitor(MonitorBase):
         record = self.tim.instances.get(primary_id)
         return record.instance if record else None
 
-    def _run(self) -> Generator:
+    def _round(self) -> Generator:
         spec = self.spec
-        while True:
-            yield self.sim.timeout(spec.check_interval)
-            if self.sim.now < self._cooldown_until:
-                continue
-            primary = self._primary_instance()
-            if primary is None:
-                continue
-            self.evaluations += 1
-            counts = primary.requests_in_window(spec.window)
-            app_count = counts.get("app", 0)
-            forwarded = {src: n for src, n in counts.items()
-                         if src != "app" and src in self.tim.instances}
-            if not forwarded:
+        if self.sim.now < self._cooldown_until:
+            return
+        primary = self._primary_instance()
+        if primary is None:
+            return
+        self.evaluations += 1
+        counts = primary.requests_in_window(spec.window)
+        app_count = counts.get("app", 0)
+        forwarded = {src: n for src, n in counts.items()
+                     if src != "app" and src in self.tim.instances}
+        if not forwarded:
+            self._candidate = None
+            self._candidate_since = None
+            return
+        top_src = max(forwarded, key=lambda s: forwarded[s])
+        top_count = forwarded[top_src]
+        if top_count >= app_count and top_count > 0:
+            if self._candidate != top_src:
+                self._candidate = top_src
+                self._candidate_since = self.sim.now
+            elif self.sim.now - self._candidate_since >= spec.period:
+                yield from self.tim.change_primary(top_src)
                 self._candidate = None
                 self._candidate_since = None
-                continue
-            top_src = max(forwarded, key=lambda s: forwarded[s])
-            top_count = forwarded[top_src]
-            if top_count >= app_count and top_count > 0:
-                if self._candidate != top_src:
-                    self._candidate = top_src
-                    self._candidate_since = self.sim.now
-                elif (self.sim.now - self._candidate_since
-                      >= spec.period):
-                    yield from self.tim.change_primary(top_src)
-                    self._candidate = None
-                    self._candidate_since = None
-                    # Let a full history window accumulate under the
-                    # new primary before judging again (anti-flap).
-                    self._cooldown_until = self.sim.now + spec.window
-            else:
-                self._candidate = None
-                self._candidate_since = None
+                # Let a full history window accumulate under the new
+                # primary before judging again (anti-flap).
+                self._cooldown_until = self.sim.now + spec.window
+        else:
+            self._candidate = None
+            self._candidate_since = None
 
 
-class ColdDataCoordinator(MonitorBase):
+class ColdDataCoordinator:
     """Centralized cold-data management (§5.3).
 
     Every ``check_interval``: the central instance demotes objects idle
@@ -259,10 +238,12 @@ class ColdDataCoordinator(MonitorBase):
     """
 
     def __init__(self, tim, spec: ColdDataSpec):
-        super().__init__(tim)
         if not spec.centralize:
             raise ValueError("ColdDataCoordinator requires centralize=True")
+        self.tim = tim
         self.spec = spec
+        self.loop = Loop(tim.sim, "ColdDataCoordinator", spec.check_interval,
+                         self._round)
         self.centralized_objects = 0
 
     def _central_record(self):
@@ -272,36 +253,34 @@ class ColdDataCoordinator(MonitorBase):
         raise RuntimeError(
             f"no instance in central region {self.spec.central_region!r}")
 
-    def _run(self) -> Generator:
+    def _round(self) -> Generator:
         spec = self.spec
-        while True:
-            yield self.sim.timeout(spec.check_interval)
-            central = self._central_record()
-            with self.tim._obs.tracer.span(
-                    "policy:demote_cold", cat="policy",
-                    component=self.tim.node.name,
-                    central=central.instance_id) as span:
-                result = yield from self.tim.node.invoke(
-                    central.node, "ctl_demote_cold",
-                    {"age": spec.age, "to_tier": spec.target_tier,
-                     "bandwidth": spec.bandwidth})
-                demoted = result["demoted"]
-                span.set(demoted=len(demoted))
-                if not demoted:
+        central = self._central_record()
+        with self.tim._obs.tracer.span(
+                "policy:demote_cold", cat="policy",
+                component=self.tim.node.name,
+                central=central.instance_id) as span:
+            result = yield from self.tim.node.invoke(
+                central.node, "ctl_demote_cold",
+                {"age": spec.age, "to_tier": spec.target_tier,
+                 "bandwidth": spec.bandwidth})
+            demoted = result["demoted"]
+            span.set(demoted=len(demoted))
+            if not demoted:
+                return
+            self.centralized_objects += len(demoted)
+            self.tim._obs.metrics.counter(
+                "policy.cold_demotions",
+                wiera=self.tim.wiera_instance_id).inc(len(demoted))
+            shared_name = self.tim.shared_cold_tier_name
+            calls = []
+            for iid, record in self.tim.instances.items():
+                if iid == central.instance_id:
                     continue
-                self.centralized_objects += len(demoted)
-                self.tim._obs.metrics.counter(
-                    "policy.cold_demotions",
-                    wiera=self.tim.wiera_instance_id).inc(len(demoted))
-                shared_name = self.tim.shared_cold_tier_name
-                calls = []
-                for iid, record in self.tim.instances.items():
-                    if iid == central.instance_id:
-                        continue
-                    call = self.tim.node.call(
-                        record.node, "ctl_adopt_remote_cold",
-                        {"tier": shared_name, "objects": demoted})
-                    call.defuse()  # may fail before it is waited on
-                    calls.append(call)
-                for call in calls:
-                    yield call
+                call = self.tim.node.call(
+                    record.node, "ctl_adopt_remote_cold",
+                    {"tier": shared_name, "objects": demoted})
+                call.defuse()  # may fail before it is waited on
+                calls.append(call)
+            for call in calls:
+                yield call

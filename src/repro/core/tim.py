@@ -181,7 +181,7 @@ class TieraInstanceManager:
             from repro.core.loadbalance import LoadBalancer
             self.monitors.append(LoadBalancer(self, spec.load_balance))
         for monitor in self.monitors:
-            monitor.start()
+            monitor.loop.start()
 
     # ------------------------------------------------------------------
     # protocol construction
@@ -451,7 +451,7 @@ class TieraInstanceManager:
     def stop(self) -> Generator:
         self.running = False
         for monitor in self.monitors:
-            monitor.stop()
+            monitor.loop.stop()
         self.monitors.clear()
         for rec in self.instances.values():
             if rec.down:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.net.network import NetworkError
+from repro.sim.primitives import Loop
 from repro.sim.rpc import Message, RpcNode
 
 
@@ -38,11 +39,11 @@ class TieraServerManager:
                  missed_threshold: int = 3):
         self.sim = sim
         self.node = node
-        self.heartbeat_interval = heartbeat_interval
         self.missed_threshold = missed_threshold
         self.servers: dict[str, ServerRecord] = {}
         self._watchers: list = []   # TIMs interested in failures
-        self._hb_proc = None
+        self.heartbeats = Loop(sim, "tsm:heartbeat", heartbeat_interval,
+                               self._ping_round)
         self.deaths_detected = 0
         node.register("register_server", self.rpc_register_server)
 
@@ -93,30 +94,18 @@ class TieraServerManager:
                                      r.server_id))[0]
 
     # -- heartbeats --------------------------------------------------------------
-    def start_heartbeats(self) -> None:
-        if self._hb_proc is None or not self._hb_proc.is_alive:
-            self._hb_proc = self.sim.process(self._heartbeat_loop(),
-                                             name="tsm:heartbeat")
-
-    def stop_heartbeats(self) -> None:
-        if self._hb_proc is not None and self._hb_proc.is_alive:
-            self._hb_proc.interrupt("tsm stopped")
-        self._hb_proc = None
-
-    def _heartbeat_loop(self) -> Generator:
-        while True:
-            yield self.sim.timeout(self.heartbeat_interval)
-            for record in list(self.servers.values()):
-                if not record.alive:
-                    continue
-                try:
-                    yield from self.node.invoke(record.node, "ping")
-                    record.missed = 0
-                    record.last_seen = self.sim.now
-                except NetworkError:
-                    record.missed += 1
-                    if record.missed >= self.missed_threshold:
-                        record.alive = False
-                        self.deaths_detected += 1
-                        for tim in self._watchers:
-                            tim.on_server_down(record.server_id)
+    def _ping_round(self) -> Generator:
+        for record in list(self.servers.values()):
+            if not record.alive:
+                continue
+            try:
+                yield from self.node.invoke(record.node, "ping")
+                record.missed = 0
+                record.last_seen = self.sim.now
+            except NetworkError:
+                record.missed += 1
+                if record.missed >= self.missed_threshold:
+                    record.alive = False
+                    self.deaths_detected += 1
+                    for tim in self._watchers:
+                        tim.on_server_down(record.server_id)

@@ -141,7 +141,7 @@ class WieraService:
         """Connect a collection of Tiera servers to the TSM."""
         for server in servers:
             yield from server.connect_to_tsm(self.node)
-        self.tsm.start_heartbeats()
+        self.tsm.heartbeats.start()
 
     def tim(self, wiera_instance_id: str) -> TieraInstanceManager:
         try:

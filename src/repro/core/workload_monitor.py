@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.net.network import NetworkError
+from repro.sim.primitives import Loop
 from repro.util.stats import OnlineStats
 
 
@@ -36,28 +37,13 @@ class WorkloadMonitor:
                  history: int = 64):
         self.tim = tim
         self.sim = tim.sim
-        self.poll_interval = poll_interval
         self.snapshots: deque[WorkloadSnapshot] = deque(maxlen=history)
         self.object_size = OnlineStats()
         self._last_counts: dict[str, tuple[int, int]] = {}
-        self._proc = None
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.sim.process(self._run(), name="workload-mon")
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("monitor stopped")
-        self._proc = None
+        self.loop = Loop(tim.sim, "workload-mon", poll_interval,
+                         self.poll_once)
 
     # -- polling -------------------------------------------------------------
-    def _run(self) -> Generator:
-        while True:
-            yield self.sim.timeout(self.poll_interval)
-            yield from self.poll_once()
-
     def poll_once(self) -> Generator:
         snapshot = WorkloadSnapshot(time=self.sim.now)
         for record in self.tim.instances.values():

@@ -54,6 +54,7 @@ from repro.ec.codec import Codec
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
+from repro.sim.primitives import Loop
 from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.instance import TieraError
 from repro.tiera.objects import storage_key
@@ -71,10 +72,10 @@ class ECRepairer:
                  concurrency: int):
         self.instance = instance
         self.protocol = protocol
-        self.interval = interval
+        self.loop = Loop(instance.sim, f"ec-repair:{instance.instance_id}",
+                         interval, self.repair_round)
         #: window width: object repairs in flight per round
         self.concurrency = concurrency
-        self._proc = None
         self._workers: list = []  # the round in flight's window, for stop()
         self.rounds = 0
         self.fragments_rebuilt = 0
@@ -102,22 +103,15 @@ class ECRepairer:
                                           **labels)
 
     def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.instance.sim.process(
-                self._run(), name=f"ec-repair:{self.instance.instance_id}")
+        self.loop.start()
 
     def stop(self) -> None:
         """Stop the loop and any round in flight, now."""
-        for proc in (self._proc, *self._workers):
-            if proc is not None and proc.is_alive:
+        self.loop.stop()
+        for proc in self._workers:
+            if proc.is_alive:
                 proc.interrupt("repairer stopped")
-        self._proc = None
         self._workers = []
-
-    def _run(self) -> Generator:
-        while True:
-            yield self.instance.sim.timeout(self.interval)
-            yield from self.repair_round()
 
     # ------------------------------------------------------------------
     def repair_round(self) -> Generator:

@@ -23,6 +23,7 @@ from typing import Generator, Optional
 
 from repro.obs.api import get_obs
 from repro.shard.ring import HashRing
+from repro.sim.primitives import shielded
 
 
 class ShardError(RuntimeError):
@@ -201,16 +202,16 @@ class ShardManager:
                     info["node"], "ctl_set_shard", {"guard": guard})
 
     # -- elasticity ----------------------------------------------------------
+    # A migration gates sources and installs handoffs over many calls, so
+    # it is shielded like TIM.switch_consistency: a stop ends the caller.
     def add_shard(self, retry_policy=None) -> Generator:
         """Grow the namespace by one shard, migrating only remapped ranges."""
         from repro.shard.rebalance import Rebalancer
         rebalancer = Rebalancer(self, retry_policy=retry_policy)
-        result = yield from rebalancer.add_shard()
-        return result
+        return shielded(self.sim, rebalancer.add_shard())
 
     def remove_shard(self, shard_id: str, retry_policy=None) -> Generator:
         """Shrink the namespace, draining ``shard_id``'s keys to the rest."""
         from repro.shard.rebalance import Rebalancer
         rebalancer = Rebalancer(self, retry_policy=retry_policy)
-        result = yield from rebalancer.remove_shard(shard_id)
-        return result
+        return shielded(self.sim, rebalancer.remove_shard(shard_id))

@@ -19,6 +19,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.primitives import (
     Gate,
+    Loop,
     Resource,
     SerialServer,
     shielded,
@@ -39,4 +40,5 @@ __all__ = [
     "wake_at",
     "shielded",
     "Gate",
+    "Loop",
 ]

@@ -5,15 +5,30 @@ counted resources for service concurrency limits (:class:`Resource`), the
 capacity-1 FIFO server behind every bandwidth link and IOPS cap
 (:class:`SerialServer`, woken by :func:`wake_at`), open/close request
 gates used while a consistency switch drains in-flight operations
-(:class:`Gate`), and the kernel's one cancellation rule for work a process
-runs on behalf of somebody else (:func:`shielded`).
+(:class:`Gate`), the kernel's one cancellation rule for work a process
+runs on behalf of somebody else (:func:`shielded`), and the one shape of
+a periodic background component (:class:`Loop`).
+
+Background loops
+----------------
+Every fixed-interval component — the TSM's pings, the monitors, the
+repairers, the autoscaler, a Tiera instance's timer and cold rules — is a
+:class:`Loop`: one process that arms ``sim.timeout(interval)``, runs its
+round, and repeats.  Its stop rule: ``stop()`` cancels the armed timer and
+interrupts the process, so a loop stopped between rounds leaves no live
+event on the schedule, and one stopped mid-round ends at the yield it is
+parked on (the kernel's stop rule).  The replication queue is the one
+periodic component that does not run on it: it also flushes *early*,
+racing its timer against a size trigger, and a primitive that waited on
+"timer or kick" would branch for one caller.  It keeps its own wait and
+cancels the timer it armed on stop in the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator
 
@@ -162,6 +177,47 @@ class Gate:
         waiters, self._waiters = self._waiters, []
         for event in waiters:
             event.succeed()
+
+
+class Loop:
+    """A periodic background process (module docstring, "Background
+    loops").  The round timer is armed when the previous round ends;
+    :meth:`start` is idempotent and starts afresh after :meth:`stop`; an
+    exception a round raises fails the process, which stops ``sim.run``.
+    """
+
+    __slots__ = ("sim", "name", "interval", "round", "_proc", "_timer")
+
+    def __init__(self, sim: Simulator, name: str, interval: float,
+                 round: Callable[[], Generator]):
+        self.sim = sim
+        self.name = name
+        self.interval = interval
+        self.round = round
+        self._proc = None
+        self._timer = None
+
+    @property
+    def running(self) -> bool:
+        return self._proc is not None and self._proc.is_alive
+
+    def start(self) -> None:
+        if not self.running:
+            self._proc = self.sim.process(self._run(), name=self.name)
+
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()    # a no-op once the round is under way
+        if self.running:
+            self._proc.interrupt("loop stopped")
+        self._proc = None
+
+    def _run(self) -> Generator:
+        sim = self.sim
+        while True:
+            self._timer = sim.timeout(self.interval)
+            yield self._timer
+            yield from self.round()
 
 
 def shielded(sim: Simulator, body: Generator) -> Generator:

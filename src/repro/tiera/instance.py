@@ -21,7 +21,7 @@ from repro.net.link import BandwidthLink
 from repro.net.network import Host, Network, NetworkError
 from repro.obs.api import get_obs
 from repro.sim.kernel import Simulator
-from repro.sim.primitives import Gate
+from repro.sim.primitives import Gate, Loop
 from repro.sim.rpc import Message, RpcNode, split_batches
 from repro.storage.backend import ObjectMissingError, StorageBackend
 from repro.storage.factory import make_tier
@@ -133,8 +133,15 @@ class TieraInstance:
         self.get_log: deque[float] = deque()                  # get arrivals
         self._obs = get_obs(sim)
         self._op_hists: dict = {}  # (op, src) -> registry histogram
-        self._background: list = []
-        self.running = False
+        periodic = [(rule, rule.event.period, "timer")
+                    for rule in policy.timer_rules()]
+        periodic += [(rule, rule.event.check_interval, "cold")
+                     for rule in policy.cold_rules()]
+        self.loops = [
+            Loop(sim, f"{instance_id}:{kind}", period,
+                 lambda rule=rule: self._run_rule(
+                     rule, ResponseContext(event=rule.event)))
+            for rule, period, kind in periodic]
 
         self._register_rpc()
 
@@ -142,25 +149,13 @@ class TieraInstance:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Launch background policy processes (timers, cold scanners)."""
-        if self.running:
-            return
-        self.running = True
-        periodic = [(rule, rule.event.period, "timer")
-                    for rule in self.policy.timer_rules()]
-        periodic += [(rule, rule.event.check_interval, "cold")
-                     for rule in self.policy.cold_rules()]
-        for rule, period, kind in periodic:
-            self._background.append(self.sim.process(
-                self._rule_loop(rule, period),
-                name=f"{self.instance_id}:{kind}"))
+        """Launch the background policy loops (timers, cold scanners)."""
+        for loop in self.loops:
+            loop.start()
 
     def stop(self) -> None:
-        self.running = False
-        for proc in self._background:
-            if proc.is_alive:
-                proc.interrupt("instance stopped")
-        self._background.clear()
+        for loop in self.loops:
+            loop.stop()
 
     def on_host_crash(self) -> None:
         """Volatile tiers lose their contents; background work stops."""
@@ -495,13 +490,6 @@ class TieraInstance:
         # must see it (write-back flushes can push a tier past threshold).
         if not isinstance(rule.event, FilledEvent):
             yield from self._check_filled()
-
-    def _rule_loop(self, rule: Rule, period: float) -> Generator:
-        """Run a timer or cold-scan ``rule`` every ``period`` until
-        :meth:`stop`."""
-        while self.running:
-            yield self.sim.timeout(period)
-            yield from self._run_rule(rule, ResponseContext(event=rule.event))
 
     def _check_filled(self) -> Generator:
         for idx, rule in enumerate(self.policy.filled_rules()):

@@ -61,7 +61,6 @@ class LocalPolicy:
     tiers: tuple[TierSpec, ...]
     rules: tuple[Rule, ...] = ()
     keep_versions: Optional[int] = None  # GC: retain at most N versions/key
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.tiers:

@@ -66,7 +66,7 @@ class TestHarness:
         assert set(d.servers) == {(r, "aws") for r in REGIONS}
         assert d.wiera.host.region == US_EAST
         # heartbeats are running
-        assert d.wiera.tsm._hb_proc is not None
+        assert d.wiera.tsm.heartbeats.running
 
     def test_instance_lookup(self, dep):
         d, _ = dep

@@ -400,7 +400,7 @@ def test_stop_halts_a_round_in_flight(concurrency, into_round):
     while repairer.rounds == 0:
         dep.sim.run(until=dep.sim.now + 0.01)
     dep.sim.run(until=dep.sim.now + into_round)
-    loop, workers = repairer._proc, list(repairer._workers)
+    loop, workers = repairer.loop._proc, list(repairer._workers)
     assert loop.is_alive
     if into_round > 0.4:
         assert workers and all(w.is_alive for w in workers)

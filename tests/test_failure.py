@@ -33,9 +33,7 @@ def deploy(min_replicas=3, heartbeat=2.0, missed=2, regions=REGIONS,
         placements=tuple(RegionPlacement(r, write_back_policy())
                          for r in regions),
         consistency="eventual", queue_interval=0.5,
-        failure=FailureSpec(min_replicas=min_replicas,
-                            heartbeat_interval=heartbeat,
-                            missed_heartbeats=missed))
+        failure=FailureSpec(min_replicas=min_replicas))
     instances = dep.start_wiera_instance("ft", spec)
     return dep, instances
 

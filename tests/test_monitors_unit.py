@@ -86,9 +86,9 @@ class TestProbeEstimate:
         assert dep.drive(measure()) == float("inf")
 
         monitor.mode = "weak"
-        monitor.start()
+        monitor.loop.start()
         dep.sim.run(until=dep.sim.now + 60.0)
-        monitor.stop()
+        monitor.loop.stop()
         assert monitor.mode == "weak"
         assert len(monitor.signal_log) >= 10
         assert {signal for _, signal, _ in monitor.signal_log} == {

@@ -81,9 +81,9 @@ class TestWorkloadMonitor:
     def test_background_polling(self):
         dep, instances = deploy()
         monitor = WorkloadMonitor(dep.tim("pl"), poll_interval=2.0)
-        monitor.start()
+        monitor.loop.start()
         dep.sim.run(until=dep.sim.now + 11.0)
-        monitor.stop()
+        monitor.loop.stop()
         assert len(monitor.snapshots) >= 4
 
 

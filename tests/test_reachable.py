@@ -1,4 +1,5 @@
-"""Ratchet: ``src/`` keeps only code that something outside ``tests/`` uses.
+"""Ratchet: ``src/`` keeps only code that something outside ``tests/`` uses,
+and every policy field is read by something in ``src/``.
 
 A census of every function, class and method defined in ``src/`` (dunders
 aside).  A definition is *reached* when its name appears in a module of
@@ -16,11 +17,16 @@ one passes unnoticed; it is a floor, not a proof of use.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CALLERS = ("examples", "benchmarks", "perf")
+
+#: Modules whose dataclass fields are policy knobs (specs are plain data).
+POLICY_MODULES = ("repro.core.global_policy", "repro.tiera.policy")
 
 #: Definitions only tests reach, kept on purpose: name -> reason.  Drop an
 #: entry in the commit that deletes the definition or gives it a caller;
@@ -28,8 +34,6 @@ CALLERS = ("examples", "benchmarks", "perf")
 KEPT = {
     "outstanding_failures":
         "ReplicationQueue's divergence count: entries left to repair",
-    "stop_heartbeats":
-        "ROADMAP 3(d): the stop tests halt TSM heartbeats by hand",
     "held_keys":
         "ROADMAP 3(d): the lock-leak checks read the lock holders",
     "latency_spike":
@@ -88,3 +92,24 @@ def test_kept_entries_are_still_needed():
     stale = sorted(name for name in KEPT
                    if name not in defined or name in used)
     assert not stale, f"drop from KEPT (gone or now reached): {stale}"
+
+
+def test_every_policy_field_is_read():
+    """A spec field nothing in ``src/`` reads is a knob a policy can set and
+    the system ignores.  Read means an attribute load of that name in any
+    module of ``src/`` (by name, like the census above)."""
+    read = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+    unread = []
+    for name in POLICY_MODULES:
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == name:
+                unread += [f"{cls.__name__}.{field.name}"
+                           for field in dataclasses.fields(cls)
+                           if field.name not in read]
+    assert not unread, f"policy fields nothing in src/ reads: {unread}"

@@ -356,7 +356,7 @@ class TestAntiEntropyPush:
         process instead of treating the Interrupt as a dead peer."""
         dep, east, west, keys, repairer = self._diverged(world, 0.0)
         repairer.start()
-        proc = repairer._proc
+        proc = repairer.loop._proc
         dep.sim.run(until=dep.sim.now + 1.01)   # digest call is on the WAN
         assert repairer.rounds == 1 and proc.is_alive
         repairer.stop()

@@ -1,10 +1,11 @@
-"""Unit tests for Resource, Gate and shielded."""
+"""Unit tests for Resource, Gate, Loop and shielded."""
 
 import pytest
 
 from repro.sim import (
     Gate,
     Interrupt,
+    Loop,
     Resource,
     Simulator,
     shielded,
@@ -124,6 +125,101 @@ class TestGate:
         gate.open()
         sim.run(until=0.2)
         assert gate.queued == 0
+
+
+class TestLoop:
+    @staticmethod
+    def ticker(sim, log):
+        """A round that takes no time: it logs the instant it ran."""
+        def tick():
+            log.append(sim.now)
+            yield from ()
+        return tick
+
+    def test_rounds_land_every_interval_after_start(self, sim):
+        log = []
+        sim.run(until=0.5)
+        Loop(sim, "tick", 2.0, self.ticker(sim, log)).start()
+        sim.run(until=9.0)
+        assert log == [2.5, 4.5, 6.5, 8.5]
+
+    def test_rounds_land_where_a_hand_written_loop_lands(self, sim):
+        """The timer is armed when the previous round ends, as in
+        ``while True: yield timeout; yield from round()``."""
+        logs = {"loop": [], "hand": []}
+
+        def work(name):
+            logs[name].append(sim.now)
+            yield sim.timeout(0.75)
+
+        def hand():
+            while True:
+                yield sim.timeout(2.0)
+                yield from work("hand")
+
+        Loop(sim, "loop", 2.0, lambda: work("loop")).start()
+        sim.process(hand())
+        sim.run(until=12.0)
+        assert logs["loop"] == logs["hand"] == [2.0, 4.75, 7.5, 10.25]
+
+    def test_start_is_idempotent_and_works_after_a_stop(self, sim):
+        log = []
+        loop = Loop(sim, "tick", 1.0, self.ticker(sim, log))
+        loop.start()
+        loop.start()                 # one process, not two
+        sim.run(until=3.5)
+        assert log == [1.0, 2.0, 3.0] and loop.running
+        loop.stop()
+        sim.run(until=5.0)
+        assert log == [1.0, 2.0, 3.0] and not loop.running
+        loop.start()
+        sim.run(until=7.0)
+        assert log == [1.0, 2.0, 3.0, 6.0, 7.0]
+
+    def test_an_idle_stop_leaves_nothing_on_the_schedule(self, sim):
+        """The armed round timer is cancelled: a run to exhaustion ends at
+        the stop, not when the dead timer would have fired."""
+        log = []
+        loop = Loop(sim, "tick", 10.0, self.ticker(sim, log))
+        loop.start()
+
+        def stopper():
+            yield sim.timeout(3.0)
+            loop.stop()
+
+        sim.process(stopper())
+        sim.run()
+        assert sim.now == 3.0 and log == [] and not loop.running
+
+    def test_a_stop_mid_round_ends_the_round_at_its_yield(self, sim):
+        log = []
+
+        def slow():
+            try:
+                log.append(("begin", sim.now))
+                yield sim.timeout(5.0)
+                log.append(("end", sim.now))
+            finally:
+                log.append(("finally", sim.now))
+
+        loop = Loop(sim, "slow", 1.0, slow)
+        loop.start()
+        sim.run(until=2.0)           # the round is asleep until 6.0
+        loop.stop()
+        sim.run(until=2.0)           # the interrupt lands, no time passes
+        assert log == [("begin", 1.0), ("finally", 2.0)]
+        sim.run(until=20.0)
+        assert log == [("begin", 1.0), ("finally", 2.0)]
+
+    def test_an_exception_a_round_raises_stops_the_run(self, sim):
+        def broken():
+            raise ValueError("round failed")
+            yield  # pragma: no cover
+
+        Loop(sim, "broken", 1.0, broken).start()
+        with pytest.raises(ValueError, match="round failed"):
+            sim.run()
+        assert sim.now == 1.0
 
 
 class TestShielded:

@@ -5,16 +5,21 @@ Every long-lived component is driven here in a small deployment of its
 own and stopped twice: *idle*, parked between rounds, and *mid-round*,
 with a round of it in flight (an RPC on the wire, window workers running,
 a tier copy half done, a fault script half applied).  A :class:`Census`
-books every process by name and every RPC by the process that launched
-it.  An RPC's body runs as a process of its own (``rpc…``) or, once its
-caller was stopped mid-``invoke``, as an ``orphan:…``: a call already on
-the wire completes at its destination, and neither process is the
-component's.
+books every process by name, and every RPC and every timer by the process
+that launched it.  An RPC's body runs as a process of its own (``rpc…``)
+or, once its caller was stopped mid-``invoke``, as an ``orphan:…``: a call
+already on the wire completes at its destination, and neither process is
+the component's.
+
+A periodic component stopped idle also leaves nothing on the schedule:
+its armed round timer is cancelled, not left to fire into a dead process.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -53,18 +58,25 @@ class Launch:
 
 
 class Census:
-    """Every process a simulation starts, and every RPC it launches with
-    the name of the process that launched it."""
+    """Every process a simulation starts, and every RPC and timer it
+    launches with the name of the process that launched it."""
 
     def __init__(self, monkeypatch):
         self.processes = []
         self.launches: list[Launch] = []
-        start = Simulator.process
+        self.timers: list[tuple[Optional[str], Any]] = []
+        start, timeout = Simulator.process, Simulator.timeout
 
         def process(sim, generator, name="", obs_ctx=None):
             proc = start(sim, generator, name, obs_ctx)
             self.processes.append(proc)
             return proc
+
+        def armed(sim, delay, value=None):
+            event = timeout(sim, delay, value)
+            active = sim.active_process
+            self.timers.append((active and active.name, event))
+            return event
 
         def booked(body):
             def launch(node, dst, method, *rest):
@@ -75,6 +87,7 @@ class Census:
             return launch
 
         monkeypatch.setattr(Simulator, "process", process)
+        monkeypatch.setattr(Simulator, "timeout", armed)
         monkeypatch.setattr(RpcNode, "_call", booked(RpcNode._call))
         monkeypatch.setattr(RpcNode, "_oneway", booked(RpcNode._oneway))
 
@@ -94,6 +107,13 @@ class Census:
     def in_flight(self, names, method: Optional[str] = None) -> bool:
         return any(not l.done and (method is None or l.method == method)
                    for l in self.launched(names))
+
+    def scheduled(self, sim: Simulator, names) -> list:
+        """Timers a process of ``names`` armed that are live heap entries:
+        neither fired nor cancelled."""
+        armed = {id(event) for by, event in self.timers if by in names}
+        return [event for _, _, event in sim._heap
+                if id(event) in armed and not event._cancelled]
 
 
 @pytest.fixture
@@ -263,7 +283,7 @@ def tsm_heartbeats(census):
     """One Tiera server, a WAN hop from the service that pings it."""
     dep = build_deployment([EU_WEST], seed=5)
     tsm = dep.wiera.tsm
-    return _calling(census, dep.sim, tsm, tsm.stop_heartbeats,
+    return _calling(census, dep.sim, tsm, tsm.heartbeats.stop,
                     "tsm:heartbeat")
 
 
@@ -273,9 +293,9 @@ def latency_monitor(census):
     monitor = LatencyMonitor(dep.tim("w"), DynamicConsistencySpec(
         period=1000.0, check_interval=2.0))
     monitor.mode = "weak"
-    monitor.start()
-    return _calling(census, dep.sim, monitor, monitor.stop, "LatencyMonitor",
-                    method="probe")
+    monitor.loop.start()
+    return _calling(census, dep.sim, monitor, monitor.loop.stop,
+                    "LatencyMonitor", method="probe")
 
 
 def requests_monitor(census):
@@ -290,7 +310,8 @@ def requests_monitor(census):
     primary.request_log.extend(
         [(dep.sim.now, dep.instance("w", EU_WEST).instance_id)] * 20)
     monitor = next(m for m in tim.monitors if isinstance(m, RequestsMonitor))
-    return _calling(census, dep.sim, monitor, monitor.stop, "RequestsMonitor")
+    return _calling(census, dep.sim, monitor, monitor.loop.stop,
+                    "RequestsMonitor")
 
 
 def cold_data_coordinator(census):
@@ -301,7 +322,7 @@ def cold_data_coordinator(census):
                           centralize=True, central_region=EU_WEST))
     monitor = next(m for m in dep.tim("w").monitors
                    if isinstance(m, ColdDataCoordinator))
-    return _calling(census, dep.sim, monitor, monitor.stop,
+    return _calling(census, dep.sim, monitor, monitor.loop.stop,
                     "ColdDataCoordinator")
 
 
@@ -315,14 +336,16 @@ def load_balancer(census):
     dep.instance("w", US_WEST).get_log.extend([dep.sim.now] * 200)
     balancer = next(m for m in dep.tim("w").monitors
                     if type(m).__name__ == "LoadBalancer")
-    return _calling(census, dep.sim, balancer, balancer.stop, "LoadBalancer")
+    return _calling(census, dep.sim, balancer, balancer.loop.stop,
+                    "LoadBalancer")
 
 
 def workload_monitor(census):
     dep, _ = _deploy([US_WEST, EU_WEST])
     monitor = WorkloadMonitor(dep.tim("w"), poll_interval=5.0)
-    monitor.start()
-    return _calling(census, dep.sim, monitor, monitor.stop, "workload-mon")
+    monitor.loop.start()
+    return _calling(census, dep.sim, monitor, monitor.loop.stop,
+                    "workload-mon")
 
 
 def ycsb_client(census):
@@ -342,6 +365,24 @@ WORLDS = [tiera_instance, replication_queue, anti_entropy_repairer,
           cold_data_coordinator, load_balancer, workload_monitor,
           ycsb_client]
 
+#: the class in ``src/`` that builds a ``sim.primitives.Loop`` -> its world
+LOOPS = {
+    "TieraInstance": tiera_instance,
+    "AntiEntropyRepairer": anti_entropy_repairer,
+    "ECRepairer": ec_repairer,
+    "Autoscaler": autoscaler,
+    "TieraServerManager": tsm_heartbeats,
+    "LatencyMonitor": latency_monitor,
+    "RequestsMonitor": requests_monitor,
+    "ColdDataCoordinator": cold_data_coordinator,
+    "LoadBalancer": load_balancer,
+    "WorkloadMonitor": workload_monitor,
+}
+
+#: the worlds that run on a fixed interval: every Loop, and the replication
+#: queue (a timer it races against an early-flush kick)
+PERIODIC = {*LOOPS.values(), replication_queue}
+
 #: sim-seconds a stopped component is watched for: several of its rounds
 HORIZON = 30.0
 
@@ -360,13 +401,67 @@ def test_a_stopped_component_is_quiescent(census, build, mid_round):
     sim = world.sim
     _run_until(sim, world.busy if mid_round else lambda: not world.busy())
     assert census.alive(world.names), "nothing of it was running"
+    idle_loop = build in PERIODIC and not mid_round
+    if idle_loop:
+        assert census.scheduled(sim, world.names), "no round timer armed"
 
     world.stop()
+    if idle_loop:
+        assert census.scheduled(sim, world.names) == []
     since, effects = len(census.launches), world.effects()
     sim.run(until=sim.now + HORIZON)
     assert census.alive(world.names) == []
     assert census.launched(world.names, since) == []
     assert world.effects() == effects
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: ``.interrupt(`` call sites per file outside ``sim/``, relative to
+#: ``src/repro``; a file not listed has none.  A periodic component stops
+#: through its ``Loop``; what is left stops a process that is not one.
+#: Lower an entry (or drop it at 0) in the commit that removes a site;
+#: never raise one.
+INTERRUPTS = {
+    "ec/repair.py": 1,                 # the repair window's workers
+    "core/consistency/base.py": 1,     # the replication queue's flush loop
+    "workloads/ycsb.py": 1,
+    "load/cohort.py": 1,
+    "faults/schedule.py": 1,
+}
+
+
+def _outside_sim():
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        if not rel.startswith("sim/"):
+            yield rel, ast.parse(path.read_text(), str(path))
+
+
+def test_every_loop_has_a_world():
+    """Every class in ``src/`` that builds a ``Loop`` is stopped idle and
+    mid-round above, and every ``LOOPS`` entry still builds one."""
+    builders = set()
+    for _, tree in _outside_sim():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "Loop" for node in ast.walk(cls)):
+                builders.add(cls.name)
+    assert builders == set(LOOPS)
+    assert all(world in WORLDS for world in LOOPS.values())
+
+
+def test_interrupt_sites_only_fall():
+    counts = {}
+    for rel, tree in _outside_sim():
+        n = sum(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "interrupt" for node in ast.walk(tree))
+        if n:
+            counts[rel] = n
+    assert counts == INTERRUPTS
 
 
 class TestAStopIsNotAPeerFailure:
@@ -429,38 +524,48 @@ class TestAStopMidSwitchReopensTheGates:
                              for i, r in enumerate(self.REGIONS)))
         return dep, dep.start_wiera_instance("w", spec)
 
-    def _stop_after(self, dep, change, delay: float) -> None:
+    def _stop_in(self, dep, change, advance) -> None:
+        """Start ``change``, ``advance()`` the clock into it and stop the
+        process driving it."""
         proc = dep.sim.process(change, name="switcher")
-        dep.sim.run(until=dep.sim.now + delay)
+        advance()
         assert proc.is_alive, "the change finished before the stop"
         proc.interrupt("stop")
         dep.sim.run(until=dep.sim.now + HORIZON)
         assert not proc.is_alive
 
-    def _assert_every_instance_serves(self, dep, instances) -> None:
-        """A put through each instance, then (its update replicated) a get
-        of the same key through the same instance."""
-        clients = {info["region"]: dep.add_client(info["region"],
-                                                  instances=[info])
-                   for info in instances}
+    def _stop_after(self, dep, change, delay: float) -> None:
+        self._stop_in(dep, change,
+                      lambda: dep.sim.run(until=dep.sim.now + delay))
+
+    def _assert_every_instance_serves(self, dep, targets) -> None:
+        """For each ``(instance info, key)``: a put of ``key`` through that
+        instance, then (its update replicated) a get of it through the
+        same instance."""
+        clients = [(dep.add_client(info["region"], instances=[info]), key)
+                   for info, key in targets]
 
         def each(op) -> list:
-            procs = [dep.sim.process(op(region, client))
-                     for region, client in clients.items()]
+            procs = [dep.sim.process(op(client, key))
+                     for client, key in clients]
             dep.sim.run(until=dep.sim.now + 5.0)
             assert all(p.processed and p.ok for p in procs)
             return [p.value for p in procs]
 
-        each(lambda region, client: client.put(f"after-{region}", b"value"))
-        got = each(lambda region, client: client.get(f"after-{region}"))
+        each(lambda client, key: client.put(key, b"value"))
+        got = each(lambda client, key: client.get(key))
         assert [g["data"] for g in got] == [b"value"] * len(clients)
+
+    @staticmethod
+    def _by_region(instances) -> list:
+        return [(info, f"after-{info['region']}") for info in instances]
 
     def test_change_primary(self, delay=0.12):
         dep, instances = self._deploy()
         tim = dep.tim("w")
         self._stop_after(dep, tim.change_primary(
             dep.instance("w", US_WEST).instance_id), delay)
-        self._assert_every_instance_serves(dep, instances)
+        self._assert_every_instance_serves(dep, self._by_region(instances))
         assert tim.protocol.config.primary_id == \
             dep.instance("w", US_WEST).instance_id
 
@@ -469,5 +574,43 @@ class TestAStopMidSwitchReopensTheGates:
         dep, instances = self._deploy()
         tim = dep.tim("w")
         self._stop_after(dep, tim.switch_consistency("eventual"), delay)
-        self._assert_every_instance_serves(dep, instances)
+        self._assert_every_instance_serves(dep, self._by_region(instances))
         assert tim.protocol.name == "eventual"
+
+    @pytest.mark.parametrize("phase", ["dual_write", "cutover"])
+    def test_add_shard(self, phase):
+        """A rebalance installs dual-write handoffs on every source, then
+        closes the source gates for the cutover; a stop in either phase
+        leaves the migration to finish: the epoch advances, no handoff
+        stays installed and every instance serves."""
+        dep = build_deployment(list(self.REGIONS), seed=1, shards=2)
+        handle = dep.start_sharded_instance("w", GlobalPolicySpec(
+            name="w", consistency="eventual",
+            placements=tuple(RegionPlacement(r, memory_only_policy())
+                             for r in self.REGIONS)))
+        _put(dep, dep.add_client(US_EAST, sharded=handle), 40)
+        manager = dep.wiera.shard_manager("w")
+
+        def instances():
+            return [rec.instance for sid in sorted(manager.map.shards)
+                    for rec in dep.tim(sid).instances.values()]
+        sources = instances()
+
+        def gated():
+            return not all(inst.gate._open for inst in sources)
+
+        def dual_writing():
+            return not gated() and any(inst.shard_handoff is not None
+                                       for inst in sources)
+        self._stop_in(dep, manager.add_shard(), lambda: _run_until(
+            dep.sim, dual_writing if phase == "dual_write" else gated))
+
+        assert manager.epoch == 2 and len(manager.map.shards) == 3
+        assert [inst.shard_handoff for inst in instances()] == \
+            [None] * len(instances())
+        keys = (f"after-{i}" for i in range(10_000))
+        self._assert_every_instance_serves(dep, [
+            (info, next(key for key in keys
+                        if manager.map.owner(key) == shard_id))
+            for shard_id, infos in sorted(manager.map.shards.items())
+            for info in infos])

@@ -32,14 +32,15 @@ class TestTieraServer:
 
         def main():
             result = yield ctl.call(server.node, "spawn_instance", {
-                "instance_id": "i1", "policy": memory_only_policy()})
+                "instance_id": "i1", "policy": write_back_policy()})
             listing = yield ctl.call(server.node, "list_instances")
             return result, listing
 
         result, listing = run(sim, main())
         assert result["instance_id"] == "i1"
         assert listing["instances"] == ["i1"]
-        assert server.instances["i1"].running
+        [flush] = server.instances["i1"].loops   # the write-back timer
+        assert flush.running
 
     def test_duplicate_spawn_rejected(self, world):
         sim, net = world
