@@ -21,8 +21,7 @@ from typing import Callable, Generator, Optional
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.primitives import Loop
-from repro.sim.rpc import split_batches
-from repro.storage.backend import StorageError
+from repro.tiera.objects import behind
 
 
 class AntiEntropyRepairer:
@@ -76,42 +75,29 @@ class AntiEntropyRepairer:
             yield from self._push_stale(peer_id, peer, digest["keys"])
 
     def _push_stale(self, peer_id: str, peer, theirs: dict) -> Generator:
-        """Ship every key the peer is behind on in size-bounded batches;
-        ack per entry."""
+        """Ship every key the peer is behind on; ack per entry."""
         instance = self.instance
-        stale: list[tuple[str, dict, int]] = []
+        stale = []
         for record in list(instance.meta.records()):
             meta = record.latest()
             if meta is None:
                 continue
-            peer_version, peer_modified = theirs.get(record.key, (0, -1.0))
-            if (meta.last_modified, meta.version) <= (peer_modified,
-                                                      peer_version):
-                # The peer is already current for this key — possibly via a
-                # third replica's repair — so any recorded delivery failure
-                # for it is resolved divergence, not divergence.
+            if behind(theirs.get(record.key), (meta.version,
+                                               meta.last_modified)):
+                stale.append(record.key)
+            else:
+                # The peer is already current for this key — possibly via
+                # a third replica's repair — so any recorded delivery
+                # failure for it has been resolved.
                 self._mark_delivered(peer_id, record.key)
-                continue
-            try:
-                args = yield from instance.replica_args(record.key,
-                                                        meta.version)
-            except StorageError:
-                continue  # lost locally between digest and read
-            stale.append(("replica_update", args, len(args["data"]) + 512))
-        for entries in split_batches(stale, self.batch_bytes):
-            call = instance.node.call_batch(peer.node, entries)
-            call.defuse()
-            try:
-                results = yield call
-            except NetworkError:
-                continue  # transport failure: whole batch retries next round
-            self.batches += 1
-            for (_method, args, _size), res in zip(entries, results):
-                if not res.get("ok"):
-                    continue  # entry failed at the peer; retry next round
-                self.keys_pushed += 1
-                self._m_pushed.inc()
-                self._mark_delivered(peer_id, args["key"])
+        # what a lost batch or a refused entry left is the next round's
+        landed, _failed, answered = yield from instance.push_latest(
+            peer.node, stale, self.batch_bytes)
+        self.batches += answered
+        self.keys_pushed += len(landed)
+        self._m_pushed.inc(len(landed))
+        for key in landed:
+            self._mark_delivered(peer_id, key)
 
     def _mark_delivered(self, peer_id: str, key: str) -> None:
         if self._queue_for is not None:

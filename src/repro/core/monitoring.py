@@ -27,12 +27,26 @@ from repro.core.global_policy import (
     ColdDataSpec,
     DynamicConsistencySpec,
 )
+from repro.core.tim import WieraInstanceError
 from repro.net.network import NetworkError
 from repro.sim.primitives import Loop
 from repro.sim.rpc import call_with_timeout
 
 #: estimated local-store component of a strong put, used by probe estimates
 _LOCAL_STORE_ESTIMATE = 0.004
+
+
+def _changed(tim, change: Generator) -> Generator:
+    """Run a monitor's change; returns whether it took effect.  A failure
+    is counted and left to the next round (same mode, same clocks)."""
+    try:
+        yield from change
+    except (NetworkError, WieraInstanceError) as exc:
+        tim._obs.metrics.counter(
+            "policy.change_failures", wiera=tim.wiera_instance_id,
+            kind=type(exc).__name__).inc()
+        return False
+    return True
 
 
 class LatencyMonitor:
@@ -151,11 +165,7 @@ class LatencyMonitor:
             self.signal_log.append((self.sim.now, longest or 0.0, self.mode))
             self._signal_gauge.set(longest or 0.0)
             if longest is not None and longest >= spec.period:
-                yield from self.tim.switch_consistency(spec.weak)
-                self.mode = "weak"
-                self._violating_since.clear()
-                self._reset_at = self.sim.now
-                self._ok_since = None
+                yield from self._switch("weak", spec.weak)
             return
         # Weak mode hides violations from app latencies, so estimate what
         # a strong put would cost right now.
@@ -166,12 +176,18 @@ class LatencyMonitor:
             if self._ok_since is None:
                 self._ok_since = self.sim.now
             elif self.sim.now - self._ok_since >= spec.period:
-                yield from self.tim.switch_consistency(spec.strong)
-                self.mode = "strong"
-                self._ok_since = None
-                self._violating_since.clear()
-                self._reset_at = self.sim.now
+                yield from self._switch("strong", spec.strong)
         else:
+            self._ok_since = None
+
+    def _switch(self, mode: str, to_name: str) -> Generator:
+        """Switch to ``to_name`` as ``mode``; once it took effect, every
+        clock starts afresh."""
+        if (yield from _changed(self.tim,
+                                self.tim.switch_consistency(to_name))):
+            self.mode = mode
+            self._violating_since.clear()
+            self._reset_at = self.sim.now
             self._ok_since = None
 
 
@@ -216,8 +232,9 @@ class RequestsMonitor:
             if self._candidate != top_src:
                 self._candidate = top_src
                 self._candidate_since = self.sim.now
-            elif self.sim.now - self._candidate_since >= spec.period:
-                yield from self.tim.change_primary(top_src)
+            elif self.sim.now - self._candidate_since >= spec.period and (
+                    yield from _changed(self.tim,
+                                        self.tim.change_primary(top_src))):
                 self._candidate = None
                 self._candidate_since = None
                 # Let a full history window accumulate under the new

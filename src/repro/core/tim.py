@@ -22,11 +22,6 @@ from repro.core.consistency import (
     PrimaryBackupProtocol,
 )
 from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
-from repro.core.monitoring import (
-    ColdDataCoordinator,
-    LatencyMonitor,
-    RequestsMonitor,
-)
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.primitives import shielded
@@ -39,6 +34,37 @@ from repro.tiera.local_protocol import LocalOnlyProtocol
 
 class WieraInstanceError(RuntimeError):
     pass
+
+
+def gated(ctl, gate, drain, change) -> Generator:
+    """A gated runtime change (§3.3.2) over the caller's ``ctl(node,
+    method)``: close each ``gate`` record's gate, drain each ``drain``
+    record, run ``change(drain replies)``, reopen the gates it closed.
+    They reopen after a failure too — a refusal or a failed call, i.e. a
+    ``RuntimeError`` (every error this system defines) or ``TimeoutError``
+    — which then propagates.  A stop skips the reopen (callers are
+    shielded), and so does the close of a simulation ended mid-change:
+    the generator must not yield then, so the reopen is no ``finally``.
+    """
+    closed, failure, result = [], None, None
+    try:
+        for rec in gate:
+            yield from ctl(rec.node, "ctl_close_gate")
+            closed.append(rec)
+        drained = []
+        for rec in drain:
+            drained.append((yield from ctl(rec.node, "ctl_drain")))
+        result = yield from change(drained)
+    except (RuntimeError, TimeoutError) as exc:
+        failure = exc
+    for rec in closed:
+        try:
+            yield from ctl(rec.node, "ctl_open_gate")
+        except (RuntimeError, TimeoutError) as exc:
+            failure = failure or exc   # the next gate still reopens
+    if failure is not None:
+        raise failure
+    return result
 
 
 @dataclass
@@ -170,6 +196,9 @@ class TieraInstanceManager:
             yield call
 
     def _start_monitors(self) -> None:
+        # cycle: the monitors catch this module's WieraInstanceError
+        from repro.core.monitoring import (ColdDataCoordinator,
+                                           LatencyMonitor, RequestsMonitor)
         spec = self.spec
         if spec.dynamic is not None:
             self.monitors.append(LatencyMonitor(self, spec.dynamic))
@@ -255,22 +284,19 @@ class TieraInstanceManager:
                                    to=to_name) as span:
             span.set(**{"from": from_name})
             alive = self.alive_records()
-            for rec in alive:
-                yield from self.node.invoke(rec.node, "ctl_close_gate")
-            for rec in alive:
-                drained = yield from self.node.invoke(rec.node, "ctl_drain")
-                # A non-empty queue here would be silently dropped by the
-                # protocol swap below (detach counts it pending_dropped).
-                if drained.get("pending"):
-                    raise WieraInstanceError(
-                        f"{rec.instance_id}: {drained['pending']} queued "
-                        "replication entries survived ctl_drain; refusing "
-                        "to drop them in a consistency switch")
-            new_protocol = self._build_protocol(to_name)
-            yield from self._install_protocol(new_protocol)
-            self.protocol = new_protocol
-            for rec in alive:
-                yield from self.node.invoke(rec.node, "ctl_open_gate")
+
+            def swap(drained) -> Generator:
+                for rec, reply in zip(alive, drained):
+                    # the swap would drop it (detach: pending_dropped)
+                    if reply.get("pending"):
+                        raise WieraInstanceError(
+                            f"{rec.instance_id}: {reply['pending']} queued "
+                            "replication entries survived ctl_drain; "
+                            "refusing to drop them in a consistency switch")
+                new_protocol = self._build_protocol(to_name)
+                yield from self._install_protocol(new_protocol)
+                self.protocol = new_protocol
+            yield from gated(self.node.invoke, alive, alive, swap)
         self.switch_log.append((start, from_name, to_name, self.sim.now))
         metrics = self._obs.metrics
         metrics.counter("policy.consistency_switches",
@@ -299,15 +325,16 @@ class TieraInstanceManager:
                                    component=self.node.name,
                                    to=new_primary_id) as span:
             span.set(**{"from": old_id})
-            alive = self.alive_records()
-            for rec in alive:
-                yield from self.node.invoke(rec.node, "ctl_close_gate")
             old_rec = self.instances.get(old_id)
-            if old_rec is not None and not old_rec.down:
-                yield from self.node.invoke(old_rec.node, "ctl_drain")
-            self.protocol.set_primary(new_primary_id, self.sim.now)
-            for rec in alive:
-                yield from self.node.invoke(rec.node, "ctl_open_gate")
+            drain = ([old_rec] if old_rec is not None and not old_rec.down
+                     else [])
+
+            def move(drained) -> Generator:
+                self.protocol.set_primary(new_primary_id, self.sim.now)
+                return
+                yield  # pragma: no cover
+            yield from gated(self.node.invoke, self.alive_records(), drain,
+                             move)
         self._obs.metrics.counter("policy.primary_changes",
                                   wiera=self.wiera_instance_id).inc()
         return {"primary": new_primary_id, "previous": old_id,
@@ -317,6 +344,8 @@ class TieraInstanceManager:
     # failure handling (§4.4)
     # ------------------------------------------------------------------
     def on_server_down(self, server_id: str) -> None:
+        if not self.running:
+            return
         affected = [rec for rec in self.instances.values()
                     if rec.server_id == server_id and not rec.down]
         if not affected:
@@ -402,17 +431,9 @@ class TieraInstanceManager:
                 f"{instance_id!r} is not an elastic replica")
         record = self.instances.pop(instance_id)
         self.elastic_replicas.remove(instance_id)
-        # Drop it from every peer table first, so no new replication is
-        # queued toward it, then detach its protocol (stopping its
-        # replication queues/repairers) before the server tears it down.
+        # Out of every peer table first, so nothing new queues toward it.
         yield from self._propagate_peers()
-        if not record.down:
-            yield from self.node.invoke(record.node, "ctl_set_protocol",
-                                        {"protocol": LocalOnlyProtocol()})
-            server = self.wiera.tsm.servers.get(record.server_id)
-            if server is not None and not server.host.down:
-                yield from self.node.invoke(server.node, "stop_instance",
-                                            {"instance_id": instance_id})
+        yield from self._retire(record)
         return instance_id
 
     # ------------------------------------------------------------------
@@ -449,15 +470,22 @@ class TieraInstanceManager:
                 for iid, rec in self.instances.items()]
 
     def stop(self) -> Generator:
+        """``stopInstances`` (Table 1); a later server death is no longer
+        this TIM's to repair."""
         self.running = False
         for monitor in self.monitors:
             monitor.loop.stop()
         self.monitors.clear()
         for rec in self.instances.values():
-            if rec.down:
-                continue
-            server = self.wiera.tsm.servers.get(rec.server_id)
-            if server is None or server.host.down:
-                continue
-            yield from self.node.invoke(server.node, "stop_instance",
-                                        {"instance_id": rec.instance_id})
+            yield from self._retire(rec)
+
+    def _retire(self, record: InstanceRecord) -> Generator:
+        """End ``record``'s instance through its server's
+        ``stop_instance`` (:meth:`TieraInstance.stop`)."""
+        if record.down:
+            return
+        server = self.wiera.tsm.servers.get(record.server_id)
+        if server is None or server.host.down:
+            return
+        yield from self.node.invoke(server.node, "stop_instance",
+                                    {"instance_id": record.instance_id})

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.core.tim import gated
 from repro.faults.retry import TRANSIENT_ERRORS, RetryPolicy
 from repro.obs.api import get_obs
 from repro.shard.map import HandoffSpec, ShardError, ShardMap
-from repro.tiera.local_protocol import LocalOnlyProtocol
+from repro.tiera.objects import behind
 
 #: retry posture for migration control traffic: patient, capped backoff.
 #: max_attempts is intentionally large — a migration must outwait a
@@ -103,11 +104,6 @@ class Rebalancer:
                           if sid != shard_id}
             yield from self._migrate(old_map, ring_new, shards_new,
                                      sources=[shard_id], retiring=shard_id)
-            # Detach the shard's protocol (stops its replication queues and
-            # repairers) before the TIM tears the instances down.
-            for rec in self._source_records(shard_id):
-                yield from self._ctl(rec.node, "ctl_set_protocol",
-                                     {"protocol": LocalOnlyProtocol()})
             yield from mgr.wiera.stop_instances(shard_id)
             span.set(keys_moved=len(self.moved_keys),
                      epoch=mgr.map.epoch)
@@ -136,46 +132,43 @@ class Rebalancer:
         yield from self._sweep_pass(old_map, ring_new, shards_new, sources,
                                     reconcile_removes=False)
         # 3. Cutover: gate, drain, sweep to convergence.
-        gated = []
-        for shard_id in sources:
-            for rec in self._source_records(shard_id):
-                yield from self._ctl(rec.node, "ctl_close_gate")
-                gated.append(rec)
-        for rec in gated:
-            yield from self._ctl(rec.node, "ctl_drain")
-        rounds = 0
-        while True:
-            pending = yield from self._sweep_pass(old_map, ring_new,
-                                                  shards_new, sources,
-                                                  reconcile_removes=True)
-            if pending == 0:
-                break
-            rounds += 1
-            yield self.sim.timeout(
-                self.retry_policy.backoff(min(rounds - 1, 6)))
-        # 4. New epoch: guards first (under closed gates), then the map.
-        new_map = ShardMap(epoch=mgr.epoch + 1, ring=ring_new,
-                           shards=dict(shards_new))
-        for shard_id in sorted(new_map.shards):
-            yield from self._install_guard(new_map, shard_id)
-        if retiring is not None:
-            # The retiring shard keeps a guard too, so any straggler
-            # request is redirected rather than served from dying state.
-            yield from self._install_guard(new_map, retiring,
-                                           records=self._source_records(
-                                               retiring))
-        mgr.commit(new_map)
-        # 5. Clear the dual-write window and drop ceded ranges.
-        for rec in handoffs:
-            yield from self._ctl(rec.node, "ctl_set_handoff",
-                                 {"handoff": None})
-        for shard_id in sources:
-            if shard_id == retiring:
-                continue   # about to be stopped wholesale
-            for rec in self._source_records(shard_id):
-                yield from self._ctl(rec.node, "ctl_purge_misowned")
-        for rec in gated:
-            yield from self._ctl(rec.node, "ctl_open_gate")
+        sourced = [rec for shard_id in sources
+                   for rec in self._source_records(shard_id)]
+
+        def cutover(drained) -> Generator:
+            rounds = 0
+            while True:
+                pending = yield from self._sweep_pass(
+                    old_map, ring_new, shards_new, sources,
+                    reconcile_removes=True)
+                if pending == 0:
+                    break
+                rounds += 1
+                yield self.sim.timeout(
+                    self.retry_policy.backoff(min(rounds - 1, 6)))
+            # 4. New epoch: guards first (under closed gates), then the map.
+            new_map = ShardMap(epoch=mgr.epoch + 1, ring=ring_new,
+                               shards=dict(shards_new))
+            for shard_id in sorted(new_map.shards):
+                yield from self._install_guard(new_map, shard_id)
+            if retiring is not None:
+                # The retiring shard keeps a guard too, so any straggler
+                # request is redirected rather than served from dying
+                # state.
+                yield from self._install_guard(
+                    new_map, retiring,
+                    records=self._source_records(retiring))
+            mgr.commit(new_map)
+            # 5. Clear the dual-write window and drop ceded ranges.
+            for rec in handoffs:
+                yield from self._ctl(rec.node, "ctl_set_handoff",
+                                     {"handoff": None})
+            for shard_id in sources:
+                if shard_id == retiring:
+                    continue   # about to be stopped wholesale
+                for rec in self._source_records(shard_id):
+                    yield from self._ctl(rec.node, "ctl_purge_misowned")
+        yield from gated(self._ctl, sourced, sourced, cutover)
         self._h_duration.observe(self.sim.now - started)
 
     def _install_guard(self, shard_map: ShardMap, shard_id: str,
@@ -237,17 +230,14 @@ class Rebalancer:
         except TRANSIENT_ERRORS:
             return len(to_dest) or 1
         theirs = dest_digest["keys"]
-        stale = []
-        for key, (version, modified) in to_dest.items():
-            their_version, their_modified = theirs.get(key, (0, -1.0))
-            if (their_modified, their_version) < (modified, version):
-                stale.append(key)
+        stale = [key for key, ours in to_dest.items()
+                 if behind(theirs.get(key), ours)]
         failed = 0
         if stale:
             try:
                 result = yield from self.node.invoke(
                     src_rec.node, "ctl_migrate_keys",
-                    {"keys": sorted(stale), "dest": (dest_node,),
+                    {"keys": sorted(stale), "dest": dest_node,
                      "batch_bytes": self.manager.spec.batch_bytes})
             except TRANSIENT_ERRORS:
                 return len(stale)

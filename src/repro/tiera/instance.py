@@ -23,7 +23,8 @@ from repro.obs.api import get_obs
 from repro.sim.kernel import Simulator
 from repro.sim.primitives import Gate, Loop
 from repro.sim.rpc import Message, RpcNode, split_batches
-from repro.storage.backend import ObjectMissingError, StorageBackend
+from repro.storage.backend import (ObjectMissingError, StorageBackend,
+                                   StorageError)
 from repro.storage.factory import make_tier
 from repro.tiera import transforms
 from repro.tiera.local_protocol import LocalOnlyProtocol
@@ -154,12 +155,26 @@ class TieraInstance:
             loop.start()
 
     def stop(self) -> None:
+        """End this instance (its server's ``stop_instance``): the loops
+        stop and the protocol, with its queue and repairer, is swapped for
+        a local one, so a late request starts nothing."""
         for loop in self.loops:
             loop.stop()
+        self._set_protocol(LocalOnlyProtocol())
+
+    def _set_protocol(self, protocol):
+        """Swap in ``protocol``; returns the detached one."""
+        old = self.protocol
+        old.detach(self)
+        self.protocol = protocol
+        protocol.attach(self)
+        return old
 
     def on_host_crash(self) -> None:
-        """Volatile tiers lose their contents; background work stops."""
-        self.stop()
+        """Volatile tiers lose their contents; the loops stop (a recovered
+        server restarts them); the protocol stays."""
+        for loop in self.loops:
+            loop.stop()
         for backend in self.tiers.values():
             if backend.profile.volatile:
                 backend.wipe()
@@ -425,14 +440,45 @@ class TieraInstance:
                                   last_modified=last_modified)
         return {"applied": True}
 
-    def replica_args(self, key: str, version: int) -> Generator:
-        """``replica_update`` args for a local version — the payload shape
-        every push path (anti-entropy repair, shard migration) ships."""
+    def replica_args(self, key: str,
+                     version: Optional[int] = None) -> Generator:
+        """``replica_update`` args for a local version (the latest by
+        default) — the payload shape every push path ships."""
         data, meta, _ = yield from self.read_version(key, version,
                                                      run_rules=False)
         return {"key": key, "version": meta.version,
                 "last_modified": meta.last_modified,
                 "origin": meta.origin or self.instance_id, "data": data}
+
+    def push_latest(self, node: RpcNode, keys: Iterable[str],
+                    batch_bytes: float) -> Generator:
+        """Anti-entropy's and migration's push: read the latest version of
+        each key, then ship them as ``replica_update`` batches of at most
+        ``batch_bytes`` (0: one key each).  Returns ``(landed, failed,
+        answered batches)``; a key with no version here is in neither."""
+        landed, failed = [], []
+        payload: list[tuple[str, dict, int]] = []
+        for key in keys:
+            try:
+                args = yield from self.replica_args(key)
+            except ObjectMissingError:
+                continue    # removed or GC'd since: nothing left to push
+            except StorageError:
+                failed.append(key)
+                continue
+            payload.append(("replica_update", args, len(args["data"]) + 512))
+        answered = 0
+        for entries in split_batches(payload, batch_bytes):
+            call = self.node.call_batch(node, entries)
+            call.defuse()
+            try:
+                results = yield call
+                answered += 1
+            except NetworkError:
+                results = [{}] * len(entries)   # the whole batch is lost
+            for (_method, args, _size), res in zip(entries, results):
+                (landed if res.get("ok") else failed).append(args["key"])
+        return landed, failed, answered
 
     # ------------------------------------------------------------------
     # keyspace partitioning (repro.shard)
@@ -660,8 +706,12 @@ class TieraInstance:
         self._shard_check(key)
         record = self._record_or_raise(key)
         self._meta_or_raise(record, version)
-        yield from self.purge_version(key, version)
-        yield from self.local_put(key, msg.args["data"], version=version)
+        self.inflight += 1
+        try:
+            yield from self.purge_version(key, version)
+            yield from self.local_put(key, msg.args["data"], version=version)
+        finally:
+            self.inflight -= 1
         self._forward_handoff(key, version)
         return {"version": version, "updated": True}
 
@@ -670,7 +720,11 @@ class TieraInstance:
         yield from self.gate.passage()
         key, version = msg.args["key"], msg.args.get("version")
         self._shard_check(key)
-        result = yield from self.protocol.on_remove(self, key, version)
+        self.inflight += 1
+        try:
+            result = yield from self.protocol.on_remove(self, key, version)
+        finally:
+            self.inflight -= 1
         self._forward_handoff(key, version, remove=True)
         return result
 
@@ -863,10 +917,7 @@ class TieraInstance:
 
     def rpc_ctl_set_protocol(self, msg: Message) -> Generator:
         yield self.sim.timeout(0.0001)
-        old = self.protocol
-        old.detach(self)
-        self.protocol = msg.args["protocol"]
-        self.protocol.attach(self)
+        old = self._set_protocol(msg.args["protocol"])
         return {"protocol": self.protocol.name, "previous": old.name}
 
     def rpc_ctl_set_peers(self, msg: Message) -> Generator:
@@ -909,44 +960,14 @@ class TieraInstance:
         return {"handoff": self.shard_handoff is not None}
 
     def rpc_ctl_migrate_keys(self, msg: Message) -> Generator:
-        """Push the latest local version of each key to every destination
-        node (shard-rebalance bulk copy; bytes flow instance→instance,
-        Wiera stays off the data path) as batch RPCs of at most
-        ``batch_bytes`` payload each — 0 means one key per message.
-        Returns which keys landed; per-entry batch results keep partial
-        failure attributable to individual keys."""
-        moved, failed = [], []
-        payload: list[tuple[str, dict, int]] = []
-        for key in msg.args["keys"]:
-            record = self.meta.get_record(key)
-            meta = record.latest() if record is not None else None
-            if meta is None:
-                moved.append(key)   # nothing left to push: vacuously moved
-                continue
-            try:
-                args = yield from self.replica_args(key, meta.version)
-            except ObjectMissingError:
-                moved.append(key)
-                continue
-            payload.append(("replica_update", args, len(args["data"]) + 512))
-        undelivered: set[str] = set()
-        batches = split_batches(payload, msg.args.get("batch_bytes", 0.0))
-        for node in msg.args["dest"]:
-            for entries in batches:
-                call = self.node.call_batch(node, entries)
-                call.defuse()
-                try:
-                    results = yield call
-                except NetworkError:
-                    results = [{}] * len(entries)   # the whole batch is lost
-                for (_method, args, _size), res in zip(entries, results):
-                    if not res.get("ok"):
-                        undelivered.add(args["key"])
-        for _method, args, _size in payload:
-            (failed if args["key"] in undelivered else moved).append(
-                args["key"])
-        return {"moved": moved, "failed": failed,
-                "instance": self.instance_id}
+        """Shard-rebalance bulk copy to ``dest`` (instance to instance,
+        Wiera off the data path); a key with nothing left here is moved."""
+        keys = msg.args["keys"]
+        _landed, failed, _ = yield from self.push_latest(
+            msg.args["dest"], keys, msg.args.get("batch_bytes", 0.0))
+        lost = set(failed)
+        return {"moved": [key for key in keys if key not in lost],
+                "failed": failed, "instance": self.instance_id}
 
     def rpc_ctl_purge_misowned(self, msg: Message) -> Generator:
         """Drop local copies of keys the (new) shard guard assigns

@@ -16,6 +16,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+def behind(theirs: Optional[tuple[int, float]],
+           ours: tuple[int, float]) -> bool:
+    """Whether a peer's digest entry ``theirs`` (``(version,
+    last_modified)``, None if absent) loses last-write-wins to ``ours``:
+    the one push test of anti-entropy repair and the shard rebalancer."""
+    their_version, their_modified = theirs or (0, -1.0)
+    return (their_modified, their_version) < (ours[1], ours[0])
+
+
 def storage_key(key: str, version: int) -> str:
     """The key under which one version's bytes live inside a tier."""
     return f"{key}#v{version}"

@@ -219,7 +219,7 @@ class TestBatchedMigration:
             result = yield east.node.call(
                 east.node, "ctl_migrate_keys",
                 {"keys": [f"k{i}" for i in range(5)],
-                 "dest": (west.node,),
+                 "dest": west.node,
                  # two entries (~612 B each) per batch -> 3 batches
                  "batch_bytes": 1300.0})
             return result
@@ -243,7 +243,7 @@ class TestBatchedMigration:
             result = yield east.node.call(
                 east.node, "ctl_migrate_keys",
                 {"keys": [f"k{i}" for i in range(3)],
-                 "dest": (west.node,), "batch_bytes": 1e6})
+                 "dest": west.node, "batch_bytes": 1e6})
             return result
         result = dep.drive(go())
         assert result["moved"] == []
@@ -265,7 +265,7 @@ class TestBatchedMigration:
         def migrate(which):
             result = yield east.node.call(
                 east.node, "ctl_migrate_keys",
-                {"keys": which, "dest": (west.node,)})   # no bound given
+                {"keys": which, "dest": west.node})   # no bound given
             return result
         before = dep.metric_total("net.messages")
         result = dep.drive(migrate(keys))

@@ -155,10 +155,12 @@ def _put(dep, client, count: int, size: int = 1024) -> None:
     dep.drive(writes())
 
 
-def _calling(census, sim, component, stop, name: str,
+def _calling(census, sim, component, stop, name,
              method: Optional[str] = None) -> World:
-    """A component whose round is an RPC: busy while one is in flight."""
-    names = frozenset({name})
+    """A component whose round is an RPC: busy while one is in flight.
+    ``name`` names its process, or is the set of names of its
+    processes."""
+    names = frozenset({name} if isinstance(name, str) else name)
     return World(sim, component, stop, names,
                  busy=lambda: census.in_flight(names, method))
 
@@ -246,6 +248,31 @@ def autoscaler(census):
     world = _calling(census, dep.sim, scaler, scaler.stop, "autoscaler:w")
     world.effects = lambda: len(scaler.decisions)
     return world
+
+
+def wiera_instance(census):
+    """``stopInstances`` on two namespaces: an eventual one, whose
+    instances each run a replication queue and an anti-entropy repairer,
+    and an EC(2,1) one, whose instances each run a fragment repairer."""
+    sites = (US_EAST, US_WEST, EU_WEST)
+    dep = build_deployment(list(sites), seed=5)
+    names = set()
+    for ns, kw in (("w", {"repair_interval": 2.0}),
+                   ("ec", {"redundancy": RedundancySpec(
+                       k=2, m=1, repair_interval=2.0)})):
+        instances = dep.start_wiera_instance(ns, GlobalPolicySpec(
+            name=ns, consistency="eventual", queue_interval=2.0,
+            placements=tuple(RegionPlacement(r, memory_only_policy())
+                             for r in sites), **kw))
+        _put(dep, dep.add_client(US_EAST, instances=instances), 4)
+        for iid in dep.tim(ns).instances:
+            names |= {f"replq:{iid}", f"repair:{iid}", f"ec-repair:{iid}",
+                      *(f"ec-repair-w{i}:{iid}" for i in range(2))}
+
+    def stop():
+        for ns in ("w", "ec"):
+            dep.drive(dep.wiera.stop_instances(ns))
+    return _calling(census, dep.sim, dep.wiera, stop, names)
 
 
 def client_cohort(census):
@@ -360,7 +387,8 @@ def ycsb_client(census):
 
 
 WORLDS = [tiera_instance, replication_queue, anti_entropy_repairer,
-          ec_repairer, autoscaler, client_cohort, fault_schedule,
+          ec_repairer, autoscaler, wiera_instance, client_cohort,
+          fault_schedule,
           tsm_heartbeats, latency_monitor, requests_monitor,
           cold_data_coordinator, load_balancer, workload_monitor,
           ycsb_client]
@@ -379,9 +407,10 @@ LOOPS = {
     "WorkloadMonitor": workload_monitor,
 }
 
-#: the worlds that run on a fixed interval: every Loop, and the replication
-#: queue (a timer it races against an early-flush kick)
-PERIODIC = {*LOOPS.values(), replication_queue}
+#: the worlds that run on a fixed interval: every Loop, the replication
+#: queue (a timer it races against an early-flush kick), and the queues and
+#: repairers of a Wiera instance
+PERIODIC = {*LOOPS.values(), replication_queue, wiera_instance}
 
 #: sim-seconds a stopped component is watched for: several of its rounds
 HORIZON = 30.0
