@@ -39,8 +39,12 @@ process.
 * **What still waits** — the manifest wave, one entry per peer, leaves
   only once every fragment call is back and at least ``min(n, k + 1)``
   fragments landed (enough to read the object and survive one more
-  fault).  A manifest therefore never names fragments that are not in
-  place yet; that is why it stays a second wave.
+  fault), so a manifest never names fragments that are not in place.
+  The put acks once every fragment holder has it; the other pushes
+  settle behind the ack, and the coordinator's next put or remove of the
+  key waits for them.  So a get at a holder after the ack sees the acked
+  version or newer; one elsewhere may see the previous version until its
+  push lands (or, if the holders purged that, installs a holder's).
 
 Every wait on a call catches what that call can raise and nothing else:
 :class:`~repro.net.network.NetworkError` for a fragment or manifest
@@ -115,6 +119,9 @@ class ECProtocol(GlobalProtocol):
         self._overrides: dict[str, tuple[int, int]] = {
             prefix: (k, m) for prefix, k, m in spec.overrides}
         self._metrics = None
+        #: (coordinator id, key) -> the process settling a put's manifest
+        #: pushes to non-holders after its ack; dropped once settled
+        self._unsettled: dict[tuple[str, str], object] = {}
 
     # -- schemes ----------------------------------------------------------
     def scheme_for(self, key: str) -> tuple[int, int]:
@@ -178,7 +185,33 @@ class ECProtocol(GlobalProtocol):
             result = yield from self._put(instance, key, data, tags)
         return result
 
+    @staticmethod
+    def _landed(call) -> Generator:
+        """Whether the one entry of a ``replica_update`` batch landed."""
+        try:
+            return (yield call)[0].get("ok")
+        except NetworkError:
+            return False
+
+    def _after_unsettled(self, instance, key: str) -> Generator:
+        pending = self._unsettled.get((instance.instance_id, key))
+        if pending is not None:
+            yield pending
+
+    def _settle(self, calls) -> Generator:
+        for call in calls:
+            if not (yield from self._landed(call)):
+                self._count("manifest_push_failures")
+
+    def _settle_behind(self, sim, pkey, prior, calls) -> Generator:
+        if prior is not None:
+            yield prior
+        yield from self._settle(calls)
+        if self._unsettled[pkey] is sim.active_process:
+            del self._unsettled[pkey]
+
     def _put(self, instance, key: str, data: bytes, tags) -> Generator:
+        yield from self._after_unsettled(instance, key)
         k, m = self.scheme_for(key)
         n = k + m
         ring = self.ring(instance)
@@ -231,11 +264,7 @@ class ECProtocol(GlobalProtocol):
         landed = {0}
         failed: list[int] = []
         for idx, call in wave:
-            try:
-                entry = (yield call)[0]
-            except NetworkError:
-                entry = {}
-            if entry.get("ok"):
+            if (yield from self._landed(call)):
                 landed.add(idx)
             else:
                 failed.append(idx)
@@ -245,11 +274,7 @@ class ECProtocol(GlobalProtocol):
         for idx in list(failed):
             while spares:
                 iid, peer = spares.popleft()
-                try:
-                    entry = (yield send(idx, peer))[0]
-                except NetworkError:
-                    entry = {}
-                if entry.get("ok"):
+                if (yield from self._landed(send(idx, peer))):
                     frag_map[idx] = iid
                     landed.add(idx)
                     failed.remove(idx)
@@ -275,25 +300,26 @@ class ECProtocol(GlobalProtocol):
                                           last_modified=lm)
             self._count("degraded_writes")
 
-        # Every peer gets the manifest — that is what lets any instance
-        # coordinate a read.  Push failures are tolerated: the get-path
-        # fallback and the repairer re-establish missing manifests.
+        # Every peer gets the manifest, so any instance can coordinate a
+        # read; the put acks once the fragment holders have it.  Push
+        # failures are tolerated: the get-path fallbacks and the repairer
+        # re-establish missing manifests.
         margs = {"key": key, "version": version, "last_modified": lm,
                  "origin": instance.instance_id, "data": manifest}
-        mcalls = []
+        holders = set(frag_map.values())
+        waited, behind = [], []
         for iid, peer in ring[1:]:
             call = instance.node.call_batch(
                 peer.node,
                 [("replica_update", margs, len(manifest) + 512)])
             call.defuse()
-            mcalls.append(call)
-        for call in mcalls:
-            try:
-                entry = (yield call)[0]
-            except NetworkError:
-                entry = {}
-            if not entry.get("ok"):
-                self._count("manifest_push_failures")
+            (waited if iid in holders else behind).append(call)
+        if behind:
+            pkey = (instance.instance_id, key)
+            prior = self._unsettled.get(pkey)
+            self._unsettled[pkey] = instance.sim.process(
+                self._settle_behind(instance.sim, pkey, prior, behind))
+        yield from self._settle(waited)
 
         self._count("puts")
         self._count("fragments_written", len(landed))
@@ -333,6 +359,16 @@ class ECProtocol(GlobalProtocol):
         n = k + m
         collected, _, degraded = yield from self.gather_fragments(
             instance, key, mversion, k, size, list(manifest["frags"].items()))
+        if len(collected) < k and version is None:
+            # A stale manifest (its push has not landed here, and the
+            # holders have purged its version): install a holder's, once.
+            try:
+                _, fresh, _ = yield from self._manifest_fallback(
+                    instance, key, None, manifest["frags"].values())
+            except ObjectMissingError:
+                fresh = mversion
+            if fresh > mversion:
+                return (yield from self._get(instance, key, fresh))
         if len(collected) < k:
             raise ProtocolError(
                 f"EC get of {key!r} v{mversion}: only {len(collected)} of "
@@ -344,11 +380,14 @@ class ECProtocol(GlobalProtocol):
         return {"data": value, "version": mversion, "latest_local": latest,
                 "degraded": degraded}
 
-    def _manifest_fallback(self, instance, key: str,
-                           version: Optional[int]) -> Generator:
+    def _manifest_fallback(self, instance, key: str, version: Optional[int],
+                           holders=None) -> Generator:
+        """Install the nearest answering peer's (of ``holders``) manifest."""
         self._count("manifest_fallbacks")
         last_error = None
         for iid, peer in self.ring(instance)[1:]:
+            if holders is not None and iid not in holders:
+                continue
             try:
                 res = yield from instance.node.invoke(
                     peer.node, "peer_get", {"key": key, "version": version})
@@ -518,6 +557,7 @@ class ECProtocol(GlobalProtocol):
     def on_remove(self, instance, key: str,
                   version: Optional[int] = None,
                   src: str = "app") -> Generator:
+        yield from self._after_unsettled(instance, key)
         frag_keys: set[str] = set()
         record = instance.meta.get_record(key)
         if record is not None:

@@ -1,5 +1,7 @@
 """Integration tests for the erasure-coded redundancy plane (repro.ec)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (GlobalPolicySpec, RedundancySpec, RegionPlacement,
@@ -299,7 +301,8 @@ class Wave:
     none) coordinated from us-east/aws, with every RPC logged as
     ``{start, end, dst, method, key, ok}`` in launch order."""
 
-    def __init__(self, monkeypatch, written: bool = True):
+    def __init__(self, monkeypatch, written: bool = True,
+                 keep_versions=None):
         self.dep = dep = build_deployment(
             list(REGIONS), seed=17,
             providers={US_EAST: ("aws", "gcp"), US_WEST: ("aws", "gcp"),
@@ -307,7 +310,9 @@ class Wave:
         spec = GlobalPolicySpec(
             name="ec",
             placements=tuple(
-                RegionPlacement(region, disk_only_policy(profile="s3"),
+                RegionPlacement(region,
+                                replace(disk_only_policy(profile="s3"),
+                                        keep_versions=keep_versions),
                                 provider=provider)
                 for region, provider in WAVE_SITES),
             consistency="eventual",
@@ -394,6 +399,30 @@ class Wave:
 @pytest.fixture
 def wave(monkeypatch):
     return Wave(monkeypatch)
+
+
+#: the ring slot of the one site that holds no fragment of a clean put
+SPARE = WAVE_N
+NEW_VALUE = WAVE_VALUE[::-1]
+
+
+def held_back_put(wave):
+    """Put NEW_VALUE under "obj" with the spare's manifest push held back
+    0.5 s, and run to the ack.  Nothing else is sent to or from the spare
+    during a put, so a delay on its host for the put's first 0.2 s (after
+    the manifest wave leaves, before the ack) delays that push alone.
+    Returns the put's result and the push's log row."""
+    sim = wave.dep.sim
+    sim.run(until=sim.now + 1.0)             # earlier puts have settled
+    start = sim.now
+    wave.dep.network.inject_host_delay(
+        wave.instance(wave.ring[SPARE]).host, 0.5, duration=0.2)
+    res = sim.run(until=sim.process(wave.protocol.on_put(
+        wave.coordinator, "obj", NEW_VALUE)))
+    push = [row for row in wave.calls("replica_update", fragments=False)
+            if row["dst"] == wave.node_name(SPARE)][-1]
+    assert push["start"] < start + 0.2 < sim.now and push["end"] is None
+    return res, push
 
 
 class TestReadWave:
@@ -522,17 +551,93 @@ class TestWriteWave:
             enumerate(wave.ring[:WAVE_N]))
 
         # fragments before manifests: the manifest wave leaves, to every
-        # peer, only once every fragment call is back
+        # peer at one instant, only once every fragment call is back
         manifests = wave.calls("replica_update", fragments=False)
         assert len(manifests) == len(WAVE_SITES) - 1
         t_wave = max(row["end"] for row in frags) - start
         m_start = {row["start"] for row in manifests}
         assert m_start == {start + max(t_wave, t_manifest + t_fragment)}
-        t_mwave = max(row["end"] for row in manifests) - min(m_start)
+        # the put acks once the holders have it, not the spare
+        holders = {wave.node_name(slot) for slot in range(1, WAVE_N)}
+        to_holders = [row for row in manifests if row["dst"] in holders]
+        behind = [row for row in manifests if row["dst"] not in holders]
+        assert ([row["dst"] for row in behind]
+                == [wave.node_name(SPARE)])
+        t_mwave = max(row["end"] for row in to_holders) - min(m_start)
         assert t_manifest + t_fragment > 0.1 and t_wave > 0.1
         assert latency < t_manifest + t_fragment + t_wave + t_mwave - 0.1
         assert latency == pytest.approx(
             max(t_manifest + t_fragment, t_wave) + t_mwave, abs=TOL)
+        # the spare's push lands after the ack, and lands
+        assert behind[0]["end"] is None
+        sim.run(until=sim.now + 1.0)
+        assert behind[0]["ok"] and behind[0]["end"] > start + latency + 0.05
+        assert wave.manifest_at(wave.ring[SPARE]) == wave.manifest_at(
+            wave.ring[0])
+        assert wave.dep.metric_total("ec.manifest_push_failures") == 0
+
+    def test_a_get_at_a_non_holder_inside_the_window_reads_the_last_version(
+            self, wave):
+        held_back_put(wave)
+        spare = wave.instance(wave.ring[SPARE])
+        res = wave.dep.drive(wave.protocol.on_get(spare, "obj"))
+        assert (res["version"], res["data"]) == (1, WAVE_VALUE)
+        wave.dep.sim.run(until=wave.dep.sim.now + 1.0)
+        res = wave.dep.drive(wave.protocol.on_get(spare, "obj"))
+        assert (res["version"], res["data"]) == (2, NEW_VALUE)
+
+    def test_an_overwrite_at_the_ack_waits_for_the_non_holder_push(
+            self, wave):
+        """Versions alone would order the two manifests at the spare; the
+        check is that the overwrite does not leave before the push."""
+        _, push = held_back_put(wave)
+        del wave.log[:]
+        res = wave.dep.drive(wave.protocol.on_put(wave.coordinator, "obj",
+                                                  WAVE_VALUE))
+        assert res["version"] == 3
+        frags = wave.calls("replica_update", fragments=True)
+        assert push["ok"] and min(row["start"] for row in frags) == push["end"]
+        wave.dep.sim.run(until=wave.dep.sim.now + 1.0)
+        spare = wave.instance(wave.ring[SPARE])
+        assert spare.meta.get_record("obj").latest_version == 3
+        res = wave.dep.drive(wave.protocol.on_get(spare, "obj"))
+        assert (res["version"], res["data"]) == (3, WAVE_VALUE)
+
+    def test_a_remove_at_the_ack_is_not_overtaken_by_the_non_holder_push(
+            self, wave):
+        """Unordered, the remove reaches the spare before the held-back
+        manifest, which then resurrects the removed key there."""
+        held_back_put(wave)
+        wave.dep.drive(wave.protocol.on_remove(wave.coordinator, "obj"))
+        wave.dep.sim.run(until=wave.dep.sim.now + 1.0)
+        for iid in wave.ring:
+            assert wave.instance(iid).meta.get_record("obj") is None, iid
+        assert wave.protocol._unsettled == {}
+
+    def test_a_non_holder_push_failing_after_the_ack_is_counted(self, wave):
+        _, push = held_back_put(wave)
+        assert wave.dep.metric_total("ec.manifest_push_failures") == 0
+        wave.crash(SPARE)
+        wave.dep.sim.run(until=wave.dep.sim.now + 1.0)
+        assert push["end"] is not None and not push["ok"]
+        assert wave.dep.metric_total("ec.manifest_push_failures") == 1
+        assert wave.protocol._unsettled == {}
+
+    def test_a_coordinator_crash_at_the_ack_leaves_every_holder_readable(
+            self, wave):
+        """Every holder has the manifest at the ack, so a get there — all
+        launched at once, before a push still on its way could land —
+        returns the acked value."""
+        sim = wave.dep.sim
+        sim.run(until=sim.now + 1.0)
+        res = sim.run(until=sim.process(wave.protocol.on_put(
+            wave.coordinator, "obj", NEW_VALUE)))
+        wave.crash(0)
+        gets = [sim.process(wave.protocol.on_get(wave.instance(iid), "obj"))
+                for iid in wave.ring[1:WAVE_N]]
+        sim.run(until=sim.all_of(gets))
+        assert [(get.value["version"], get.value["data"]) for get in gets] \
+            == [(res["version"], NEW_VALUE)] * (WAVE_N - 1)
 
     def test_holder_down_at_send_time_is_replaced_inside_the_wave(
             self, monkeypatch):
@@ -617,6 +722,49 @@ class TestWriteWave:
         assert not wave.calls("replica_update", fragments=False)
         assert wave.dep.metric_total("ec.puts") == 0
         assert wave.dep.metric_total("ec.degraded_writes") == 0
+
+
+class TestStaleManifest:
+    """The holders keep one version, so a put purges the old fragments as
+    it lands; the spare's manifest still names them while its push has
+    not arrived: missed (a partition during the put) or still on its way."""
+
+    @pytest.mark.parametrize("push", ["missed", "in-flight"])
+    def test_get_at_a_non_holder_reads_a_holders_manifest_once(
+            self, monkeypatch, push):
+        wave = Wave(monkeypatch, keep_versions=1)
+        dep, sim = wave.dep, wave.dep.sim
+        if push == "missed":
+            sim.run(until=sim.now + 1.0)
+            dep.network.partition(US_EAST, ASIA_EAST)
+            dep.drive(wave.protocol.on_put(wave.coordinator, "obj",
+                                           NEW_VALUE))
+            dep.network.heal_partition(US_EAST, ASIA_EAST)
+            assert dep.metric_total("ec.manifest_push_failures") == 1
+        else:
+            held_back_put(wave)
+        spare = wave.instance(wave.ring[SPARE])
+        assert spare.meta.get_record("obj").latest_version == 1
+        del wave.log[:]
+
+        res = dep.drive(wave.protocol.on_get(spare, "obj"))
+        assert (res["version"], res["data"]) == (2, NEW_VALUE)
+        # one fallback, to the nearest holder the stale manifest names
+        fetched = wave.calls("peer_get", fragments=False)
+        assert ([row["dst"] for row in fetched]
+                == [wave.instance(wave.protocol.ring(spare)[1][0]).node.name])
+        assert dep.metric_total("ec.manifest_fallbacks") == 1
+        assert spare.meta.get_record("obj").latest_version == 2
+
+    def test_a_manifest_no_holder_can_improve_on_still_raises(
+            self, monkeypatch):
+        """Fewer than k fragments of the latest version and the holders'
+        manifest is the same: one fallback, then the error."""
+        wave = Wave(monkeypatch)
+        wave.crash(1, 2, 3)
+        with pytest.raises(ProtocolError, match="only 2 of 3"):
+            wave.get()
+        assert wave.dep.metric_total("ec.manifest_fallbacks") == 1
 
 
 class TestOptimizer:

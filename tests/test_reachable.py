@@ -35,11 +35,14 @@ KEPT = {
     "outstanding_failures":
         "ReplicationQueue's divergence count: entries left to repair",
     "held_keys":
-        "ROADMAP 3(d): the lock-leak checks read the lock holders",
+        "LockService: the keys whose lock has a holder, which the "
+        "lock-leak checks read",
     "latency_spike":
-        "FaultSchedule vocabulary the history fuzzer (ROADMAP 2) composes",
+        "FaultSchedule vocabulary: a latency fault, beside crash and "
+        "partition, for fault schedules that tests compose",
     "active":
-        "FaultSchedule vocabulary the history fuzzer (ROADMAP 2) composes",
+        "FaultSchedule: whether a started schedule is still injecting, "
+        "for fault schedules that tests compose",
 }
 
 
