@@ -9,13 +9,14 @@ Two measurements, two CI gates (``--quick --check``):
   realized offered rate lands within MAX_OFFERED_ERROR of the configured
   arrival rate, and the engine's bookkeeping stays cheap —
   <= MAX_EVENTS_PER_OFFERED_OP kernel events per offered operation.
-* **scaleout** — the same offered-load sweep
-  ``bench_shard_scaleout.py`` runs, reduced to its headline: at the
-  saturating offered level, achieved throughput at 8 shards must be
-  >= MIN_SCALEOUT_RATIO x the 1-shard figure.  This is the curve the
-  closed-loop driver could never bend (it idled at ~52 ops/s regardless
-  of shard count); the open-loop engine saturates per-host egress, so
-  added shards on added hosts show up as added capacity.
+* **scaleout** — an offered-load sweep over 1/2/4/8 shards (1 and 8 in
+  ``--quick``), one :func:`repro.bench.openloop.run_scaleout_cell` per
+  row; its gate is the headline: at the saturating offered level,
+  achieved throughput at 8 shards must be >= MIN_SCALEOUT_RATIO x the
+  1-shard figure.  This is the curve the closed-loop driver could never
+  bend (it idled at ~52 ops/s regardless of shard count); the open-loop
+  engine saturates per-host egress, so added shards on added hosts show
+  up as added capacity.
 
 Output goes to ``results/BENCH_load_engine.json``.  Run as a script
 (``--quick`` shrinks the run for CI smoke) or via pytest-benchmark.

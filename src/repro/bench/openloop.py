@@ -1,20 +1,19 @@
-"""Shared open-loop scale-out measurement cell.
+"""Open-loop scale-out measurement cell.
 
-Both ``benchmarks/bench_shard_scaleout.py`` and
-``benchmarks/bench_load_engine.py`` measure the same thing — what a
-sharded deployment *absorbs* under a configured offered load — so the
-cell lives here: build a deployment with one Tiera host per shard per
-region (``servers_per_region=shards``, so shards get real capacity
-instead of stacking on one egress link), preload the record space in
+``benchmarks/bench_load_engine.py`` measures what a sharded deployment
+*absorbs* under a configured offered load, one cell per row: build a
+deployment with one Tiera host per shard per region
+(``servers_per_region=shards``, so shards get real capacity instead of
+stacking on one egress link), preload the record space in
 zero sim-time, drive it with one open-loop cohort per region, and report
 offered vs achieved rate with typed errors and tail latencies.
 
 The cell uses eventual consistency and a uniform read-mostly workload:
 reads are served by the local replica of the owning shard, so the
 binding resource is per-host egress bandwidth and capacity genuinely
-grows with the shard count — the property the scale-out benchmarks
-gate on.  (Closed-loop results against multi-primaries measured lock
-acquisition instead, which no amount of sharding helps.)
+grows with the shard count — the property the scale-out gate checks.
+(Closed-loop results against multi-primaries measured lock acquisition
+instead, which no amount of sharding helps.)
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Applications "connect to the closest instance (placed at the head of the
 list)" (§4.1 step 8) and fall back to the next-closest when an instance is
 unreachable (§4.4).  The client exposes the full object-versioning API of
-Table 2 and books every op in its op history (:mod:`repro.obs.history`):
-app-perceived latency, the quantity every latency figure reports, and
-outcome.
+Table 2 and books every op once, in its op history
+(:mod:`repro.obs.history`): app-perceived latency, the quantity every
+latency figure and cohort percentile reports, and outcome.  No metric
+holds a second copy of a client op's latency.
 
 Failover now covers the full transient-error surface: alongside network
 errors, a request that times out (``request_timeout``) or dies inside the
@@ -72,14 +73,7 @@ class WieraClient:
         self.retry_policy = retry_policy
         self._rng = rng
         self.history = OpHistory()
-        self._obs = get_obs(sim)
-        metrics = self._obs.metrics
-        self.op_latency = {
-            "put": metrics.histogram("client.op_latency",
-                                     client=self.node.name, op="put"),
-            "get": metrics.histogram("client.op_latency",
-                                     client=self.node.name, op="get"),
-        }
+        metrics = get_obs(sim).metrics
         self._failover_counter = metrics.counter("client.failovers",
                                                  client=self.node.name)
         self._retry_counter = metrics.counter("client.retries",
@@ -181,10 +175,7 @@ class WieraClient:
         end = self.sim.now
         self.history.book(method, args["key"], result.get("version"),
                           start, end)
-        hist = self.op_latency.get(method)
-        if hist is not None:
-            hist.observe(end - start)
-            result["latency"] = end - start
+        result["latency"] = end - start
         return result
 
     def put(self, key: str, data: bytes, tags=()) -> Generator:

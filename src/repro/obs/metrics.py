@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterator, Optional
 
-from repro.util.stats import OnlineStats, percentile, percentile_sorted
+from repro.util.stats import OnlineStats, percentile_sorted
 
 LabelKey = tuple[tuple[str, Any], ...]
 
@@ -98,9 +98,6 @@ class Histogram:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def values(self) -> list[float]:
-        return [v for _, v in self._ring]
-
     def values_since(self, t: float) -> list[float]:
         """Samples observed at sim-time >= ``t`` (within the ring)."""
         return [v for ts, v in self._ring if ts >= t]
@@ -108,10 +105,6 @@ class Histogram:
     def max_since(self, t: float) -> Optional[float]:
         recent = self.values_since(t)
         return max(recent) if recent else None
-
-    def percentile(self, q: float) -> float:
-        vals = self.values()
-        return percentile(vals, q) if vals else 0.0
 
     def snapshot(self) -> dict[str, float]:
         # One sort shared by all three quantiles (the ring holds up to

@@ -16,7 +16,7 @@ from repro.load import (
     flash_crowd_rate,
     modeled_users_rate,
 )
-from repro.load.cohort import ClientCohort
+from repro.load.cohort import ClientCohort, latency_block
 from repro.load.scenarios import (
     SCENARIOS,
     diurnal,
@@ -24,10 +24,10 @@ from repro.load.scenarios import (
     flash_crowd,
     hotspot_shift,
 )
-from repro.obs.api import get_obs
 from repro.obs.history import OpHistory
 from repro.sim.kernel import Simulator
 from repro.util.rng import RngRegistry, exponential_interarrival
+from repro.util.stats import percentile_sorted
 from repro.workloads.clients import GeoClientPopulation
 from repro.workloads.ycsb import YcsbWorkload
 
@@ -186,35 +186,33 @@ class OffsetArrivals(ArrivalProcess):
 # -- cohorts against a fake store --------------------------------------------
 
 class FakeStore:
-    """Minimal WieraClient stand-in: fixed service time, optional typed
-    errors, and every op booked as the real client books it."""
+    """Minimal WieraClient stand-in: a service time (seconds, or a function
+    of the call number), optional typed errors, and every op booked as the
+    real client books it."""
 
-    def __init__(self, sim, name, service_time=0.001, fail_every=0):
+    def __init__(self, sim, service_time=0.001, fail_every=0):
         self.sim = sim
         self.service_time = service_time
         self.fail_every = fail_every
         self.calls = 0
         self.history = OpHistory()
-        metrics = get_obs(sim).metrics
-        self.op_latency = {op: metrics.histogram("client.op_latency",
-                                                 client=name, op=op)
-                           for op in ("put", "get")}
 
     def _op(self, op, key):
         self.calls += 1
         start = self.sim.now
+        service_time = (self.service_time(self.calls)
+                        if callable(self.service_time) else self.service_time)
         if self.fail_every and self.calls % self.fail_every == 0:
-            yield self.sim.timeout(self.service_time / 2)
+            yield self.sim.timeout(service_time / 2)
             error = (NoInstanceAvailableError("slow store")
                      if self.calls % (2 * self.fail_every) == 0
                      else LockServiceError("lock lost"))
             self.history.book(op, key, None, start, self.sim.now,
                               type(error).__name__)
             raise error
-        yield self.sim.timeout(self.service_time)
+        yield self.sim.timeout(service_time)
         self.history.book(op, key, 1, start, self.sim.now)
-        self.op_latency[op].observe(self.sim.now - start)
-        return {"latency": self.service_time, "version": 1}
+        return {"latency": self.sim.now - start, "version": 1}
 
     def get(self, key):
         return (yield from self._op("get", key))
@@ -224,7 +222,7 @@ class FakeStore:
 
 
 def make_cohort(sim, spec, seed=0, **store_kw) -> ClientCohort:
-    store = FakeStore(sim, spec.name, **store_kw)
+    store = FakeStore(sim, **store_kw)
     rng = RngRegistry(seed).substream("load.cohort", spec.name)
     return ClientCohort(sim, store, spec, rng)
 
@@ -278,6 +276,37 @@ class TestClientCohort:
         assert set(by_type) == {"NoInstanceAvailableError",
                                 "LockServiceError"}
         assert sum(by_type.values()) == report["errors"] > 0
+
+    def test_latency_percentiles_cover_every_op(self):
+        """A cohort's latency block is computed over its client's whole
+        history, not over a bounded window of the newest samples: past
+        2 048 gets, with service times that vary per call and drift up
+        over the run, a window's quantiles would sit above these."""
+        sim = Simulator()
+        cohort = make_cohort(sim, CohortSpec(
+            name="long", region="r", users=500, rate_per_user=1.0,
+            workload=WORKLOAD),
+            service_time=lambda n: 1e-4 * (1 + n % 37) * (1 + n / 1000))
+        cohort.start()
+        sim.run(until=6.0)
+        cohort.stop()
+        sim.run()
+        block = cohort.report()["latency"]["get"]
+        latencies = cohort.client.history.latencies("get")
+        ordered = sorted(latencies)
+        assert len(latencies) > 2048
+        assert block["count"] == len(latencies)
+        assert block["min"] == ordered[0]
+        assert block["max"] == ordered[-1]
+        assert block["mean"] == pytest.approx(sum(latencies) / len(latencies),
+                                              rel=1e-12)
+        for q in (50, 95, 99):
+            assert block[f"p{q}"] == percentile_sorted(ordered, q)
+
+    def test_empty_latency_block_reads_as_zeros(self):
+        assert latency_block([]) == {
+            "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
     def test_deterministic(self):
         def one_run():
@@ -392,7 +421,7 @@ class TestClientCohort:
         assert ops.errors_by_type == {"NoInstanceAvailableError": queued}
         assert stats.peak_in_flight == 1
         # Oldest first: all drained at t=2.0, so the waits only shrink.
-        delays = cohort._h_queue_delay.values()
+        delays = cohort._h_queue_delay.values_since(0.0)
         assert len(delays) == 1 + queued
         assert delays[0] == 0.0 and delays[1] == pytest.approx(1.5)
         assert all(a > b for a, b in zip(delays[1:], delays[2:]))
