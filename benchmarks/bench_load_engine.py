@@ -157,8 +157,7 @@ def _load_existing() -> dict:
 
 def emit(result: dict, rebaseline: bool = False) -> Path:
     """Write the result, carrying the last full run's headline numbers
-    as ``baseline`` so CI quick runs don't clobber them (same idiom as
-    bench_kernel)."""
+    as ``baseline`` so CI quick runs don't clobber them."""
     existing = _load_existing()
     carried = {}
     if "baseline" in existing:

@@ -53,6 +53,7 @@ class FaultSchedule:
         self.events: list[FaultEvent] = []
         self.applied: list[tuple[float, str, tuple]] = []
         self._proc = None
+        self._timer = None   # the sleep to the next scripted fault
         self._metrics = get_obs(sim).metrics
 
     # -- schedule construction ------------------------------------------------
@@ -115,6 +116,8 @@ class FaultSchedule:
         return self
 
     def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()    # a no-op once it has fired
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("fault schedule stopped")
         self._proc = None
@@ -130,7 +133,8 @@ class FaultSchedule:
                          key=lambda pair: (pair[1].at, pair[0]))
         for _, event in ordered:
             if event.at > self.sim.now:
-                yield self.sim.timeout(event.at - self.sim.now)
+                self._timer = self.sim.timeout(event.at - self.sim.now)
+                yield self._timer
             self._apply(event)
 
     def _apply(self, event: FaultEvent) -> None:

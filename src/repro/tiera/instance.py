@@ -575,8 +575,14 @@ class TieraInstance:
             self.get_log.popleft()
 
     def gets_in_window(self, window: float) -> int:
+        """Gets over the trailing ``window`` seconds."""
         cutoff = self.sim.now - window
-        return sum(1 for t in reversed(self.get_log) if t >= cutoff)
+        count = 0
+        for t in reversed(self.get_log):
+            if t < cutoff:
+                break
+            count += 1
+        return count
 
     def requests_in_window(self, window: float) -> dict[str, int]:
         """Request counts per source over the trailing ``window`` seconds."""
@@ -625,14 +631,12 @@ class TieraInstance:
         n.register("reconstruct_fragment", self.rpc_reconstruct_fragment)
         n.register("manifest_remap", self.rpc_manifest_remap)
         n.register("peer_get", self.rpc_peer_get)
-        n.register("peer_has", self.rpc_peer_has)
         n.register("probe", self.rpc_probe)
         n.register("stats", self.rpc_stats)
         n.register("list_keys", self.rpc_list_keys)
         n.register("tier_put", self.rpc_tier_put)
         n.register("tier_get", self.rpc_tier_get)
         n.register("tier_delete", self.rpc_tier_delete)
-        n.register("tier_has", self.rpc_tier_has)
         n.register("ctl_close_gate", self.rpc_ctl_close_gate)
         n.register("ctl_open_gate", self.rpc_ctl_open_gate)
         n.register("ctl_drain", self.rpc_ctl_drain)
@@ -840,11 +844,6 @@ class TieraInstance:
                 "last_modified": meta.last_modified,
                 "origin": meta.origin}
 
-    def rpc_peer_has(self, msg: Message) -> Generator:
-        yield self.sim.timeout(METADATA_WRITE_LATENCY)
-        record = self.meta.get_record(msg.args["key"])
-        return {"latest": record.latest_version if record else 0}
-
     def rpc_probe(self, msg: Message) -> Generator:
         yield self.sim.timeout(0.00005)
         return {"t": self.sim.now, "instance": self.instance_id}
@@ -885,11 +884,6 @@ class TieraInstance:
             yield from backend.delete(skey)
             return {"deleted": True}
         return {"deleted": False}
-
-    def rpc_tier_has(self, msg: Message) -> Generator:
-        yield self.sim.timeout(METADATA_WRITE_LATENCY)
-        backend = self.tier(msg.args["tier"])
-        return {"has": msg.args["skey"] in backend}
 
     # -- control plane (driven by Wiera's Tiera Instance Manager) -----------
     def rpc_ctl_close_gate(self, msg: Message) -> Generator:

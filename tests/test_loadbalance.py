@@ -1,5 +1,9 @@
 """Tests for get-load balancing (RequestsMonitoring + forward, §3.2.3)."""
 
+from collections import deque
+from functools import lru_cache
+
+from hypothesis import given, strategies as st
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.core import LoadBalanceSpec
@@ -27,6 +31,48 @@ def seed_key(dep, instances):
     def seed():
         yield from client.put("hot", b"payload" * 64)
     dep.drive(seed())
+
+
+@lru_cache(maxsize=None)
+def _instance():
+    """One deployed instance; each example below installs its own log."""
+    dep, _ = deploy()
+    dep.sim.run(until=3600.0)
+    return dep.instance("lb", US_EAST)
+
+
+class _Walked(deque):
+    """A get log that counts the entries a reverse walk visits."""
+
+    visited = 0
+
+    def __reversed__(self):
+        for t in super().__reversed__():
+            self.visited += 1
+            yield t
+
+
+class TestGetsInWindow:
+    """The balancer reads every instance's recent gets each round; the count
+    walks back from the newest get and stops at the window's edge."""
+
+    @given(ages=st.lists(st.floats(0.0, 3600.0), max_size=200),
+           window=st.one_of(st.floats(0.0, 3600.0),
+                            st.sampled_from([0.0, 5.0, 60.0, 3600.0])))
+    def test_matches_a_full_count(self, ages, window):
+        inst = _instance()
+        now = inst.sim.now
+        inst.get_log = deque(sorted(now - age for age in ages))
+        expected = sum(1 for t in inst.get_log if t >= now - window)
+        assert inst.gets_in_window(window) == expected
+
+    def test_stops_at_the_cutoff(self):
+        inst = _instance()
+        now = inst.sim.now
+        inst.get_log = _Walked([now - 3000.0 + i * 0.1 for i in range(10_000)]
+                               + [now - 1.0, now - 0.5, now])
+        assert inst.gets_in_window(5.0) == 3
+        assert inst.get_log.visited == 4
 
 
 class TestRedirectMechanism:

@@ -10,6 +10,12 @@ registered or looked up by string).  A definition nothing reaches is
 test-only code: delete it with its tests, or keep it in :data:`KEPT` with
 the reason.
 
+An RPC handler is named twice in its ``register("m", self.rpc_m)`` line,
+so the census above counts it as reached by its own registration.  An RPC
+``"m"`` is reached only when the string ``"m"`` appears in the same places
+somewhere other than the first argument of a ``register(`` call: something
+sends it.
+
 The census goes by name, so a definition sharing its name with a reached
 one passes unnoticed; it is a floor, not a proof of use.
 """
@@ -43,6 +49,18 @@ KEPT = {
     "active":
         "FaultSchedule: whether a started schedule is still injecting, "
         "for fault schedules that tests compose",
+    "start_instances":
+        "Wiera's Table 1 RPC: an application launches a namespace's "
+        "instances from a global policy over the wire",
+    "stop_instances":
+        "Wiera's Table 1 RPC: an application stops every instance of a "
+        "namespace over the wire",
+    "get_instances":
+        "Wiera's Table 1 RPC: an application looks up a namespace's "
+        "instances over the wire",
+    "list_instances":
+        "A Tiera server's RPC listing the instances it hosts, as TSM's "
+        "view of a server (Table 1's server side)",
 }
 
 
@@ -60,12 +78,16 @@ def _definitions() -> list[tuple[str, int, str]]:
     return found
 
 
-def _names_used() -> set[str]:
+def _caller_paths() -> list[Path]:
     paths = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
     for caller in CALLERS:
         paths += (ROOT / caller).rglob("*.py")
+    return paths
+
+
+def _names_used() -> set[str]:
     used = set()
-    for path in paths:
+    for path in _caller_paths():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -79,6 +101,38 @@ def _names_used() -> set[str]:
     return used
 
 
+def _registered() -> dict[str, str]:
+    """RPC name -> ``path:line`` of every ``register("m", ...)`` in
+    ``src/``."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _is_register(node) and isinstance(node.args[0], ast.Constant):
+                found[node.args[0].value] = \
+                    f"{path.relative_to(SRC)}:{node.lineno}"
+    return found
+
+
+def _is_register(node) -> bool:
+    return (isinstance(node, ast.Call) and bool(node.args)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "register")
+
+
+def _strings_sent() -> set[str]:
+    """String constants where the census looks, leaving out the name
+    argument of every ``register(`` call."""
+    sent = set()
+    for path in _caller_paths():
+        tree = ast.parse(path.read_text(), str(path))
+        names = {id(node.args[0]) for node in ast.walk(tree)
+                 if _is_register(node)}
+        sent |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and id(node) not in names}
+    return sent
+
+
 def test_src_defines_nothing_only_tests_reach():
     used = _names_used()
     unreached = [f"{path}:{line} {name}"
@@ -89,11 +143,22 @@ def test_src_defines_nothing_only_tests_reach():
         f"perf workload (delete it, or add it to KEPT): {unreached}")
 
 
+def test_every_registered_rpc_is_sent():
+    sent = _strings_sent()
+    unsent = [f"{where} {name!r}" for name, where in _registered().items()
+              if name not in sent and name not in KEPT]
+    assert not unsent, (
+        "RPC registered in src/ but sent by no module, example, benchmark "
+        f"or perf workload (delete it, or add it to KEPT): {unsent}")
+
+
 def test_kept_entries_are_still_needed():
-    used = _names_used()
+    used, sent = _names_used(), _strings_sent()
     defined = {name for _, _, name in _definitions()}
+    registered = _registered()
     stale = sorted(name for name in KEPT
-                   if name not in defined or name in used)
+                   if not (name in defined and name not in used
+                           or name in registered and name not in sent))
     assert not stale, f"drop from KEPT (gone or now reached): {stale}"
 
 

@@ -407,10 +407,12 @@ LOOPS = {
     "WorkloadMonitor": workload_monitor,
 }
 
-#: the worlds that run on a fixed interval: every Loop, the replication
-#: queue (a timer it races against an early-flush kick), and the queues and
-#: repairers of a Wiera instance
-PERIODIC = {*LOOPS.values(), replication_queue, wiera_instance}
+#: the worlds that arm a round timer while idle: every Loop, the
+#: replication queue (a timer it races against an early-flush kick), the
+#: queues and repairers of a Wiera instance, and a fault schedule (its sleep
+#: to the next scripted fault)
+PERIODIC = {*LOOPS.values(), replication_queue, wiera_instance,
+            fault_schedule}
 
 #: sim-seconds a stopped component is watched for: several of its rounds
 HORIZON = 30.0
