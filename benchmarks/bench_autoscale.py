@@ -14,27 +14,24 @@ A dedicated verification writer (its own client, retries enabled) runs
 through the whole scenario recording acknowledged versions; every acked
 write must be durable and readable at the end, rebalances included.
 
-CI gates (``--quick --check``):
+Bounds (CI runs them quick, through ``benchmarks/gates.py autoscale``):
 
 * peak shard count >= MIN_PEAK_SCALE x the initial count (the
   controller reacted);
 * the first scale-down lands within SCALE_DOWN_WINDOW_LIMIT decision
   windows of the crowd subsiding (it also relaxes);
 * zero acked-write loss across every rebalance;
-* the autoscaled run sheds < STATIC_SHED_FRACTION of what the static
-  baseline sheds (elasticity actually absorbed the crowd).
+* the static baseline sheds (the crowd saturated one shard), and the
+  autoscaled run sheds < STATIC_SHED_FRACTION of what it sheds
+  (elasticity actually absorbed the crowd).
 
-Output goes to ``results/BENCH_autoscale.json``.  Run as a script
-(``--quick`` shrinks the run for CI smoke) or via pytest-benchmark.
+``benchmarks/gates.py`` writes the result to
+``results/BENCH_autoscale.json`` (committed from a quick run).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 from repro.bench.harness import build_deployment
 from repro.bench.openloop import preload_records, scaleout_workload
@@ -48,9 +45,6 @@ from repro.load.arrivals import flash_crowd_rate
 from repro.load.cohort import CohortSpec
 from repro.net.topology import US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-OUT_PATH = RESULTS / "BENCH_autoscale.json"
 
 REGIONS = (US_EAST, US_WEST)
 
@@ -217,6 +211,8 @@ def run(quick: bool = False) -> dict:
     p = _params(quick)
     autoscaled = _run_cell(p, autoscaled=True)
     static = _run_cell(p, autoscaled=False)
+    autoscaled["peak_scale"] = (autoscaled["peak_shards"]
+                                / autoscaled["initial_shards"])
     # A baseline that never sheds means the crowd never saturated one
     # shard — surface that as an infinite ratio so the gate fails loudly
     # instead of passing vacuously.
@@ -237,127 +233,34 @@ def run(quick: bool = False) -> dict:
     }
 
 
-def _load_existing() -> dict:
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            return {}
-    return {}
+BOUNDS = (
+    ("peak shards / initial shards", "autoscaled.peak_scale", ">=",
+     MIN_PEAK_SCALE),
+    ("decision windows from the crowd subsiding to the first scale-down",
+     "autoscaled.scale_down_windows_after_crowd", "<=",
+     SCALE_DOWN_WINDOW_LIMIT),
+    ("autoscaled lost acked writes", "autoscaled.lost_acked_writes", "==", 0),
+    ("autoscaled unreadable acked writes",
+     "autoscaled.unreadable_acked_writes", "==", 0),
+    ("static lost acked writes", "static.lost_acked_writes", "==", 0),
+    ("static unreadable acked writes", "static.unreadable_acked_writes",
+     "==", 0),
+    ("static baseline shed", "static.shed", ">", 0),
+    ("autoscaled shed / static shed", "shed_ratio_vs_static", "<",
+     STATIC_SHED_FRACTION),
+)
 
 
-def emit(result: dict, rebaseline: bool = False) -> Path:
-    """Write the result, carrying the last full run's headline numbers
-    as ``baseline`` (same idiom as the other benches)."""
-    existing = _load_existing()
-    carried = {}
-    if "baseline" in existing:
-        carried["baseline"] = existing["baseline"]
-    if rebaseline or not result["quick"] or "baseline" not in carried:
-        auto, static = result["autoscaled"], result["static"]
-        carried["baseline"] = {
-            "quick": result["quick"],
-            "peak_shards": auto["peak_shards"],
-            "final_shards": auto["final_shards"],
-            "scale_down_windows_after_crowd":
-                auto["scale_down_windows_after_crowd"],
-            "autoscaled_shed": auto["shed"],
-            "static_shed": static["shed"],
-            "shed_ratio_vs_static": result["shed_ratio_vs_static"],
-            "autoscaled_achieved": auto["achieved"],
-            "static_achieved": static["achieved"],
-        }
-    result.update(carried)
-    RESULTS.mkdir(exist_ok=True)
-    OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    return OUT_PATH
-
-
-def check_gate(result: dict) -> bool:
-    ok = True
+def summary(result: dict) -> str:
     auto, static = result["autoscaled"], result["static"]
-
-    scale = auto["peak_shards"] / auto["initial_shards"]
-    if scale < MIN_PEAK_SCALE:
-        print(f"gate: peak shards {auto['peak_shards']} only {scale:.1f}x "
-              f"initial < {MIN_PEAK_SCALE}x -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: shards scaled {auto['initial_shards']} -> "
-              f"{auto['peak_shards']} at peak ({scale:.1f}x) -> ok")
-
-    windows = auto["scale_down_windows_after_crowd"]
-    if windows is None or windows > SCALE_DOWN_WINDOW_LIMIT:
-        print(f"gate: first scale-down {windows} decision windows after "
-              f"the crowd (limit {SCALE_DOWN_WINDOW_LIMIT}) -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: scaled down {windows} decision windows after the "
-              f"crowd subsided (final {auto['final_shards']} shards) -> ok")
-
+    lines = [f"flash crowd ({CROWD_MULTIPLIER:.0f}x in {REGIONS[0]}): "
+             f"shards {auto['initial_shards']} -> {auto['peak_shards']} -> "
+             f"{auto['final_shards']}",
+             f"{'cell':>10} {'offered':>9} {'achieved':>9} {'shed':>7} "
+             f"{'acked':>6} {'lost':>5}"]
     for cell, tag in ((auto, "autoscaled"), (static, "static")):
-        if cell["lost_acked_writes"] or cell["unreadable_acked_writes"]:
-            print(f"gate: {tag}: {cell['lost_acked_writes']} lost / "
-                  f"{cell['unreadable_acked_writes']} unreadable acked "
-                  "writes -> REGRESSION")
-            ok = False
-        else:
-            print(f"gate: {tag}: {cell['acked_writes']} acked writes, "
-                  "zero lost -> ok")
-
-    ratio = result["shed_ratio_vs_static"]
-    if static["shed"] == 0:
-        print("gate: static baseline shed nothing — the crowd never "
-              "saturated one shard, the comparison is vacuous "
-              "-> REGRESSION")
-        ok = False
-    elif ratio >= STATIC_SHED_FRACTION:
-        print(f"gate: autoscaled shed {auto['shed']} is {ratio:.0%} of "
-              f"static {static['shed']} >= {STATIC_SHED_FRACTION:.0%} "
-              "-> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: autoscaled shed {auto['shed']} vs static "
-              f"{static['shed']} ({ratio:.0%}) -> ok")
-    return ok
-
-
-def test_autoscale(benchmark):
-    result = benchmark.pedantic(run, kwargs={"quick": True},
-                                rounds=1, iterations=1)
-    emit(result)
-    assert check_gate(result)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="short CI-smoke run")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the flash-crowd gates hold "
-                             "(scale up >= 2x, timely scale-down, zero "
-                             "acked-write loss, shed below static)")
-    parser.add_argument("--rebaseline", action="store_true",
-                        help="replace the carried baseline block with this "
-                             "run's numbers")
-    args = parser.parse_args()
-    result = run(quick=args.quick)
-    out = emit(result, rebaseline=args.rebaseline)
-    auto, static = result["autoscaled"], result["static"]
-    print(f"flash crowd ({CROWD_MULTIPLIER:.0f}x in {REGIONS[0]}): "
-          f"shards {auto['initial_shards']} -> {auto['peak_shards']} -> "
-          f"{auto['final_shards']}")
-    print(f"{'cell':>10} {'offered':>9} {'achieved':>9} {'shed':>7} "
-          f"{'acked':>6} {'lost':>5}")
-    for cell, tag in ((auto, "autoscaled"), (static, "static")):
-        print(f"{tag:>10} {cell['offered']:>9} {cell['achieved']:>9} "
-              f"{cell['shed']:>7} {cell['acked_writes']:>6} "
-              f"{cell['lost_acked_writes']:>5}")
-    print(f"shed vs static: {result['shed_ratio_vs_static']:.0%}")
-    print(f"wrote {out}")
-    if args.check and not check_gate(result):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()
+        lines.append(f"{tag:>10} {cell['offered']:>9} {cell['achieved']:>9} "
+                     f"{cell['shed']:>7} {cell['acked_writes']:>6} "
+                     f"{cell['lost_acked_writes']:>5}")
+    lines.append(f"shed vs static: {result['shed_ratio_vs_static']:.0%}")
+    return "\n".join(lines)

@@ -20,21 +20,19 @@ It also reports what the :class:`RedundancyOptimizer` *predicts* for the
 same schemes, so the analytical model can be eyeballed against the
 simulated outcome.
 
-Output goes to ``results/BENCH_ec_frontier.json``; the checked-in file
-carries a ``baseline`` block.  ``--check`` fails the run when EC's
-monthly storage dollars stop beating replication's by MIN_STORAGE_RATIO
-at equal durability, or when the degraded-read p99 exceeds
-DEGRADED_P99_BUDGET; ``--rebaseline`` re-pins the baseline.
+The gate (``benchmarks/gates.py ec_frontier``) fails when EC's monthly
+storage dollars stop beating replication's by MIN_STORAGE_RATIO at equal
+durability, when the crash phase records no degraded read, when the
+degraded-read p99 exceeds DEGRADED_P99_BUDGET, or — in a quick run — when
+it drifts more than DEGRADED_P99_DRIFT x past DEGRADED_P99_QUICK_PIN.
+``benchmarks/gates.py`` writes the result to
+``results/BENCH_ec_frontier.json`` (committed from a ``--full`` run).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import sys
 import time
-from pathlib import Path
 
 from repro.bench.harness import build_deployment
 from repro.core.global_policy import (GlobalPolicySpec, RedundancySpec,
@@ -46,9 +44,6 @@ from repro.net.topology import (ASIA_EAST, EU_WEST, US_EAST, US_WEST,
 from repro.tiera.policy import disk_only_policy
 from repro.util.units import GB
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-OUT_PATH = RESULTS / "BENCH_ec_frontier.json"
-
 REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
 #: six (region, provider) sites so EC(4,2)'s n=6 fragments all land on
 #: distinct instances
@@ -57,14 +52,20 @@ SITES = ((US_EAST, "aws"), (US_WEST, "aws"), (EU_WEST, "aws"),
 PROVIDERS = {US_EAST: ("aws", "gcp"), US_WEST: ("aws", "gcp"),
              EU_WEST: ("aws",), ASIA_EAST: ("aws",)}
 
-#: --check fails unless rep3 monthly storage dollars exceed ec42's by
-#: this factor (theory: 3x vs 1.5x overhead -> ratio 2.0; manifests and
-#: fragment padding eat a little of it)
+#: gate: rep3 monthly storage dollars must exceed ec42's by this factor
+#: (theory: 3x vs 1.5x overhead -> ratio 2.0; manifests and fragment
+#: padding eat a little of it)
 MIN_STORAGE_RATIO = 1.5
 
-#: --check fails when the degraded-read p99 (one fragment host down)
-#: exceeds this many simulated seconds
+#: gate: the degraded-read p99 (one fragment host down) must not exceed
+#: this many simulated seconds
 DEGRADED_P99_BUDGET = 2.0
+
+#: ec42's degraded-read p99 in a quick run, pinned; a quick run fails
+#: when it exceeds DEGRADED_P99_DRIFT x this.  Re-pin by editing the value
+#: in the commit that moves it, with the evidence.
+DEGRADED_P99_QUICK_PIN = 0.1432
+DEGRADED_P99_DRIFT = 1.25
 
 
 def _p99(samples: list[float]) -> float:
@@ -209,113 +210,29 @@ def run(quick: bool = False) -> dict:
     }
 
 
-# -- baseline plumbing ------------------------------------------------------
-
-def _load_existing() -> dict:
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            return {}
-    return {}
-
-
-def emit(result: dict, rebaseline: bool = False) -> Path:
-    existing = _load_existing()
-    carried = {}
-    if "baseline" in existing:
-        carried["baseline"] = existing["baseline"]
-    if rebaseline or "baseline" not in carried:
-        carried["baseline"] = {
-            "quick": result["quick"],
-            "storage_dollars_ratio": result["storage_dollars_ratio"],
-            "degraded_read_p99": result["ec42"]["degraded_read_p99"],
-        }
-    result.update(carried)
-    RESULTS.mkdir(exist_ok=True)
-    OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    return OUT_PATH
+BOUNDS = (
+    ("rep3 / ec42 monthly storage dollars", "storage_dollars_ratio", ">=",
+     MIN_STORAGE_RATIO),
+    ("ec42 degraded-read p99 (s)", "ec42.degraded_read_p99", "<=",
+     DEGRADED_P99_BUDGET),
+    ("ec42 degraded reads", "ec42.degraded_reads", ">", 0),
+    (f"ec42 degraded-read p99 (s) within {DEGRADED_P99_DRIFT}x the "
+     "quick pin", "ec42.degraded_read_p99", "<=",
+     {"quick": DEGRADED_P99_DRIFT * DEGRADED_P99_QUICK_PIN}),
+)
 
 
-def check_gate(result: dict) -> bool:
-    ok = True
-    ratio = result["storage_dollars_ratio"]
-    if ratio < MIN_STORAGE_RATIO:
-        print(f"gate: storage dollars ratio rep3/ec42 {ratio} "
-              f"< required {MIN_STORAGE_RATIO} -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: storage dollars ratio {ratio} "
-              f">= {MIN_STORAGE_RATIO} -> ok (equal durability m=2)")
-    p99 = result["ec42"]["degraded_read_p99"]
-    if p99 > DEGRADED_P99_BUDGET:
-        print(f"gate: degraded-read p99 {p99}s > budget "
-              f"{DEGRADED_P99_BUDGET}s -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: degraded-read p99 {p99}s <= "
-              f"{DEGRADED_P99_BUDGET}s -> ok")
-    if result["ec42"]["degraded_reads"] == 0:
-        print("gate: no degraded reads recorded (crash phase did not "
-              "exercise reconstruction) -> REGRESSION")
-        ok = False
-    baseline = result.get("baseline")
-    if not baseline:
-        print("no baseline recorded; drift floor passes vacuously")
-        return ok
-    if baseline.get("quick") != result.get("quick"):
-        print("baseline was recorded in a different mode "
-              f"(quick={baseline.get('quick')}); drift floor skipped — "
-              "re-pin with --rebaseline in the mode you gate on")
-        return ok
-    ceiling = 1.25 * baseline["degraded_read_p99"]
-    if baseline["degraded_read_p99"] > 0 and p99 > ceiling:
-        print(f"gate: degraded p99 {p99}s drifted past baseline "
-              f"{baseline['degraded_read_p99']}s (+25%) -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: degraded p99 {p99}s within baseline drift -> ok")
-    return ok
-
-
-def test_ec_frontier(benchmark):
-    result = benchmark.pedantic(run, kwargs={"quick": True},
-                                rounds=1, iterations=1)
-    emit(result)
-    assert result["storage_dollars_ratio"] >= MIN_STORAGE_RATIO
-    assert result["ec42"]["degraded_read_p99"] <= DEGRADED_P99_BUDGET
-    assert result["ec42"]["degraded_reads"] > 0
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="short CI-smoke run")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless EC still beats replication "
-                             f">= {MIN_STORAGE_RATIO}x on storage dollars "
-                             "and degraded reads stay within budget")
-    parser.add_argument("--rebaseline", action="store_true",
-                        help="pin the baseline to this run")
-    args = parser.parse_args()
-    result = run(quick=args.quick)
-    out = emit(result, rebaseline=args.rebaseline)
+def summary(result: dict) -> str:
     rep3, ec42 = result["rep3"], result["ec42"]
-    print(f"storage: rep3 ${rep3['monthly_storage_dollars']}/mo -> "
-          f"ec42 ${ec42['monthly_storage_dollars']}/mo "
-          f"({result['storage_dollars_ratio']}x cheaper, both survive "
-          "2 site losses)")
-    print(f"reads  : clean p99 {rep3['read_p99']}s vs {ec42['read_p99']}s, "
-          f"degraded p99 {rep3['degraded_read_p99']}s vs "
-          f"{ec42['degraded_read_p99']}s "
-          f"({result['degraded_read_penalty']}x clean)")
-    print(f"egress : rep3 ${rep3['egress_dollars']} vs "
-          f"ec42 ${ec42['egress_dollars']}")
-    print(f"optimizer chose {result['optimizer']['chosen']}")
-    print(f"wrote {out}")
-    if args.check and not check_gate(result):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()
+    return "\n".join((
+        f"storage: rep3 ${rep3['monthly_storage_dollars']}/mo -> "
+        f"ec42 ${ec42['monthly_storage_dollars']}/mo "
+        f"({result['storage_dollars_ratio']}x cheaper, both survive "
+        "2 site losses)",
+        f"reads  : clean p99 {rep3['read_p99']}s vs {ec42['read_p99']}s, "
+        f"degraded p99 {rep3['degraded_read_p99']}s vs "
+        f"{ec42['degraded_read_p99']}s "
+        f"({result['degraded_read_penalty']}x clean)",
+        f"egress : rep3 ${rep3['egress_dollars']} vs "
+        f"ec42 ${ec42['egress_dollars']}",
+        f"optimizer chose {result['optimizer']['chosen']}"))

@@ -1,34 +1,30 @@
 """Open-loop load engine: cohort aggregation cost + the scale-out bend.
 
-Two measurements, two CI gates (``--quick --check``):
+Two measurements, one CI gate (``benchmarks/gates.py load_engine``):
 
 * **aggregation** — one million modeled users are run as a few hundred
   client cohorts (one kernel process per cohort, thousands of users
-  each) against an unsaturated 1-shard deployment.  Gates: the whole
+  each) against an unsaturated 1-shard deployment.  Bounds: the whole
   population fits in <= MAX_COHORT_PROCESSES standing processes, the
   realized offered rate lands within MAX_OFFERED_ERROR of the configured
   arrival rate, and the engine's bookkeeping stays cheap —
   <= MAX_EVENTS_PER_OFFERED_OP kernel events per offered operation.
 * **scaleout** — an offered-load sweep over 1/2/4/8 shards (1 and 8 in
-  ``--quick``), one :func:`repro.bench.openloop.run_scaleout_cell` per
-  row; its gate is the headline: at the saturating offered level,
+  a quick run), one :func:`repro.bench.openloop.run_scaleout_cell` per
+  row; its bound is the headline: at the saturating offered level,
   achieved throughput at 8 shards must be >= MIN_SCALEOUT_RATIO x the
   1-shard figure.  This is the curve the closed-loop driver could never
   bend (it idled at ~52 ops/s regardless of shard count); the open-loop
   engine saturates per-host egress, so added shards on added hosts show
   up as added capacity.
 
-Output goes to ``results/BENCH_load_engine.json``.  Run as a script
-(``--quick`` shrinks the run for CI smoke) or via pytest-benchmark.
+``benchmarks/gates.py`` writes the result to
+``results/BENCH_load_engine.json`` (committed from a ``--full`` run).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 from repro.bench.openloop import (
     build_scaleout_deployment,
@@ -37,9 +33,6 @@ from repro.bench.openloop import (
 )
 from repro.load.cohort import CohortSpec
 from repro.net.topology import US_EAST, US_WEST
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-OUT_PATH = RESULTS / "BENCH_load_engine.json"
 
 REGIONS = (US_EAST, US_WEST)
 
@@ -146,120 +139,31 @@ def run(quick: bool = False) -> dict:
     }
 
 
-def _load_existing() -> dict:
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            return {}
-    return {}
+BOUNDS = (
+    ("cohort processes for the modeled users",
+     "aggregation.cohort_processes", "<=", MAX_COHORT_PROCESSES),
+    ("offered-rate error", "aggregation.offered_error", "<=",
+     MAX_OFFERED_ERROR),
+    ("kernel events per offered op", "aggregation.events_per_offered_op",
+     "<=", MAX_EVENTS_PER_OFFERED_OP),
+    ("8-shard / 1-shard achieved at saturating offered load",
+     "scaleout.scaleout_ratio_8v1", ">=", MIN_SCALEOUT_RATIO),
+)
 
 
-def emit(result: dict, rebaseline: bool = False) -> Path:
-    """Write the result, carrying the last full run's headline numbers
-    as ``baseline`` so CI quick runs don't clobber them."""
-    existing = _load_existing()
-    carried = {}
-    if "baseline" in existing:
-        carried["baseline"] = existing["baseline"]
-    if rebaseline or not result["quick"] or "baseline" not in carried:
-        agg = result["aggregation"]
-        sc = result["scaleout"]
-        at_top = {row["shards"]: row["achieved_per_sim_sec"]
-                  for row in sc["rows"]
-                  if row["offered_per_sec"] == sc["saturating_offered"]}
-        carried["baseline"] = {
-            "quick": result["quick"],
-            "modeled_users": agg["modeled_users"],
-            "cohort_processes": agg["cohort_processes"],
-            "offered_error": agg["offered_error"],
-            "events_per_offered_op": agg["events_per_offered_op"],
-            "saturating_offered": sc["saturating_offered"],
-            "scaleout_ratio_8v1": sc["scaleout_ratio_8v1"],
-            "achieved_at_saturation": {str(k): v
-                                       for k, v in sorted(at_top.items())},
-        }
-    result.update(carried)
-    RESULTS.mkdir(exist_ok=True)
-    OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    return OUT_PATH
-
-
-def check_gate(result: dict) -> bool:
-    ok = True
-    agg = result["aggregation"]
-    if agg["cohort_processes"] > MAX_COHORT_PROCESSES:
-        print(f"gate: {agg['cohort_processes']} cohort processes for "
-              f"{agg['modeled_users']} users > {MAX_COHORT_PROCESSES} "
-              "-> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: {agg['modeled_users']} modeled users in "
-              f"{agg['cohort_processes']} cohort processes -> ok")
-    if agg["offered_error"] > MAX_OFFERED_ERROR:
-        print(f"gate: offered rate {agg['offered_rate']} vs configured "
-              f"{agg['configured_rate']} ({agg['offered_error']:.1%} error "
-              f"> {MAX_OFFERED_ERROR:.0%}) -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: offered rate {agg['offered_rate']} within "
-              f"{agg['offered_error']:.1%} of configured -> ok")
-    if agg["events_per_offered_op"] > MAX_EVENTS_PER_OFFERED_OP:
-        print(f"gate: {agg['events_per_offered_op']} kernel events per "
-              f"offered op > {MAX_EVENTS_PER_OFFERED_OP} -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: {agg['events_per_offered_op']} kernel events per "
-              "offered op -> ok")
-    ratio = result["scaleout"]["scaleout_ratio_8v1"]
-    if ratio < MIN_SCALEOUT_RATIO:
-        print(f"gate: scale-out 8v1 ratio {ratio} < {MIN_SCALEOUT_RATIO} "
-              "(the curve stopped bending) -> REGRESSION")
-        ok = False
-    else:
-        print(f"gate: scale-out 8v1 ratio {ratio}x at saturating offered "
-              f"load -> ok")
-    return ok
-
-
-def test_load_engine(benchmark):
-    result = benchmark.pedantic(run, kwargs={"quick": True},
-                                rounds=1, iterations=1)
-    emit(result)
-    assert check_gate(result)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="short CI-smoke run")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the aggregation bounds hold and "
-                             f"8-shard throughput >= {MIN_SCALEOUT_RATIO}x "
-                             "1-shard at saturating offered load")
-    parser.add_argument("--rebaseline", action="store_true",
-                        help="replace the carried baseline block with this "
-                             "run's numbers")
-    args = parser.parse_args()
-    result = run(quick=args.quick)
-    out = emit(result, rebaseline=args.rebaseline)
-    agg = result["aggregation"]
-    print(f"aggregation: {agg['modeled_users']} users / "
-          f"{agg['cohort_processes']} cohorts, offered "
-          f"{agg['offered_rate']}/s (err {agg['offered_error']:.2%}), "
-          f"{agg['events_per_offered_op']} events/op")
-    print(f"{'shards':>6} {'offered/s':>10} {'achieved/s':>10} "
-          f"{'shed':>8} {'p95 ms':>8} {'qd95 ms':>8}")
-    for row in result["scaleout"]["rows"]:
-        print(f"{row['shards']:>6} {row['offered_per_sec']:>10.0f} "
-              f"{row['achieved_per_sim_sec']:>10.0f} {row['shed']:>8} "
-              f"{row['get_p95_ms']:>8.1f} {row['queue_delay_p95_ms']:>8.1f}")
-    print(f"scale-out 8v1 at {result['scaleout']['saturating_offered']:.0f} "
-          f"offered: {result['scaleout']['scaleout_ratio_8v1']}x")
-    print(f"wrote {out}")
-    if args.check and not check_gate(result):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()
+def summary(result: dict) -> str:
+    agg, sc = result["aggregation"], result["scaleout"]
+    lines = [f"aggregation: {agg['modeled_users']} users / "
+             f"{agg['cohort_processes']} cohorts, offered "
+             f"{agg['offered_rate']}/s (err {agg['offered_error']:.2%}), "
+             f"{agg['events_per_offered_op']} events/op",
+             f"{'shards':>6} {'offered/s':>10} {'achieved/s':>10} "
+             f"{'shed':>8} {'p95 ms':>8} {'qd95 ms':>8}"]
+    for row in sc["rows"]:
+        lines.append(
+            f"{row['shards']:>6} {row['offered_per_sec']:>10.0f} "
+            f"{row['achieved_per_sim_sec']:>10.0f} {row['shed']:>8} "
+            f"{row['get_p95_ms']:>8.1f} {row['queue_delay_p95_ms']:>8.1f}")
+    lines.append(f"scale-out 8v1 at {sc['saturating_offered']:.0f} "
+                 f"offered: {sc['scaleout_ratio_8v1']}x")
+    return "\n".join(lines)

@@ -1,0 +1,123 @@
+"""The CI bench gates, run and judged by one runner.
+
+    PYTHONPATH=src python benchmarks/gates.py [--full] [NAME ...]
+
+A gate NAME is the module ``benchmarks/bench_<NAME>.py``; with no NAME
+every gate in ``GATES`` runs.  A gate module declares three things:
+
+* ``run(quick) -> dict`` — the measurement (quick unless ``--full``);
+  the dict carries ``"quick"`` and every derived value a bound reads;
+* ``summary(result) -> str`` — the human-readable table;
+* ``BOUNDS`` — rows of ``(label, path, op, limit)``.  ``path`` is a
+  dotted key into the result (``"window_8.repair_seconds"``), ``op`` one
+  of ``OPS``, and ``limit`` a number, another path, or a
+  ``{"quick": x, "full": y}`` table for a value pinned per mode (a mode
+  the table leaves out has no such bound).
+
+The runner writes each result to ``results/BENCH_<NAME>.json`` — output
+only, nothing reads it back, so a pinned value lives in the gate module
+beside its bound — prints the summary, then one
+``gate: <label> <value> <op> <limit> -> ok|REGRESSION`` line per bound,
+and exits 1 if any bound fails.  A bound whose value or limit is missing
+or None fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import operator
+import sys
+from pathlib import Path
+from typing import Any, NamedTuple
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+GATES = ("load_engine", "autoscale", "ec_frontier", "ec_repair")
+
+OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+       ">=": operator.ge, ">": operator.gt}
+
+
+class Verdict(NamedTuple):
+    label: str
+    path: str
+    value: Any
+    op: str
+    limit: Any
+    ok: bool
+
+
+def load(name: str):
+    """The gate module ``bench_<name>`` (``benchmarks/`` on ``sys.path``)."""
+    return importlib.import_module(f"bench_{name}")
+
+
+def lookup(result: dict, path: str) -> Any:
+    value = result
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            return None
+        value = value.get(key)
+    return value
+
+
+def bounds(gate, quick: bool) -> list[tuple[str, str, str, Any]]:
+    """``gate.BOUNDS`` as they hold in one mode, per-mode limits chosen."""
+    mode = "quick" if quick else "full"
+    rows = []
+    for label, path, op, limit in gate.BOUNDS:
+        if isinstance(limit, dict):
+            if mode not in limit:
+                continue
+            limit = limit[mode]
+        rows.append((label, path, op, limit))
+    return rows
+
+
+def verdicts(gate, result: dict) -> list[Verdict]:
+    out = []
+    for label, path, op, limit in bounds(gate, result["quick"]):
+        value = lookup(result, path)
+        if isinstance(limit, str):
+            limit = lookup(result, limit)
+        ok = value is not None and limit is not None and OPS[op](value, limit)
+        out.append(Verdict(label, path, value, op, limit, ok))
+    return out
+
+
+def _fmt(x: Any) -> str:
+    return f"{x:g}" if isinstance(x, float) else str(x)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--full", action="store_true",
+                        help="full-size runs (default: quick)")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"gates to run (default: all of {', '.join(GATES)})")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.names) - set(GATES))
+    if unknown:
+        parser.error(f"unknown gate(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(GATES)}")
+    failed = False
+    for name in args.names or GATES:
+        gate = load(name)
+        result = gate.run(quick=not args.full)
+        RESULTS.mkdir(exist_ok=True)
+        out = RESULTS / f"BENCH_{name}.json"
+        out.write_text(json.dumps(result, indent=2) + "\n")
+        print(gate.summary(result))
+        print(f"wrote {out}")
+        for v in verdicts(gate, result):
+            print(f"gate: {v.label} {_fmt(v.value)} {v.op} {_fmt(v.limit)} "
+                  f"-> {'ok' if v.ok else 'REGRESSION'}")
+            failed |= not v.ok
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
 """Open-loop scale-out measurement cell.
 
-``benchmarks/bench_load_engine.py`` measures what a sharded deployment
-*absorbs* under a configured offered load, one cell per row: build a
-deployment with one Tiera host per shard per region
+The ``load_engine`` gate of ``benchmarks/gates.py`` measures what a
+sharded deployment *absorbs* under a configured offered load, one cell
+per row: build a deployment with one Tiera host per shard per region
 (``servers_per_region=shards``, so shards get real capacity instead of
 stacking on one egress link), preload the record space in
 zero sim-time, drive it with one open-loop cohort per region, and report

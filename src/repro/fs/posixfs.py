@@ -50,9 +50,6 @@ class WieraFS:
         self._open[path] = handle
         return handle
 
-    def exists(self, path: str) -> bool:
-        return path in self._sizes
-
     def stat(self, path: str) -> dict:
         if path not in self._sizes:
             raise FileNotFoundError(path)

@@ -83,6 +83,7 @@ class YcsbClient:
         self.chooser = workload.chooser(rng)
         self._since: Optional[int] = None   # history length at start()
         self._proc = None
+        self._sleep = None   # the activity poll or think time under way
 
     @property
     def stats(self) -> OpSummary:
@@ -96,6 +97,8 @@ class YcsbClient:
         self._proc = self.sim.process(self._run(), name="ycsb-client")
 
     def stop(self) -> None:
+        if self._sleep is not None:
+            self._sleep.cancel()    # a no-op once it has fired
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("workload done")
 
@@ -109,12 +112,14 @@ class YcsbClient:
     def _run(self) -> Generator:
         while True:
             if self.is_active is not None and not self.is_active():
-                yield self.sim.timeout(self.activity_poll)
+                self._sleep = self.sim.timeout(self.activity_poll)
+                yield self._sleep
                 continue
             yield from self._one_op()
             if self.think_time > 0:
-                yield self.sim.timeout(
+                self._sleep = self.sim.timeout(
                     float(self.rng.exponential(self.think_time)))
+                yield self._sleep
 
     def _one_op(self) -> Generator:
         key = self.workload.key(self.chooser.next())

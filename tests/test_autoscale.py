@@ -4,8 +4,9 @@ three levers (shards, replicas, tier) with hysteresis and cooldown.
 The lever tests drive demand synthetically — a pump process increments a
 ``load.offered`` counter at a controlled rate — so each decision branch
 is exercised deterministically without standing up full cohorts; the
-end-to-end flash-crowd path (real cohorts, real shed) lives in
-``benchmarks/bench_autoscale.py``.
+end-to-end flash-crowd path (real cohorts, real shed) is the
+``autoscale`` gate of ``benchmarks/gates.py``
+(``benchmarks/bench_autoscale.py``).
 """
 
 import pytest

@@ -1,0 +1,77 @@
+"""The bench gates' bounds hold on the committed results and none is
+vacuous.
+
+``benchmarks/gates.py`` judges each ``results/BENCH_<name>.json`` against
+its gate module's ``BOUNDS``.  Here no simulation runs: the committed
+results are judged as they are, and then once per bound with the bounded
+value pushed just past its limit, in both modes.  A pinned value is a
+bound like any other, so a pin that nothing checks fails here too.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "benchmarks"))
+
+import gates  # noqa: E402
+
+
+def _committed(name: str) -> dict:
+    return json.loads((ROOT / "results" / f"BENCH_{name}.json").read_text())
+
+
+def _put(result: dict, path: str, value) -> None:
+    *parents, leaf = path.split(".")
+    for key in parents:
+        result = result[key]
+    result[leaf] = value
+
+
+def _past(op: str, limit):
+    """A value on the failing side of ``op limit``, as close as a step."""
+    step = 1 if isinstance(limit, int) else max(abs(limit) * 0.01, 1e-6)
+    return {"<": limit, "<=": limit + step, "==": limit + step,
+            ">=": limit - step, ">": limit}[op]
+
+
+def _in_mode(name: str, quick: bool) -> dict:
+    """The committed result relabelled to ``quick``, with each exact pin
+    of that mode set to its pinned value."""
+    result = _committed(name)
+    result["quick"] = quick
+    for _, path, op, limit in gates.bounds(gates.load(name), quick):
+        if op == "==" and not isinstance(limit, str):
+            _put(result, path, limit)
+    return result
+
+
+@pytest.mark.parametrize("name", gates.GATES)
+def test_committed_result_passes_every_bound(name):
+    verdicts = gates.verdicts(gates.load(name), _committed(name))
+    assert verdicts
+    assert [v for v in verdicts if not v.ok] == []
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize("name", gates.GATES)
+def test_every_bound_fails_past_its_limit(name, quick):
+    gate = gates.load(name)
+    start = _in_mode(name, quick)
+    assert all(v.ok for v in gates.verdicts(gate, start))
+    for v in gates.verdicts(gate, start):
+        for bad in (_past(v.op, v.limit), None):
+            pushed = copy.deepcopy(start)
+            _put(pushed, v.path, bad)
+            failed = [f for f in gates.verdicts(gate, pushed) if not f.ok]
+            assert v.label in [f.label for f in failed], (v.label, bad)
+            # a push fails no bound on another value; two bounds on one
+            # value (a budget and a tighter pin) may fail together
+            assert {f.path for f in failed} == {v.path}, (v.label, bad)
+

@@ -119,7 +119,8 @@ class TestPosixFs:
             yield from handle.pwrite(0, b"data")
             yield from fs.unlink("/gone")
         dep.drive(app())
-        assert not fs.exists("/gone")
+        with pytest.raises(FileNotFoundError):
+            fs.stat("/gone")
 
     def test_open_missing_without_create(self, fs_world):
         _, fs = fs_world

@@ -409,10 +409,11 @@ LOOPS = {
 
 #: the worlds that arm a round timer while idle: every Loop, the
 #: replication queue (a timer it races against an early-flush kick), the
-#: queues and repairers of a Wiera instance, and a fault schedule (its sleep
-#: to the next scripted fault)
+#: queues and repairers of a Wiera instance, a fault schedule (its sleep
+#: to the next scripted fault), a cohort (its wait for the next arrival)
+#: and a YCSB client (its think time)
 PERIODIC = {*LOOPS.values(), replication_queue, wiera_instance,
-            fault_schedule}
+            fault_schedule, client_cohort, ycsb_client}
 
 #: sim-seconds a stopped component is watched for: several of its rounds
 HORIZON = 30.0
