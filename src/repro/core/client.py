@@ -107,20 +107,17 @@ class WieraClient:
                 return self.router.candidates(key)
         return self._candidates()
 
-    def _call_one(self, info: dict, method: str, args: dict,
-                  size: int) -> Generator:
+    def _call_one(self, info: dict, method: str, args: dict) -> Generator:
         """One RPC to one instance, bounded by ``request_timeout`` if set."""
         if self.request_timeout is None:
-            result = yield from self.node.invoke(info["node"], method, args,
-                                                 size=size)
+            result = yield from self.node.invoke(info["node"], method, args)
         else:
             result = yield from call_with_timeout(
-                self.sim,
-                self.node.call(info["node"], method, args, size=size),
+                self.sim, self.node.call(info["node"], method, args),
                 self.request_timeout)
         return result
 
-    def _invoke(self, method: str, args: dict, size: int) -> Generator:
+    def _invoke(self, method: str, args: dict) -> Generator:
         """Call the closest (owning) instance, failing over down the list;
         retry the whole sweep with backoff when a retry policy is
         configured.  A ``WrongShardError`` redirect — the contacted shard
@@ -141,8 +138,7 @@ class WieraClient:
                 if info.get("down"):
                     continue
                 try:
-                    result = yield from self._call_one(info, method, args,
-                                                       size=size)
+                    result = yield from self._call_one(info, method, args)
                     return result
                 except WrongShardError as exc:
                     last_error = exc
@@ -163,11 +159,11 @@ class WieraClient:
             f"all instances unreachable for {method}: {last_error}")
 
     # -- Table 2 API ----------------------------------------------------------
-    def _op(self, method: str, args: dict, size: int) -> Generator:
+    def _op(self, method: str, args: dict) -> Generator:
         """One Table 2 call, booked in ``history`` however it ends."""
         start = self.sim.now
         try:
-            result = yield from self._invoke(method, args, size)
+            result = yield from self._invoke(method, args)
         except OP_ERRORS as exc:
             self.history.book(method, args["key"], None, start,
                               self.sim.now, type(exc).__name__)
@@ -179,29 +175,25 @@ class WieraClient:
         return result
 
     def put(self, key: str, data: bytes, tags=()) -> Generator:
-        return self._op("put", {"key": key, "data": data, "tags": tuple(tags)},
-                        size=len(data) + 256)
+        return self._op("put", {"key": key, "data": data, "tags": tuple(tags)})
 
     def get(self, key: str) -> Generator:
         """Retrieve the latest version (per the active consistency model)."""
-        return self._op("get", {"key": key}, size=256)
+        return self._op("get", {"key": key})
 
     def get_version(self, key: str, version: int) -> Generator:
-        return self._op("get_version", {"key": key, "version": version},
-                        size=256)
+        return self._op("get_version", {"key": key, "version": version})
 
     def get_version_list(self, key: str) -> Generator:
-        result = yield from self._op("get_version_list", {"key": key},
-                                     size=256)
+        result = yield from self._op("get_version_list", {"key": key})
         return result["versions"]
 
     def update(self, key: str, version: int, data: bytes) -> Generator:
         return self._op("update", {"key": key, "version": version,
-                                   "data": data}, size=len(data) + 256)
+                                   "data": data})
 
     def remove(self, key: str) -> Generator:
-        return self._op("remove", {"key": key}, size=256)
+        return self._op("remove", {"key": key})
 
     def remove_version(self, key: str, version: int) -> Generator:
-        return self._op("remove_version", {"key": key, "version": version},
-                        size=256)
+        return self._op("remove_version", {"key": key, "version": version})

@@ -26,6 +26,7 @@ from repro.core.consistency.repair import AntiEntropyRepairer
 from repro.faults.retry import RetryPolicy
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
+from repro.sim.rpc import request_size
 
 
 class ProtocolError(RuntimeError):
@@ -141,15 +142,14 @@ class GlobalProtocol:
                 "last_modified": instance.sim.now,
                 "origin": instance.instance_id}
 
-    def broadcast_sync(self, instance, method: str, args: dict,
-                       size: int) -> Generator:
+    def broadcast_sync(self, instance, method: str, args: dict) -> Generator:
         """Call every peer in parallel; wait for all replies.
 
         A peer that is down/partitioned — or whose handler rejects the
         update — raises: MultiPrimaries treats that as a failed put
         (strong consistency cannot silently lose a replica).
         """
-        calls = [instance.node.call(peer.node, method, args, size=size)
+        calls = [instance.node.call(peer.node, method, args)
                  for peer in instance.peers.values()]
         if calls:
             yield instance.sim.all_of(calls)
@@ -169,11 +169,6 @@ def _entry_sort_key(args: dict) -> tuple:
 def _supersedes(new: dict, old: dict) -> bool:
     """True if ``new`` may replace ``old`` in a pending/backlog slot."""
     return _entry_sort_key(new) >= _entry_sort_key(old)
-
-
-def _entry_size(args: dict) -> int:
-    data = args.get("data")
-    return len(data) + 512 if data is not None else 256
 
 
 def _entry_method(args: dict) -> str:
@@ -292,10 +287,11 @@ class ReplicationQueue:
             self.coalesced += 1
             if not _supersedes(args, current):
                 return
-            self._pending_bytes -= _entry_size(current)
+            self._pending_bytes -= request_size(_entry_method(current),
+                                                current)
         self.pending[key] = args
         self.pending.move_to_end(key)
-        self._pending_bytes += _entry_size(args)
+        self._pending_bytes += request_size(_entry_method(args), args)
         # A fresh update ships to every peer on the next flush, making any
         # older backlogged copy of the key redundant.
         for peer_id in list(self._backlog):
@@ -388,8 +384,7 @@ class ReplicationQueue:
         calls = []  # (call, peer_id, entries)
         for peer_id, entries in per_peer.items():
             peer = instance.peers[peer_id]
-            wire = [(_entry_method(args), args, _entry_size(args))
-                    for args, _ in entries]
+            wire = [(_entry_method(args), args) for args, _ in entries]
             call = instance.node.call_batch(peer.node, wire)
             # Pre-defuse: the transport may fail before we yield on it.
             call.defuse()

@@ -58,8 +58,7 @@ class MultiPrimariesProtocol(GlobalProtocol):
             version = yield from instance.local_put(key, data, tags=tags)
             yield from self.broadcast_sync(
                 instance, "replica_update",
-                self.update_args(instance, key, version, data),
-                size=len(data) + 512)
+                self.update_args(instance, key, version, data))
             return version
 
         version = yield from self._locked(instance, key, write())
@@ -75,7 +74,7 @@ class MultiPrimariesProtocol(GlobalProtocol):
             removed = yield from instance.local_remove(key, version)
             yield from self.broadcast_sync(
                 instance, "replica_remove",
-                self.remove_args(instance, key, version), size=256)
+                self.remove_args(instance, key, version))
             return removed
 
         removed = yield from self._locked(instance, key, write())

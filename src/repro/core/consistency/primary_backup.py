@@ -66,11 +66,10 @@ class PrimaryBackupProtocol(GlobalProtocol):
         self.config.history.append((now, new_primary_id))
         return previous
 
-    def _replicate(self, instance, method: str, args: dict,
-                   size: int) -> Generator:
+    def _replicate(self, instance, method: str, args: dict) -> Generator:
         """Ship the primary's write to the backups: copy or queue."""
         if self.config.sync_replication:
-            yield from self.broadcast_sync(instance, method, args, size=size)
+            yield from self.broadcast_sync(instance, method, args)
         else:
             self.queue_for(instance).enqueue(args)
 
@@ -81,8 +80,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
                 f"{instance.instance_id}: forwarded {op} arrived at "
                 f"non-primary (primary is {self.config.primary_id})")
 
-    def _forward(self, instance, method: str, args: dict,
-                 size: int) -> Generator:
+    def _forward(self, instance, method: str, args: dict) -> Generator:
         """Forward a request to the primary with retry/backoff.
 
         The target is re-resolved from the shared config on every attempt,
@@ -95,7 +93,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
                     f"{instance.instance_id}: primary "
                     f"{self.config.primary_id!r} not in peer table "
                     f"{sorted(instance.peers)}")
-            return instance.node.call(ref.node, method, args, size=size)
+            return instance.node.call(ref.node, method, args)
 
         result = yield from call_with_retries(
             instance.sim, make_call, self.retry_policy,
@@ -110,8 +108,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
             version = yield from instance.local_put(key, data, tags=tags)
             yield from self._replicate(
                 instance, "replica_update",
-                self.update_args(instance, key, version, data),
-                size=len(data) + 512)
+                self.update_args(instance, key, version, data))
             return {"version": version, "region": instance.region,
                     "primary": instance.instance_id, "consistency": self.name}
         self._refuse_reforward(instance, "put", src)
@@ -119,8 +116,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
         result = yield from self._forward(
             instance, "forward_put",
             {"key": key, "data": data, "tags": tuple(tags),
-             "origin": instance.instance_id},
-            size=len(data) + 512)
+             "origin": instance.instance_id})
         return result
 
     def on_get(self, instance, key: str,
@@ -144,12 +140,11 @@ class PrimaryBackupProtocol(GlobalProtocol):
             removed = yield from instance.local_remove(key, version)
             yield from self._replicate(
                 instance, "replica_remove",
-                self.remove_args(instance, key, version), size=256)
+                self.remove_args(instance, key, version))
             return {"removed": removed, "primary": instance.instance_id}
         self._refuse_reforward(instance, "remove", src)
         self.forwarded_removes += 1
         result = yield from self._forward(
             instance, "forward_remove",
-            {"key": key, "version": version, "origin": instance.instance_id},
-            size=256)
+            {"key": key, "version": version, "origin": instance.instance_id})
         return result

@@ -377,11 +377,9 @@ class TieraInstanceManager:
                       if not rec.down and rec is not record), None)
         if donor is None:
             return
-        listing = yield from self.node.invoke(donor.node, "list_keys")
+        digest = yield from self.node.invoke(donor.node, "digest")
         instance = record.instance
-        for key, latest in listing["keys"]:
-            if latest == 0:
-                continue
+        for key in digest["keys"]:
             try:
                 got = yield from instance.node.invoke(donor.node, "peer_get",
                                                       {"key": key})

@@ -235,9 +235,8 @@ class ECProtocol(GlobalProtocol):
             args = {"key": fragment_key(key, idx), "version": version,
                     "last_modified": lm, "origin": instance.instance_id,
                     "data": fragments[idx]}
-            call = instance.node.call_batch(
-                peer.node,
-                [("replica_update", args, len(fragments[idx]) + 512)])
+            call = instance.node.call_batch(peer.node,
+                                            [("replica_update", args)])
             call.defuse()  # a wave member may fail before it is waited on
             return call
 
@@ -309,9 +308,8 @@ class ECProtocol(GlobalProtocol):
         holders = set(frag_map.values())
         waited, behind = [], []
         for iid, peer in ring[1:]:
-            call = instance.node.call_batch(
-                peer.node,
-                [("replica_update", margs, len(manifest) + 512)])
+            call = instance.node.call_batch(peer.node,
+                                            [("replica_update", margs)])
             call.defuse()
             (waited if iid in holders else behind).append(call)
         if behind:
@@ -429,6 +427,8 @@ class ECProtocol(GlobalProtocol):
         rank = {iid: pos for pos, (iid, _) in enumerate(self.ring(instance))}
         queue = deque(sorted(
             sources, key=lambda e: (rank.get(e[1], len(rank)), e[0])))
+        # A fragment pull's reply is declared at the fragment's length
+        # plus a 512 B header: 192 B over the rpc rule's reply envelope.
         reply_size = Codec.fragment_length(size, k) + 512
         available: dict[int, bytes] = {}
         local: list[int] = []
@@ -579,8 +579,8 @@ class ECProtocol(GlobalProtocol):
         removed = yield from instance.local_remove(key, version)
         for fk in sorted(frag_keys):
             yield from instance.local_remove(fk, version)
-        entries = [("replica_remove", {"key": key, "version": version}, 256)]
-        entries += [("replica_remove", {"key": fk, "version": version}, 256)
+        entries = [("replica_remove", {"key": key, "version": version})]
+        entries += [("replica_remove", {"key": fk, "version": version})
                     for fk in sorted(frag_keys)]
         for iid, peer in self.ring(instance)[1:]:
             instance.node.send_oneway_batch(peer.node, entries)

@@ -59,11 +59,6 @@ from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.instance import TieraError
 from repro.tiera.objects import storage_key
 
-#: wire size of one (key, version) item inside a batched check_readable
-CHECK_ITEM_SIZE = 16
-#: envelope share of one batched check_readable / manifest_remap entry
-BATCH_ENTRY_SIZE = 64
-
 
 class ECRepairer:
     """One fragment-repair loop for one Tiera instance."""
@@ -255,10 +250,9 @@ class ECRepairer:
         calls = []
         for holder in sorted(by_holder):
             items = by_holder[holder]
-            size = BATCH_ENTRY_SIZE + CHECK_ITEM_SIZE * len(items)
             call = instance.node.call_batch(
                 instance.peers[holder].node,
-                [("check_readable", {"items": items}, size)])
+                [("check_readable", {"items": items})])
             call.defuse()
             calls.append((holder, items, call))
         for holder, items, call in calls:
@@ -392,7 +386,7 @@ class ECRepairer:
                         "last_modified": lm, "origin": instance.instance_id,
                         "data": frag}
                 call = instance.node.call_batch(
-                    peer.node, [("replica_update", push, len(frag) + 512)])
+                    peer.node, [("replica_update", push)])
                 call.defuse()
                 try:
                     entry = (yield call)[0]
@@ -433,8 +427,7 @@ class ECRepairer:
                     {"key": key, "version": version,
                      "remap": {str(idx): iid
                                for idx, iid in sorted(delta.items())},
-                     "last_modified": lm, "origin": origin},
-                    BATCH_ENTRY_SIZE)
+                     "last_modified": lm, "origin": origin})
                    for key, version, delta, lm in remaps]
         calls = []
         for iid, peer in ring[1:]:
@@ -465,7 +458,7 @@ class ECRepairer:
                          "last_modified": lm, "origin": origin,
                          "data": data}
                 push = instance.node.call_batch(
-                    peer_node, [("replica_update", margs, len(data) + 512)])
+                    peer_node, [("replica_update", margs)])
                 push.defuse()
                 try:
                     pushed = (yield push)[0]

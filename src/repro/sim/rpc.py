@@ -19,6 +19,10 @@ return value, or has the remote exception (or a
 type what it expects — a transport failure, a storage miss — as client
 failover logic does.
 
+What a message costs on the wire is decided here alone:
+:func:`request_size` and :func:`response_size` derive it from the method
+and what the message carries, so no caller states a size.
+
 An ``Interrupt`` of the caller never reaches the handler
 (:func:`~repro.sim.primitives.shielded`); it is a stop, which no ``except
 Exception`` catches (the kernel's stop rule).  A call event its waiter may
@@ -53,6 +57,53 @@ class NoSuchMethodError(RpcError):
 #: reserved wire method for batched calls; dispatched natively by RpcNode
 BATCH_METHOD = "__batch__"
 
+#: request/response envelope in bytes (headers + small args)
+ENVELOPE = 256
+#: a request's fixed part where it is not :data:`ENVELOPE`: a replica push
+#: or a forwarded put carries its version metadata besides the bytes; a
+#: fragment-repair check or remap is a slot inside a batch
+REQUEST_BASE = {"replica_update": 512, "forward_put": 512,
+                "manifest_remap": 64, "check_readable": 64}
+#: one ``(key, version)`` of a request's ``items``
+ITEM_SIZE = 16
+#: a reply's body besides the bytes it carries
+REPLY_BODY = 64
+
+
+def request_size(method: str, args: dict[str, Any]) -> int:
+    """Wire bytes of a request: its method's fixed part plus what it
+    carries — the bytes under ``data`` and :data:`ITEM_SIZE` per entry of
+    ``items``.  A batch is one envelope plus the size of every entry."""
+    if method == BATCH_METHOD:
+        return ENVELOPE + sum(request_size(entry_method, entry_args)
+                              for entry_method, entry_args in args["entries"])
+    size = REQUEST_BASE.get(method, ENVELOPE)
+    data = args.get("data")
+    if data is not None:
+        size += len(data)
+    items = args.get("items")
+    if items is not None:
+        size += ITEM_SIZE * len(items)
+    return size
+
+
+def response_size(method: str, result: Any) -> int:
+    """Wire bytes of a reply: an envelope for ``None``, else an envelope,
+    a body and the bytes under the result's top-level ``data`` — summed
+    over the entries' results for a batch."""
+    if result is None:
+        return ENVELOPE
+    if method == BATCH_METHOD:
+        carried = sum(_carried(entry.get("result")) for entry in result)
+    else:
+        carried = _carried(result)
+    return ENVELOPE + REPLY_BODY + carried
+
+
+def _carried(result: Any) -> int:
+    data = result.get("data") if isinstance(result, dict) else None
+    return len(data) if data is not None else 0
+
 
 @dataclass(slots=True)
 class Message:
@@ -62,7 +113,6 @@ class Message:
     dst: str
     method: str
     args: dict[str, Any] = field(default_factory=dict)
-    size: int = 256
     sent_at: float = 0.0
     #: trace context of the sending span (None while tracing is disabled)
     trace: Optional[TraceContext] = None
@@ -70,9 +120,6 @@ class Message:
 
 class RpcNode:
     """A network endpoint with named generator handlers."""
-
-    #: default request/response envelope size in bytes (headers + small args)
-    ENVELOPE = 256
 
     def __init__(self, sim: Simulator, network: Network, host: Host,
                  name: Optional[str] = None):
@@ -97,9 +144,7 @@ class RpcNode:
 
     # -- outgoing calls -----------------------------------------------------
     def invoke(self, dst: "RpcNode", method: str,
-               args: Optional[dict[str, Any]] = None,
-               size: Optional[int] = None,
-               reply_size: Optional[int] = None) -> Generator:
+               args: Optional[dict[str, Any]] = None) -> Generator:
         """Invoke ``method`` on ``dst`` from inside the calling process:
         ``result = yield from node.invoke(...)``.
 
@@ -108,18 +153,18 @@ class RpcNode:
         the call itself runs on to completion at ``dst``
         (:func:`~repro.sim.primitives.shielded`).
         """
-        return shielded(self.sim,
-                        self._call(dst, method, args or {}, size, reply_size))
+        return shielded(self.sim, self._call(dst, method, args or {}))
 
     def call(self, dst: "RpcNode", method: str,
              args: Optional[dict[str, Any]] = None,
-             size: Optional[int] = None,
              reply_size: Optional[int] = None) -> Process:
         """Invoke ``method`` on ``dst`` as a process of its own; returns
         the event to gather, race against a timeout or wait on later.  A
-        caller that would yield it straight away wants :meth:`invoke`."""
+        caller that would yield it straight away wants :meth:`invoke`.
+        ``reply_size`` overrides :func:`response_size` for a reply whose
+        declared wire size is not the rule's."""
         return self._spawn(
-            self._call(dst, method, args or {}, size, reply_size),
+            self._call(dst, method, args or {}, reply_size),
             f"rpc:{self.name}->{dst.name}:{method}")
 
     def _spawn(self, body: Generator, name: str) -> Process:
@@ -129,28 +174,27 @@ class RpcNode:
                                 obs_ctx=self._obs.tracer.current())
 
     def _call(self, dst: "RpcNode", method: str, args: dict[str, Any],
-              size: Optional[int], reply_size: Optional[int]) -> Generator:
+              reply_size: Optional[int] = None) -> Generator:
         tracer = self._obs.tracer
         span = (tracer.span(f"rpc:{method}", cat="rpc", component=self.name,
                             dst=dst.name)
                 if tracer.enabled else NULL_SPAN)
         with span:
             msg = Message(src=self.name, dst=dst.name, method=method,
-                          args=args,
-                          size=size if size is not None else self.ENVELOPE,
-                          sent_at=self.sim.now, trace=span.context)
-            yield from self.network.transmit(self.host, dst.host, msg.size)
+                          args=args, sent_at=self.sim.now,
+                          trace=span.context)
+            yield from self.network.transmit(self.host, dst.host,
+                                             request_size(method, args))
             result = yield from dst._dispatch(msg)
-            wire_reply = reply_size
-            if wire_reply is None:
-                wire_reply = self.ENVELOPE + _payload_size(result)
-            yield from self.network.transmit(dst.host, self.host, wire_reply)
+            if reply_size is None:
+                reply_size = response_size(method, result)
+            yield from self.network.transmit(dst.host, self.host, reply_size)
             return result
 
     # -- batched calls ------------------------------------------------------
     #
-    # A batch ships a list of (method, args, size) entries to ONE peer in a
-    # single message: one envelope, summed payload bytes, one egress-link
+    # A batch ships a list of (method, args) entries to ONE peer in a
+    # single message: one envelope, summed entry sizes, one egress-link
     # reservation, one process — instead of one of each per entry.  The
     # destination applies the entries in order and returns one result per
     # entry ({"ok": True, "result": ...} or {"ok": False, "error": ...}),
@@ -159,29 +203,23 @@ class RpcNode:
     # entry is undelivered.
 
     def call_batch(self, dst: "RpcNode",
-                   entries: list[tuple[str, dict, int]],
-                   reply_size: Optional[int] = None) -> Process:
+                   entries: list[tuple[str, dict]]) -> Process:
         """Ship ``entries`` to ``dst`` as one message; returns per-entry
-        results in order.  Each entry is ``(method, args, size)`` with the
-        same per-entry ``size`` a single :meth:`call` would use; the wire
-        carries one envelope plus the summed entry sizes."""
+        results in order.  Each entry is the ``(method, args)`` a single
+        :meth:`call` would send; the wire carries one envelope plus the
+        entries' :func:`request_size`."""
         return self._spawn(
-            self._call(dst, BATCH_METHOD, {"entries": list(entries)},
-                       self._batch_size(entries), reply_size),
+            self._call(dst, BATCH_METHOD, {"entries": list(entries)}),
             f"rpcb:{self.name}->{dst.name}:batch{len(entries)}")
 
     def send_oneway_batch(self, dst: "RpcNode",
-                          entries: list[tuple[str, dict, int]]) -> Process:
+                          entries: list[tuple[str, dict]]) -> Process:
         """Fire-and-forget batch: deliver and execute, swallowing network
         errors (per-entry application errors are reported in the results,
         which a oneway by definition never sees)."""
         return self._spawn(
-            self._oneway(dst, BATCH_METHOD, {"entries": list(entries)},
-                         self._batch_size(entries)),
+            self._oneway(dst, BATCH_METHOD, {"entries": list(entries)}),
             f"rpcb1w:{self.name}->{dst.name}:batch{len(entries)}")
-
-    def _batch_size(self, entries) -> int:
-        return self.ENVELOPE + sum(size for _, _, size in entries)
 
     def _dispatch_batch(self, msg: Message) -> Generator:
         """Apply a batch's entries in order, one result per entry.
@@ -190,7 +228,7 @@ class RpcNode:
         aborting the rest of the batch — the caller decides what to retry.
         """
         results = []
-        for method, args, _size in msg.args["entries"]:
+        for method, args in msg.args["entries"]:
             handler = self._handlers.get(method)
             if handler is None:
                 results.append({"ok": False,
@@ -198,7 +236,7 @@ class RpcNode:
                 continue
             self._served.inc()
             sub = Message(src=msg.src, dst=msg.dst, method=method, args=args,
-                          size=msg.size, sent_at=msg.sent_at, trace=msg.trace)
+                          sent_at=msg.sent_at, trace=msg.trace)
             try:
                 value = yield from handler(sub)
             except Exception as exc:
@@ -208,30 +246,29 @@ class RpcNode:
         return results
 
     def send_oneway(self, dst: "RpcNode", method: str,
-                    args: Optional[dict[str, Any]] = None,
-                    size: Optional[int] = None) -> Process:
+                    args: Optional[dict[str, Any]] = None) -> Process:
         """Fire-and-forget: deliver and execute, swallowing network errors.
 
         Used for background/asynchronous propagation (the ``queue``
         response) where a dead replica must not crash the sender.
         """
         return self._spawn(
-            self._oneway(dst, method, args or {}, size),
+            self._oneway(dst, method, args or {}),
             f"rpc1w:{self.name}->{dst.name}:{method}")
 
-    def _oneway(self, dst: "RpcNode", method: str, args: dict[str, Any],
-                size: Optional[int]) -> Generator:
+    def _oneway(self, dst: "RpcNode", method: str,
+                args: dict[str, Any]) -> Generator:
         tracer = self._obs.tracer
         span = (tracer.span(f"oneway:{method}", cat="rpc",
                             component=self.name, dst=dst.name)
                 if tracer.enabled else NULL_SPAN)
         with span:
             msg = Message(src=self.name, dst=dst.name, method=method,
-                          args=args,
-                          size=size if size is not None else self.ENVELOPE,
-                          sent_at=self.sim.now, trace=span.context)
+                          args=args, sent_at=self.sim.now,
+                          trace=span.context)
             try:
-                yield from self.network.transmit(self.host, dst.host, msg.size)
+                yield from self.network.transmit(self.host, dst.host,
+                                                 request_size(method, args))
                 yield from dst._dispatch(msg)
             except Exception as exc:
                 self._dropped.inc()
@@ -269,52 +306,25 @@ class RpcNode:
         return result
 
 
-def _payload_size(value: Any) -> int:
-    """Rough wire size of a handler result, for reply transmission.
-
-    Dict results are charged for *every* byte payload they carry (nested
-    dicts/lists included), so e.g. a batched replica-payload reply is
-    serialized at its real size rather than a flat 64-byte estimate.
-    """
-    if value is None:
-        return 0
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, dict):
-        return 64 + sum(_nested_bytes(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return 64 + sum(_nested_bytes(v) for v in value)
-    return 64
-
-
-def _nested_bytes(value: Any) -> int:
-    """Total bytes-payload carried anywhere inside ``value``."""
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(_nested_bytes(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return sum(_nested_bytes(v) for v in value)
-    return 0
-
-
-def split_batches(entries: list[tuple[str, dict, int]],
-                  max_bytes: float) -> list[list[tuple[str, dict, int]]]:
+def split_batches(entries: list[tuple[str, dict]],
+                  max_bytes: float) -> list[list[tuple[str, dict]]]:
     """Cut ``entries`` into consecutive batches of at most ``max_bytes``
-    payload each, for one :meth:`RpcNode.call_batch` per batch.
+    of :func:`request_size` each, for one :meth:`RpcNode.call_batch` per
+    batch.
 
     A batch closes when the next entry would overflow it, so an entry
     larger than the bound travels alone and a bound of 0 yields one entry
     per message.
     """
-    batches: list[list[tuple[str, dict, int]]] = []
+    batches: list[list[tuple[str, dict]]] = []
     used = 0
-    for entry in entries:
-        if not batches or used + entry[2] > max_bytes:
+    for method, args in entries:
+        size = request_size(method, args)
+        if not batches or used + size > max_bytes:
             batches.append([])
             used = 0
-        batches[-1].append(entry)
-        used += entry[2]
+        batches[-1].append((method, args))
+        used += size
     return batches
 
 

@@ -457,7 +457,7 @@ class TieraInstance:
         ``batch_bytes`` (0: one key each).  Returns ``(landed, failed,
         answered batches)``; a key with no version here is in neither."""
         landed, failed = [], []
-        payload: list[tuple[str, dict, int]] = []
+        payload: list[tuple[str, dict]] = []
         for key in keys:
             try:
                 args = yield from self.replica_args(key)
@@ -466,7 +466,7 @@ class TieraInstance:
             except StorageError:
                 failed.append(key)
                 continue
-            payload.append(("replica_update", args, len(args["data"]) + 512))
+            payload.append(("replica_update", args))
         answered = 0
         for entries in split_batches(payload, batch_bytes):
             call = self.node.call_batch(node, entries)
@@ -476,7 +476,7 @@ class TieraInstance:
                 answered += 1
             except NetworkError:
                 results = [{}] * len(entries)   # the whole batch is lost
-            for (_method, args, _size), res in zip(entries, results):
+            for (_method, args), res in zip(entries, results):
                 (landed if res.get("ok") else failed).append(args["key"])
         return landed, failed, answered
 
@@ -506,8 +506,7 @@ class TieraInstance:
         for node in handoff.dest_nodes(dest):
             if remove:
                 self.node.send_oneway(node, "replica_remove",
-                                      {"key": key, "version": version},
-                                      size=256)
+                                      {"key": key, "version": version})
             else:
                 self.sim.process(
                     self._handoff_push(node, key, version),
@@ -523,8 +522,7 @@ class TieraInstance:
             args = yield from self.replica_args(key, version)
         except ObjectMissingError:
             return   # removed/GC'd between ack and push; sweep reconciles
-        yield from self.node._oneway(node, "replica_update", args,
-                                     size=len(args["data"]) + 512)
+        yield from self.node._oneway(node, "replica_update", args)
 
     # ------------------------------------------------------------------
     # background policy engines
@@ -633,7 +631,6 @@ class TieraInstance:
         n.register("peer_get", self.rpc_peer_get)
         n.register("probe", self.rpc_probe)
         n.register("stats", self.rpc_stats)
-        n.register("list_keys", self.rpc_list_keys)
         n.register("tier_put", self.rpc_tier_put)
         n.register("tier_get", self.rpc_tier_get)
         n.register("tier_delete", self.rpc_tier_delete)
@@ -785,7 +782,8 @@ class TieraInstance:
         return keys
 
     def rpc_digest(self, msg: Message) -> Generator:
-        """Anti-entropy digest: latest (version, last_modified) per key."""
+        """Latest (version, last_modified) per key: the anti-entropy
+        digest, and the listing a recovered replica re-syncs from."""
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
         return {"keys": self.key_state(), "instance": self.instance_id}
 
@@ -847,12 +845,6 @@ class TieraInstance:
     def rpc_probe(self, msg: Message) -> Generator:
         yield self.sim.timeout(0.00005)
         return {"t": self.sim.now, "instance": self.instance_id}
-
-    def rpc_list_keys(self, msg: Message) -> Generator:
-        """Keys and latest versions held here (used for replica re-sync)."""
-        yield self.sim.timeout(METADATA_WRITE_LATENCY)
-        listing = [(rec.key, rec.latest_version) for rec in self.meta.records()]
-        return {"keys": listing}
 
     def rpc_stats(self, msg: Message) -> Generator:
         yield self.sim.timeout(METADATA_WRITE_LATENCY)

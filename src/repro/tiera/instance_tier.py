@@ -81,8 +81,7 @@ class InstanceTier:
             raise StorageError(f"{self.name} is a read-only instance tier")
         result = yield from self.owner_node.invoke(
             self.remote_node, "tier_put",
-            {"tier": self.remote_tier, "skey": skey, "data": bytes(data)},
-            size=len(data) + 256)
+            {"tier": self.remote_tier, "skey": skey, "data": bytes(data)})
         if not result.get("stored"):
             raise StorageError(f"{self.name}: remote store failed")
         self._known.add(skey)

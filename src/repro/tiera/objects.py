@@ -20,9 +20,11 @@ def behind(theirs: Optional[tuple[int, float]],
            ours: tuple[int, float]) -> bool:
     """Whether a peer's digest entry ``theirs`` (``(version,
     last_modified)``, None if absent) loses last-write-wins to ``ours``:
-    the one push test of anti-entropy repair and the shard rebalancer."""
-    their_version, their_modified = theirs or (0, -1.0)
-    return (their_modified, their_version) < (ours[1], ours[0])
+    the one push test of anti-entropy repair and the shard rebalancer.
+    Version first, then time — the order of :meth:`VersionMeta.newer_than`
+    and :attr:`ObjectRecord.latest`, so a push never tries to install a
+    copy the receiver would not rank newest."""
+    return (theirs or (0, -1.0)) < ours
 
 
 def storage_key(key: str, version: int) -> str:

@@ -364,10 +364,13 @@ class Wave:
     def pull(self, slot) -> float:
         """One ``peer_get`` round trip for fragment ``slot`` of "obj"."""
         fraglen = Codec.fragment_length(len(WAVE_VALUE), WAVE_K)
-        return self.timed(self.coordinator.node.invoke(
-            self.instance(self.ring[slot]).node, "peer_get",
-            {"key": fragment_key("obj", slot), "version": 1},
-            reply_size=fraglen + 512))[1]
+
+        def pull_one():
+            return (yield self.coordinator.node.call(
+                self.instance(self.ring[slot]).node, "peer_get",
+                {"key": fragment_key("obj", slot), "version": 1},
+                reply_size=fraglen + 512))
+        return self.timed(pull_one())[1]
 
     def crash(self, *slots) -> None:
         """Down the hosts of ring members ``slots`` for good, from now."""

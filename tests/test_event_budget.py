@@ -74,6 +74,7 @@ import pytest
 
 from repro import (
     GlobalPolicySpec,
+    RedundancySpec,
     RegionPlacement,
     build_deployment,
 )
@@ -301,6 +302,53 @@ def test_exact_events_per_router_refresh():
     dep, client = deploy([US_EAST, US_WEST], shards=2)
     assert events(dep, client.router.refresh()) == DRIVER + PER_REFRESH
     assert client.router.refreshes == 1
+
+
+#: Exact wire cost of one 1 KB put and of one get of it, per protocol:
+#: ``(net.bytes, net.messages)``, every message the op puts on the wire.
+#: The client is in us-east; ``primary_backup`` (sync) has its primary in
+#: us-west, so the put goes through a backup and is forwarded.
+WIRE_BUDGET = {
+    "eventual": ((1600, 2), (1600, 2)),
+    "primary_backup": ((5312, 6), (1600, 2)),
+    "multi_primaries": ((5184, 10), (1600, 2)),
+    "ec(2,1)": ((7202, 10), (2880, 4)),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(WIRE_BUDGET))
+def test_exact_wire_bytes_per_put_and_per_get(protocol):
+    """A byte budget beside the event budget: the message sizes of the
+    plain put and get paths, pinned so a change to what a message costs
+    on the wire is a decision, not a drift."""
+    if protocol == "ec(2,1)":
+        regions = (US_EAST, US_WEST, EU_WEST)
+        consistency, extra = "eventual", {"redundancy": RedundancySpec(k=2,
+                                                                       m=1)}
+    else:
+        regions, consistency, extra = (US_EAST, US_WEST), protocol, {}
+    dep = build_deployment(regions, seed=7)
+    spec = GlobalPolicySpec(
+        name="wire",
+        placements=tuple(
+            RegionPlacement(region, memory_only_policy(),
+                            primary=(region == US_WEST
+                                     and consistency == "primary_backup"))
+            for region in regions),
+        consistency=consistency, queue_interval=3600.0, **extra)
+    instances = dep.start_wiera_instance("wire", spec)
+    client = dep.add_client(US_EAST, instances=instances, name="app")
+
+    def wire(op):
+        before = (dep.metric_total("net.bytes"),
+                  dep.metric_total("net.messages"))
+        dep.drive(op)
+        return (dep.metric_total("net.bytes") - before[0],
+                dep.metric_total("net.messages") - before[1])
+
+    put_budget, get_budget = WIRE_BUDGET[protocol]
+    assert wire(client.put("k", bytes(1024))) == put_budget
+    assert wire(client.get("k")) == get_budget
 
 
 def test_no_waited_on_call_is_a_process():

@@ -224,6 +224,46 @@ class TestPartitionConvergence:
         assert latest_meta(eu, "solo") is not None
 
 
+class TestRepairOrder:
+    def test_repair_ranks_copies_like_the_replicas(self):
+        """Anti-entropy pushes by the replicas' own order, version first:
+        a copy with the higher version wins even if it is older in time,
+        so one push settles the key instead of one per round forever."""
+        regions = (US_EAST, US_WEST)
+        dep = build_deployment(regions, seed=53)
+        spec = GlobalPolicySpec(
+            name="order",
+            placements=tuple(RegionPlacement(r, memory_only_policy())
+                             for r in regions),
+            consistency="eventual", queue_interval=1.0, repair_interval=5.0)
+        instances = dep.start_wiera_instance("order", spec)
+        east = dep.add_client(US_EAST, instances=instances)
+        west = dep.add_client(US_WEST, instances=instances)
+        t0 = dep.sim.now
+        faults = dep.fault_schedule()
+        faults.partition(t0 + 0.5, US_EAST, US_WEST, duration=60.0)
+        faults.start()
+
+        def west_writes():
+            yield dep.sim.timeout(1.0)
+            yield from west.put("k", b"west-1")
+            yield from west.put("k", b"west-2")
+
+        def east_writes():
+            yield dep.sim.timeout(3.0)
+            yield from east.put("k", b"east-1")
+
+        dep.sim.process(west_writes())
+        dep.sim.process(east_writes())
+        dep.sim.run(until=t0 + 200.0)
+
+        latest = [dep.instance("order", r).meta.get_record("k").latest()
+                  for r in regions]
+        assert [meta.version for meta in latest] == [2, 2]
+        assert latest[0].last_modified == latest[1].last_modified
+        assert dep.metric_total("repair.keys_pushed") == 1
+
+
 class TestPrimaryCrashMidForward:
     def test_forwarded_put_retries_until_primary_returns(self):
         dep, instances = deploy("primary_backup", sync_replication=True)

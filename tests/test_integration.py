@@ -203,9 +203,10 @@ class TestInstanceRpcSurface:
             yield from client.put("a", b"1")
             yield from client.put("b", b"2")
             stats = yield client.node.call(node, "stats")
-            keys = yield client.node.call(node, "list_keys")
-            return stats, keys
-        stats, keys = dep.drive(app())
+            digest = yield client.node.call(node, "digest")
+            return stats, digest
+        stats, digest = dep.drive(app())
         assert stats["objects"] == 2
         assert stats["puts_from_app"] == 2
-        assert sorted(keys["keys"]) == [("a", 1), ("b", 1)]
+        assert [(key, version) for key, (version, _) in
+                sorted(digest["keys"].items())] == [("a", 1), ("b", 1)]

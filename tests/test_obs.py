@@ -166,10 +166,9 @@ class TestInlineCallTracing:
             with tracer.span("app:put", cat="op", component="app") as span:
                 target = client.closest["node"]
                 if how == "call":
-                    yield client.node.call(target, "put", args, size=356)
+                    yield client.node.call(target, "put", args)
                 else:
-                    yield from client.node.invoke(target, "put", args,
-                                                  size=356)
+                    yield from client.node.invoke(target, "put", args)
             return span
         return span_tree(tracer, dep.drive(app()))
 

@@ -75,9 +75,9 @@ class TestBatchRpc:
         west = dep.instance("q", US_WEST)
         u1 = make_update(east, dep, "k", b"v1")
         u2 = make_update(east, dep, "k", b"v2")
-        entries = [("replica_update", u1, len(u1["data"]) + 512),
-                   ("no_such_method", {}, 16),
-                   ("replica_update", u2, len(u2["data"]) + 512)]
+        entries = [("replica_update", u1),
+                   ("no_such_method", {}),
+                   ("replica_update", u2)]
 
         def go():
             results = yield east.node.call_batch(west.node, entries)
@@ -92,8 +92,7 @@ class TestBatchRpc:
         dep, _ = world
         east = dep.instance("q", US_EAST)
         west = dep.instance("q", US_WEST)
-        entries = [("replica_update",
-                    make_update(east, dep, f"k{i}", b"v"), 514)
+        entries = [("replica_update", make_update(east, dep, f"k{i}", b"v"))
                    for i in range(3)]
         before = dep.metric_total("net.messages")
 
@@ -112,7 +111,7 @@ class TestBatchRpc:
 
         def go():
             yield east.node.call_batch(
-                west.node, [("replica_update", u, 513)])
+                west.node, [("replica_update", u)])
         with pytest.raises(HostDownError):
             dep.drive(go())
 
@@ -199,7 +198,7 @@ class TestSyncBroadcast:
 
         def go():
             yield from east.protocol.broadcast_sync(
-                east, "replica_update", u, size=513)
+                east, "replica_update", u)
         # One (method, args) per peer has nothing to batch: a plain call,
         # so the peer's own exception reaches the writer.
         with pytest.raises(RuntimeError, match="poisoned entry"):

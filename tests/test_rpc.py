@@ -1,15 +1,20 @@
 """Tests for the RPC layer (the Thrift substitute)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import HostDownError, Network, US_EAST, US_WEST
 from repro.obs.api import get_obs
 from repro.sim import Interrupt, Simulator
 from repro.sim.rpc import (
+    BATCH_METHOD,
     NoSuchMethodError,
     RpcNode,
     call_with_timeout,
+    request_size,
+    response_size,
+    split_batches,
 )
 from repro.tiera.policy import memory_only_policy
 from repro.util.units import MS
@@ -133,10 +138,10 @@ def test_payload_size_affects_latency(world):
 
     b.register("sink", sink)
 
-    def timed(size):
+    def timed(nbytes):
         def main():
             t0 = sim.now
-            yield a.call(b, "sink", {"data": b"x"}, size=size)
+            yield a.call(b, "sink", {"data": bytes(nbytes)})
             return sim.now - t0
         return main
 
@@ -145,6 +150,90 @@ def test_payload_size_affects_latency(world):
     p2 = sim.process(timed(1024 * 512)())
     large = sim.run(until=p2)
     assert large > small + 0.4  # 512 KB at 1 MB/s adds ~0.5 s
+
+
+# -- wire size: one rule for every message ---------------------------------
+
+@pytest.mark.parametrize("method, base", [("replica_update", 512),
+                                          ("forward_put", 512),
+                                          ("manifest_remap", 64),
+                                          ("check_readable", 64),
+                                          ("get", 256)])
+def test_request_is_its_method_base_plus_what_it_carries(method, base):
+    assert request_size(method, {"key": "k", "version": 3}) == base
+    assert request_size(method, {"key": "k", "data": bytes(100)}) \
+        == base + 100
+    assert request_size(method, {"items": [("k", 1)] * 3}) == base + 3 * 16
+
+
+def test_reply_is_an_envelope_plus_its_top_level_data():
+    assert response_size("stats", None) == 256
+    assert response_size("stats", {"objects": 2}) == 256 + 64
+    assert response_size("get", {"data": bytes(1000), "version": 1}) \
+        == 256 + 64 + 1000
+
+
+def test_batch_is_one_envelope_over_its_entries():
+    entries = [("replica_update", {"key": "a", "data": bytes(10)}),
+               ("replica_remove", {"key": "b", "version": 1}),
+               ("check_readable", {"items": [("a", 1), ("b", 2)]})]
+    assert request_size(BATCH_METHOD, {"entries": entries}) \
+        == 256 + (512 + 10) + 256 + (64 + 2 * 16)
+    results = [{"ok": True, "result": {"data": bytes(100), "version": 1}},
+               {"ok": False, "error": "KeyError('b')"},
+               {"ok": True, "result": None},
+               {"ok": True, "result": {"applied": True}}]
+    assert response_size(BATCH_METHOD, results) == 256 + 64 + 100
+
+
+def test_the_wire_carries_exactly_the_rule(world):
+    sim, net, a, b = world
+    wire = get_obs(sim).metrics.counter("net.bytes")
+
+    def echo(msg):
+        yield sim.timeout(0.0)
+        return {"data": msg.args["data"][:100]}
+
+    b.register("echo", echo)
+    b.register("replica_update", echo)
+    args = {"key": "k", "data": bytes(1000)}
+    entries = [("replica_update", args), ("echo", args)]
+    for main, sent in ((lambda: a.call(b, "echo", args), 1256 + 420),
+                       (lambda: a.call_batch(b, entries),
+                        256 + 1512 + 1256 + 320 + 200)):
+        before = wire.value
+        sim.run(until=main())
+        assert wire.value - before == sent
+
+
+_ENTRY = st.tuples(
+    st.sampled_from(["replica_update", "replica_remove", "check_readable",
+                     "manifest_remap"]),
+    st.fixed_dictionaries({}, optional={
+        "data": st.binary(max_size=600),
+        "items": st.lists(st.tuples(st.just("k"), st.integers(1, 3)),
+                          max_size=8)}))
+
+
+@given(entries=st.lists(_ENTRY, max_size=30), data=st.data())
+def test_split_batches_cuts_in_order_within_the_bound(entries, data):
+    # A bound at a prefix sum is the edge case: a batch that fills it
+    # exactly still holds the entry that fills it.  0 is the first one.
+    prefixes = [sum(request_size(*entry) for entry in entries[:i])
+                for i in range(len(entries) + 1)]
+    max_bytes = data.draw(st.one_of(st.sampled_from(prefixes),
+                                    st.integers(0, 3000)))
+    batches = split_batches(entries, max_bytes)
+    assert [entry for batch in batches for entry in batch] == entries
+    sizes = [[request_size(*entry) for entry in batch] for batch in batches]
+    for i, batch in enumerate(sizes):
+        assert batch
+        assert len(batch) == 1 or sum(batch) <= max_bytes
+        if max_bytes == 0:
+            assert len(batch) == 1
+        if i + 1 < len(sizes):
+            # A batch closes only when the next entry would overflow it.
+            assert sum(batch) + sizes[i + 1][0] > max_bytes
 
 
 def test_call_with_timeout_success(world):
@@ -237,12 +326,13 @@ def test_invoke_is_call_without_the_process_pair(world):
 
     def via_call():
         t0 = sim.now
-        result = yield a.call(b, "echo", {"x": 5}, size=4096)
+        result = yield a.call(b, "echo", {"x": 5, "data": bytes(3840)})
         return result, sim.now - t0
 
     def via_invoke():
         t0 = sim.now
-        result = yield from a.invoke(b, "echo", {"x": 5}, size=4096)
+        result = yield from a.invoke(b, "echo",
+                                     {"x": 5, "data": bytes(3840)})
         return result, sim.now - t0
 
     outcomes, events, messages = [], [], []
