@@ -1,12 +1,14 @@
-"""Kernel and RPC speed of this tree against a parent, on one host.
+"""Kernel, RPC, network and storage speed of this tree against a parent,
+on one host.
 
     python benchmarks/kernel_gate.py [REV]      # REV defaults to HEAD~1
 
 The tree this script sits in is the change; REV, checked out in a
 temporary ``git worktree``, is the parent.  Ten pairs time the
-``sim.kernel`` and ``sim.rpc`` micros of the parent's ``perf/micro.py``
-on both sides, alternating which side runs first, each side in a fresh
-process with its own tree's ``src/``.  The yardstick is the parent's, so
+``sim.kernel``, ``sim.rpc``, ``net`` and ``storage`` micros of the
+parent's ``perf/micro.py`` (the layers every message crosses) on both
+sides, alternating which side runs first, each side in a fresh process
+with its own tree's ``src/``.  The yardstick is the parent's, so
 a change cannot move its own gate, and a busy host slows both sides.
 The exit status is 1 when a change median is below ``BOUND`` times the
 parent's.
@@ -26,7 +28,8 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
-MICROS = ("sim.kernel.micro_events_per_s", "sim.rpc.micro_calls_per_s")
+MICROS = ("sim.kernel.micro_events_per_s", "sim.rpc.micro_calls_per_s",
+          "net.micro_transmits_per_s", "storage.micro_ops_per_s")
 PAIRS = 10
 #: a change median below this fraction of the parent median fails
 BOUND = 0.7

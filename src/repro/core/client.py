@@ -93,11 +93,6 @@ class WieraClient:
             raise NoInstanceAvailableError("client has no instances attached")
         return self.instances[0]
 
-    def _candidates(self):
-        if not self.instances:
-            raise NoInstanceAvailableError("client has no instances attached")
-        return self.instances
-
     def _candidates_for(self, args: dict):
         """Candidate sweep order: the owning shard's instances when a
         router is installed and the operation is keyed, else all."""
@@ -105,74 +100,70 @@ class WieraClient:
             key = args.get("key")
             if key is not None:
                 return self.router.candidates(key)
-        return self._candidates()
+        if not self.instances:
+            raise NoInstanceAvailableError("client has no instances attached")
+        return self.instances
 
-    def _call_one(self, info: dict, method: str, args: dict) -> Generator:
-        """One RPC to one instance, bounded by ``request_timeout`` if set."""
-        if self.request_timeout is None:
-            result = yield from self.node.invoke(info["node"], method, args)
-        else:
-            result = yield from call_with_timeout(
-                self.sim, self.node.call(info["node"], method, args),
-                self.request_timeout)
-        return result
+    # -- Table 2 API ----------------------------------------------------------
+    def _op(self, method: str, args: dict) -> Generator:
+        """One Table 2 call, booked in ``history`` however it ends.
 
-    def _invoke(self, method: str, args: dict) -> Generator:
-        """Call the closest (owning) instance, failing over down the list;
-        retry the whole sweep with backoff when a retry policy is
+        It calls the closest (owning) instance, failing over down the list,
+        and retries the whole sweep with backoff when a retry policy is
         configured.  A ``WrongShardError`` redirect — the contacted shard
         runs a newer map epoch — refreshes the cached shard map and
         re-routes immediately without consuming a backoff attempt."""
+        start = self.sim.now
         policy = self.retry_policy
         attempts = policy.max_attempts if policy is not None else 1
         last_error: Optional[Exception] = None
         attempt = 0
         redirects = 0
-        while attempt < attempts:
-            if attempt > 0:
-                self._retry_counter.inc()
-                yield self.sim.timeout(policy.backoff(attempt - 1,
-                                                      rng=self._rng))
-            redirected = False
-            for info in self._candidates_for(args):
-                if info.get("down"):
-                    continue
-                try:
-                    result = yield from self._call_one(info, method, args)
-                    return result
-                except WrongShardError as exc:
-                    last_error = exc
-                    redirected = True
-                    break   # stale map: same-shard failover is pointless
-                except FAILOVER_ERRORS as exc:
-                    last_error = exc
-                    self._failover_counter.inc()
-                    continue
-            if redirected and self.router is not None \
-                    and redirects < MAX_REDIRECTS:
-                redirects += 1
-                self.router.note_redirect()
-                yield from self.router.refresh()
-                continue
-            attempt += 1
-        raise NoInstanceAvailableError(
-            f"all instances unreachable for {method}: {last_error}")
-
-    # -- Table 2 API ----------------------------------------------------------
-    def _op(self, method: str, args: dict) -> Generator:
-        """One Table 2 call, booked in ``history`` however it ends."""
-        start = self.sim.now
         try:
-            result = yield from self._invoke(method, args)
+            while attempt < attempts:
+                if attempt > 0:
+                    self._retry_counter.inc()
+                    yield self.sim.timeout(policy.backoff(attempt - 1,
+                                                          rng=self._rng))
+                redirected = False
+                for info in self._candidates_for(args):
+                    if info.get("down"):
+                        continue
+                    try:    # one RPC, bounded by request_timeout if set
+                        if self.request_timeout is None:
+                            result = yield from self.node.invoke(
+                                info["node"], method, args)
+                        else:
+                            result = yield from call_with_timeout(
+                                self.sim, self.node.call(info["node"], method,
+                                                         args),
+                                self.request_timeout)
+                    except WrongShardError as exc:
+                        last_error = exc
+                        redirected = True
+                        break   # stale map: same-shard failover is pointless
+                    except FAILOVER_ERRORS as exc:
+                        last_error = exc
+                        self._failover_counter.inc()
+                        continue
+                    end = self.sim.now
+                    self.history.book(method, args["key"],
+                                      result.get("version"), start, end)
+                    result["latency"] = end - start
+                    return result
+                if redirected and self.router is not None \
+                        and redirects < MAX_REDIRECTS:
+                    redirects += 1
+                    self.router.note_redirect()
+                    yield from self.router.refresh()
+                    continue
+                attempt += 1
+            raise NoInstanceAvailableError(
+                f"all instances unreachable for {method}: {last_error}")
         except OP_ERRORS as exc:
             self.history.book(method, args["key"], None, start,
                               self.sim.now, type(exc).__name__)
             raise
-        end = self.sim.now
-        self.history.book(method, args["key"], result.get("version"),
-                          start, end)
-        result["latency"] = end - start
-        return result
 
     def put(self, key: str, data: bytes, tags=()) -> Generator:
         return self._op("put", {"key": key, "data": data, "tags": tuple(tags)})

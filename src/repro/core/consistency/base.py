@@ -116,11 +116,10 @@ class GlobalProtocol:
 
     def on_replica_update(self, instance, args: dict) -> Generator:
         """Last-write-wins merge of a peer's update (§4.2)."""
-        result = yield from instance.apply_replica_update(
+        return instance.apply_replica_update(
             key=args["key"], version=args["version"],
             last_modified=args["last_modified"], data=args["data"],
             origin=args.get("origin", ""))
-        return result
 
     def on_replica_remove(self, instance, args: dict) -> Generator:
         removed = yield from instance.local_remove(args["key"],

@@ -65,7 +65,7 @@ from repro.core.consistency.base import GlobalProtocol, ProtocolError
 from repro.ec.codec import Codec
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import traced
 from repro.storage.backend import ObjectMissingError, StorageError
 
 #: manifests are JSON objects whose serialization starts with this tag
@@ -178,12 +178,11 @@ class ECProtocol(GlobalProtocol):
     def on_put(self, instance, key: str, data: bytes, tags=(),
                src: str = "app") -> Generator:
         tracer = get_obs(instance.sim).tracer
-        span = (tracer.span("ec:put", cat="ec",
-                            component=instance.instance_id, key=key)
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            result = yield from self._put(instance, key, data, tags)
-        return result
+        if tracer.enabled:
+            return traced(tracer, self._put(instance, key, data, tags),
+                          "ec:put", cat="ec", component=instance.instance_id,
+                          key=key)
+        return self._put(instance, key, data, tags)
 
     @staticmethod
     def _landed(call) -> Generator:
@@ -329,12 +328,11 @@ class ECProtocol(GlobalProtocol):
     def on_get(self, instance, key: str,
                version: Optional[int] = None) -> Generator:
         tracer = get_obs(instance.sim).tracer
-        span = (tracer.span("ec:get", cat="ec",
-                            component=instance.instance_id, key=key)
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            result = yield from self._get(instance, key, version)
-        return result
+        if tracer.enabled:
+            return traced(tracer, self._get(instance, key, version),
+                          "ec:get", cat="ec", component=instance.instance_id,
+                          key=key)
+        return self._get(instance, key, version)
 
     def _get(self, instance, key: str,
              version: Optional[int]) -> Generator:

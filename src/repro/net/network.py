@@ -18,7 +18,7 @@ from repro.net.link import SEGMENT_BYTES, BandwidthLink
 from repro.net.topology import Topology
 from repro.net.vmprofiles import VmProfile, get_profile
 from repro.obs.api import get_obs
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import traced
 from repro.sim.kernel import Simulator
 from repro.sim.primitives import wake_at
 
@@ -162,8 +162,6 @@ class Network:
                        at: Optional[float] = None) -> float:
         """Injected delay on src→dst traffic at instant ``at`` (default:
         now), from the injection windows registered so far."""
-        if not self._host_injections and not self._pair_injections:
-            return 0.0   # nothing scheduled: the common, fault-free case
         when = self.sim.now if at is None else at
         extra = 0.0
         for name in (src.name, dst.name):
@@ -180,12 +178,14 @@ class Network:
         """One-way message latency (excluding bandwidth queueing) at
         instant ``at`` (default: now)."""
         if src is dst:
-            # Same machine: loopback, no NIC or propagation cost.
-            return self.injected_extra(src, dst, at) if include_dynamics else 0.0
-        base = self.topology.oneway(src.region, src.provider,
-                                    dst.region, dst.provider)
-        base += src.vm.nic_delay + dst.vm.nic_delay
-        if include_dynamics:
+            base = 0.0   # same machine: loopback, no NIC or propagation cost
+        else:
+            base = self.topology.oneway(src.region, src.provider,
+                                        dst.region, dst.provider)
+            base += src.vm.nic_delay + dst.vm.nic_delay
+        # No injection scheduled is the common, fault-free case.
+        if include_dynamics and (self._host_injections
+                                 or self._pair_injections):
             base += self.injected_extra(src, dst, at)
         return base
 
@@ -223,32 +223,36 @@ class Network:
         while it is still serializing is not applied to the message.
         """
         tracer = self._obs.tracer
-        span = (tracer.span("net:transmit", cat="net", component=src.name,
-                            dst=dst.name, bytes=nbytes)
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            start = self.sim.now
-            self._admit(src, dst, nbytes)
-            if src is not dst:
-                last = nbytes
-                if last > SEGMENT_BYTES:
-                    last = yield from self._leading_segments(src, dst, last)
-                finish = src.egress.reserve(last)
-                arrival = finish + self.oneway_latency(src, dst, at=finish)
-                if arrival > start:
-                    yield wake_at(self.sim, arrival)
-            # Destination may have died while the message was in flight.
-            if dst.down:
-                raise HostDownError(
-                    f"host {dst.name} went down mid-transfer")
+        if tracer.enabled:
+            return traced(tracer, self._transmit(src, dst, nbytes),
+                          "net:transmit", cat="net", component=src.name,
+                          dst=dst.name, bytes=nbytes)
+        return self._transmit(src, dst, nbytes)
+
+    def _transmit(self, src: Host, dst: Host, nbytes: int) -> Generator:
+        start = self.sim.now
+        self._admit(src, dst, nbytes)
+        if src is not dst:
+            last = nbytes
+            if last > SEGMENT_BYTES:
+                last = yield from self._leading_segments(src, dst, last)
+            finish = src.egress.reserve(last)
+            arrival = finish + self.oneway_latency(src, dst, at=finish)
+            if arrival > start:
+                yield wake_at(self.sim, arrival)
+        # Destination may have died while the message was in flight.
+        if dst.down:
+            raise HostDownError(
+                f"host {dst.name} went down mid-transfer")
 
     def _admit(self, src: Host, dst: Host, nbytes: int) -> None:
         """Send-time admission of one message: reachability check, message
         and byte counters, egress billing.  Raises if ``dst`` cannot be
         reached; consumes no simulated time."""
-        self.check_reachable(src, dst)
-        self._msg_counter.inc()
-        self._bytes_counter.inc(nbytes)
+        if dst.down or src.down or self._partitions:
+            self.check_reachable(src, dst)
+        self._msg_counter.value += 1
+        self._bytes_counter.value += nbytes
         if self.ledger is not None and src is not dst:
             # Billed once per transfer, however many segments carry it.
             scope = ("intra_dc" if src.region == dst.region

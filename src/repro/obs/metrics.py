@@ -31,7 +31,7 @@ def flat_name(name: str, labels: LabelKey) -> str:
 
 
 class Counter:
-    """Monotonically increasing count."""
+    """Monotonically increasing count; hot paths add to ``value`` directly."""
 
     kind = "counter"
     __slots__ = ("name", "labels", "value")

@@ -9,15 +9,16 @@ the context across process boundaries on the :class:`~repro.sim.rpc.Message`
 envelope — the sim equivalent of W3C trace-context propagation.
 
 Tracing is disabled by default: components talk to a :class:`NullTracer`
-whose ``span()`` returns one shared no-op span, so the instrumented hot
-paths (RPC dispatch, network transmits, storage accesses) allocate nothing
-and consume no simulated time either way.
+whose ``span()`` returns one shared no-op span, and consume no simulated
+time either way.  The hot paths (an RPC, a transmit, a storage read or
+write) hand out their generator as is unless the tracer records, and only
+then wrap it in :func:`traced`: untraced, they open no span at all.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, NamedTuple, Optional
+from typing import Any, Generator, NamedTuple, Optional
 
 
 class TraceContext(NamedTuple):
@@ -112,9 +113,6 @@ class NullTracer:
              parent: Optional[TraceContext] = None, **args: Any) -> _NullSpan:
         return NULL_SPAN
 
-    def current(self) -> None:
-        return None
-
     def clear(self) -> None:
         pass
 
@@ -129,11 +127,6 @@ class Tracer:
         self.spans: list[Span] = []
         self._next_trace = itertools.count(1).__next__
         self._next_span = itertools.count(1).__next__
-
-    def current(self) -> Optional[TraceContext]:
-        """Trace context of the currently executing process, if any."""
-        proc = self.sim.active_process
-        return proc.obs_ctx if proc is not None else None
 
     def span(self, name: str, cat: str = "", component: str = "",
              parent: Optional[TraceContext] = None, **args: Any) -> Span:
@@ -172,3 +165,11 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
+
+
+def traced(tracer: "Tracer", body: Generator, name: str,
+           **fields: Any) -> Generator:
+    """``body`` inside a span of a recording ``tracer``, opened at its first
+    step and closed when it returns or raises: ``yield from`` it instead."""
+    with tracer.span(name, **fields):
+        return (yield from body)

@@ -296,7 +296,7 @@ class Timeout(Event):
         elif delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         else:
-            heapq.heappush(sim._heap, (sim._now + delay, seq, self))
+            heapq.heappush(sim._heap, (sim.now + delay, seq, self))
         sim._seq = seq + 1
 
 
@@ -367,9 +367,9 @@ class Process(Event):
         # Handed over here because the first step below may open a span.
         self.obs_ctx = obs_ctx
         # Start rule: run to the first yield now, inside the creator's step.
-        creator = sim._active_process
+        creator = sim.active_process
         self._resume(_START)
-        sim._active_process = creator
+        sim.active_process = creator
 
     @property
     def is_alive(self) -> bool:
@@ -447,7 +447,7 @@ class Process(Event):
             return  # tombstone: detached by interrupt() before event fired
         self._target = None
         sim = self.sim
-        sim._active_process = self
+        sim.active_process = self
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -455,17 +455,17 @@ class Process(Event):
                 event._defused = True
                 target = self._throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
+            sim.active_process = None
             self._finish(True, stop.value)
             return
         except BaseException as exc:
-            sim._active_process = None
+            sim.active_process = None
             if isinstance(exc, Interrupt):
                 self._finish(True, None)    # the stop rule
             else:
                 self._finish(False, exc)
             return
-        sim._active_process = None
+        sim.active_process = None
         try:
             if target._processed:
                 # Already processed: resume with its value on the next
@@ -504,21 +504,22 @@ class Process(Event):
 class _Condition(Event):
     """Base for AllOf / AnyOf composite events."""
 
-    __slots__ = ("events", "_done", "_on_child")
+    __slots__ = ("events", "_done")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
         self._done = 0
-        self._on_child = self._check   # pre-bound, one per condition
         if not self.events:
             self.succeed([])
             return
+        # Bound once, held only by the pending children: no self-cycle.
+        on_child = self._check
         for ev in self.events:
             if ev._processed:
-                self._check(ev)
+                on_child(ev)
             else:
-                ev.subscribe(self._on_child)
+                ev.subscribe(on_child)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -582,27 +583,21 @@ class Simulator:
     CANCEL_COMPACT_THRESHOLD = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: the simulated clock (a plain attribute only the kernel writes)
+        self.now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Event]] = []
-        #: same-time FIFO: Event/_Deferred items at time _now, seq-stamped
+        #: same-time FIFO: Event/_Deferred items at time now, seq-stamped
         self._runq: deque[Any] = deque()
         self._dpool: list[_Deferred] = []  # recycled resume records
-        self._active_process: Optional[Process] = None
+        #: the process whose step is running, None between steps
+        self.active_process: Optional[Process] = None
         self._cancelled_pending = 0  # cancelled events still scheduled
         self._obs = None  # Observability bundle, installed by repro.obs
         #: events processed since construction — the denominator for
         #: wall-clock kernel throughput (events/sec) in benchmarks.
         #: run() batches the increment and flushes it on return.
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -632,7 +627,7 @@ class Simulator:
         elif delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
         else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
         self._seq += 1
 
     def _note_cancel(self) -> None:
@@ -674,7 +669,7 @@ class Simulator:
                         self._cancelled_pending -= 1
                         runq.popleft()
                         continue
-                    if heap and heap[0][0] == self._now \
+                    if heap and heap[0][0] == self.now \
                             and heap[0][1] < item._qseq:
                         event = heappop(heap)[2]
                         if event._cancelled:
@@ -700,7 +695,7 @@ class Simulator:
                     if entry[0] > deadline:
                         heappush(heap, entry)  # once per run(), at the end
                         return
-                    self._now = entry[0]
+                    self.now = entry[0]
                 else:
                     if sentinel is not _NEVER:
                         raise SimulationError(
@@ -742,8 +737,8 @@ class Simulator:
                 raise until._value
             return until._value
         deadline = float(until)
-        if deadline < self._now:
+        if deadline < self.now:
             raise SimulationError(
-                f"run(until={deadline}) is in the past (now={self._now})")
+                f"run(until={deadline}) is in the past (now={self.now})")
         self._drain(deadline)
-        self._now = deadline
+        self.now = deadline

@@ -47,9 +47,9 @@ def wake_at(sim: Simulator, when: float) -> Event:
     ``when`` itself, the way :class:`~repro.sim.kernel.Timeout` files one
     under ``now + delay``.
     """
-    if when < sim._now:
+    if when < sim.now:
         raise SimulationError(
-            f"cannot wake in the past: {when} < {sim._now}")
+            f"cannot wake in the past: {when} < {sim.now}")
     event = Event(sim)
     event._value = None    # triggered: fires when the clock reaches `when`
     heapq.heappush(sim._heap, (when, sim._seq, event))
@@ -141,15 +141,16 @@ class Gate:
     in front of an instance while a consistency-model change drains queued
     updates, exactly as described in §3.3.2 of the paper.
 
-    Request handlers pass through with ``yield from gate.passage()``, which
-    yields (one kernel event, fired by :meth:`open`) only while the gate is
-    closed: an open gate costs its callers no event at all.
+    Request handlers pass with ``yield from gate.passage``: an empty tuple
+    while the gate is open (no event, no call), the gate itself while it is
+    closed, whose iteration waits (one kernel event, fired by :meth:`open`).
     """
 
     def __init__(self, sim: Simulator, open_: bool = True):
         self.sim = sim
         self._open = open_
         self._waiters: list[Event] = []
+        self.passage = () if open_ else self
 
     @property
     def queued(self) -> int:
@@ -163,17 +164,16 @@ class Gate:
             self._waiters.append(event)
         return event
 
-    def passage(self) -> Generator:
-        """Block while the gate is closed; pass an open gate without
-        yielding."""
-        if not self._open:
-            yield self.wait()
+    def __iter__(self) -> Generator:
+        yield self.wait()
 
     def close(self) -> None:
         self._open = False
+        self.passage = self
 
     def open(self) -> None:
         self._open = True
+        self.passage = ()
         waiters, self._waiters = self._waiters, []
         for event in waiters:
             event.succeed()
@@ -220,7 +220,8 @@ class Loop:
             yield from self.round()
 
 
-def shielded(sim: Simulator, body: Generator) -> Generator:
+def shielded(sim: Simulator, body: Generator,
+             target: Optional[Event] = None) -> Generator:
     """Run ``body`` inside the calling process, out of reach of the
     caller's cancellation: ``result = yield from shielded(sim, body)``.
 
@@ -243,16 +244,12 @@ def shielded(sim: Simulator, body: Generator) -> Generator:
 
     A plain ``yield from body`` would instead deliver the ``Interrupt`` to
     the innermost frame of ``body``: the remote handler, mid-put.
+
+    This frame steps ``body`` by hand, so that it — not one inside
+    ``body`` — is where the kernel throws.  ``target`` is for the orphan
+    only: the event the started ``body`` is waiting on.
     """
-    return _drive(sim, body, None)
-
-
-def _drive(sim: Simulator, body: Generator,
-           target: Optional[Event]) -> Generator:
-    """:func:`shielded`'s loop: step ``body`` by hand, so that this frame
-    — not one inside ``body`` — is where the kernel throws.  ``target`` is
-    the event a started ``body`` is waiting on (``None`` starts it)."""
-    caller = sim._active_process
+    caller = sim.active_process
     ctx = caller.obs_ctx
     send = body.send
     try:
@@ -269,7 +266,7 @@ def _drive(sim: Simulator, body: Generator,
                     # Spans body has open move with it (the orphan reads
                     # its context in its first step, inside process()); the
                     # caller is back where it was before the call.
-                    orphan = sim.process(_drive(sim, body, target),
+                    orphan = sim.process(shielded(sim, body, target),
                                          name=f"orphan:{caller.name}",
                                          obs_ctx=caller.obs_ctx)
                     caller.obs_ctx = ctx

@@ -36,12 +36,12 @@ simulation.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.net.network import Host, HostDownError, Network
 from repro.obs.api import get_obs
-from repro.obs.trace import NULL_SPAN, TraceContext
+from repro.obs.trace import NULL_SPAN, TraceContext, traced
 from repro.sim.kernel import Process, Simulator
 from repro.sim.primitives import shielded
 
@@ -110,10 +110,8 @@ class Message:
     """One request as seen by a handler."""
 
     src: str
-    dst: str
     method: str
-    args: dict[str, Any] = field(default_factory=dict)
-    sent_at: float = 0.0
+    args: dict[str, Any]
     #: trace context of the sending span (None while tracing is disabled)
     trace: Optional[TraceContext] = None
 
@@ -170,26 +168,33 @@ class RpcNode:
     def _spawn(self, body: Generator, name: str) -> Process:
         """Run a call body as a process, under the caller's trace context
         — what the body finds in place when it runs inside the caller."""
+        caller = self.sim.active_process
         return self.sim.process(body, name=name,
-                                obs_ctx=self._obs.tracer.current())
+                                obs_ctx=caller and caller.obs_ctx)
 
     def _call(self, dst: "RpcNode", method: str, args: dict[str, Any],
               reply_size: Optional[int] = None) -> Generator:
+        """The one call body (in an ``rpc:`` span while tracing is on)."""
         tracer = self._obs.tracer
-        span = (tracer.span(f"rpc:{method}", cat="rpc", component=self.name,
-                            dst=dst.name)
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            msg = Message(src=self.name, dst=dst.name, method=method,
-                          args=args, sent_at=self.sim.now,
-                          trace=span.context)
-            yield from self.network.transmit(self.host, dst.host,
-                                             request_size(method, args))
-            result = yield from dst._dispatch(msg)
-            if reply_size is None:
-                reply_size = response_size(method, result)
-            yield from self.network.transmit(dst.host, self.host, reply_size)
-            return result
+        if tracer.enabled:
+            return traced(tracer, self._exchange(dst, method, args,
+                                                 reply_size),
+                          f"rpc:{method}", cat="rpc", component=self.name,
+                          dst=dst.name)
+        return self._exchange(dst, method, args, reply_size)
+
+    def _exchange(self, dst: "RpcNode", method: str, args: dict[str, Any],
+                  reply_size: Optional[int]) -> Generator:
+        # The sending span's context: the one the running process is in.
+        msg = Message(self.name, method, args,
+                      self.sim.active_process.obs_ctx)
+        yield from self.network.transmit(self.host, dst.host,
+                                         request_size(method, args))
+        result = yield from dst._dispatch(msg)
+        if reply_size is None:
+            reply_size = response_size(method, result)
+        yield from self.network.transmit(dst.host, self.host, reply_size)
+        return result
 
     # -- batched calls ------------------------------------------------------
     #
@@ -234,9 +239,8 @@ class RpcNode:
                 results.append({"ok": False,
                                 "error": f"NoSuchMethodError({method!r})"})
                 continue
-            self._served.inc()
-            sub = Message(src=msg.src, dst=msg.dst, method=method, args=args,
-                          sent_at=msg.sent_at, trace=msg.trace)
+            self._served.value += 1
+            sub = Message(msg.src, method, args, msg.trace)
             try:
                 value = yield from handler(sub)
             except Exception as exc:
@@ -263,9 +267,7 @@ class RpcNode:
                             component=self.name, dst=dst.name)
                 if tracer.enabled else NULL_SPAN)
         with span:
-            msg = Message(src=self.name, dst=dst.name, method=method,
-                          args=args, sent_at=self.sim.now,
-                          trace=span.context)
+            msg = Message(self.name, method, args, span.context)
             try:
                 yield from self.network.transmit(self.host, dst.host,
                                                  request_size(method, args))
@@ -276,34 +278,28 @@ class RpcNode:
 
     # -- incoming dispatch -----------------------------------------------------
     def _dispatch(self, msg: Message) -> Generator:
+        """The handler body of ``msg``, to ``yield from``."""
         if self.host.down:
             raise HostDownError(f"node {self.name} is down")
+        tracer = self._obs.tracer
         if msg.method == BATCH_METHOD:
-            tracer = self._obs.tracer
             if tracer.enabled:
-                with tracer.span("handle:batch", cat="rpc.server",
-                                 component=self.name, parent=msg.trace,
-                                 src=msg.src,
-                                 entries=len(msg.args["entries"])):
-                    result = yield from self._dispatch_batch(msg)
-            else:
-                result = yield from self._dispatch_batch(msg)
-            return result
+                return traced(tracer, self._dispatch_batch(msg),
+                              "handle:batch", cat="rpc.server",
+                              component=self.name, parent=msg.trace,
+                              src=msg.src, entries=len(msg.args["entries"]))
+            return self._dispatch_batch(msg)
         handler = self._handlers.get(msg.method)
         if handler is None:
             raise NoSuchMethodError(
                 f"{self.name} has no method {msg.method!r} "
                 f"(has {sorted(self._handlers)})")
-        self._served.inc()
-        tracer = self._obs.tracer
+        self._served.value += 1
         if tracer.enabled:
-            with tracer.span(f"handle:{msg.method}", cat="rpc.server",
-                             component=self.name, parent=msg.trace,
-                             src=msg.src):
-                result = yield from handler(msg)
-        else:
-            result = yield from handler(msg)
-        return result
+            return traced(tracer, handler(msg), f"handle:{msg.method}",
+                          cat="rpc.server", component=self.name,
+                          parent=msg.trace, src=msg.src)
+        return handler(msg)
 
 
 def split_batches(entries: list[tuple[str, dict]],

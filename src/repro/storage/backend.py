@@ -13,8 +13,8 @@ from typing import Generator, Iterator, Optional
 import numpy as np
 
 from repro.obs.api import get_obs
-from repro.obs.trace import NULL_SPAN
-from repro.sim.kernel import Simulator
+from repro.obs.trace import NULL_SPAN, traced
+from repro.sim.kernel import Event, Simulator
 from repro.sim.primitives import SerialServer, wake_at
 from repro.storage.profiles import TierProfile, get_tier_profile
 
@@ -52,6 +52,7 @@ class StorageBackend:
         self._data: dict[str, bytes] = {}
         self.used_bytes = 0
         self._rng = rng
+        self._jitters: list[float] = []    # the next draws, last first
         self._ledger = ledger
         # IOPS cap: a serialized completion channel; each op holds it for
         # at least 1/iops seconds, so completions are spaced at the
@@ -101,13 +102,18 @@ class StorageBackend:
 
     # -- timing helpers -------------------------------------------------------
     def _jitter(self) -> float:
+        """One access's lognormal service-time factor, from the tier's own
+        stream drawn 256 at a time: what one draw per access would give."""
         sigma = self.profile.jitter_sigma
         if self._rng is None or sigma <= 0:
             return 1.0
-        return float(self._rng.lognormal(mean=0.0, sigma=sigma))
+        if not self._jitters:
+            self._jitters = self._rng.lognormal(0.0, sigma, 256).tolist()[::-1]
+        return self._jitters.pop()
 
-    def _occupy(self, service: float) -> Generator:
-        """Consume service time, honouring the IOPS completion cap.
+    def _occupy(self, nbytes: int, write: bool) -> Optional[Event]:
+        """The event an access of ``nbytes`` waits on for its service time
+        (``None`` if it takes none), honouring the IOPS completion cap.
 
         On a capped tier ops complete one at a time in arrival order, each
         holding the channel for ``max(service, 1/iops)``: the op reserves
@@ -115,12 +121,12 @@ class StorageBackend:
         completion time.  An op interrupted while it waits leaves its slot
         spent; the channel itself cannot wedge.
         """
+        service = self.profile.service_time(nbytes, write) * self._jitter()
         if self._iops_channel is not None:
             spacing = 1.0 / self.profile.iops
             done = self._iops_channel.reserve(max(service, spacing))
-            yield wake_at(self.sim, done)
-        elif service > 0:
-            yield self.sim.timeout(service)
+            return wake_at(self.sim, done)
+        return self.sim.timeout(service) if service > 0 else None
 
     # -- data path -------------------------------------------------------------
     def write(self, key: str, data: bytes) -> Generator:
@@ -129,52 +135,58 @@ class StorageBackend:
             raise TypeError(f"storage data must be bytes, got {type(data)}")
         data = bytes(data)
         tracer = self._obs.tracer
-        span = (tracer.span("storage:write", cat="storage",
-                            component=self.name, key=key, bytes=len(data))
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            previous = len(self._data.get(key, b""))
-            new_used = self.used_bytes - previous + len(data)
-            if new_used > self.capacity:
-                raise CapacityExceededError(
-                    f"{self.name}: writing {len(data)}B would use {new_used}B "
-                    f"of {self.capacity}B")
-            service = (self.profile.service_time(len(data), write=True)
-                       * self._jitter())
-            yield from self._occupy(service)
-            # Commit after the service time so concurrent readers cannot
-            # observe a write that has not completed.
-            previous = len(self._data.get(key, b""))
-            self._data[key] = data
-            self.used_bytes += len(data) - previous
-            self.writes += 1
-            self._op_counter["write"].inc()
-            if self._ledger is not None:
-                self._ledger.record_put(self)
-                self._ledger.record_usage(self)
+        if tracer.enabled:
+            return traced(tracer, self._write(key, data), "storage:write",
+                          cat="storage", component=self.name, key=key,
+                          bytes=len(data))
+        return self._write(key, data)
+
+    def _write(self, key: str, data: bytes) -> Generator:
+        size = len(data)
+        previous = len(self._data.get(key, b""))
+        new_used = self.used_bytes - previous + size
+        if new_used > self.capacity:
+            raise CapacityExceededError(
+                f"{self.name}: writing {size}B would use {new_used}B "
+                f"of {self.capacity}B")
+        wait = self._occupy(size, write=True)
+        if wait is not None:
+            yield wait
+        # Commit after the service time so concurrent readers cannot
+        # observe a write that has not completed.
+        previous = len(self._data.get(key, b""))
+        self._data[key] = data
+        self.used_bytes += size - previous
+        self.writes += 1
+        self._op_counter["write"].value += 1
+        if self._ledger is not None:
+            self._ledger.record_put(self)
+            self._ledger.record_usage(self)
 
     def read(self, key: str) -> Generator:
         """Return the bytes stored under ``key``; yields time."""
         if key not in self._data:
             raise ObjectMissingError(f"{self.name}: no object {key!r}")
-        nbytes = len(self._data[key])
         tracer = self._obs.tracer
-        span = (tracer.span("storage:read", cat="storage",
-                            component=self.name, key=key, bytes=nbytes)
-                if tracer.enabled else NULL_SPAN)
-        with span:
-            service = (self.profile.service_time(nbytes, write=False)
-                       * self._jitter())
-            yield from self._occupy(service)
-            self.reads += 1
-            self._op_counter["read"].inc()
-            if self._ledger is not None:
-                self._ledger.record_get(self)
-            data = self._data.get(key)
-            if data is None:
-                raise ObjectMissingError(
-                    f"{self.name}: object {key!r} deleted during read")
-            return data
+        if tracer.enabled:
+            return traced(tracer, self._read(key), "storage:read",
+                          cat="storage", component=self.name, key=key,
+                          bytes=len(self._data[key]))
+        return self._read(key)
+
+    def _read(self, key: str) -> Generator:
+        wait = self._occupy(len(self._data[key]), write=False)
+        if wait is not None:
+            yield wait
+        self.reads += 1
+        self._op_counter["read"].value += 1
+        if self._ledger is not None:
+            self._ledger.record_get(self)
+        data = self._data.get(key)
+        if data is None:
+            raise ObjectMissingError(
+                f"{self.name}: object {key!r} deleted during read")
+        return data
 
     def delete(self, key: str) -> Generator:
         """Remove ``key``; yields a small metadata-update time."""

@@ -1,7 +1,7 @@
 """In-memory cache tier (memcached / ElastiCache).
 
-Volatile: contents vanish when the hosting VM crashes.  Supports LRU
-eviction when used as a cache in front of durable tiers (Tiera's
+Volatile: contents vanish when the hosting VM crashes.  An
+:class:`LruMemoryTier` evicts, as a cache in front of durable tiers (Tiera's
 PersistentInstance keeps "a small Memcached area to cache the most recently
 written data").
 """
@@ -15,20 +15,29 @@ from repro.storage.backend import CapacityExceededError, StorageBackend
 
 
 class MemoryTier(StorageBackend):
-    """memcached-like tier with optional LRU eviction."""
+    """memcached-like tier; it never evicts (see :class:`LruMemoryTier`)."""
 
-    def __init__(self, *args, evict_lru: bool = False, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if not self.profile.volatile:
             raise ValueError(
                 f"MemoryTier requires a volatile profile, got {self.profile.name}")
-        self.evict_lru = evict_lru
+
+    def on_host_crash(self) -> None:
+        """Volatile memory loses everything when the host dies."""
+        self.wipe()
+
+
+class LruMemoryTier(MemoryTier):
+    """A memory tier that evicts least-recently-used entries to fit a write."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._lru: OrderedDict[str, None] = OrderedDict()
         self.evictions = 0
 
     def write(self, key: str, data: bytes) -> Generator:
-        if self.evict_lru:
-            self._make_room(len(data), exclude=key)
+        self._make_room(len(data), exclude=key)
         yield from super().write(key, data)
         self._lru[key] = None
         self._lru.move_to_end(key)
@@ -48,7 +57,6 @@ class MemoryTier(StorageBackend):
         if incoming > self.capacity:
             raise CapacityExceededError(
                 f"{self.name}: object of {incoming}B exceeds tier capacity")
-        reclaimable = self.used_bytes - len(self._data.get(exclude, b""))
         while (self.used_bytes - len(self._data.get(exclude, b""))
                + incoming > self.capacity) and self._lru:
             victim = next(iter(self._lru))
@@ -61,9 +69,7 @@ class MemoryTier(StorageBackend):
             dropped = self._data.pop(victim, b"")
             self.used_bytes -= len(dropped)
             self.evictions += 1
-        del reclaimable
 
     def on_host_crash(self) -> None:
-        """Volatile memory loses everything when the host dies."""
-        self.wipe()
+        super().on_host_crash()
         self._lru.clear()

@@ -69,6 +69,7 @@ class TieraInstance:
         self.instance_id = instance_id
         self.region = region
         self.policy = policy
+        self._get_rules = policy.operation_rules("get")
         self.rng = rng or RngRegistry(0)
         self.ledger = ledger
         self.keyring = dict(keyring or {"default": f"key-{instance_id}"})
@@ -364,16 +365,17 @@ class TieraInstance:
         order = self.read_preference(meta.locations)
         served_from = order[0] if order else None
         raw = yield from self._payload(key, meta.version, meta, order)
-        data = transforms.decode_chain(meta.encodings, raw, self.keyring)
+        data = (transforms.decode_chain(meta.encodings, raw, self.keyring)
+                if meta.encodings else raw)
         meta.touch(self.sim.now)
-        if run_rules:
+        if run_rules and self._get_rules:
             self._fire_get_rules(key, meta.version, served_from)
         return data, meta, record
 
     def _fire_get_rules(self, key: str, version: int,
                         served_from: Optional[str]) -> None:
         """Run matching get-operation rules asynchronously."""
-        rules = [r for r in self.policy.operation_rules("get")
+        rules = [r for r in self._get_rules
                  if r.event.tier is None or r.event.tier == served_from]
         if not rules:
             return
@@ -592,16 +594,13 @@ class TieraInstance:
             counts[src] = counts.get(src, 0) + 1
         return counts
 
-    def _op_hist(self, op: str, src: str):
+    def _notify_latency(self, op: str, elapsed: float, src: str) -> None:
         hist = self._op_hists.get((op, src))
         if hist is None:
             hist = self._obs.metrics.histogram(
                 "tiera.op_latency", instance=self.instance_id, op=op, src=src)
             self._op_hists[(op, src)] = hist
-        return hist
-
-    def _notify_latency(self, op: str, elapsed: float, src: str) -> None:
-        self._op_hist(op, src).observe(elapsed)
+        hist.observe(elapsed)
 
     def note_target_gone(self) -> None:
         """A rule's target was removed or GC-purged before its turn."""
@@ -649,7 +648,7 @@ class TieraInstance:
         n.register("ctl_adopt_remote_cold", self.rpc_ctl_adopt_remote_cold)
 
     def rpc_put(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
+        yield from self.gate.passage
         self._shard_check(msg.args["key"])
         start = self.sim.now
         self.puts_from_app += 1
@@ -666,7 +665,7 @@ class TieraInstance:
         return result
 
     def rpc_get(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
+        yield from self.gate.passage
         self._shard_check(msg.args["key"])
         start = self.sim.now
         self.gets_from_app += 1
@@ -689,7 +688,7 @@ class TieraInstance:
         return result
 
     def rpc_get_version(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
+        yield from self.gate.passage
         self._shard_check(msg.args["key"])
         result = yield from self.protocol.on_get(
             self, msg.args["key"], msg.args["version"])
@@ -702,7 +701,7 @@ class TieraInstance:
 
     def rpc_update(self, msg: Message) -> Generator:
         """Table 2 ``update``: rewrite the contents of a specific version."""
-        yield from self.gate.passage()
+        yield from self.gate.passage
         key, version = msg.args["key"], msg.args["version"]
         self._shard_check(key)
         record = self._record_or_raise(key)
@@ -718,7 +717,7 @@ class TieraInstance:
 
     def rpc_remove(self, msg: Message) -> Generator:
         """``remove`` (every version) and ``remove_version`` (one)."""
-        yield from self.gate.passage()
+        yield from self.gate.passage
         key, version = msg.args["key"], msg.args.get("version")
         self._shard_check(key)
         self.inflight += 1
@@ -739,7 +738,7 @@ class TieraInstance:
         return result
 
     def rpc_forward_put(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
+        yield from self.gate.passage
         start = self.sim.now
         origin = msg.args.get("origin", msg.src)
         self.note_request(origin)
@@ -754,7 +753,7 @@ class TieraInstance:
         return result
 
     def rpc_forward_remove(self, msg: Message) -> Generator:
-        yield from self.gate.passage()
+        yield from self.gate.passage
         start = self.sim.now
         origin = msg.args.get("origin", msg.src)
         self.note_request(origin)

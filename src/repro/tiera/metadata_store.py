@@ -69,7 +69,7 @@ class MetadataStore:
         self.put(self._OBJ_PREFIX + record.key, record)
 
     def get_record(self, key: str) -> Optional[ObjectRecord]:
-        return self.get(self._OBJ_PREFIX + key)
+        return self._data.get(self._OBJ_PREFIX + key)
 
     def delete_record(self, key: str) -> None:
         self.delete(self._OBJ_PREFIX + key)

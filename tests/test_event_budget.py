@@ -68,10 +68,12 @@ fits in one.  A flush whose per-peer envelope spans ``S`` segments is
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     GlobalPolicySpec,
     RedundancySpec,
@@ -165,6 +167,41 @@ def test_exact_events_per_put_and_per_get(deployment):
     # Every operation costs the same: no event is amortised or deferred.
     assert events(dep, client.get("key-0")) == DRIVER + PER_GET
     assert events(dep, client.put("key-0", b"again")) == DRIVER + PER_PUT
+
+
+#: Python calls under ``src/repro`` — ``sys.setprofile`` "call" events,
+#: so each resume of a generator frame counts — of one put and one get in
+#: the world above, driver included, as measured on CPython 3.11: a
+#: ceiling (3.12 inlines comprehensions, PEP 709, and counts fewer).
+CALLS_PER_PUT = 109
+CALLS_PER_GET = 79
+
+
+def python_calls(dep, generator) -> int:
+    src = str(Path(repro.__file__).parent)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(src):
+            calls += 1
+    sys.setprofile(profile)
+    try:
+        dep.drive(generator)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_python_calls_per_put_and_per_get(deployment):
+    """The host cost beside the event budget: a call on the path every
+    message takes (a property read, a no-op span, a frame that only
+    forwards) fails here."""
+    dep, client = deployment
+    dep.drive(client.put("key", bytes(1024)))   # first-use setup aside
+    dep.drive(client.get("key"))
+    assert python_calls(dep, client.put("key", bytes(1024))) <= CALLS_PER_PUT
+    assert python_calls(dep, client.get("key")) <= CALLS_PER_GET
 
 
 @pytest.mark.parametrize("read_prop, per_op", [(1.0, PER_GET),

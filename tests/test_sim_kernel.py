@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,39 @@ class TestConditions:
         sim.process(failer())
         p = sim.process(waiter())
         assert sim.run(until=p) == "failed"
+
+
+    def test_decided_all_of_dies_by_refcount(self, sim):
+        """A waited ``all_of`` holds no cycle through itself: once the
+        waiter has resumed, the condition and the processes it gathered are
+        freed by refcount alone, not left for the cyclic GC."""
+        class Proc(kernel.Process):     # no __slots__: weakref-able
+            pass
+
+        class AllOf(kernel.AllOf):
+            pass
+
+        refs = []
+
+        def child(delay):
+            yield sim.timeout(delay)
+
+        def gather():
+            children = [Proc(sim, child(1.0)), Proc(sim, child(2.0))]
+            condition = AllOf(sim, children)
+            refs.extend(weakref.ref(obj) for obj in (*children, condition))
+            return condition
+
+        def waiter():
+            values = yield gather()
+            return values
+
+        gc.disable()
+        try:
+            assert sim.run(until=sim.process(waiter())) == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Tests for the storage-tier substrate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.storage import (
     NotYetRestoredError,
     ObjectMissingError,
     ObjectStoreTier,
+    StorageBackend,
     TIER_PROFILES,
     get_tier_profile,
     make_tier,
@@ -116,6 +119,20 @@ class TestBackendBasics:
             return times
 
         assert one_run() == one_run()
+
+    @pytest.mark.parametrize("sigma", sorted({
+        profile.jitter_sigma for profile in TIER_PROFILES.values()}))
+    def test_block_jitter_is_one_draw_per_access(self, sim, sigma):
+        """A tier draws its service-time jitter a block at a time; the
+        sequence must be the per-access scalar draw it replaced, value for
+        value (a numpy property this pins)."""
+        rng = np.random.default_rng(11)
+        reference = [float(rng.lognormal(mean=0.0, sigma=sigma))
+                     for _ in range(1500)]
+        profile = replace(TIER_PROFILES["ebs_ssd"], jitter_sigma=sigma)
+        tier = StorageBackend(sim, profile, 1 * GB,
+                              rng=np.random.default_rng(11))
+        assert [tier._jitter() for _ in range(1500)] == reference
 
     def test_preload_is_instant_and_counted(self, sim):
         tier = make_tier(sim, "ebs_ssd", 1 * GB)
