@@ -16,80 +16,37 @@ Run:  python examples/remote_memory_database.py
 
 import numpy as np
 
-from repro import GlobalPolicySpec, RegionPlacement, build_deployment
-from repro.bench.harness import preload_object
-from repro.core.client import WieraClient
+from repro.bench.experiments.testbed import (local_disk_blockfile,
+                                             remote_memory_blockfile)
 from repro.db import MiniDB
-from repro.fs import TierBlockFile, WieraBlockFile, WieraFS
-from repro.fs.posixfs import block_object_key
-from repro.net import US_EAST
 from repro.net.vmprofiles import get_profile
-from repro.sim import Simulator
-from repro.net.network import Network
-from repro.storage import make_tier
-from repro.tiera.policy import disk_only_policy, memory_only_policy
-from repro.util.units import GB, KB, MB
+from repro.util.units import MB
 from repro.workloads.rubis import RubisApp, RubisBenchmark
 
 VM = "azure.standard_d2"
-BLOCK = 16 * KB
 NBLOCKS = 16384
 
 
-def run_on_local_disk() -> float:
-    sim = Simulator()
-    Network(sim)
-    backend = make_tier(sim, "azure_disk", 64 * GB, name="local",
-                        rng=np.random.default_rng(1))
-    device = TierBlockFile(backend, "rubis.db", NBLOCKS, BLOCK)
-    device.prepare()
+def _rubis(sim, device) -> RubisBenchmark:
     db = MiniDB(sim, device, buffer_pool_bytes=16 * MB)
     app = RubisApp(sim, db, get_profile(VM), np.random.default_rng(2))
-    bench = RubisBenchmark(sim, app, clients=300, think_time=1.2,
-                           duration=60, ramp_up=20, ramp_down=10,
-                           rng=np.random.default_rng(3))
+    return RubisBenchmark(sim, app, clients=300, think_time=1.2,
+                          duration=60, ramp_up=20, ramp_down=10,
+                          rng=np.random.default_rng(3))
+
+
+def run_on_local_disk() -> float:
+    sim, device = local_disk_blockfile(1, "rubis.db", NBLOCKS)
+    bench = _rubis(sim, device)
     proc = sim.process(bench.run())
     sim.run(until=proc)
     return bench.throughput
 
 
 def run_on_wiera_remote_memory() -> float:
-    dep = build_deployment([US_EAST], providers={US_EAST: ("azure", "aws")},
-                           seed=4)
-    azure = dep.server(US_EAST, "azure")
-    azure.host.vm = get_profile(VM)
-    azure.host.egress.rate = azure.host.vm.network_bw
-
-    spec = GlobalPolicySpec(
-        name="rubis",
-        placements=(
-            RegionPlacement(US_EAST, disk_only_policy(size="64G"),
-                            provider="azure", primary=True),
-            RegionPlacement(US_EAST, memory_only_policy(size="2G"),
-                            provider="aws")),
-        consistency="primary_backup", sync_replication=True)
-    instances = dep.start_wiera_instance("rubis", spec)
-    tim = dep.tim("rubis")
-    aws_id = next(iid for iid, rec in tim.instances.items()
-                  if rec.provider == "aws")
-    tim.protocol.config.get_from = aws_id  # reads go to AWS memory
-
-    client = WieraClient(dep.sim, dep.network, azure.host, name="mysql")
-    client.attach(instances)
-    fs = WieraFS(client, block_size=BLOCK)
-    handle = fs.open("/rubis.db")
-    fs._sizes["/rubis.db"] = NBLOCKS * BLOCK
-    payload = b"\0" * BLOCK
-    targets = [rec.instance for rec in tim.instances.values()]
-    for i in range(NBLOCKS):
-        preload_object(targets, block_object_key("/rubis.db", i), payload)
-
-    db = MiniDB(dep.sim, WieraBlockFile(handle, NBLOCKS),
-                buffer_pool_bytes=16 * MB)
-    app = RubisApp(dep.sim, db, azure.host.vm, np.random.default_rng(2))
-    bench = RubisBenchmark(dep.sim, app, clients=300, think_time=1.2,
-                           duration=60, ramp_up=20, ramp_down=10,
-                           rng=np.random.default_rng(3))
+    dep, device = remote_memory_blockfile(
+        VM, 4, "rubis", "/rubis.db", NBLOCKS, memory_size="2G")
+    bench = _rubis(dep.sim, device)
     dep.drive(bench.run())
     return bench.throughput
 

@@ -38,7 +38,6 @@ from repro.core import (
     GlobalPolicySpec,
     RedundancySpec,
     RegionPlacement,
-    ReplicaScaleSpec,
     TierScaleSpec,
     WieraClient,
     WieraService,
@@ -70,7 +69,6 @@ __all__ = [
     "FailureSpec",
     "RedundancySpec",
     "AutoscaleSpec",
-    "ReplicaScaleSpec",
     "TierScaleSpec",
     "Autoscaler",
     "HashRing",

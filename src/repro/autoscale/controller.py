@@ -6,28 +6,28 @@ simulation process samples the :class:`~repro.autoscale.signals.
 SignalReader` every ``decision_interval`` sim-seconds and actuates three
 levers, cheapest-to-observe first:
 
-1. **Shards** — offered rate above ``high_water`` of current capacity
-   (``shards x target_per_shard``), any shed beyond ``shed_tolerance``,
-   or a saturated egress link grows the shard count toward demand via
+1. **Shards** — offered rate above :data:`HIGH_WATER` of current capacity
+   (``shards x target_per_shard``), any shed load, or a saturated egress
+   link grows the shard count toward demand via
    :meth:`~repro.shard.map.ShardManager.add_shard`; a rate that would
-   still fit under ``low_water`` of the *post-removal* capacity,
+   still fit under :data:`LOW_WATER` of the *post-removal* capacity,
    sustained for ``scale_down_windows`` consecutive windows, shrinks it
    by one via ``remove_shard``.  The asymmetric bands plus the
    post-removal capacity test are the hysteresis that stops flapping.
 2. **Replicas** — once the shard lever is pinned at ``max_shards`` and
    demand is still hot, grow each shard's replica group with elastic
-   instances (:meth:`~repro.core.tim.TieraInstanceManager.add_replica`)
-   placed in the busiest observed region; calm retires them first,
-   before any shard is removed.
+   instances (:meth:`~repro.core.tim.TieraInstanceManager.add_replica`),
+   one per shard, placed in the busiest observed region; calm retires
+   them first, before any shard is removed.
 3. **Tier** — sustained calm with nothing left to shrink demotes idle
    data to a cheaper tier (``ctl_demote_cold``), consulting the Table 4
-   price book first when ``price_aware``; promotion back rides the
-   policy's existing get-triggered rules.
+   price book first; promotion back rides the policy's existing
+   get-triggered rules.
 
 Every action is performed inline in the decision process and bracketed
-by ``cooldown``; ``max_actions_in_flight`` is enforced as a hard guard
-on top, so the controller can never race its own rebalances.  Every
-decision — including the ones that do nothing, and why — is kept as an
+by ``cooldown``; a guard on top lets one action run at a time, so the
+controller can never race its own rebalances.  Every decision —
+including the ones that do nothing, and why — is kept as an
 :class:`AutoscaleDecision` audit record and counted under
 ``autoscale.*`` metrics.
 """
@@ -43,6 +43,11 @@ from repro.core.global_policy import AutoscaleSpec
 from repro.obs.api import get_obs
 from repro.sim.primitives import Loop
 from repro.storage.cost import PRICE_BOOK
+
+#: grow when demand exceeds this fraction of capacity (or of egress)
+HIGH_WATER = 0.85
+#: shrink when demand fits under this fraction of post-removal capacity
+LOW_WATER = 0.45
 
 
 @dataclass(frozen=True)
@@ -144,15 +149,15 @@ class Autoscaler:
         self._g_offered.set(sample.offered_rate)
         self._c_decisions.inc()
 
-        hot = (sample.shed > spec.shed_tolerance
-               or sample.offered_rate > spec.high_water * capacity
-               or sample.egress_utilization > spec.high_water)
+        hot = (sample.shed > 0
+               or sample.offered_rate > HIGH_WATER * capacity
+               or sample.egress_utilization > HIGH_WATER)
         # Hysteresis: scale down only if demand fits comfortably under the
         # capacity we would have AFTER losing one shard (or one replica
         # set) — otherwise removal would immediately re-trigger growth.
         calm = (not hot
                 and sample.offered_rate
-                <= spec.low_water * spec.target_per_shard * max(shards - 1, 1)
+                <= LOW_WATER * spec.target_per_shard * max(shards - 1, 1)
                 and sample.queue_depth == 0)
 
         desired = shards
@@ -160,13 +165,13 @@ class Autoscaler:
             desired = max(
                 shards + 1,
                 math.ceil(sample.offered_rate
-                          / (spec.high_water * spec.target_per_shard)))
+                          / (HIGH_WATER * spec.target_per_shard)))
             # Shed load is an emergency, not a band violation: demand
             # already exceeds what we can observe (the queue is
             # overflowing, so offered_rate under-reports it) and every
             # window spent converging sheds more.  Go straight to the
             # ceiling; the calm path brings it back down afterwards.
-            if sample.shed > spec.shed_tolerance:
+            if sample.shed > 0:
                 desired = spec.max_shards
         desired = min(max(desired, spec.min_shards), spec.max_shards)
         self._g_desired.set(desired)
@@ -175,7 +180,7 @@ class Autoscaler:
             self._record(sample, shards, desired, "skip_cooldown",
                          f"cooldown until t={self._cooldown_until:.1f}")
             return
-        if self._in_flight >= spec.max_actions_in_flight:
+        if self._in_flight:
             self._record(sample, shards, desired, "skip_busy",
                          f"{self._in_flight} action(s) already in flight")
             return
@@ -270,20 +275,18 @@ class Autoscaler:
 
     # -- replica lever -------------------------------------------------------
     def _replica_headroom(self) -> int:
-        if self.spec.replicas is None:
+        if not self.spec.replicas:
             return 0
-        cap = self.spec.replicas.max_extra * self.shards
-        return cap - self.elastic_replica_count()
+        return self.shards - self.elastic_replica_count()
 
     def _add_replicas(self, sample: SignalSample) -> Generator:
-        rspec = self.spec.replicas
         wiera = self.manager.wiera
-        region = (rspec.region or sample.busiest_region()
+        region = (sample.busiest_region()
                   or self.manager.spec.placements[0].region)
         added = []
         for sid in self.shard_ids():
             tim = wiera.tim(sid)
-            if len(tim.elastic_replicas) >= rspec.max_extra:
+            if tim.elastic_replicas:
                 continue
             iid = yield from tim.add_replica(region)
             added.append(iid)
@@ -318,7 +321,7 @@ class Autoscaler:
     # -- tier lever ----------------------------------------------------------
     def _demote_cold(self) -> Generator:
         tspec = self.spec.tier
-        if tspec.price_aware and not self._target_tier_cheaper():
+        if not self._target_tier_cheaper():
             return "skipped: target tier not cheaper"
         wiera = self.manager.wiera
         demoted = 0
@@ -327,8 +330,7 @@ class Autoscaler:
             for rec in tim.alive_records():
                 result = yield from tim.node.invoke(
                     rec.node, "ctl_demote_cold",
-                    {"age": tspec.idle_age, "to_tier": tspec.target_tier,
-                     "bandwidth": None})
+                    {"age": tspec.idle_age, "to_tier": tspec.target_tier})
                 demoted += len(result["demoted"])
         if demoted:
             self._c_tier_demotions.inc(demoted)

@@ -2,8 +2,11 @@
 
 One module per experiment; each exposes a ``run_*`` function returning a
 result dict plus one or more :class:`~repro.bench.reporting.ExperimentReport`
-objects.  The pytest benchmarks under ``benchmarks/`` and the example
-scripts under ``examples/`` are thin wrappers over these.
+objects.  The pytest benchmarks under ``benchmarks/`` are thin wrappers
+over these.  :mod:`~repro.bench.experiments.testbed` builds the §5.4
+storage settings Figures 11 and 12 compare, which
+``examples/remote_memory_database.py`` reuses; the other examples build
+their own worlds.
 """
 
 from repro.bench.experiments.fig7_dynamic_consistency import run_fig7

@@ -19,24 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.harness import build_deployment, preload_object
+from repro.bench.experiments.testbed import (local_disk_blockfile,
+                                             remote_memory_blockfile)
 from repro.bench.reporting import ExperimentReport
-from repro.core.client import WieraClient
-from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
-from repro.fs import TierBlockFile, WieraBlockFile, WieraFS
-from repro.fs.posixfs import block_object_key
-from repro.net.network import Network
-from repro.net.topology import US_EAST
-from repro.net.vmprofiles import get_profile
-from repro.sim.kernel import Simulator
-from repro.storage.factory import make_tier
-from repro.tiera.policy import disk_only_policy, memory_only_policy
-from repro.util.units import GB, KB
 from repro.workloads.sysbench import SysbenchFileIO
 
 VM_SIZES = ("azure.basic_a2", "azure.standard_d1",
             "azure.standard_d2", "azure.standard_d3")
-BLOCK_SIZE = 16 * KB
 NBLOCKS = 4096          # a 64 MB prepared file
 THREADS = 4
 
@@ -47,17 +36,16 @@ class Fig11Result:
     wiera_iops: dict = field(default_factory=dict)
 
 
-def _run_local_disk(vm: str, duration: float, seed: int) -> float:
+def _sysbench(sim, blockfile, duration: float, seed: int) -> SysbenchFileIO:
+    return SysbenchFileIO(sim, blockfile, threads=THREADS, read_prop=1.0,
+                          duration=duration,
+                          rng=np.random.default_rng(seed + 2))
+
+
+def _run_local_disk(duration: float, seed: int) -> float:
     """Baseline: SysBench straight onto the attached Azure disk."""
-    sim = Simulator()
-    Network(sim)  # unused but keeps construction uniform
-    backend = make_tier(sim, "azure_disk", 64 * GB, name="local-disk",
-                        rng=np.random.default_rng(seed + 1))
-    blockfile = TierBlockFile(backend, "sbtest", NBLOCKS, BLOCK_SIZE)
-    blockfile.prepare()
-    bench = SysbenchFileIO(sim, blockfile, threads=THREADS, read_prop=1.0,
-                           duration=duration,
-                           rng=np.random.default_rng(seed + 2))
+    sim, blockfile = local_disk_blockfile(seed + 1, "sbtest", NBLOCKS)
+    bench = _sysbench(sim, blockfile, duration, seed)
     proc = sim.process(bench.run())
     sim.run(until=proc)
     return bench.result.iops
@@ -65,41 +53,9 @@ def _run_local_disk(vm: str, duration: float, seed: int) -> float:
 
 def _run_wiera_remote(vm: str, duration: float, seed: int) -> float:
     """Remote AWS memory through Wiera's POSIX layer."""
-    dep = build_deployment([US_EAST], providers={US_EAST: ("azure", "aws")},
-                           seed=seed)
-    azure_server = dep.server(US_EAST, "azure")
-    azure_server.host.vm = get_profile(vm)
-    azure_server.host.egress.rate = azure_server.host.vm.network_bw
-    spec = GlobalPolicySpec(
-        name="sysbench",
-        placements=(
-            RegionPlacement(US_EAST, disk_only_policy(size="64G"),
-                            provider="azure", primary=True),
-            RegionPlacement(US_EAST, memory_only_policy(size="1G"),
-                            provider="aws")),
-        consistency="primary_backup", sync_replication=True)
-    instances = dep.start_wiera_instance("sysbench", spec)
-    tim = dep.tim("sysbench")
-    aws_id = next(iid for iid, rec in tim.instances.items()
-                  if rec.provider == "aws")
-    # "a get operation policy for all get operations to be forwarded to
-    # the instance on AWS" (§5.4.1)
-    tim.protocol.config.get_from = aws_id
-
-    client = WieraClient(dep.sim, dep.network, azure_server.host,
-                         name="sysbench-app")
-    client.attach(instances)
-    fs = WieraFS(client, block_size=BLOCK_SIZE)
-    handle = fs.open("/sbtest")
-    fs._sizes["/sbtest"] = NBLOCKS * BLOCK_SIZE
-    payload = b"\0" * BLOCK_SIZE
-    targets = [rec.instance for rec in tim.instances.values()]
-    for i in range(NBLOCKS):
-        preload_object(targets, block_object_key("/sbtest", i), payload)
-    blockfile = WieraBlockFile(handle, NBLOCKS)
-    bench = SysbenchFileIO(dep.sim, blockfile, threads=THREADS,
-                           read_prop=1.0, duration=duration,
-                           rng=np.random.default_rng(seed + 2))
+    dep, blockfile = remote_memory_blockfile(
+        vm, seed, "sysbench", "/sbtest", NBLOCKS, memory_size="1G")
+    bench = _sysbench(dep.sim, blockfile, duration, seed)
     dep.drive(bench.run())
     return bench.result.iops
 
@@ -107,7 +63,7 @@ def _run_wiera_remote(vm: str, duration: float, seed: int) -> float:
 def run_fig11(duration: float = 30.0, seed: int = 0) -> tuple:
     result = Fig11Result()
     for vm in VM_SIZES:
-        result.local_iops[vm] = _run_local_disk(vm, duration, seed)
+        result.local_iops[vm] = _run_local_disk(duration, seed)
         result.wiera_iops[vm] = _run_wiera_remote(vm, duration, seed)
 
     report = ExperimentReport(

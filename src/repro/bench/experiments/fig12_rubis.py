@@ -16,25 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.harness import build_deployment, preload_object
+from repro.bench.experiments.testbed import (local_disk_blockfile,
+                                             remote_memory_blockfile)
 from repro.bench.reporting import ExperimentReport
-from repro.core.client import WieraClient
-from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
 from repro.db import MiniDB
-from repro.fs import TierBlockFile, WieraBlockFile, WieraFS
-from repro.fs.posixfs import block_object_key
-from repro.net.network import Network
-from repro.net.topology import US_EAST
 from repro.net.vmprofiles import get_profile
-from repro.sim.kernel import Simulator
-from repro.storage.factory import make_tier
-from repro.tiera.policy import disk_only_policy, memory_only_policy
-from repro.util.units import GB, KB, MB
+from repro.util.units import MB
 from repro.workloads.rubis import RubisApp, RubisBenchmark
 
 VM_SIZES = ("azure.basic_a2", "azure.standard_d1",
             "azure.standard_d2", "azure.standard_d3")
-BLOCK_SIZE = 16 * KB
 NBLOCKS = 16384          # a 256 MB database device
 
 
@@ -56,14 +47,8 @@ def _bench(sim, blockfile, vm_profile, seed: int, clients: int,
 
 def _run_local(vm: str, seed: int, clients: int, duration: float,
                ramp_up: float, ramp_down: float) -> float:
-    sim = Simulator()
-    Network(sim)
-    profile = get_profile(vm)
-    backend = make_tier(sim, "azure_disk", 64 * GB, name="db-disk",
-                        rng=np.random.default_rng(seed + 1))
-    blockfile = TierBlockFile(backend, "rubis.db", NBLOCKS, BLOCK_SIZE)
-    blockfile.prepare()
-    bench = _bench(sim, blockfile, profile, seed, clients, duration,
+    sim, blockfile = local_disk_blockfile(seed + 1, "rubis.db", NBLOCKS)
+    bench = _bench(sim, blockfile, get_profile(vm), seed, clients, duration,
                    ramp_up, ramp_down)
     proc = sim.process(bench.run())
     sim.run(until=proc)
@@ -72,36 +57,9 @@ def _run_local(vm: str, seed: int, clients: int, duration: float,
 
 def _run_wiera(vm: str, seed: int, clients: int, duration: float,
                ramp_up: float, ramp_down: float) -> float:
-    dep = build_deployment([US_EAST], providers={US_EAST: ("azure", "aws")},
-                           seed=seed)
-    azure_server = dep.server(US_EAST, "azure")
-    azure_server.host.vm = get_profile(vm)
-    azure_server.host.egress.rate = azure_server.host.vm.network_bw
-    spec = GlobalPolicySpec(
-        name="rubis",
-        placements=(
-            RegionPlacement(US_EAST, disk_only_policy(size="64G"),
-                            provider="azure", primary=True),
-            RegionPlacement(US_EAST, memory_only_policy(size="2G"),
-                            provider="aws")),
-        consistency="primary_backup", sync_replication=True)
-    instances = dep.start_wiera_instance("rubis", spec)
-    tim = dep.tim("rubis")
-    aws_id = next(iid for iid, rec in tim.instances.items()
-                  if rec.provider == "aws")
-    tim.protocol.config.get_from = aws_id
-    client = WieraClient(dep.sim, dep.network, azure_server.host,
-                         name="rubis-app")
-    client.attach(instances)
-    fs = WieraFS(client, block_size=BLOCK_SIZE)
-    handle = fs.open("/rubis.db")
-    fs._sizes["/rubis.db"] = NBLOCKS * BLOCK_SIZE
-    payload = b"\0" * BLOCK_SIZE
-    targets = [rec.instance for rec in tim.instances.values()]
-    for i in range(NBLOCKS):
-        preload_object(targets, block_object_key("/rubis.db", i), payload)
-    blockfile = WieraBlockFile(handle, NBLOCKS)
-    bench = _bench(dep.sim, blockfile, azure_server.host.vm, seed, clients,
+    dep, blockfile = remote_memory_blockfile(
+        vm, seed, "rubis", "/rubis.db", NBLOCKS, memory_size="2G")
+    bench = _bench(dep.sim, blockfile, get_profile(vm), seed, clients,
                    duration, ramp_up, ramp_down)
     dep.drive(bench.run())
     return bench.throughput

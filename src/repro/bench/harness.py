@@ -31,6 +31,9 @@ from repro.tiera.objects import ObjectRecord, VersionMeta, storage_key
 from repro.tiera.server import TieraServer
 from repro.util.rng import RngRegistry
 
+#: VM profile of every Tiera server host
+SERVER_VM = "aws.t2_micro"
+
 
 @dataclass
 class Deployment:
@@ -269,7 +272,6 @@ def build_deployment(regions: Sequence[str],
                      providers: Optional[dict[str, Iterable[str]]] = None,
                      seed: int = 0,
                      wiera_region: str = US_EAST,
-                     server_vm: str = "aws.t2_micro",
                      topology: Optional[Topology] = None,
                      with_ledger: bool = False,
                      heartbeat_interval: float = 5.0,
@@ -318,7 +320,6 @@ def build_deployment(regions: Sequence[str],
     server_seq = 0
     for region in regions:
         for provider in (providers or {}).get(region, ("aws",)):
-            vm = server_vm
             for i in range(servers_per_region):
                 # The first server keeps the historical host name and
                 # (region, provider) key, so servers_per_region=1 is
@@ -326,7 +327,7 @@ def build_deployment(regions: Sequence[str],
                 suffix = "" if i == 0 else f"-{i}"
                 host = network.add_host(
                     f"tsrv-host-{region}-{provider}{suffix}",
-                    region, provider, vm)
+                    region, provider, SERVER_VM)
                 # Deployment-scoped ids reproducing the historical
                 # first-build-in-process numbering: two identical builds
                 # in one process get identical server ids, hence identical
@@ -343,12 +344,12 @@ def build_deployment(regions: Sequence[str],
     return dep
 
 
-def preload_object(instances, key: str, data: bytes, tier: str | None = None,
-                   version: int = 1, now: float = 0.0) -> None:
-    """Zero-time setup: install ``key`` (one version) into each instance.
+def preload_object(instances, key: str, data: bytes) -> None:
+    """Zero-time setup: install version 1 of ``key``, dated time 0, into
+    each instance.
 
-    Creates the metadata record and places the bytes on ``tier`` (default:
-    the policy's default store tier).  Used to materialize large prepared
+    Creates the metadata record and places the bytes on the policy's
+    default store tier.  Used to materialize large prepared
     datasets — the SysBench file, the RUBiS database, the 10 TB cold-data
     population — without simulating the load phase.
     """
@@ -357,13 +358,13 @@ def preload_object(instances, key: str, data: bytes, tier: str | None = None,
         if record is None:
             record = ObjectRecord(key=key)
             instance.meta.put_record(record)
-        if version in record.versions:
-            raise ValueError(f"{key!r} v{version} already present in "
+        if 1 in record.versions:
+            raise ValueError(f"{key!r} v1 already present in "
                              f"{instance.instance_id}")
-        target = tier or instance.policy.default_store_tier()
-        meta = VersionMeta(version=version, size=len(data), created_at=now,
-                           last_modified=now, last_accessed=now,
+        target = instance.policy.default_store_tier()
+        meta = VersionMeta(version=1, size=len(data), created_at=0.0,
+                           last_modified=0.0, last_accessed=0.0,
                            origin=instance.instance_id,
                            locations={target}, stored_size=len(data))
         record.add_version(meta)
-        instance.tier(target).preload(storage_key(key, version), data)
+        instance.tier(target).preload(storage_key(key, 1), data)

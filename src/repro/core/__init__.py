@@ -21,7 +21,6 @@ from repro.core.global_policy import (
     LoadBalanceSpec,
     RedundancySpec,
     RegionPlacement,
-    ReplicaScaleSpec,
     TierScaleSpec,
 )
 from repro.core.loadbalance import LoadBalancer
@@ -54,7 +53,6 @@ __all__ = [
     "FailureSpec",
     "RedundancySpec",
     "AutoscaleSpec",
-    "ReplicaScaleSpec",
     "TierScaleSpec",
     "TieraInstanceManager",
     "WieraInstanceError",

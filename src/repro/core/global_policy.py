@@ -26,7 +26,6 @@ class RegionPlacement:
     local_policy: LocalPolicy
     provider: str = "aws"
     primary: bool = False
-    server_hint: Optional[str] = None  # pin to a specific Tiera server
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class DynamicConsistencySpec:
     period: float = 30.0
     strong: str = "multi_primaries"
     weak: str = "eventual"
-    check_interval: float = 1.0
-    #: give up on a single monitor probe RPC after this many seconds
-    probe_timeout: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,6 @@ class ColdDataSpec:
     age: float
     target_tier: str
     check_interval: float = 600.0
-    bandwidth: Optional[float] = None
     centralize: bool = False
     central_region: Optional[str] = None
 
@@ -88,22 +83,6 @@ class FailureSpec:
 
 
 @dataclass(frozen=True)
-class ReplicaScaleSpec:
-    """Autoscaler replica lever: extra replicas per shard once the shard
-    lever is exhausted (demand still above band at ``max_shards``)."""
-
-    #: extra instances per shard beyond the policy's placements
-    max_extra: int = 1
-    #: region to place extras in; None = the busiest region by observed
-    #: demand (falling back to the first placement's region)
-    region: Optional[str] = None
-
-    def __post_init__(self):
-        if self.max_extra < 1:
-            raise ValueError(f"max_extra must be >= 1: {self.max_extra}")
-
-
-@dataclass(frozen=True)
 class TierScaleSpec:
     """Autoscaler tier lever: demote idle data to a cheaper tier during
     sustained calm (SkyStore-style cost awareness).  Promotion back to
@@ -111,11 +90,9 @@ class TierScaleSpec:
 
     #: demote versions idle at least this many seconds
     idle_age: float
-    #: policy-local tier name to demote into (e.g. "tier2")
+    #: policy-local tier name to demote into (e.g. "tier2"); a demotion
+    #: runs only when the Table 4 price book makes it cheaper per GB-month
     target_tier: str
-    #: consult the Table 4 price book and skip demotion unless the
-    #: target tier is actually cheaper per GB-month
-    price_aware: bool = True
 
     def __post_init__(self):
         if self.idle_age < 0:
@@ -128,14 +105,16 @@ class AutoscaleSpec:
     tier levers (see :mod:`repro.autoscale`).
 
     The controller compares the offered rate against the deployment's
-    current capacity (``shards x target_per_shard``).  Above the
-    ``high_water`` fraction of capacity (or on any shed load) it grows
-    the shard count toward demand; below ``low_water`` of the capacity
-    *after* a removal, sustained for ``scale_down_windows`` consecutive
-    decision windows, it shrinks by one shard.  ``cooldown`` seconds
-    must pass after an action before the next, and at most
-    ``max_actions_in_flight`` rebalances ever run at once — the
-    controller never races its own migrations.
+    current capacity (``shards x target_per_shard``) with the fixed bands
+    of :mod:`repro.autoscale.controller`: above ``HIGH_WATER`` of capacity
+    (or on any shed load) it grows the shard count toward demand; below
+    ``LOW_WATER`` of the capacity *after* a removal, sustained for
+    ``scale_down_windows`` consecutive decision windows, it shrinks by one
+    shard.  ``cooldown`` seconds must pass after an action before the
+    next, and one action runs at a time — the controller never races its
+    own migrations.  ``replicas`` turns on the replica lever (one extra
+    instance per shard, in the busiest region) and ``tier`` the tier
+    lever.
 
     Attached by ``build_deployment(autoscale=...)``; without it no
     controller is constructed.
@@ -145,19 +124,13 @@ class AutoscaleSpec:
     #: scale-out bench: achieved_per_sim_sec at 1 shard)
     target_per_shard: float
     decision_interval: float = 5.0
-    high_water: float = 0.85
-    low_water: float = 0.45
     min_shards: int = 1
     max_shards: int = 8
     #: quiet period after an action completes before the next decision acts
     cooldown: float = 10.0
     #: consecutive calm windows required before scaling down
     scale_down_windows: int = 3
-    #: hard cap on concurrently running scale actions (rebalances)
-    max_actions_in_flight: int = 1
-    #: shed arrivals tolerated per window before a forced scale-up
-    shed_tolerance: int = 0
-    replicas: Optional[ReplicaScaleSpec] = None
+    replicas: bool = False
     tier: Optional[TierScaleSpec] = None
 
     def __post_init__(self):
@@ -167,10 +140,6 @@ class AutoscaleSpec:
         if self.decision_interval <= 0:
             raise ValueError(f"decision_interval must be positive: "
                              f"{self.decision_interval}")
-        if not 0.0 < self.low_water <= self.high_water:
-            raise ValueError(
-                f"need 0 < low_water <= high_water, got "
-                f"{self.low_water}/{self.high_water}")
         if self.min_shards < 1:
             raise ValueError(f"min_shards must be >= 1: {self.min_shards}")
         if self.max_shards < self.min_shards:
@@ -181,9 +150,6 @@ class AutoscaleSpec:
         if self.scale_down_windows < 1:
             raise ValueError(f"scale_down_windows must be >= 1: "
                              f"{self.scale_down_windows}")
-        if self.max_actions_in_flight < 1:
-            raise ValueError(f"max_actions_in_flight must be >= 1: "
-                             f"{self.max_actions_in_flight}")
 
 
 @dataclass(frozen=True)
@@ -203,10 +169,6 @@ class RedundancySpec:
     m: int = 2
     #: reject candidate schemes surviving fewer than this many losses
     durability_floor: int = 1
-    #: optimizer read-latency budget (seconds to gather k fragments)
-    read_budget: float = 0.5
-    #: optimizer write-latency budget (seconds to land the ack floor)
-    write_budget: float = 1.0
     #: fragment-repair loop period; None disables background repair
     repair_interval: Optional[float] = None
     #: repair window width: object repairs in flight per round

@@ -32,6 +32,10 @@ from repro.net.network import NetworkError
 from repro.sim.primitives import Loop
 from repro.sim.rpc import call_with_timeout
 
+#: seconds between two LatencyMonitor rounds
+LATENCY_CHECK_INTERVAL = 1.0
+#: seconds after which one LatencyMonitor probe RPC is given up
+PROBE_TIMEOUT = 10.0
 #: estimated local-store component of a strong put, used by probe estimates
 _LOCAL_STORE_ESTIMATE = 0.004
 
@@ -56,7 +60,7 @@ class LatencyMonitor:
         self.tim = tim
         self.sim = tim.sim
         self.spec = spec
-        self.loop = Loop(tim.sim, "LatencyMonitor", spec.check_interval,
+        self.loop = Loop(tim.sim, "LatencyMonitor", LATENCY_CHECK_INTERVAL,
                          self._round)
         self.mode = "strong"
         # App-perceived latencies live in the shared MetricsRegistry (every
@@ -87,7 +91,7 @@ class LatencyMonitor:
     def _update_violation_clocks(self) -> Optional[float]:
         """Advance each instance's violation clock; return the longest
         sustained violation duration (None if nobody is violating)."""
-        horizon = self.sim.now - max(4 * self.spec.check_interval, 4.0)
+        horizon = self.sim.now - 4 * LATENCY_CHECK_INTERVAL
         cutoff = max(horizon, self._reset_at)
         longest = None
         for record in self.tim.instances.values():
@@ -115,12 +119,11 @@ class LatencyMonitor:
         Uses the *current* network state, so injected delays and their
         expiry are visible even while the weak model hides them from
         application-perceived latencies.  Probes are raced against
-        ``spec.probe_timeout`` so a dead lock service or partitioned peer
+        :data:`PROBE_TIMEOUT` so a dead lock service or partitioned peer
         stalls one probe round, not the whole monitor.  An instance cut off
         from the lock service makes the estimate ``inf``: no strong put from
         there can take the lock.
         """
-        timeout = self.spec.probe_timeout
         worst = 0.0
         for record in self.tim.instances.values():
             instance = record.instance
@@ -132,7 +135,7 @@ class LatencyMonitor:
                     self.sim,
                     instance.node.call(self.tim.lock_node, "holder",
                                        {"key": "__probe__"}),
-                    timeout)
+                    PROBE_TIMEOUT)
             except TimeoutError:
                 self._timeout_counter.inc()
             except NetworkError:
@@ -144,7 +147,7 @@ class LatencyMonitor:
                 try:
                     yield from call_with_timeout(
                         self.sim, instance.node.call(peer.node, "probe"),
-                        timeout)
+                        PROBE_TIMEOUT)
                 except TimeoutError:
                     self._timeout_counter.inc()
                     rtts.append(self.sim.now - p0)
@@ -279,8 +282,7 @@ class ColdDataCoordinator:
                 central=central.instance_id) as span:
             result = yield from self.tim.node.invoke(
                 central.node, "ctl_demote_cold",
-                {"age": spec.age, "to_tier": spec.target_tier,
-                 "bandwidth": spec.bandwidth})
+                {"age": spec.age, "to_tier": spec.target_tier})
             demoted = result["demoted"]
             span.set(demoted=len(demoted))
             if not demoted:

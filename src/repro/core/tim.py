@@ -115,8 +115,8 @@ class TieraInstanceManager:
         spec = self.spec
         # Steps 3-5: ask each region's Tiera server to spawn an instance.
         for placement in spec.placements:
-            server = self.wiera.tsm.pick_server(
-                placement.region, placement.provider, placement.server_hint)
+            server = self.wiera.tsm.pick_server(placement.region,
+                                                placement.provider)
             yield from self._spawn(server, self._instance_id(placement),
                                    placement)
         # Step 6: propagate peer info to all instances.
@@ -362,10 +362,7 @@ class TieraInstanceManager:
     def _recover(self, lost: list[InstanceRecord]) -> Generator:
         for rec in lost:
             replacement = self.wiera.tsm.pick_server(
-                rec.region, rec.provider, exclude_down=True,
-                fallback_any=True)
-            if replacement is None:
-                continue
+                rec.region, rec.provider, fallback_any=True)
             new_rec = yield from self._spawn(
                 replacement, f"{rec.instance_id}-r{int(self.sim.now)}",
                 rec.placement)
@@ -400,11 +397,7 @@ class TieraInstanceManager:
         template = next((p for p in self.spec.placements
                          if p.region == region), self.spec.placements[0])
         server = self.wiera.tsm.pick_server(region, provider,
-                                            exclude_down=True,
                                             fallback_any=True)
-        if server is None:
-            raise WieraInstanceError(
-                f"no live Tiera server to host a replica in {region!r}")
         n = len(self.elastic_replicas)
         instance_id = f"{self.wiera_instance_id}-{region}-e{n}"
         while instance_id in self.instances:

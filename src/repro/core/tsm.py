@@ -9,7 +9,7 @@ replicas (§4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.net.network import NetworkError
 from repro.sim.primitives import Loop
@@ -63,20 +63,14 @@ class TieraServerManager:
 
     # -- selection ----------------------------------------------------------
     def pick_server(self, region: str, provider: str = "aws",
-                    hint: Optional[str] = None, exclude_down: bool = True,
-                    fallback_any: bool = False) -> Optional[ServerRecord]:
-        """Choose a server for a placement; ``hint`` pins a server id."""
-        if hint is not None:
-            record = self.servers.get(hint)
-            if record is None:
-                raise KeyError(f"no Tiera server {hint!r} registered")
-            return record
+                    fallback_any: bool = False) -> ServerRecord:
+        """Choose a live server for a placement."""
         candidates = [r for r in self.servers.values()
                       if r.region == region and r.provider == provider
-                      and (r.alive or not exclude_down)]
+                      and r.alive]
         if not candidates and fallback_any:
             candidates = [r for r in self.servers.values()
-                          if r.region == region and (r.alive or not exclude_down)]
+                          if r.region == region and r.alive]
         if not candidates and fallback_any:
             candidates = [r for r in self.servers.values() if r.alive]
         if not candidates:

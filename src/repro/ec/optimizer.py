@@ -27,6 +27,11 @@ from repro.ec.codec import Codec
 from repro.storage.cost import (monthly_storage_cost, network_cost,
                                 request_cost)
 
+#: read-latency budget: seconds to gather k fragments
+READ_BUDGET = 0.5
+#: write-latency budget: seconds to land the ack floor
+WRITE_BUDGET = 1.0
+
 
 @dataclass(frozen=True)
 class SchemeEstimate:
@@ -150,8 +155,8 @@ class RedundancyOptimizer:
             raise ValueError(
                 f"no candidate meets durability floor {spec.durability_floor}")
         feasible = [e for e in durable
-                    if e.read_latency <= spec.read_budget
-                    and e.write_latency <= spec.write_budget]
+                    if e.read_latency <= READ_BUDGET
+                    and e.write_latency <= WRITE_BUDGET]
         pool = feasible or durable
         ranked = sorted(pool, key=lambda e: (e.total_dollars,
                                              e.read_latency, e.k, e.m))

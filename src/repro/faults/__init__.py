@@ -8,7 +8,6 @@ exponential backoff.  See DESIGN.md "Failure handling & fault injection".
 """
 
 from repro.faults.retry import (
-    NO_RETRY,
     TRANSIENT_ERRORS,
     RetryPolicy,
     call_with_retries,
@@ -19,7 +18,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "RetryPolicy",
-    "NO_RETRY",
     "TRANSIENT_ERRORS",
     "call_with_retries",
 ]

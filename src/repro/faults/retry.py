@@ -15,15 +15,17 @@ from typing import Callable, Generator, Optional
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.kernel import Simulator
-from repro.sim.rpc import RpcError, call_with_timeout
+from repro.sim.rpc import RpcError
 
 #: exceptions that indicate a transient transport problem worth retrying
 TRANSIENT_ERRORS = (NetworkError, TimeoutError, RpcError)
+#: each retry waits this many times longer than the one before
+BACKOFF_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff: ``base * multiplier**attempt``.
+    """Capped exponential backoff: ``base * BACKOFF_MULTIPLIER**attempt``.
 
     ``max_attempts`` counts total tries (first try included); a policy with
     ``max_attempts=1`` never retries.  ``jitter`` spreads each delay
@@ -34,7 +36,6 @@ class RetryPolicy:
 
     max_attempts: int = 5
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 5.0
     jitter: float = 0.2
 
@@ -46,21 +47,15 @@ class RetryPolicy:
 
     def backoff(self, attempt: int, rng=None) -> float:
         """Delay before retry number ``attempt`` (0-based)."""
-        delay = min(self.base_delay * self.multiplier ** attempt,
+        delay = min(self.base_delay * BACKOFF_MULTIPLIER ** attempt,
                     self.max_delay)
         if rng is not None and self.jitter:
             delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return delay
 
 
-#: no retries at all — useful to switch a path back to fail-fast
-NO_RETRY = RetryPolicy(max_attempts=1, jitter=0.0)
-
-
 def call_with_retries(sim: Simulator, make_call: Callable,
                       policy: RetryPolicy, rng=None,
-                      retry_on: tuple = TRANSIENT_ERRORS,
-                      timeout: Optional[float] = None,
                       label: str = "rpc") -> Generator:
     """Issue ``make_call()`` up to ``policy.max_attempts`` times.
 
@@ -78,11 +73,8 @@ def call_with_retries(sim: Simulator, make_call: Callable,
             retries.inc()
         call = make_call()
         try:
-            if timeout is not None:
-                result = yield from call_with_timeout(sim, call, timeout)
-            else:
-                result = yield call
+            result = yield call
             return result
-        except retry_on as exc:
+        except TRANSIENT_ERRORS as exc:
             last_error = exc
     raise last_error

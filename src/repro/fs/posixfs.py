@@ -13,6 +13,7 @@ import json
 from typing import Generator
 
 from repro.core.client import WieraClient
+from repro.storage.backend import ObjectMissingError
 from repro.util.units import KB
 
 
@@ -62,15 +63,11 @@ class WieraFS:
         size = self._sizes.pop(path)
         self._open.pop(path, None)
         nblocks = (size + self.block_size - 1) // self.block_size
+        # Removing an absent object (a hole, a never-synced file) raises
+        # nothing; anything that does raise is a real failure.
         for i in range(nblocks):
-            try:
-                yield from self.client.remove(block_object_key(path, i))
-            except Exception:
-                continue  # hole
-        try:
-            yield from self.client.remove(meta_object_key(path))
-        except Exception:
-            pass
+            yield from self.client.remove(block_object_key(path, i))
+        yield from self.client.remove(meta_object_key(path))
 
 
 class FileHandle:
@@ -177,7 +174,7 @@ class FileHandle:
         try:
             result = yield from self.fs.client.get(
                 block_object_key(self.path, index))
-        except Exception:
+        except ObjectMissingError:
             return b"\0" * self.fs.block_size  # unwritten hole
         return result["data"]
 

@@ -18,6 +18,9 @@ from repro.util.stats import OnlineStats, percentile_sorted
 
 LabelKey = tuple[tuple[str, Any], ...]
 
+#: samples a histogram's ring keeps for percentile and window queries
+HISTOGRAM_RING = 2048
+
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted(labels.items()))
@@ -74,17 +77,17 @@ class Histogram:
 
     Aggregate statistics (count/mean/min/max) cover every observation ever
     made; the percentile and window queries see the bounded sample ring
-    (``maxlen`` most recent observations).
+    (the :data:`HISTOGRAM_RING` most recent observations).
     """
 
     kind = "histogram"
     __slots__ = ("name", "labels", "sim", "_ring", "stats")
 
-    def __init__(self, sim, name: str, labels: LabelKey, maxlen: int = 2048):
+    def __init__(self, sim, name: str, labels: LabelKey):
         self.sim = sim
         self.name = name
         self.labels = labels
-        self._ring: deque[tuple[float, float]] = deque(maxlen=maxlen)
+        self._ring: deque[tuple[float, float]] = deque(maxlen=HISTOGRAM_RING)
         self.stats = OnlineStats()
 
     def observe(self, value: float) -> None:
@@ -134,12 +137,11 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, maxlen: int = 2048,
-                  **labels: Any) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         key = ("histogram", name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = Histogram(self.sim, name, key[2], maxlen=maxlen)
+            metric = Histogram(self.sim, name, key[2])
             self._metrics[key] = metric
         return metric
 

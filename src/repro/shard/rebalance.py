@@ -41,7 +41,7 @@ from repro.tiera.objects import behind
 #: max_attempts is intentionally large — a migration must outwait a
 #: partition, not abandon half-moved ranges.
 MIGRATION_RETRIES = RetryPolicy(max_attempts=200, base_delay=0.1,
-                                multiplier=2.0, max_delay=5.0, jitter=0.0)
+                                max_delay=5.0, jitter=0.0)
 
 
 class Rebalancer:

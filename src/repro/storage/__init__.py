@@ -22,7 +22,7 @@ from repro.storage.backend import (
 from repro.storage.memory import MemoryTier
 from repro.storage.block import BlockTier
 from repro.storage.object_store import ObjectStoreTier
-from repro.storage.archival import ArchivalTier, NotYetRestoredError
+from repro.storage.archival import ArchivalTier
 from repro.storage.cost import (
     NETWORK_PRICES,
     PRICE_BOOK,
@@ -44,7 +44,6 @@ __all__ = [
     "BlockTier",
     "ObjectStoreTier",
     "ArchivalTier",
-    "NotYetRestoredError",
     "PriceEntry",
     "PRICE_BOOK",
     "NETWORK_PRICES",

@@ -2,25 +2,21 @@
 
 Writes behave like an object store, but reads require a *restore job*: the
 first read of an object starts a retrieval whose first byte arrives after
-``profile.retrieval_delay`` (hours for Glacier).  Once restored, an object
-stays readable for a configurable window.  This reproduces the asymmetry
-the paper leans on in §3.3.3: Glacier is for cold data you essentially
-never read synchronously.
+``profile.retrieval_delay`` (hours for Glacier), and the read waits it
+out.  Once restored, an object stays readable for
+:data:`RESTORE_WINDOW`.  This reproduces the asymmetry the paper leans on
+in §3.3.3: Glacier is for cold data you essentially never read
+synchronously.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.storage.backend import StorageBackend, StorageError
+from repro.storage.backend import StorageBackend
 
-
-class NotYetRestoredError(StorageError):
-    """A non-blocking read was attempted before the restore completed."""
-
-    def __init__(self, msg: str, ready_at: float):
-        super().__init__(msg)
-        self.ready_at = ready_at
+#: seconds a restored object stays readable (Glacier's one-day restore)
+RESTORE_WINDOW = 24 * 3600.0
 
 
 class ArchivalTier(StorageBackend):
@@ -29,21 +25,20 @@ class ArchivalTier(StorageBackend):
     UNBOUNDED = float(1 << 60)
 
     def __init__(self, sim, profile, capacity: float | None = None,
-                 restore_window: float = 24 * 3600.0, **kwargs):
+                 **kwargs):
         super().__init__(sim, profile,
                          self.UNBOUNDED if capacity is None else capacity,
                          **kwargs)
         if self.profile.kind != "archival":
             raise ValueError(
                 f"ArchivalTier requires an archival profile, got {self.profile.name}")
-        self.restore_window = restore_window
         self._ready_at: dict[str, float] = {}  # key -> restore completion time
         self.restores_started = 0
 
     def is_restored(self, key: str) -> bool:
         ready = self._ready_at.get(key)
         return (ready is not None
-                and ready <= self.sim.now <= ready + self.restore_window)
+                and ready <= self.sim.now <= ready + RESTORE_WINDOW)
 
     def restore_pending(self, key: str) -> bool:
         ready = self._ready_at.get(key)
@@ -63,19 +58,11 @@ class ArchivalTier(StorageBackend):
         self.restores_started += 1
         return ready_at
 
-    def read(self, key: str, blocking: bool = True) -> Generator:
-        """Read an archived object.
-
-        ``blocking=True`` waits out the restore job (simulated hours);
-        ``blocking=False`` raises :class:`NotYetRestoredError` carrying the
-        ready time, letting policies schedule a later retry instead.
-        """
+    def read(self, key: str) -> Generator:
+        """Read an archived object, waiting out its restore job (simulated
+        hours) unless a restored copy is still readable."""
         if not self.is_restored(key):
             ready_at = self.request_restore(key)
-            if not blocking:
-                raise NotYetRestoredError(
-                    f"{self.name}: {key!r} restoring until t={ready_at:.0f}s",
-                    ready_at)
             yield self.sim.timeout(max(0.0, ready_at - self.sim.now))
         data = yield from super().read(key)
         return data

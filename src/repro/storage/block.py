@@ -1,74 +1,22 @@
 """Block-device tiers (EBS SSD/HDD, Azure attached disks).
 
-Adds an optional OS buffer-cache model: with the cache enabled, recently
-touched objects are served at memory speed (the paper notes EBS shows
-<1 ms regardless of type when the buffer cache is warm, and disables it
-with O_DIRECT / memory pressure to measure native latency — our
-``direct_io`` flag is that switch).
+Every read and write is served by the device: there is no OS buffer cache
+in front of it.  The paper measures block tiers the same way — EBS shows
+<1 ms regardless of type while the buffer cache is warm, so it disables
+the cache with O_DIRECT / memory pressure to measure native latency
+(§5.4.1).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generator
-
 from repro.storage.backend import StorageBackend
-from repro.util.units import MB, MS
-
-_BUFFER_CACHE_LATENCY = 0.08 * MS
 
 
 class BlockTier(StorageBackend):
-    """EBS-like block tier with a modeled OS buffer cache."""
+    """EBS-like block tier, read and written with direct I/O."""
 
-    def __init__(self, *args, direct_io: bool = True,
-                 buffer_cache_bytes: float = 256 * MB, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.profile.kind != "block":
             raise ValueError(
                 f"BlockTier requires a block profile, got {self.profile.name}")
-        self.direct_io = direct_io
-        self.buffer_cache_bytes = buffer_cache_bytes
-        self._cache: OrderedDict[str, int] = OrderedDict()  # key -> size
-        self._cache_used = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def _cache_admit(self, key: str, size: int) -> None:
-        if self.direct_io or size > self.buffer_cache_bytes:
-            return
-        if key in self._cache:
-            self._cache_used -= self._cache.pop(key)
-        while self._cache_used + size > self.buffer_cache_bytes and self._cache:
-            _, victim_size = self._cache.popitem(last=False)
-            self._cache_used -= victim_size
-        self._cache[key] = size
-        self._cache_used += size
-
-    def write(self, key: str, data: bytes) -> Generator:
-        yield from super().write(key, data)
-        self._cache_admit(key, len(data))
-
-    def read(self, key: str) -> Generator:
-        if not self.direct_io and key in self._cache:
-            # Buffer-cache hit: memory-speed service, no device occupancy.
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            yield self.sim.timeout(_BUFFER_CACHE_LATENCY)
-            self.reads += 1
-            if self._ledger is not None:
-                self._ledger.record_get(self)
-            data = self._data.get(key)
-            if data is None:
-                from repro.storage.backend import ObjectMissingError
-                raise ObjectMissingError(f"{self.name}: no object {key!r}")
-            return data
-        self.cache_misses += 1
-        data = yield from super().read(key)
-        self._cache_admit(key, len(data))
-        return data
-
-    def delete(self, key: str) -> Generator:
-        yield from super().delete(key)
-        if key in self._cache:
-            self._cache_used -= self._cache.pop(key)

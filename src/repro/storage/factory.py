@@ -14,7 +14,7 @@ from repro.sim.kernel import Simulator
 from repro.storage.archival import ArchivalTier
 from repro.storage.backend import StorageBackend
 from repro.storage.block import BlockTier
-from repro.storage.memory import LruMemoryTier, MemoryTier
+from repro.storage.memory import MemoryTier
 from repro.storage.object_store import ObjectStoreTier
 from repro.storage.profiles import TierProfile, get_tier_profile
 
@@ -28,18 +28,9 @@ _KIND_CLASSES = {
 
 def make_tier(sim: Simulator, profile: str | TierProfile, capacity: float,
               name: str = "", rng: Optional[np.random.Generator] = None,
-              ledger=None, region: str = "", **kwargs) -> StorageBackend:
-    """Instantiate the backend class matching the profile's kind.
-
-    Extra keyword arguments are forwarded to the family constructor
-    (e.g. ``direct_io`` for block tiers); ``evict_lru`` picks LRU memory.
-    """
+              ledger=None, region: str = "") -> StorageBackend:
+    """Instantiate the backend class matching the profile's kind."""
     prof = profile if isinstance(profile, TierProfile) else get_tier_profile(profile)
     cls = _KIND_CLASSES[prof.kind]
-    if cls is MemoryTier and kwargs.pop("evict_lru", False):
-        cls = LruMemoryTier
-    if cls in (ObjectStoreTier, ArchivalTier) and capacity is None:
-        return cls(sim, prof, None, name=name, rng=rng, ledger=ledger,
-                   region=region, **kwargs)
     return cls(sim, prof, capacity, name=name, rng=rng, ledger=ledger,
-               region=region, **kwargs)
+               region=region)

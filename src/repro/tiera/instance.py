@@ -90,7 +90,7 @@ class TieraInstance:
                 sim, spec.profile, spec.capacity,
                 name=f"{instance_id}.{spec.name}",
                 rng=self.rng.stream(f"{instance_id}.{spec.name}"),
-                ledger=ledger, region=region, **spec.options)
+                ledger=ledger, region=region)
             self.tiers[spec.name] = backend
         if extra_tiers:
             for name, backend in extra_tiers.items():
@@ -973,18 +973,14 @@ class TieraInstance:
         """Move versions idle for >= ``age`` seconds to ``to_tier``;
         returns the demoted (key, version) pairs."""
         age, to_tier = msg.args["age"], msg.args["to_tier"]
-        bandwidth = msg.args.get("bandwidth")
         now = self.sim.now
         demoted = []
-        limiter = (BandwidthLink(self.sim, bandwidth) if bandwidth else None)
         for record in list(self.meta.records()):
             meta = record.latest()
             if meta is None or now - meta.last_accessed < age:
                 continue
             if meta.locations == {to_tier}:
                 continue
-            if limiter is not None:
-                yield from limiter.transmit(meta.stored_size or meta.size)
             yield from self.move_version(record.key, meta.version, to_tier)
             demoted.append((record.key, meta.version))
         return {"demoted": demoted}

@@ -9,7 +9,7 @@ by the instance's policy engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.tiera.events import (
@@ -31,14 +31,12 @@ class TierSpec:
     name: str           # policy-local name, e.g. "tier1"
     profile: str        # storage profile, e.g. "memcached", "ebs_ssd"
     capacity: Optional[float] = None  # bytes; None = service default
-    options: dict = field(default_factory=dict)
 
     @classmethod
-    def parse(cls, name: str, profile: str, size: str | int | None = None,
-              **options) -> "TierSpec":
+    def parse(cls, name: str, profile: str,
+              size: str | int | None = None) -> "TierSpec":
         capacity = parse_size(size) if size is not None else None
-        return cls(name=name, profile=profile, capacity=capacity,
-                   options=dict(options))
+        return cls(name=name, profile=profile, capacity=capacity)
 
 
 @dataclass(frozen=True)

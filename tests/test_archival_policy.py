@@ -11,7 +11,6 @@ import pytest
 from repro import build_deployment
 from repro.net import US_WEST
 from repro.policydsl import builtin_policy
-from repro.storage.archival import NotYetRestoredError
 from repro.util.units import HOUR, KB
 
 
@@ -68,15 +67,11 @@ def test_archived_read_requires_restore(world):
     glacier = inst.tier("tier2")
     skey = "doc#v1"
 
-    # non-blocking read: tells the caller when the restore completes
-    def try_read():
-        yield from glacier.read(skey, blocking=False)
-    proc = dep.sim.process(try_read())
-    with pytest.raises(NotYetRestoredError) as err:
-        dep.sim.run(until=proc)
-    assert err.value.ready_at > dep.sim.now + 3 * HOUR
+    # archived, not restored, and no restore job running yet
+    assert not glacier.is_restored(skey)
+    assert not glacier.restore_pending(skey)
 
-    # the instance-level read path blocks through the restore job
+    # the instance-level read path starts and blocks through the restore job
     t0 = dep.sim.now
 
     def full_read():

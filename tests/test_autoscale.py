@@ -15,7 +15,6 @@ from repro import (
     AutoscaleSpec,
     GlobalPolicySpec,
     RegionPlacement,
-    ReplicaScaleSpec,
     TierScaleSpec,
     build_deployment,
 )
@@ -62,17 +61,11 @@ class TestAutoscaleSpec:
         with pytest.raises(ValueError):
             AutoscaleSpec(target_per_shard=10, decision_interval=0)
         with pytest.raises(ValueError):
-            AutoscaleSpec(target_per_shard=10, low_water=0.9, high_water=0.5)
-        with pytest.raises(ValueError):
             AutoscaleSpec(target_per_shard=10, min_shards=0)
         with pytest.raises(ValueError):
             AutoscaleSpec(target_per_shard=10, min_shards=4, max_shards=2)
         with pytest.raises(ValueError):
             AutoscaleSpec(target_per_shard=10, scale_down_windows=0)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(target_per_shard=10, max_actions_in_flight=0)
-        with pytest.raises(ValueError):
-            ReplicaScaleSpec(max_extra=0)
         with pytest.raises(ValueError):
             TierScaleSpec(idle_age=-1, target_tier="tier2")
 
@@ -153,7 +146,7 @@ class TestShardLever:
         # Shed means the queue overflowed: offered_rate under-reports
         # demand, so the controller jumps to max_shards in one burst.
         aspec = AutoscaleSpec(target_per_shard=1000.0, decision_interval=2.0,
-                              cooldown=0.0, shed_tolerance=0, max_shards=2)
+                              cooldown=0.0, max_shards=2)
         dep, handle, scaler = _autoscaled_dep(aspec)
         shed = dep.obs.metrics.counter("load.shed", cohort="pump")
 
@@ -208,9 +201,7 @@ class TestReplicaLever:
     def test_hot_at_max_shards_grows_then_calm_retires_replicas(self):
         aspec = AutoscaleSpec(target_per_shard=100.0, decision_interval=2.0,
                               cooldown=0.0, scale_down_windows=2,
-                              max_shards=1,
-                              replicas=ReplicaScaleSpec(max_extra=1,
-                                                        region=US_EAST))
+                              max_shards=1, replicas=True)
         dep, handle, scaler = _autoscaled_dep(aspec)
         tim = dep.wiera.tim("as-s0")
         assert len(tim.instances) == 2
@@ -251,8 +242,7 @@ class TestReplicaLever:
 
     def test_replica_writes_replicate_to_elastic_instance(self):
         aspec = AutoscaleSpec(target_per_shard=100.0, decision_interval=2.0,
-                              cooldown=0.0, max_shards=1,
-                              replicas=ReplicaScaleSpec(max_extra=1))
+                              cooldown=0.0, max_shards=1, replicas=True)
         dep, handle, scaler = _autoscaled_dep(aspec)
         client = dep.add_client(US_WEST, sharded=handle)
         rate = [300.0]
@@ -301,8 +291,7 @@ class TestTierLever:
         # Demoting tier1 -> tier1 is never cheaper: the price book check
         # must turn the demotion into an audited no-op.
         dep, handle, scaler = self._calm_dep(
-            TierScaleSpec(idle_age=5.0, target_tier="tier1",
-                          price_aware=True))
+            TierScaleSpec(idle_age=5.0, target_tier="tier1"))
         dep.sim.run(until=dep.sim.now + 20.0)
         demotes = [d for d in scaler.decisions if d.action == "tier_demote"]
         assert demotes

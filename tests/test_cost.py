@@ -3,10 +3,10 @@
 import pytest
 
 from repro import (GlobalPolicySpec, RegionPlacement, build_deployment)
-from repro.net import US_EAST, US_WEST
+from repro.net import EU_WEST, US_EAST, US_WEST
 from repro.sim import Simulator
 from repro.storage import CostLedger, make_tier, monthly_storage_cost
-from repro.tiera.policy import memory_only_policy
+from repro.tiera.policy import disk_only_policy, memory_only_policy
 from repro.storage.cost import (
     HOURS_PER_MONTH,
     migration_savings,
@@ -134,6 +134,43 @@ class TestLedger:
         dep.drive(app())
         dep.sim.run(until=dep.sim.now + 5)
         assert dep.ledger.network_dollars() > 0
+
+    def test_bill_and_registry_count_the_same_requests(self):
+        """Every backend's billed puts and gets are its ``storage.ops``
+        writes and reads: the bill and the metrics registry never drift,
+        on a memory, a block and an object tier alike."""
+        regions = (US_EAST, US_WEST, EU_WEST)
+        dep = build_deployment(regions, with_ledger=True, seed=5)
+        spec = GlobalPolicySpec(
+            name="bill",
+            placements=(
+                RegionPlacement(US_EAST, memory_only_policy()),
+                RegionPlacement(US_WEST, disk_only_policy(profile="ebs_ssd")),
+                RegionPlacement(EU_WEST, disk_only_policy(profile="s3"))),
+            consistency="eventual")
+        instances = dep.start_wiera_instance("bill", spec)
+        clients = [dep.add_client(r, instances=instances) for r in regions]
+
+        def app():
+            for i in range(3):
+                for n, client in enumerate(clients):
+                    yield from client.put(f"k{i}-{n}", b"x" * 4096)
+                    yield from client.get(f"k{i}-{n}")
+        dep.drive(app())
+        dep.sim.run(until=dep.sim.now + 5)   # replication lands
+        kinds = []
+        for region in regions:
+            for backend in dep.instance("bill", region).tiers.values():
+                kinds.append(backend.profile.kind)
+                billed = f"{backend.region}/{backend.name}"
+                writes = dep.metric_total("storage.ops", tier=backend.name,
+                                          op="write")
+                reads = dep.metric_total("storage.ops", tier=backend.name,
+                                         op="read")
+                assert writes > 0 and reads > 0
+                assert dep.ledger._puts[billed] == writes
+                assert dep.ledger._gets[billed] == reads
+        assert sorted(kinds) == ["block", "memory", "object"]
 
     def test_chunked_egress_parity(self, monkeypatch):
         """Segmentation schedules bytes, it does not bill them: a transfer

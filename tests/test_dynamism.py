@@ -102,8 +102,7 @@ class TestLatencyMonitorSwitching:
     def test_sustained_violation_switches_then_recovers(self):
         dep, instances = deploy(
             "multi_primaries", regions=(US_EAST, US_WEST, EU_WEST, ASIA_EAST),
-            dynamic=DynamicConsistencySpec(latency_threshold=0.8, period=10.0,
-                                           check_interval=1.0))
+            dynamic=DynamicConsistencySpec(latency_threshold=0.8, period=10.0))
         tim = dep.tim("dyn")
         client = dep.add_client(US_WEST, instances=instances)
         usw = dep.instance("dyn", US_WEST)
@@ -128,8 +127,7 @@ class TestLatencyMonitorSwitching:
     def test_transient_violation_ignored(self):
         dep, instances = deploy(
             "multi_primaries", regions=(US_EAST, US_WEST, EU_WEST),
-            dynamic=DynamicConsistencySpec(latency_threshold=0.8, period=15.0,
-                                           check_interval=1.0))
+            dynamic=DynamicConsistencySpec(latency_threshold=0.8, period=15.0))
         tim = dep.tim("dyn")
         client = dep.add_client(US_WEST, instances=instances)
         usw = dep.instance("dyn", US_WEST)

@@ -8,6 +8,7 @@ from repro import (GlobalPolicySpec, RedundancySpec, RegionPlacement,
                    build_deployment)
 from repro.core.consistency.base import ProtocolError
 from repro.ec.codec import Codec
+from repro.ec import optimizer as ec_optimizer
 from repro.ec.optimizer import RedundancyOptimizer
 from repro.ec.protocol import decode_manifest, fragment_key
 from repro.net import ASIA_EAST, EU_WEST, US_EAST, US_WEST
@@ -801,17 +802,18 @@ class TestOptimizer:
     def test_choose_prefers_cheap_ec_for_cold_data(self):
         """Rarely-read data: storage dominates, so EC's lower overhead
         beats replication despite remote fragment reads."""
-        opt = self.optimizer(durability_floor=2, read_budget=0.5)
+        opt = self.optimizer(durability_floor=2)
         plan = opt.choose(size=1 << 20, reads_per_month=1,
                           writes_per_month=1, reader_region=US_EAST)
         assert not plan.is_replication
         assert plan.chosen.durability >= 2
 
-    def test_tight_read_budget_forces_replication(self):
+    def test_tight_read_budget_forces_replication(self, monkeypatch):
         """With a budget below every inter-region RTT, only schemes whose
         k fragments sit in the reader region fit — i.e. k=1 replication
         with the data shard local."""
-        opt = self.optimizer(durability_floor=1, read_budget=0.01)
+        monkeypatch.setattr(ec_optimizer, "READ_BUDGET", 0.01)
+        opt = self.optimizer(durability_floor=1)
         plan = opt.choose(size=4096, reads_per_month=1e6,
                           writes_per_month=10, reader_region=US_EAST)
         assert plan.is_replication

@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: removes a handler; never raise one.
 BROAD_EXCEPTS = {
     "repro/ec/repair.py": 1,
-    "repro/fs/posixfs.py": 3,
+    "repro/fs/posixfs.py": 0,
     "repro/sim/rpc.py": 2,
     "repro/workloads/rubis.py": 1,
 }

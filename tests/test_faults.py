@@ -14,7 +14,7 @@ from repro import (
     RetryPolicy,
     build_deployment,
 )
-from repro.faults import NO_RETRY, call_with_retries
+from repro.faults import call_with_retries
 from repro.net import EU_WEST, US_EAST, US_WEST, Network
 from repro.sim import Simulator
 from repro.sim.rpc import RpcError, RpcNode
@@ -48,7 +48,7 @@ def latest_meta(instance, key):
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(max_attempts=8, base_delay=0.1, multiplier=2.0,
+        policy = RetryPolicy(max_attempts=8, base_delay=0.1,
                              max_delay=1.0, jitter=0.0)
         delays = [policy.backoff(i) for i in range(6)]
         assert delays[:4] == [0.1, 0.2, 0.4, 0.8]
@@ -67,7 +67,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-        assert NO_RETRY.max_attempts == 1
 
 
 class TestCallWithRetries:
@@ -270,7 +269,7 @@ class TestPrimaryCrashMidForward:
         tim = dep.tim("chaos")
         # Give the forward path enough backoff budget to outlive the crash.
         tim.protocol.retry_policy = RetryPolicy(
-            max_attempts=8, base_delay=0.1, multiplier=2.0,
+            max_attempts=8, base_delay=0.1,
             max_delay=5.0, jitter=0.0)
         client = dep.add_client(EU_WEST, instances=[
             info for info in instances if info["region"] == EU_WEST])
@@ -377,7 +376,7 @@ class TestClientFailover:
         client = dep.add_client(
             US_EAST, instances=instances,
             retry_policy=RetryPolicy(max_attempts=6, base_delay=0.2,
-                                     multiplier=2.0, jitter=0.0))
+                                     jitter=0.0))
         faults = dep.fault_schedule()
         for region in REGIONS:
             faults.crash(0.5, dep.server(region), duration=1.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
+from repro.core.client import NoInstanceAvailableError
 from repro.db import DbError, MiniDB
 from repro.fs import TierBlockFile, WieraBlockFile, WieraFS
 from repro.fs.posixfs import FsError, meta_object_key
@@ -79,6 +80,17 @@ class TestPosixFs:
             return data
         data = dep.drive(app())
         assert data == b"\0" * (4 * KB)
+
+    def test_read_during_an_outage_raises(self, fs_world):
+        """Only a hole reads as zeros: with every instance unreachable a
+        read fails instead of handing the application a zero block."""
+        dep, fs = fs_world
+        handle = fs.open("/outage")
+        dep.drive(handle.pwrite(0, b"x" * (4 * KB)))
+        for region in (US_EAST, US_WEST):
+            dep.server(region).crash()
+        with pytest.raises(NoInstanceAvailableError):
+            dep.drive(handle.pread(0, 4 * KB))
 
     def test_read_past_eof_is_short(self, fs_world):
         dep, fs = fs_world

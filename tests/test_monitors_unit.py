@@ -99,8 +99,7 @@ class TestViolationClocks:
     def test_sparse_samples_keep_verdict(self):
         dep, instances = deploy()
         tim = dep.tim("m")
-        spec = DynamicConsistencySpec(latency_threshold=0.1, period=30.0,
-                                      check_interval=1.0)
+        spec = DynamicConsistencySpec(latency_threshold=0.1, period=30.0)
         monitor = LatencyMonitor(tim, spec)
         iid = next(iter(tim.instances))
         # one violating sample, then silence

@@ -11,6 +11,7 @@ from repro import (
     RegionPlacement,
     build_deployment,
 )
+from repro.core import monitoring
 from repro.core.monitoring import LatencyMonitor
 from repro.net import EU_WEST, Network, US_EAST, US_WEST
 from repro.obs import MetricsRegistry, NullTracer, chrome_trace_events, get_obs
@@ -378,11 +379,11 @@ class TestMonitorsOnRegistry:
         recent = client.history.latencies("put")[-3:]
         assert signal == pytest.approx(max(recent), rel=1.0)
 
-    def test_probe_timeouts_recorded(self):
+    def test_probe_timeouts_recorded(self, monkeypatch):
+        monkeypatch.setattr(monitoring, "PROBE_TIMEOUT", 0.0001)
         dep, client = tiny_deployment(with_tracing=False)
         tim = dep.tim("obs")
-        monitor = LatencyMonitor(
-            tim, DynamicConsistencySpec(probe_timeout=0.0001))
+        monitor = LatencyMonitor(tim, DynamicConsistencySpec())
 
         def probe():
             value = yield from monitor.probe_estimate()

@@ -1,5 +1,6 @@
 """Ratchet: ``src/`` keeps only code that something outside ``tests/`` uses,
-and every policy field is read by something in ``src/``.
+and every policy field is read by something in ``src/`` and set by
+something outside ``tests/``.
 
 A census of every function, class and method defined in ``src/`` (dunders
 aside).  A definition is *reached* when its name appears in a module of
@@ -61,6 +62,42 @@ KEPT = {
     "list_instances":
         "A Tiera server's RPC listing the instances it hosts, as TSM's "
         "view of a server (Table 1's server side)",
+}
+
+_LOAD_BALANCE = ("§3.2.3: RequestsMonitoring + forward shed an overloaded "
+                 "instance's gets; tests/test_loadbalance.py turns it on")
+
+#: Policy fields nothing outside tests sets, kept on purpose:
+#: ``Class.field`` -> reason.  Same rules as :data:`KEPT`.
+KEPT_FIELDS = {
+    "LoadBalanceSpec.threshold_rps": _LOAD_BALANCE,
+    "LoadBalanceSpec.clear_rps": _LOAD_BALANCE,
+    "LoadBalanceSpec.shed_fraction": _LOAD_BALANCE,
+    "LoadBalanceSpec.window": _LOAD_BALANCE,
+    "LoadBalanceSpec.check_interval": _LOAD_BALANCE,
+    "LoadBalanceSpec.peer_headroom": _LOAD_BALANCE,
+    "GlobalPolicySpec.load_balance": _LOAD_BALANCE,
+    "FailureSpec.min_replicas":
+        "§4.4: keep at least N replicas alive; tests/test_failures.py "
+        "turns it on",
+    "GlobalPolicySpec.failure":
+        "§4.4: minimum-replica failure handling; tests/test_failures.py "
+        "turns it on",
+    "DynamicConsistencySpec.op":
+        "Fig. 5(a): the monitored operation (put or get) of a "
+        "DynamicConsistency rule",
+    "GlobalPolicySpec.repair_interval":
+        "anti-entropy repair of divergent replicas; "
+        "tests/test_faults.py turns it on",
+    "AutoscaleSpec.replicas":
+        "the autoscaler's replica lever; tests/test_autoscale.py turns "
+        "it on",
+    "AutoscaleSpec.tier":
+        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
+    "TierScaleSpec.idle_age":
+        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
+    "TierScaleSpec.target_tier":
+        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
 }
 
 
@@ -162,6 +199,69 @@ def test_kept_entries_are_still_needed():
     assert not stale, f"drop from KEPT (gone or now reached): {stale}"
 
 
+def _policy_fields() -> dict[str, list[str]]:
+    """Class name -> field names of every dataclass in
+    :data:`POLICY_MODULES`."""
+    fields = {}
+    for name in POLICY_MODULES:
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == name:
+                fields[cls.__name__] = [field.name
+                                        for field in dataclasses.fields(cls)]
+    return fields
+
+
+def _fields_set() -> set[str]:
+    """``Class.field`` for every policy field something outside ``tests/``
+    sets: a keyword or a position of a call to the class (``Spec(...)``
+    or ``module.Spec(...)``), or a keyword of a ``replace(...)`` call,
+    which sets that field name on every policy class (by name, like the
+    census above)."""
+    fields = _policy_fields()
+    found, replaced = set(), set()
+    for path in _caller_paths():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            keywords = {kw.arg for kw in node.keywords if kw.arg}
+            if called == "replace":
+                replaced |= keywords
+            elif called in fields:
+                positions = fields[called][:len(node.args)]
+                found |= {f"{called}.{name}"
+                          for name in keywords | set(positions)}
+    return found | {f"{cls}.{name}" for cls, names in fields.items()
+                    for name in names if name in replaced}
+
+
+def test_every_policy_field_is_set():
+    """A spec field only tests set is an option no policy, DSL text,
+    example, benchmark or perf workload needs: make it a constant at its
+    default, or keep it in :data:`KEPT_FIELDS` with the reason."""
+    found = _fields_set()
+    unset = [f"{cls}.{name}" for cls, names in _policy_fields().items()
+             for name in names
+             if f"{cls}.{name}" not in found
+             and f"{cls}.{name}" not in KEPT_FIELDS]
+    assert not unset, (
+        "policy fields set by no module, example, benchmark or perf "
+        f"workload (make them constants, or add them to KEPT_FIELDS): "
+        f"{unset}")
+
+
+def test_kept_fields_are_still_needed():
+    found = _fields_set()
+    declared = {f"{cls}.{name}" for cls, names in _policy_fields().items()
+                for name in names}
+    stale = sorted(entry for entry in KEPT_FIELDS
+                   if entry not in declared or entry in found)
+    assert not stale, f"drop from KEPT_FIELDS (gone or now set): {stale}"
+
+
 def test_every_policy_field_is_read():
     """A spec field nothing in ``src/`` reads is a knob a policy can set and
     the system ignores.  Read means an attribute load of that name in any
@@ -172,12 +272,6 @@ def test_every_policy_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
-    unread = []
-    for name in POLICY_MODULES:
-        module = importlib.import_module(name)
-        for cls in vars(module).values():
-            if dataclasses.is_dataclass(cls) and cls.__module__ == name:
-                unread += [f"{cls.__name__}.{field.name}"
-                           for field in dataclasses.fields(cls)
-                           if field.name not in read]
+    unread = [f"{cls}.{name}" for cls, names in _policy_fields().items()
+              for name in names if name not in read]
     assert not unread, f"policy fields nothing in src/ reads: {unread}"

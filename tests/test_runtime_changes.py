@@ -223,8 +223,7 @@ def test_a_monitor_whose_switch_fails_retries_next_round():
     on with every gate open; after the heal, the next round switches."""
     dep, instances = _deploy(
         "multi_primaries",
-        dynamic=DynamicConsistencySpec(latency_threshold=0.1, period=1.0,
-                                       check_interval=1.0))
+        dynamic=DynamicConsistencySpec(latency_threshold=0.1, period=1.0))
     tim = dep.tim("w")
     client = dep.add_client(US_WEST, instances=instances)
 

@@ -318,7 +318,7 @@ def latency_monitor(census):
     """In weak mode every round probes the peers for a strong put's cost."""
     dep, _ = _deploy([US_WEST, EU_WEST], consistency="eventual")
     monitor = LatencyMonitor(dep.tim("w"), DynamicConsistencySpec(
-        period=1000.0, check_interval=2.0))
+        period=1000.0))
     monitor.mode = "weak"
     monitor.loop.start()
     return _calling(census, dep.sim, monitor, monitor.loop.stop,

@@ -11,7 +11,6 @@ from repro.storage import (
     BlockTier,
     CapacityExceededError,
     MemoryTier,
-    NotYetRestoredError,
     ObjectMissingError,
     ObjectStoreTier,
     StorageBackend,
@@ -19,6 +18,7 @@ from repro.storage import (
     get_tier_profile,
     make_tier,
 )
+from repro.storage.archival import RESTORE_WINDOW
 from repro.util.units import GB, HOUR, MB
 
 
@@ -189,43 +189,18 @@ class TestMemoryTier:
         tier.on_host_crash()
         assert "k" not in tier and tier.used_bytes == 0
 
-    def test_lru_eviction(self, sim):
-        tier = make_tier(sim, "memcached", 3000, evict_lru=True)
-        run(sim, tier.write("a", b"x" * 1000))
-        run(sim, tier.write("b", b"x" * 1000))
-        run(sim, tier.write("c", b"x" * 1000))
-        run(sim, tier.read("a"))             # a is now most recent
-        run(sim, tier.write("d", b"x" * 1000))
-        assert "b" not in tier               # LRU victim
-        assert "a" in tier and "c" in tier and "d" in tier
-        assert tier.evictions == 1
-
     def test_oversized_object_rejected(self, sim):
-        tier = make_tier(sim, "memcached", 1000, evict_lru=True)
+        tier = make_tier(sim, "memcached", 1000)
         with pytest.raises(CapacityExceededError):
             run(sim, tier.write("k", b"x" * 2000))
 
 
 class TestBlockTier:
-    def test_buffer_cache_accelerates_reread(self, sim):
-        tier = BlockTier(sim, get_tier_profile("ebs_hdd"), 1 * GB,
-                         direct_io=False)
-        run(sim, tier.write("k", b"x" * 4096))
-        cold = None
-        tier._cache.clear()
-        tier._cache_used = 0
-        cold = timed(sim, tier.read("k"))
-        warm = timed(sim, tier.read("k"))
-        assert warm < cold / 10
-        assert tier.cache_hits == 1
-
     def test_direct_io_never_caches(self, sim):
-        tier = BlockTier(sim, get_tier_profile("ebs_hdd"), 1 * GB,
-                         direct_io=True)
+        tier = BlockTier(sim, get_tier_profile("ebs_hdd"), 1 * GB)
         run(sim, tier.write("k", b"x" * 4096))
         t1 = timed(sim, tier.read("k"))
         t2 = timed(sim, tier.read("k"))
-        assert tier.cache_hits == 0
         assert t2 > t1 / 10  # both reads hit the device
 
 
@@ -247,19 +222,6 @@ class TestArchival:
         elapsed = timed(sim, tier.read("k"))
         assert elapsed >= tier.profile.retrieval_delay
 
-    def test_nonblocking_read_raises_with_ready_time(self, sim):
-        tier = make_tier(sim, "glacier", None)
-        tier.preload("k", b"frozen")
-
-        def attempt():
-            yield from tier.read("k", blocking=False)
-
-        p = sim.process(attempt())
-        with pytest.raises(NotYetRestoredError) as err:
-            sim.run(until=p)
-        assert err.value.ready_at == pytest.approx(
-            tier.profile.retrieval_delay)
-
     def test_restored_window_allows_fast_reads(self, sim):
         tier = make_tier(sim, "glacier", None)
         tier.preload("k", b"frozen")
@@ -269,9 +231,10 @@ class TestArchival:
         assert tier.restores_started == 1
 
     def test_restore_window_expires(self, sim):
-        tier = ArchivalTier(sim, get_tier_profile("glacier"),
-                            restore_window=1 * HOUR)
+        tier = ArchivalTier(sim, get_tier_profile("glacier"))
         tier.preload("k", b"frozen")
         run(sim, tier.read("k"))
+        sim.run(until=sim.now + RESTORE_WINDOW - 1 * HOUR)
+        assert tier.is_restored("k")
         sim.run(until=sim.now + 2 * HOUR)
         assert not tier.is_restored("k")

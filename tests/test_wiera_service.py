@@ -126,14 +126,3 @@ class TestWuiApi:
                 placements=(RegionPlacement(US_EAST, memory_only_policy()),),
                 consistency="quantum")
 
-    def test_server_hint_pins_placement(self):
-        dep = build_deployment(REGIONS)
-        target = dep.server(US_EAST).server_id
-        s = GlobalPolicySpec(
-            name="pin",
-            placements=(RegionPlacement(US_EAST, memory_only_policy(),
-                                        server_hint=target),),
-            consistency="local")
-        dep.start_wiera_instance("pin", s)
-        rec = next(iter(dep.tim("pin").instances.values()))
-        assert rec.server_id == target
