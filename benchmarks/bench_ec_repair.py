@@ -4,10 +4,11 @@ Writes N EC(2,2) objects across a 6-site deployment, crashes the holder
 of fragment 1 (wiping its memory tier) and leaves it down, then drives
 exactly one repair round on the repair leader at
 ``repair_concurrency=1`` (one object in flight) and ``=8``.  Both go
-through the repairer's single pipeline — parallel probes, batched
-``check_readable`` envelopes, holder-local ``reconstruct_fragment``,
-batched ``manifest_remap`` deltas — and differ only in how many object
-repairs overlap.
+through the repairer's single pipeline — a windowed manifest scan,
+parallel probes, batched ``check_readable`` envelopes, holder-local
+``reconstruct_fragment``, one ``manifest_remap`` request of deltas per
+peer — and differ only in how many manifest reads, object repairs and
+remap applies overlap.
 
 Each cell reports repair completion time (simulated seconds for the
 round), repair egress (``net.bytes`` delta across the round), message
@@ -61,7 +62,7 @@ MIN_EGRESS_REDUCTION = 0.40
 #: gate: the W=8 round per mode, matched exactly.  ``repair_egress_bytes``
 #: is ``net.bytes`` across the round, TSM heartbeats included.  Re-pin by
 #: editing these values in the commit that moves them, with the evidence.
-W8_REPAIR_SECONDS = {"quick": 0.873388, "full": 1.7948}
+W8_REPAIR_SECONDS = {"quick": 0.859814, "full": 1.75411}
 W8_REPAIR_EGRESS_BYTES = {"quick": 109824, "full": 317696}
 
 #: the deleted serial walk on this scenario, frozen, never recomputed

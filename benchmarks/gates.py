@@ -14,12 +14,18 @@ every gate in ``GATES`` runs.  A gate module declares three things:
   ``{"quick": x, "full": y}`` table for a value pinned per mode (a mode
   the table leaves out has no such bound).
 
-The runner writes each result to ``results/BENCH_<NAME>.json`` — output
-only, nothing reads it back, so a pinned value lives in the gate module
-beside its bound — prints the summary, then one
+The runner writes each result to ``results/BENCH_<NAME>.json`` — a
+pinned value lives in the gate module beside its bound, not in that
+file — prints the summary, then one
 ``gate: <label> <value> <op> <limit> -> ok|REGRESSION`` line per bound,
 and exits 1 if any bound fails.  A bound whose value or limit is missing
 or None fails.
+
+The simulation is deterministic, so the committed file is also an exact
+output: when it was recorded in the mode just run, the fresh result must
+equal it field for field, ``WALL_CLOCK`` fields aside, or the runner
+names the first field that differs and exits 1.  A change that moves a
+number commits the rewritten file, so the move shows in its diff.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import json
 import operator
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Optional
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -38,6 +44,9 @@ GATES = ("load_engine", "autoscale", "ec_frontier", "ec_repair")
 
 OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
        ">=": operator.ge, ">": operator.gt}
+
+#: result fields that time the host, not the simulation: never compared
+WALL_CLOCK = frozenset({"wall_seconds"})
 
 
 class Verdict(NamedTuple):
@@ -87,6 +96,32 @@ def verdicts(gate, result: dict) -> list[Verdict]:
     return out
 
 
+def first_difference(committed: Any, fresh: Any,
+                     path: str = "") -> Optional[str]:
+    """The first field, in the committed file's order, where two results
+    differ (``"path: committed -> fresh"``), ``WALL_CLOCK`` fields
+    aside; None when they agree."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        for key in [*committed, *(k for k in fresh if k not in committed)]:
+            if key in WALL_CLOCK:
+                continue
+            found = first_difference(committed.get(key), fresh.get(key),
+                                     f"{path}.{key}" if path else key)
+            if found:
+                return found
+        return None
+    if (isinstance(committed, list) and isinstance(fresh, list)
+            and len(committed) == len(fresh)):
+        for i, (old, new) in enumerate(zip(committed, fresh)):
+            found = first_difference(old, new, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if committed == fresh and type(committed) is type(fresh):
+        return None
+    return f"{path or '<result>'}: {committed!r} -> {fresh!r}"
+
+
 def _fmt(x: Any) -> str:
     return f"{x:g}" if isinstance(x, float) else str(x)
 
@@ -106,9 +141,11 @@ def main(argv=None) -> int:
     failed = False
     for name in args.names or GATES:
         gate = load(name)
-        result = gate.run(quick=not args.full)
-        RESULTS.mkdir(exist_ok=True)
         out = RESULTS / f"BENCH_{name}.json"
+        committed = json.loads(out.read_text()) if out.exists() else None
+        # through JSON, as the file holds it: tuples are lists, keys strings
+        result = json.loads(json.dumps(gate.run(quick=not args.full)))
+        RESULTS.mkdir(exist_ok=True)
         out.write_text(json.dumps(result, indent=2) + "\n")
         print(gate.summary(result))
         print(f"wrote {out}")
@@ -116,6 +153,15 @@ def main(argv=None) -> int:
             print(f"gate: {v.label} {_fmt(v.value)} {v.op} {_fmt(v.limit)} "
                   f"-> {'ok' if v.ok else 'REGRESSION'}")
             failed |= not v.ok
+        mode = "quick" if result["quick"] else "full"
+        if committed is None or committed.get("quick") != result["quick"]:
+            print(f"gate: committed {out.name} is not a {mode} result "
+                  "-> not compared")
+            continue
+        diff = first_difference(committed, result)
+        print(f"gate: committed {out.name} == this {mode} run -> "
+              + (f"REGRESSION, first difference {diff}" if diff else "ok"))
+        failed |= diff is not None
     return 1 if failed else 0
 
 

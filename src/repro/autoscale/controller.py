@@ -25,8 +25,9 @@ levers, cheapest-to-observe first:
    get-triggered rules.
 
 Every action is performed inline in the decision process and bracketed
-by ``cooldown``; a guard on top lets one action run at a time, so the
-controller can never race its own rebalances.  Every decision —
+by ``cooldown``; the loop arms its next round only after this one ends,
+so one action runs at a time and the controller can never race its own
+rebalances.  Every decision —
 including the ones that do nothing, and why — is kept as an
 :class:`AutoscaleDecision` audit record and counted under
 ``autoscale.*`` metrics.
@@ -62,7 +63,7 @@ class AutoscaleDecision:
     shards: int           # shard count when the decision was taken
     desired: int          # shard count the controller wanted
     action: str           # hold|scale_up|scale_down|replica_add|
-                          # replica_remove|tier_demote|skip_cooldown|skip_busy
+                          # replica_remove|tier_demote|skip_cooldown
     reason: str
     took: float = 0.0     # sim-seconds the actuation cost
     detail: str = ""
@@ -93,7 +94,6 @@ class Autoscaler:
         self._obs = get_obs(self.sim)
         self._cooldown_until = 0.0
         self._calm_streak = 0
-        self._in_flight = 0
         self.decisions: list[AutoscaleDecision] = []
         metrics = self._obs.metrics
         ns = manager.base_id
@@ -180,10 +180,6 @@ class Autoscaler:
             self._record(sample, shards, desired, "skip_cooldown",
                          f"cooldown until t={self._cooldown_until:.1f}")
             return
-        if self._in_flight:
-            self._record(sample, shards, desired, "skip_busy",
-                         f"{self._in_flight} action(s) already in flight")
-            return
 
         if hot:
             self._calm_streak = 0
@@ -228,16 +224,12 @@ class Autoscaler:
     def _act(self, sample: SignalSample, shards: int, desired: int,
              action: str, gen: Generator) -> Generator:
         t0 = self.sim.now
-        self._in_flight += 1
-        try:
-            with self._obs.tracer.span(
-                    f"autoscale:{action}", cat="autoscale",
-                    component=f"autoscaler:{self.manager.base_id}",
-                    shards=shards, desired=desired) as span:
-                detail = yield from gen
-                span.set(detail=detail)
-        finally:
-            self._in_flight -= 1
+        with self._obs.tracer.span(
+                f"autoscale:{action}", cat="autoscale",
+                component=f"autoscaler:{self.manager.base_id}",
+                shards=shards, desired=desired) as span:
+            detail = yield from gen
+            span.set(detail=detail)
         self._cooldown_until = self.sim.now + self.spec.cooldown
         self._record(sample, shards, desired, action,
                      self._reason_for(sample, action),

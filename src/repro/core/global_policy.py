@@ -171,8 +171,9 @@ class RedundancySpec:
     durability_floor: int = 1
     #: fragment-repair loop period; None disables background repair
     repair_interval: Optional[float] = None
-    #: repair window width: object repairs in flight per round
-    #: (repro.ec.repair); 1 = one object at a time, same pipeline
+    #: repair window width: manifest reads, object repairs and remap
+    #: applies in flight per round (repro.ec.repair); 1 = one at a time,
+    #: same pipeline
     repair_concurrency: int = 8
     #: (key-prefix, k, m) scheme overrides installed at launch
     overrides: tuple[tuple[str, int, int], ...] = ()

@@ -66,6 +66,7 @@ from repro.ec.codec import Codec
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.obs.trace import traced
+from repro.sim.primitives import window
 from repro.storage.backend import ObjectMissingError, StorageError
 
 #: manifests are JSON objects whose serialization starts with this tag
@@ -516,15 +517,26 @@ class ECProtocol(GlobalProtocol):
                 "instance": instance.instance_id}
 
     def on_manifest_remap(self, instance, args: dict) -> Generator:
-        """Apply a fragment-map delta to the local manifest copy.
+        """Apply a repair round's fragment-map deltas to the local
+        manifest copies, ``repair_concurrency`` at a time.
 
-        The parallel repairer broadcasts ``{index: new_holder}`` deltas
-        (a few tens of bytes each, batched per peer) instead of one full
-        manifest per object per peer.  Applies only to the exact
-        ``version`` the leader repaired; anything else is refused with a
-        reason so the leader can fall back to a full manifest push —
-        except ``superseded``, where the stale manifest must stay dead.
+        The repairer sends each peer one request whose ``items`` are
+        ``{index: new_holder}`` deltas (a few tens of bytes each) instead
+        of one full manifest per object.  Returns ``{"results": [...]}``,
+        one per delta in order (:meth:`_apply_remap`).
         """
+        origin = args.get("origin", instance.instance_id)
+        results = yield from window(
+            instance.sim, self.spec.repair_concurrency, args["items"],
+            lambda delta: self._apply_remap(instance, delta, origin),
+            f"ec-remap-w%d:{instance.instance_id}")
+        return {"results": results}
+
+    def _apply_remap(self, instance, args: dict, origin: str) -> Generator:
+        """One delta.  Applies only to the exact ``version`` the leader
+        repaired; anything else is refused with a reason so the leader
+        can fall back to a full manifest push — except ``superseded``,
+        where the stale manifest must stay dead."""
         key, version = args["key"], args["version"]
         record = instance.meta.get_record(key)
         if record is None or not record.has_version(version):
@@ -546,8 +558,7 @@ class ECProtocol(GlobalProtocol):
                                          manifest["size"], frag_map)
         yield from instance.purge_version(key, version)
         yield from instance.local_put(
-            key, manifest_bytes, version=version,
-            origin=args.get("origin", instance.instance_id),
+            key, manifest_bytes, version=version, origin=origin,
             last_modified=args["last_modified"])
         return {"applied": True}
 

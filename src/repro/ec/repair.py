@@ -12,12 +12,17 @@ verifies all ``n`` fragment slots and has anything missing rebuilt from
 substitute instance otherwise (rewriting and re-broadcasting the
 manifest to match).
 
-A round is one pipeline: scan local manifests → probe every peer once,
-in parallel (one round-level liveness cache, no per-object re-probing) →
-one batched ``check_readable`` envelope per holder → a window of
-``concurrency`` worker processes, each repairing one object at a time →
-one batched ``manifest_remap`` delta envelope per peer.
-``concurrency = 1`` is simply a window of one.
+A round is one pipeline: scan local manifests through a window of
+``concurrency`` readers → probe every peer once, in parallel (one
+round-level liveness cache, no per-object re-probing) → one batched
+``check_readable`` envelope per holder → a window of ``concurrency``
+worker processes, each repairing one object at a time → one
+``manifest_remap`` request per live peer carrying every delta of the
+round, which the peer applies through a window of its own.  All three
+windows are :func:`~repro.sim.primitives.window`; ``concurrency = 1`` is
+simply a window of one.  The scan keeps record order, so which objects
+this instance leads and which spares it picks are what a serial walk
+gives.
 
 Fragments are installed by *holder-local reconstruction*: the leader
 names the survivors and the target runs ``reconstruct_fragment`` — it
@@ -38,9 +43,11 @@ version's fragments: the leader re-checks the manifest's latest version
 ``ec.repair_superseded`` when the object moved on, and the
 ``reconstruct_fragment`` handler refuses on the target side as well.
 
-``stop()`` interrupts the periodic loop *and* the round's workers at the
-current instant; nothing is counted, re-homed or broadcast afterwards
-(RPCs already on the wire still complete at their destination).
+``stop()`` interrupts the periodic loop *and* the round's readers and
+workers at the current instant; nothing is counted, re-homed or
+broadcast afterwards (RPCs already on the wire still complete at their
+destination).  A worker counts a :data:`REPAIR_ERRORS` failure of one
+object in ``ec.repair_errors`` and goes on; anything else fails the round.
 """
 
 from __future__ import annotations
@@ -54,10 +61,16 @@ from repro.ec.codec import Codec
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.obs.trace import NULL_SPAN
-from repro.sim.primitives import Loop
+from repro.sim.primitives import Loop, window
 from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.instance import TieraError
 from repro.tiera.objects import storage_key
+
+#: what repairing one object, or applying its remap at a peer, can raise
+#: besides a transport failure: a local read or write that fails (a full
+#: tier, a version already installed) or a peer that refuses the request
+#: (its protocol no longer holds EC manifests)
+REPAIR_ERRORS = (StorageError, TieraError)
 
 
 class ECRepairer:
@@ -69,9 +82,9 @@ class ECRepairer:
         self.protocol = protocol
         self.loop = Loop(instance.sim, f"ec-repair:{instance.instance_id}",
                          interval, self.repair_round)
-        #: window width: object repairs in flight per round
+        #: window width: manifest reads or object repairs in flight
         self.concurrency = concurrency
-        self._workers: list = []  # the round in flight's window, for stop()
+        self._workers: list = []  # the window in flight, for stop()
         self.rounds = 0
         self.fragments_rebuilt = 0
         obs = get_obs(instance.sim)
@@ -128,27 +141,26 @@ class ECRepairer:
         return record is None or record.latest_version != version
 
     def _scan_manifests(self) -> Generator:
-        """Yield through local manifest reads; return [(key, vmeta,
-        manifest)] for every EC object this instance has a manifest of."""
+        """Read the local manifests through a window of readers; return
+        [(key, vmeta, manifest)] in record order for every EC object this
+        instance has a manifest of."""
         instance = self.instance
-        found = []
-        for record in list(instance.meta.records()):
-            key = record.key
-            if is_fragment_key(key):
-                continue
-            meta = record.latest()
-            if meta is None:
-                continue
-            try:
-                data, vmeta, _ = yield from instance.read_version(
-                    key, run_rules=False)
-            except ObjectMissingError:
-                continue  # unreadable manifest: the get-path fallback heals it
-            manifest = decode_manifest(data)
-            if manifest is None:
-                continue
-            found.append((key, vmeta, manifest))
-        return found
+        keys = [record.key for record in instance.meta.records()
+                if not is_fragment_key(record.key)
+                and record.latest() is not None]
+        found = yield from window(
+            instance.sim, self.concurrency, keys, self._read_manifest,
+            f"ec-repair-r%d:{instance.instance_id}", self._workers)
+        return [item for item in found if item is not None]
+
+    def _read_manifest(self, key: str) -> Generator:
+        try:
+            data, vmeta, _ = yield from self.instance.read_version(
+                key, run_rules=False)
+        except ObjectMissingError:
+            return None  # unreadable manifest: the get-path fallback heals it
+        manifest = decode_manifest(data)
+        return None if manifest is None else (key, vmeta, manifest)
 
     def _local_readable(self, key: str, version: int) -> bool:
         instance = self.instance
@@ -162,9 +174,8 @@ class ECRepairer:
 
     def _round(self) -> Generator:
         instance = self.instance
-        sim = instance.sim
 
-        # Phase 1: scan local manifests (local tier reads only).
+        # Phase 1: scan local manifests (local tier reads, W at a time).
         work = yield from self._scan_manifests()
         if not work:
             return
@@ -185,28 +196,24 @@ class ECRepairer:
             return
         readable = yield from self._check_batch(led, alive)
 
-        queue: deque = deque()
+        broken = []
         for key, vmeta, manifest in led:
             missing = self._broken_slots(key, vmeta.version, manifest,
                                          alive, readable)
             if missing:
-                queue.append((key, vmeta, manifest, missing))
-        if not queue:
+                broken.append((key, vmeta, manifest, missing))
+        if not broken:
             return
 
         # Phase 4: repair window — up to W objects in flight, each worker
         # pulling the next object as soon as its current one completes.
         remaps: list = []
-        self._workers = [sim.process(
-            self._repair_worker(queue, alive, ring, remaps),
-            name=f"ec-repair-w{i}:{instance.instance_id}")
-            for i in range(min(self.concurrency, len(queue)))]
-        pending = [p for p in self._workers if p.is_alive]
-        while pending:
-            yield sim.any_of(pending)
-            pending = [p for p in pending if p.is_alive]
+        yield from window(
+            instance.sim, self.concurrency, broken,
+            lambda item: self._repair_one(item, alive, ring, remaps),
+            f"ec-repair-w%d:{instance.instance_id}", self._workers)
 
-        # Phase 5: flush manifest remap deltas, one batch per peer.
+        # Phase 5: flush manifest remap deltas, one request per peer.
         if remaps:
             yield from self._flush_remaps(remaps, alive, ring)
 
@@ -287,24 +294,22 @@ class ECRepairer:
                 missing.append(idx)
         return missing
 
-    def _repair_worker(self, queue: deque, alive: dict[str, bool],
-                       ring: list, remaps: list) -> Generator:
+    def _repair_one(self, item: tuple, alive: dict[str, bool], ring: list,
+                    remaps: list) -> Generator:
         instance = self.instance
-        while queue:
-            key, vmeta, manifest, missing = queue.popleft()
-            span = (self._tracer.span("ec:repair_object", cat="ec",
-                                      component=instance.instance_id,
-                                      key=key)
-                    if self._tracer.enabled else NULL_SPAN)
-            start = instance.sim.now
-            try:
-                with span:
-                    yield from self._repair_object(
-                        key, vmeta, manifest, missing, alive, ring, remaps)
-            except Exception:
-                # One stubborn object must not starve the rest of the round.
-                self._m_errors.inc()
-            self._h_object.observe(instance.sim.now - start)
+        key, vmeta, manifest, missing = item
+        span = (self._tracer.span("ec:repair_object", cat="ec",
+                                  component=instance.instance_id, key=key)
+                if self._tracer.enabled else NULL_SPAN)
+        start = instance.sim.now
+        try:
+            with span:
+                yield from self._repair_object(
+                    key, vmeta, manifest, missing, alive, ring, remaps)
+        except REPAIR_ERRORS:
+            # One stubborn object must not starve the rest of the round.
+            self._m_errors.inc()
+        self._h_object.observe(instance.sim.now - start)
 
     def _repair_object(self, key: str, vmeta, manifest: dict,
                        missing: list[int], alive: dict[str, bool],
@@ -417,38 +422,39 @@ class ECRepairer:
 
     def _flush_remaps(self, remaps: list, alive: dict[str, bool],
                       ring: list) -> Generator:
-        """Broadcast the round's manifest changes as batched deltas: one
-        ``manifest_remap`` entry per repaired object, one envelope per
-        peer — instead of one full manifest push per object per peer.
-        Peers that cannot apply a delta get the full manifest pushed."""
+        """Broadcast the round's manifest changes as deltas: one
+        ``manifest_remap`` request per live peer carrying a delta per
+        repaired object — instead of one full manifest push per object per
+        peer.  Peers that cannot apply a delta get the full manifest
+        pushed."""
         instance = self.instance
         origin = instance.instance_id
-        entries = [("manifest_remap",
-                    {"key": key, "version": version,
-                     "remap": {str(idx): iid
-                               for idx, iid in sorted(delta.items())},
-                     "last_modified": lm, "origin": origin})
-                   for key, version, delta, lm in remaps]
+        args = {"items": [{"key": key, "version": version,
+                           "remap": {str(idx): iid
+                                     for idx, iid in sorted(delta.items())},
+                           "last_modified": lm}
+                          for key, version, delta, lm in remaps],
+                "origin": origin}
         calls = []
         for iid, peer in ring[1:]:
             if not alive.get(iid):
                 continue
-            call = instance.node.call_batch(peer.node, list(entries))
+            call = instance.node.call(peer.node, "manifest_remap", args)
             call.defuse()
             calls.append((peer.node, call))
         for peer_node, call in calls:
             try:
-                results = yield call
+                results = (yield call)["results"]
             except NetworkError:
                 self._m_push_failed.inc()
                 continue
-            for (key, version, delta, lm), entry in zip(remaps, results):
-                if entry.get("ok"):
-                    res = entry.get("result") or {}
-                    if res.get("applied") or res.get("reason") == "superseded":
-                        continue
+            except REPAIR_ERRORS:
+                results = [{}] * len(remaps)  # the peer applied none
+            for (key, version, delta, lm), res in zip(remaps, results):
+                if res.get("applied") or res.get("reason") == "superseded":
+                    continue
                 # Fallback: the peer is missing this manifest version (or
-                # failed oddly) — push the full rewritten manifest.
+                # could not rewrite it) — push the full rewritten manifest.
                 try:
                     data, _, _ = yield from instance.read_version(
                         key, version, run_rules=False)

@@ -6,8 +6,9 @@ capacity-1 FIFO server behind every bandwidth link and IOPS cap
 (:class:`SerialServer`, woken by :func:`wake_at`), open/close request
 gates used while a consistency switch drains in-flight operations
 (:class:`Gate`), the kernel's one cancellation rule for work a process
-runs on behalf of somebody else (:func:`shielded`), and the one shape of
-a periodic background component (:class:`Loop`).
+runs on behalf of somebody else (:func:`shielded`), the one shape of
+a periodic background component (:class:`Loop`), and the one bounded
+fan-out over a list of work items (:func:`window`).
 
 Background loops
 ----------------
@@ -218,6 +219,36 @@ class Loop:
             self._timer = sim.timeout(self.interval)
             yield self._timer
             yield from self.round()
+
+
+def window(sim: Simulator, width: int, items, work: Callable,
+           name: str, procs: Optional[list] = None) -> Generator:
+    """Run ``work(item)`` for every item with at most ``width`` in flight:
+    ``results = yield from window(sim, width, items, work, name)``.
+
+    ``min(width, len(items))`` worker processes (``name % n`` names worker
+    ``n``) each take the next item as soon as their current one is done,
+    so one slow item holds up one worker, not the rest.  The value is
+    ``work``'s results in item order.  An exception ``work`` raises fails
+    its worker and is raised here.  The workers run under the caller's
+    trace context and replace the contents of ``procs``, where an owner's
+    ``stop()`` can interrupt them.
+    """
+    queue = deque(enumerate(items))
+    results = [None] * len(queue)
+
+    def worker() -> Generator:
+        while queue:
+            i, item = queue.popleft()
+            results[i] = yield from work(item)
+
+    ctx = sim.active_process.obs_ctx
+    workers = [sim.process(worker(), name=name % n, obs_ctx=ctx)
+               for n in range(min(width, len(queue)))]
+    if procs is not None:
+        procs[:] = workers
+    yield sim.all_of(workers)
+    return results
 
 
 def shielded(sim: Simulator, body: Generator,

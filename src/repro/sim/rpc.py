@@ -61,19 +61,23 @@ BATCH_METHOD = "__batch__"
 ENVELOPE = 256
 #: a request's fixed part where it is not :data:`ENVELOPE`: a replica push
 #: or a forwarded put carries its version metadata besides the bytes; a
-#: fragment-repair check or remap is a slot inside a batch
+#: fragment-repair check is a slot inside a batch
 REQUEST_BASE = {"replica_update": 512, "forward_put": 512,
-                "manifest_remap": 64, "check_readable": 64}
+                "check_readable": 64}
 #: one ``(key, version)`` of a request's ``items``
 ITEM_SIZE = 16
+#: one of a request's ``items`` where it is not a ``(key, version)``: a
+#: fragment-map delta (key, version, remap, timestamp)
+ITEM_SIZES = {"manifest_remap": 64}
 #: a reply's body besides the bytes it carries
 REPLY_BODY = 64
 
 
 def request_size(method: str, args: dict[str, Any]) -> int:
     """Wire bytes of a request: its method's fixed part plus what it
-    carries — the bytes under ``data`` and :data:`ITEM_SIZE` per entry of
-    ``items``.  A batch is one envelope plus the size of every entry."""
+    carries — the bytes under ``data`` and :data:`ITEM_SIZE` (or its
+    method's :data:`ITEM_SIZES`) per entry of ``items``.  A batch is one
+    envelope plus the size of every entry."""
     if method == BATCH_METHOD:
         return ENVELOPE + sum(request_size(entry_method, entry_args)
                               for entry_method, entry_args in args["entries"])
@@ -83,7 +87,7 @@ def request_size(method: str, args: dict[str, Any]) -> int:
         size += len(data)
     items = args.get("items")
     if items is not None:
-        size += ITEM_SIZE * len(items)
+        size += ITEM_SIZES.get(method, ITEM_SIZE) * len(items)
     return size
 
 

@@ -824,7 +824,8 @@ class TieraInstance:
         return result
 
     def rpc_manifest_remap(self, msg: Message) -> Generator:
-        """Apply a fragment-map delta to a locally held EC manifest."""
+        """Apply a repair round's fragment-map deltas to locally held EC
+        manifests."""
         handler = getattr(self.protocol, "on_manifest_remap", None)
         if handler is None:
             raise TieraError(

@@ -1,5 +1,6 @@
 """The bench gates' bounds hold on the committed results and none is
-vacuous.
+vacuous, and a fresh result is compared with the committed one field by
+field.
 
 ``benchmarks/gates.py`` judges each ``results/BENCH_<name>.json`` against
 its gate module's ``BOUNDS``.  Here no simulation runs: the committed
@@ -75,3 +76,24 @@ def test_every_bound_fails_past_its_limit(name, quick):
             # value (a budget and a tighter pin) may fail together
             assert {f.path for f in failed} == {v.path}, (v.label, bad)
 
+
+
+def test_first_difference_names_the_first_field_wall_clock_aside():
+    committed = {"quick": True, "wall_seconds": 1.0,
+                 "cell": {"seconds": 0.5, "wall_seconds": 2.0,
+                          "rows": [1, 2, 3]},
+                 "egress": 10}
+    fresh = copy.deepcopy(committed)
+    fresh["wall_seconds"] = fresh["cell"]["wall_seconds"] = 9.0
+    assert gates.first_difference(committed, fresh) is None
+    fresh["egress"] = 11
+    fresh["cell"]["rows"][1] = 5
+    assert gates.first_difference(committed, fresh) == "cell.rows[1]: 2 -> 5"
+    fresh["cell"]["rows"] = [1, 2]
+    assert gates.first_difference(committed, fresh).startswith("cell.rows:")
+    del fresh["cell"]
+    assert gates.first_difference(committed, fresh) == (
+        "cell: {'seconds': 0.5, 'wall_seconds': 2.0, 'rows': [1, 2, 3]}"
+        " -> None")
+    assert gates.first_difference({"a": 1}, {"a": 1, "b": 2}) == "b: None -> 2"
+    assert gates.first_difference({"a": 1}, {"a": 1.0}) == "a: 1 -> 1.0"

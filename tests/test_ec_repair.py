@@ -1,14 +1,18 @@
 """EC fragment repair: guarantees, failure counters, races, stop().
 
-There is one repair strategy (``repro.ec.repair``): scan → parallel probe
-→ batched ``check_readable`` → a window of ``repair_concurrency`` object
-repairs, each installed by holder-local ``reconstruct_fragment`` → batched
-``manifest_remap`` deltas.  ``repair_concurrency=1`` is a window of one.
-These tests pin what a round *guarantees* — not the order it does it in —
-and run every scenario at both window widths.
+There is one repair strategy (``repro.ec.repair``): a windowed manifest
+scan → parallel probe → batched ``check_readable`` → a window of
+``repair_concurrency`` object repairs, each installed by holder-local
+``reconstruct_fragment`` → one ``manifest_remap`` request of deltas per
+peer, applied there through a window.  ``repair_concurrency=1`` is a
+window of one.  These tests pin what a round *guarantees* — not the order
+it does it in — and run every scenario at both window widths; the last
+ones pin, on s3, that the scan and the remap apply are windows.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -17,8 +21,10 @@ from repro.core.global_policy import (GlobalPolicySpec, RedundancySpec,
                                       RegionPlacement)
 from repro.ec.protocol import decode_manifest, fragment_key
 from repro.net.topology import ASIA_EAST, EU_WEST, US_EAST, US_WEST
+from repro.net.network import Network
 from repro.sim.rpc import BATCH_METHOD, RpcNode
-from repro.tiera.policy import memory_only_policy
+from repro.storage.backend import CapacityExceededError
+from repro.tiera.policy import disk_only_policy, memory_only_policy
 
 REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
 #: six (region, provider) sites: n=4 fragment holders + two spares
@@ -37,16 +43,18 @@ WIDTHS = pytest.mark.parametrize("concurrency", [1, 8])
 
 # -- shared scenario --------------------------------------------------------
 
-def _deploy(concurrency: int, repair_interval: float = 1000.0):
-    """Six sites, EC(2,2), OBJECTS objects written from us-east.  Returns
-    the deployment, its TIM, the writer client, the payloads, obj0's
-    manifest (every object shares its placement) and the repair leader's
-    repairer — the holder of fragment 0, coordinator of every put."""
+def _deploy(concurrency: int, repair_interval: float = 1000.0,
+            objects: int = OBJECTS, policy=memory_only_policy):
+    """Six sites, EC(2,2), ``objects`` objects written from us-east, every
+    site on ``policy()``.  Returns the deployment, its TIM, the writer
+    client, the payloads, obj0's manifest (every object shares its
+    placement) and the repair leader's repairer — the holder of fragment
+    0, coordinator of every put."""
     dep = build_deployment(list(REGIONS), providers=PROVIDERS, seed=17)
     spec = GlobalPolicySpec(
         name="ec",
         placements=tuple(
-            RegionPlacement(region, memory_only_policy(), provider=provider)
+            RegionPlacement(region, policy(), provider=provider)
             for region, provider in SITES),
         consistency="eventual",
         redundancy=RedundancySpec(k=K, m=M, repair_interval=repair_interval,
@@ -55,7 +63,7 @@ def _deploy(concurrency: int, repair_interval: float = 1000.0):
     tim = dep.tim("ec")
     client = dep.add_client(US_EAST, instances=instances)
     payloads = {f"obj{i}": bytes([i + 1]) * VALUE_SIZE
-                for i in range(OBJECTS)}
+                for i in range(objects)}
 
     def write_phase():
         for key, value in payloads.items():
@@ -383,6 +391,37 @@ def test_push_failed_counted_distinctly(concurrency):
     assert repairer.fragments_rebuilt == 0
 
 
+@pytest.mark.parametrize("raised, counted", [
+    (CapacityExceededError("tier full"), True),
+    (TypeError("a bug"), False)], ids=["storage", "bug"])
+def test_a_failed_install_is_counted_and_a_bug_propagates(raised, counted):
+    """The leader's own fragment is rebuilt in-process; when installing it
+    fails with a storage error, the object counts in ``repair_errors``
+    and the round goes on to the next one.  Any other exception is a bug,
+    and fails the round instead of being counted."""
+    dep, tim, client, payloads, _, repairer = _deploy(8)
+    leader = repairer.instance
+    _crash(dep, tim, {leader.instance_id}, duration=0.1)
+
+    def read_phase():  # heals the leader's manifests (get-path fallback)
+        for key in payloads:
+            yield from client.get(key)
+    dep.drive(read_phase())
+
+    def install(key, *args, **kwargs):
+        raise raised
+        yield  # pragma: no cover
+    leader.local_put = install
+    if counted:
+        _drive_round(dep, repairer)
+        assert dep.metric_total("ec.repair_errors") == OBJECTS
+        assert repairer.fragments_rebuilt == 0
+    else:
+        with pytest.raises(TypeError, match="a bug"):
+            _drive_round(dep, repairer)
+        assert dep.metric_total("ec.repair_errors") == 0
+
+
 # -- stop() -----------------------------------------------------------------
 
 @WIDTHS
@@ -496,3 +535,154 @@ def test_version_bump_mid_repair_is_not_resurrected(concurrency):
             record = inst.meta.get_record(raced_key)
             if record is not None:
                 assert record.latest_version == 2, iid
+
+
+# -- the round's windows on an object store ---------------------------------
+#
+# On s3 every manifest read and rewrite costs tens of milliseconds, so a
+# phase that walks the objects one at a time shows in the round's length.
+# The scan and the remap apply each run W at a time, like the repairs.
+
+S3_OBJECTS = 32
+S3_WIDTH = 8
+
+
+def _s3_policy():
+    return disk_only_policy(profile="s3")
+
+
+def _timed(instance, method: str, log: list) -> None:
+    """Book ``(key, start, end)`` of every ``instance.method`` call of a
+    manifest (not a fragment) from here on."""
+    original = getattr(instance, method)
+
+    def spy(key, *args, **kwargs):
+        start = instance.sim.now
+        result = yield from original(key, *args, **kwargs)
+        if "#ecf" not in key:
+            log.append((key, start, instance.sim.now))
+        return result
+    setattr(instance, method, spy)
+
+
+def test_scan_reads_the_manifests_a_window_at_a_time():
+    """The leader's scan takes about ceil(N/W) manifest reads, not N."""
+    dep, tim, _, _, manifest, repairer = _deploy(
+        S3_WIDTH, objects=S3_OBJECTS, policy=_s3_policy)
+    reads: list = []
+    _timed(repairer.instance, "read_version", reads)
+    started = dep.sim.now
+    found = dep.drive(repairer._scan_manifests())
+    took = dep.sim.now - started
+
+    assert sorted(key for key, _, _ in found) == sorted(
+        f"obj{i}" for i in range(S3_OBJECTS))
+    assert len(reads) == S3_OBJECTS
+    slowest = max(end - start for _, start, end in reads)
+    assert took <= (math.ceil(S3_OBJECTS / S3_WIDTH) + 1) * slowest, (
+        took, slowest)
+
+
+def _s3_flush(monkeypatch):
+    """One holder crashed, one round on s3: the flush's duration, every
+    live peer's manifest rewrites, and the wire's ``(src, dst, bytes,
+    method)`` while the flush ran."""
+    dep, tim, _, _, manifest, repairer = _deploy(
+        S3_WIDTH, objects=S3_OBJECTS, policy=_s3_policy)
+    _crash(dep, tim, {manifest["frags"][1]})
+    leader = repairer.instance
+    peers = [inst for iid, inst in _live(tim).items()
+             if iid != leader.instance_id]
+    applies: dict = {}
+    for peer in peers:
+        for method in ("read_version", "purge_version", "local_put"):
+            _timed(peer, method, applies.setdefault(peer.instance_id, []))
+
+    wire: list = []
+    flush: dict = {}
+    transmit, call = Network.transmit, RpcNode._call
+
+    def on_wire(net, src, dst, nbytes):
+        if "start" in flush and "end" not in flush:
+            wire.append((src.name, dst.name, nbytes))
+        return transmit(net, src, dst, nbytes)
+
+    def calling(node, dst, method, *rest):
+        if "start" in flush and "end" not in flush:
+            flush.setdefault("methods", []).append(
+                (node.name, dst.name, method))
+        return call(node, dst, method, *rest)
+    monkeypatch.setattr(Network, "transmit", on_wire)
+    monkeypatch.setattr(RpcNode, "_call", calling)
+
+    original = repairer._flush_remaps
+
+    def timed_flush(*args):
+        flush["start"] = dep.sim.now
+        yield from original(*args)
+        flush["end"] = dep.sim.now
+    repairer._flush_remaps = timed_flush
+    dep.drive(repairer.repair_round(), name="repair-round")
+    assert repairer.fragments_rebuilt == S3_OBJECTS
+    return dep, leader, peers, applies, wire, flush
+
+
+def test_flush_applies_each_peers_deltas_a_window_at_a_time(monkeypatch):
+    """Each peer rewrites its N manifests W at a time: the flush takes
+    about ceil(N/W) rewrites past the farthest peer's round trip."""
+    dep, leader, peers, applies, _, flush = _s3_flush(monkeypatch)
+    # one delta's cost at a peer: its manifest's read, purge and rewrite
+    per_delta = []
+    for peer in peers:
+        spans: dict = {}
+        for key, start, end in applies[peer.instance_id]:
+            first, last = spans.get(key, (start, end))
+            spans[key] = (min(first, start), max(last, end))
+        assert len(spans) == S3_OBJECTS, peer.instance_id
+        per_delta += [end - start for start, end in spans.values()]
+    rtt = max(dep.network.rtt(leader.host, peer.host) for peer in peers)
+    slowest = rtt + max(per_delta)
+    took = flush["end"] - flush["start"]
+    assert took <= (math.ceil(S3_OBJECTS / S3_WIDTH) + 1) * slowest, (
+        took, slowest)
+
+
+def test_flush_is_one_remap_request_per_live_peer(monkeypatch):
+    """The round's deltas travel as one ``manifest_remap`` request per
+    live peer — 256 B of envelope plus 64 B per delta — answered by one
+    320 B reply, and nothing else crosses the wire for them."""
+    dep, leader, peers, _, wire, flush = _s3_flush(monkeypatch)
+    hosts = {peer.host.name: peer for peer in peers}
+    assert sorted(flush["methods"]) == sorted(
+        (leader.node.name, peer.node.name, "manifest_remap")
+        for peer in peers)
+    # heartbeats share the wire: keep the leader <-> peer messages
+    mine = [(src, dst, n) for src, dst, n in wire
+            if leader.host.name in (src, dst)
+            and (src in hosts or dst in hosts)]
+    assert sorted(mine) == sorted(
+        [(leader.host.name, host, 256 + 64 * S3_OBJECTS) for host in hosts]
+        + [(host, leader.host.name, 320) for host in hosts])
+
+
+def test_stop_during_the_scan_leaves_no_reader_alive():
+    """``stop()`` while the scan's readers wait on s3 ends every reader
+    and the loop at that instant; nothing is rebuilt afterwards."""
+    interval = 20.0
+    dep, tim, _, _, manifest, repairer = _deploy(
+        S3_WIDTH, repair_interval=interval, objects=S3_OBJECTS,
+        policy=_s3_policy)
+    _crash(dep, tim, {manifest["frags"][1]})
+    while repairer.rounds == 0:
+        dep.sim.run(until=dep.sim.now + 0.001)
+    dep.sim.run(until=dep.sim.now + 0.01)  # one s3 read takes ~25 ms
+    loop, readers = repairer.loop._proc, list(repairer._workers)
+    assert len(readers) == S3_WIDTH
+    assert all(r.is_alive and "-r" in r.name for r in readers)
+
+    repairer.stop()
+    dep.sim.run(until=dep.sim.now)
+    assert not loop.is_alive
+    assert not any(r.is_alive for r in readers)
+    dep.sim.run(until=dep.sim.now + 3 * interval)
+    assert repairer.rounds == 1 and repairer.fragments_rebuilt == 0

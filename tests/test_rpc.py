@@ -156,7 +156,6 @@ def test_payload_size_affects_latency(world):
 
 @pytest.mark.parametrize("method, base", [("replica_update", 512),
                                           ("forward_put", 512),
-                                          ("manifest_remap", 64),
                                           ("check_readable", 64),
                                           ("get", 256)])
 def test_request_is_its_method_base_plus_what_it_carries(method, base):
@@ -164,6 +163,19 @@ def test_request_is_its_method_base_plus_what_it_carries(method, base):
     assert request_size(method, {"key": "k", "data": bytes(100)}) \
         == base + 100
     assert request_size(method, {"items": [("k", 1)] * 3}) == base + 3 * 16
+
+
+def test_a_remap_is_an_envelope_plus_64_bytes_per_delta():
+    """A repair round's remap request costs what the batch of one
+    ``manifest_remap`` entry per delta it replaced cost: an envelope plus
+    64 B per delta, and an envelope and a body back."""
+    delta = {"key": "k", "version": 1, "remap": {"1": "x"},
+             "last_modified": 2.0}
+    for n in (0, 1, 512):
+        args = {"items": [delta] * n, "origin": "o"}
+        assert request_size("manifest_remap", args) == 256 + 64 * n
+    assert response_size("manifest_remap",
+                         {"results": [{"applied": True}] * 3}) == 256 + 64
 
 
 def test_reply_is_an_envelope_plus_its_top_level_data():

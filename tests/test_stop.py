@@ -205,7 +205,8 @@ def anti_entropy_repairer(census):
 
 def ec_repairer(census):
     """EC(2,1) on four sites with fragment 1's holder crashed: the leader's
-    round re-homes every object through a window of two workers."""
+    round reads its manifests through a window of two readers and
+    re-homes every object through a window of two workers."""
     sites = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
     dep, instances = _deploy(
         sites, consistency="eventual",
@@ -221,8 +222,9 @@ def ec_repairer(census):
         at=dep.sim.now, host=tim.instances[frags[1]].instance.host).start()
     repairer = tim.instances[leader].instance.protocol.repairer(leader)
     workers = frozenset(f"ec-repair-w{i}:{leader}" for i in range(2))
+    readers = frozenset(f"ec-repair-r{i}:{leader}" for i in range(2))
     return World(dep.sim, repairer, repairer.stop,
-                 workers | {f"ec-repair:{leader}"},
+                 workers | readers | {f"ec-repair:{leader}"},
                  busy=lambda: bool(census.alive(workers)))
 
 
@@ -267,7 +269,8 @@ def wiera_instance(census):
         _put(dep, dep.add_client(US_EAST, instances=instances), 4)
         for iid in dep.tim(ns).instances:
             names |= {f"replq:{iid}", f"repair:{iid}", f"ec-repair:{iid}",
-                      *(f"ec-repair-w{i}:{iid}" for i in range(2))}
+                      *(f"ec-repair-{role}{i}:{iid}"
+                        for role in "rw" for i in range(2))}
 
     def stop():
         for ns in ("w", "ec"):
