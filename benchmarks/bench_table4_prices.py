@@ -1,7 +1,8 @@
 """Table 4: storage tier prices in AWS US East.
 
-The price book is an input to the cost experiments, so this benchmark
-asserts it matches the paper's table *exactly* and reports it.
+Table 4 is an input to the cost experiments.  Its prices live in one
+place, the tier profiles (``TIER_PROFILES``), so this benchmark asserts
+every row there matches the paper's table *exactly* and reports it.
 """
 
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from repro.bench.reporting import ExperimentReport, register_report
 from repro.storage.cost import (
     NETWORK_PRICES,
-    PRICE_BOOK,
     monthly_storage_cost,
     network_cost,
     request_cost,
 )
+from repro.storage.profiles import TIER_PROFILES
 from repro.util.units import GB
 
 # (tier, storage $/GB-mo, put $/10k, get $/10k) — Table 4 of the paper.
@@ -27,10 +28,10 @@ PAPER_TABLE4 = (
 
 def _check():
     for tier, storage, put, get in PAPER_TABLE4:
-        entry = PRICE_BOOK[tier]
-        assert entry.storage == storage, tier
-        assert entry.put_per_10k == put, tier
-        assert entry.get_per_10k == get, tier
+        profile = TIER_PROFILES[tier]
+        assert profile.storage_price == storage, tier
+        assert profile.put_price == put, tier
+        assert profile.get_price == get, tier
     assert NETWORK_PRICES["intra_dc"] == 0.0
     assert NETWORK_PRICES["internet"] == 0.09
     assert NETWORK_PRICES["inter_region"] == 0.02

@@ -38,7 +38,6 @@ from repro.core import (
     GlobalPolicySpec,
     RedundancySpec,
     RegionPlacement,
-    TierScaleSpec,
     WieraClient,
     WieraService,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "FailureSpec",
     "RedundancySpec",
     "AutoscaleSpec",
-    "TierScaleSpec",
     "Autoscaler",
     "HashRing",
     "ShardHandle",

@@ -2,9 +2,8 @@
 
 ``repro.autoscale`` watches the load signals the rest of the system
 already emits (``load.*`` counters, cohort queues, egress links) and
-actuates the elasticity primitives the earlier PRs built: shard
-add/remove (PR 5's rebalancer), per-shard replica growth (§4.4 recovery
-machinery), and tier demotion (Figure 6(a) cold-data plumbing).
+actuates one elasticity primitive: shard add/remove through PR 5's
+live rebalancer.
 
 Enable it per deployment with ``build_deployment(autoscale=AutoscaleSpec(
 target_per_shard=...))``; the default of ``None`` constructs nothing.

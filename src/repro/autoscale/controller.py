@@ -3,26 +3,19 @@
 PR 6 built the open-loop load engine and the scale-out bend; PR 5 built
 live shard rebalancing.  This controller connects them: a single
 simulation process samples the :class:`~repro.autoscale.signals.
-SignalReader` every ``decision_interval`` sim-seconds and actuates three
-levers, cheapest-to-observe first:
+SignalReader` every ``decision_interval`` sim-seconds and works one
+lever, the shard count.  Offered rate above :data:`HIGH_WATER` of
+current capacity (``shards x target_per_shard``), any shed load, or a
+saturated egress link grows the shard count toward demand via
+:meth:`~repro.shard.map.ShardManager.add_shard`; a rate that would still
+fit under :data:`LOW_WATER` of the *post-removal* capacity, sustained for
+``scale_down_windows`` consecutive windows, shrinks it by one via
+``remove_shard``.  The asymmetric bands plus the post-removal capacity
+test are the hysteresis that stops flapping.
 
-1. **Shards** — offered rate above :data:`HIGH_WATER` of current capacity
-   (``shards x target_per_shard``), any shed load, or a saturated egress
-   link grows the shard count toward demand via
-   :meth:`~repro.shard.map.ShardManager.add_shard`; a rate that would
-   still fit under :data:`LOW_WATER` of the *post-removal* capacity,
-   sustained for ``scale_down_windows`` consecutive windows, shrinks it
-   by one via ``remove_shard``.  The asymmetric bands plus the
-   post-removal capacity test are the hysteresis that stops flapping.
-2. **Replicas** — once the shard lever is pinned at ``max_shards`` and
-   demand is still hot, grow each shard's replica group with elastic
-   instances (:meth:`~repro.core.tim.TieraInstanceManager.add_replica`),
-   one per shard, placed in the busiest observed region; calm retires
-   them first, before any shard is removed.
-3. **Tier** — sustained calm with nothing left to shrink demotes idle
-   data to a cheaper tier (``ctl_demote_cold``), consulting the Table 4
-   price book first; promotion back rides the policy's existing
-   get-triggered rules.
+Idle data is not this controller's: a policy's Figure 6(a)
+``ColdDataEvent`` rule and the centralized ``ColdDataCoordinator``
+(§5.3) demote it, each by the same ``ctl_demote_cold``.
 
 Every action is performed inline in the decision process and bracketed
 by ``cooldown``; the loop arms its next round only after this one ends,
@@ -43,7 +36,6 @@ from repro.autoscale.signals import SignalReader, SignalSample
 from repro.core.global_policy import AutoscaleSpec
 from repro.obs.api import get_obs
 from repro.sim.primitives import Loop
-from repro.storage.cost import PRICE_BOOK
 
 #: grow when demand exceeds this fraction of capacity (or of egress)
 HIGH_WATER = 0.85
@@ -62,8 +54,7 @@ class AutoscaleDecision:
     egress_utilization: float
     shards: int           # shard count when the decision was taken
     desired: int          # shard count the controller wanted
-    action: str           # hold|scale_up|scale_down|replica_add|
-                          # replica_remove|tier_demote|skip_cooldown
+    action: str           # hold|scale_up|scale_down|skip_cooldown
     reason: str
     took: float = 0.0     # sim-seconds the actuation cost
     detail: str = ""
@@ -103,12 +94,6 @@ class Autoscaler:
                                             namespace=ns)
         self._c_scale_downs = metrics.counter("autoscale.scale_downs",
                                               namespace=ns)
-        self._c_replica_adds = metrics.counter("autoscale.replica_adds",
-                                               namespace=ns)
-        self._c_replica_removes = metrics.counter(
-            "autoscale.replica_removes", namespace=ns)
-        self._c_tier_demotions = metrics.counter(
-            "autoscale.tier_demotions", namespace=ns)
         self._g_desired = metrics.gauge("autoscale.desired_shards",
                                         namespace=ns)
         self._g_offered = metrics.gauge("autoscale.offered_rate",
@@ -132,11 +117,6 @@ class Autoscaler:
     def shard_ids(self) -> list[str]:
         return sorted(self.manager.map.shards) if self.manager.map else []
 
-    def elastic_replica_count(self) -> int:
-        wiera = self.manager.wiera
-        return sum(len(wiera.tim(sid).elastic_replicas)
-                   for sid in self.shard_ids())
-
     def audit(self) -> list[dict]:
         return [d.as_dict() for d in self.decisions]
 
@@ -153,8 +133,8 @@ class Autoscaler:
                or sample.offered_rate > HIGH_WATER * capacity
                or sample.egress_utilization > HIGH_WATER)
         # Hysteresis: scale down only if demand fits comfortably under the
-        # capacity we would have AFTER losing one shard (or one replica
-        # set) — otherwise removal would immediately re-trigger growth.
+        # capacity we would have AFTER losing one shard — otherwise
+        # removal would immediately re-trigger growth.
         calm = (not hot
                 and sample.offered_rate
                 <= LOW_WATER * spec.target_per_shard * max(shards - 1, 1)
@@ -186,9 +166,6 @@ class Autoscaler:
             if desired > shards:
                 yield from self._act(sample, shards, desired, "scale_up",
                                      self._scale_up(desired))
-            elif self._replica_headroom() > 0:
-                yield from self._act(sample, shards, desired, "replica_add",
-                                     self._add_replicas(sample))
             else:
                 self._record(sample, shards, desired, "hold",
                              "hot but all levers exhausted")
@@ -202,16 +179,9 @@ class Autoscaler:
                     f"calm {self._calm_streak}/{spec.scale_down_windows}")
                 return
             self._calm_streak = 0
-            if self.elastic_replica_count() > 0:
-                yield from self._act(sample, shards, desired,
-                                     "replica_remove",
-                                     self._remove_replicas())
-            elif shards > spec.min_shards:
+            if shards > spec.min_shards:
                 yield from self._act(sample, shards, shards - 1,
                                      "scale_down", self._scale_down())
-            elif spec.tier is not None:
-                yield from self._act(sample, shards, desired, "tier_demote",
-                                     self._demote_cold())
             else:
                 self._record(sample, shards, desired, "hold",
                              "calm at floor; nothing to shrink")
@@ -236,7 +206,7 @@ class Autoscaler:
                      took=self.sim.now - t0, detail=detail)
 
     def _reason_for(self, sample: SignalSample, action: str) -> str:
-        if action in ("scale_up", "replica_add"):
+        if action == "scale_up":
             return (f"offered={sample.offered_rate:.0f}/s "
                     f"shed={sample.shed} "
                     f"egress={sample.egress_utilization:.2f}")
@@ -264,82 +234,6 @@ class Autoscaler:
         def ordinal(shard_id: str) -> int:
             return int(shard_id[len(base) + 2:])
         return max(self.shard_ids(), key=ordinal)
-
-    # -- replica lever -------------------------------------------------------
-    def _replica_headroom(self) -> int:
-        if not self.spec.replicas:
-            return 0
-        return self.shards - self.elastic_replica_count()
-
-    def _add_replicas(self, sample: SignalSample) -> Generator:
-        wiera = self.manager.wiera
-        region = (sample.busiest_region()
-                  or self.manager.spec.placements[0].region)
-        added = []
-        for sid in self.shard_ids():
-            tim = wiera.tim(sid)
-            if tim.elastic_replicas:
-                continue
-            iid = yield from tim.add_replica(region)
-            added.append(iid)
-            self._c_replica_adds.inc()
-        if added:
-            yield from self._republish()
-        return f"added replicas {added} in {region}"
-
-    def _remove_replicas(self) -> Generator:
-        wiera = self.manager.wiera
-        removed = []
-        for sid in self.shard_ids():
-            tim = wiera.tim(sid)
-            if not tim.elastic_replicas:
-                continue
-            iid = yield from tim.remove_replica()
-            removed.append(iid)
-            self._c_replica_removes.inc()
-        if removed:
-            yield from self._republish()
-        return f"removed replicas {removed}"
-
-    def _republish(self) -> Generator:
-        """Publish a new epoch with the same ring but refreshed instance
-        lists, so clients and guards learn about replica membership."""
-        mgr = self.manager
-        shards_new = {sid: tuple(mgr.wiera.tim(sid).instance_list())
-                      for sid in mgr.map.shards}
-        mgr.publish(mgr.map.ring, shards_new)
-        yield from mgr.install_guards(mgr.map)
-
-    # -- tier lever ----------------------------------------------------------
-    def _demote_cold(self) -> Generator:
-        tspec = self.spec.tier
-        if not self._target_tier_cheaper():
-            return "skipped: target tier not cheaper"
-        wiera = self.manager.wiera
-        demoted = 0
-        for sid in self.shard_ids():
-            tim = wiera.tim(sid)
-            for rec in tim.alive_records():
-                result = yield from tim.node.invoke(
-                    rec.node, "ctl_demote_cold",
-                    {"age": tspec.idle_age, "to_tier": tspec.target_tier})
-                demoted += len(result["demoted"])
-        if demoted:
-            self._c_tier_demotions.inc(demoted)
-        return f"demoted {demoted} version(s) to {tspec.target_tier}"
-
-    def _target_tier_cheaper(self) -> bool:
-        """Consult the Table 4 price book: is the demotion target actually
-        cheaper per GB-month than the policy's default store tier?"""
-        policy = self.manager.spec.placements[0].local_policy
-        profiles = {t.name: t.profile for t in policy.tiers}
-        source = profiles.get(policy.default_store_tier())
-        target = profiles.get(self.spec.tier.target_tier)
-        if source is None or target is None:
-            return True   # unknown tiers: let the demotion proceed
-        if source not in PRICE_BOOK or target not in PRICE_BOOK:
-            return True
-        return PRICE_BOOK[target].storage < PRICE_BOOK[source].storage
 
     # -- bookkeeping ---------------------------------------------------------
     def _record(self, sample: SignalSample, shards: int, desired: int,

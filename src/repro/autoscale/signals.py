@@ -12,8 +12,6 @@ derived from state other subsystems already maintain:
 * **per-host egress utilization** — bytes clocked through each Tiera
   host's egress link over the window divided by the link's capacity;
   the binding resource for large-value read traffic.
-* **demand by region** — per-region offered deltas from cohort stats,
-  used to place elastic replicas where the crowd actually is.
 
 All reads are pull-based and free of simulated time: sampling a window
 costs zero sim-seconds, so an idle autoscaler perturbs nothing but the
@@ -22,7 +20,7 @@ kernel event count of its own timer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 #: counters summed across cohorts for the headline rates
@@ -40,13 +38,6 @@ class SignalSample:
     shed: int = 0                 # arrivals shed during the window
     queue_depth: int = 0          # arrivals waiting right now
     egress_utilization: float = 0.0   # worst host, 0..1 (0 if unbounded)
-    demand_by_region: dict[str, float] = field(default_factory=dict)
-
-    def busiest_region(self) -> Optional[str]:
-        demand = self.demand_by_region
-        if not demand:
-            return None
-        return max(sorted(demand), key=lambda r: demand[r])
 
 
 class SignalReader:
@@ -65,7 +56,6 @@ class SignalReader:
         self.engine_provider = engine_provider
         self.hosts_provider = hosts_provider
         self._last_totals: dict[str, int] = {}
-        self._last_by_region: dict[str, int] = {}
         self._last_egress: dict[str, int] = {}
         self._last_time: Optional[float] = None
 
@@ -76,16 +66,6 @@ class SignalReader:
             if metric.kind == "counter" and metric.name in totals:
                 totals[metric.name] += metric.value
         return totals
-
-    def _offered_by_region(self) -> dict[str, int]:
-        engine = self.engine_provider() if self.engine_provider else None
-        if engine is None:
-            return {}
-        out: dict[str, int] = {}
-        for cohort in engine:
-            region = cohort.spec.region
-            out[region] = out.get(region, 0) + cohort.stats.offered
-        return out
 
     def _queue_depth(self) -> int:
         engine = self.engine_provider() if self.engine_provider else None
@@ -121,12 +101,6 @@ class SignalReader:
                   for name in totals}
         self._last_totals = totals
 
-        by_region_now = self._offered_by_region()
-        region_deltas = {
-            region: (count - self._last_by_region.get(region, 0)) / interval
-            for region, count in by_region_now.items()}
-        self._last_by_region = by_region_now
-
         utilization = self._egress_utilization(now, interval)
         if self._last_time is None:
             # First observation: no window yet, report a quiet sample.
@@ -143,5 +117,4 @@ class SignalReader:
             shed=deltas["load.shed"],
             queue_depth=self._queue_depth(),
             egress_utilization=utilization,
-            demand_by_region=region_deltas,
         )

@@ -18,10 +18,8 @@ from repro.core.global_policy import (
     DynamicConsistencySpec,
     FailureSpec,
     GlobalPolicySpec,
-    LoadBalanceSpec,
     RedundancySpec,
     RegionPlacement,
-    TierScaleSpec,
 )
 from repro.core.loadbalance import LoadBalancer
 from repro.core.tim import TieraInstanceManager, WieraInstanceError
@@ -53,7 +51,6 @@ __all__ = [
     "FailureSpec",
     "RedundancySpec",
     "AutoscaleSpec",
-    "TierScaleSpec",
     "TieraInstanceManager",
     "WieraInstanceError",
     "TieraServerManager",
@@ -68,6 +65,5 @@ __all__ = [
     "WorkloadSnapshot",
     "DataPlacementAdvisor",
     "PlacementAdvice",
-    "LoadBalanceSpec",
     "LoadBalancer",
 ]

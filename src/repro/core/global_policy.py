@@ -4,7 +4,8 @@ A :class:`GlobalPolicySpec` bundles the per-region placements (each with
 its local Tiera policy), the consistency protocol between them, and the
 optional dynamic rules — DynamicConsistency (Figure 5(a)), ChangePrimary
 (Figure 5(b)), cold-data management (Figure 6(a)) and its centralized
-variant (§5.3), and minimum-replica failure handling (§4.4).
+variant (§5.3), get-load balancing (§3.2.3), and minimum-replica failure
+handling (§4.4).
 
 Specs are plain data, produced either programmatically, by the policy DSL
 compiler, or from the built-in policy library.
@@ -62,19 +63,6 @@ class ColdDataSpec:
 
 
 @dataclass(frozen=True)
-class LoadBalanceSpec:
-    """Shed a fraction of an overloaded instance's gets to a cool peer
-    (the RequestsMonitoring + forward pairing of §3.2.3)."""
-
-    threshold_rps: float = 50.0
-    clear_rps: float = 30.0
-    shed_fraction: float = 0.5
-    window: float = 10.0
-    check_interval: float = 5.0
-    peer_headroom: float = 0.5
-
-
-@dataclass(frozen=True)
 class FailureSpec:
     """Keep at least ``min_replicas`` instances alive (§4.4).  Deaths are
     detected by the deployment-wide TSM's pings, not per policy."""
@@ -83,26 +71,9 @@ class FailureSpec:
 
 
 @dataclass(frozen=True)
-class TierScaleSpec:
-    """Autoscaler tier lever: demote idle data to a cheaper tier during
-    sustained calm (SkyStore-style cost awareness).  Promotion back to
-    the fast tier rides the policy's existing get-triggered rules."""
-
-    #: demote versions idle at least this many seconds
-    idle_age: float
-    #: policy-local tier name to demote into (e.g. "tier2"); a demotion
-    #: runs only when the Table 4 price book makes it cheaper per GB-month
-    target_tier: str
-
-    def __post_init__(self):
-        if self.idle_age < 0:
-            raise ValueError(f"idle_age must be >= 0: {self.idle_age}")
-
-
-@dataclass(frozen=True)
 class AutoscaleSpec:
-    """Close the loop: watch load signals, actuate shard / replica /
-    tier levers (see :mod:`repro.autoscale`).
+    """Close the loop: watch load signals, actuate the shard count (see
+    :mod:`repro.autoscale`).
 
     The controller compares the offered rate against the deployment's
     current capacity (``shards x target_per_shard``) with the fixed bands
@@ -112,9 +83,7 @@ class AutoscaleSpec:
     ``scale_down_windows`` consecutive decision windows, it shrinks by one
     shard.  ``cooldown`` seconds must pass after an action before the
     next, and one action runs at a time — the controller never races its
-    own migrations.  ``replicas`` turns on the replica lever (one extra
-    instance per shard, in the busiest region) and ``tier`` the tier
-    lever.
+    own migrations.
 
     Attached by ``build_deployment(autoscale=...)``; without it no
     controller is constructed.
@@ -130,8 +99,6 @@ class AutoscaleSpec:
     cooldown: float = 10.0
     #: consecutive calm windows required before scaling down
     scale_down_windows: int = 3
-    replicas: bool = False
-    tier: Optional[TierScaleSpec] = None
 
     def __post_init__(self):
         if self.target_per_shard <= 0:
@@ -225,7 +192,9 @@ class GlobalPolicySpec:
     dynamic: Optional[DynamicConsistencySpec] = None
     change_primary: Optional[ChangePrimarySpec] = None
     cold: Optional[ColdDataSpec] = None
-    load_balance: Optional[LoadBalanceSpec] = None
+    #: shed an overloaded instance's gets to a cool peer (§3.2.3's
+    #: RequestsMonitoring + forward pairing, repro.core.loadbalance)
+    load_balance: bool = False
     failure: Optional[FailureSpec] = None
     #: erasure-coded redundancy plane (repro.ec); None (the default)
     #: constructs nothing — runs are bit-identical to pre-EC builds

@@ -14,17 +14,28 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.global_policy import LoadBalanceSpec
 from repro.sim.primitives import Loop
+
+#: an instance serving more gets/s than this sheds some of them
+THRESHOLD_RPS = 50.0
+#: ... until its rate falls to this (the hysteresis band)
+CLEAR_RPS = 30.0
+#: share of the overloaded instance's gets forwarded to the peer
+SHED_FRACTION = 0.5
+#: seconds of get history a rate is measured over
+WINDOW = 10.0
+#: seconds between rounds
+CHECK_INTERVAL = 5.0
+#: a peer takes shed gets only below this share of THRESHOLD_RPS
+PEER_HEADROOM = 0.5
 
 
 class LoadBalancer:
     """Installs/clears get redirects based on observed get rates."""
 
-    def __init__(self, tim, spec: LoadBalanceSpec):
+    def __init__(self, tim):
         self.tim = tim
-        self.spec = spec
-        self.loop = Loop(tim.sim, "LoadBalancer", spec.check_interval,
+        self.loop = Loop(tim.sim, "LoadBalancer", CHECK_INTERVAL,
                          self._round)
         self.redirects_installed = 0
         self.redirects_cleared = 0
@@ -32,23 +43,21 @@ class LoadBalancer:
 
     def _rates(self) -> dict[str, float]:
         return {
-            iid: rec.instance.gets_in_window(self.spec.window)
-            / self.spec.window
+            iid: rec.instance.gets_in_window(WINDOW) / WINDOW
             for iid, rec in self.tim.instances.items() if not rec.down
         }
 
     def _round(self) -> Generator:
-        spec = self.spec
         rates = self._rates()
         if not rates:
             return
         # clear redirects whose source has cooled down
         for iid in list(self._active):
-            if rates.get(iid, 0.0) <= spec.clear_rps:
+            if rates.get(iid, 0.0) <= CLEAR_RPS:
                 yield from self._clear(iid)
         # install redirects for overloaded instances
         for iid, rate in sorted(rates.items()):
-            if iid in self._active or rate <= spec.threshold_rps:
+            if iid in self._active or rate <= THRESHOLD_RPS:
                 continue
             target = self._coolest_peer(iid, rates)
             if target is not None:
@@ -56,11 +65,10 @@ class LoadBalancer:
 
     def _coolest_peer(self, overloaded: str,
                       rates: dict[str, float]) -> Optional[str]:
-        spec = self.spec
         candidates = [
             (rate, iid) for iid, rate in rates.items()
             if iid != overloaded
-            and rate < spec.peer_headroom * spec.threshold_rps
+            and rate < PEER_HEADROOM * THRESHOLD_RPS
             and iid not in self._active
         ]
         if not candidates:
@@ -71,7 +79,7 @@ class LoadBalancer:
         record = self.tim.instances[overloaded]
         yield from self.tim.node.invoke(record.node, "ctl_set_redirect",
                                         {"peer": target,
-                                         "fraction": self.spec.shed_fraction})
+                                         "fraction": SHED_FRACTION})
         self._active[overloaded] = target
         self.redirects_installed += 1
 

@@ -102,9 +102,6 @@ class TieraInstanceManager:
         self.protocol = None
         self.monitors: list = []
         self.switch_log: list[tuple[float, str, str, float]] = []
-        #: instance ids added by add_replica (the only ones remove_replica
-        #: will retire — spec placements are never scaled away)
-        self.elastic_replicas: list[str] = []
         self.shared_cold_tier_name = "shared_cold"
         self.running = False
 
@@ -165,15 +162,6 @@ class TieraInstanceManager:
         instance.lock_client = GlobalLockClient(instance.node, self.lock_node)
         return record
 
-    def _join(self, record: InstanceRecord) -> Generator:
-        """A late arrival (recovery, elastic replica) joins the running
-        set: every peer table learns of it, it gets the protocol, and it
-        pulls the current data from a live peer."""
-        yield from self._propagate_peers()
-        yield from self.node.invoke(record.node, "ctl_set_protocol",
-                                    {"protocol": self.protocol})
-        yield from self._resync(record)
-
     def alive_records(self) -> list[InstanceRecord]:
         """The instance records still serving (shared by switches,
         recovery, and the shard rebalancer)."""
@@ -206,9 +194,9 @@ class TieraInstanceManager:
             self.monitors.append(RequestsMonitor(self, spec.change_primary))
         if spec.cold is not None and spec.cold.centralize:
             self.monitors.append(ColdDataCoordinator(self, spec.cold))
-        if spec.load_balance is not None:
+        if spec.load_balance:
             from repro.core.loadbalance import LoadBalancer
-            self.monitors.append(LoadBalancer(self, spec.load_balance))
+            self.monitors.append(LoadBalancer(self))
         for monitor in self.monitors:
             monitor.loop.start()
 
@@ -366,7 +354,12 @@ class TieraInstanceManager:
             new_rec = yield from self._spawn(
                 replacement, f"{rec.instance_id}-r{int(self.sim.now)}",
                 rec.placement)
-            yield from self._join(new_rec)
+            # Every peer table learns of it, it gets the protocol, and it
+            # pulls the current data from a live peer.
+            yield from self._propagate_peers()
+            yield from self.node.invoke(new_rec.node, "ctl_set_protocol",
+                                        {"protocol": self.protocol})
+            yield from self._resync(new_rec)
 
     def _resync(self, record: InstanceRecord) -> Generator:
         """Pull the latest version of every key from a live peer."""
@@ -386,46 +379,6 @@ class TieraInstanceManager:
                 key, got["data"], version=got["version"],
                 origin=got.get("origin", donor.instance_id),
                 last_modified=got.get("last_modified"))
-
-    # ------------------------------------------------------------------
-    # elastic replicas (repro.autoscale replica lever)
-    # ------------------------------------------------------------------
-    def add_replica(self, region: str, provider: str = "aws") -> Generator:
-        """Spawn one extra instance in ``region``, wire it into the peer
-        table and protocol, and resync it from a live peer.  Reuses the
-        §4.4 recovery machinery, but driven by load instead of failure."""
-        template = next((p for p in self.spec.placements
-                         if p.region == region), self.spec.placements[0])
-        server = self.wiera.tsm.pick_server(region, provider,
-                                            fallback_any=True)
-        n = len(self.elastic_replicas)
-        instance_id = f"{self.wiera_instance_id}-{region}-e{n}"
-        while instance_id in self.instances:
-            n += 1
-            instance_id = f"{self.wiera_instance_id}-{region}-e{n}"
-        record = yield from self._spawn(server, instance_id, template)
-        self.elastic_replicas.append(instance_id)
-        yield from self._join(record)
-        return instance_id
-
-    def remove_replica(self, instance_id: Optional[str] = None) -> Generator:
-        """Retire one elastic replica (the most recently added when
-        ``instance_id`` is None).  Spec placements cannot be removed."""
-        if instance_id is None:
-            if not self.elastic_replicas:
-                raise WieraInstanceError(
-                    f"{self.wiera_instance_id}: no elastic replicas to "
-                    "remove")
-            instance_id = self.elastic_replicas[-1]
-        if instance_id not in self.elastic_replicas:
-            raise WieraInstanceError(
-                f"{instance_id!r} is not an elastic replica")
-        record = self.instances.pop(instance_id)
-        self.elastic_replicas.remove(instance_id)
-        # Out of every peer table first, so nothing new queues toward it.
-        yield from self._propagate_peers()
-        yield from self._retire(record)
-        return instance_id
 
     # ------------------------------------------------------------------
     # centralized cold data

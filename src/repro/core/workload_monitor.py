@@ -95,9 +95,3 @@ class WorkloadMonitor:
             for region, n in snap.requests_by_region.items():
                 out[region] = out.get(region, 0) + n
         return out
-
-    def busiest_region(self) -> Optional[str]:
-        demand = self.demand_by_region()
-        if not demand:
-            return None
-        return max(sorted(demand), key=lambda r: demand[r])

@@ -2,7 +2,7 @@
 
 The optimizer extends the paper's §5.3 cost arithmetic from "which tier"
 to "which redundancy shape": for a given object size and access rate it
-prices every candidate (k, m) scheme from the Table 4 price book —
+prices every candidate (k, m) scheme at the tier profile's Table 4 prices —
 storage byte-months for ``n/k`` expansion, request charges for ``n``
 fragment puts and ``k`` fragment gets, inter-region egress for the
 fragments that live away from the reader — and picks the cheapest scheme
@@ -81,8 +81,8 @@ class RedundancyOptimizer:
                  rtt: Callable[[str, str], float],
                  tier: str = "s3"):
         """``sites`` are candidate fragment regions; ``rtt(a, b)`` is the
-        round-trip time between two of them (0 for a == b); ``tier`` keys
-        the price book row fragments are stored on."""
+        round-trip time between two of them (0 for a == b); ``tier`` names
+        the profile whose Table 4 prices the stored fragments pay."""
         self.spec = spec
         self.sites = list(sites)
         self.rtt = rtt

@@ -26,7 +26,6 @@ class VmProfile:
 
     name: str
     cpus: int
-    ram_gb: float
     network_bw: float      # egress bytes/sec
     nic_delay: float       # per-message NIC processing delay, seconds
     disk_iops: float       # attached-disk IOPS cap (inf = unthrottled)
@@ -48,30 +47,30 @@ VM_PROFILES: dict[str, VmProfile] = {
     # (the paper's prior work [15] measured multi-ms small-message RTTs on
     # throttled small Azure VMs).
     "azure.basic_a2": VmProfile(
-        name="azure.basic_a2", cpus=2, ram_gb=3.5,
+        name="azure.basic_a2", cpus=2,
         network_bw=_mbps(200), nic_delay=3.65 * MS, disk_iops=500,
         cpu_factor=1.6),
     "azure.standard_d1": VmProfile(
-        name="azure.standard_d1", cpus=1, ram_gb=3.5,
+        name="azure.standard_d1", cpus=1,
         network_bw=_mbps(500), nic_delay=2.85 * MS, disk_iops=500,
         cpu_factor=1.3),
     "azure.standard_d2": VmProfile(
-        name="azure.standard_d2", cpus=2, ram_gb=7.0,
+        name="azure.standard_d2", cpus=2,
         network_bw=_mbps(1000), nic_delay=1.30 * MS, disk_iops=500,
         cpu_factor=1.0),
     "azure.standard_d3": VmProfile(
-        name="azure.standard_d3", cpus=4, ram_gb=14.0,
+        name="azure.standard_d3", cpus=4,
         network_bw=_mbps(2000), nic_delay=1.22 * MS, disk_iops=500,
         cpu_factor=0.95),
     # AWS t2.micro, the paper's workhorse for Wiera/Tiera servers.
     "aws.t2_micro": VmProfile(
-        name="aws.t2_micro", cpus=1, ram_gb=1.0,
+        name="aws.t2_micro", cpus=1,
         network_bw=_mbps(250), nic_delay=0.15 * MS, disk_iops=3000,
         cpu_factor=1.2),
     # An unthrottled profile for components whose host performance is not
     # under study (clients, the Wiera management service, Zookeeper).
     "generic": VmProfile(
-        name="generic", cpus=4, ram_gb=16.0,
+        name="generic", cpus=4,
         network_bw=float("inf"), nic_delay=0.0, disk_iops=float("inf"),
         cpu_factor=1.0),
 }

@@ -4,7 +4,7 @@ One backend class per storage family the paper uses — memory caches
 (memcached/ElastiCache), block devices (EBS SSD/HDD, Azure attached disks),
 object stores (S3, S3-IA) and archival stores (Glacier) — each driven by a
 :class:`~repro.storage.profiles.TierProfile` giving its latency model,
-concurrency/IOPS envelope, durability and prices.  Bytes are really stored
+concurrency/IOPS envelope and Table 4 prices.  Bytes are really stored
 and capacities really enforced; only service *times* are modeled.
 """
 
@@ -25,9 +25,7 @@ from repro.storage.object_store import ObjectStoreTier
 from repro.storage.archival import ArchivalTier
 from repro.storage.cost import (
     NETWORK_PRICES,
-    PRICE_BOOK,
     CostLedger,
-    PriceEntry,
     monthly_storage_cost,
 )
 from repro.storage.factory import make_tier
@@ -44,8 +42,6 @@ __all__ = [
     "BlockTier",
     "ObjectStoreTier",
     "ArchivalTier",
-    "PriceEntry",
-    "PRICE_BOOK",
     "NETWORK_PRICES",
     "CostLedger",
     "monthly_storage_cost",

@@ -1,4 +1,8 @@
-"""Cost model: the Table 4 price book and runtime cost accounting.
+"""Cost model: Table 4 dollar arithmetic and runtime cost accounting.
+
+Table 4's prices are stated once, on each tier's
+:class:`~repro.storage.profiles.TierProfile` (``storage_price``,
+``put_price``, ``get_price``); this module only does arithmetic on them.
 
 Two layers:
 
@@ -12,33 +16,11 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.storage.profiles import TIER_PROFILES, TierProfile
 from repro.util.units import GB, HOUR
 
 #: Hours per billing month (AWS convention: 730).
 HOURS_PER_MONTH = 730.0
-
-
-@dataclass(frozen=True)
-class PriceEntry:
-    """Prices for one storage tier, Table 4 layout."""
-
-    storage: float      # $/GB-month
-    put_per_10k: float  # $/10,000 put requests
-    get_per_10k: float  # $/10,000 get requests
-
-
-# Table 4 of the paper (AWS US East), keyed by canonical profile name.
-PRICE_BOOK: dict[str, PriceEntry] = {
-    "ebs_ssd": PriceEntry(storage=0.10, put_per_10k=0.0, get_per_10k=0.0),
-    "ebs_hdd": PriceEntry(storage=0.05, put_per_10k=0.0005, get_per_10k=0.0005),
-    "s3": PriceEntry(storage=0.03, put_per_10k=0.05, get_per_10k=0.004),
-    "s3_ia": PriceEntry(storage=0.0125, put_per_10k=0.10, get_per_10k=0.01),
-    "glacier": PriceEntry(storage=0.007, put_per_10k=0.05, get_per_10k=0.05),
-    "azure_disk": PriceEntry(storage=0.05, put_per_10k=0.0, get_per_10k=0.0),
-    "memcached": PriceEntry(storage=22.0, put_per_10k=0.0, get_per_10k=0.0),
-}
 
 # Network prices ($/GB), Table 4: free within a DC, $0.02/GB between AWS
 # regions, $0.09/GB out to the Internet.
@@ -49,21 +31,24 @@ NETWORK_PRICES: dict[str, float] = {
 }
 
 
-def price_for(tier_name: str) -> PriceEntry:
+def price_for(tier_name: str) -> TierProfile:
+    """The profile carrying ``tier_name``'s Table 4 prices (canonical
+    profile names only)."""
     try:
-        return PRICE_BOOK[tier_name]
+        return TIER_PROFILES[tier_name]
     except KeyError:
         raise KeyError(f"no prices for tier {tier_name!r}") from None
 
 
 def monthly_storage_cost(tier_name: str, nbytes: float) -> float:
     """Dollars per month to keep ``nbytes`` on ``tier_name``."""
-    return price_for(tier_name).storage * (nbytes / GB)
+    return price_for(tier_name).storage_price * (nbytes / GB)
 
 
 def request_cost(tier_name: str, puts: int = 0, gets: int = 0) -> float:
-    entry = price_for(tier_name)
-    return entry.put_per_10k * puts / 10_000 + entry.get_per_10k * gets / 10_000
+    profile = price_for(tier_name)
+    return (profile.put_price * puts / 10_000
+            + profile.get_price * gets / 10_000)
 
 
 def network_cost(nbytes: float, scope: str = "inter_region") -> float:
@@ -132,8 +117,8 @@ class CostLedger:
     def storage_dollars(self) -> float:
         total = 0.0
         for key, gb_hours in self._gb_hours.items():
-            entry = price_for(self._tier_names[key])
-            total += entry.storage * gb_hours / HOURS_PER_MONTH
+            profile = price_for(self._tier_names[key])
+            total += profile.storage_price * gb_hours / HOURS_PER_MONTH
         return total
 
     def request_dollars(self) -> float:
@@ -141,9 +126,9 @@ class CostLedger:
         # Sorted: float addition is not associative, and ``set`` order
         # varies with the process's hash seed.
         for key in sorted(set(self._puts) | set(self._gets)):
-            entry = price_for(self._tier_names[key])
-            total += entry.put_per_10k * self._puts.get(key, 0) / 10_000
-            total += entry.get_per_10k * self._gets.get(key, 0) / 10_000
+            profile = price_for(self._tier_names[key])
+            total += profile.put_price * self._puts.get(key, 0) / 10_000
+            total += profile.get_price * self._gets.get(key, 0) / 10_000
         return total
 
     def network_dollars(self) -> float:

@@ -84,7 +84,7 @@ class TieraServer:
 
     def rpc_stop_instance(self, msg: Message) -> Generator:
         """The one place an instance ends (:meth:`TieraInstance.stop`):
-        ``stopInstances``, a retired elastic replica or shard."""
+        ``stopInstances`` or a retired shard."""
         instance_id = msg.args["instance_id"]
         instance = self.instances.pop(instance_id, None)
         yield self.sim.timeout(0.001)

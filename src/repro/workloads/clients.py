@@ -63,7 +63,3 @@ class GeoClientPopulation:
         def gate() -> bool:
             return self.is_active(region, client_index, sim.now)
         return gate
-
-    def busiest_region(self, t: float) -> str:
-        return max(self.activities,
-                   key=lambda r: (self.active_clients(r, t), r))

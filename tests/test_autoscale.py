@@ -1,5 +1,5 @@
 """Tests for repro.autoscale: spec validation, signal windows, and the
-three levers (shards, replicas, tier) with hysteresis and cooldown.
+shard lever with hysteresis and cooldown.
 
 The lever tests drive demand synthetically — a pump process increments a
 ``load.offered`` counter at a controlled rate — so each decision branch
@@ -15,28 +15,27 @@ from repro import (
     AutoscaleSpec,
     GlobalPolicySpec,
     RegionPlacement,
-    TierScaleSpec,
     build_deployment,
 )
 from repro.net import US_EAST, US_WEST
-from repro.tiera.policy import memory_only_policy, write_back_policy
+from repro.tiera.policy import memory_only_policy
 
 REGIONS = (US_EAST, US_WEST)
 
 
-def _policy_spec(policy=memory_only_policy):
+def _policy_spec():
     return GlobalPolicySpec(
         name="as",
-        placements=tuple(RegionPlacement(r, policy()) for r in REGIONS),
+        placements=tuple(RegionPlacement(r, memory_only_policy())
+                         for r in REGIONS),
         consistency="eventual")
 
 
-def _autoscaled_dep(aspec, policy=memory_only_policy,
-                    servers_per_region=3, seed=5):
+def _autoscaled_dep(aspec, servers_per_region=3, seed=5):
     dep = build_deployment(list(REGIONS), seed=seed,
                            servers_per_region=servers_per_region,
                            autoscale=aspec)
-    handle = dep.start_sharded_instance("as", _policy_spec(policy))
+    handle = dep.start_sharded_instance("as", _policy_spec())
     scaler = dep.autoscalers["as"]
     return dep, handle, scaler
 
@@ -66,8 +65,6 @@ class TestAutoscaleSpec:
             AutoscaleSpec(target_per_shard=10, min_shards=4, max_shards=2)
         with pytest.raises(ValueError):
             AutoscaleSpec(target_per_shard=10, scale_down_windows=0)
-        with pytest.raises(ValueError):
-            TierScaleSpec(idle_age=-1, target_tier="tier2")
 
     def test_defaults_off(self):
         assert build_deployment(list(REGIONS)).autoscale is None
@@ -187,106 +184,3 @@ class TestShardLever:
                     "reason", "took", "detail"} <= set(row)
         assert dep.metric_total("autoscale.decisions",
                                 namespace="as") == len(audit)
-
-
-class TestReplicaLever:
-    def test_hot_at_max_shards_grows_then_calm_retires_replicas(self):
-        aspec = AutoscaleSpec(target_per_shard=100.0, decision_interval=2.0,
-                              cooldown=0.0, scale_down_windows=2,
-                              max_shards=1, replicas=True)
-        dep, handle, scaler = _autoscaled_dep(aspec)
-        tim = dep.wiera.tim("as-s0")
-        assert len(tim.instances) == 2
-        epoch0 = dep.wiera.shard_manager("as").epoch
-
-        rate = [300.0]
-        _pump(dep, rate)
-        dep.sim.run(until=dep.sim.now + 5.0)
-        # Shard lever pinned at max_shards=1 -> replica lever fires.
-        assert scaler.shards == 1
-        assert tim.elastic_replicas, "no elastic replica added"
-        assert len(tim.instances) == 3
-        extra = tim.elastic_replicas[0]
-        assert tim.instances[extra].region == US_EAST
-        mgr = dep.wiera.shard_manager("as")
-        assert mgr.epoch > epoch0   # membership republished
-        assert any(info["instance_id"] == extra
-                   for info in mgr.map.shards["as-s0"])
-        adds = [d for d in scaler.decisions if d.action == "replica_add"]
-        assert adds and extra in adds[0].detail
-
-        # Hot but both levers exhausted: hold, audited as such.
-        dep.sim.run(until=dep.sim.now + 4.0)
-        assert any(d.action == "hold" and "exhausted" in d.reason
-                   for d in scaler.decisions)
-
-        # Calm retires the replica before anything else.
-        rate[0] = 0.0
-        dep.sim.run(until=dep.sim.now + 12.0)
-        assert tim.elastic_replicas == []
-        assert len(tim.instances) == 2
-        assert extra not in tim.instances
-        removes = [d for d in scaler.decisions
-                   if d.action == "replica_remove"]
-        assert removes
-        assert dep.metric_total("autoscale.replica_removes",
-                                namespace="as") == 1
-
-    def test_replica_writes_replicate_to_elastic_instance(self):
-        aspec = AutoscaleSpec(target_per_shard=100.0, decision_interval=2.0,
-                              cooldown=0.0, max_shards=1, replicas=True)
-        dep, handle, scaler = _autoscaled_dep(aspec)
-        client = dep.add_client(US_WEST, sharded=handle)
-        rate = [300.0]
-        _pump(dep, rate)
-        dep.sim.run(until=dep.sim.now + 5.0)
-        tim = dep.wiera.tim("as-s0")
-        assert tim.elastic_replicas
-
-        def app():
-            yield from client.put("after-scale", b"x" * 32)
-        dep.drive(app())
-        dep.sim.run(until=dep.sim.now + 10.0)   # eventual replication
-        extra = tim.instances[tim.elastic_replicas[0]].instance
-        record = extra.meta.get_record("after-scale")
-        assert record is not None and record.latest_version is not None
-
-
-class TestTierLever:
-    def _calm_dep(self, tier_spec, policy=write_back_policy):
-        aspec = AutoscaleSpec(target_per_shard=100.0, decision_interval=2.0,
-                              cooldown=0.0, scale_down_windows=2,
-                              max_shards=1, tier=tier_spec)
-        return _autoscaled_dep(aspec, policy=policy)
-
-    def test_sustained_calm_demotes_idle_data(self):
-        dep, handle, scaler = self._calm_dep(
-            TierScaleSpec(idle_age=5.0, target_tier="tier2"))
-        client = dep.add_client(US_WEST, sharded=handle)
-
-        def app():
-            yield from client.put("coldkey", b"z" * 128)
-        dep.drive(app())
-
-        dep.sim.run(until=dep.sim.now + 20.0)   # idle + calm streak
-        demotes = [d for d in scaler.decisions if d.action == "tier_demote"]
-        assert demotes
-        assert dep.metric_total("autoscale.tier_demotions",
-                                namespace="as") > 0
-        inst = dep.wiera.tim("as-s0").alive_records()[0].instance
-        record = inst.meta.get_record("coldkey")
-        meta = record.versions[record.latest_version]
-        assert "tier2" in meta.locations
-        assert "tier1" not in meta.locations
-
-    def test_price_aware_skips_non_cheaper_target(self):
-        # Demoting tier1 -> tier1 is never cheaper: the price book check
-        # must turn the demotion into an audited no-op.
-        dep, handle, scaler = self._calm_dep(
-            TierScaleSpec(idle_age=5.0, target_tier="tier1"))
-        dep.sim.run(until=dep.sim.now + 20.0)
-        demotes = [d for d in scaler.decisions if d.action == "tier_demote"]
-        assert demotes
-        assert all("skipped" in d.detail for d in demotes)
-        assert dep.metric_total("autoscale.tier_demotions",
-                                namespace="as") == 0

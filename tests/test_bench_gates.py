@@ -2,8 +2,9 @@
 vacuous, and a fresh result is compared with the committed one field by
 field.
 
-``benchmarks/gates.py`` judges each ``results/BENCH_<name>.json`` against
-its gate module's ``BOUNDS``.  Here no simulation runs: the committed
+``benchmarks/gates.py`` judges each ``results/BENCH_<name>.json`` (and
+``BENCH_<name>.quick.json``, where a gate is committed in both modes)
+against its gate module's ``BOUNDS``.  Here no simulation runs: the committed
 results are judged as they are, and then once per bound with the bounded
 value pushed just past its limit, in both modes.  A pinned value is a
 bound like any other, so a pin that nothing checks fails here too.
@@ -55,9 +56,15 @@ def _in_mode(name: str, quick: bool) -> dict:
 
 @pytest.mark.parametrize("name", gates.GATES)
 def test_committed_result_passes_every_bound(name):
-    verdicts = gates.verdicts(gates.load(name), _committed(name))
-    assert verdicts
-    assert [v for v in verdicts if not v.ok] == []
+    """Each mode's committed result (``gates.result_path``), where one is
+    committed."""
+    paths = {gates.result_path(name, quick) for quick in (True, False)}
+    committed = [json.loads(p.read_text()) for p in paths if p.exists()]
+    assert committed
+    for result in committed:
+        verdicts = gates.verdicts(gates.load(name), result)
+        assert verdicts
+        assert [v for v in verdicts if not v.ok] == []
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])

@@ -1,11 +1,14 @@
-"""Tests for the Table 4 cost model and runtime ledger."""
+"""Tests for the Table 4 cost model and runtime ledger.  Table 4's prices
+live on the tier profiles (``TIER_PROFILES``); the arithmetic here reads
+them from there."""
 
 import pytest
 
 from repro import (GlobalPolicySpec, RegionPlacement, build_deployment)
 from repro.net import EU_WEST, US_EAST, US_WEST
 from repro.sim import Simulator
-from repro.storage import CostLedger, make_tier, monthly_storage_cost
+from repro.storage import (TIER_PROFILES, CostLedger, make_tier,
+                           monthly_storage_cost)
 from repro.tiera.policy import disk_only_policy, memory_only_policy
 from repro.storage.cost import (
     HOURS_PER_MONTH,
@@ -33,8 +36,9 @@ COLD_8TB = 8000 * GB  # the paper's arithmetic uses decimal terabytes
 class TestStaticArithmetic:
     def test_paper_sec53_ssd_saving(self):
         """8 TB from EBS SSD to S3-IA saves $700/month (the paper's number)."""
+        ssd, ia = TIER_PROFILES["ebs_ssd"], TIER_PROFILES["s3_ia"]
         assert migration_savings(COLD_8TB, "ebs_ssd", "s3_ia") == pytest.approx(
-            8000 * (0.10 - 0.0125))
+            8000 * (ssd.storage_price - ia.storage_price))
         assert migration_savings(COLD_8TB, "ebs_ssd", "s3_ia") == pytest.approx(
             700.0, abs=1.0)
 
@@ -45,10 +49,17 @@ class TestStaticArithmetic:
     def test_centralization_saving(self):
         """Dropping 3 of 4 cold replicas saves ~$100/region (paper §5.3)."""
         per_region = monthly_storage_cost("s3_ia", COLD_8TB)
+        assert per_region == pytest.approx(
+            8000 * TIER_PROFILES["s3_ia"].storage_price)
         assert per_region == pytest.approx(100.0, abs=0.5)
 
     def test_request_cost(self):
+        ia = TIER_PROFILES["s3_ia"]
+        assert request_cost("s3_ia", puts=20_000) == pytest.approx(
+            2 * ia.put_price)
         assert request_cost("s3_ia", puts=20_000) == pytest.approx(0.2)
+        assert request_cost("s3_ia", gets=30_000) == pytest.approx(
+            3 * ia.get_price)
         assert request_cost("ebs_ssd", puts=10**6, gets=10**6) == 0.0
 
     def test_network_cost_scopes(self):
@@ -59,8 +70,13 @@ class TestStaticArithmetic:
             network_cost(1, "interplanetary")
 
     def test_unknown_tier(self):
+        assert price_for("s3") is TIER_PROFILES["s3"]
         with pytest.raises(KeyError):
             price_for("tape")
+        with pytest.raises(KeyError):
+            monthly_storage_cost("tape", GB)
+        with pytest.raises(KeyError):
+            request_cost("tape", puts=1)
 
 
 class TestLedger:

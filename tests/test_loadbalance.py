@@ -6,14 +6,14 @@ from functools import lru_cache
 from hypothesis import given, strategies as st
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
-from repro.core import LoadBalanceSpec
+from repro.core.loadbalance import THRESHOLD_RPS
 from repro.net import EU_WEST, US_EAST, US_WEST
 from repro.tiera.policy import memory_only_policy
 
 REGIONS = (US_EAST, US_WEST, EU_WEST)
 
 
-def deploy(lb=None):
+def deploy(lb=False):
     dep = build_deployment(REGIONS, seed=23)
     spec = GlobalPolicySpec(
         name="lb",
@@ -114,10 +114,7 @@ class TestRedirectMechanism:
 
 class TestLoadBalancerMonitor:
     def test_overload_installs_then_clears(self):
-        lb = LoadBalanceSpec(threshold_rps=20.0, clear_rps=5.0,
-                             shed_fraction=0.5, window=5.0,
-                             check_interval=2.0)
-        dep, instances = deploy(lb)
+        dep, instances = deploy(lb=True)
         seed_key(dep, instances)
         tim = dep.tim("lb")
         east = dep.instance("lb", US_EAST)
@@ -125,13 +122,13 @@ class TestLoadBalancerMonitor:
                         if type(m).__name__ == "LoadBalancer")
         client = dep.add_client(US_EAST, instances=instances, name="hammer")
 
-        # 50 gets/s at the east instance for 20 seconds
+        # ~90 gets/s at the east instance (threshold 50) for 20 seconds
         stop_at = dep.sim.now + 20.0
 
         def hammer():
             while dep.sim.now < stop_at:
                 yield from client.get("hot")
-                yield dep.sim.timeout(0.02)
+                yield dep.sim.timeout(0.01)
         proc = dep.sim.process(hammer())
         dep.sim.run(until=proc)
         assert balancer.redirects_installed >= 1
@@ -142,9 +139,7 @@ class TestLoadBalancerMonitor:
         assert balancer.redirects_cleared >= 1
 
     def test_no_redirect_below_threshold(self):
-        lb = LoadBalanceSpec(threshold_rps=100.0, window=5.0,
-                             check_interval=2.0)
-        dep, instances = deploy(lb)
+        dep, instances = deploy(lb=True)
         seed_key(dep, instances)
         client = dep.add_client(US_EAST, instances=instances, name="calm")
 
@@ -160,9 +155,7 @@ class TestLoadBalancerMonitor:
     def test_no_shed_when_all_hot(self):
         """No peer with headroom -> no redirect (shedding would just move
         the overload around)."""
-        lb = LoadBalanceSpec(threshold_rps=10.0, window=5.0,
-                             check_interval=2.0, peer_headroom=0.5)
-        dep, instances = deploy(lb)
+        dep, instances = deploy(lb=True)
         seed_key(dep, instances)
         clients = [dep.add_client(r, instances=instances, name=f"h-{r}")
                    for r in REGIONS]
@@ -174,10 +167,12 @@ class TestLoadBalancerMonitor:
                     yield from c.get("hot")
                 except Exception:
                     pass
-                yield dep.sim.timeout(0.03)
+                yield dep.sim.timeout(0.01)
         procs = [dep.sim.process(hammer(c)) for c in clients]
         dep.sim.run(until=dep.sim.all_of(procs))
         tim = dep.tim("lb")
         balancer = next(m for m in tim.monitors
                         if type(m).__name__ == "LoadBalancer")
+        # every instance is over the threshold, so none has headroom
+        assert min(balancer._rates().values()) > THRESHOLD_RPS
         assert balancer.redirects_installed == 0

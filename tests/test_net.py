@@ -198,5 +198,5 @@ class TestVmProfiles:
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
-            VmProfile(name="bad", cpus=1, ram_gb=1, network_bw=-1,
+            VmProfile(name="bad", cpus=1, network_bw=-1,
                       nic_delay=0, disk_iops=1, cpu_factor=1)

@@ -1,6 +1,7 @@
 """Ratchet: ``src/`` keeps only code that something outside ``tests/`` uses,
-and every policy field is read by something in ``src/`` and set by
-something outside ``tests/``.
+every policy field is read by something in ``src/`` and set by something
+outside ``tests/``, and every tier and VM profile field is read by
+something in ``src/``.
 
 A census of every function, class and method defined in ``src/`` (dunders
 aside).  A definition is *reached* when its name appears in a module of
@@ -56,49 +57,26 @@ KEPT = {
     "stop_instances":
         "Wiera's Table 1 RPC: an application stops every instance of a "
         "namespace over the wire",
-    "get_instances":
-        "Wiera's Table 1 RPC: an application looks up a namespace's "
-        "instances over the wire",
     "list_instances":
         "A Tiera server's RPC listing the instances it hosts, as TSM's "
         "view of a server (Table 1's server side)",
 }
 
-_LOAD_BALANCE = ("§3.2.3: RequestsMonitoring + forward shed an overloaded "
-                 "instance's gets; tests/test_loadbalance.py turns it on")
-
 #: Policy fields nothing outside tests sets, kept on purpose:
 #: ``Class.field`` -> reason.  Same rules as :data:`KEPT`.
 KEPT_FIELDS = {
-    "LoadBalanceSpec.threshold_rps": _LOAD_BALANCE,
-    "LoadBalanceSpec.clear_rps": _LOAD_BALANCE,
-    "LoadBalanceSpec.shed_fraction": _LOAD_BALANCE,
-    "LoadBalanceSpec.window": _LOAD_BALANCE,
-    "LoadBalanceSpec.check_interval": _LOAD_BALANCE,
-    "LoadBalanceSpec.peer_headroom": _LOAD_BALANCE,
-    "GlobalPolicySpec.load_balance": _LOAD_BALANCE,
-    "FailureSpec.min_replicas":
-        "§4.4: keep at least N replicas alive; tests/test_failures.py "
-        "turns it on",
-    "GlobalPolicySpec.failure":
-        "§4.4: minimum-replica failure handling; tests/test_failures.py "
-        "turns it on",
     "DynamicConsistencySpec.op":
         "Fig. 5(a): the monitored operation (put or get) of a "
         "DynamicConsistency rule",
     "GlobalPolicySpec.repair_interval":
         "anti-entropy repair of divergent replicas; "
         "tests/test_faults.py turns it on",
-    "AutoscaleSpec.replicas":
-        "the autoscaler's replica lever; tests/test_autoscale.py turns "
-        "it on",
-    "AutoscaleSpec.tier":
-        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
-    "TierScaleSpec.idle_age":
-        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
-    "TierScaleSpec.target_tier":
-        "the autoscaler's tier lever; tests/test_autoscale.py turns it on",
 }
+
+#: Model-constant tables: ``(module, class)`` whose every field some
+#: module of ``src/`` must read.
+PROFILE_CLASSES = (("repro.storage.profiles", "TierProfile"),
+                   ("repro.net.vmprofiles", "VmProfile"))
 
 
 def _definitions() -> list[tuple[str, int, str]]:
@@ -262,16 +240,35 @@ def test_kept_fields_are_still_needed():
     assert not stale, f"drop from KEPT_FIELDS (gone or now set): {stale}"
 
 
-def test_every_policy_field_is_read():
-    """A spec field nothing in ``src/`` reads is a knob a policy can set and
-    the system ignores.  Read means an attribute load of that name in any
-    module of ``src/`` (by name, like the census above)."""
+def _attributes_read() -> set[str]:
+    """Every attribute name loaded in a module of ``src/``."""
     read = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_policy_field_is_read():
+    """A spec field nothing in ``src/`` reads is a knob a policy can set and
+    the system ignores.  Read means an attribute load of that name in any
+    module of ``src/`` (by name, like the census above)."""
+    read = _attributes_read()
     unread = [f"{cls}.{name}" for cls, names in _policy_fields().items()
               for name in names if name not in read]
     assert not unread, f"policy fields nothing in src/ reads: {unread}"
+
+
+def test_every_profile_field_is_read():
+    """The same rule for the model constants of the tier and VM profiles:
+    a field nothing in ``src/`` reads is a number that moves no output
+    (delete it)."""
+    read = _attributes_read()
+    unread = []
+    for module, name in PROFILE_CLASSES:
+        cls = getattr(importlib.import_module(module), name)
+        unread += [f"{name}.{field.name}" for field in dataclasses.fields(cls)
+                   if field.name not in read]
+    assert not unread, f"profile fields nothing in src/ reads: {unread}"

@@ -35,7 +35,7 @@ from repro import (
     RegionPlacement,
     build_deployment,
 )
-from repro.core import LoadBalanceSpec, WorkloadMonitor
+from repro.core import WorkloadMonitor
 from repro.core.consistency.repair import AntiEntropyRepairer
 from repro.core.monitoring import (ColdDataCoordinator, LatencyMonitor,
                                    RequestsMonitor)
@@ -357,13 +357,11 @@ def cold_data_coordinator(census):
 
 
 def load_balancer(census):
-    """US-West serves 40 gets/s to EU-West's none: the round installs a
+    """US-West serves 60 gets/s to EU-West's none: the round installs a
     redirect over RPC."""
-    dep, _ = _deploy(
-        [US_WEST, EU_WEST], consistency="eventual",
-        load_balance=LoadBalanceSpec(threshold_rps=20.0, clear_rps=5.0,
-                                     window=5.0, check_interval=2.0))
-    dep.instance("w", US_WEST).get_log.extend([dep.sim.now] * 200)
+    dep, _ = _deploy([US_WEST, EU_WEST], consistency="eventual",
+                     load_balance=True)
+    dep.instance("w", US_WEST).get_log.extend([dep.sim.now] * 600)
     balancer = next(m for m in dep.tim("w").monitors
                     if type(m).__name__ == "LoadBalancer")
     return _calling(census, dep.sim, balancer, balancer.loop.stop,
