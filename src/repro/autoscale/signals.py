@@ -3,7 +3,7 @@
 The controller never instruments the data path itself — every signal is
 derived from state other subsystems already maintain:
 
-* **offered / achieved / shed rate** — windowed deltas of the load
+* **offered rate and shed arrivals** — windowed deltas of the load
   engine's ``load.*`` counters in the shared metrics registry (every
   cohort records them; the reader sums across cohorts).
 * **queue depth** — arrivals waiting for a pooled connection, summed
@@ -24,17 +24,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 #: counters summed across cohorts for the headline rates
-_LOAD_COUNTERS = ("load.offered", "load.achieved", "load.shed")
+_LOAD_COUNTERS = ("load.offered", "load.shed")
 
 
 @dataclass(frozen=True)
 class SignalSample:
     """One decision window's worth of observed load."""
 
-    time: float
-    interval: float
     offered_rate: float = 0.0
-    achieved_rate: float = 0.0
     shed: int = 0                 # arrivals shed during the window
     queue_depth: int = 0          # arrivals waiting right now
     egress_utilization: float = 0.0   # worst host, 0..1 (0 if unbounded)
@@ -105,15 +102,10 @@ class SignalReader:
         if self._last_time is None:
             # First observation: no window yet, report a quiet sample.
             self._last_time = now
-            return SignalSample(time=now, interval=0.0,
-                                queue_depth=self._queue_depth(),
-                                egress_utilization=0.0)
+            return SignalSample(queue_depth=self._queue_depth())
         self._last_time = now
         return SignalSample(
-            time=now,
-            interval=interval,
             offered_rate=deltas["load.offered"] / interval,
-            achieved_rate=deltas["load.achieved"] / interval,
             shed=deltas["load.shed"],
             queue_depth=self._queue_depth(),
             egress_utilization=utilization,

@@ -346,7 +346,8 @@ def build_deployment(regions: Sequence[str],
 
 def preload_object(instances, key: str, data: bytes) -> None:
     """Zero-time setup: install version 1 of ``key``, dated time 0, into
-    each instance.
+    each instance — one write, so every copy has one stamp: the empty
+    origin, which any real write of version 1 at time 0 outranks.
 
     Creates the metadata record and places the bytes on the policy's
     default store tier.  Used to materialize large prepared
@@ -364,7 +365,6 @@ def preload_object(instances, key: str, data: bytes) -> None:
         target = instance.policy.default_store_tier()
         meta = VersionMeta(version=1, size=len(data), created_at=0.0,
                            last_modified=0.0, last_accessed=0.0,
-                           origin=instance.instance_id,
                            locations={target}, stored_size=len(data))
         record.add_version(meta)
         instance.tier(target).preload(storage_key(key, 1), data)

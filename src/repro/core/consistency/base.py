@@ -155,9 +155,13 @@ class GlobalProtocol:
 
 
 def _entry_sort_key(args: dict) -> tuple:
-    """Ordering key for queued entries: LWW time, then version.
+    """Ordering key for one instance's own queued entries: time, then
+    version.
 
-    A remove-all (version None) supersedes every earlier write of the key
+    Not the last-write-wins order (:data:`~repro.tiera.objects.Stamp`,
+    which the receiving replica's merge applies): it picks which of this
+    instance's pending entries for a key ships, and a remove-all (version
+    None), which has no stamp, supersedes every earlier write of the key
     at the same timestamp, hence the ``inf`` version stand-in.
     """
     version = args.get("version")

@@ -3,11 +3,12 @@
 The retry backlog (:class:`~repro.core.consistency.base.ReplicationQueue`)
 caps its attempts, so a long outage can still leave a replica behind.  The
 :class:`AntiEntropyRepairer` is the backstop: every ``interval`` seconds it
-pulls each peer's key digest (``{key: (latest_version, last_modified)}``)
-and pushes a full ``replica_update`` for every key where the local latest
-wins last-write-wins.  Push-only repair cannot resurrect *removed* keys on
-the remote side (a purged record is indistinguishable from a never-seen
-one); removes are instead retried by the queue itself.
+pulls each peer's key digest (the latest version's
+:data:`~repro.tiera.objects.Stamp` per key) and pushes a full
+``replica_update`` for every key where the local latest has the greater
+stamp.  Push-only repair cannot resurrect *removed* keys on the remote
+side (a purged record is indistinguishable from a never-seen one);
+removes are instead retried by the queue itself.
 
 Repair is off by default — an idle repairer would perturb experiment
 timings — and enabled per Wiera instance via
@@ -21,7 +22,7 @@ from typing import Callable, Generator, Optional
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.primitives import Loop
-from repro.tiera.objects import behind
+from repro.tiera.objects import NO_STAMP
 
 
 class AntiEntropyRepairer:
@@ -82,8 +83,7 @@ class AntiEntropyRepairer:
             meta = record.latest()
             if meta is None:
                 continue
-            if behind(theirs.get(record.key), (meta.version,
-                                               meta.last_modified)):
+            if theirs.get(record.key, NO_STAMP) < meta.stamp:
                 stale.append(record.key)
             else:
                 # The peer is already current for this key — possibly via

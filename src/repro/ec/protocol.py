@@ -293,10 +293,8 @@ class ECProtocol(GlobalProtocol):
                 frag_map.pop(idx, None)
             manifest = encode_manifest(k, m, len(data), frag_map)
             lm = instance.sim.now
-            yield from instance.purge_version(key, version)
-            yield from instance.local_put(key, manifest, version=version,
-                                          origin=instance.instance_id,
-                                          last_modified=lm)
+            yield from instance.apply_replica_update(
+                key, version, lm, manifest, instance.instance_id)
             self._count("degraded_writes")
 
         # Every peer gets the manifest, so any instance can coordinate a
@@ -392,16 +390,11 @@ class ECProtocol(GlobalProtocol):
                 last_error = exc
                 continue
             # Install the fetched manifest locally so later reads are
-            # coordinated without a WAN hop.  A lingering unreadable local
-            # version (volatile tier wiped by a crash) is purged first —
-            # LWW would otherwise reject the same-version reinstall.
-            record = instance.meta.get_record(key)
-            if record is not None and record.has_version(res["version"]):
-                yield from instance.purge_version(key, res["version"])
-            yield from instance.local_put(
-                key, res["data"], version=res["version"],
-                origin=res.get("origin", iid),
-                last_modified=res["last_modified"])
+            # coordinated without a WAN hop; the merge re-installs a local
+            # copy of that version whose bytes a crash wiped.
+            yield from instance.apply_replica_update(
+                key, res["version"], res["last_modified"], res["data"],
+                res.get("origin", iid))
             return res["data"], res["version"], res["latest_local"]
         raise ObjectMissingError(
             f"{instance.instance_id}: no reachable manifest for {key!r}"
@@ -491,7 +484,7 @@ class ECProtocol(GlobalProtocol):
         index = args["index"]
         n = k + m
         record = instance.meta.get_record(key)
-        if record is not None and record.latest_version > version:
+        if record is not None and record.moved_past(version):
             return {"ok": False, "reason": "superseded"}
 
         sources = [(int(idx), holder) for idx, holder in args["sources"]
@@ -503,16 +496,13 @@ class ECProtocol(GlobalProtocol):
 
         frag = Codec.rebuild(available, k, n, size, index)
         record = instance.meta.get_record(key)
-        if record is not None and record.latest_version > version:
+        if record is not None and record.moved_past(version):
             return {"ok": False, "reason": "superseded", "pulled": pulled}
-        fkey = fragment_key(key, index)
-        frecord = instance.meta.get_record(fkey)
-        if frecord is not None and frecord.has_version(version):
-            yield from instance.purge_version(fkey, version)
-        yield from instance.local_put(
-            fkey, frag, version=version,
-            origin=args.get("origin", instance.instance_id),
-            last_modified=args["last_modified"])
+        merged = yield from instance.apply_replica_update(
+            fragment_key(key, index), version, args["last_modified"], frag,
+            args.get("origin", instance.instance_id))
+        if not merged["applied"]:
+            return {"ok": False, "reason": merged["reason"], "pulled": pulled}
         return {"ok": True, "pulled": pulled,
                 "instance": instance.instance_id}
 
@@ -541,7 +531,7 @@ class ECProtocol(GlobalProtocol):
         record = instance.meta.get_record(key)
         if record is None or not record.has_version(version):
             return {"applied": False, "reason": "no-manifest"}
-        if record.latest_version > version:
+        if record.moved_past(version):
             return {"applied": False, "reason": "superseded"}
         try:
             data, _, _ = yield from instance.read_version(
@@ -556,11 +546,8 @@ class ECProtocol(GlobalProtocol):
             frag_map[int(idx)] = iid
         manifest_bytes = encode_manifest(manifest["k"], manifest["m"],
                                          manifest["size"], frag_map)
-        yield from instance.purge_version(key, version)
-        yield from instance.local_put(
-            key, manifest_bytes, version=version, origin=origin,
-            last_modified=args["last_modified"])
-        return {"applied": True}
+        return (yield from instance.apply_replica_update(
+            key, version, args["last_modified"], manifest_bytes, origin))
 
     # -- remove -----------------------------------------------------------
     def on_remove(self, instance, key: str,

@@ -33,9 +33,11 @@ the same handler called in-process.  Only when a remote target refuses
 or fails does the leader fall back to gathering ``k`` fragments itself
 and pushing the rebuilt one.
 
-Rebuilt fragments ship with a *bumped* ``last_modified``: the restarted
-holder still has the old version's metadata, and last-write-wins would
-reject a same-version push that is not strictly newer.
+Rebuilt fragments and rewritten manifests carry a *bumped*
+``last_modified``, so their stamp outranks the copy of the same version a
+holder still has the metadata of, and the merge
+(:meth:`~repro.tiera.instance.TieraInstance.apply_replica_update`)
+replaces it.
 
 A version bump racing the repair must never resurrect the stale
 version's fragments: the leader re-checks the manifest's latest version
@@ -64,7 +66,6 @@ from repro.obs.trace import NULL_SPAN
 from repro.sim.primitives import Loop, window
 from repro.storage.backend import ObjectMissingError, StorageError
 from repro.tiera.instance import TieraError
-from repro.tiera.objects import storage_key
 
 #: what repairing one object, or applying its remap at a peer, can raise
 #: besides a transport failure: a local read or write that fails (a full
@@ -135,10 +136,12 @@ class ECRepairer:
 
     def _superseded(self, key: str, version: int) -> bool:
         """True when ``version`` is no longer the object's latest — a
-        racing write moved the manifest on; repairing it would resurrect
-        stale fragments.  Pure metadata lookup, consumes no sim time."""
+        racing write moved the manifest on, or a remove took it;
+        repairing it would resurrect stale fragments.  Pure metadata
+        lookup, consumes no sim time."""
         record = self.instance.meta.get_record(key)
-        return record is None or record.latest_version != version
+        return (record is None or not record.has_version(version)
+                or record.moved_past(version))
 
     def _scan_manifests(self) -> Generator:
         """Read the local manifests through a window of readers; return
@@ -161,16 +164,6 @@ class ECRepairer:
             return None  # unreadable manifest: the get-path fallback heals it
         manifest = decode_manifest(data)
         return None if manifest is None else (key, vmeta, manifest)
-
-    def _local_readable(self, key: str, version: int) -> bool:
-        instance = self.instance
-        record = instance.meta.get_record(key)
-        if record is None or not record.has_version(version):
-            return False
-        meta = record.versions[version]
-        skey = storage_key(key, version)
-        return any(skey in instance.tiers[t]
-                   for t in meta.locations if t in instance.tiers)
 
     def _round(self) -> Generator:
         instance = self.instance
@@ -286,7 +279,7 @@ class ECRepairer:
             holder = frag_map.get(idx)
             fkey = fragment_key(key, idx)
             if holder == instance.instance_id:
-                if not self._local_readable(fkey, version):
+                if not instance.readable(fkey, version):
                     missing.append(idx)
             elif holder is None or not alive.get(holder):
                 missing.append(idx)
@@ -413,11 +406,8 @@ class ECRepairer:
                 self._m_superseded.inc()
                 return
             manifest_bytes = encode_manifest(k, m, size, frag_map)
-            yield from instance.purge_version(key, version)
-            yield from instance.local_put(key, manifest_bytes,
-                                          version=version,
-                                          origin=instance.instance_id,
-                                          last_modified=lm)
+            yield from instance.apply_replica_update(
+                key, version, lm, manifest_bytes, instance.instance_id)
             remaps.append((key, version, remap, lm))
 
     def _flush_remaps(self, remaps: list, alive: dict[str, bool],

@@ -35,7 +35,7 @@ from repro.core.tim import gated
 from repro.faults.retry import TRANSIENT_ERRORS, RetryPolicy
 from repro.obs.api import get_obs
 from repro.shard.map import HandoffSpec, ShardError, ShardMap
-from repro.tiera.objects import behind
+from repro.tiera.objects import NO_STAMP
 
 #: retry posture for migration control traffic: patient, capped backoff.
 #: max_attempts is intentionally large — a migration must outwait a
@@ -207,10 +207,10 @@ class Rebalancer:
                     continue
                 src_keys = src_digest["keys"]
                 moving: dict[str, dict] = {}
-                for key, (version, modified) in src_keys.items():
+                for key, stamp in src_keys.items():
                     dest = ring_new.owner(key)
                     if dest != shard_id:
-                        moving.setdefault(dest, {})[key] = (version, modified)
+                        moving.setdefault(dest, {})[key] = stamp
                 dest_ids = (sorted(set(shards_new) - {shard_id})
                             if reconcile_removes else sorted(moving))
                 for dest_id in dest_ids:
@@ -231,7 +231,7 @@ class Rebalancer:
             return len(to_dest) or 1
         theirs = dest_digest["keys"]
         stale = [key for key, ours in to_dest.items()
-                 if behind(theirs.get(key), ours)]
+                 if theirs.get(key, NO_STAMP) < ours]
         failed = 0
         if stale:
             try:

@@ -29,7 +29,7 @@ from repro.storage.factory import make_tier
 from repro.tiera import transforms
 from repro.tiera.local_protocol import LocalOnlyProtocol
 from repro.tiera.metadata_store import MetadataStore
-from repro.tiera.objects import ObjectRecord, VersionMeta, storage_key
+from repro.tiera.objects import ObjectRecord, Stamp, VersionMeta, storage_key
 from repro.tiera.events import FilledEvent
 from repro.tiera.policy import LocalPolicy, Rule
 from repro.tiera.responses import ResponseContext
@@ -98,8 +98,10 @@ class TieraInstance:
                     raise TieraError(f"duplicate tier name {name!r}")
                 self.tiers[name] = backend
 
-        # Payload staging between version creation and tier placement.
+        # Payload staging between version creation and tier placement; a
+        # merge waits on ``_written`` for a staged write to land.
         self._staging: dict[tuple[str, int], bytes] = {}
+        self._written: dict[tuple[str, int], object] = {}
         self._copy_links: dict[object, BandwidthLink] = {}
         self._filled_armed: dict[int, bool] = {}  # rule index -> armed
 
@@ -240,12 +242,15 @@ class TieraInstance:
     def local_put(self, key: str, data: bytes, version: Optional[int] = None,
                   tags: Iterable[str] = (), origin: str = "",
                   last_modified: Optional[float] = None,
-                  run_rules: bool = True) -> Generator:
+                  run_rules: bool = True,
+                  replacing: Optional[VersionMeta] = None) -> Generator:
         """Create (or install) a version locally, honouring insert rules.
 
         Returns the version number.  ``version``/``last_modified`` are
         supplied when installing a replica update so the metadata matches
-        the originating instance.
+        the originating instance.  ``replacing``: the held metadata of
+        ``version`` the merge swaps out at once (the new bytes are served
+        from staging until written over the same storage key).
         """
         now = self.sim.now
         record = self.meta.get_record(key)
@@ -254,7 +259,7 @@ class TieraInstance:
             self.meta.put_record(record)
         if version is None:
             version = record.next_version()
-        if version in record.versions:
+        if record.versions.get(version) is not replacing:
             raise TieraError(
                 f"{self.instance_id}: version {version} of {key!r} exists")
         meta = VersionMeta(
@@ -282,6 +287,15 @@ class TieraInstance:
                             yield from response.execute(self, ctx_t)
         finally:
             self._staging.pop((key, version), None)
+            written = self._written.pop((key, version), None)
+            if written is not None:
+                written.succeed()
+        if replacing is not None:
+            skey = storage_key(key, version)
+            for tier_name in sorted(replacing.locations - meta.locations):
+                backend = self.tiers.get(tier_name)
+                if backend is not None and skey in backend:
+                    yield from backend.delete(skey)
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
         yield from self._garbage_collect(record)
         yield from self._check_filled()
@@ -295,9 +309,6 @@ class TieraInstance:
         yield from backend.write(storage_key(key, version), data)
         meta.locations.add(tier_name)
         meta.stored_size = len(data)
-
-    def copy_version(self, key: str, version: int, tier_name: str) -> Generator:
-        yield from self.store_version(key, version, tier_name)
 
     def move_version(self, key: str, version: int, tier_name: str,
                      from_tier: Optional[str] = None) -> Generator:
@@ -362,9 +373,22 @@ class TieraInstance:
                 raise ObjectMissingError(f"{self.instance_id}: {key!r} empty")
         else:
             meta = self._meta_or_raise(record, version)
-        order = self.read_preference(meta.locations)
+        while True:
+            order = self.read_preference(meta.locations)
+            try:
+                raw = yield from self._payload(key, meta.version, meta, order)
+                missing = None
+            except ObjectMissingError as exc:
+                missing = exc
+            # A merge replaced this version mid-read: read again under its
+            # metadata, so the bytes and their metadata are one write.
+            current = record.versions.get(meta.version)
+            if current is meta or current is None:
+                break
+            meta = current
+        if missing is not None:
+            raise missing
         served_from = order[0] if order else None
-        raw = yield from self._payload(key, meta.version, meta, order)
         data = (transforms.decode_chain(meta.encodings, raw, self.keyring)
                 if meta.encodings else raw)
         meta.touch(self.sim.now)
@@ -419,27 +443,29 @@ class TieraInstance:
     def apply_replica_update(self, key: str, version: int,
                              last_modified: float, data: bytes,
                              origin: str) -> Generator:
-        """Install an update from a peer if it wins LWW; returns decision."""
-        record = self.meta.get_record(key)
-        incoming = VersionMeta(version=version, size=len(data), created_at=0,
-                               last_modified=last_modified, last_accessed=0,
-                               origin=origin)
-        if record is not None:
-            local_latest = record.latest()
-            if record.has_version(version):
-                existing = record.versions[version]
-                if incoming.newer_than(existing):
-                    # Same version number, newer write: replace contents.
+        """The merge, the only way a held version's contents change: install
+        a version held nowhere here; replace a held copy with a lower
+        :data:`~repro.tiera.objects.Stamp`, or an equal one whose bytes are
+        unreadable, once any write of it in flight lands; else refuse."""
+        origin = origin or self.instance_id
+        stamp = (version, last_modified, origin)
+        while True:
+            record = self.meta.get_record(key)
+            held = record.versions.get(version) if record is not None else None
+            if held is None:
+                break
+            pending = (key, version) in self._staging
+            if stamp < held.stamp or stamp == held.stamp and (
+                    pending or self.readable(key, version)):
+                return {"applied": False, "reason": "lww-older"}
+            if not pending:
+                if stamp > held.stamp:
                     self.conflicts_resolved += 1
-                    yield from self.purge_version(key, version)
-                else:
-                    return {"applied": False, "reason": "lww-older"}
-            elif local_latest is not None and not incoming.newer_than(local_latest) \
-                    and version < local_latest.version:
-                # Strictly older than what we already expose; keep history.
-                pass
+                break
+            yield self._written.setdefault((key, version), self.sim.event())
         yield from self.local_put(key, data, version=version, origin=origin,
-                                  last_modified=last_modified)
+                                  last_modified=last_modified,
+                                  replacing=held)
         return {"applied": True}
 
     def replica_args(self, key: str,
@@ -708,12 +734,13 @@ class TieraInstance:
         self._meta_or_raise(record, version)
         self.inflight += 1
         try:
-            yield from self.purge_version(key, version)
-            yield from self.local_put(key, msg.args["data"], version=version)
+            result = yield from self.apply_replica_update(
+                key, version, self.sim.now, msg.args["data"],
+                self.instance_id)
         finally:
             self.inflight -= 1
         self._forward_handoff(key, version)
-        return {"version": version, "updated": True}
+        return {"version": version, "updated": result["applied"]}
 
     def rpc_remove(self, msg: Message) -> Generator:
         """``remove`` (every version) and ``remove_version`` (one)."""
@@ -766,8 +793,8 @@ class TieraInstance:
         self._notify_latency("remove", self.sim.now - start, origin)
         return result
 
-    def key_state(self) -> dict[str, tuple[int, float]]:
-        """Latest ``(version, last_modified)`` per key, in zero sim-time.
+    def key_state(self) -> dict[str, Stamp]:
+        """The latest version's stamp per key, in zero sim-time.
 
         The shared walk behind the anti-entropy digest RPC and the
         harness's canonical store rows
@@ -777,35 +804,33 @@ class TieraInstance:
         for record in self.meta.records():
             meta = record.latest()
             if meta is not None:
-                keys[record.key] = (meta.version, meta.last_modified)
+                keys[record.key] = meta.stamp
         return keys
 
+    def readable(self, key: str, version: int) -> bool:
+        """Whether a tier here holds the bytes of ``key`` v``version``, not
+        just its metadata (a host crash wipes volatile tiers only)."""
+        record = self.meta.get_record(key)
+        meta = record.versions.get(version) if record is not None else None
+        if meta is None:
+            return False
+        skey = storage_key(key, version)
+        return any(skey in self.tiers[t]
+                   for t in meta.locations if t in self.tiers)
+
     def rpc_digest(self, msg: Message) -> Generator:
-        """Latest (version, last_modified) per key: the anti-entropy
-        digest, and the listing a recovered replica re-syncs from."""
+        """The latest stamp per key: the anti-entropy digest, and the
+        listing a recovered replica re-syncs from."""
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
         return {"keys": self.key_state(), "instance": self.instance_id}
 
     def rpc_check_readable(self, msg: Message) -> Generator:
-        """Readability probe for specific (key, version) pairs.
-
-        Unlike ``digest`` this checks the *bytes*, not just the metadata:
-        a version whose only locations were wiped volatile tiers (host
-        crash) still advertises itself in the digest, but fails here.
-        The EC fragment repairer relies on that distinction.
-        """
+        """:meth:`readable` for specific (key, version) pairs: unlike
+        ``digest`` it checks the *bytes*, which the EC fragment repairer
+        relies on."""
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
-        missing = []
-        for key, version in msg.args["items"]:
-            readable = False
-            record = self.meta.get_record(key)
-            if record is not None and record.has_version(version):
-                meta = record.versions[version]
-                skey = storage_key(key, version)
-                readable = any(skey in self.tiers[t]
-                               for t in meta.locations if t in self.tiers)
-            if not readable:
-                missing.append(key)
+        missing = [key for key, version in msg.args["items"]
+                   if not self.readable(key, version)]
         return {"missing": missing, "instance": self.instance_id}
 
     def rpc_reconstruct_fragment(self, msg: Message) -> Generator:

@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-def behind(theirs: Optional[tuple[int, float]],
-           ours: tuple[int, float]) -> bool:
-    """Whether a peer's digest entry ``theirs`` (``(version,
-    last_modified)``, None if absent) loses last-write-wins to ``ours``:
-    the one push test of anti-entropy repair and the shard rebalancer.
-    Version first, then time — the order of :meth:`VersionMeta.newer_than`
-    and :attr:`ObjectRecord.latest`, so a push never tries to install a
-    copy the receiver would not rank newest."""
-    return (theirs or (0, -1.0)) < ours
+#: A version's place in the last-write-wins order (§4.2), compared as a
+#: tuple: number, then time, then origin, so same-instant writes from two
+#: origins still rank.  The merge, anti-entropy and the rebalancer compare
+#: stamps and nothing else.
+Stamp = tuple[int, float, str]
+
+#: the stamp of a key a replica does not hold: below every write
+NO_STAMP: Stamp = (0, -1.0, "")
 
 
 def storage_key(key: str, version: int) -> str:
@@ -52,11 +51,9 @@ class VersionMeta:
         self.last_accessed = now
         self.access_count += 1
 
-    def newer_than(self, other: "VersionMeta") -> bool:
-        """Last-write-wins ordering used for conflict resolution (§4.2)."""
-        if self.version != other.version:
-            return self.version > other.version
-        return self.last_modified > other.last_modified
+    @property
+    def stamp(self) -> Stamp:
+        return (self.version, self.last_modified, self.origin)
 
 
 @dataclass
@@ -72,9 +69,12 @@ class ObjectRecord:
         return version in self.versions
 
     def latest(self) -> Optional[VersionMeta]:
-        if self.latest_version and self.latest_version in self.versions:
-            return self.versions[self.latest_version]
-        return max(self.versions.values(), key=lambda m: m.version, default=None)
+        return self.versions.get(self.latest_version)
+
+    def moved_past(self, version: int) -> bool:
+        """Whether a racing write moved the key past ``version`` (so it
+        must not be rebuilt or rewritten)."""
+        return self.latest_version > version
 
     def version_list(self) -> list[int]:
         return sorted(self.versions)

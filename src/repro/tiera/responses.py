@@ -162,7 +162,7 @@ class CopyResponse(Response):
                 continue
             if limiter is not None:
                 yield from limiter.transmit(meta.stored_size or meta.size)
-            copied = yield from self._act(instance, instance.copy_version(
+            copied = yield from self._act(instance, instance.store_version(
                 record.key, meta.version, self.to))
             if copied and self.clear_dirty:
                 meta.dirty = False

@@ -58,6 +58,20 @@ its think time, and ``YcsbClient.stop`` now cancels that sleep instead of
 leaving it to fire into a finished process.  The proof, against the old fixture at
 ``window=None`` and ``window=0.3``: every field but ``events_processed``
 bit-identical, and ``src/repro/sim/kernel.py`` unchanged.
+
+The sixth re-record moved behaviour on purpose: a same-number
+last-write-wins replace became one step of the replica merge
+(``TieraInstance.apply_replica_update``) instead of a purge of the held
+copy followed by a fresh put.  Three multi-primaries updates each meet
+such a replace at a peer and stop paying the purge: ``client0.update``
+entries 19 and 21 fall by 0.29 ms and ``client1.update`` entry 104 by
+0.58 ms (a memcached delete, half its 0.18 ms write, plus the 0.2 ms
+metadata write, once per replace).  ``events_processed`` 8 425 -> 8 421
+and ``storage.ops`` 1 340 -> 1 338 fall with them; ``final_clock``,
+``faults_applied``, every other latency, every other pinned total and
+``store_digest`` are bit-identical.  The proof: the same tree with the old
+purge's deletes and metadata write put back in front of the one-step
+replace reproduces the previous fixture bit for bit.
 """
 
 from __future__ import annotations

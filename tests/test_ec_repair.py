@@ -200,7 +200,7 @@ def test_round_restores_every_guarantee(concurrency, reference, rpc_log):
         for idx, holder in holders.items():
             item = (fragment_key(key, idx), 1)
             if holder == leader.instance_id:
-                assert repairer._local_readable(*item), item
+                assert leader.readable(*item), item
             else:
                 res = dep.sim.run(until=leader.node.call(
                     live[holder].node, "check_readable", {"items": [item]}))
@@ -250,7 +250,7 @@ def test_leaders_own_fragment_rebuilt_in_place(concurrency, rpc_log):
     leader = repairer.instance
     _crash(dep, tim, {leader.instance_id}, duration=0.1)
     assert not leader.host.down
-    assert not repairer._local_readable(fragment_key("obj0", 0), 1)
+    assert not leader.readable(fragment_key("obj0", 0), 1)
 
     # The wipe took the leader's manifests too; a read through it heals
     # them (get-path fallback), which is what lets it lead again.
@@ -272,7 +272,7 @@ def test_leaders_own_fragment_rebuilt_in_place(concurrency, rpc_log):
     assert ([(src, m) for src, _, m in rpc_log if m in REPAIR_TRAFFIC]
             == [(leader.node.name, "peer_get")] * (OBJECTS * K))
     for key in payloads:
-        assert repairer._local_readable(fragment_key(key, 0), 1), key
+        assert leader.readable(fragment_key(key, 0), 1), key
         doc = decode_manifest(dep.drive(
             leader.read_version(key, run_rules=False))[0])
         assert doc["frags"] == manifest["frags"], key
@@ -595,7 +595,7 @@ def _s3_flush(monkeypatch):
              if iid != leader.instance_id]
     applies: dict = {}
     for peer in peers:
-        for method in ("read_version", "purge_version", "local_put"):
+        for method in ("read_version", "local_put"):
             _timed(peer, method, applies.setdefault(peer.instance_id, []))
 
     wire: list = []
@@ -631,7 +631,7 @@ def test_flush_applies_each_peers_deltas_a_window_at_a_time(monkeypatch):
     """Each peer rewrites its N manifests W at a time: the flush takes
     about ceil(N/W) rewrites past the farthest peer's round trip."""
     dep, leader, peers, applies, _, flush = _s3_flush(monkeypatch)
-    # one delta's cost at a peer: its manifest's read, purge and rewrite
+    # one delta's cost at a peer: its manifest's read and rewrite
     per_delta = []
     for peer in peers:
         spans: dict = {}

@@ -208,5 +208,5 @@ class TestInstanceRpcSurface:
         stats, digest = dep.drive(app())
         assert stats["objects"] == 2
         assert stats["puts_from_app"] == 2
-        assert [(key, version) for key, (version, _) in
+        assert [(key, stamp[0]) for key, stamp in
                 sorted(digest["keys"].items())] == [("a", 1), ("b", 1)]

@@ -116,20 +116,12 @@ class TestLwwProperties:
               suppress_health_check=[HealthCheck.too_slow])
     def test_order_independent_convergence(self, updates, rnd):
         """Applying the same updates in any order yields the same visible
-        latest version on a real instance (ties broken identically)."""
+        latest version on a real instance, same-instant ties included (the
+        stamp ranks them by origin)."""
         from repro.net import Network, US_EAST
         from repro.tiera import TieraInstance
         from repro.tiera.policy import memory_only_policy
         from repro.util.rng import RngRegistry
-
-        # de-duplicate exact (version, mtime) ties: LWW cannot order them
-        seen = set()
-        unique = []
-        for u in updates:
-            key = (u["version"], u["last_modified"])
-            if key not in seen:
-                seen.add(key)
-                unique.append(u)
 
         def final_state(order):
             sim = Simulator()
@@ -150,9 +142,9 @@ class TestLwwProperties:
             data = inst.tier("tier1")._data[f"k#v{meta.version}"]
             return meta.version, data
 
-        shuffled = list(unique)
+        shuffled = list(updates)
         rnd.shuffle(shuffled)
-        assert final_state(unique) == final_state(shuffled)
+        assert final_state(updates) == final_state(shuffled)
 
     @given(update_sets())
     @settings(max_examples=60)

@@ -76,7 +76,8 @@ KEPT_FIELDS = {
 #: Model-constant tables: ``(module, class)`` whose every field some
 #: module of ``src/`` must read.
 PROFILE_CLASSES = (("repro.storage.profiles", "TierProfile"),
-                   ("repro.net.vmprofiles", "VmProfile"))
+                   ("repro.net.vmprofiles", "VmProfile"),
+                   ("repro.autoscale.signals", "SignalSample"))
 
 
 def _definitions() -> list[tuple[str, int, str]]:
@@ -262,9 +263,9 @@ def test_every_policy_field_is_read():
 
 
 def test_every_profile_field_is_read():
-    """The same rule for the model constants of the tier and VM profiles:
-    a field nothing in ``src/`` reads is a number that moves no output
-    (delete it)."""
+    """The same rule for the model constants of the tier and VM profiles,
+    and for the autoscaler's signal sample: a field nothing in ``src/``
+    reads is a number that moves no output (delete it)."""
     read = _attributes_read()
     unread = []
     for module, name in PROFILE_CLASSES:

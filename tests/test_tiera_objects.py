@@ -1,24 +1,29 @@
 """Tests for the versioned object data model and metadata store."""
 
 from repro.tiera import MetadataStore, ObjectRecord, VersionMeta, storage_key
+from repro.tiera.objects import NO_STAMP
 
 
-def meta(version, mtime=0.0):
+def meta(version, mtime=0.0, origin=""):
     return VersionMeta(version=version, size=10, created_at=0.0,
-                       last_modified=mtime, last_accessed=0.0)
+                       last_modified=mtime, last_accessed=0.0, origin=origin)
 
 
 class TestVersionMeta:
     def test_lww_higher_version_wins(self):
-        assert meta(2, 0.0).newer_than(meta(1, 99.0))
-        assert not meta(1, 99.0).newer_than(meta(2, 0.0))
+        assert meta(2, 0.0).stamp > meta(1, 99.0).stamp
 
     def test_lww_same_version_newer_mtime_wins(self):
-        assert meta(3, 5.0).newer_than(meta(3, 4.0))
-        assert not meta(3, 4.0).newer_than(meta(3, 5.0))
+        assert meta(3, 5.0).stamp > meta(3, 4.0).stamp
 
     def test_lww_identical_is_not_newer(self):
-        assert not meta(3, 5.0).newer_than(meta(3, 5.0))
+        assert meta(3, 5.0, "a").stamp == meta(3, 5.0, "a").stamp
+
+    def test_lww_same_instant_ranks_by_origin(self):
+        assert meta(3, 5.0, "b").stamp > meta(3, 5.0, "a").stamp
+
+    def test_no_stamp_is_below_every_write(self):
+        assert NO_STAMP < meta(1, 0.0).stamp
 
     def test_touch(self):
         m = meta(1)
@@ -47,6 +52,13 @@ class TestObjectRecord:
         rec.drop_version(2)
         rec.drop_version(1)
         assert rec.latest() is None
+
+    def test_moved_past(self):
+        rec = ObjectRecord(key="k")
+        rec.add_version(meta(2))
+        assert rec.moved_past(1)
+        assert not rec.moved_past(2)
+        assert not rec.moved_past(3)
 
     def test_next_version_monotonic(self):
         rec = ObjectRecord(key="k")
