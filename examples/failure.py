@@ -6,9 +6,10 @@ least three live replicas.  A US-West application reads its local replica
 ten times a second.  Twenty seconds in, the host under the US-West
 instance crashes: the application's reads fail over to the next-closest
 replica, the TSM's heartbeats declare the server dead, and the TIM spawns
-a replacement on the region's second server, which pulls every key from a
-live peer.  Forty seconds after the crash the application asks Wiera for
-the instance list again (Table 1's ``getInstances``) and reads from the
+a replacement on the region's second server; each live peer in turn
+pushes it every key it lacks (``sync_to``, merged at the replacement).
+Forty seconds after the crash the application asks Wiera for the
+instance list again (Table 1's ``getInstances``) and reads from the
 replacement.
 
 For each phase the run prints the gets each instance served and the

@@ -3,11 +3,11 @@
 The retry backlog (:class:`~repro.core.consistency.base.ReplicationQueue`)
 caps its attempts, so a long outage can still leave a replica behind.  The
 :class:`AntiEntropyRepairer` is the backstop: every ``interval`` seconds it
-pulls each peer's key digest (the latest version's
-:data:`~repro.tiera.objects.Stamp` per key) and pushes a full
-``replica_update`` for every key where the local latest has the greater
-stamp.  Push-only repair cannot resurrect *removed* keys on the remote
-side (a purged record is indistinguishable from a never-seen one);
+brings each peer up to date through the one catch-up path,
+:meth:`~repro.tiera.instance.TieraInstance.sync_to` (the peer's digest,
+then a ``replica_update`` for every key where the local latest has the
+greater stamp).  Push-only repair cannot resurrect *removed* keys on the
+remote side (a purged record is indistinguishable from a never-seen one);
 removes are instead retried by the queue itself.
 
 Repair is off by default — an idle repairer would perturb experiment
@@ -22,7 +22,6 @@ from typing import Callable, Generator, Optional
 from repro.net.network import NetworkError
 from repro.obs.api import get_obs
 from repro.sim.primitives import Loop
-from repro.tiera.objects import NO_STAMP
 
 
 class AntiEntropyRepairer:
@@ -47,7 +46,6 @@ class AntiEntropyRepairer:
         self.batch_bytes = batch_bytes
         self.rounds = 0
         self.keys_pushed = 0
-        self.batches = 0
         metrics = get_obs(instance.sim).metrics
         labels = {"instance": instance.instance_id}
         self._m_rounds = metrics.counter("repair.rounds", **labels)
@@ -64,40 +62,26 @@ class AntiEntropyRepairer:
             yield from self.repair_round()
 
     def repair_round(self) -> Generator:
-        """Compare digests with every reachable peer; push stale keys."""
+        """Sync every reachable peer; what a lost batch or a refused entry
+        left is the next round's."""
         instance = self.instance
         self.rounds += 1
         self._m_rounds.inc()
         for peer_id, peer in list(instance.peers.items()):
             try:
-                digest = yield from instance.node.invoke(peer.node, "digest")
+                landed, _failed, theirs = yield from instance.sync_to(
+                    peer.node, batch_bytes=self.batch_bytes)
             except NetworkError:
                 continue  # unreachable peer: next round will see it
-            yield from self._push_stale(peer_id, peer, digest["keys"])
-
-    def _push_stale(self, peer_id: str, peer, theirs: dict) -> Generator:
-        """Ship every key the peer is behind on; ack per entry."""
-        instance = self.instance
-        stale = []
-        for record in list(instance.meta.records()):
-            meta = record.latest()
-            if meta is None:
-                continue
-            if theirs.get(record.key, NO_STAMP) < meta.stamp:
-                stale.append(record.key)
-            else:
-                # The peer is already current for this key — possibly via
-                # a third replica's repair — so any recorded delivery
-                # failure for it has been resolved.
-                self._mark_delivered(peer_id, record.key)
-        # what a lost batch or a refused entry left is the next round's
-        landed, _failed, answered = yield from instance.push_latest(
-            peer.node, stale, self.batch_bytes)
-        self.batches += answered
-        self.keys_pushed += len(landed)
-        self._m_pushed.inc(len(landed))
-        for key in landed:
-            self._mark_delivered(peer_id, key)
+            self.keys_pushed += len(landed)
+            self._m_pushed.inc(len(landed))
+            # A key the peer already held at our stamp — possibly via a
+            # third replica's repair — has any recorded delivery failure
+            # resolved, as has every key that landed.
+            held = [key for key, stamp in instance.key_state().items()
+                    if theirs.get(key) == stamp]
+            for key in landed + held:
+                self._mark_delivered(peer_id, key)
 
     def _mark_delivered(self, peer_id: str, key: str) -> None:
         if self._queue_for is not None:

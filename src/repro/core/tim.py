@@ -22,11 +22,10 @@ from repro.core.consistency import (
     PrimaryBackupProtocol,
 )
 from repro.core.global_policy import GlobalPolicySpec, RegionPlacement
-from repro.net.network import NetworkError
+from repro.faults.retry import TRANSIENT_ERRORS
 from repro.obs.api import get_obs
 from repro.sim.primitives import shielded
 from repro.sim.rpc import RpcNode
-from repro.storage.backend import StorageError
 from repro.tiera.instance import InstanceRef
 from repro.tiera.instance_tier import InstanceTier
 from repro.tiera.local_protocol import LocalOnlyProtocol
@@ -354,31 +353,23 @@ class TieraInstanceManager:
             new_rec = yield from self._spawn(
                 replacement, f"{rec.instance_id}-r{int(self.sim.now)}",
                 rec.placement)
-            # Every peer table learns of it, it gets the protocol, and it
-            # pulls the current data from a live peer.
+            # Every peer table learns of it, it gets the protocol, and
+            # each live peer in turn syncs it (``sync_to``), so it ends
+            # holding the greatest stamp any of them held; a racing
+            # replica update is one more merge.
             yield from self._propagate_peers()
             yield from self.node.invoke(new_rec.node, "ctl_set_protocol",
                                         {"protocol": self.protocol})
-            yield from self._resync(new_rec)
-
-    def _resync(self, record: InstanceRecord) -> Generator:
-        """Pull the latest version of every key from a live peer."""
-        donor = next((rec for rec in self.instances.values()
-                      if not rec.down and rec is not record), None)
-        if donor is None:
-            return
-        digest = yield from self.node.invoke(donor.node, "digest")
-        instance = record.instance
-        for key in digest["keys"]:
-            try:
-                got = yield from instance.node.invoke(donor.node, "peer_get",
-                                                      {"key": key})
-            except (NetworkError, StorageError):
-                continue
-            yield from instance.local_put(
-                key, got["data"], version=got["version"],
-                origin=got.get("origin", donor.instance_id),
-                last_modified=got.get("last_modified"))
+            for peer in self.alive_records():
+                if peer is new_rec:
+                    continue
+                try:
+                    yield from self.node.invoke(
+                        peer.node, "ctl_sync_to",
+                        {"dest": new_rec.node,
+                         "batch_bytes": self.spec.batch_bytes})
+                except TRANSIENT_ERRORS:
+                    continue    # the next live peer supplies the rest
 
     # ------------------------------------------------------------------
     # centralized cold data

@@ -10,9 +10,9 @@ ranges without losing an acknowledged write:
    ``replica_update``/``replica_remove`` machinery) to the new owner's
    instances while the old owner keeps serving.
 2. **Bulk copy** — one live digest-driven pass per (source instance,
-   destination instance) pair pushes the current contents of the moving
-   ranges; deliveries are idempotent (LWW at the destination), so this
-   can race freely with the dual writes.
+   destination instance) pair, the source's ``sync_to``, pushes the
+   current contents of the moving ranges; deliveries are idempotent (the
+   destination's merge), so this can race freely with the dual writes.
 3. **Cutover on drain** — source gates close (new requests queue, §3.3.2
    style), replication queues drain, and the digest sweep repeats until
    a full pass finds nothing left to move — so a partition mid-migration
@@ -35,7 +35,7 @@ from repro.core.tim import gated
 from repro.faults.retry import TRANSIENT_ERRORS, RetryPolicy
 from repro.obs.api import get_obs
 from repro.shard.map import HandoffSpec, ShardError, ShardMap
-from repro.tiera.objects import NO_STAMP
+from repro.sim.primitives import window
 
 #: retry posture for migration control traffic: patient, capped backoff.
 #: max_attempts is intentionally large — a migration must outwait a
@@ -187,10 +187,10 @@ class Rebalancer:
                     reconcile_removes: bool) -> Generator:
         """One digest-driven copy pass; returns how much remains unmoved.
 
-        For each source instance, keys whose owner changes under
-        ``ring_new`` are pushed (source → destination directly; Wiera
-        stays off the data path) to every instance of the new owner that
-        is missing them or holds an LWW-older copy.  With
+        For each source instance, the keys whose owner changes under
+        ``ring_new`` are synced (source → destination directly, through
+        :meth:`~repro.tiera.instance.TieraInstance.sync_to`; Wiera stays
+        off the data path) to every instance of the new owner.  With
         ``reconcile_removes`` (cutover only, when no new source writes
         can race), keys the source has removed are also removed from the
         destination.
@@ -206,47 +206,49 @@ class Rebalancer:
                     pending += 1
                     continue
                 src_keys = src_digest["keys"]
-                moving: dict[str, dict] = {}
-                for key, stamp in src_keys.items():
+                moving: dict[str, list[str]] = {}
+                for key in src_keys:
                     dest = ring_new.owner(key)
                     if dest != shard_id:
-                        moving.setdefault(dest, {})[key] = stamp
+                        moving.setdefault(dest, []).append(key)
                 dest_ids = (sorted(set(shards_new) - {shard_id})
                             if reconcile_removes else sorted(moving))
-                for dest_id in dest_ids:
-                    to_dest = moving.get(dest_id, {})
-                    for info in shards_new[dest_id]:
-                        pending += yield from self._sync_pair(
-                            rec, info["node"], dest_id, to_dest, src_keys,
-                            old_map, ring_new, shard_id, reconcile_removes)
+                pairs = [(dest_id, info["node"],
+                          sorted(moving.get(dest_id, ())))
+                         for dest_id in dest_ids
+                         for info in shards_new[dest_id]]
+                # The live pass syncs one destination at a time beside the
+                # traffic the source still serves.  The cutover's pairs run
+                # side by side: its gates are closed, so every second of it
+                # is load queued or shed, and after the live pass most of
+                # its pairs are a digest exchange alone.
+                if pairs:
+                    unmoved = yield from window(
+                        self.sim, len(pairs) if reconcile_removes else 1,
+                        pairs, lambda pair: self._sync_pair(
+                            rec, *pair, src_keys, old_map, ring_new,
+                            shard_id, reconcile_removes),
+                        f"rebalance:{rec.instance_id}:%d")
+                    pending += sum(unmoved)
         return pending
 
-    def _sync_pair(self, src_rec, dest_node, dest_id: str, to_dest: dict,
+    def _sync_pair(self, src_rec, dest_id: str, dest_node, to_dest: list,
                    src_keys: dict, old_map: ShardMap, ring_new,
                    source_id: str, reconcile_removes: bool) -> Generator:
         """Bring one destination instance up to date from one source."""
         try:
-            dest_digest = yield from self.node.invoke(dest_node, "digest", {})
+            result = yield from self.node.invoke(
+                src_rec.node, "ctl_sync_to",
+                {"dest": dest_node, "keys": to_dest,
+                 "batch_bytes": self.manager.spec.batch_bytes})
         except TRANSIENT_ERRORS:
             return len(to_dest) or 1
-        theirs = dest_digest["keys"]
-        stale = [key for key, ours in to_dest.items()
-                 if theirs.get(key, NO_STAMP) < ours]
-        failed = 0
-        if stale:
-            try:
-                result = yield from self.node.invoke(
-                    src_rec.node, "ctl_migrate_keys",
-                    {"keys": sorted(stale), "dest": dest_node,
-                     "batch_bytes": self.manager.spec.batch_bytes})
-            except TRANSIENT_ERRORS:
-                return len(stale)
-            self.moved_keys.update(result["moved"])
-            self._m_keys.inc(len(result["moved"]))
-            failed += len(result["failed"])
+        self.moved_keys.update(result["landed"])
+        self._m_keys.inc(len(result["landed"]))
+        failed = len(result["failed"])
         if reconcile_removes:
             # Keys the source removed after an earlier pass copied them.
-            extra = [key for key in theirs
+            extra = [key for key in result["theirs"]
                      if key not in src_keys
                      and ring_new.owner(key) == dest_id
                      and old_map.ring.owner(key) == source_id]

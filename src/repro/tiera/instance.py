@@ -29,7 +29,8 @@ from repro.storage.factory import make_tier
 from repro.tiera import transforms
 from repro.tiera.local_protocol import LocalOnlyProtocol
 from repro.tiera.metadata_store import MetadataStore
-from repro.tiera.objects import ObjectRecord, Stamp, VersionMeta, storage_key
+from repro.tiera.objects import (NO_STAMP, ObjectRecord, Stamp, VersionMeta,
+                                 storage_key)
 from repro.tiera.events import FilledEvent
 from repro.tiera.policy import LocalPolicy, Rule
 from repro.tiera.responses import ResponseContext
@@ -478,15 +479,27 @@ class TieraInstance:
                 "last_modified": meta.last_modified,
                 "origin": meta.origin or self.instance_id, "data": data}
 
-    def push_latest(self, node: RpcNode, keys: Iterable[str],
-                    batch_bytes: float) -> Generator:
-        """Anti-entropy's and migration's push: read the latest version of
-        each key, then ship them as ``replica_update`` batches of at most
-        ``batch_bytes`` (0: one key each).  Returns ``(landed, failed,
-        answered batches)``; a key with no version here is in neither."""
+    def sync_to(self, node: RpcNode, keys: Optional[Iterable[str]] = None,
+                *, batch_bytes: float) -> Generator:
+        """Bring the replica at ``node`` up to date with this one: the one
+        catch-up path of anti-entropy, shard migration and §4.4 recovery.
+
+        One ``digest`` RPC fetches the peer's stamps; every key (of
+        ``keys``, default all) whose latest stamp here is greater ships as
+        a ``replica_update`` in batches of at most ``batch_bytes`` (0: one
+        key each), which the peer's merge (:meth:`apply_replica_update`)
+        lands.  Returns ``(landed, failed, theirs)``: the keys the peer
+        answered for, those a lost batch, a refused entry or an unreadable
+        copy left, and the peer's digest.  A failed digest raises.
+        """
+        digest = yield from self.node.invoke(node, "digest")
+        theirs = digest["keys"]
+        ours = self.key_state()
+        stale = [key for key in (ours if keys is None else keys)
+                 if key in ours and theirs.get(key, NO_STAMP) < ours[key]]
         landed, failed = [], []
         payload: list[tuple[str, dict]] = []
-        for key in keys:
+        for key in stale:
             try:
                 args = yield from self.replica_args(key)
             except ObjectMissingError:
@@ -495,18 +508,16 @@ class TieraInstance:
                 failed.append(key)
                 continue
             payload.append(("replica_update", args))
-        answered = 0
         for entries in split_batches(payload, batch_bytes):
             call = self.node.call_batch(node, entries)
             call.defuse()
             try:
                 results = yield call
-                answered += 1
             except NetworkError:
                 results = [{}] * len(entries)   # the whole batch is lost
             for (_method, args), res in zip(entries, results):
                 (landed if res.get("ok") else failed).append(args["key"])
-        return landed, failed, answered
+        return landed, failed, theirs
 
     # ------------------------------------------------------------------
     # keyspace partitioning (repro.shard)
@@ -668,7 +679,7 @@ class TieraInstance:
         n.register("ctl_set_redirect", self.rpc_ctl_set_redirect)
         n.register("ctl_set_shard", self.rpc_ctl_set_shard)
         n.register("ctl_set_handoff", self.rpc_ctl_set_handoff)
-        n.register("ctl_migrate_keys", self.rpc_ctl_migrate_keys)
+        n.register("ctl_sync_to", self.rpc_ctl_sync_to)
         n.register("ctl_purge_misowned", self.rpc_ctl_purge_misowned)
         n.register("ctl_demote_cold", self.rpc_ctl_demote_cold)
         n.register("ctl_adopt_remote_cold", self.rpc_ctl_adopt_remote_cold)
@@ -819,8 +830,8 @@ class TieraInstance:
                    for t in meta.locations if t in self.tiers)
 
     def rpc_digest(self, msg: Message) -> Generator:
-        """The latest stamp per key: the anti-entropy digest, and the
-        listing a recovered replica re-syncs from."""
+        """The latest stamp per key: what :meth:`sync_to` compares its own
+        against."""
         yield self.sim.timeout(METADATA_WRITE_LATENCY)
         return {"keys": self.key_state(), "instance": self.instance_id}
 
@@ -970,15 +981,15 @@ class TieraInstance:
         self.shard_handoff = msg.args.get("handoff")
         return {"handoff": self.shard_handoff is not None}
 
-    def rpc_ctl_migrate_keys(self, msg: Message) -> Generator:
-        """Shard-rebalance bulk copy to ``dest`` (instance to instance,
-        Wiera off the data path); a key with nothing left here is moved."""
-        keys = msg.args["keys"]
-        _landed, failed, _ = yield from self.push_latest(
-            msg.args["dest"], keys, msg.args.get("batch_bytes", 0.0))
-        lost = set(failed)
-        return {"moved": [key for key in keys if key not in lost],
-                "failed": failed, "instance": self.instance_id}
+    def rpc_ctl_sync_to(self, msg: Message) -> Generator:
+        """:meth:`sync_to` the replica at ``dest``, instance to instance
+        (Wiera off the data path): a shard migration's bulk copy and a
+        §4.4 replacement's catch-up."""
+        landed, failed, theirs = yield from self.sync_to(
+            msg.args["dest"], msg.args.get("keys"),
+            batch_bytes=msg.args.get("batch_bytes", 0.0))
+        return {"landed": landed, "failed": failed, "theirs": theirs,
+                "instance": self.instance_id}
 
     def rpc_ctl_purge_misowned(self, msg: Message) -> Generator:
         """Drop local copies of keys the (new) shard guard assigns

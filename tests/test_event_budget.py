@@ -51,6 +51,12 @@ total                                                        14 + 5P
 
 ``ShardRouter.refresh`` is one waited-on RPC with a service time: 3.
 
+``TieraInstance.sync_to`` of ``N`` stale keys in ``B`` batches is the
+peer's ``digest`` (request, service time, reply: 3), one tier read per
+key, and a batch RPC per batch with a tier and a metadata write per entry
+applied at the peer: ``3 + N + 3B + 2N`` events and ``2 + 2B`` messages.
+A peer already current costs the digest alone.
+
 An open-loop cohort op is its arrival timer plus the get or put above:
 launching it (``ClientCohort._launch`` is a ``sim.process()``) and its
 completion (nobody watches a cohort op) cost nothing.
@@ -97,6 +103,8 @@ PER_BATCH = 2 + WATCHED_FINISH  # a batch RPC: request, reply, as a process
 PER_APPLY = 2         # a replica update at the peer: tier + metadata write
 PER_REFRESH = 3       # ShardRouter.refresh: request, service time, reply
 PER_ARRIVAL = 1       # an open-loop cohort's inter-arrival timer
+PER_DIGEST = 3        # a digest RPC: request, service time, reply
+PER_READ = 1          # reading one key's latest version off the tier
 
 
 def per_locked_put(peers: int) -> int:
@@ -333,6 +341,38 @@ def test_exact_events_per_multi_primaries_put(regions):
         == DRIVER + per_locked_put(peers)
     # Reads take no lock: the plain get.
     assert events(dep, client.get("key-0")) == DRIVER + PER_GET
+
+
+#: a replica update of a 1 KiB value on the wire: its fixed part and bytes
+UPDATE_BYTES = 512 + 1024
+
+
+@pytest.mark.parametrize("bound, per_batch", [(0.0, 1),
+                                              (4 * UPDATE_BYTES, 4)])
+def test_exact_cost_of_sync_to(bound, per_batch):
+    """The one catch-up path: the digest pair, then the stale keys in
+    size-bounded batches; a peer already current costs the digest only."""
+    dep, client = deploy([US_EAST, US_WEST])
+
+    def puts():
+        for i in range(N):
+            yield from client.put(f"key-{i}", bytes(1024))
+    dep.drive(puts())     # the parked queue keeps them from US West
+    east = dep.instance("budget", US_EAST)
+    west = dep.instance("budget", US_WEST)
+    batches = -(-N // per_batch)
+
+    messages = dep.metric_total("net.messages")
+    cost = events(dep, east.sync_to(west.node, batch_bytes=bound))
+    assert dep.metric_total("net.messages") - messages == 2 + 2 * batches
+    assert cost == DRIVER + PER_DIGEST + N * PER_READ + (
+        batches * PER_BATCH + N * PER_APPLY)
+    assert len(west.key_state()) == N
+
+    messages = dep.metric_total("net.messages")
+    assert events(dep, east.sync_to(west.node, batch_bytes=bound)) \
+        == DRIVER + PER_DIGEST
+    assert dep.metric_total("net.messages") - messages == 2
 
 
 def test_exact_events_per_router_refresh():

@@ -10,7 +10,7 @@ from repro import (
     build_deployment,
 )
 from repro.net import EU_WEST, US_EAST, US_WEST
-from repro.tiera.policy import write_back_policy
+from repro.tiera.policy import disk_only_policy, write_back_policy
 
 REGIONS = (US_EAST, US_WEST, EU_WEST)
 
@@ -36,6 +36,50 @@ def deploy(min_replicas=3, heartbeat=2.0, missed=2, regions=REGIONS,
         failure=FailureSpec(min_replicas=min_replicas))
     instances = dep.start_wiera_instance("ft", spec)
     return dep, instances
+
+
+def ssd_world():
+    """``examples/failure.py``'s world: one EBS SSD replica in each of US
+    West (the first instance), US East and EU West, a spare server in
+    every region, and at least three live replicas."""
+    regions = (US_WEST, US_EAST, EU_WEST)
+    dep = build_deployment(list(regions), seed=4, servers_per_region=2)
+    ssd = disk_only_policy(profile="ebs_ssd")
+    spec = GlobalPolicySpec(
+        name="ft", placements=tuple(RegionPlacement(r, ssd) for r in regions),
+        consistency="eventual", failure=FailureSpec(min_replicas=3))
+    instances = dep.start_wiera_instance("ft", spec)
+    return dep, instances, dep.tim("ft")
+
+
+def seed(dep, writer, keys, copies: int) -> None:
+    """Put every key once, then let replication land everywhere."""
+    def puts():
+        for key in keys:
+            yield from writer.put(key, key.encode() * copies)
+        yield dep.sim.timeout(5.0)
+    dep.drive(puts())
+
+
+def crash_host_of(dep, record) -> None:
+    dep.wiera.tsm.servers[record.server_id].server.crash()
+
+
+def rows_of(dep, *records) -> list[list[str]]:
+    """Each record's ``store_rows(detail=True)``, namespace and instance
+    stripped, so that replicas holding the same writes compare equal."""
+    rows = {rec.instance_id: [] for rec in records}
+    for row in dep.store_rows(detail=True):
+        _ns, iid, rest = row.split("/", 2)
+        if iid in rows:
+            rows[iid].append(rest)
+    return [rows[rec.instance_id] for rec in records]
+
+
+def replacement_of(tim, instances):
+    originals = {info["instance_id"] for info in instances}
+    return next(rec for rec in tim.instances.values()
+                if rec.instance_id not in originals)
 
 
 class TestHeartbeat:
@@ -79,10 +123,60 @@ class TestReplicaRecovery:
         replacements = [rec for rec in live if "-r" in rec.instance_id]
         assert replacements, [r.instance_id for r in live]
         replacement = replacements[0]
-        # the replacement pulled all keys from a surviving peer
-        for i in range(5):
-            record = replacement.instance.meta.get_record(f"k{i}")
-            assert record is not None and record.latest_version >= 1
+        # the live peers brought the replacement level with a survivor
+        survivor = next(rec for rec in live if rec.region == US_EAST)
+        rows, theirs = rows_of(dep, replacement, survivor)
+        assert len(rows) == 5 and rows == theirs
+
+    def test_puts_racing_the_recovery_converge(self):
+        """A US East writer puts every 10 ms across the crash: replica
+        updates reach the replacement while the live peers sync it, and
+        each lands through the one merge."""
+        dep, instances, tim = ssd_world()
+        writer = dep.add_client(US_EAST, instances=instances)
+        keys = [f"row{i}" for i in range(20)]
+        seed(dep, writer, keys, copies=128)
+        end = dep.sim.now + 30.0
+
+        def writes():
+            i = 0
+            while dep.sim.now < end:
+                yield from writer.put(keys[i % len(keys)], b"%d" % i * 64)
+                i += 1
+                yield dep.sim.timeout(0.01)
+        dep.sim.process(writes())
+        dep.sim.run(until=dep.sim.now + 2.0)
+        crash_host_of(dep, tim.instances[instances[0]["instance_id"]])
+        dep.sim.run(until=end + 10.0)    # the writes stop, the queues flush
+        live = tim.alive_records()
+        assert replacement_of(tim, instances) in live and len(live) == 3
+        rows = rows_of(dep, *live)
+        assert len(rows[0]) == len(keys)
+        assert all(other == rows[0] for other in rows[1:])
+
+    def test_a_peer_crashing_mid_sync_leaves_the_rest_to_the_next(self):
+        """The first live peer dies a second into bringing the replacement
+        up to date; the next one supplies every key it did not."""
+        dep, instances, tim = ssd_world()
+        writer = dep.add_client(US_EAST, instances=instances)
+        keys = [f"row{i}" for i in range(200)]
+        seed(dep, writer, keys, copies=16)
+        crash_host_of(dep, tim.instances[instances[0]["instance_id"]])
+        while len(tim.instances) == len(instances):
+            dep.sim.run(until=dep.sim.now + 0.05)
+        replacement = replacement_of(tim, instances)
+        dep.sim.run(until=dep.sim.now + 1.0)
+        first = next(rec for rec in tim.alive_records()
+                     if rec is not replacement)
+        held = sum(1 for key in keys
+                   if replacement.instance.meta.get_record(key))
+        assert 0 < held < len(keys)       # the crash lands mid-sync
+        crash_host_of(dep, first)
+        dep.sim.run(until=dep.sim.now + 60.0)
+        survivor = next(rec for rec in tim.alive_records()
+                        if rec.region == EU_WEST)
+        rows, theirs = rows_of(dep, replacement, survivor)
+        assert len(rows) == len(keys) and rows == theirs
 
     def test_no_recovery_below_threshold(self):
         dep, instances = deploy(min_replicas=1)

@@ -11,7 +11,12 @@ contents change.  These tests hold what follows from that:
 * a replace happens in one step: a get racing it returns one whole write,
   never a missing object;
 * an AST ratchet keeps every other ``<``/``>`` on a version or a timestamp
-  out of ``src/``, except the named exemptions.
+  out of ``src/``, except the named exemptions;
+* two more keep the merge the only way in: a ``local_put`` that names its
+  version appears only in the merge and in the EC coordinator's write
+  (which mints the version), and ``NO_STAMP`` — the stamp of a key not
+  held — is named only under ``repro/tiera/``, so no other plane decides
+  for itself what a replica lacks.
 """
 
 from __future__ import annotations
@@ -180,12 +185,16 @@ def order_comparisons(source: str, path: str) -> set[str]:
     return found
 
 
+def _src_files():
+    for path in sorted(SRC.rglob("*.py")):
+        yield str(path.relative_to(SRC)), path.read_text()
+
+
 def _src_comparisons() -> set[str]:
     found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        rel = str(path.relative_to(SRC))
+    for rel, source in _src_files():
         if rel != "repro/tiera/objects.py":
-            found |= order_comparisons(path.read_text(), rel)
+            found |= order_comparisons(source, rel)
     return found
 
 
@@ -207,3 +216,79 @@ def test_versions_are_ordered_only_by_the_stamp():
 ])
 def test_ratchet_flags_a_planted_comparison(planted):
     assert order_comparisons(planted, "repro/x.py")
+
+
+# -- the merge is the only way in ---------------------------------------------
+
+#: where a ``local_put`` may name the version it stores -> why
+VERSIONED_PUTS = {
+    "repro/tiera/instance.py::TieraInstance.apply_replica_update":
+        "the merge: installs or replaces a version held elsewhere",
+    "repro/ec/protocol.py::ECProtocol._put":
+        "the coordinator's write, which mints the version it stores",
+}
+
+
+def versioned_puts(source: str, path: str) -> set[str]:
+    """``path::Class.function`` of every ``local_put`` call in ``source``
+    that passes a version (``version=``, or a third positional)."""
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope
+                      else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "local_put" and (
+                        len(child.args) >= 3
+                        or any(kw.arg == "version" for kw in child.keywords)):
+                    found.add(f"{path}::{scope}")
+            visit(child, scope)
+    visit(ast.parse(source, path), "")
+    return found
+
+
+def test_only_the_merge_and_the_ec_coordinator_put_a_given_version():
+    found = set()
+    for rel, source in _src_files():
+        found |= versioned_puts(source, rel)
+    assert found <= set(VERSIONED_PUTS), (
+        f"install a held-elsewhere version through "
+        f"TieraInstance.apply_replica_update: "
+        f"{sorted(found - set(VERSIONED_PUTS))}")
+    assert found == set(VERSIONED_PUTS), (
+        f"stale VERSIONED_PUTS entries: {sorted(set(VERSIONED_PUTS) - found)}")
+
+
+@pytest.mark.parametrize("planted", [
+    "class T:\n    def f(self, i):\n"
+    "        yield from i.local_put('k', b'', version=2)\n",
+    "def f(i):\n    yield from i.local_put('k', b'', 2)\n",
+])
+def test_versioned_put_ratchet_flags_a_planted_call(planted):
+    assert versioned_puts(planted, "repro/x.py")
+    assert not versioned_puts("def f(i):\n    i.local_put('k', b'')\n",
+                              "repro/x.py")
+
+
+def test_no_stamp_is_named_only_under_tiera():
+    """What a replica lacks is decided by ``TieraInstance.sync_to``'s one
+    comparison, not by each plane against ``NO_STAMP``."""
+    named = set()
+    for rel, source in _src_files():
+        if rel.startswith("repro/tiera/"):
+            continue
+        for node in ast.walk(ast.parse(source, rel)):
+            if (isinstance(node, ast.Name) and node.id == "NO_STAMP"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "NO_STAMP"
+                    or isinstance(node, ast.alias)
+                    and node.name == "NO_STAMP"):
+                named.add(rel)
+    assert not named, f"NO_STAMP named outside repro/tiera/: {sorted(named)}"

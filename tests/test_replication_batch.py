@@ -206,7 +206,11 @@ class TestSyncBroadcast:
 
 
 class TestBatchedMigration:
-    def test_migrate_keys_ships_size_bounded_batches(self, world):
+    """``ctl_sync_to``, the shard migration's bulk copy (and a recovered
+    replica's catch-up): the destination's digest, then size-bounded
+    batches of the keys it lacks."""
+
+    def test_sync_to_ships_size_bounded_batches(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         west = dep.instance("q", US_WEST)
@@ -216,37 +220,44 @@ class TestBatchedMigration:
 
         def go():
             result = yield east.node.call(
-                east.node, "ctl_migrate_keys",
+                east.node, "ctl_sync_to",
                 {"keys": [f"k{i}" for i in range(5)],
                  "dest": west.node,
                  # two entries (~612 B each) per batch -> 3 batches
                  "batch_bytes": 1300.0})
             return result
         result = dep.drive(go())
-        assert sorted(result["moved"]) == [f"k{i}" for i in range(5)]
-        assert result["failed"] == []
+        assert sorted(result["landed"]) == [f"k{i}" for i in range(5)]
+        assert result["failed"] == [] and result["theirs"] == {}
         for i in range(5):
             assert west.meta.get_record(f"k{i}") is not None
-        # loopback ctl call (free) + 3 batch request/reply pairs
-        assert dep.metric_total("net.messages") - before <= 8
+        # the loopback ctl pair (unbilled), the digest pair, 3 batch pairs
+        assert dep.metric_total("net.messages") - before == 2 + 2 + 3 * 2
 
-    def test_migrate_batch_transport_failure_fails_those_keys(self, world):
+    def test_sync_to_batch_transport_failure_fails_those_keys(self, world):
         dep, _ = world
         east = dep.instance("q", US_EAST)
         west = dep.instance("q", US_WEST)
         for i in range(3):
             make_update(east, dep, f"k{i}", b"x")
-        west.host.down = True
+
+        def die_before_first(n):
+            if n == 0:
+                west.host.down = True
+        spy_batches(east.node, die_before_first)
 
         def go():
             result = yield east.node.call(
-                east.node, "ctl_migrate_keys",
+                east.node, "ctl_sync_to",
                 {"keys": [f"k{i}" for i in range(3)],
                  "dest": west.node, "batch_bytes": 1e6})
             return result
         result = dep.drive(go())
-        assert result["moved"] == []
+        assert result["landed"] == []
         assert sorted(result["failed"]) == [f"k{i}" for i in range(3)]
+        # a peer already dead at the digest fails the whole call
+        with pytest.raises(HostDownError):
+            dep.drive(go())
 
     def test_bound_zero_ships_one_key_per_message(self, world):
         dep, _ = world
@@ -263,22 +274,24 @@ class TestBatchedMigration:
 
         def migrate(which):
             result = yield east.node.call(
-                east.node, "ctl_migrate_keys",
+                east.node, "ctl_sync_to",
                 {"keys": which, "dest": west.node})   # no bound given
             return result
         before = dep.metric_total("net.messages")
         result = dep.drive(migrate(keys))
         assert sizes == [1, 1, 1, 1]
-        # The loopback ctl call, then two request/reply pairs landed and
-        # two requests were refused by the dead host.
-        assert dep.metric_total("net.messages") - before == 2 + 2 * 2
+        # The loopback ctl pair, the digest pair, then two request/reply
+        # pairs landed; the dead host refused two requests unsent.
+        assert dep.metric_total("net.messages") - before == 2 + 2 + 2 * 2
         # The peer died between entries: every key is accounted for, and
-        # exactly the acknowledged ones are claimed as moved.
-        assert result["moved"] == keys[:2] and result["failed"] == keys[2:]
+        # exactly the acknowledged ones are claimed as landed.
+        assert result["landed"] == keys[:2] and result["failed"] == keys[2:]
         assert [west.meta.get_record(k) is not None for k in keys] == [
             True, True, False, False]
         west.host.down = False
-        assert dep.drive(migrate(result["failed"]))["failed"] == []
+        again = dep.drive(migrate(keys))
+        # the digest shows what is still missing, and only that ships
+        assert again["landed"] == keys[2:] and again["failed"] == []
         assert all(west.meta.get_record(k) is not None for k in keys)
 
     def test_rebalance_bulk_copy_uses_batches_and_loses_nothing(self):
@@ -333,7 +346,7 @@ class TestAntiEntropyPush:
         sizes = spy_batches(east.node, die_before_third)
         dep.drive(repairer.repair_round())
         assert sizes == [1, 1, 1, 1]
-        assert repairer.keys_pushed == 2 and repairer.batches == 2
+        assert repairer.keys_pushed == 2
         # The peer died between entries; the next round's digest shows
         # exactly what is still missing and ships only that.
         west.host.down = False
