@@ -13,7 +13,7 @@ from repro.bench.harness import build_deployment
 from repro.bench.reporting import ExperimentReport, register_report
 from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
 from repro.policydsl import builtin_policy
-from repro.obs.history import staleness
+from repro.obs.check import check
 from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 REGIONS = (US_WEST, EU_WEST, ASIA_EAST)
@@ -53,8 +53,8 @@ def _run_interval(queue_interval: float, duration: float = 300.0):
             coalesced += queue.coalesced
             sent += queue.updates_sent
     return {
-        "outdated": staleness(yc.client.history
-                              for yc in clients).outdated_fraction,
+        "outdated": check(yc.client.history
+                          for yc in clients).staleness.outdated_fraction,
         "updates_sent": sent,
         "coalesced": coalesced,
         "wan_mb": (dep.metric_total("net.bytes") - net_before) / (1 << 20),

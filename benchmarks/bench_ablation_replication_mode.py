@@ -13,7 +13,7 @@ from repro.bench.harness import build_deployment
 from repro.bench.reporting import ExperimentReport, register_report
 from repro.core.client import OP_ERRORS
 from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
-from repro.obs.history import staleness
+from repro.obs.check import check
 from repro.policydsl import builtin_policy
 from repro.util.units import MS
 
@@ -42,7 +42,7 @@ def _run_mode(sync: bool, ops: int = 60, queue_interval: float = 5.0):
                 pass    # booked in the reader's history
             yield dep.sim.timeout(0.5)
     dep.drive(workload())
-    reads = staleness((writer.history, reader.history))
+    reads = check((writer.history, reader.history)).staleness
     # a get the backup failed (it has never heard of the key yet) is
     # maximally stale here, while the staleness query leaves it unjudged
     failed = sum(outcome is not None for outcome in reader.history.outcome)

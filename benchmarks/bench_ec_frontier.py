@@ -18,7 +18,8 @@ For each cell it measures the two axes the redundancy plane trades off:
 
 It also reports what the :class:`RedundancyOptimizer` *predicts* for the
 same schemes, so the analytical model can be eyeballed against the
-simulated outcome.
+simulated outcome.  Each cell asserts the history checker
+(:mod:`repro.obs.check`) over its client's ops.
 
 The gate (``benchmarks/gates.py ec_frontier``) fails when EC's monthly
 storage dollars stop beating replication's by MIN_STORAGE_RATIO at equal
@@ -41,6 +42,7 @@ from repro.ec.optimizer import RedundancyOptimizer
 from repro.ec.protocol import decode_manifest
 from repro.net.topology import (ASIA_EAST, EU_WEST, US_EAST, US_WEST,
                                 Topology)
+from repro.obs.check import check
 from repro.tiera.policy import disk_only_policy
 from repro.util.units import GB
 
@@ -126,6 +128,8 @@ def _cell(redundancy: RedundancySpec, objects: int, value_size: int,
     dep.sim.run(until=dep.sim.now + 0.2)
     read_phase(degraded_latencies, reads)
     dep.sim.run(until=dep.sim.now + crash_for)  # recover before teardown
+    # every op was coordinated at fragment 0's holder: all five rules hold
+    check([client.history], faults=[faults]).assert_holds()
 
     wall = time.perf_counter() - started_wall
     stored_bytes = 0

@@ -13,7 +13,7 @@ Run:  python examples/follow_the_sun.py
 
 from repro import build_deployment
 from repro.net import ASIA_EAST, EU_WEST, US_WEST
-from repro.obs.history import staleness
+from repro.obs.check import check
 from repro.policydsl import builtin_policy
 from repro.util.units import MINUTE, MS
 from repro.workloads import (
@@ -73,7 +73,7 @@ def main() -> None:
         if values:
             print(f"  {region:10s} {sum(values) / len(values) / MS:7.1f} ms "
                   f"({len(values)} puts)")
-    reads = staleness(wc.history for _, wc, _ in ycsb)
+    reads = check(wc.history for _, wc, _ in ycsb).staleness
     print(f"\nfraction of reads that saw outdated data: "
           f"{100 * reads.outdated_fraction:.1f}% "
           f"(the paper cuts 69% to 39% by moving the primary)")

@@ -23,7 +23,7 @@ from repro.net.topology import ASIA_EAST, EU_WEST, US_WEST
 from repro.policydsl import builtin_policy
 from repro.util.units import MINUTE, MS
 from repro.workloads.clients import GeoClientPopulation
-from repro.obs.history import staleness
+from repro.obs.check import check
 from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 REGIONS = (ASIA_EAST, EU_WEST, US_WEST)
@@ -80,8 +80,8 @@ def _run_one(changing: bool, seed: int, duration: float,
         yc.stop()
 
     result = Fig8Result()
-    reads = staleness(c.history for clients in by_region.values()
-                      for c in clients)
+    reads = check(c.history for clients in by_region.values()
+                  for c in clients).staleness
     result.outdated_fraction = reads.outdated_fraction
     result.total_reads = reads.latest + reads.outdated
     all_latencies = []

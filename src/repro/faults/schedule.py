@@ -101,6 +101,25 @@ class FaultSchedule:
         return self.add(FaultEvent(at=at, kind="delay", target=target,
                                    duration=duration, extra=extra))
 
+    def windows(self) -> list[tuple[float, float]]:
+        """``(start, end)`` of every scripted fault: a crash until its
+        host's restart, a partition until its heal, a delay for its
+        duration; one never closed ends at infinity."""
+        inf = float("inf")
+        spans, opened = [], {}
+        for _, event in sorted(enumerate(self.events),
+                               key=lambda pair: (pair[1].at, pair[0])):
+            target = frozenset(event.target)
+            if event.kind == "crash" or (event.kind == "partition"
+                                         and event.duration is None):
+                opened.setdefault(target, event.at)
+            elif event.kind in ("restart", "heal"):
+                if target in opened:
+                    spans.append((opened.pop(target), event.at))
+            else:       # a self-healing partition, or a delay
+                spans.append((event.at, event.at + (event.duration or inf)))
+        return spans + [(start, inf) for start in opened.values()]
+
     def _host_name(self, host) -> str:
         name = getattr(getattr(host, "host", host), "name", host)
         if not isinstance(name, str):

@@ -3,14 +3,15 @@
 of an op is a view of it.  Columns ``op, key, version, start, end,
 outcome``: the version read or written (None on failure), and None or the
 class name of the ``OP_ERRORS`` type the op ended with.  No payload column:
-64 KB get replies would hold gigabytes on a read-heavy run."""
+64 KB get replies would hold gigabytes on a read-heavy run.  What a set of
+histories says about consistency — staleness included — is
+:func:`repro.obs.check.check`'s."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class OpHistory:
@@ -73,42 +74,3 @@ class OpSummary(NamedTuple):
     errors: int
     errors_by_type: dict[str, int]
     latencies: dict[str, list[float]]     # "get"/"put" -> booking order
-
-
-class Staleness(NamedTuple):
-    """Fig. 8's verdict on the gets of a set of histories."""
-
-    latest: int
-    outdated: int
-
-    @property
-    def outdated_fraction(self) -> float:
-        total = self.latest + self.outdated
-        return self.outdated / total if total else 0.0
-
-
-def staleness(histories: Iterable[OpHistory]) -> Staleness:
-    """Judge every get that returned in ``histories``: outdated when it
-    returned a version older than a put on its key, in the same set, whose
-    ``end`` is ``<=`` the get's ``start``.  Failed ops count for nothing."""
-    histories = list(histories)
-    acks: dict[str, list[tuple[float, int]]] = {}
-    for history in histories:
-        for op, key, version, _, end, outcome in history.rows():
-            if op == "put" and outcome is None:
-                acks.setdefault(key, []).append((end, version))
-    for acked in acks.values():     # by ack instant, with the running max
-        acked.sort()
-        for i in range(1, len(acked)):
-            acked[i] = (acked[i][0], max(acked[i][1], acked[i - 1][1]))
-    latest = outdated = 0
-    for history in histories:
-        for op, key, version, start, _, outcome in history.rows():
-            if op == "get" and outcome is None:
-                acked = acks.get(key, ())
-                seen = bisect_right(acked, (start, math.inf))
-                if version >= (acked[seen - 1][1] if seen else 0):
-                    latest += 1
-                else:
-                    outdated += 1
-    return Staleness(latest, outdated)

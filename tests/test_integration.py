@@ -97,7 +97,7 @@ class TestModularInstances:
 
 class TestYcsbOnWiera:
     def test_load_and_run_with_oracle(self):
-        from repro.obs.history import staleness
+        from repro.obs.check import check
         dep = build_deployment([US_EAST, US_WEST], seed=6)
         spec = GlobalPolicySpec(
             name="y",
@@ -127,7 +127,7 @@ class TestYcsbOnWiera:
         # but errors must stay rare
         assert yc_east.stats.errors == 0
         assert yc_west.stats.errors < total * 0.05
-        reads = staleness([east.history, west.history])
+        reads = check([east.history, west.history]).staleness
         assert reads.latest + reads.outdated == sum(
             len(yc.stats.latencies["get"]) for yc in (yc_east, yc_west))
         # eventual consistency with a 5 s flush produces some staleness

@@ -1,6 +1,7 @@
 """Tests for the op history (``repro.obs.history``): its views, the
-staleness query against the rule it replaced, and the ratchet that keeps
-it the one record of an op's outcome."""
+checker's staleness report (``repro.obs.check``) against the rule it
+replaced, and the ratchet that keeps it the one record of an op's
+outcome."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.history import OpHistory, staleness
+from repro.obs.check import check
+from repro.obs.history import OpHistory
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,6 +45,11 @@ class ReferenceOracle:
             return True
         self.outdated_reads += 1
         return False
+
+
+def staleness(histories):
+    """The checker's rule-2 report: gets judged against acked puts."""
+    return check(histories).staleness
 
 
 def _history(*rows) -> OpHistory:

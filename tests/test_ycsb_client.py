@@ -5,7 +5,7 @@ import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import US_EAST
-from repro.obs.history import staleness
+from repro.obs.check import check
 from repro.tiera.policy import memory_only_policy
 from repro.workloads import YcsbClient, YcsbWorkload
 
@@ -120,7 +120,7 @@ def test_oracle_integration(world):
     yc.start()
     dep.sim.run(until=dep.sim.now + 20.0)
     yc.stop()
-    reads = staleness([client.history])
+    reads = check([client.history]).staleness
     assert reads.latest == len(yc.stats.latencies["get"]) > 0
     # single replica: every read is trivially the latest
     assert reads.outdated == 0
