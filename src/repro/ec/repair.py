@@ -146,11 +146,13 @@ class ECRepairer:
     def _scan_manifests(self) -> Generator:
         """Read the local manifests through a window of readers; return
         [(key, vmeta, manifest)] in record order for every EC object this
-        instance has a manifest of."""
+        instance has a manifest of.  A pending manifest is no one's to
+        repair: its put is in flight, or was refused."""
         instance = self.instance
         keys = [record.key for record in instance.meta.records()
                 if not is_fragment_key(record.key)
-                and record.latest() is not None]
+                and record.latest() is not None
+                and not record.latest().pending]
         found = yield from window(
             instance.sim, self.concurrency, keys, self._read_manifest,
             f"ec-repair-r%d:{instance.instance_id}", self._workers)

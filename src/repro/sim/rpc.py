@@ -61,9 +61,10 @@ BATCH_METHOD = "__batch__"
 ENVELOPE = 256
 #: a request's fixed part where it is not :data:`ENVELOPE`: a replica push
 #: or a forwarded put carries its version metadata besides the bytes; a
-#: fragment-repair check is a slot inside a batch
+#: fragment-repair check and an EC manifest's finalise are slots inside a
+#: batch
 REQUEST_BASE = {"replica_update": 512, "forward_put": 512,
-                "check_readable": 64}
+                "check_readable": 64, "finalise": 64}
 #: one ``(key, version)`` of a request's ``items``
 ITEM_SIZE = 16
 #: one of a request's ``items`` where it is not a ``(key, version)``: a

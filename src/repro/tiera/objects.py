@@ -46,6 +46,10 @@ class VersionMeta:
     encodings: tuple[str, ...] = ()   # applied transforms, outermost last
     stored_size: int = 0              # on-tier size after transforms
     origin: str = ""                  # region/instance that created it
+    #: installed but not yet final: an erasure-coded put's manifest from
+    #: its pre-write until its ack (read at the reader's risk, never
+    #: counted by version GC)
+    pending: bool = False
 
     def touch(self, now: float) -> None:
         self.last_accessed = now
@@ -78,6 +82,11 @@ class ObjectRecord:
 
     def version_list(self) -> list[int]:
         return sorted(self.versions)
+
+    def final_versions(self) -> list[int]:
+        """:meth:`version_list` without the pending versions."""
+        return [v for v in sorted(self.versions)
+                if not self.versions[v].pending]
 
     def add_version(self, meta: VersionMeta) -> None:
         self.versions[meta.version] = meta

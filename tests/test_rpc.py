@@ -157,6 +157,7 @@ def test_payload_size_affects_latency(world):
 @pytest.mark.parametrize("method, base", [("replica_update", 512),
                                           ("forward_put", 512),
                                           ("check_readable", 64),
+                                          ("finalise", 64),
                                           ("get", 256)])
 def test_request_is_its_method_base_plus_what_it_carries(method, base):
     assert request_size(method, {"key": "k", "version": 3}) == base
