@@ -115,11 +115,13 @@ class GlobalProtocol:
                 "latest_local": record.latest_version}
 
     def on_replica_update(self, instance, args: dict) -> Generator:
-        """Last-write-wins merge of a peer's update (§4.2)."""
+        """Last-write-wins merge of a peer's update (§4.2); an EC put's
+        pre-written manifest arrives ``pending``."""
         return instance.apply_replica_update(
             key=args["key"], version=args["version"],
             last_modified=args["last_modified"], data=args["data"],
-            origin=args.get("origin", ""))
+            origin=args.get("origin", ""),
+            pending=args.get("pending", False))
 
     def on_replica_remove(self, instance, args: dict) -> Generator:
         removed = yield from instance.local_remove(args["key"],
