@@ -10,6 +10,8 @@ contents change.  These tests hold what follows from that:
   comparison pushes the winner to the loser;
 * a replace happens in one step: a get racing it returns one whole write,
   never a missing object;
+* a replace installs the update pending or final as the update says, and
+  a catch-up ships a pending version pending;
 * an AST ratchet keeps every other ``<``/``>`` on a version or a timestamp
   out of ``src/``, except the named exemptions;
 * two more keep the merge the only way in: a ``local_put`` that names its
@@ -94,6 +96,26 @@ class TestTies:
         # converged: the next round finds nothing to push
         _run(sim, repairer.repair_round())
         assert repairer.keys_pushed == 1
+
+
+class TestPending:
+    @pytest.mark.parametrize("pending", [True, False])
+    def test_a_replace_installs_what_the_update_says(self, pending):
+        sim, a, b = _tied_pair()
+        a.meta.get_record("k").versions[1].pending = not pending
+        args = _run(sim, b.replica_args("k"))
+        _run(sim, a.apply_replica_update(
+            "k", 1, args["last_modified"], args["data"], args["origin"],
+            pending=pending))
+        meta = a.meta.get_record("k").versions[1]
+        assert (meta.origin, meta.pending) == (b.instance_id, pending)
+
+    def test_a_catch_up_ships_a_pending_version_pending(self):
+        sim, a, b = _tied_pair()
+        b.meta.get_record("k").versions[1].pending = True
+        _run(sim, AntiEntropyRepairer(b, interval=1.0).repair_round())
+        meta = a.meta.get_record("k").versions[1]
+        assert (meta.origin, meta.pending) == (b.instance_id, True)
 
 
 # -- a get racing a replace ---------------------------------------------------
