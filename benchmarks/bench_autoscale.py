@@ -21,6 +21,8 @@ Bounds (CI runs them quick, through ``benchmarks/gates.py autoscale``):
 * the first scale-down lands within SCALE_DOWN_WINDOW_LIMIT decision
   windows of the crowd subsiding (it also relaxes);
 * zero acked-write loss across every rebalance;
+* every replica of a key at one newest stamp and no lock held, once the
+  run is over and one anti-entropy round has run (``check_quiescent``);
 * the static baseline sheds (the crowd saturated one shard), and the
   autoscaled run sheds < STATIC_SHED_FRACTION of what it sheds
   (elasticity actually absorbed the crowd).
@@ -44,6 +46,7 @@ from repro.faults.retry import RetryPolicy
 from repro.load.arrivals import flash_crowd_rate
 from repro.load.cohort import CohortSpec
 from repro.net.topology import US_EAST, US_WEST
+from repro.obs.check import check_quiescent
 from repro.tiera.policy import memory_only_policy
 
 REGIONS = (US_EAST, US_WEST)
@@ -185,6 +188,9 @@ def _run_cell(p: dict, autoscaled: bool, seed: int = 11) -> dict:
         "unreadable_acked_writes": len(unreadable),
         "wall_seconds": round(wall, 2),
     }
+    # After everything above is measured: one anti-entropy round, then
+    # the replicas and the locks are judged at quiescence.
+    out["quiescence_violations"] = len(check_quiescent(dep))
     if scaler is not None:
         crowd_over = p["at"] + p["rise"] + p["hold"] + p["fall"]
         downs = [d.time for d in scaler.decisions
@@ -246,6 +252,10 @@ BOUNDS = (
     ("static unreadable acked writes", "static.unreadable_acked_writes",
      "==", 0),
     ("static baseline shed", "static.shed", ">", 0),
+    ("autoscaled violations at quiescence",
+     "autoscaled.quiescence_violations", "==", 0),
+    ("static violations at quiescence", "static.quiescence_violations",
+     "==", 0),
     ("autoscaled shed / static shed", "shed_ratio_vs_static", "<",
      STATIC_SHED_FRACTION),
 )

@@ -19,12 +19,15 @@ For each cell it measures the two axes the redundancy plane trades off:
 It also reports what the :class:`RedundancyOptimizer` *predicts* for the
 same schemes, so the analytical model can be eyeballed against the
 simulated outcome.  Each cell asserts the history checker
-(:mod:`repro.obs.check`) over its client's ops.
+(:mod:`repro.obs.check`) over its client's ops, and counts what
+``check_quiescent`` finds once the crash is over and one repair round
+has run.
 
 The gate (``benchmarks/gates.py ec_frontier``) fails when EC's monthly
 storage dollars stop beating replication's by MIN_STORAGE_RATIO at equal
 durability, when the crash phase records no degraded read, when the
-degraded-read p99 exceeds DEGRADED_P99_BUDGET, or — in a quick run — when
+degraded-read p99 exceeds DEGRADED_P99_BUDGET, when a cell is not
+quiescent at its end, or — in a quick run — when
 it drifts more than DEGRADED_P99_DRIFT x past DEGRADED_P99_QUICK_PIN.
 ``benchmarks/gates.py`` writes the result to
 ``results/BENCH_ec_frontier.json`` (committed from a ``--full`` run).
@@ -42,7 +45,7 @@ from repro.ec.optimizer import RedundancyOptimizer
 from repro.ec.protocol import decode_manifest
 from repro.net.topology import (ASIA_EAST, EU_WEST, US_EAST, US_WEST,
                                 Topology)
-from repro.obs.check import check
+from repro.obs.check import check, check_quiescent
 from repro.tiera.policy import disk_only_policy
 from repro.util.units import GB
 
@@ -140,7 +143,7 @@ def _cell(redundancy: RedundancySpec, objects: int, value_size: int,
             monthly_storage += (backend.used_bytes / GB
                                 * backend.profile.storage_price)
     n = redundancy.k + redundancy.m
-    return {
+    cell = {
         "scheme": f"EC({redundancy.k},{redundancy.m})",
         "k": redundancy.k,
         "m": redundancy.m,
@@ -157,6 +160,10 @@ def _cell(redundancy: RedundancySpec, objects: int, value_size: int,
         "degraded_reads": int(dep.metric_total("ec.degraded_reads")),
         "wall_seconds": round(wall, 4),
     }
+    # After everything above is measured: one repair round, then the
+    # replicas, the fragments and the locks are judged at quiescence.
+    cell["quiescence_violations"] = len(check_quiescent(dep))
+    return cell
 
 
 def optimizer_estimates(cold_bytes: int = 1 << 30) -> dict:
@@ -220,6 +227,8 @@ BOUNDS = (
     ("ec42 degraded-read p99 (s)", "ec42.degraded_read_p99", "<=",
      DEGRADED_P99_BUDGET),
     ("ec42 degraded reads", "ec42.degraded_reads", ">", 0),
+    ("rep3 violations at quiescence", "rep3.quiescence_violations", "==", 0),
+    ("ec42 violations at quiescence", "ec42.quiescence_violations", "==", 0),
     (f"ec42 degraded-read p99 (s) within {DEGRADED_P99_DRIFT}x the "
      "quick pin", "ec42.degraded_read_p99", "<=",
      {"quick": DEGRADED_P99_DRIFT * DEGRADED_P99_QUICK_PIN}),

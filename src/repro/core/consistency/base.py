@@ -94,6 +94,13 @@ class GlobalProtocol:
             queue_for=lambda inst: self._queues.get(inst.instance_id),
             should_push=should_push, batch_bytes=self.batch_bytes)
 
+    def repair_once(self, instance) -> Generator:
+        """One repair round at ``instance``: its running repairer's, or that
+        of a repairer of its kind built for the round and never started."""
+        repairer = (self._repairers.get(instance.instance_id)
+                    or self._new_repairer(instance))
+        yield from repairer.repair_round()
+
     def drain(self, instance) -> Generator:
         queue = self._queues.get(instance.instance_id)
         if queue is not None:

@@ -27,6 +27,11 @@ question, "is this get behind a put acked before it started"
 (:class:`Staleness`).  A protocol whose read contract is weaker than
 linearizability (``eventual``, an EC read at a non-holder) has rule 2
 reported, not asserted.
+
+:func:`check_quiescent` judges state instead of histories: once the last
+fault window has closed, one repair or anti-entropy round later, every
+replica of a key holds the same newest stamp, every final EC manifest has
+``n`` readable fragments, and no lock is held.
 """
 
 from __future__ import annotations
@@ -172,3 +177,73 @@ def _judge(key: str, rows: list[tuple],
                 4, key, f"get [{start:.6f}, {end:.6f}] returned v{ver}, "
                 "which no put or preload wrote"))
     return latest, outdated, found
+
+
+def check_quiescent(dep) -> list[str]:
+    """Run one repair round (the protocol's own: anti-entropy, or EC's
+    fragment repair) at every live instance of every replicated namespace
+    of the deployment ``dep``, then judge the state it leaves (reading the
+    manifests takes sim time).  Call it once the last fault window has
+    closed.  Returns one line per violation:
+
+    * a key (not a fragment) whose newest stamp is not the same on every
+      live replica, or that some live replica lacks;
+    * an EC key whose newest final manifest, at some live instance, does
+      not name ``n`` fragments readable at their holders;
+    * a lock still held.
+    """
+    # imported here: both packages import repro.obs
+    from repro.core.consistency.base import GlobalProtocol
+    from repro.ec.protocol import (decode_manifest, fragment_key,
+                                   is_fragment_key)
+    from repro.storage.backend import ObjectMissingError
+    found: list[str] = []
+    for ns in sorted(dep.wiera.tims):
+        tim = dep.wiera.tims[ns]
+        if not isinstance(tim.protocol, GlobalProtocol):
+            continue    # local-only instances keep no replicas
+        live = {rec.instance_id: rec.instance for rec in tim.alive_records()
+                if not rec.instance.host.down}
+        for iid in sorted(live):
+            inst = live[iid]
+            dep.drive(inst.protocol.repair_once(inst), name=f"quiesce:{iid}")
+        stamps: dict[str, dict[str, tuple]] = {}
+        for iid in sorted(live):
+            for key, stamp in live[iid].key_state().items():
+                if not is_fragment_key(key):
+                    stamps.setdefault(key, {})[iid] = stamp
+        for key in sorted(stamps):
+            held = stamps[key]
+            if len(held) < len(live) or len(set(held.values())) > 1:
+                found.append(f"{ns}/{key}: newest stamp per replica {held}")
+        judged = set()
+        for iid in sorted(live):
+            for record in list(live[iid].meta.records()):
+                final = record.final_versions()
+                if is_fragment_key(record.key) or not final:
+                    continue
+                version = final[-1]
+                try:
+                    data = dep.drive(live[iid].read_version(
+                        record.key, version, run_rules=False))[0]
+                except ObjectMissingError:
+                    continue    # bytes lost here; rule 1 judges the stamp
+                manifest = decode_manifest(data)
+                if manifest is None:
+                    continue
+                frags = manifest["frags"]
+                seen = (record.key, version, tuple(sorted(frags.items())))
+                if seen in judged:
+                    continue
+                judged.add(seen)
+                readable = [idx for idx, holder in frags.items()
+                            if holder in live and live[holder].readable(
+                                fragment_key(record.key, idx), version)]
+                n = manifest["k"] + manifest["m"]
+                if len(readable) < n:
+                    found.append(
+                        f"{ns}/{record.key} v{version}: {len(readable)} of "
+                        f"{n} fragments readable (map {frags})")
+    found.extend(f"lock held: {key}"
+                 for key in dep.wiera.lock_service.held_keys())
+    return found

@@ -25,6 +25,7 @@ from repro.net.network import Network
 from repro.sim.rpc import BATCH_METHOD, RpcNode
 from repro.storage.backend import CapacityExceededError
 from repro.tiera.policy import disk_only_policy, memory_only_policy
+from tests.quiescence import settle
 
 REGIONS = (US_EAST, US_WEST, EU_WEST, ASIA_EAST)
 #: six (region, provider) sites: n=4 fragment holders + two spares
@@ -221,6 +222,15 @@ def test_round_restores_every_guarantee(concurrency, reference, rpc_log):
     assert dep.store_digest(detail=False) == reference["digest"]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a holder down through the round that re-homed its slot keeps the "
+    "pre-repair manifest once it is back: a remap goes only to the peers "
+    "alive in its round, and no later round sends it"))
+def test_a_holder_back_after_the_round_is_quiescent():
+    dep = _scenario(8)[0]
+    assert settle(dep, dep.faults) == []
+
+
 def test_wider_window_overlaps_repairs(reference):
     assert reference["seconds"] < _scenario(1)[-1]["seconds"] / 2
 
@@ -277,6 +287,7 @@ def test_leaders_own_fragment_rebuilt_in_place(concurrency, rpc_log):
         doc = decode_manifest(dep.drive(
             leader.read_version(key, run_rules=False))[0])
         assert doc["frags"] == manifest["frags"], key
+    assert settle(dep, dep.faults) == []
 
 
 @WIDTHS

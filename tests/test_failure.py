@@ -10,6 +10,7 @@ from repro import (
     build_deployment,
 )
 from repro.net import EU_WEST, US_EAST, US_WEST
+from repro.obs.check import check_quiescent
 from repro.tiera.policy import disk_only_policy, write_back_policy
 
 REGIONS = (US_EAST, US_WEST, EU_WEST)
@@ -127,6 +128,7 @@ class TestReplicaRecovery:
         survivor = next(rec for rec in live if rec.region == US_EAST)
         rows, theirs = rows_of(dep, replacement, survivor)
         assert len(rows) == 5 and rows == theirs
+        assert check_quiescent(dep) == []
 
     def test_puts_racing_the_recovery_converge(self):
         """A US East writer puts every 10 ms across the crash: replica
@@ -153,6 +155,7 @@ class TestReplicaRecovery:
         rows = rows_of(dep, *live)
         assert len(rows[0]) == len(keys)
         assert all(other == rows[0] for other in rows[1:])
+        assert check_quiescent(dep) == []
 
     def test_a_peer_crashing_mid_sync_leaves_the_rest_to_the_next(self):
         """The first live peer dies a second into bringing the replacement
@@ -177,6 +180,7 @@ class TestReplicaRecovery:
                         if rec.region == EU_WEST)
         rows, theirs = rows_of(dep, replacement, survivor)
         assert len(rows) == len(keys) and rows == theirs
+        assert check_quiescent(dep) == []
 
     def test_no_recovery_below_threshold(self):
         dep, instances = deploy(min_replicas=1)

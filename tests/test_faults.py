@@ -20,6 +20,7 @@ from repro.sim import Simulator
 from repro.sim.rpc import RpcError, RpcNode
 from repro.tiera.policy import memory_only_policy
 from repro.util.rng import RngRegistry
+from tests.quiescence import settle
 
 REGIONS = (US_EAST, US_WEST, EU_WEST)
 
@@ -133,6 +134,7 @@ class TestFaultSchedule:
             faults.start()
             dep.sim.run(until=6.0)
             logs.append(list(faults.applied))
+            assert settle(dep, faults) == []
         assert logs[0] == logs[1]
         assert [kind for _, kind, _ in logs[0]] == [
             "delay", "partition", "crash", "heal", "restart"]
@@ -152,6 +154,7 @@ class TestFaultSchedule:
         # memory-only instance lost the object's bytes with the crash
         record = inst.meta.get_record("k")
         assert record is None or not record.latest().locations
+        assert settle(dep, faults) == []
 
     def test_cannot_extend_running_schedule(self):
         dep, _ = deploy("local")
@@ -203,6 +206,7 @@ class TestPartitionConvergence:
             assert versions[0] is not None
             assert versions.count(versions[0]) == len(versions), (
                 f"{key} diverged: {versions}")
+        assert settle(dep, faults) == []
 
     def test_repair_pushed_keys_across_healed_partition(self):
         dep, instances = deploy("eventual", queue_interval=1.0,
@@ -221,6 +225,7 @@ class TestPartitionConvergence:
         assert dep.metric_total("repair.keys_pushed") > 0
         eu = dep.instance("chaos", EU_WEST)
         assert latest_meta(eu, "solo") is not None
+        assert settle(dep, faults) == []
 
 
 class TestRepairOrder:
@@ -261,6 +266,7 @@ class TestRepairOrder:
         assert [meta.version for meta in latest] == [2, 2]
         assert latest[0].last_modified == latest[1].last_modified
         assert dep.metric_total("repair.keys_pushed") == 1
+        assert settle(dep, faults) == []
 
 
 class TestPrimaryCrashMidForward:
@@ -288,6 +294,7 @@ class TestPrimaryCrashMidForward:
         assert dep.sim.now > 3.0   # the put could only finish post-restart
         # The sync broadcast reached the other backup too.
         assert latest_meta(dep.instance("chaos", US_WEST), "k") is not None
+        assert settle(dep, faults) == []
 
 
 class TestRemovePropagation:
@@ -370,6 +377,7 @@ class TestClientFailover:
         assert dep.metric_total("client.failovers") >= 1
         # The object landed on a non-closest instance.
         assert result["region"] != US_EAST
+        assert settle(dep, faults) == []
 
     def test_client_retry_policy_rides_out_total_outage(self):
         dep, instances = deploy("eventual", queue_interval=1.0)
@@ -390,6 +398,7 @@ class TestClientFailover:
         result = dep.drive(app())
         assert result["version"] == 1
         assert dep.metric_total("client.retries") >= 1
+        assert settle(dep, faults) == []
 
 
 class TestDrainAndDetach:

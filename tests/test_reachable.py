@@ -42,9 +42,6 @@ POLICY_MODULES = ("repro.core.global_policy", "repro.tiera.policy")
 KEPT = {
     "outstanding_failures":
         "ReplicationQueue's divergence count: entries left to repair",
-    "held_keys":
-        "LockService: the keys whose lock has a holder, which the "
-        "lock-leak checks read",
     "latency_spike":
         "FaultSchedule vocabulary: a latency fault, beside crash and "
         "partition, for fault schedules that tests compose",
