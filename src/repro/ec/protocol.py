@@ -31,36 +31,45 @@ process.
   that was down beforehand costs no second round trip.
 * **Write** — one wave, in LEGOStore's CAS shape: a pre-write, then a
   finalise.  Fan-out rides the batch data plane (``call_batch``), one
-  envelope per holder carrying that holder's fragment and then the
-  manifest, which the holder installs *pending*.  The version is peeked,
-  the envelopes are launched, and only then are the coordinator's own
-  pending manifest and fragment written, under them.  A holder whose call
-  is dead on return hands its slot to the next spare inside the wave;
-  one that fails later is substituted afterwards.  Either is a *degraded
-  write*, with the manifest rewritten to match.  The put acks once every
-  envelope is back and at least ``min(n, k + 1)`` fragments landed
-  (enough to read the object and survive one more fault); the
-  coordinator's manifest is final from that instant.  A refused put takes
-  nothing back: its manifest stays pending.
-* **What still waits** — nothing on the put's path.  The finalise wave
-  leaves at the ack and settles behind it, one message per peer: a
-  data-free ``finalise`` entry to each holder (metadata only), or the
-  rewritten manifest when a substitution changed the map, and the final
-  manifest to every non-holder.  The coordinator's next put or remove of
-  the key waits for it.  The reader rule: a get that meets a pending
-  version with ``k`` fragments in place finalises it and returns it; one
-  it cannot decode yields to the newest version the put's coordinator
-  holds final (its own at the coordinator; elsewhere one ``peer_get`` to
-  the coordinator, whose manifest is final from the ack).  So a get at a
-  holder after the ack sees the acked version or newer, or fails, even
-  where its finalise was lost; one at a non-holder may see the previous
-  version until its manifest lands (or, if the holders purged that,
-  installs a holder's).  A manifest copied from a peer stays pending if
-  it is pending there.
+  ``ec_prewrite`` entry per holder carrying that holder's fragment, the
+  manifest and their version metadata once.  The holder stores the two
+  side by side (:meth:`ECProtocol.on_prewrite`): the manifest, installed
+  *pending*, merges in a child process while the fragment merges in the
+  handler, so a holder pays the later of its two writes, not their sum;
+  its reply means both are stored, and the entry has landed when the
+  fragment has.  They are distinct keys, and merges of distinct keys
+  commute.  The version is peeked, the entries are launched, and only
+  then are the coordinator's own pending manifest and fragment written,
+  under them.  A holder whose call is dead on return hands its slot to
+  the next spare inside the wave; one that fails later is substituted
+  afterwards.  Either is a *degraded write*, with the manifest rewritten
+  to match.  The put acks once every envelope is back and at least
+  ``min(n, k + 1)`` fragments landed (enough to read the object and
+  survive one more fault); the coordinator's manifest is final from that
+  instant.  A refused put takes nothing back: its manifest stays pending.
+* **What still waits** — nothing on the put's path but the wave.  The
+  coordinator's own two writes stay serial: they already sit under the
+  wave, which pays a round trip on top of a holder's write, so overlapping
+  them moves no put and costs an event.  The finalise wave leaves at the
+  ack and settles behind it, one message per peer: a data-free
+  ``finalise`` entry to each holder (metadata only), or the final
+  manifest when a substitution changed the map or the holder's pending
+  manifest failed, and the final manifest to every non-holder.  The
+  coordinator's next put or remove of the key waits for it.  The reader
+  rule: a get that meets a pending version with ``k`` fragments in place
+  finalises it and returns it; one it cannot decode yields to the newest
+  version the put's coordinator holds final (its own at the coordinator;
+  elsewhere one ``peer_get`` to the coordinator, whose manifest is final
+  from the ack).  So a get at a holder after the ack sees the acked
+  version or newer, or fails, even where its finalise was lost; one at a
+  non-holder may see the previous version until its manifest lands (or,
+  if the holders purged that, installs a holder's).  A manifest copied
+  from a peer stays pending if it is pending there.
 
 Every wait on a call catches what that call can raise and nothing else:
 :class:`~repro.net.network.NetworkError` for a fragment or manifest
-push, and ``StorageError`` as well for a pull.  A stop of the waiting
+push, ``StorageError`` as well for a pull, and :data:`MERGE_ERRORS` for
+a holder's merge of a pre-written half.  A stop of the waiting
 process (an ``Interrupt``) therefore stops it instead of being booked as
 a failed fragment, and any other exception is a bug and propagates.
 Lost fragments are re-established in the background by
@@ -80,12 +89,17 @@ from repro.obs.api import get_obs
 from repro.obs.trace import traced
 from repro.sim.primitives import window
 from repro.storage.backend import ObjectMissingError, StorageError
+from repro.tiera.instance import TieraError
 
 #: manifests are JSON objects whose serialization starts with this tag
 MANIFEST_MAGIC = b'{"ec": 1'
 
 #: separator between a logical key and its fragment index
 FRAGMENT_SEP = "#ecf"
+
+#: what a holder's merge of a pre-written half can raise: a local write
+#: that fails (a full tier) or a version already installed
+MERGE_ERRORS = (StorageError, TieraError)
 
 
 def dead_on_return(call) -> bool:
@@ -198,12 +212,13 @@ class ECProtocol(GlobalProtocol):
         return self._put(instance, key, data, tags)
 
     @staticmethod
-    def _landed(call) -> Generator:
-        """Whether the first entry of a batch landed."""
+    def _entry(call) -> Generator:
+        """The first entry's result of a batch (``{"ok": ..., ...}``), or
+        ``{}`` when the batch was lost."""
         try:
-            return (yield call)[0].get("ok")
+            return (yield call)[0]
         except NetworkError:
-            return False
+            return {}
 
     def _after_unsettled(self, instance, key: str) -> Generator:
         pending = self._unsettled.get((instance.instance_id, key))
@@ -214,7 +229,7 @@ class ECProtocol(GlobalProtocol):
         if prior is not None:
             yield prior
         for call in calls:
-            if not (yield from self._landed(call)):
+            if not (yield from self._entry(call)).get("ok"):
                 self._count("manifest_push_failures")
         if self._unsettled[pkey] is sim.active_process:
             del self._unsettled[pkey]
@@ -239,19 +254,16 @@ class ECProtocol(GlobalProtocol):
         record = instance.meta.get_record(key)
         version = record.next_version() if record is not None else 1
         lm = instance.sim.now
-        # The pre-write: every fragment travels with the manifest, which
-        # its holder installs pending, behind the fragment.
-        pre = ("replica_update",
-               {"key": key, "version": version, "last_modified": lm,
-                "origin": instance.instance_id, "data": manifest,
-                "pending": True})
 
         def send(idx, peer):
-            args = {"key": fragment_key(key, idx), "version": version,
+            # The pre-write: one entry carries the fragment and the
+            # manifest, which its holder stores side by side
+            # (:meth:`on_prewrite`), the manifest pending.
+            args = {"key": key, "index": idx, "version": version,
                     "last_modified": lm, "origin": instance.instance_id,
-                    "data": fragments[idx]}
+                    "data": fragments[idx], "manifest": manifest}
             call = instance.node.call_batch(peer.node,
-                                            [("replica_update", args), pre])
+                                            [("ec_prewrite", args)])
             call.defuse()  # a wave member may fail before it is waited on
             return call
 
@@ -277,9 +289,13 @@ class ECProtocol(GlobalProtocol):
             origin=instance.instance_id, last_modified=lm)
         landed = {0}
         failed: list[int] = []
+        unmanifested = set()    # holders whose pending manifest failed
         for idx, call in wave:
-            if (yield from self._landed(call)):
+            entry = yield from self._entry(call)
+            if entry.get("ok"):
                 landed.add(idx)
+                if "manifest_error" in entry["result"]:
+                    unmanifested.add(frag_map[idx])
             else:
                 failed.append(idx)
 
@@ -288,7 +304,7 @@ class ECProtocol(GlobalProtocol):
         for idx in list(failed):
             while spares:
                 iid, peer = spares.popleft()
-                if (yield from self._landed(send(idx, peer))):
+                if (yield from self._entry(send(idx, peer))).get("ok"):
                     frag_map[idx] = iid
                     landed.add(idx)
                     failed.remove(idx)
@@ -320,13 +336,14 @@ class ECProtocol(GlobalProtocol):
 
         # The finalise wave settles behind the ack, one message per peer:
         # a holder whose pending manifest is right flips it final, every
-        # other peer gets the final manifest, so any instance can
-        # coordinate a read.  Failures are tolerated: the get path's
-        # reader rule and fallbacks, and the repairer, cover them.
+        # other peer (a holder whose manifest failed too) gets the final
+        # manifest, so any instance can coordinate a read.  Failures are
+        # tolerated: the get path's reader rule and fallbacks, and the
+        # repairer, cover them.
         final = {"key": key, "version": version}
         full = {"key": key, "version": version, "last_modified": lm,
                 "origin": instance.instance_id, "data": manifest}
-        holders = set(frag_map.values())
+        holders = set(frag_map.values()) - unmanifested
         behind = []
         for iid, peer in ring[1:]:
             entry = (("finalise", final) if iid in holders and not rewritten
@@ -348,6 +365,44 @@ class ECProtocol(GlobalProtocol):
         return {"version": version, "region": instance.region,
                 "consistency": self.name, "scheme": (k, m),
                 "fragments": len(landed), "degraded": rewritten}
+
+    def on_prewrite(self, instance, args: dict) -> Generator:
+        """A holder's half of the pre-write: the pending manifest's merge
+        runs in a child process while the fragment's runs here, so the two
+        storage writes overlap.  The child is joined only if it is still
+        running (one that finished first costs no event), and on every
+        path, so the reply means both halves are stored.  The entry fails
+        only if the fragment's merge raises ("landed" is the fragment); a
+        manifest merge that fails is reported under ``manifest_error``."""
+        child = instance.sim.process(
+            self._merge_pending(instance, args),
+            name=f"ec-prewrite:{instance.instance_id}")
+        child.defuse()      # a bug it raises reaches the entry, not run()
+        try:
+            result = yield from instance.apply_replica_update(
+                fragment_key(args["key"], args["index"]), args["version"],
+                args["last_modified"], args["data"], args["origin"])
+        except MERGE_ERRORS:
+            if child.is_alive:
+                yield child
+            raise
+        manifest = (yield child) if child.is_alive else child.value
+        if not child.ok:
+            raise manifest
+        if "error" in manifest:
+            result = dict(result, manifest_error=manifest["error"])
+        return result
+
+    @staticmethod
+    def _merge_pending(instance, args: dict) -> Generator:
+        """The pre-write's manifest, merged pending; a failure is returned
+        under ``error``."""
+        try:
+            return (yield from instance.apply_replica_update(
+                args["key"], args["version"], args["last_modified"],
+                args["manifest"], args["origin"], pending=True))
+        except MERGE_ERRORS as exc:
+            return {"applied": False, "error": repr(exc)}
 
     # -- get --------------------------------------------------------------
     def on_get(self, instance, key: str,

@@ -59,12 +59,12 @@ BATCH_METHOD = "__batch__"
 
 #: request/response envelope in bytes (headers + small args)
 ENVELOPE = 256
-#: a request's fixed part where it is not :data:`ENVELOPE`: a replica push
-#: or a forwarded put carries its version metadata besides the bytes; a
-#: fragment-repair check and an EC manifest's finalise are slots inside a
-#: batch
+#: a request's fixed part where it is not :data:`ENVELOPE`: a replica push,
+#: a forwarded put or an EC pre-write carries its version metadata besides
+#: the bytes; a fragment-repair check and an EC manifest's finalise are
+#: slots inside a batch
 REQUEST_BASE = {"replica_update": 512, "forward_put": 512,
-                "check_readable": 64, "finalise": 64}
+                "ec_prewrite": 512, "check_readable": 64, "finalise": 64}
 #: one ``(key, version)`` of a request's ``items``
 ITEM_SIZE = 16
 #: one of a request's ``items`` where it is not a ``(key, version)``: a
@@ -76,9 +76,10 @@ REPLY_BODY = 64
 
 def request_size(method: str, args: dict[str, Any]) -> int:
     """Wire bytes of a request: its method's fixed part plus what it
-    carries — the bytes under ``data`` and :data:`ITEM_SIZE` (or its
-    method's :data:`ITEM_SIZES`) per entry of ``items``.  A batch is one
-    envelope plus the size of every entry."""
+    carries — the bytes under ``data`` (and an EC pre-write's
+    ``manifest``) and :data:`ITEM_SIZE` (or its method's
+    :data:`ITEM_SIZES`) per entry of ``items``.  A batch is one envelope
+    plus the size of every entry."""
     if method == BATCH_METHOD:
         return ENVELOPE + sum(request_size(entry_method, entry_args)
                               for entry_method, entry_args in args["entries"])
@@ -86,6 +87,8 @@ def request_size(method: str, args: dict[str, Any]) -> int:
     data = args.get("data")
     if data is not None:
         size += len(data)
+    if method == "ec_prewrite":
+        size += len(args["manifest"])
     items = args.get("items")
     if items is not None:
         size += ITEM_SIZES.get(method, ITEM_SIZE) * len(items)

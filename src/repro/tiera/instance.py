@@ -685,6 +685,7 @@ class TieraInstance:
         n.register("check_readable", self.rpc_check_readable)
         n.register("reconstruct_fragment", self.rpc_reconstruct_fragment)
         n.register("manifest_remap", self.rpc_manifest_remap)
+        n.register("ec_prewrite", self.rpc_ec_prewrite)
         n.register("finalise", self.rpc_finalise)
         n.register("peer_get", self.rpc_peer_get)
         n.register("probe", self.rpc_probe)
@@ -890,6 +891,13 @@ class TieraInstance:
                 f"{self.instance_id}: protocol {self.protocol.name!r} "
                 f"does not hold EC manifests")
         result = yield from handler(self, msg.args)
+        return result
+
+    def rpc_ec_prewrite(self, msg: Message) -> Generator:
+        """An EC put's pre-write of this holder's fragment and pending
+        manifest (:meth:`repro.ec.protocol.ECProtocol.on_prewrite`)."""
+        self.note_request(msg.args["origin"])
+        result = yield from self.protocol.on_prewrite(self, msg.args)
         return result
 
     def rpc_finalise(self, msg: Message) -> Generator:

@@ -49,6 +49,25 @@ lock ``release``: request, service time, reply                     3
 total                                                        14 + 5P
 ==========================================================  ========
 
+One EC put to ``H`` remote holders, storage jitter off:
+
+==========================================================  ========
+client request + reply                                             2
+coordinator's pending manifest and its own fragment: tier +
+metadata write each, under the wave                                4
+per holder, one ``ec_prewrite`` batch: request, reply, watched
+finish, and the fragment's and the manifest's tier + metadata
+writes side by side; the manifest's merge (a child process) is
+joined, one event, only when it outlasts the fragment's       H(7 + J)
+----------------------------------------------------------  --------
+total                                                       6 + H(7 + J)
+==========================================================  ========
+
+``J`` is 1 when the manifest is the longer write (a fragment shorter than
+it), else 0.  The finalise wave that settles behind the ack is one batch
+per holder, and waiting for the process that settles it a watched
+finish: ``3H + 1``.
+
 ``ShardRouter.refresh`` is one waited-on RPC with a service time: 3.
 
 ``TieraInstance.sync_to`` of ``N`` stale keys in ``B`` batches is the
@@ -86,6 +105,7 @@ from repro import (
     RegionPlacement,
     build_deployment,
 )
+from repro.ec.codec import Codec
 from repro.load import CohortSpec
 from repro.net.link import SEGMENT_BYTES
 from repro.net.network import Network
@@ -105,6 +125,11 @@ PER_REFRESH = 3       # ShardRouter.refresh: request, service time, reply
 PER_ARRIVAL = 1       # an open-loop cohort's inter-arrival timer
 PER_DIGEST = 3        # a digest RPC: request, service time, reply
 PER_READ = 1          # reading one key's latest version off the tier
+
+
+def per_ec_put(holders: int, manifest_last: bool) -> int:
+    """One EC put (module docstring, third table)."""
+    return 6 + holders * (PER_BATCH + 2 * PER_APPLY + manifest_last)
 
 
 def per_locked_put(peers: int) -> int:
@@ -343,6 +368,29 @@ def test_exact_events_per_multi_primaries_put(regions):
     assert events(dep, client.get("key-0")) == DRIVER + PER_GET
 
 
+@pytest.mark.parametrize("size, manifest_last", [(1024, False), (2, True)])
+def test_exact_events_per_ec_put(size, manifest_last):
+    """A holder's two writes overlap: the put costs the serial apply's
+    events, plus one per holder where the manifest lands last."""
+    regions = (US_EAST, US_WEST, EU_WEST)
+    dep, client = deploy(regions, redundancy=RedundancySpec(k=2, m=1))
+    for rec in dep.tim("budget").instances.values():
+        for backend in rec.instance.tiers.values():
+            backend._rng = None          # jitter off
+    coordinator = dep.instance("budget", US_EAST)
+    holders = len(regions) - 1
+
+    for i in range(N):
+        key = f"key-{i}"
+        assert events(dep, client.put(key, bytes(size))) \
+            == DRIVER + per_ec_put(holders, manifest_last)
+        settle = coordinator.protocol._after_unsettled(coordinator, key)
+        assert events(dep, settle) \
+            == DRIVER + holders * PER_BATCH + WATCHED_FINISH
+    manifest = dep.drive(coordinator.read_version("key-0", 1))[0]
+    assert (len(manifest) > Codec.fragment_length(size, 2)) == manifest_last
+
+
 #: a replica update of a 1 KiB value on the wire: its fixed part and bytes
 UPDATE_BYTES = 512 + 1024
 
@@ -385,13 +433,15 @@ def test_exact_events_per_router_refresh():
 #: ``(net.bytes, net.messages)``, every message the op puts on the wire.
 #: The client is in us-east; ``primary_backup`` (sync) has its primary in
 #: us-west, so the put goes through a backup and is forwarded.  An EC put
-#: counts its finalise wave, which settles behind the ack: one 64 B
-#: ``finalise`` entry per remote holder.
+#: sends each remote holder one ``ec_prewrite`` entry, its fragment and
+#: the manifest under one 512 B base (two ``replica_update`` entries
+#: before: 7330 - 2 * 512 = 6306), and counts its finalise wave, which
+#: settles behind the ack: one 64 B ``finalise`` entry per remote holder.
 WIRE_BUDGET = {
     "eventual": ((1600, 2), (1600, 2)),
     "primary_backup": ((5312, 6), (1600, 2)),
     "multi_primaries": ((5184, 10), (1600, 2)),
-    "ec(2,1)": ((7330, 10), (2880, 4)),
+    "ec(2,1)": ((6306, 10), (2880, 4)),
 }
 
 

@@ -166,6 +166,19 @@ def test_request_is_its_method_base_plus_what_it_carries(method, base):
     assert request_size(method, {"items": [("k", 1)] * 3}) == base + 3 * 16
 
 
+def test_an_ec_prewrite_is_one_base_over_its_fragment_and_manifest():
+    """An EC pre-write carries a holder's fragment and the manifest under
+    one 512 B base: the two ``replica_update`` entries it replaced, less
+    one base."""
+    args = {"key": "k", "index": 1, "version": 3, "last_modified": 2.0,
+            "origin": "o", "data": bytes(100), "manifest": bytes(40)}
+    assert request_size("ec_prewrite", args) == 512 + 100 + 40
+    pair = [("replica_update", {"key": "k#ecf1", "data": bytes(100)}),
+            ("replica_update", {"key": "k", "data": bytes(40)})]
+    assert (request_size(BATCH_METHOD, {"entries": [("ec_prewrite", args)]})
+            == request_size(BATCH_METHOD, {"entries": pair}) - 512)
+
+
 def test_a_remap_is_an_envelope_plus_64_bytes_per_delta():
     """A repair round's remap request costs what the batch of one
     ``manifest_remap`` entry per delta it replaced cost: an envelope plus
