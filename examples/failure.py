@@ -8,9 +8,10 @@ instance crashes: the application's reads fail over to the next-closest
 replica, the TSM's heartbeats declare the server dead, and the TIM spawns
 a replacement on the region's second server; each live peer in turn
 pushes it every key it lacks (``sync_to``, merged at the replacement).
-Forty seconds after the crash the application asks Wiera for the
-instance list again (Table 1's ``getInstances``) and reads from the
-replacement.
+Once it is caught up, the TIM publishes the namespace's next map epoch.
+The next reply the application gets names that epoch, so its client
+refreshes its cached map (Table 1's ``getInstances``) and reads from the
+replacement, with no call by the application.
 
 For each phase the run prints the gets each instance served and the
 application's read latency, which is the EBS SSD read plus the network
@@ -28,8 +29,7 @@ from repro.tiera.policy import disk_only_policy
 
 REGIONS = (US_WEST, US_EAST, EU_WEST)
 KEYS = [f"row{i}" for i in range(20)]
-# (phase, sim-seconds it lasts); the crash ends "before", the re-read of
-# the instance list ends "outage"
+# (phase, sim-seconds it lasts); the crash ends "before"
 PHASES = (("before", 20.0), ("outage", 40.0), ("after", 20.0))
 
 
@@ -56,13 +56,18 @@ def main() -> None:
         print(f"  {rec.instance_id:16s} on {rec.server_id}")
 
     latencies: dict[str, list[float]] = {}
+    refreshes = []
 
     def reader(phase: str, seconds: float):
         end = dep.sim.now + seconds
         i = 0
         while dep.sim.now < end:
+            epoch = app.map.epoch
             result = yield from app.get(KEYS[i % len(KEYS)])
             latencies[phase].append(result["latency"])
+            if app.map.epoch != epoch:
+                refreshes.append((dep.sim.now, app.map.epoch,
+                                  app.route(KEYS[0])[0]["instance_id"]))
             i += 1
             yield dep.sim.timeout(0.1)
 
@@ -77,13 +82,6 @@ def main() -> None:
             dep.wiera.tsm.servers[victim.server_id].server.crash()
             print(f"\nt={dep.sim.now:.0f}s: crash {victim.server_id} "
                   f"(hosting {victim.instance_id})")
-        if phase == "after":
-            def refresh():
-                reply = yield from app.node.invoke(
-                    dep.wiera.node, "get_instances",
-                    {"wiera_instance_id": "ft"})
-                app.attach(reply["instances"])
-            dep.drive(refresh())
         latencies[phase] = []
         before = served()
         dep.drive(reader(phase, seconds))
@@ -92,6 +90,9 @@ def main() -> None:
                              for iid, n in after.items()}))
 
     print(f"TSM deaths detected: {dep.wiera.tsm.deaths_detected}")
+    for at, epoch, closest in refreshes:
+        print(f"t={at:.2f}s: a reply named epoch {epoch}; the application's "
+              f"client refreshed its map, closest now {closest}")
     for rec in tim.instances.values():
         if rec.instance_id not in {i["instance_id"] for i in instances}:
             keys = sum(1 for key in KEYS if rec.instance.meta.get_record(key))

@@ -45,7 +45,7 @@ def main(trace: bool = False) -> None:
     # 3. a client in US West ----------------------------------------------
     client = dep.add_client(US_WEST, instances=instances, name="app")
     print(f"client connects to closest instance: "
-          f"{client.closest['instance_id']}")
+          f"{client.route('greeting')[0]['instance_id']}")
 
     def app():
         # puts are strongly consistent: global lock + sync broadcast

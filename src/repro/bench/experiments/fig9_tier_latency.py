@@ -18,6 +18,7 @@ from repro.bench.reporting import ExperimentReport
 from repro.core.client import WieraClient
 from repro.net.network import Network
 from repro.net.topology import US_EAST
+from repro.shard.map import ShardMap
 from repro.sim.kernel import Simulator
 from repro.tiera.instance import TieraInstance
 from repro.tiera.policy import LocalPolicy, Rule, TierSpec
@@ -53,8 +54,8 @@ def run_fig9(object_size: int = 4 * KB, ops: int = 100,
                                  US_EAST, policy, rng=RngRegistry(seed))
         instance.start()
         client = WieraClient(sim, network, host, name=f"app-{tier_name}")
-        client.attach([{"instance_id": instance.instance_id,
-                        "region": US_EAST, "node": instance.node}])
+        info = {"instance_id": instance.instance_id, "node": instance.node}
+        client.install(ShardMap.single(instance.instance_id, [info], 1))
 
         def workload():
             payload = b"\xAB" * object_size

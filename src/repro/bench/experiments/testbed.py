@@ -66,7 +66,7 @@ def remote_memory_blockfile(vm: str, seed: int, name: str, path: str,
             RegionPlacement(US_EAST, memory_only_policy(size=memory_size),
                             provider="aws")),
         consistency="primary_backup", sync_replication=True)
-    instances = dep.start_wiera_instance(name, spec)
+    dep.start_wiera_instance(name, spec)
     tim = dep.tim(name)
     aws_id = next(iid for iid, rec in tim.instances.items()
                   if rec.provider == "aws")
@@ -76,7 +76,7 @@ def remote_memory_blockfile(vm: str, seed: int, name: str, path: str,
 
     client = WieraClient(dep.sim, dep.network, azure_server.host,
                          name=f"{name}-app")
-    client.attach(instances)
+    client.connect(dep.wiera.node, name, dep.wiera.get_shard_map(name))
     fs = WieraFS(client, block_size=BLOCK_SIZE)
     handle = fs.open(path)
     fs._sizes[path] = nblocks * BLOCK_SIZE

@@ -2,7 +2,9 @@
 
 Applications "connect to the closest instance (placed at the head of the
 list)" (§4.1 step 8) and fall back to the next-closest when an instance is
-unreachable (§4.4).  The client exposes the full object-versioning API of
+unreachable (§4.4), routing through one cached, epoch-stamped
+:class:`~repro.shard.map.ShardMap` of its namespace (one shard when
+unsharded).  The client exposes the full object-versioning API of
 Table 2 and books every op once, in its op history
 (:mod:`repro.obs.history`): app-perceived latency, the quantity every
 latency figure and cohort percentile reports, and outcome.  No metric
@@ -27,7 +29,7 @@ from repro.faults.retry import RetryPolicy
 from repro.net.network import Host, HostDownError, Network, NetworkError
 from repro.obs.api import get_obs
 from repro.obs.history import OpHistory
-from repro.shard.map import WrongShardError
+from repro.shard.map import ShardMap, WrongShardError
 from repro.sim.kernel import Simulator
 from repro.sim.rpc import RpcError, RpcNode, call_with_timeout
 from repro.storage.backend import StorageError
@@ -53,7 +55,8 @@ OP_ERRORS = (NoInstanceAvailableError, StorageError, TieraError,
 
 
 class WieraClient:
-    """Application-side handle: proximity-ordered instances + failover."""
+    """Application-side handle: a cached, proximity-ordered map of the
+    namespace + failover."""
 
     def __init__(self, sim: Simulator, network: Network, host: Host,
                  name: Optional[str] = None,
@@ -65,10 +68,12 @@ class WieraClient:
         self.host = host
         self.node = RpcNode(sim, network, host,
                             name=name or f"client:{host.name}")
-        self.instances: list[dict] = []      # proximity-ordered
-        #: per-key routing against a cached ShardMap (sharded namespaces
-        #: only; None leaves the classic proximity sweep untouched)
-        self.router = None
+        self.service: Optional[RpcNode] = None   # serves namespace's map
+        self.namespace: Optional[str] = None
+        self.map: Optional[ShardMap] = None
+        self._routes: dict[str, list[dict]] = {}   # shard id -> by proximity
+        self._only: Optional[list[dict]] = None    # the route of one shard
+        self._heard = 0      # the newest epoch a reply named
         self.request_timeout = request_timeout
         self.retry_policy = retry_policy
         self._rng = rng
@@ -78,41 +83,63 @@ class WieraClient:
                                                  client=self.node.name)
         self._retry_counter = metrics.counter("client.retries",
                                               client=self.node.name)
+        self._refreshes = metrics.counter("router.refreshes",
+                                          client=self.node.name)
+        self._redirects = metrics.counter("router.wrong_shard",
+                                          client=self.node.name)
 
-    # -- attachment -----------------------------------------------------------
-    def attach(self, instances: list[dict]) -> None:
-        """Order the instance list by current network proximity."""
+    # -- the namespace's map --------------------------------------------------
+    def connect(self, service: RpcNode, namespace: str,
+                shard_map: ShardMap) -> None:
+        self.service = service
+        self.namespace = namespace
+        self.install(shard_map)
+
+    def install(self, shard_map: ShardMap) -> None:
+        """Cache ``shard_map``, each shard's instances by proximity."""
+        if self.map is not None and shard_map.epoch < self.map.epoch:
+            return   # never go backwards in epochs
+
         def distance(info) -> float:
             return self.network.oneway_latency(
                 self.host, info["node"].host, include_dynamics=False)
-        self.instances = sorted(instances, key=distance)
 
-    @property
-    def closest(self) -> dict:
-        if not self.instances:
-            raise NoInstanceAvailableError("client has no instances attached")
-        return self.instances[0]
+        self.map = shard_map
+        self._routes = {shard_id: sorted(infos, key=distance)
+                        for shard_id, infos in shard_map.shards.items()}
+        self._only = (next(iter(self._routes.values()))
+                      if len(self._routes) == 1 else None)
+        self._heard = max(self._heard, shard_map.epoch)
 
-    def _candidates_for(self, args: dict):
-        """Candidate sweep order: the owning shard's instances when a
-        router is installed and the operation is keyed, else all."""
-        if self.router is not None:
-            key = args.get("key")
-            if key is not None:
-                return self.router.candidates(key)
-        if not self.instances:
-            raise NoInstanceAvailableError("client has no instances attached")
-        return self.instances
+    def route(self, key: str) -> list[dict]:
+        """The instances of the shard owning ``key``, closest first (one
+        shard: no key is hashed)."""
+        if self._only is not None:
+            return self._only
+        if self.map is None:
+            raise NoInstanceAvailableError("client knows no instances")
+        return self._routes[self.map.owner(key)]
+
+    def refresh(self) -> Generator:
+        """Fetch and cache the namespace's current map."""
+        result = yield from self.node.invoke(
+            self.service, "get_instances",
+            {"wiera_instance_id": self.namespace})
+        self.install(result["map"])
+        self._refreshes.inc()
+        return self.map
 
     # -- Table 2 API ----------------------------------------------------------
     def _op(self, method: str, args: dict) -> Generator:
         """One Table 2 call, booked in ``history`` however it ends.
 
-        It calls the closest (owning) instance, failing over down the list,
-        and retries the whole sweep with backoff when a retry policy is
-        configured.  A ``WrongShardError`` redirect — the contacted shard
-        runs a newer map epoch — refreshes the cached shard map and
-        re-routes immediately without consuming a backoff attempt."""
+        It calls the closest instance of the owning shard, failing over
+        down the list, and retries the whole sweep with backoff when a
+        retry policy is configured.  A ``WrongShardError`` redirect — the
+        contacted shard runs a newer map epoch — refreshes the cached map
+        and re-routes without consuming a backoff attempt; a reply naming
+        a newer epoch than any heard refreshes it after the op is booked."""
+        key = args["key"]
         start = self.sim.now
         policy = self.retry_policy
         attempts = policy.max_attempts if policy is not None else 1
@@ -126,9 +153,7 @@ class WieraClient:
                     yield self.sim.timeout(policy.backoff(attempt - 1,
                                                           rng=self._rng))
                 redirected = False
-                for info in self._candidates_for(args):
-                    if info.get("down"):
-                        continue
+                for info in self.route(key):
                     try:    # one RPC, bounded by request_timeout if set
                         if self.request_timeout is None:
                             result = yield from self.node.invoke(
@@ -147,22 +172,27 @@ class WieraClient:
                         self._failover_counter.inc()
                         continue
                     end = self.sim.now
-                    self.history.book(method, args["key"],
-                                      result.get("version"), start, end)
+                    self.history.book(method, key, result.get("version"),
+                                      start, end)
                     result["latency"] = end - start
+                    if result["epoch"] > self._heard:
+                        self._heard = result["epoch"]
+                        try:
+                            yield from self.refresh()
+                        except FAILOVER_ERRORS:
+                            self._heard = self.map.epoch   # hear it again
                     return result
-                if redirected and self.router is not None \
-                        and redirects < MAX_REDIRECTS:
+                if redirected and redirects < MAX_REDIRECTS:
                     redirects += 1
-                    self.router.note_redirect()
-                    yield from self.router.refresh()
+                    self._redirects.inc()
+                    yield from self.refresh()
                     continue
                 attempt += 1
             raise NoInstanceAvailableError(
                 f"all instances unreachable for {method}: {last_error}")
         except OP_ERRORS as exc:
-            self.history.book(method, args["key"], None, start,
-                              self.sim.now, type(exc).__name__)
+            self.history.book(method, key, None, start, self.sim.now,
+                              type(exc).__name__)
             raise
 
     def put(self, key: str, data: bytes, tags=()) -> Generator:

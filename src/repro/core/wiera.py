@@ -58,7 +58,6 @@ class WieraService:
         self.node.register("start_instances", self.rpc_start_instances)
         self.node.register("stop_instances", self.rpc_stop_instances)
         self.node.register("get_instances", self.rpc_get_instances)
-        self.node.register("get_shard_map", self.rpc_get_shard_map)
 
     # -- WUI API (Table 1), coroutine form -------------------------------------
     def start_instances(self, wiera_instance_id: str,
@@ -83,10 +82,7 @@ class WieraService:
         return {"stopped": True}
 
     def get_instances(self, wiera_instance_id: str) -> list[dict]:
-        tim = self.tims.get(wiera_instance_id)
-        if tim is None:
-            raise WieraError(f"no wiera instance {wiera_instance_id!r}")
-        return tim.instance_list()
+        return self.get_shard_map(wiera_instance_id).all_instances()
 
     # -- sharded namespaces (repro.shard) -------------------------------------
     def start_sharded_instances(self, base_id: str, spec: GlobalPolicySpec,
@@ -114,7 +110,12 @@ class WieraService:
                 f"no sharded namespace {base_id!r}") from None
 
     def get_shard_map(self, base_id: str) -> ShardMap:
-        return self.shard_manager(base_id).map
+        """Where namespace ``base_id`` lives (one shard when unsharded)."""
+        manager = self.shard_managers.get(base_id)
+        if manager is not None:
+            return manager.map
+        tim = self.tim(base_id)
+        return ShardMap.single(base_id, tim.members(), tim.epoch)
 
     # -- WUI API, RPC form ---------------------------------------------------
     def rpc_start_instances(self, msg: Message) -> Generator:
@@ -127,14 +128,11 @@ class WieraService:
         return result
 
     def rpc_get_instances(self, msg: Message) -> Generator:
+        """Table 1's ``getInstances``, and a client's map refresh."""
         yield self.sim.timeout(0.0001)
-        return {"instances": self.get_instances(msg.args["wiera_instance_id"])}
-
-    def rpc_get_shard_map(self, msg: Message) -> Generator:
-        """Serve the current shard map (clients call this on a
-        ``WrongShardError`` redirect to recover from a stale epoch)."""
-        yield self.sim.timeout(0.0001)
-        return {"map": self.get_shard_map(msg.args["base_id"])}
+        ns = msg.args["wiera_instance_id"]
+        return {"instances": self.get_instances(ns),
+                "map": self.get_shard_map(ns)}
 
     # -- server bootstrap helper ----------------------------------------------
     def register_servers(self, servers) -> Generator:

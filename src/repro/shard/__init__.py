@@ -3,12 +3,11 @@
 Layered over the existing core: the keyspace is split across N ordinary
 Wiera instances by a deterministic :class:`HashRing`; the authoritative
 epoch-numbered :class:`ShardMap` lives in a :class:`ShardManager` on the
-WieraService; clients route per key through a
-:class:`~repro.shard.router.ShardRouter`; and a
-:class:`~repro.shard.rebalance.Rebalancer` grows/shrinks the shard set
-live, moving only the remapped key ranges.  Sharding is opt-in
-(``build_deployment(shards=1)`` is the default and leaves every existing
-code path untouched).
+WieraService; a :class:`~repro.core.client.WieraClient` caches one map
+per namespace (an unsharded namespace is a one-shard map) and routes each
+key through it; and a :class:`~repro.shard.rebalance.Rebalancer` grows or
+shrinks the shard set live, moving only the remapped key ranges.
+Sharding is opt-in (``build_deployment(shards=1)`` is the default).
 """
 
 from repro.shard.map import (
@@ -22,7 +21,6 @@ from repro.shard.map import (
 )
 from repro.shard.rebalance import Rebalancer
 from repro.shard.ring import DEFAULT_VNODES, HashRing, hash_point
-from repro.shard.router import ShardRouter
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -35,6 +33,5 @@ __all__ = [
     "ShardHandle",
     "ShardManager",
     "ShardMap",
-    "ShardRouter",
     "WrongShardError",
 ]

@@ -74,7 +74,7 @@ class TestHarnessWiring:
     def test_no_spec_means_no_controller_and_plain_handle(self):
         dep = build_deployment(list(REGIONS), seed=5)
         handle = dep.start_sharded_instance("as", _policy_spec())
-        assert not handle.sharded
+        assert handle.map is None
         assert dep.autoscalers == {}
 
     def test_autoscale_none_is_bit_identical_to_unsharded(self):
@@ -104,7 +104,7 @@ class TestHarnessWiring:
         aspec = AutoscaleSpec(target_per_shard=100.0)
         dep = build_deployment(list(REGIONS), seed=5, autoscale=aspec)
         handle = dep.start_sharded_instance("as", _policy_spec())
-        assert handle.sharded          # managed path forced at 1 shard
+        assert handle.map is not None  # managed path forced at 1 shard
         assert "as" in dep.autoscalers
         assert dep.autoscalers["as"].shards == 1
 

@@ -34,7 +34,7 @@ class TestClientProximity:
     def test_attach_orders_by_latency(self, dep):
         d, instances = dep
         client = d.add_client(EU_WEST, instances=instances)
-        regions = [i["region"] for i in client.instances]
+        regions = [i["region"] for i in client.route("k")]
         assert regions[0] == EU_WEST
         assert regions[-1] == US_WEST  # farthest from EU West
 
@@ -42,7 +42,7 @@ class TestClientProximity:
         d, instances = dep
         client = d.add_client(ASIA_EAST, instances=instances)
         # Asia East has no instance; US West is the closest at 55 ms
-        assert client.closest["region"] == US_WEST
+        assert client.route("k")[0]["region"] == US_WEST
 
     def test_latency_recorded_with_region_label(self, dep):
         d, instances = dep

@@ -2,11 +2,17 @@
 
 First rule: every ``repro`` module and every bench target (a file, or a
 ``file::test`` pair) in DESIGN's experiment index exists.
+
+Second rule: every backticked CamelCase name in DESIGN.md and README.md
+(alone, or heading an attribute, a call or a subscript: `` `Name` ``,
+`` `Name.attr` ``, `` `Name(...)` ``) is a builtin, a name defined under
+``src/`` or ``tests/``, or ``TIM`` (the paper's Tiera Instance Manager).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib.util
 import re
 from pathlib import Path
@@ -55,4 +61,34 @@ def test_every_bench_target_in_the_experiment_index_exists():
                 if test not in {node.name for node in ast.walk(tree)
                                 if isinstance(node, ast.FunctionDef)}:
                     missing.append(f"{cells[0]}: {target}")
+    assert not missing, missing
+
+
+#: a backticked span that is, or starts with, a capitalised identifier
+CAMEL = re.compile(r"`([A-Z][A-Za-z0-9]*)(?:[.(\[][^`]*)?`")
+
+
+def _defined() -> set[str]:
+    """Every class, function and assigned name under ``src/`` and
+    ``tests/``."""
+    names = set()
+    for folder in ("src", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                               ast.Store):
+                    names.add(node.id)
+    return names
+
+
+def test_every_camelcase_name_in_the_docs_is_defined():
+    known = _defined() | set(dir(builtins)) | {"TIM"}
+    named = {(doc, name) for doc in ("DESIGN.md", "README.md")
+             for name in CAMEL.findall((ROOT / doc).read_text())}
+    assert len({name for _, name in named}) >= 60     # the rule has teeth
+    missing = sorted(f"{doc}: {name}" for doc, name in named
+                     if name not in known)
     assert not missing, missing

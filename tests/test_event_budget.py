@@ -68,7 +68,9 @@ it), else 0.  The finalise wave that settles behind the ack is one batch
 per holder, and waiting for the process that settles it a watched
 finish: ``3H + 1``.
 
-``ShardRouter.refresh`` is one waited-on RPC with a service time: 3.
+``WieraClient.refresh`` is one waited-on RPC with a service time: 3.  A
+client told of a newer map epoch by ``N`` replies refreshes once: ``N``
+ops plus one refresh.
 
 ``TieraInstance.sync_to`` of ``N`` stale keys in ``B`` batches is the
 peer's ``digest`` (request, service time, reply: 3), one tier read per
@@ -121,7 +123,7 @@ PER_PUT = 4
 WATCHED_FINISH = 1    # all that a call run as a process adds
 PER_BATCH = 2 + WATCHED_FINISH  # a batch RPC: request, reply, as a process
 PER_APPLY = 2         # a replica update at the peer: tier + metadata write
-PER_REFRESH = 3       # ShardRouter.refresh: request, service time, reply
+PER_REFRESH = 3       # WieraClient.refresh: request, service time, reply
 PER_ARRIVAL = 1       # an open-loop cohort's inter-arrival timer
 PER_DIGEST = 3        # a digest RPC: request, service time, reply
 PER_READ = 1          # reading one key's latest version off the tier
@@ -260,7 +262,7 @@ def test_open_loop_cohort_op_is_its_arrival_plus_the_op(deployment,
                                          read_prop=read_prop,
                                          update_prop=1.0 - read_prop,
                                          distribution="uniform")),
-        instances=client.instances)
+        instances=dep.wiera.get_instances("budget"))
     before = dep.sim.events_processed
     cohort.start()
     dep.sim.run(until=dep.sim.now + 1.0)
@@ -423,10 +425,35 @@ def test_exact_cost_of_sync_to(bound, per_batch):
     assert dep.metric_total("net.messages") - messages == 2
 
 
+def refreshes(dep, client) -> int:
+    return dep.metric_total("router.refreshes", client=client.node.name)
+
+
 def test_exact_events_per_router_refresh():
     dep, client = deploy([US_EAST, US_WEST], shards=2)
-    assert events(dep, client.router.refresh()) == DRIVER + PER_REFRESH
-    assert client.router.refreshes == 1
+    assert events(dep, client.refresh()) == DRIVER + PER_REFRESH
+    assert refreshes(dep, client) == 1
+
+
+def test_a_newer_epoch_heard_n_times_refreshes_once():
+    """Membership changes published while the client holds an older
+    epoch: every get names the new one, and only the first one's reply
+    costs a refresh, which is not booked in its latency."""
+    dep, client = deploy([US_EAST, US_WEST])
+    dep.drive(client.put("key", bytes(1024)))
+    dep.drive(dep.tim("budget")._publish())
+    start = dep.sim.now
+    result = dep.drive(client.get("key"))
+    assert result["latency"] < dep.sim.now - start
+    assert client.map.epoch == 2 and refreshes(dep, client) == 1
+
+    dep.drive(dep.tim("budget")._publish())
+
+    def gets():
+        for _ in range(N):
+            yield from client.get("key")
+    assert events(dep, gets()) == DRIVER + N * PER_GET + PER_REFRESH
+    assert client.map.epoch == 3 and refreshes(dep, client) == 2
 
 
 #: Exact wire cost of one 1 KB put and of one get of it, per protocol:

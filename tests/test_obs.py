@@ -165,7 +165,7 @@ class TestInlineCallTracing:
 
         def app():
             with tracer.span("app:put", cat="op", component="app") as span:
-                target = client.closest["node"]
+                target = client.route("k")[0]["node"]
                 if how == "call":
                     yield client.node.call(target, "put", args)
                 else:
