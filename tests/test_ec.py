@@ -365,7 +365,7 @@ class Wave:
     def client(self, slot):
         """A client whose every op is coordinated at ring member ``slot``."""
         return self.dep.add_client(US_EAST, instances=[
-            info for info in self.tim.instance_list()
+            info for info in self.tim.members()
             if info["instance_id"] == self.ring[slot]])
 
     def pending(self, slot, version, key="obj") -> bool:
