@@ -3,7 +3,7 @@
 One scenario, run twice — the PR-6 flash-crowd shape (steady load in
 every region, one region spiking ``CROWD_MULTIPLIER``x) against:
 
-* **autoscaled** — a managed 1-shard namespace with an
+* **autoscaled** — a 1-shard namespace with an
   :class:`~repro.core.global_policy.AutoscaleSpec` attached; the
   controller must grow the shard count toward demand and shrink it back
   once the crowd passes.
@@ -25,7 +25,9 @@ Bounds (CI runs them quick, through ``benchmarks/gates.py autoscale``):
   run is over and one anti-entropy round has run (``check_quiescent``);
 * the static baseline sheds (the crowd saturated one shard), and the
   autoscaled run sheds < STATIC_SHED_FRACTION of what it sheds
-  (elasticity actually absorbed the crowd).
+  (elasticity actually absorbed the crowd);
+* both cells are offered the same load: they launch the same one-shard
+  namespace, and only the controller tells them apart.
 
 ``benchmarks/gates.py`` writes the result to
 ``results/BENCH_autoscale.json`` (committed from a quick run).
@@ -157,11 +159,10 @@ def _run_cell(p: dict, autoscaled: bool, seed: int = 11) -> dict:
 
     # Zero-loss audit: the owning shard must hold every acked version.
     lost = []
-    mgr = dep.wiera.shard_managers.get("as")
+    shard_map = dep.wiera.get_shard_map("as")
     for key, version in sorted(acked.items()):
-        owner = mgr.map.owner(key) if mgr is not None else "as"
         best = -1
-        for rec in dep.wiera.tim(owner).instances.values():
+        for rec in dep.wiera.tim(shard_map.owner(key)).instances.values():
             record = rec.instance.meta.get_record(key)
             if record is not None and record.latest_version is not None:
                 best = max(best, record.latest_version)
@@ -252,6 +253,8 @@ BOUNDS = (
     ("static unreadable acked writes", "static.unreadable_acked_writes",
      "==", 0),
     ("static baseline shed", "static.shed", ">", 0),
+    ("autoscaled offered == static offered", "autoscaled.offered", "==",
+     "static.offered"),
     ("autoscaled violations at quiescence",
      "autoscaled.quiescence_violations", "==", 0),
     ("static violations at quiescence", "static.quiescence_violations",

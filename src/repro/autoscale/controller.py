@@ -112,10 +112,10 @@ class Autoscaler:
     # -- state queries -------------------------------------------------------
     @property
     def shards(self) -> int:
-        return len(self.manager.map.shards) if self.manager.map else 0
+        return len(self.manager.map.shards)
 
     def shard_ids(self) -> list[str]:
-        return sorted(self.manager.map.shards) if self.manager.map else []
+        return sorted(self.manager.map.shards)
 
     def audit(self) -> list[dict]:
         return [d.as_dict() for d in self.decisions]
@@ -232,7 +232,7 @@ class Autoscaler:
     def _newest_shard(self) -> str:
         base = self.manager.base_id
         def ordinal(shard_id: str) -> int:
-            return int(shard_id[len(base) + 2:])
+            return int(shard_id[len(base) + 2:] or 0)   # "{base}" is 0
         return max(self.shard_ids(), key=ordinal)
 
     # -- bookkeeping ---------------------------------------------------------

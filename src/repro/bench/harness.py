@@ -64,30 +64,18 @@ class Deployment:
 
     def start_wiera_instance(self, wiera_id: str,
                              spec: GlobalPolicySpec) -> list[dict]:
+        """Start a one-shard namespace; returns its instances."""
         return self.drive(self.wiera.start_instances(wiera_id, spec),
-                          name=f"start:{wiera_id}")
+                          name=f"start:{wiera_id}").all_instances()
 
     def start_sharded_instance(self, wiera_id: str,
                                spec: GlobalPolicySpec) -> ShardHandle:
         """Start one namespace across ``build_deployment(shards=N)``
-        shards (repro.shard).  With one shard this delegates to
-        :meth:`start_wiera_instance` — no manager, no guards, one shard.
-
-        ``build_deployment(autoscale=...)`` attaches an
-        :class:`~repro.autoscale.controller.Autoscaler` to the
-        namespace.  Autoscaled namespaces always take the managed
-        ShardManager path — even at one shard — because the shard lever
-        needs a manager to actuate.
-        """
-        if self.shards > 1 and spec.redundancy is not None:
-            raise ValueError(
-                f"{wiera_id}: redundancy requires an unsharded namespace "
-                "(fragment keys would hash away from their manifests)")
-        if self.shards <= 1 and self.autoscale is None:
-            self.start_wiera_instance(wiera_id, spec)
-            return ShardHandle(base_id=wiera_id)
+        shards (repro.shard).  ``build_deployment(autoscale=...)``
+        attaches an :class:`~repro.autoscale.controller.Autoscaler` to
+        the namespace."""
         shard_map = self.drive(
-            self.wiera.start_sharded_instances(wiera_id, spec, self.shards),
+            self.wiera.start_instances(wiera_id, spec, self.shards),
             name=f"start:{wiera_id}")
         if self.autoscale is not None:
             self._attach_autoscaler(wiera_id, self.autoscale)

@@ -44,9 +44,8 @@ def scaleout_workload(record_count: int = 200,
 
 def shard_instances(dep: Deployment, handle, key: str) -> list:
     """In-proc TieraInstance handles holding ``key`` (for preloading)."""
-    owner = handle.base_id if handle.map is None else handle.map.owner(key)
-    return [rec.instance for rec in dep.tim(owner).instances.values()
-            if not rec.down]
+    tim = dep.tim(handle.map.owner(key))
+    return [rec.instance for rec in tim.instances.values() if not rec.down]
 
 
 def preload_records(dep: Deployment, handle, workload: YcsbWorkload) -> None:

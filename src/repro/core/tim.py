@@ -87,7 +87,7 @@ class TieraInstanceManager:
     _seq = itertools.count(1)
 
     def __init__(self, sim, network, wiera, wiera_instance_id: str,
-                 spec: GlobalPolicySpec, lock_node: RpcNode):
+                 spec: GlobalPolicySpec, lock_node: RpcNode, manager):
         self.sim = sim
         self.network = network
         self.wiera = wiera
@@ -106,8 +106,7 @@ class TieraInstanceManager:
         #: the instances a client may be routed to: those launched, and a
         #: §4.4 replacement once its peers have caught it up
         self.caught_up: set[str] = set()
-        self.manager = None   # the ShardManager it is a shard of, if any
-        self._epoch = 1       # an unsharded namespace's membership version
+        self.manager = manager   # the ShardManager it is a shard of
 
     # ------------------------------------------------------------------
     # launch (the 8-step protocol of §4.1)
@@ -380,16 +379,11 @@ class TieraInstanceManager:
             yield from self._publish()
 
     def _publish(self) -> Generator:
-        """Publish the next membership epoch (its manager's, for a shard):
-        every live instance names it in its replies, and a client that
-        hears it refreshes its map."""
+        """Publish the namespace's next membership epoch: every live
+        instance names it in its replies, and a client that hears it
+        refreshes its map."""
         try:
-            if self.manager is not None:
-                yield from self.manager.republish(self)
-            else:
-                self._epoch += 1
-                yield from self.broadcast("ctl_set_shard", {
-                    "guard": None, "epoch": self._epoch})
+            yield from self.manager.republish(self)
         except TRANSIENT_ERRORS:
             pass    # an instance missed it: it names the older epoch
 
@@ -420,24 +414,12 @@ class TieraInstanceManager:
     # ------------------------------------------------------------------
     # lifecycle & queries
     # ------------------------------------------------------------------
-    @property
-    def namespace(self) -> str:
-        """The namespace whose map lists this TIM's instances."""
-        return (self.wiera_instance_id if self.manager is None
-                else self.manager.base_id)
-
-    @property
-    def epoch(self) -> int:
-        """The namespace's membership version (a shard's is its
-        manager's: one counter per namespace)."""
-        return self._epoch if self.manager is None else self.manager.epoch
-
     def members(self) -> list[dict]:
         """The live instances a client may be routed to (never a §4.4
         replacement still catching up)."""
         return [{"instance_id": iid, "region": rec.region,
                  "provider": rec.provider, "node": rec.node,
-                 "namespace": self.namespace}
+                 "namespace": self.manager.base_id}
                 for iid, rec in self.instances.items()
                 if not rec.down and iid in self.caught_up]
 

@@ -47,12 +47,10 @@ class WieraService:
         # Zookeeper runs on the same instance as Wiera (§5 setup).
         self.lock_node = RpcNode(sim, network, host, name=f"zk:{host.name}")
         self.lock_service = LockService(sim, self.lock_node)
-        # GPM state: policy id -> spec; TIMs: wiera instance id -> TIM.
-        self.policies: dict[str, GlobalPolicySpec] = {}
-        self.tims: dict[str, TieraInstanceManager] = {}
-        # Sharded namespaces: base id -> ShardManager (each shard is an
-        # ordinary Wiera instance named "{base}-s{i}" in self.tims).
+        # Namespaces: id -> ShardManager (its GPM state is the manager's
+        # spec); every shard is a TIM named in self.tims.
         self.shard_managers: dict[str, ShardManager] = {}
+        self.tims: dict[str, TieraInstanceManager] = {}
         self.tsm = TieraServerManager(sim, self.node,
                                       heartbeat_interval=heartbeat_interval)
         self.node.register("start_instances", self.rpc_start_instances)
@@ -60,68 +58,58 @@ class WieraService:
         self.node.register("get_instances", self.rpc_get_instances)
 
     # -- WUI API (Table 1), coroutine form -------------------------------------
-    def start_instances(self, wiera_instance_id: str,
-                        spec: GlobalPolicySpec) -> Generator:
-        """Launch the Tiera instances of a new Wiera instance (§4.1 steps
-        1-8); returns the instance list the application connects with."""
-        if wiera_instance_id in self.tims:
-            raise WieraError(f"wiera instance {wiera_instance_id!r} exists")
-        self.policies[wiera_instance_id] = spec
-        tim = TieraInstanceManager(self.sim, self.network, self,
-                                   wiera_instance_id, spec, self.lock_node)
-        self.tims[wiera_instance_id] = tim
-        instances = yield from tim.launch()
-        return instances
-
-    def stop_instances(self, wiera_instance_id: str) -> Generator:
-        tim = self.tims.pop(wiera_instance_id, None)
-        if tim is None:
-            return {"stopped": False}
-        yield from tim.stop()
-        self.policies.pop(wiera_instance_id, None)
-        return {"stopped": True}
-
-    def get_instances(self, wiera_instance_id: str) -> list[dict]:
-        return self.get_shard_map(wiera_instance_id).all_instances()
-
-    # -- sharded namespaces (repro.shard) -------------------------------------
-    def start_sharded_instances(self, base_id: str, spec: GlobalPolicySpec,
-                                shards: int) -> Generator:
-        """Launch ``shards`` Wiera instances partitioning one namespace
-        and publish the epoch-1 shard map."""
-        if base_id in self.shard_managers:
-            raise WieraError(f"sharded namespace {base_id!r} exists")
-        if base_id in self.tims:
-            raise WieraError(f"{base_id!r} already names a wiera instance")
-        manager = ShardManager(self.sim, self, base_id, spec, shards)
-        self.shard_managers[base_id] = manager
+    def start_instances(self, namespace: str, spec: GlobalPolicySpec,
+                        shards: int = 1) -> Generator:
+        """Launch namespace ``namespace`` as ``shards`` Wiera instances
+        (§4.1 steps 1-8 each, :mod:`repro.shard`) and publish its epoch-1
+        map, which it returns."""
+        if namespace in self.shard_managers or namespace in self.tims:
+            raise WieraError(f"{namespace!r} already names a namespace "
+                             "or a shard")
+        manager = ShardManager(self.sim, self, namespace, spec, shards)
+        self.shard_managers[namespace] = manager
         try:
             shard_map = yield from manager.launch()
         except BaseException:
-            self.shard_managers.pop(base_id, None)
+            self.shard_managers.pop(namespace, None)
             raise
         return shard_map
 
-    def shard_manager(self, base_id: str) -> ShardManager:
-        try:
-            return self.shard_managers[base_id]
-        except KeyError:
-            raise WieraError(
-                f"no sharded namespace {base_id!r}") from None
+    def stop_instances(self, namespace: str) -> Generator:
+        """Stop every shard of ``namespace`` and forget it."""
+        if namespace not in self.shard_managers:
+            return {"stopped": False}
+        manager = self.shard_managers.pop(namespace)
+        for shard_id in [sid for sid, tim in self.tims.items()
+                         if tim.manager is manager]:
+            yield from manager.stop_shard(shard_id)
+        return {"stopped": True}
 
-    def get_shard_map(self, base_id: str) -> ShardMap:
-        """Where namespace ``base_id`` lives (one shard when unsharded)."""
-        manager = self.shard_managers.get(base_id)
-        if manager is not None:
+    def get_instances(self, namespace: str) -> list[dict]:
+        return self.get_shard_map(namespace).all_instances()
+
+    def shard_manager(self, namespace: str) -> ShardManager:
+        try:
+            return self.shard_managers[namespace]
+        except KeyError:
+            raise WieraError(f"no namespace {namespace!r}") from None
+
+    def get_shard_map(self, namespace: str) -> ShardMap:
+        """Where ``namespace`` lives: its published map, each shard listing
+        its members now.  A death marks an instance down and publishes
+        nothing, so a map answered after one lists the live members at
+        the published epoch."""
+        manager = self.shard_manager(namespace)
+        members = manager.members(manager.map.shards)
+        if members == manager.map.shards:
             return manager.map
-        tim = self.tim(base_id)
-        return ShardMap.single(base_id, tim.members(), tim.epoch)
+        return ShardMap(manager.epoch, manager.map.ring, members)
 
     # -- WUI API, RPC form ---------------------------------------------------
     def rpc_start_instances(self, msg: Message) -> Generator:
-        instances = yield from self.start_instances(
+        shard_map = yield from self.start_instances(
             msg.args["wiera_instance_id"], msg.args["policy"])
-        return {"instances": instances}
+        return {"instances": shard_map.all_instances()}
 
     def rpc_stop_instances(self, msg: Message) -> Generator:
         result = yield from self.stop_instances(msg.args["wiera_instance_id"])
@@ -130,9 +118,8 @@ class WieraService:
     def rpc_get_instances(self, msg: Message) -> Generator:
         """Table 1's ``getInstances``, and a client's map refresh."""
         yield self.sim.timeout(0.0001)
-        ns = msg.args["wiera_instance_id"]
-        return {"instances": self.get_instances(ns),
-                "map": self.get_shard_map(ns)}
+        shard_map = self.get_shard_map(msg.args["wiera_instance_id"])
+        return {"instances": shard_map.all_instances(), "map": shard_map}
 
     # -- server bootstrap helper ----------------------------------------------
     def register_servers(self, servers) -> Generator:
@@ -141,9 +128,8 @@ class WieraService:
             yield from server.connect_to_tsm(self.node)
         self.tsm.heartbeats.start()
 
-    def tim(self, wiera_instance_id: str) -> TieraInstanceManager:
+    def tim(self, shard_id: str) -> TieraInstanceManager:
         try:
-            return self.tims[wiera_instance_id]
+            return self.tims[shard_id]
         except KeyError:
-            raise WieraError(
-                f"no wiera instance {wiera_instance_id!r}") from None
+            raise WieraError(f"no wiera instance {shard_id!r}") from None

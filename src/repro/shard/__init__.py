@@ -1,13 +1,14 @@
 """repro.shard: consistent-hash partitioned namespace with live rebalancing.
 
-Layered over the existing core: the keyspace is split across N ordinary
-Wiera instances by a deterministic :class:`HashRing`; the authoritative
-epoch-numbered :class:`ShardMap` lives in a :class:`ShardManager` on the
-WieraService; a :class:`~repro.core.client.WieraClient` caches one map
-per namespace (an unsharded namespace is a one-shard map) and routes each
-key through it; and a :class:`~repro.shard.rebalance.Rebalancer` grows or
-shrinks the shard set live, moving only the remapped key ranges.
-Sharding is opt-in (``build_deployment(shards=1)`` is the default).
+Every namespace is a :class:`ShardManager` on the WieraService over
+N >= 1 ordinary Wiera instances, its keyspace split between them by a
+deterministic :class:`HashRing`; the manager owns the authoritative
+epoch-numbered :class:`ShardMap`; a :class:`~repro.core.client.
+WieraClient` caches one map per namespace and routes each key through
+it; and a :class:`~repro.shard.rebalance.Rebalancer` grows or shrinks
+the shard set live, moving only the remapped key ranges.  One shard
+(``build_deployment(shards=1)``, the default) is named after its
+namespace and hashes no key.
 """
 
 from repro.shard.map import (

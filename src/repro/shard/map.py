@@ -1,11 +1,13 @@
 """Shard map, ownership guard, and the per-namespace shard manager.
 
-A sharded namespace is N ordinary Wiera instances (``{base}-s0`` ..
-``{base}-sN``), each running its own consistency protocol over its own
-replica group, with the keyspace split between them by a
-:class:`~repro.shard.ring.HashRing`.  The :class:`ShardManager` on the
-WieraService owns the authoritative, epoch-numbered :class:`ShardMap`;
-clients cache a snapshot and instances enforce it with a
+Every namespace is N >= 1 ordinary Wiera instances, each running its own
+consistency protocol over its own replica group, with the keyspace split
+between them by a :class:`~repro.shard.ring.HashRing`.  One shard is
+named after its namespace (``{base}``); N > 1 shards are ``{base}-s0`` ..
+``{base}-s{N-1}``, and a later shard takes the next ordinal.  The
+:class:`ShardManager` on the WieraService owns the authoritative,
+epoch-numbered :class:`ShardMap`; clients cache a snapshot and, once the
+namespace has more than one shard, instances enforce it with a
 :class:`ShardGuard`.
 
 The epoch/redirect protocol: every map publication bumps ``epoch``.  An
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from repro.core.tim import TieraInstanceManager
 from repro.obs.api import get_obs
 from repro.shard.ring import HashRing
 from repro.sim.primitives import Gate, shielded
@@ -126,14 +129,14 @@ class HandoffSpec:
 
 @dataclass
 class ShardHandle:
-    """What the harness hands back for one (possibly sharded) namespace."""
+    """What the harness hands back for one namespace."""
 
     base_id: str
-    map: Optional[ShardMap] = None   # None when shards=1 (plain instance)
+    map: ShardMap
 
 
 class ShardManager:
-    """Authoritative shard state for one sharded namespace.
+    """Authoritative shard state for one namespace.
 
     Lives on the WieraService; launches the per-shard Wiera instances,
     publishes :class:`ShardMap` epochs, and installs/updates the guards.
@@ -143,7 +146,11 @@ class ShardManager:
 
     def __init__(self, sim, wiera, base_id: str, spec, shards: int):
         if shards < 1:
-            raise ShardError("a sharded namespace needs at least one shard")
+            raise ShardError("a namespace needs at least one shard")
+        if shards > 1 and spec.redundancy is not None:
+            raise ShardError(
+                f"{base_id}: redundancy requires an unsharded namespace "
+                "(fragment keys would hash away from their manifests)")
         self.sim = sim
         self.wiera = wiera
         self.base_id = base_id
@@ -161,8 +168,8 @@ class ShardManager:
 
     # -- bootstrap -----------------------------------------------------------
     def launch(self) -> Generator:
-        """Start the initial shard set, publish epoch 1 and push each
-        instance its guard."""
+        """Start the initial shard set, publish epoch 1 and, over more
+        than one shard, push each instance its guard."""
         return self.exclusive(self._launch())
 
     def _launch(self) -> Generator:
@@ -172,6 +179,8 @@ class ShardManager:
             yield from self.start_shard(shard_id)
         shard_map = self.publish(HashRing(shard_ids),
                                  self.members(shard_ids))
+        if len(shard_ids) == 1:
+            return shard_map   # one shard owns every key: no guard
         for shard_id in sorted(shard_ids):
             args = {"guard": shard_map.guard(shard_id)}
             for info in shard_map.shards[shard_id]:
@@ -180,11 +189,24 @@ class ShardManager:
         return shard_map
 
     def start_shard(self, shard_id: str) -> Generator:
-        yield from self.wiera.start_instances(shard_id, self.spec)
-        self.wiera.tim(shard_id).manager = self
+        """Launch shard ``shard_id``'s Wiera instance (§4.1 steps 1-8)."""
+        tims = self.wiera.tims
+        if shard_id in tims:
+            raise ShardError(f"{shard_id!r} already names a wiera instance")
+        tims[shard_id] = tim = TieraInstanceManager(
+            self.sim, self.wiera.network, self.wiera, shard_id, self.spec,
+            self.wiera.lock_node, self)
+        yield from tim.launch()
+
+    def stop_shard(self, shard_id: str) -> Generator:
+        """Stop shard ``shard_id``'s instances and forget it."""
+        yield from self.wiera.tims.pop(shard_id).stop()
 
     def _next_shard_id(self) -> str:
-        shard_id = f"{self.base_id}-s{self._seq}"
+        if self._seq == 0 and self.initial_shards == 1:
+            shard_id = self.base_id   # one shard is named after its namespace
+        else:
+            shard_id = f"{self.base_id}-s{self._seq}"
         self._seq += 1
         return shard_id
 
@@ -206,9 +228,10 @@ class ShardManager:
 
     def _republish(self, tim) -> Generator:
         shard_map = self.publish(self.map.ring, self.members(self.map.shards))
+        guard = (shard_map.guard(tim.wiera_instance_id)
+                 if len(shard_map.shards) > 1 else None)
         yield from tim.broadcast("ctl_set_shard", {
-            "guard": shard_map.guard(tim.wiera_instance_id),
-            "epoch": shard_map.epoch})
+            "guard": guard, "epoch": shard_map.epoch})
 
     def exclusive(self, body: Generator) -> Generator:
         """Run ``body`` as the namespace's one publisher.  A launch, a

@@ -67,7 +67,7 @@ class Rebalancer:
     def add_shard(self) -> Generator:
         """Launch one more shard and migrate its ranges in."""
         mgr = self.manager
-        old_map = self._current_map()
+        old_map = mgr.map
         shard_id = mgr._next_shard_id()
         with self._obs.tracer.span("shard:add", cat="shard",
                                    component=f"shardmgr:{mgr.base_id}",
@@ -87,7 +87,7 @@ class Rebalancer:
     def remove_shard(self, shard_id: str) -> Generator:
         """Drain ``shard_id``'s ranges to the survivors and retire it."""
         mgr = self.manager
-        old_map = self._current_map()
+        old_map = mgr.map
         if shard_id not in old_map.shards:
             raise ShardError(f"{shard_id!r} is not a shard of "
                              f"{mgr.base_id!r}")
@@ -102,7 +102,7 @@ class Rebalancer:
                                      if sid != shard_id)
             yield from self._migrate(old_map, ring_new, shards_new,
                                      sources=[shard_id], retiring=shard_id)
-            yield from mgr.wiera.stop_instances(shard_id)
+            yield from mgr.stop_shard(shard_id)
             span.set(keys_moved=len(self.moved_keys),
                      epoch=mgr.map.epoch)
         return {"removed": shard_id, "epoch": mgr.map.epoch,
@@ -261,11 +261,6 @@ class Rebalancer:
         return failed
 
     # -- plumbing -----------------------------------------------------------
-    def _current_map(self) -> ShardMap:
-        if self.manager.map is None:
-            raise ShardError(f"{self.manager.base_id!r} not launched yet")
-        return self.manager.map
-
     def _source_records(self, shard_id: str):
         return self.manager.wiera.tim(shard_id).alive_records()
 

@@ -86,10 +86,14 @@ class HashRing:
             for i in range(self.vnodes))
         self._tokens = [token for token, _ in pairs]
         self._owners = [owner for _, owner in pairs]
+        self._only = (next(iter(self._shards)) if len(self._shards) == 1
+                      else None)
 
     # -- lookup -----------------------------------------------------------
     def owner(self, key: str) -> str:
-        """The shard id owning ``key``."""
+        """The shard id owning ``key`` (one shard: no key is hashed)."""
+        if self._only is not None:
+            return self._only
         if not self._tokens:
             raise ValueError("ring has no shards")
         idx = bisect.bisect_right(self._tokens, hash_point(key))

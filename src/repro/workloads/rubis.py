@@ -20,6 +20,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro.core.client import OP_ERRORS
 from repro.db.minidb import MiniDB
 from repro.net.vmprofiles import VmProfile
 from repro.sim.kernel import Simulator
@@ -191,7 +192,7 @@ class RubisBenchmark:
             t0 = sim.now
             try:
                 yield from self.app.handle(txn)
-            except Exception:
+            except OP_ERRORS:   # the database's storage failed the request
                 self.stats.errors += 1
                 continue
             elapsed = sim.now - t0

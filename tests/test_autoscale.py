@@ -72,39 +72,20 @@ class TestAutoscaleSpec:
 
 class TestHarnessWiring:
     def test_no_spec_means_no_controller_and_plain_handle(self):
+        """The handle of a one-shard namespace: one shard, named after
+        the namespace, whose instances carry no guard; no controller."""
         dep = build_deployment(list(REGIONS), seed=5)
         handle = dep.start_sharded_instance("as", _policy_spec())
-        assert handle.map is None
+        assert list(handle.map.shards) == ["as"]
+        assert all(rec.instance.shard_guard is None
+                   for rec in dep.tim("as").instances.values())
         assert dep.autoscalers == {}
-
-    def test_autoscale_none_is_bit_identical_to_unsharded(self):
-        def run(managed):
-            dep = build_deployment(list(REGIONS), seed=9)
-            if managed:
-                handle = dep.start_sharded_instance("det", _policy_spec())
-                client = dep.add_client(US_WEST, sharded=handle)
-            else:
-                instances = dep.start_wiera_instance("det", _policy_spec())
-                client = dep.add_client(US_WEST, instances=instances)
-
-            def app():
-                out = []
-                for i in range(5):
-                    result = yield from client.put(f"k{i}", b"v" * 64)
-                    out.append(result["latency"])
-                    result = yield from client.get(f"k{i}")
-                    out.append(result["latency"])
-                return out
-            out = dep.drive(app())
-            return out, dep.sim.now, dep.sim.events_processed
-
-        assert run(managed=True) == run(managed=False)
 
     def test_spec_autoscale_attaches_controller_even_at_one_shard(self):
         aspec = AutoscaleSpec(target_per_shard=100.0)
         dep = build_deployment(list(REGIONS), seed=5, autoscale=aspec)
         handle = dep.start_sharded_instance("as", _policy_spec())
-        assert handle.map is not None  # managed path forced at 1 shard
+        assert list(handle.map.shards) == ["as"]
         assert "as" in dep.autoscalers
         assert dep.autoscalers["as"].shards == 1
 

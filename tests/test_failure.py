@@ -293,7 +293,7 @@ class TestClientLearnsMembership:
         at_refresh = self.read_across_the_crash(dep, app, tim, victim,
                                                 self.KEYS)
         replacement = replacement_of(tim, instances)
-        assert app.map.epoch == tim.epoch == 2
+        assert app.map.epoch == tim.manager.epoch == 2
         assert replacement.instance_id in {
             info["instance_id"] for info in app.map.shards["ft"]}
         east = dep.instance("ft", US_EAST)

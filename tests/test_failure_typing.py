@@ -23,7 +23,7 @@ BROAD_EXCEPTS = {
     "repro/ec/repair.py": 0,
     "repro/fs/posixfs.py": 0,
     "repro/sim/rpc.py": 2,
-    "repro/workloads/rubis.py": 1,
+    "repro/workloads/rubis.py": 0,
 }
 
 

@@ -188,6 +188,37 @@ class TestRubisSmoke:
                 "repro.workloads.rubis", fromlist=["RUBIS_MIX"]).RUBIS_MIX}
 
 
+class TestRubisErrors:
+    """A request the database's storage fails is an error; a bug is not."""
+
+    def _stats(self, error):
+        from repro.sim import Simulator
+        from repro.workloads.rubis import RUBIS_MIX, RubisBenchmark
+        sim = Simulator()
+
+        class FailingApp:
+            def pick_txn(self):
+                return RUBIS_MIX[0]
+
+            def handle(self, txn):
+                yield sim.timeout(0.01)
+                raise error
+        bench = RubisBenchmark(sim, FailingApp(), clients=1, think_time=0.5,
+                               duration=1, ramp_up=0.1, ramp_down=0.1,
+                               rng=np.random.default_rng(0))
+        sim.run(until=sim.process(bench.run()))
+        return bench.stats
+
+    def test_a_failed_storage_request_is_counted(self):
+        from repro.storage.backend import StorageError
+        stats = self._stats(StorageError("disk gone"))
+        assert stats.errors > 0 and stats.total_requests == 0
+
+    def test_a_bug_propagates(self):
+        with pytest.raises(TypeError):
+            self._stats(TypeError("a bug"))
+
+
 class TestInstanceRpcSurface:
     def test_stats_and_list_keys(self):
         dep = build_deployment([US_EAST], seed=7)

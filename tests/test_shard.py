@@ -18,7 +18,7 @@ from repro.net import US_EAST, US_WEST
 from repro.shard.rebalance import Rebalancer
 from repro.shard.ring import HashRing, hash_point
 from repro.shard.map import WrongShardError
-from repro.tiera.policy import memory_only_policy, write_back_policy
+from repro.tiera.policy import write_back_policy
 from repro.workloads.ycsb import YcsbClient, YcsbWorkload
 
 KEYS = [f"user{i}" for i in range(10_000)]
@@ -299,41 +299,6 @@ class TestRebalance:
         dep.drive(verify())
 
 
-class TestShardsOneBitIdentical:
-    REGIONS = (US_EAST, US_WEST)
-
-    def _run(self, sharded):
-        dep = build_deployment(self.REGIONS, seed=33)
-        spec = GlobalPolicySpec(
-            name="det",
-            placements=tuple(RegionPlacement(r, memory_only_policy())
-                             for r in self.REGIONS),
-            consistency="multi_primaries")
-        if sharded:
-            handle = dep.start_sharded_instance("det", spec)
-            client = dep.add_client(US_WEST, sharded=handle)
-            assert handle.map is None
-            assert list(client.map.shards) == ["det"]
-        else:
-            instances = dep.start_wiera_instance("det", spec)
-            client = dep.add_client(US_WEST, instances=instances)
-
-        def app():
-            out = []
-            for i in range(5):
-                result = yield from client.put(f"k{i}", b"v" * 64)
-                out.append(result["latency"])
-            for i in range(5):
-                result = yield from client.get(f"k{i}")
-                out.append(result["latency"])
-            return out
-        latencies = dep.drive(app())
-        return latencies, dep.sim.now, dep.sim.events_processed
-
-    def test_shards_1_is_bit_identical_to_unsharded(self):
-        assert self._run(sharded=False) == self._run(sharded=True)
-
-
 class TestClientCounters:
     def test_failover_is_counted_once_in_the_registry(self):
         dep, handle, client = _sharded_dep(
@@ -358,8 +323,8 @@ class TestClientCounters:
 class TestElasticCycles:
     """Satellite: repeated back-to-back grow/shrink cycles stay clean."""
 
-    def _managed_one_shard(self):
-        """A managed (ShardManager-backed) namespace at one shard."""
+    def _one_shard(self):
+        """A namespace at one shard, named after it."""
         dep = build_deployment([US_EAST, US_WEST], seed=21,
                                servers_per_region=2)
         spec = GlobalPolicySpec(
@@ -367,11 +332,8 @@ class TestElasticCycles:
             placements=(RegionPlacement(US_EAST, write_back_policy()),
                         RegionPlacement(US_WEST, write_back_policy())),
             consistency="multi_primaries")
-        dep.drive(dep.wiera.start_sharded_instances("cy", spec, 1),
-                  name="start:cy")
+        handle = dep.start_sharded_instance("cy", spec)
         mgr = dep.wiera.shard_manager("cy")
-        from repro.shard.map import ShardHandle
-        handle = ShardHandle(base_id="cy", map=mgr.map)
         client = dep.add_client(
             US_WEST, sharded=handle, request_timeout=2.0,
             retry_policy=RetryPolicy(max_attempts=6, base_delay=0.2,
@@ -391,7 +353,7 @@ class TestElasticCycles:
                 assert inst.shard_guard.epoch == mgr.epoch
 
     def test_grow_1_to_4_and_back_under_live_writes(self):
-        dep, mgr, client = self._managed_one_shard()
+        dep, mgr, client = self._one_shard()
 
         def load():
             for i in range(30):
@@ -432,7 +394,7 @@ class TestElasticCycles:
             self._assert_no_leaked_state(dep, mgr)
             dep.sim.run(until=dep.sim.now + 2.0)
 
-        assert sorted(mgr.map.shards) == ["cy-s0"]
+        assert sorted(mgr.map.shards) == ["cy"]
         assert mgr.epoch == 7   # launch + 3 adds + 3 removes
 
         stop[0] = True
@@ -443,7 +405,7 @@ class TestElasticCycles:
         lost = []
         for key, version in sorted(acked.items()):
             best = -1
-            for rec in dep.wiera.tim("cy-s0").instances.values():
+            for rec in dep.wiera.tim("cy").instances.values():
                 record = rec.instance.meta.get_record(key)
                 if record is not None and record.latest_version is not None:
                     best = max(best, record.latest_version)

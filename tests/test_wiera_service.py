@@ -41,6 +41,45 @@ class TestWuiApi:
         with pytest.raises(WieraError):
             dep.start_wiera_instance("w1", spec())
 
+    def test_stop_stops_every_shard_of_a_namespace(self):
+        dep = build_deployment(REGIONS, shards=2)
+        handle = dep.start_sharded_instance("sh", spec("sh"))
+        assert sorted(handle.map.shards) == ["sh-s0", "sh-s1"]
+        result = dep.drive(dep.wiera.stop_instances("sh"))
+        assert result == {"stopped": True}
+        assert dep.wiera.tims == {}
+        with pytest.raises(WieraError):
+            dep.wiera.get_instances("sh")
+        for server in dep.servers.values():
+            assert not server.instances
+
+    def test_one_name_names_one_namespace(self):
+        """A plain launch cannot take a sharded namespace's name: its
+        instances would be reachable by no client."""
+        dep = build_deployment(REGIONS, shards=2)
+        dep.start_sharded_instance("sh", spec("sh"))
+        with pytest.raises(WieraError):
+            dep.start_wiera_instance("sh", spec("sh"))
+        assert sorted(dep.wiera.get_shard_map("sh").shards) == \
+            ["sh-s0", "sh-s1"]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_get_instances_lists_live_members_after_a_death(self, shards):
+        """A death that starts no §4.4 recovery publishes nothing; the
+        instance list and the map a client fetches skip the dead
+        instance at the published epoch."""
+        from repro.core.global_policy import FailureSpec
+        dep = build_deployment(REGIONS, shards=shards)
+        dep.start_sharded_instance("w", GlobalPolicySpec(
+            name="w", placements=spec().placements, consistency="eventual",
+            failure=FailureSpec(min_replicas=1)))
+        dep.server(US_WEST).host.crash()
+        dep.sim.run(until=dep.sim.now + 30.0)   # heartbeats miss it
+        listed = dep.wiera.get_instances("w")
+        assert len(listed) == shards
+        assert {info["region"] for info in listed} == {US_EAST}
+        assert dep.wiera.get_shard_map("w").epoch == 1
+
     def test_stop_unknown_is_graceful(self):
         dep = build_deployment(REGIONS)
         result = dep.drive(dep.wiera.stop_instances("ghost"))
@@ -109,7 +148,7 @@ class TestWuiApi:
         dep = build_deployment(REGIONS)
         s = spec()
         dep.start_wiera_instance("w", s)
-        assert dep.wiera.policies["w"] is s
+        assert dep.wiera.shard_manager("w").spec is s
 
     def test_primary_backup_requires_primary_placement(self):
         with pytest.raises(ValueError):
